@@ -14,12 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .boundary import HurwitzTuple, equivalent, hurwitz_to_datum
-from .cohomology import de_rham_character, h1_character
-from .covers import arithmetic_genus, build_cover, classify_node, is_connected, is_stable, rh_genus
+from .cohomology import h1_character
+from .covers import arithmetic_genus, build_cover, classify_node, is_stable, rh_genus
 from .degen import collide_pair, dihedral_degenerations, local_model_fixpoint_orbits, \
     predicted_fixpoint_orbits, smooth_dihedral, split_degenerations
-from .groups import PermGroup, induced_character, is_inverting_involution, left_cosets, \
-    normalizer, perm_from_cycles
+from .groups import ClassFunction, PermGroup, induced_character, is_inverting_involution, \
+    left_cosets, normalizer, perm_from_cycles
 
 PASS = "PASS"
 WARN = "WARN"
@@ -210,13 +210,13 @@ def run_audit() -> list[AuditCheck]:
 
     # the smooth interior datum itself is fine
     coverP = build_cover(hurwitz_to_datum(tP))
-    repP = de_rham_character(coverP)
+    h1P = h1_character(coverP)
+    invariants = h1P.inner(ClassFunction.trivial(P))
     check("psl27-interior", len(coverP.components) == 1
           and coverP.components[0].genus == 3
-          and is_connected(coverP)
-          and repP.positive_genus and repP.degree_chi_dR == 2 - 2 * 3,
-          "interior cover: one component of genus 3; character degree "
-          f"{repP.degree_chi_dR} with positive-genus marker")
+          and h1P.degree == 2 * 3 and invariants == 0,
+          "interior cover: one component of genus 3; H1 character of degree "
+          f"{h1P.degree} with {invariants} trivial constituent(s), expected 6 and 0")
 
     return checks
 

@@ -314,13 +314,35 @@ def datum_to_jsonable(datum: BoundaryDatum) -> dict:
     return {"group": G.to_jsonable(), "components": comps}
 
 
+def _is_int(x) -> bool:
+    """JSON integers only: booleans are ints to Python but not to the schema."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_perm_list(raw) -> bool:
+    return isinstance(raw, list) and all(_is_int(x) for x in raw)
+
+
 def _perm_id(G: PermGroup, raw, path: str) -> int:
-    if not isinstance(raw, list) or not all(isinstance(x, int) for x in raw):
+    if not _is_perm_list(raw):
         raise SchemaError(path, "expected a permutation as a list of integer images")
     try:
         return G.id_of(raw)
     except (KeyError, ValueError) as exc:
         raise SchemaError(path, str(exc)) from None
+
+
+def _group_from_jsonable(grp) -> PermGroup:
+    if not isinstance(grp, dict) or "degree" not in grp or "generators" not in grp:
+        raise SchemaError("$.group", "expected {degree, generators}")
+    if not _is_int(grp["degree"]):
+        raise SchemaError("$.group.degree", "expected an integer")
+    if not isinstance(grp["generators"], list) or not all(map(_is_perm_list, grp["generators"])):
+        raise SchemaError("$.group.generators", "expected permutations as lists of integers")
+    try:
+        return PermGroup(grp["generators"], degree=grp["degree"])
+    except Exception as exc:
+        raise SchemaError("$.group", str(exc)) from None
 
 
 def datum_from_jsonable(obj) -> BoundaryDatum:
@@ -329,13 +351,7 @@ def datum_from_jsonable(obj) -> BoundaryDatum:
     for key in ("group", "components"):
         if key not in obj:
             raise SchemaError(f"$.{key}", "missing required field")
-    grp = obj["group"]
-    if not isinstance(grp, dict) or "degree" not in grp or "generators" not in grp:
-        raise SchemaError("$.group", "expected {degree, generators}")
-    try:
-        G = PermGroup(grp["generators"], degree=int(grp["degree"]))
-    except Exception as exc:
-        raise SchemaError("$.group", str(exc)) from None
+    G = _group_from_jsonable(obj["group"])
     comps = []
     if not isinstance(obj["components"], list):
         raise SchemaError("$.components", "expected a list")
@@ -344,7 +360,7 @@ def datum_from_jsonable(obj) -> BoundaryDatum:
         if not isinstance(comp, dict):
             raise SchemaError(base, "expected an object")
         genus = comp.get("genus", 0)
-        if not isinstance(genus, int) or genus < 0:
+        if not _is_int(genus) or genus < 0:
             raise SchemaError(f"{base}.genus", "expected a nonnegative integer")
         handles = []
         for hi, pair in enumerate(comp.get("handles", [])):
@@ -367,7 +383,7 @@ def datum_from_jsonable(obj) -> BoundaryDatum:
                         raise SchemaError(f"{ppath}.s", "dihedral point needs s")
                     points.append(MarkedPoint.dihedral(m, _perm_id(G, pt["s"], f"{ppath}.s")))
                 elif kind == NODE_END:
-                    if not isinstance(pt.get("node"), int):
+                    if not _is_int(pt.get("node")):
                         raise SchemaError(f"{ppath}.node", "node end needs an integer node id")
                     points.append(MarkedPoint.node_end(m, pt["node"]))
                 else:
@@ -386,13 +402,7 @@ def tuple_to_jsonable(t: HurwitzTuple) -> dict:
 def tuple_from_jsonable(obj) -> HurwitzTuple:
     if not isinstance(obj, dict) or "group" not in obj or "entries" not in obj:
         raise SchemaError("$", "expected {group, entries}")
-    grp = obj["group"]
-    if not isinstance(grp, dict) or "degree" not in grp or "generators" not in grp:
-        raise SchemaError("$.group", "expected {degree, generators}")
-    try:
-        G = PermGroup(grp["generators"], degree=int(grp["degree"]))
-    except Exception as exc:
-        raise SchemaError("$.group", str(exc)) from None
+    G = _group_from_jsonable(obj["group"])
     if not isinstance(obj["entries"], list):
         raise SchemaError("$.entries", "expected a list of permutations")
     ids = [_perm_id(G, e, f"$.entries[{i}]") for i, e in enumerate(obj["entries"])]

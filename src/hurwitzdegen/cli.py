@@ -17,10 +17,11 @@ from .boundary import (BoundaryDatum, datum_from_jsonable, datum_to_jsonable, da
                        tuple_to_jsonable, validate)
 from .cohomology import (character_to_jsonable, classes_to_jsonable, de_rham_character,
                          render_character_table)
-from .covers import CoverCurve, build_cover, cover_report, cover_to_dot, node_class_summary
+from .covers import build_cover, cover_report, cover_to_dot
 from .degen import dihedral_degenerations, local_model_fixpoint_orbits, predicted_fixpoint_orbits, \
     dedup as dedup_degenerations, split_degenerations
 from .errors import HurwitzDegenError, InvalidDatum, SchemaError
+from .groups import ClassFunction
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,11 +43,10 @@ def _load_json(path: str):
                                 f"{exc.msg}") from None
 
 
-def _node_classes_with_smoothing(cover: CoverCurve) -> tuple[list[dict], list[str]]:
+def _add_smoothing_orbits(node_classes: list[dict]) -> list[str]:
+    """Annotate each node-class entry in place; returns the warnings."""
     warnings = []
-    out = []
-    for entry in node_class_summary(cover):
-        entry = dict(entry)
+    for entry in node_classes:
         if entry["kind"] == "dihedral":
             order = entry["stabilizer_order"]
             oracle = local_model_fixpoint_orbits(order // 2)
@@ -63,8 +63,7 @@ def _node_classes_with_smoothing(cover: CoverCurve) -> tuple[list[dict], list[st
                     f"predicts {predicted}")
         else:
             entry["smoothing_fixpoint_orbits"] = None
-        out.append(entry)
-    return out, warnings
+    return warnings
 
 
 def analyze_datum(datum: BoundaryDatum) -> tuple[dict, int]:
@@ -92,36 +91,22 @@ def analyze_datum(datum: BoundaryDatum) -> tuple[dict, int]:
 
     cover = build_cover(datum)
     cov = cover_report(cover)
-    cov["node_classes"], smoothing_warnings = _node_classes_with_smoothing(cover)
-    warnings.extend(smoothing_warnings)
+    warnings.extend(_add_smoothing_orbits(cov["node_classes"]))
     report["cover"] = cov
     if not cov["connected"]:
         warnings.append("cover is disconnected; arithmetic genus reported per component")
 
     dev = de_rham_character(cover)
     G = datum.group
-    chars: dict = {
+    report["characters"] = {
         "classes": classes_to_jsonable(G),
-        "positive_genus": dev.positive_genus,
         "connected": dev.connected,
         "degree_chi_dR": dev.degree_chi_dR,
-        "chi_dR": None,
-        "chi_dR_literal": None,
-        "chi_normalization": None,
-        "edge_induction_sum": None,
-        "h1": None,
+        "chi_dR": character_to_jsonable(dev.chi_dR),
+        "chi_normalization": character_to_jsonable(dev.chi_normalization),
+        "edge_induction_sum": character_to_jsonable(dev.edge_induction_sum),
+        "h1": None if dev.h1_character is None else character_to_jsonable(dev.h1_character),
     }
-    if not dev.positive_genus:
-        chars["chi_dR"] = character_to_jsonable(dev.chi_dR)
-        chars["chi_dR_literal"] = character_to_jsonable(dev.chi_dR_literal)
-        chars["chi_normalization"] = character_to_jsonable(dev.chi_normalization)
-        chars["edge_induction_sum"] = character_to_jsonable(dev.edge_induction_sum)
-        if dev.h1_character is not None:
-            chars["h1"] = character_to_jsonable(dev.h1_character)
-    else:
-        warnings.append("positive-genus normalization components: character withheld, "
-                        "only deg chi_dR = 2 - 2*g_a reported")
-    report["characters"] = chars
     return report, 0
 
 
@@ -156,17 +141,14 @@ def _print_pretty(report: dict, out) -> None:
     chars = report["characters"]
     if chars:
         print(f"deg chi_dR = {chars['degree_chi_dR']}", file=out)
-        if chars["chi_dR"] is not None:
-            labels = [c["label"] for c in chars["classes"]]
-            header = ["class", "order", "size", "chi_dR"] + \
-                (["h1"] if chars["h1"] else [])
-            print("  ".join(header), file=out)
-            for i, cls in enumerate(chars["classes"]):
-                row = [labels[i], str(cls["order"]), str(cls["size"]),
-                       str(chars["chi_dR"]["values"][i])]
-                if chars["h1"]:
-                    row.append(str(chars["h1"]["values"][i]))
-                print("  ".join(row), file=out)
+        header = ["class", "order", "size", "chi_dR"] + (["h1"] if chars["h1"] else [])
+        print("  ".join(header), file=out)
+        for i, cls in enumerate(chars["classes"]):
+            row = [cls["label"], str(cls["order"]), str(cls["size"]),
+                   str(chars["chi_dR"]["values"][i])]
+            if chars["h1"]:
+                row.append(str(chars["h1"]["values"][i]))
+            print("  ".join(row), file=out)
     for w in report["warnings"]:
         print(f"warning: {w}", file=out)
 
@@ -184,6 +166,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_degenerate(args) -> int:
     t = tuple_from_jsonable(_load_json(args.path))
+    if args.dihedral is not None and not 0 <= args.dihedral < len(t):
+        print(f"error: --dihedral {args.dihedral} is out of range: the tuple has "
+              f"{len(t)} entries, so the index must lie in 0..{len(t) - 1}", file=sys.stderr)
+        return 1
     degs = []
     warnings = []
     if args.splits:
@@ -226,15 +212,8 @@ def cmd_character(args) -> int:
         json.dump(chars, sys.stdout, indent=2)
         sys.stdout.write("\n")
         return 0
-    if chars["chi_dR"] is None:
-        print(f"deg chi_dR = {chars['degree_chi_dR']} "
-              "(positive-genus components: full character withheld)")
-        return 0
-    cover = build_cover(datum)
-    dev = de_rham_character(cover)
-    table = {"chi_dR": dev.chi_dR, "chi_dR_literal": dev.chi_dR_literal}
-    if dev.h1_character is not None:
-        table["h1"] = dev.h1_character
+    table = {name: ClassFunction(datum.group, tuple(chars[name]["values"]))
+             for name in ("chi_dR", "h1") if chars[name] is not None}
     sys.stdout.write(render_character_table(datum.group, table))
     return 0
 

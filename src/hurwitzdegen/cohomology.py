@@ -1,69 +1,68 @@
 """Equivariant virtual characters of de Rham cohomology of nodal covers.
 
-For a cover whose normalization components are all rational, the virtual
-character decomposes through the normalization and the dual graph as
+One formula for every cover, read off the datum's graph of groups (Lefschetz
+fixed points plus Frobenius induction):
 
-    chi_dR(C) = chi_dR(C') - 2 * sum over node orbits of Ind(signum)
+    chi_dR = sum over Y of [(2 - 2 h_Y - n_Y) rho_G + sum over p in Y of Ind_<m_p> 1]
+             - 2 sum over nodes of Ind_<m> 1 - 2 sum over dihedral points of Ind_<m,s> sgn
 
-with chi_dR(C') = 2 * (permutation character on cover components).  The
-companion value chi_dR(C') + 2 * (perm(V) - sum Ind(signum)) is also
-reported (``chi_dR_literal``); it is degree-inconsistent with 2 - 2*g_a and
-kept only for auditing.  Positive-genus normalization components would need
-fixed-point trace formulas this package does not model, so only the degree
-2 - 2*g_a is produced there.
+rho_G is the regular character, n_Y counts the marked points of Y and sgn is
+-1 on the branch-swapping coset s<m>.  The first sum is the character of the
+normalization, 2 * (permutation character on cover components) when every
+component is rational.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
-from .covers import CoverCurve, arithmetic_genus, is_connected
-from .errors import Disconnected, PositiveGenusComponents
-from .graphs import edge_orbit_data
-from .groups import ClassFunction, PermGroup, induced_character, permutation_character
+from .covers import CoverCurve, is_connected
+from .errors import Disconnected
+from .groups import ClassFunction, PermGroup, induced_character, trivial_on
 
 
 @dataclass(frozen=True, eq=False)
 class DevissageReport:
-    chi_dR: ClassFunction | None
-    chi_normalization: ClassFunction | None
-    edge_induction_sum: ClassFunction | None
-    chi_dR_literal: ClassFunction | None
-    h1_character: ClassFunction | None
+    chi_dR: ClassFunction
+    chi_normalization: ClassFunction
+    edge_induction_sum: ClassFunction
+    h1_character: ClassFunction | None    # None exactly on disconnected covers
     degree_chi_dR: int
-    positive_genus: bool
     connected: bool
 
 
 def de_rham_character(cover: CoverCurve) -> DevissageReport:
-    connected = is_connected(cover)
-    if any(c.genus > 0 for c in cover.components):
-        # degree-only fallback; needs a connected cover for g_a
-        ga = arithmetic_genus(cover)
-        return DevissageReport(None, None, None, None, None,
-                               2 - 2 * ga, True, connected)
-    group = cover.group
-    vertex_perm = permutation_character(group, cover.action.vertex_images)
-    chi_norm = 2 * vertex_perm
-    edge_sum = ClassFunction.zero(group)
-    for orbit in edge_orbit_data(cover.action):
-        edge_sum = edge_sum + induced_character(group, orbit.stabilizer, orbit.signum_map())
+    datum, G = cover.datum, cover.group
+
+    @cache
+    def ind_cyclic(m: int) -> ClassFunction:
+        C = G.cyclic_subgroup(m)
+        return induced_character(G, C, trivial_on(C))
+
+    chi_norm = ClassFunction.zero(G)
+    for comp in datum.components:
+        chi_norm = chi_norm + (2 - 2 * comp.genus - len(comp.points)) * ClassFunction.regular(G)
+        for pt in comp.points:
+            chi_norm = chi_norm + ind_cyclic(pt.m)
+    edge_sum = ClassFunction.zero(G)
+    for end_a, _ in datum.nodes():
+        edge_sum = edge_sum + ind_cyclic(datum.point(*end_a).m)
+    for ci, pi in datum.dihedral_points():
+        pt = datum.point(ci, pi)
+        signum = {h: 1 for h in G.cyclic_subgroup(pt.m).members}
+        signum.update({G.mul(pt.s, h): -1 for h in list(signum)})
+        edge_sum = edge_sum + induced_character(G, G.subgroup(signum), signum)
     chi_dR = chi_norm - 2 * edge_sum
-    chi_literal = chi_norm + 2 * (vertex_perm - edge_sum)
-    h1 = None
-    if connected:
-        h1 = 2 * ClassFunction.trivial(group) - chi_dR
-    return DevissageReport(chi_dR, chi_norm, edge_sum, chi_literal, h1,
-                           chi_dR.degree, False, connected)
+    connected = is_connected(cover)
+    h1 = 2 * ClassFunction.trivial(G) - chi_dR if connected else None
+    return DevissageReport(chi_dR, chi_norm, edge_sum, h1, chi_dR.degree, connected)
 
 
 def h1_character(cover: CoverCurve) -> ClassFunction:
-    """[H^1] = 2*triv - chi_dR for a connected, all-rational cover."""
+    """[H^1] = 2*triv - chi_dR for a connected cover."""
     if not is_connected(cover):
         raise Disconnected("H^1 character needs a connected cover")
-    if any(c.genus > 0 for c in cover.components):
-        raise PositiveGenusComponents(
-            "H^1 character needs every normalization component rational")
     report = de_rham_character(cover)
     assert report.h1_character is not None
     return report.h1_character
@@ -82,15 +81,6 @@ def class_labels(group: PermGroup) -> list[str]:
         counts[order] = n + 1
         labels.append(f"{order}{chr(ord('a') + n)}")
     return labels
-
-
-def character_rows(group: PermGroup, chi: ClassFunction) -> list[tuple[str, int, int, int]]:
-    """(class label, element order, class size, value) per conjugacy class."""
-    rows = []
-    labels = class_labels(group)
-    for ci, c in enumerate(group.conjugacy_classes()):
-        rows.append((labels[ci], group.element_order(c[0]), len(c), chi.values[ci]))
-    return rows
 
 
 def render_character_table(group: PermGroup, characters: dict[str, ClassFunction]) -> str:

@@ -7,11 +7,18 @@ component Y with image subgroup H_Y are the left cosets gH_Y, points over a
 marked point with monodromy m are the left cosets g<m>, and the nodes over
 a dihedral point (m, s) are the left cosets g<m, s> whose two branches are
 the two <m>-cosets contained in g<m, s>.
+
+Everything reported is read off the datum's graph of groups: node classes
+come from each node's origin.  A branch is a (quotient point, <m>-coset)
+pair and g acts on it by left multiplication on the coset; that one rule
+gives the explicit deck action, which ``CoverCurve.action`` builds as
+|G|-row tables only on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .boundary import (DIHEDRAL, NODE_END, BoundaryDatum, component_image_subgroup,
                        require_valid)
@@ -70,27 +77,53 @@ class NodeClass:
 
 
 class CoverCurve:
-    """The cover of a boundary datum with its deck action on the dual graph."""
+    """The cover of a boundary datum: components, nodes and their dual graph.
+
+    Oriented edge 2k of the dual graph is branch a of node k and edge 2k + 1
+    its branch b; each edge ends at its branch's component.
+    """
 
     def __init__(self, datum: BoundaryDatum, components: list[CoverComponent],
-                 nodes: list[CoverNode], graph: GenGraph, action: GraphAction,
-                 comp_cosets: list[CosetTable], point_mcosets: dict, dihedral_dcosets: dict):
+                 nodes: list[CoverNode], comp_cosets: list[CosetTable], point_mcosets: dict):
         self.datum = datum
         self.group = datum.group
         self.components = components
         self.nodes = nodes
-        self.graph = graph
-        self.action = action
         self.comp_cosets = comp_cosets
         self.point_mcosets = point_mcosets
-        self.dihedral_dcosets = dihedral_dcosets
+        self.offsets = [v for v, c in enumerate(components) if c.coset == 0]
+        edges, opp = [], []
+        self._edge_of: dict[tuple, int] = {}
+        for k, node in enumerate(nodes):
+            edges += [(node.branch_b.vertex, node.branch_a.vertex),
+                      (node.branch_a.vertex, node.branch_b.vertex)]
+            opp += [2 * k + 1, 2 * k]
+            self._edge_of[node.branch_a.quotient_point, node.branch_a.m_coset] = 2 * k
+            self._edge_of[node.branch_b.quotient_point, node.branch_b.m_coset] = 2 * k + 1
+        self.graph = GenGraph(len(components), tuple(edges), tuple(opp))
 
-    def component_rep(self, vertex: int) -> int:
-        comp = self.components[vertex]
-        return self.comp_cosets[comp.quotient_component].rep(comp.coset)
+    def vertex_image(self, g: int, v: int) -> int:
+        """g sends the component xH_Y to gxH_Y."""
+        ci, coset = self.components[v].quotient_component, self.components[v].coset
+        cos = self.comp_cosets[ci]
+        return self.offsets[ci] + cos.index_of[self.group.mul(g, cos.rep(coset))]
 
-    def node_action_image(self, g: int, node_idx: int) -> int:
-        return self.action.edge_images[g][2 * node_idx] // 2
+    def edge_image(self, g: int, e: int) -> int:
+        """g sends the branch (point, x<m>) of edge e to the branch (point, gx<m>)."""
+        node = self.nodes[e // 2]
+        branch = node.branch_b if e % 2 else node.branch_a
+        mcos = self.point_mcosets[branch.quotient_point]
+        image = mcos.index_of[self.group.mul(g, mcos.rep(branch.m_coset))]
+        return self._edge_of[branch.quotient_point, image]
+
+    @cached_property
+    def action(self) -> GraphAction:
+        """The deck action as one table row per element of G, built on demand."""
+        G, V, E = self.group, len(self.components), 2 * len(self.nodes)
+        return GraphAction(
+            self.graph, G,
+            tuple(tuple(self.vertex_image(g, v) for v in range(V)) for g in range(G.order)),
+            tuple(tuple(self.edge_image(g, e) for e in range(E)) for g in range(G.order)))
 
 
 def build_cover(datum: BoundaryDatum) -> CoverCurve:
@@ -99,17 +132,11 @@ def build_cover(datum: BoundaryDatum) -> CoverCurve:
 
     comp_subs = [component_image_subgroup(datum, ci) for ci in range(len(datum.components))]
     comp_cosets = [left_cosets(G, H) for H in comp_subs]
-    genera = []
+    components: list[CoverComponent] = []
     for ci, comp in enumerate(datum.components):
         orders = [G.element_order(pt.m) for pt in comp.points if pt.m != G.identity]
-        genera.append(rh_genus(comp_subs[ci].order, comp.genus, orders))
-
-    components: list[CoverComponent] = []
-    vertex_index: dict[tuple[int, int], int] = {}
-    for ci in range(len(datum.components)):
-        for c in range(len(comp_cosets[ci])):
-            vertex_index[(ci, c)] = len(components)
-            components.append(CoverComponent(ci, c, genera[ci]))
+        genus = rh_genus(comp_subs[ci].order, comp.genus, orders)
+        components += [CoverComponent(ci, c, genus) for c in range(len(comp_cosets[ci]))]
 
     point_mcosets: dict[tuple[int, int], CosetTable] = {}
     for ci, comp in enumerate(datum.components):
@@ -117,107 +144,28 @@ def build_cover(datum: BoundaryDatum) -> CoverCurve:
             if pt.kind in (NODE_END, DIHEDRAL):
                 point_mcosets[(ci, pi)] = left_cosets(G, G.cyclic_subgroup(pt.m))
 
+    offsets = [v for v, c in enumerate(components) if c.coset == 0]
+
+    def branch(point: tuple[int, int], element: int) -> CoverBranch:
+        ci = point[0]
+        return CoverBranch(point, point_mcosets[point].index_of[element],
+                           offsets[ci] + comp_cosets[ci].index_of[element])
+
     nodes: list[CoverNode] = []
-    node_index: dict[tuple, int] = {}
-
-    def vertex_of(ci: int, element: int) -> int:
-        return vertex_index[(ci, comp_cosets[ci].index_of[element])]
-
-    for node_idx, ((ca, pa), (cb, pb)) in enumerate(datum.nodes()):
-        mcos = point_mcosets[(ca, pa)]   # <m_a> = <m_b>, shared coset table
-        for t in range(len(mcos)):
-            rep = mcos.rep(t)
-            branch_a = CoverBranch((ca, pa), t, vertex_of(ca, rep))
-            branch_b = CoverBranch((cb, pb), t, vertex_of(cb, rep))
-            node_index[("node", node_idx, t)] = len(nodes)
-            nodes.append(CoverNode(("node", node_idx), branch_a, branch_b))
-
-    dihedral_dcosets: dict[tuple[int, int], CosetTable] = {}
+    for node_idx, (end_a, end_b) in enumerate(datum.nodes()):
+        for rep in (cell[0] for cell in point_mcosets[end_a].cells):  # <m_a> = <m_b>
+            nodes.append(CoverNode((NODE_END, node_idx), branch(end_a, rep), branch(end_b, rep)))
     for ci, pi in datum.dihedral_points():
-        pt = datum.point(ci, pi)
-        D = G.generated_subgroup([pt.m, pt.s])
-        dcos = left_cosets(G, D)
-        dihedral_dcosets[(ci, pi)] = dcos
+        # the node r<m, s> pairs the branches r<m> and rs<m>; the pair is met
+        # first at the coset holding the minimum of r<m, s>
+        s = datum.point(ci, pi).s
         mcos = point_mcosets[(ci, pi)]
-        for t in range(len(dcos)):
-            rep = dcos.rep(t)
-            rep_s = G.mul(rep, pt.s)
-            branch_a = CoverBranch((ci, pi), mcos.index_of[rep], vertex_of(ci, rep))
-            branch_b = CoverBranch((ci, pi), mcos.index_of[rep_s], vertex_of(ci, rep_s))
-            node_index[("dihedral", ci, pi, t)] = len(nodes)
-            nodes.append(CoverNode(("dihedral", ci, pi), branch_a, branch_b))
-
-    edges = []
-    opp = []
-    for k, node in enumerate(nodes):
-        # one oriented edge per branch, ending at the branch's component
-        edges.append((node.branch_b.vertex, node.branch_a.vertex))
-        edges.append((node.branch_a.vertex, node.branch_b.vertex))
-        opp.extend([2 * k + 1, 2 * k])
-    graph = GenGraph(len(components), tuple(edges), tuple(opp))
-
-    vertex_images = []
-    edge_images = []
-    for g in range(G.order):
-        vi = [0] * len(components)
-        for v, comp in enumerate(components):
-            rep = comp_cosets[comp.quotient_component].rep(comp.coset)
-            vi[v] = vertex_of(comp.quotient_component, G.mul(g, rep))
-        ei = [0] * len(edges)
-        for k, node in enumerate(nodes):
-            if node.origin[0] == "node":
-                _, node_idx = node.origin
-                mcos = point_mcosets[node.branch_a.quotient_point]
-                t2 = mcos.index_of[G.mul(g, mcos.rep(node.branch_a.m_coset))]
-                k2 = node_index[("node", node_idx, t2)]
-                swap = 0
-            else:
-                _, ci, pi = node.origin
-                dcos = dihedral_dcosets[(ci, pi)]
-                mcos = point_mcosets[(ci, pi)]
-                t2 = dcos.index_of[G.mul(g, dcos.rep(node_dcoset(dcos, node, mcos)))]
-                k2 = node_index[("dihedral", ci, pi, t2)]
-                image_a = mcos.index_of[G.mul(g, mcos.rep(node.branch_a.m_coset))]
-                if nodes[k2].branch_a.m_coset == image_a:
-                    swap = 0
-                else:
-                    assert nodes[k2].branch_b.m_coset == image_a
-                    swap = 1
-            ei[2 * k] = 2 * k2 + swap
-            ei[2 * k + 1] = 2 * k2 + (1 - swap)
-        vertex_images.append(tuple(vi))
-        edge_images.append(tuple(ei))
-    action = GraphAction(graph, G, tuple(vertex_images), tuple(edge_images))
-
-    cover = CoverCurve(datum, components, nodes, graph, action,
-                       comp_cosets, point_mcosets, dihedral_dcosets)
-    _check_orbit_stabilizer(cover)
-    return cover
-
-
-def node_dcoset(dcos: CosetTable, node: CoverNode, mcos: CosetTable) -> int:
-    return dcos.index_of[mcos.rep(node.branch_a.m_coset)]
-
-
-def _check_orbit_stabilizer(cover: CoverCurve) -> None:
-    """Deck action sanity: orbit size times stabilizer order equals |G|."""
-    G = cover.group
-    seen_components = set()
-    for v, comp in enumerate(cover.components):
-        if comp.quotient_component in seen_components:
-            continue
-        seen_components.add(comp.quotient_component)
-        images = {cover.action.vertex_images[g][v] for g in range(G.order)}
-        stab = sum(1 for g in range(G.order) if cover.action.vertex_images[g][v] == v)
-        assert len(images) * stab == G.order
-    seen_origins = set()
-    for k, node in enumerate(cover.nodes):
-        if node.origin in seen_origins:
-            continue
-        seen_origins.add(node.origin)
-        images = {cover.node_action_image(g, k) for g in range(G.order)}
-        stab = sum(1 for g in range(G.order) if cover.node_action_image(g, k) == k)
-        assert len(images) * stab == G.order
+        for t, cell in enumerate(mcos.cells):
+            rep_s = G.mul(cell[0], s)
+            if mcos.index_of[rep_s] > t:
+                nodes.append(CoverNode((DIHEDRAL, ci, pi), branch((ci, pi), cell[0]),
+                                       branch((ci, pi), rep_s)))
+    return CoverCurve(datum, components, nodes, comp_cosets, point_mcosets)
 
 
 def is_connected(cover: CoverCurve) -> bool:
@@ -272,28 +220,30 @@ def is_stable(cover: CoverCurve) -> bool:
     return True
 
 
+def _node_type(cover: CoverCurve, node: CoverNode) -> tuple[str, int]:
+    """(kind, stabilizer order) of a node, read off its origin: ord(m) or 2 ord(m)."""
+    order = cover.group.element_order(cover.datum.point(*node.branch_a.quotient_point).m)
+    return (CYCLIC_NODE, order) if node.origin[0] == NODE_END else (DIHEDRAL_NODE, 2 * order)
+
+
 def classify_node(cover: CoverCurve, node_idx: int) -> NodeClass:
-    """Setwise stabilizer of the branch pair; dihedral iff something swaps."""
+    """Setwise stabilizer of the branch pair: r<m>r^-1, or r<m, s>r^-1 over a
+    dihedral point, where r represents branch a's coset r<m>."""
     G = cover.group
-    stab = []
-    swap_seen = False
-    for g in range(G.order):
-        img = cover.action.edge_images[g][2 * node_idx]
-        if img == 2 * node_idx:
-            stab.append(g)
-        elif img == 2 * node_idx + 1:
-            stab.append(g)
-            swap_seen = True
-    kind = DIHEDRAL_NODE if swap_seen else CYCLIC_NODE
-    return NodeClass(kind, G.subgroup(stab))
+    node = cover.nodes[node_idx]
+    point = node.branch_a.quotient_point
+    pt = cover.datum.point(*point)
+    r = cover.point_mcosets[point].rep(node.branch_a.m_coset)
+    gens = [pt.m] if node.origin[0] == NODE_END else [pt.m, pt.s]
+    members = G.generated_subgroup(gens).members
+    return NodeClass(_node_type(cover, node)[0], G.subgroup(G.conj(r, h) for h in members))
 
 
 def node_class_summary(cover: CoverCurve) -> list[dict]:
     """Counts of nodes grouped by (kind, stabilizer order)."""
     buckets: dict[tuple[str, int], int] = {}
-    for k in range(len(cover.nodes)):
-        nc = classify_node(cover, k)
-        key = (nc.kind, nc.stabilizer.order)
+    for node in cover.nodes:
+        key = _node_type(cover, node)
         buckets[key] = buckets.get(key, 0) + 1
     return [{"kind": kind, "stabilizer_order": order, "count": count}
             for (kind, order), count in sorted(buckets.items())]
@@ -387,7 +337,7 @@ def subcover(cover: CoverCurve, K: Subgroup) -> SubcoverReport:
             sub_idx = len(sub_components)
             sub_components.append(SubcoverComponent(ci, rep, deg, g, cycles))
             for c in orbit:
-                vertex_to_subcomp[cover_vertex(cover, ci, c)] = sub_idx
+                vertex_to_subcomp[cover.offsets[ci] + c] = sub_idx
 
     point_types = []
     for ci, comp in enumerate(datum.components):
@@ -404,7 +354,7 @@ def subcover(cover: CoverCurve, K: Subgroup) -> SubcoverReport:
         orbit = set()
         swapped = False
         for k in K.members:
-            img_edge = cover.action.edge_images[k][2 * idx]
+            img_edge = cover.edge_image(k, 2 * idx)
             orbit.add(img_edge // 2)
             if img_edge == 2 * idx + 1:
                 swapped = True
@@ -420,13 +370,6 @@ def subcover(cover: CoverCurve, K: Subgroup) -> SubcoverReport:
                           tuple(point_types), tuple(node_orbits))
 
 
-def cover_vertex(cover: CoverCurve, ci: int, coset: int) -> int:
-    offset = 0
-    for j in range(ci):
-        offset += len(cover.comp_cosets[j])
-    return offset + coset
-
-
 # -- reporting ----------------------------------------------------------------
 
 
@@ -435,8 +378,7 @@ def cover_to_dot(cover: CoverCurve) -> str:
     for comp in cover.components:
         order = cover.comp_cosets[comp.quotient_component].subgroup_order
         vlabels.append(f"g={comp.genus} |H|={order}")
-    elabels = [str(classify_node(cover, k).stabilizer.order)
-               for k in range(len(cover.nodes))]
+    elabels = [str(_node_type(cover, node)[1]) for node in cover.nodes]
     return gengraph_to_dot(cover.graph, name="cover",
                            vertex_labels=vlabels, edge_labels=elabels)
 

@@ -48,10 +48,6 @@ class Disconnected(HurwitzDegenError):
     """Operation requires a connected cover."""
 
 
-class PositiveGenusComponents(HurwitzDegenError):
-    """Character extraction needs every normalization component rational."""
-
-
 class TooFewPoints(HurwitzDegenError):
     """Tuple too short to admit stable degenerations."""
 

@@ -374,6 +374,10 @@ class ClassFunction:
     def zero(cls, group: PermGroup) -> "ClassFunction":
         return cls(group, tuple([0] * len(group.conjugacy_classes())))
 
+    @classmethod
+    def regular(cls, group: PermGroup) -> "ClassFunction":
+        return cls(group, tuple([group.order] + [0] * (len(group.conjugacy_classes()) - 1)))
+
     @property
     def degree(self) -> int:
         return self.values[0]  # identity sits in class 0
@@ -425,8 +429,9 @@ def permutation_character(group: PermGroup, images: Sequence[Sequence[int]]) -> 
 def induced_character(group: PermGroup, sub: Subgroup, chi: Mapping[int, int]) -> ClassFunction:
     """Frobenius induction of a +-1 character of ``sub`` up to ``group``.
 
-    Ind(chi)(g) = (1/|H|) sum over x in G with x g x^-1 in H of chi(x g x^-1).
-    Multiplicativity of chi is verified; values come out integral.
+    Ind(chi)(g) = |G| / (|cl g| |H|) * sum of chi(h) over h in H meeting the
+    class of g: one pass over H, bucketed by class.  Multiplicativity of chi
+    is verified; values come out integral.
     """
     for h in sub.members:
         if chi.get(h) not in (1, -1):
@@ -435,16 +440,13 @@ def induced_character(group: PermGroup, sub: Subgroup, chi: Mapping[int, int]) -
         for b in sub.members:
             if chi[group.mul(a, b)] != chi[a] * chi[b]:
                 raise NotACharacter(f"chi not multiplicative at ({a}, {b})")
-    ms = sub.member_set()
+    classes = group.conjugacy_classes()
+    sums = [0] * len(classes)
+    for h in sub.members:
+        sums[group.class_of(h)] += chi[h]
     vals = []
-    for c in group.conjugacy_classes():
-        g = c[0]
-        total = 0
-        for x in range(group.order):
-            y = group.conj(x, g)
-            if y in ms:
-                total += chi[y]
-        q, r = divmod(total, sub.order)
+    for total, c in zip(sums, classes):
+        q, r = divmod(group.order * total, len(c) * sub.order)
         assert r == 0, "induced value not integral"
         vals.append(q)
     return ClassFunction(group, tuple(vals))

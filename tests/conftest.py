@@ -40,6 +40,11 @@ def d5():
                       perm_from_cycles(5, (1, 4), (2, 3))])
 
 
+@pytest.fixture(scope="session")
+def s5():
+    return PermGroup([perm_from_cycles(5, (0, 1, 2, 3, 4)), perm_from_cycles(5, (0, 1))])
+
+
 def inverting_pairs(G: PermGroup) -> list[tuple[int, int]]:
     return [(m, s) for m in range(G.order) for s in range(G.order)
             if is_inverting_involution(G, m, s)]

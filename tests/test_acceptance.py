@@ -131,9 +131,9 @@ def test_criterion_6_property_suites(s3, s4, d4, d5):
                        if cover.action.vertex_images[g][v0] == v0)
             assert len(orbit) * stab == G.order
             if cover.nodes:
-                images = {cover.node_action_image(g, 0) for g in range(G.order)}
+                images = {cover.action.edge_images[g][0] // 2 for g in range(G.order)}
                 nstab = sum(1 for g in range(G.order)
-                            if cover.node_action_image(g, 0) == 0)
+                            if cover.action.edge_images[g][0] // 2 == 0)
                 assert len(images) * nstab == G.order
 
             # canonical form: idempotent and constant on conjugation orbits

@@ -214,6 +214,13 @@ def test_tuple_json_round_trip(a5):
     (lambda obj: obj["components"][0]["points"][0].update(m=[1, 0, 2, 3, 4]),
      "points[0].m"),  # odd permutation, not a member
     (lambda obj: obj["components"][0]["points"][2].pop("node"), "node"),
+    # JSON booleans and strings are not integers
+    (lambda obj: obj["components"][0].update(genus=False), "components[0].genus"),
+    (lambda obj: obj["components"][0]["points"][2].update(node=True), "points[2].node"),
+    (lambda obj: obj["components"][0]["points"][1].update(m=[False, True, 2, 3, 4]),
+     "points[1].m"),
+    (lambda obj: obj["group"].update(degree="5"), "$.group.degree"),
+    (lambda obj: obj["group"]["generators"][0].__setitem__(0, True), "$.group.generators"),
 ])
 def test_datum_schema_errors(a5, mutate, path_part):
     datum = audit.a5_split_datum(a5)

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from hurwitzdegen import audit, datum_to_jsonable, tuple_to_jsonable
+from hurwitzdegen import (HurwitzTuple, audit, datum_to_jsonable, hurwitz_to_datum,
+                          tuple_to_jsonable)
 from hurwitzdegen.cli import main
 
 
@@ -123,6 +124,37 @@ def test_degenerate_dihedral_with_dedup(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "degenerate", str(path), "--dihedral", "0", "--dedup")
     assert code == 0
     assert json.loads(out)["count"] == 5  # involution choices are inequivalent
+
+
+@pytest.mark.parametrize("index", ["3", "7", "-1"])
+def test_degenerate_dihedral_index_out_of_range(tmp_path, capsys, index):
+    path = tmp_path / "t3.json"
+    path.write_text(json.dumps(tuple_to_jsonable(audit.a5_tuple())), encoding="utf-8")
+    code, out, err = run_cli(capsys, "degenerate", str(path), "--dihedral", index)
+    assert code == 1
+    assert out == ""
+    assert "0..2" in err and "Traceback" not in err
+
+
+def test_analyze_disconnected_positive_genus_cover(tmp_path, capsys, s5):
+    # an A5 image inside S5 with branch orders (5, 5, 3): two cover
+    # components of genus 9, so no arithmetic genus and no h1
+    a, b = next((a, b) for a in range(s5.order) for b in range(s5.order)
+                if s5.element_order(a) == 5 == s5.element_order(b)
+                and s5.element_order(s5.mul(a, b)) == 3
+                and s5.generated_subgroup([a, b]).order == 60)
+    t = HurwitzTuple(s5, (a, b, s5.inv(s5.mul(a, b))))
+    path = tmp_path / "s5.json"
+    path.write_text(json.dumps(datum_to_jsonable(hurwitz_to_datum(t))), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "analyze", str(path))
+    assert code == 0
+    report = json.loads(out)
+    cover, chars = report["cover"], report["characters"]
+    assert [c["genus"] for c in cover["components"]] == [9, 9]
+    assert not cover["connected"] and cover["arithmetic_genus"] is None
+    V, E = cover["component_count"], cover["node_count"]
+    assert chars["chi_dR"]["degree"] == chars["degree_chi_dR"] == 2 * (V - E - 18)
+    assert chars["h1"] is None
 
 
 def test_degenerate_unrealizable_warns(tmp_path, capsys):

@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from hurwitzdegen import (BoundaryDatum, ClassFunction, MarkedComponent, MarkedPoint,
-                          PermGroup, arithmetic_genus, build_cover, class_labels,
+from hurwitzdegen import (BoundaryDatum, ClassFunction, HurwitzTuple, MarkedComponent,
+                          MarkedPoint, PermGroup, arithmetic_genus, build_cover, class_labels,
                           de_rham_character, h1_character, hurwitz_to_datum,
                           induced_character, is_connected, normalizer, perm_from_cycles,
-                          render_character_table)
+                          render_character_table, subcover)
+from hurwitzdegen.groups import trivial_on
 from hurwitzdegen import audit
-from hurwitzdegen.errors import Disconnected, PositiveGenusComponents
+from hurwitzdegen.errors import Disconnected
 
 from conftest import inverting_pairs, random_valid_datum
 
@@ -37,9 +38,6 @@ def test_a5_dihedral_characters(a5):
     assert rep.degree_chi_dR == 2 - 2 * arithmetic_genus(cover) == -10
     # devissage identity as implemented
     assert rep.chi_dR == rep.chi_normalization - 2 * rep.edge_induction_sum
-    # the naive reading adds the vertex part twice and misses the degree
-    assert rep.chi_dR_literal.values == (-8, 8, 4, 2, 2)
-    assert rep.chi_dR_literal.degree != rep.degree_chi_dR
 
     h1 = h1_character(cover)
     assert h1 == 2 * ind_sgn
@@ -69,15 +67,42 @@ def test_two_component_trivial_group_h1_vanishes():
     assert h1.degree == 0
 
 
-def test_positive_genus_degrades_to_degree(psl27):
+def test_positive_genus_full_character(psl27):
     cover = build_cover(hurwitz_to_datum(audit.psl27_tuple(psl27)))
     assert cover.components[0].genus == 3
     rep = de_rham_character(cover)
-    assert rep.positive_genus
-    assert rep.chi_dR is None and rep.h1_character is None
-    assert rep.degree_chi_dR == 2 - 2 * 3
-    with pytest.raises(PositiveGenusComponents):
-        h1_character(cover)
+    assert rep.degree_chi_dR == rep.chi_dR.degree == 2 - 2 * 3
+    # Klein quartic: H^1 is the sum of the two conjugate 3-dimensional
+    # irreducibles, so it has no invariants and is rational-valued on 7a/7b
+    h1 = h1_character(cover)
+    assert h1 == rep.h1_character
+    assert h1.values == (6, -2, 0, 2, -1, -1)
+    assert h1.inner(ClassFunction.trivial(psl27)) == 0
+    assert h1.inner(h1) == 2
+
+
+@pytest.mark.parametrize("fixture,seed", [("s4", 111), ("a5", 112), ("psl27", 113),
+                                          ("s5", 114)])
+def test_h1_against_subcover_genera(fixture, seed, request):
+    # on a smooth connected cover C, Frobenius reciprocity gives
+    # <h1, Ind_K 1> = dim H^1(C)^K = 2 g(C/K); subcover counts g(C/K) by
+    # Riemann-Hurwitz on K-cosets, with no character theory
+    G = request.getfixturevalue(fixture)
+    rng = random.Random(seed)
+    cyclic = {G.cyclic_subgroup(g).members: G.cyclic_subgroup(g) for g in range(G.order)}
+    inductions = [(K, induced_character(G, K, trivial_on(K))) for K in cyclic.values()]
+    covers = 0
+    while covers < 3:
+        entries = [rng.randrange(G.order) for _ in range(rng.randrange(2, 4))]
+        entries.append(G.inv(G.product(entries)))
+        if G.generated_subgroup(entries).order != G.order:
+            continue
+        cover = build_cover(hurwitz_to_datum(HurwitzTuple(G, tuple(entries))))
+        h1 = h1_character(cover)
+        assert h1.degree == 2 * cover.components[0].genus
+        for K, ind in inductions:
+            assert h1.inner(ind) == 2 * sum(c.genus for c in subcover(cover, K).components)
+        covers += 1
 
 
 def test_disconnected_h1_raises(s3):
@@ -105,7 +130,9 @@ def test_degree_identity_on_random_covers(fixture, seed, request):
 
     def check(cover):
         rep = de_rham_character(cover)
-        if rep.positive_genus or not rep.connected:
+        V, E = len(cover.components), len(cover.nodes)
+        assert rep.degree_chi_dR == 2 * (V - E - sum(c.genus for c in cover.components))
+        if not rep.connected:
             return 0
         assert rep.degree_chi_dR == 2 - 2 * arithmetic_genus(cover)
         assert h1_character(cover).degree == 2 * arithmetic_genus(cover)
@@ -115,10 +142,7 @@ def test_degree_identity_on_random_covers(fixture, seed, request):
     checked = 0
     for _ in range(40):
         datum = random_valid_datum(G, rng, pairs)
-        cover = build_cover(datum)
-        if any(c.genus > 0 for c in cover.components) and not is_connected(cover):
-            continue  # no total genus to fall back on
-        checked += check(cover)
+        checked += check(build_cover(datum))
     # nodal connected rational covers: dihedral degenerations of rational
     # generating triangles
     for t in random_rational_generating_tuples(G, rng, 6):

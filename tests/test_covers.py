@@ -6,13 +6,15 @@ import pytest
 
 from hurwitzdegen import (BoundaryDatum, MarkedComponent, MarkedPoint,
                           PermGroup, arithmetic_genus, arithmetic_genus_by_component,
-                          build_cover, classify_node, cover_to_dot, hurwitz_to_datum,
-                          is_connected, is_stable, perm_from_cycles, rh_genus, subcover)
+                          build_cover, classify_node, cover_to_dot, de_rham_character,
+                          dihedral_degenerations, graph_virtual_character, hurwitz_to_datum,
+                          is_connected, is_stable, left_cosets, perm_from_cycles, rh_genus,
+                          subcover)
 from hurwitzdegen import audit
 from hurwitzdegen.covers import branch_counts, cover_report, node_class_summary
 from hurwitzdegen.errors import Disconnected, InvalidDatum, NegativeGenus, NonIntegralGenus
 
-from conftest import inverting_pairs, random_valid_datum
+from conftest import inverting_pairs, random_rational_generating_tuples, random_valid_datum
 
 
 def test_rh_genus_worked_values():
@@ -82,7 +84,8 @@ def test_dihedral_branch_pair_well_defined(a5):
     # inside its <m, s>-coset, independent of the chosen representative
     cover = build_cover(audit.a5_dihedral_degenerations(a5)[0].datum)
     (ci, pi) = cover.nodes[0].origin[1:]
-    dcos = cover.dihedral_dcosets[(ci, pi)]
+    pt = cover.datum.point(ci, pi)
+    dcos = left_cosets(a5, a5.generated_subgroup([pt.m, pt.s]))
     mcos = cover.point_mcosets[(ci, pi)]
     for node in cover.nodes:
         dcell = dcos.cells[dcos.index_of[mcos.rep(node.branch_a.m_coset)]]
@@ -283,3 +286,35 @@ def test_cover_dot_and_report(a5):
     assert report["arithmetic_genus"] == 6
     assert report["node_classes"] == [
         {"kind": "dihedral", "stabilizer_order": 10, "count": 6}]
+
+
+@pytest.mark.parametrize("fixture,seed", [("s3", 36), ("s4", 37), ("d5", 38), ("a5", 39)])
+def test_quotient_formulas_match_explicit_action(fixture, seed, request):
+    # node classes and chi_dR come from the graph of groups; the deck action
+    # tables are the independent oracle
+    G = request.getfixturevalue(fixture)
+    rng = random.Random(seed)
+    pairs = inverting_pairs(G)
+    data = [random_valid_datum(G, rng, pairs) for _ in range(30)]
+    # dihedral degenerations of rational triangles: nodal all-rational covers
+    for t in random_rational_generating_tuples(G, rng, 2):
+        data += [deg.datum for i in range(len(t)) for deg in dihedral_degenerations(t, i)[:1]]
+    rational = 0
+    for datum in data:
+        cover = build_cover(datum)
+        action = cover.action
+        buckets: dict = {}
+        for k in range(len(cover.nodes)):
+            images = [action.edge_images[g][2 * k] for g in range(G.order)]
+            stab = tuple(g for g, e in enumerate(images) if e // 2 == k)
+            kind = "dihedral" if 2 * k + 1 in images else "cyclic"
+            nc = classify_node(cover, k)
+            assert (nc.kind, nc.stabilizer.members) == (kind, stab)
+            buckets[kind, len(stab)] = buckets.get((kind, len(stab)), 0) + 1
+        assert node_class_summary(cover) == [
+            {"kind": kind, "stabilizer_order": order, "count": count}
+            for (kind, order), count in sorted(buckets.items())]
+        if all(c.genus == 0 for c in cover.components):
+            assert de_rham_character(cover).chi_dR == 2 * graph_virtual_character(action)
+            rational += 1
+    assert rational >= 5
