@@ -335,8 +335,8 @@ def _perm_id(G: PermGroup, raw, path: str) -> int:
 def _group_from_jsonable(grp) -> PermGroup:
     if not isinstance(grp, dict) or "degree" not in grp or "generators" not in grp:
         raise SchemaError("$.group", "expected {degree, generators}")
-    if not _is_int(grp["degree"]):
-        raise SchemaError("$.group.degree", "expected an integer")
+    if not _is_int(grp["degree"]) or grp["degree"] < 0:
+        raise SchemaError("$.group.degree", "expected a nonnegative integer")
     if not isinstance(grp["generators"], list) or not all(map(_is_perm_list, grp["generators"])):
         raise SchemaError("$.group.generators", "expected permutations as lists of integers")
     try:
@@ -362,14 +362,20 @@ def datum_from_jsonable(obj) -> BoundaryDatum:
         genus = comp.get("genus", 0)
         if not _is_int(genus) or genus < 0:
             raise SchemaError(f"{base}.genus", "expected a nonnegative integer")
+        raw_handles, raw_points = comp.get("handles", []), comp.get("points", [])
+        if not isinstance(raw_handles, list) or len(raw_handles) != genus:
+            raise SchemaError(f"{base}.handles", f"expected a list of {genus} [a, b] pair(s), "
+                                                 "one per unit of genus")
+        if not isinstance(raw_points, list):
+            raise SchemaError(f"{base}.points", "expected a list")
         handles = []
-        for hi, pair in enumerate(comp.get("handles", [])):
+        for hi, pair in enumerate(raw_handles):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise SchemaError(f"{base}.handles[{hi}]", "expected [a, b]")
             handles.append((_perm_id(G, pair[0], f"{base}.handles[{hi}][0]"),
                             _perm_id(G, pair[1], f"{base}.handles[{hi}][1]")))
         points = []
-        for pi, pt in enumerate(comp.get("points", [])):
+        for pi, pt in enumerate(raw_points):
             ppath = f"{base}.points[{pi}]"
             if not isinstance(pt, dict) or "kind" not in pt or "m" not in pt:
                 raise SchemaError(ppath, "expected {kind, m, ...}")

@@ -24,7 +24,7 @@ from .boundary import (DIHEDRAL, NODE_END, BoundaryDatum, component_image_subgro
                        require_valid)
 from .errors import Disconnected, NegativeGenus, NonIntegralGenus
 from .graphs import GenGraph, GraphAction, gengraph_to_dot
-from .groups import CosetTable, Subgroup, left_cosets, right_cosets
+from .groups import CosetTable, Subgroup, left_cosets
 
 CYCLIC_NODE = "cyclic"
 DIHEDRAL_NODE = "dihedral"
@@ -84,14 +84,15 @@ class CoverCurve:
     """
 
     def __init__(self, datum: BoundaryDatum, components: list[CoverComponent],
-                 nodes: list[CoverNode], comp_cosets: list[CosetTable], point_mcosets: dict):
+                 offsets: list[int], nodes: list[CoverNode], comp_cosets: list[CosetTable],
+                 point_mcosets: dict):
         self.datum = datum
         self.group = datum.group
         self.components = components
+        self.offsets = offsets        # first cover component over each quotient component
         self.nodes = nodes
         self.comp_cosets = comp_cosets
         self.point_mcosets = point_mcosets
-        self.offsets = [v for v, c in enumerate(components) if c.coset == 0]
         edges, opp = [], []
         self._edge_of: dict[tuple, int] = {}
         for k, node in enumerate(nodes):
@@ -133,9 +134,11 @@ def build_cover(datum: BoundaryDatum) -> CoverCurve:
     comp_subs = [component_image_subgroup(datum, ci) for ci in range(len(datum.components))]
     comp_cosets = [left_cosets(G, H) for H in comp_subs]
     components: list[CoverComponent] = []
+    offsets: list[int] = []
     for ci, comp in enumerate(datum.components):
         orders = [G.element_order(pt.m) for pt in comp.points if pt.m != G.identity]
         genus = rh_genus(comp_subs[ci].order, comp.genus, orders)
+        offsets.append(len(components))
         components += [CoverComponent(ci, c, genus) for c in range(len(comp_cosets[ci]))]
 
     point_mcosets: dict[tuple[int, int], CosetTable] = {}
@@ -143,8 +146,6 @@ def build_cover(datum: BoundaryDatum) -> CoverCurve:
         for pi, pt in enumerate(comp.points):
             if pt.kind in (NODE_END, DIHEDRAL):
                 point_mcosets[(ci, pi)] = left_cosets(G, G.cyclic_subgroup(pt.m))
-
-    offsets = [v for v, c in enumerate(components) if c.coset == 0]
 
     def branch(point: tuple[int, int], element: int) -> CoverBranch:
         ci = point[0]
@@ -165,7 +166,7 @@ def build_cover(datum: BoundaryDatum) -> CoverCurve:
             if mcos.index_of[rep_s] > t:
                 nodes.append(CoverNode((DIHEDRAL, ci, pi), branch((ci, pi), cell[0]),
                                        branch((ci, pi), rep_s)))
-    return CoverCurve(datum, components, nodes, comp_cosets, point_mcosets)
+    return CoverCurve(datum, components, offsets, nodes, comp_cosets, point_mcosets)
 
 
 def is_connected(cover: CoverCurve) -> bool:
@@ -285,14 +286,18 @@ def subcover(cover: CoverCurve, K: Subgroup) -> SubcoverReport:
     Components correspond to double cosets K\\G/H_Y; their genera come from
     cycle-type Riemann-Hurwitz for the possibly non-Galois map to Y, and the
     cycle type of each marked monodromy on the K-cosets is reported.
+
+    The right coset Kx is read as the left coset x^-1 K, so right
+    multiplication by m on K\\G becomes left multiplication by m^-1 on G/K.
     """
     G = cover.group
     datum = cover.datum
-    rcos = right_cosets(G, K)
-    degree = len(rcos)
+    kcos = left_cosets(G, K)
+    degree = len(kcos)
 
     def cycles_on(coset_set: list[int], m: int) -> list[int]:
-        image = {c: rcos.index_of[G.mul(rcos.rep(c), m)] for c in coset_set}
+        m_inv = G.inv(m)
+        image = {c: kcos.index_of[G.mul(m_inv, kcos.rep(c))] for c in coset_set}
         seen = set()
         out = []
         for c in coset_set:
@@ -322,7 +327,7 @@ def subcover(cover: CoverCurve, K: Subgroup) -> SubcoverReport:
             for x in orbit:
                 assigned[x] = idx
         for orbit in orbit_members:
-            members = sorted({rcos.index_of[x] for c in orbit for x in cos.cells[c]})
+            members = sorted({kcos.index_of[G.inv(x)] for c in orbit for x in cos.cells[c]})
             deg = len(members)
             cycles = tuple(tuple(sorted(cycles_on(members, pt.m), reverse=True))
                            for pt in comp.points)

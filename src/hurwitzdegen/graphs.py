@@ -98,9 +98,10 @@ class GraphAction:
     """Action of a group on a generalized graph via full image tables.
 
     ``vertex_images[g]`` and ``edge_images[g]`` give the permutation induced
-    by element id ``g``.  Construction verifies the action commutes with
-    source, target and opp for every element, and spot-checks the
-    homomorphism property against the generators.
+    by element id ``g``.  Construction verifies that the identity and
+    generator rows are graph automorphisms and that row(s g) = row(s) row(g)
+    for every generator s; every element is a product of generators, so
+    every row is then a product of checked automorphisms.
     """
 
     graph: GenGraph
@@ -111,7 +112,7 @@ class GraphAction:
     def __post_init__(self):
         G, graph = self.group, self.graph
         assert len(self.vertex_images) == G.order and len(self.edge_images) == G.order
-        for g in range(G.order):
+        for g in {G.identity, *G.generator_ids}:
             vi, ei = self.vertex_images[g], self.edge_images[g]
             assert sorted(vi) == list(range(graph.vertex_count))
             assert sorted(ei) == list(range(len(graph.edges)))

@@ -74,32 +74,13 @@ class PermGroup:
                 raise DegreeMismatch(f"generator degree {len(g)} != {degree}")
         self.degree = degree
         self.generators = gens
-        self.elements = self._close(gens, degree, max_order)
+        self.elements = sorted(_closure(identity_perm(degree), gens, compose, max_order))
         self.index = {g: i for i, g in enumerate(self.elements)}
         assert self.elements[0] == identity_perm(degree)
         self._inv = [self.index[inverse(g)] for g in self.elements]
         self._orders: dict[int, int] = {}
         self._classes: tuple[tuple[int, ...], ...] | None = None
         self._class_of: list[int] | None = None
-
-    @staticmethod
-    def _close(gens: list[Perm], degree: int, max_order: int) -> list[Perm]:
-        els = {identity_perm(degree)}
-        frontier = [g for g in gens if g not in els]
-        els.update(frontier)
-        while frontier:
-            new = []
-            for a in frontier:
-                for g in gens:
-                    c = compose(a, g)
-                    if c not in els:
-                        els.add(c)
-                        new.append(c)
-                        if len(els) > max_order:
-                            raise ClosureBoundExceeded(
-                                f"closure exceeded {max_order} elements")
-            frontier = new
-        return sorted(els)
 
     # -- element arithmetic (by id) --------------------------------------
 
@@ -183,28 +164,10 @@ class PermGroup:
         return Subgroup(self, tuple(sorted(set(member_ids))))
 
     def generated_subgroup(self, gen_ids: Iterable[int]) -> "Subgroup":
-        members = {0}
-        frontier = [i for i in set(gen_ids) if i != 0]
-        members.update(frontier)
-        gens = list(frontier)
-        while frontier:
-            new = []
-            for a in frontier:
-                for g in gens:
-                    c = self.mul(a, g)
-                    if c not in members:
-                        members.add(c)
-                        new.append(c)
-            frontier = new
-        return Subgroup(self, tuple(sorted(members)))
+        return Subgroup(self, tuple(sorted(_closure(0, gen_ids, self.mul, self.order))))
 
     def cyclic_subgroup(self, i: int) -> "Subgroup":
-        members = [0]
-        acc = i
-        while acc != 0:
-            members.append(acc)
-            acc = self.mul(acc, i)
-        return Subgroup(self, tuple(sorted(members)))
+        return self.generated_subgroup([i])
 
     def full_subgroup(self) -> "Subgroup":
         return Subgroup(self, tuple(range(self.order)))
@@ -219,35 +182,52 @@ class PermGroup:
         return cls(obj["generators"], degree=obj["degree"])
 
 
+def _closure(identity, gens: Iterable, mul, bound: int) -> set:
+    """Breadth-first closure of ``gens`` under right multiplication by them.
+
+    In a finite group that is the generated subgroup; more than ``bound``
+    elements raises ``ClosureBoundExceeded``.
+    """
+    gens = [g for g in dict.fromkeys(gens) if g != identity]
+    els = {identity, *gens}
+    frontier = gens
+    while frontier:
+        new = []
+        for a in frontier:
+            for g in gens:
+                c = mul(a, g)
+                if c not in els:
+                    els.add(c)
+                    new.append(c)
+                    if len(els) > bound:
+                        raise ClosureBoundExceeded(f"closure exceeded {bound} elements")
+        frontier = new
+    return els
+
+
 def same_group(a: PermGroup, b: PermGroup) -> bool:
     return a is b or (a.degree == b.degree and a.elements == b.elements)
 
 
 @dataclass(frozen=True)
 class Subgroup:
-    """Subgroup of ``group`` given by its sorted member ids."""
+    """Subgroup of ``group`` given by its sorted member ids.
+
+    A trusted value: callers pass sets that are closed by construction
+    (closures, normalizers, stabilizers, conjugates), so only the identity
+    is checked here.
+    """
 
     group: PermGroup
     members: tuple[int, ...]
 
     def __post_init__(self):
-        ms = set(self.members)
-        if 0 not in ms:
+        if self.members[:1] != (0,):
             raise ValueError("subgroup must contain the identity")
-        for a in self.members:
-            if self.group.inv(a) not in ms:
-                raise ValueError("subgroup not closed under inverse")
-            for b in self.members:
-                if self.group.mul(a, b) not in ms:
-                    raise ValueError("subgroup not closed under product")
 
     @property
     def order(self) -> int:
         return len(self.members)
-
-    @property
-    def index_in_parent(self) -> int:
-        return self.group.order // self.order
 
     def __contains__(self, element_id: int) -> bool:
         return element_id in set(self.members)
@@ -286,52 +266,11 @@ def left_cosets(group: PermGroup, sub: Subgroup) -> CosetTable:
     return CosetTable(sub.order, tuple(cells), tuple(assigned))
 
 
-def right_cosets(group: PermGroup, sub: Subgroup) -> CosetTable:
-    """Cosets Hg, used for intermediate quotients of covers."""
-    assigned = [-1] * group.order
-    cells = []
-    for g in range(group.order):
-        if assigned[g] != -1:
-            continue
-        cell = tuple(sorted(group.mul(h, g) for h in sub.members))
-        idx = len(cells)
-        cells.append(cell)
-        for x in cell:
-            assigned[x] = idx
-    return CosetTable(sub.order, tuple(cells), tuple(assigned))
-
-
 def normalizer(group: PermGroup, sub: Subgroup) -> Subgroup:
     ms = sub.member_set()
     keep = [g for g in range(group.order)
             if all(group.conj(g, h) in ms for h in sub.members)]
     return Subgroup(group, tuple(keep))
-
-
-def centralizer(group: PermGroup, sub: Subgroup) -> Subgroup:
-    keep = [g for g in range(group.order)
-            if all(group.conj(g, h) == h for h in sub.members)]
-    return Subgroup(group, tuple(keep))
-
-
-def all_subgroups(group: PermGroup) -> list[Subgroup]:
-    """Every subgroup, by closure of extensions; fine for small groups."""
-    trivial = frozenset([0])
-    seen = {trivial}
-    frontier = [trivial]
-    while frontier:
-        new = []
-        for members in frontier:
-            for g in range(1, group.order):
-                if g in members:
-                    continue
-                ext = group.generated_subgroup(list(members) + [g]).member_set()
-                if ext not in seen:
-                    seen.add(ext)
-                    new.append(ext)
-        frontier = new
-    return [Subgroup(group, tuple(sorted(m))) for m in
-            sorted(seen, key=lambda m: (len(m), tuple(sorted(m))))]
 
 
 def is_inverting_involution(group: PermGroup, m: int, s: int) -> bool:
@@ -454,46 +393,3 @@ def induced_character(group: PermGroup, sub: Subgroup, chi: Mapping[int, int]) -
 
 def trivial_on(sub: Subgroup) -> dict[int, int]:
     return {h: 1 for h in sub.members}
-
-
-def sign_characters(group: PermGroup, sub: Subgroup) -> list[dict[int, int]]:
-    """All homomorphisms sub -> {+-1}, the trivial one first.
-
-    Enumerated through the quotient by squares and commutators, which is
-    elementary abelian of exponent 2.
-    """
-    sq_comm = set()
-    for a in sub.members:
-        sq_comm.add(group.mul(a, a))
-        for b in sub.members:
-            comm = group.mul(group.mul(a, b), group.mul(group.inv(a), group.inv(b)))
-            sq_comm.add(comm)
-    kernel0 = group.generated_subgroup(sq_comm)
-    # cosets of kernel0 inside sub form the F2 vector space of the quotient
-    coset_of: dict[int, int] = {}
-    cosets: list[int] = []
-    for h in sub.members:
-        if h in coset_of:
-            continue
-        idx = len(cosets)
-        cosets.append(h)
-        for k in kernel0.members:
-            coset_of[group.mul(h, k)] = idx
-    # greedy F2 basis of the quotient
-    span = {0}
-    basis: list[int] = []
-    for ci, rep in enumerate(cosets):
-        if ci in span:
-            continue
-        basis.append(rep)
-        span = {coset_of[group.mul(cosets[c], rep)] for c in span} | span
-    chars = []
-    for mask in range(1 << len(basis)):
-        signs = {coset_of[0]: 1}
-        for bit, rep in enumerate(basis):
-            sign = -1 if (mask >> bit) & 1 else 1
-            for c, v in list(signs.items()):
-                signs[coset_of[group.mul(cosets[c], rep)]] = v * sign
-        chars.append({h: signs[coset_of[h]] for h in sub.members})
-    chars.sort(key=lambda ch: tuple(-ch[h] for h in sub.members))
-    return chars

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from hurwitzdegen import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPoint,
-                          PermGroup, is_inverting_involution, perm_from_cycles, rh_genus)
+                          PermGroup, Subgroup, is_inverting_involution, perm_from_cycles,
+                          rh_genus)
 from hurwitzdegen import audit
 
 
@@ -103,3 +104,85 @@ def random_rational_generating_tuples(G: PermGroup, rng: random.Random,
         if rh_genus(G.order, 0, orders) == 0:
             out.append(HurwitzTuple(G, tuple(entries)))
     return out
+
+
+# -- group-theory oracles ----------------------------------------------------
+
+
+def assert_closed(H: Subgroup) -> None:
+    """The closure check ``Subgroup`` trusts its callers with."""
+    G, ms = H.group, H.member_set()
+    assert 0 in ms
+    for a in H.members:
+        assert G.inv(a) in ms, f"not closed under inverse at {a}"
+        for b in H.members:
+            assert G.mul(a, b) in ms, f"not closed under product at ({a}, {b})"
+
+
+def centralizer(group: PermGroup, sub: Subgroup) -> Subgroup:
+    keep = [g for g in range(group.order)
+            if all(group.conj(g, h) == h for h in sub.members)]
+    return Subgroup(group, tuple(keep))
+
+
+def all_subgroups(group: PermGroup) -> list[Subgroup]:
+    """Every subgroup, by closure of extensions; fine for small groups."""
+    trivial = frozenset([0])
+    seen = {trivial}
+    frontier = [trivial]
+    while frontier:
+        new = []
+        for members in frontier:
+            for g in range(1, group.order):
+                if g in members:
+                    continue
+                ext = group.generated_subgroup(list(members) + [g]).member_set()
+                if ext not in seen:
+                    seen.add(ext)
+                    new.append(ext)
+        frontier = new
+    return [Subgroup(group, tuple(sorted(m))) for m in
+            sorted(seen, key=lambda m: (len(m), tuple(sorted(m))))]
+
+
+def sign_characters(group: PermGroup, sub: Subgroup) -> list[dict[int, int]]:
+    """All homomorphisms sub -> {+-1}, the trivial one first.
+
+    Enumerated through the quotient by squares and commutators, which is
+    elementary abelian of exponent 2.
+    """
+    sq_comm = set()
+    for a in sub.members:
+        sq_comm.add(group.mul(a, a))
+        for b in sub.members:
+            comm = group.mul(group.mul(a, b), group.mul(group.inv(a), group.inv(b)))
+            sq_comm.add(comm)
+    kernel0 = group.generated_subgroup(sq_comm)
+    # cosets of kernel0 inside sub form the F2 vector space of the quotient
+    coset_of: dict[int, int] = {}
+    cosets: list[int] = []
+    for h in sub.members:
+        if h in coset_of:
+            continue
+        idx = len(cosets)
+        cosets.append(h)
+        for k in kernel0.members:
+            coset_of[group.mul(h, k)] = idx
+    # greedy F2 basis of the quotient
+    span = {0}
+    basis: list[int] = []
+    for ci, rep in enumerate(cosets):
+        if ci in span:
+            continue
+        basis.append(rep)
+        span = {coset_of[group.mul(cosets[c], rep)] for c in span} | span
+    chars = []
+    for mask in range(1 << len(basis)):
+        signs = {coset_of[0]: 1}
+        for bit, rep in enumerate(basis):
+            sign = -1 if (mask >> bit) & 1 else 1
+            for c, v in list(signs.items()):
+                signs[coset_of[group.mul(cosets[c], rep)]] = v * sign
+        chars.append({h: signs[coset_of[h]] for h in sub.members})
+    chars.sort(key=lambda ch: tuple(-ch[h] for h in sub.members))
+    return chars

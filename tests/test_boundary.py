@@ -221,6 +221,15 @@ def test_tuple_json_round_trip(a5):
      "points[1].m"),
     (lambda obj: obj["group"].update(degree="5"), "$.group.degree"),
     (lambda obj: obj["group"]["generators"][0].__setitem__(0, True), "$.group.generators"),
+    # wrong shapes for handles and points, handle count against genus
+    pytest.param(lambda obj: obj["components"][0].update(handles=5),
+                 "$.components[0].handles", id="handles-not-a-list"),
+    pytest.param(lambda obj: obj["components"][0].update(points=5),
+                 "$.components[0].points", id="points-not-a-list"),
+    pytest.param(lambda obj: obj["components"][0].update(genus=1, handles=[]),
+                 "$.components[0].handles", id="handles-short-of-genus"),
+    pytest.param(lambda obj: obj["group"].update(degree=-1, generators=[]),
+                 "$.group.degree", id="negative-degree"),
 ])
 def test_datum_schema_errors(a5, mutate, path_part):
     datum = audit.a5_split_datum(a5)

@@ -91,6 +91,33 @@ def test_analyze_schema_error(tmp_path, capsys):
     assert "$.group" in err
 
 
+MALFORMED = {
+    "handles-not-a-list": lambda obj: obj["components"][0].update(handles=5),
+    "points-not-a-list": lambda obj: obj["components"][0].update(points=5),
+    "handles-short-of-genus": lambda obj: obj["components"][0].update(genus=1, handles=[]),
+    "negative-degree": lambda obj: obj.update(group={"degree": -1, "generators": []}),
+    "boolean-genus": lambda obj: obj["components"][0].update(genus=False),
+    "string-degree": lambda obj: obj["group"].update(degree="5"),
+}
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["character"],
+                                     ["graph", "--which", "cover", "--dot"]])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_datum_exits_1(tmp_path, capsys, command, case):
+    obj = datum_to_jsonable(audit.a5_split_datum())
+    MALFORMED[case](obj)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    argv = [command[0], str(path)] + command[1:]
+    if command[0] == "graph":
+        argv.append(str(tmp_path / "out.dot"))
+    code, out, err = run_cli(capsys, *argv)  # an escaping exception fails the test
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: $.") and "Traceback" not in err
+
+
 def test_analyze_surface_relation_violation(tmp_path, capsys):
     datum = audit.a5_dihedral_degenerations()[0].datum
     obj = datum_to_jsonable(datum)

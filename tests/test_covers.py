@@ -5,16 +5,17 @@ import random
 import pytest
 
 from hurwitzdegen import (BoundaryDatum, MarkedComponent, MarkedPoint,
-                          PermGroup, arithmetic_genus, arithmetic_genus_by_component,
+                          PermGroup, Subgroup, arithmetic_genus, arithmetic_genus_by_component,
                           build_cover, classify_node, cover_to_dot, de_rham_character,
-                          dihedral_degenerations, graph_virtual_character, hurwitz_to_datum,
-                          is_connected, is_stable, left_cosets, perm_from_cycles, rh_genus,
-                          subcover)
+                          dihedral_degenerations, edge_orbit_data, graph_virtual_character,
+                          hurwitz_to_datum, is_connected, is_stable, left_cosets,
+                          perm_from_cycles, rh_genus, subcover)
 from hurwitzdegen import audit
 from hurwitzdegen.covers import branch_counts, cover_report, node_class_summary
 from hurwitzdegen.errors import Disconnected, InvalidDatum, NegativeGenus, NonIntegralGenus
 
-from conftest import inverting_pairs, random_rational_generating_tuples, random_valid_datum
+from conftest import (assert_closed, inverting_pairs, random_rational_generating_tuples,
+                      random_valid_datum)
 
 
 def test_rh_genus_worked_values():
@@ -318,3 +319,28 @@ def test_quotient_formulas_match_explicit_action(fixture, seed, request):
             assert de_rham_character(cover).chi_dR == 2 * graph_virtual_character(action)
             rational += 1
     assert rational >= 5
+
+
+@pytest.mark.parametrize("fixture,seed", [("s3", 41), ("s4", 42), ("s5", 43)])
+def test_pipeline_subgroups_are_closed(fixture, seed, request, monkeypatch):
+    # Subgroup trusts its callers; record every one the pipeline builds
+    # (component images, <m>, the <m> u s<m> signum supports, node and
+    # edge-orbit stabilizers) and check closure here instead
+    G = request.getfixturevalue(fixture)
+    built: list[Subgroup] = []
+    check = Subgroup.__post_init__
+    monkeypatch.setattr(Subgroup, "__post_init__", lambda self: (check(self), built.append(self)))
+    rng = random.Random(seed)
+    pairs = inverting_pairs(G)
+    dihedral = 0
+    for _ in range(12):
+        datum = random_valid_datum(G, rng, pairs)
+        dihedral += len(datum.dihedral_points())
+        cover = build_cover(datum)
+        de_rham_character(cover)
+        for k in range(len(cover.nodes)):
+            classify_node(cover, k)
+        edge_orbit_data(cover.action)
+    assert dihedral > 0
+    for H in {H.members: H for H in built}.values():
+        assert_closed(H)

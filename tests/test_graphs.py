@@ -85,6 +85,20 @@ def test_a5_split_cover_orbit(a5):
     assert chi.degree == 7 - 12
 
 
+@pytest.mark.parametrize("table", ["vertex_images", "edge_images"])
+def test_action_rejects_broken_non_generator_row(a5, table):
+    # only the identity and generator rows are checked directly; the
+    # homomorphism check must still catch a fault in any other row
+    action = build_cover(audit.a5_split_datum(a5)).action
+    g = next(g for g in range(1, a5.order) if g not in a5.generator_ids)
+    rows = [list(row) for row in getattr(action, table)]
+    rows[g][0], rows[g][1] = rows[g][1], rows[g][0]
+    tables = {"vertex_images": action.vertex_images, "edge_images": action.edge_images,
+              table: tuple(map(tuple, rows))}
+    with pytest.raises(AssertionError):
+        GraphAction(action.graph, a5, **tables)
+
+
 def cayley_graph_action(G: PermGroup, gen_ids: list[int]) -> GraphAction:
     """Left multiplication on the Cayley graph of the given connection set."""
     edges = []

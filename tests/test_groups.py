@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitzdegen import (ClassFunction, PermGroup, all_subgroups, centralizer, compose,
-                          induced_character, inverse, is_inverting_involution, left_cosets,
-                          normalizer, perm_from_cycles, right_cosets, sign_characters)
+from hurwitzdegen import (ClassFunction, PermGroup, compose, induced_character, inverse,
+                          is_inverting_involution, left_cosets, normalizer, perm_from_cycles)
 from hurwitzdegen.errors import (ClosureBoundExceeded, DegreeMismatch, NotACharacter)
 from hurwitzdegen.groups import as_perm, identity_perm, trivial_on
+
+from conftest import all_subgroups, centralizer, sign_characters
 
 
 def test_composition_convention():
@@ -121,13 +122,6 @@ def test_left_cosets(a5):
         seen.update(cell)
     assert seen == set(range(60))
     assert [c[0] for c in table.cells] == sorted(c[0] for c in table.cells)
-
-
-def test_right_cosets_partition(s4):
-    K = s4.generated_subgroup([s4.id_of(perm_from_cycles(4, (0, 1, 2)))])
-    table = right_cosets(s4, K)
-    assert len(table) == 8
-    assert sorted(x for cell in table.cells for x in cell) == list(range(24))
 
 
 def test_induction_from_whole_group_is_identity(a5):
