@@ -353,8 +353,8 @@ def datum_from_jsonable(obj) -> BoundaryDatum:
             raise SchemaError(f"$.{key}", "missing required field")
     G = _group_from_jsonable(obj["group"])
     comps = []
-    if not isinstance(obj["components"], list):
-        raise SchemaError("$.components", "expected a list")
+    if not isinstance(obj["components"], list) or not obj["components"]:
+        raise SchemaError("$.components", "expected a non-empty list")
     for ci, comp in enumerate(obj["components"]):
         base = f"$.components[{ci}]"
         if not isinstance(comp, dict):

@@ -7,9 +7,9 @@ fixed points plus Frobenius induction):
              - 2 sum over nodes of Ind_<m> 1 - 2 sum over dihedral points of Ind_<m,s> sgn
 
 rho_G is the regular character, n_Y counts the marked points of Y and sgn is
--1 on the branch-swapping coset s<m>.  The first sum is the character of the
-normalization, 2 * (permutation character on cover components) when every
-component is rational.
+the character of <m,s> with kernel <m>, -1 on the branch-swapping coset s<m>.
+The first sum is the character of the normalization, 2 * (permutation
+character on cover components) when every component is rational.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import cache
 
 from .covers import CoverCurve, is_connected
 from .errors import Disconnected
-from .groups import ClassFunction, PermGroup, induced_character, trivial_on
+from .groups import ClassFunction, PermGroup, induced_character
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,7 +38,7 @@ def de_rham_character(cover: CoverCurve) -> DevissageReport:
     @cache
     def ind_cyclic(m: int) -> ClassFunction:
         C = G.cyclic_subgroup(m)
-        return induced_character(G, C, trivial_on(C))
+        return induced_character(G, C, C)
 
     chi_norm = ClassFunction.zero(G)
     for comp in datum.components:
@@ -50,9 +50,8 @@ def de_rham_character(cover: CoverCurve) -> DevissageReport:
         edge_sum = edge_sum + ind_cyclic(datum.point(*end_a).m)
     for ci, pi in datum.dihedral_points():
         pt = datum.point(ci, pi)
-        signum = {h: 1 for h in G.cyclic_subgroup(pt.m).members}
-        signum.update({G.mul(pt.s, h): -1 for h in list(signum)})
-        edge_sum = edge_sum + induced_character(G, G.subgroup(signum), signum)
+        edge_sum = edge_sum + induced_character(G, G.generated_subgroup([pt.m, pt.s]),
+                                                G.cyclic_subgroup(pt.m))
     chi_dR = chi_norm - 2 * edge_sum
     connected = is_connected(cover)
     h1 = 2 * ClassFunction.trivial(G) - chi_dR if connected else None

@@ -24,7 +24,7 @@ from .boundary import (DIHEDRAL, NODE_END, BoundaryDatum, component_image_subgro
                        require_valid)
 from .errors import Disconnected, NegativeGenus, NonIntegralGenus
 from .graphs import GenGraph, GraphAction, gengraph_to_dot
-from .groups import CosetTable, Subgroup, left_cosets
+from .groups import CosetTable, Subgroup, left_cosets, orbits
 
 CYCLIC_NODE = "cyclic"
 DIHEDRAL_NODE = "dihedral"
@@ -295,38 +295,19 @@ def subcover(cover: CoverCurve, K: Subgroup) -> SubcoverReport:
     kcos = left_cosets(G, K)
     degree = len(kcos)
 
+    def on_cosets(table: CosetTable):
+        """Left multiplication on the cells of a coset table."""
+        return lambda c, g: table.index_of[G.mul(g, table.rep(c))]
+
     def cycles_on(coset_set: list[int], m: int) -> list[int]:
-        m_inv = G.inv(m)
-        image = {c: kcos.index_of[G.mul(m_inv, kcos.rep(c))] for c in coset_set}
-        seen = set()
-        out = []
-        for c in coset_set:
-            if c in seen:
-                continue
-            length, cur = 0, c
-            while cur not in seen:
-                seen.add(cur)
-                cur = image[cur]
-                length += 1
-            out.append(length)
-        return out
+        return [len(cycle) for cycle in orbits(coset_set, [G.inv(m)], on_cosets(kcos))]
 
     sub_components: list[SubcoverComponent] = []
     vertex_to_subcomp: dict[int, int] = {}
     for ci, comp in enumerate(datum.components):
         cos = cover.comp_cosets[ci]
         # K-orbits on left cosets G/H_Y are the double cosets K\G/H_Y
-        assigned: dict[int, int] = {}
-        orbit_members: list[list[int]] = []
-        for c in range(len(cos)):
-            if c in assigned:
-                continue
-            orbit = sorted({cos.index_of[G.mul(k, cos.rep(c))] for k in K.members})
-            idx = len(orbit_members)
-            orbit_members.append(orbit)
-            for x in orbit:
-                assigned[x] = idx
-        for orbit in orbit_members:
+        for orbit in orbits(range(len(cos)), K.members, on_cosets(cos)):
             members = sorted({kcos.index_of[G.inv(x)] for c in orbit for x in cos.cells[c]})
             deg = len(members)
             cycles = tuple(tuple(sorted(cycles_on(members, pt.m), reverse=True))
@@ -351,25 +332,14 @@ def subcover(cover: CoverCurve, K: Subgroup) -> SubcoverReport:
             point_types.append(((ci, pi), parts))
 
     node_orbits: list[SubcoverNodeOrbit] = []
-    seen_nodes: set[int] = set()
-    for idx in range(len(cover.nodes)):
-        if idx in seen_nodes:
-            continue
-        # K is closed under products, so one pass over its members is the orbit
-        orbit = set()
-        swapped = False
-        for k in K.members:
-            img_edge = cover.edge_image(k, 2 * idx)
-            orbit.add(img_edge // 2)
-            if img_edge == 2 * idx + 1:
-                swapped = True
-        seen_nodes.update(orbit)
-        node = cover.nodes[idx]
+    for orbit in orbits(range(len(cover.nodes)), K.members,
+                        lambda n, k: cover.edge_image(k, 2 * n) // 2):
+        idx, node = orbit[0], cover.nodes[orbit[0]]
         node_orbits.append(SubcoverNodeOrbit(
             idx, len(orbit),
             vertex_to_subcomp[node.branch_a.vertex],
             vertex_to_subcomp[node.branch_b.vertex],
-            swapped))
+            any(cover.edge_image(k, 2 * idx) == 2 * idx + 1 for k in K.members)))
 
     return SubcoverReport(K.order, degree, tuple(sub_components),
                           tuple(point_types), tuple(node_orbits))

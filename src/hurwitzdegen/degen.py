@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .boundary import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPoint,
                        Violation, canonical_form, quotient_stability, serialize, validate)
 from .errors import InvalidDatum, OddOrder, TooFewPoints
-from .groups import is_inverting_involution
+from .groups import is_inverting_involution, orbits
 
 SPLIT = "split"
 DIHEDRAL = "dihedral"
@@ -137,28 +137,8 @@ def local_model_orbit_sizes(N: int) -> list[int]:
     if N < 1:
         raise ValueError("N must be >= 1")
     mod = 4 * N
-    points = list(range(0, mod, 2))
-    parent = {u: u for u in points}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for u in points:
-        union(u, (u + 4) % mod)
-        union(u, (-u) % mod)
-    sizes: dict[int, int] = {}
-    for u in points:
-        r = find(u)
-        sizes[r] = sizes.get(r, 0) + 1
-    return sorted(sizes.values())
+    rotation, swap = (lambda u: (u + 4) % mod), (lambda u: -u % mod)
+    return sorted(len(o) for o in orbits(range(0, mod, 2), [rotation, swap], lambda u, g: g(u)))
 
 
 def local_model_fixpoint_orbits(N: int) -> int:

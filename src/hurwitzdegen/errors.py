@@ -16,7 +16,7 @@ class ClosureBoundExceeded(HurwitzDegenError):
 
 
 class NotACharacter(HurwitzDegenError):
-    """The supplied +-1 function on a subgroup is not multiplicative."""
+    """The supplied kernel is not a subgroup of index at most 2 of the subgroup."""
 
 
 class NotStrict(HurwitzDegenError):

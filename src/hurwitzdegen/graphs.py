@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import NotStrict
-from .groups import ClassFunction, PermGroup, Subgroup, induced_character, permutation_character
+from .groups import (ClassFunction, PermGroup, Subgroup, induced_character, orbits,
+                     permutation_character)
 
 
 @dataclass(frozen=True)
@@ -137,16 +138,13 @@ class GraphAction:
 
 @dataclass(frozen=True)
 class EdgeOrbit:
-    """One orbit of unoriented edges with its stabilizer and signum data."""
+    """One orbit of unoriented edges with its stabilizer and signum kernel."""
 
     representative: int              # oriented edge id, e < opp(e)
     members: tuple[int, ...]         # unoriented reps in the orbit
     stabilizer: Subgroup             # setwise stabilizer of {e, opp(e)}
-    signum: tuple[tuple[int, int], ...]  # (element id, +-1) over the stabilizer
+    kernel: Subgroup                 # elements fixing the oriented edge e
     orientable: bool
-
-    def signum_map(self) -> dict[int, int]:
-        return dict(self.signum)
 
 
 def edge_orbit_data(action: GraphAction) -> tuple[EdgeOrbit, ...]:
@@ -160,26 +158,15 @@ def edge_orbit_data(action: GraphAction) -> tuple[EdgeOrbit, ...]:
     for r in reps:
         unor[r] = r
         unor[graph.opp[r]] = r
-    seen = set()
-    orbits = []
-    for r in reps:
-        if r in seen:
-            continue
-        members = sorted({unor[action.edge_images[g][r]] for g in range(group.order)})
-        seen.update(members)
-        stab_ids, signum = [], []
-        for g in range(group.order):
-            img = action.edge_images[g][r]
-            if img == r:
-                stab_ids.append(g)
-                signum.append((g, 1))
-            elif img == graph.opp[r]:
-                stab_ids.append(g)
-                signum.append((g, -1))
-        stab = group.subgroup(stab_ids)
-        orientable = all(v == 1 for _, v in signum)
-        orbits.append(EdgeOrbit(r, tuple(members), stab, tuple(signum), orientable))
-    return tuple(orbits)
+    out = []
+    for members in orbits(reps, group.generator_ids, lambda e, g: unor[action.edge_images[g][e]]):
+        r = members[0]
+        images = [action.edge_images[g][r] for g in range(group.order)]
+        stab = group.subgroup(g for g, img in enumerate(images) if img in (r, graph.opp[r]))
+        kernel = group.subgroup(g for g, img in enumerate(images) if img == r)
+        out.append(EdgeOrbit(r, tuple(sorted(members)), stab, kernel,
+                             kernel.order == stab.order))
+    return tuple(out)
 
 
 def graph_virtual_character(action: GraphAction) -> ClassFunction:
@@ -191,7 +178,7 @@ def graph_virtual_character(action: GraphAction) -> ClassFunction:
         raise NotStrict("graph character needs a strict graph")
     chi = permutation_character(action.group, action.vertex_images)
     for orbit in edge_orbit_data(action):
-        chi = chi - induced_character(action.group, orbit.stabilizer, orbit.signum_map())
+        chi = chi - induced_character(action.group, orbit.stabilizer, orbit.kernel)
     return chi
 
 

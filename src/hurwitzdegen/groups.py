@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ClosureBoundExceeded, DegreeMismatch, NotACharacter
 
@@ -74,7 +74,7 @@ class PermGroup:
                 raise DegreeMismatch(f"generator degree {len(g)} != {degree}")
         self.degree = degree
         self.generators = gens
-        self.elements = sorted(_closure(identity_perm(degree), gens, compose, max_order))
+        self.elements = sorted(orbit(identity_perm(degree), gens, compose, max_order))
         self.index = {g: i for i, g in enumerate(self.elements)}
         assert self.elements[0] == identity_perm(degree)
         self._inv = [self.index[inverse(g)] for g in self.elements]
@@ -135,15 +135,8 @@ class PermGroup:
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         """Conjugation orbits, ordered by (element order, minimal id)."""
         if self._classes is None:
-            seen = [False] * self.order
-            classes = []
-            for i in range(self.order):
-                if seen[i]:
-                    continue
-                orbit = sorted({self.conj(g, i) for g in range(self.order)})
-                for x in orbit:
-                    seen[x] = True
-                classes.append(tuple(orbit))
+            classes = [tuple(sorted(c)) for c in
+                       orbits(range(self.order), self.generator_ids, lambda x, g: self.conj(g, x))]
             classes.sort(key=lambda c: (self.element_order(c[0]), c[0]))
             self._classes = tuple(classes)
             class_of = [0] * self.order
@@ -164,7 +157,7 @@ class PermGroup:
         return Subgroup(self, tuple(sorted(set(member_ids))))
 
     def generated_subgroup(self, gen_ids: Iterable[int]) -> "Subgroup":
-        return Subgroup(self, tuple(sorted(_closure(0, gen_ids, self.mul, self.order))))
+        return Subgroup(self, tuple(sorted(orbit(0, list(gen_ids), self.mul))))
 
     def cyclic_subgroup(self, i: int) -> "Subgroup":
         return self.generated_subgroup([i])
@@ -182,27 +175,35 @@ class PermGroup:
         return cls(obj["generators"], degree=obj["degree"])
 
 
-def _closure(identity, gens: Iterable, mul, bound: int) -> set:
-    """Breadth-first closure of ``gens`` under right multiplication by them.
+def orbit(start, gens: Sequence, act: Callable, bound: int | None = None) -> list:
+    """The orbit of ``start`` under the group generated by ``gens``, breadth first.
 
-    In a finite group that is the generated subgroup; more than ``bound``
-    elements raises ``ClosureBoundExceeded``.
+    ``act(x, g)`` is the image of x under g.  A finite set closed under
+    every generator is closed under the group they generate, so the orbit of
+    the identity under right multiplication is the generated subgroup.  More
+    than ``bound`` points raises ``ClosureBoundExceeded``.
     """
-    gens = [g for g in dict.fromkeys(gens) if g != identity]
-    els = {identity, *gens}
-    frontier = gens
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gens:
-                c = mul(a, g)
-                if c not in els:
-                    els.add(c)
-                    new.append(c)
-                    if len(els) > bound:
-                        raise ClosureBoundExceeded(f"closure exceeded {bound} elements")
-        frontier = new
-    return els
+    points, seen = [start], {start}
+    for x in points:  # grows while it is walked
+        for g in gens:
+            y = act(x, g)
+            if y not in seen:
+                seen.add(y)
+                points.append(y)
+                if bound is not None and len(points) > bound:
+                    raise ClosureBoundExceeded(f"closure exceeded {bound} elements")
+    return points
+
+
+def orbits(points: Iterable, gens: Sequence, act: Callable) -> list[list]:
+    """The orbits that meet ``points``, each opened at its first point there."""
+    seen: set = set()
+    out = []
+    for p in points:
+        if p not in seen:
+            out.append(orbit(p, gens, act))
+            seen.update(out[-1])
+    return out
 
 
 def same_group(a: PermGroup, b: PermGroup) -> bool:
@@ -365,31 +366,27 @@ def permutation_character(group: PermGroup, images: Sequence[Sequence[int]]) -> 
     return ClassFunction(group, tuple(vals))
 
 
-def induced_character(group: PermGroup, sub: Subgroup, chi: Mapping[int, int]) -> ClassFunction:
-    """Frobenius induction of a +-1 character of ``sub`` up to ``group``.
+def induced_character(group: PermGroup, sub: Subgroup, kernel: Subgroup) -> ClassFunction:
+    """Frobenius induction up to ``group`` of the +-1 character of ``sub``
+    that is +1 on ``kernel`` and -1 off it; ``kernel = sub`` gives the trivial
+    character.
 
+    A +-1 character is fixed by its kernel, a subgroup of index at most 2
+    (index 2 makes it normal), so that index is all that is checked.
     Ind(chi)(g) = |G| / (|cl g| |H|) * sum of chi(h) over h in H meeting the
-    class of g: one pass over H, bucketed by class.  Multiplicativity of chi
-    is verified; values come out integral.
+    class of g: one pass over H, bucketed by class; values come out integral.
     """
-    for h in sub.members:
-        if chi.get(h) not in (1, -1):
-            raise NotACharacter(f"chi must be +-1 on every member, bad at {h}")
-    for a in sub.members:
-        for b in sub.members:
-            if chi[group.mul(a, b)] != chi[a] * chi[b]:
-                raise NotACharacter(f"chi not multiplicative at ({a}, {b})")
+    ks = kernel.member_set()
+    if not ks <= sub.member_set() or sub.order not in (kernel.order, 2 * kernel.order):
+        raise NotACharacter(f"a kernel of order {kernel.order} is not of index <= 2 "
+                            f"in a subgroup of order {sub.order}")
     classes = group.conjugacy_classes()
     sums = [0] * len(classes)
     for h in sub.members:
-        sums[group.class_of(h)] += chi[h]
+        sums[group.class_of(h)] += 1 if h in ks else -1
     vals = []
     for total, c in zip(sums, classes):
         q, r = divmod(group.order * total, len(c) * sub.order)
         assert r == 0, "induced value not integral"
         vals.append(q)
     return ClassFunction(group, tuple(vals))
-
-
-def trivial_on(sub: Subgroup) -> dict[int, int]:
-    return {h: 1 for h in sub.members}

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from functools import cache
 
 import pytest
 
@@ -125,7 +126,8 @@ def centralizer(group: PermGroup, sub: Subgroup) -> Subgroup:
     return Subgroup(group, tuple(keep))
 
 
-def all_subgroups(group: PermGroup) -> list[Subgroup]:
+@cache
+def all_subgroups(group: PermGroup) -> tuple[Subgroup, ...]:
     """Every subgroup, by closure of extensions; fine for small groups."""
     trivial = frozenset([0])
     seen = {trivial}
@@ -141,48 +143,15 @@ def all_subgroups(group: PermGroup) -> list[Subgroup]:
                     seen.add(ext)
                     new.append(ext)
         frontier = new
-    return [Subgroup(group, tuple(sorted(m))) for m in
-            sorted(seen, key=lambda m: (len(m), tuple(sorted(m))))]
+    return tuple(Subgroup(group, tuple(sorted(m))) for m in
+                 sorted(seen, key=lambda m: (len(m), tuple(sorted(m)))))
 
 
-def sign_characters(group: PermGroup, sub: Subgroup) -> list[dict[int, int]]:
-    """All homomorphisms sub -> {+-1}, the trivial one first.
+def sign_characters(group: PermGroup, sub: Subgroup) -> list[Subgroup]:
+    """Kernels of all homomorphisms sub -> {+-1}, the trivial one (sub) first.
 
-    Enumerated through the quotient by squares and commutators, which is
-    elementary abelian of exponent 2.
+    Those are the subgroups of index at most 2, found among all subgroups.
     """
-    sq_comm = set()
-    for a in sub.members:
-        sq_comm.add(group.mul(a, a))
-        for b in sub.members:
-            comm = group.mul(group.mul(a, b), group.mul(group.inv(a), group.inv(b)))
-            sq_comm.add(comm)
-    kernel0 = group.generated_subgroup(sq_comm)
-    # cosets of kernel0 inside sub form the F2 vector space of the quotient
-    coset_of: dict[int, int] = {}
-    cosets: list[int] = []
-    for h in sub.members:
-        if h in coset_of:
-            continue
-        idx = len(cosets)
-        cosets.append(h)
-        for k in kernel0.members:
-            coset_of[group.mul(h, k)] = idx
-    # greedy F2 basis of the quotient
-    span = {0}
-    basis: list[int] = []
-    for ci, rep in enumerate(cosets):
-        if ci in span:
-            continue
-        basis.append(rep)
-        span = {coset_of[group.mul(cosets[c], rep)] for c in span} | span
-    chars = []
-    for mask in range(1 << len(basis)):
-        signs = {coset_of[0]: 1}
-        for bit, rep in enumerate(basis):
-            sign = -1 if (mask >> bit) & 1 else 1
-            for c, v in list(signs.items()):
-                signs[coset_of[group.mul(cosets[c], rep)]] = v * sign
-        chars.append({h: signs[coset_of[h]] for h in sub.members})
-    chars.sort(key=lambda ch: tuple(-ch[h] for h in sub.members))
-    return chars
+    members = sub.member_set()
+    return [sub] + [K for K in all_subgroups(group)
+                    if 2 * K.order == sub.order and K.member_set() <= members]

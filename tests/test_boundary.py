@@ -230,6 +230,8 @@ def test_tuple_json_round_trip(a5):
                  "$.components[0].handles", id="handles-short-of-genus"),
     pytest.param(lambda obj: obj["group"].update(degree=-1, generators=[]),
                  "$.group.degree", id="negative-degree"),
+    pytest.param(lambda obj: obj.update(components=[]),
+                 "$.components: expected a non-empty list", id="empty-components"),
 ])
 def test_datum_schema_errors(a5, mutate, path_part):
     datum = audit.a5_split_datum(a5)

@@ -98,6 +98,7 @@ MALFORMED = {
     "negative-degree": lambda obj: obj.update(group={"degree": -1, "generators": []}),
     "boolean-genus": lambda obj: obj["components"][0].update(genus=False),
     "string-degree": lambda obj: obj["group"].update(degree="5"),
+    "empty-components": lambda obj: obj.update(components=[]),
 }
 
 

@@ -324,8 +324,8 @@ def test_quotient_formulas_match_explicit_action(fixture, seed, request):
 @pytest.mark.parametrize("fixture,seed", [("s3", 41), ("s4", 42), ("s5", 43)])
 def test_pipeline_subgroups_are_closed(fixture, seed, request, monkeypatch):
     # Subgroup trusts its callers; record every one the pipeline builds
-    # (component images, <m>, the <m> u s<m> signum supports, node and
-    # edge-orbit stabilizers) and check closure here instead
+    # (component images, <m>, <m, s>, node and edge-orbit stabilizers,
+    # edge-orbit signum kernels) and check closure here instead
     G = request.getfixturevalue(fixture)
     built: list[Subgroup] = []
     check = Subgroup.__post_init__

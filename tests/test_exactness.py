@@ -1,0 +1,39 @@
+"""The package promises exact arithmetic: no floating point anywhere in it.
+
+Walks the syntax tree of every module under ``src/hurwitzdegen`` and rejects
+float and complex literals, ``float(...)`` calls, true division (``/`` and
+``/=``; rationals go through ``Fraction``) and imports of the floating-point
+modules.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hurwitzdegen"
+FLOAT_MODULES = {"math", "cmath", "decimal", "statistics"}
+
+
+def imported_modules(node: ast.AST) -> set[str]:
+    if isinstance(node, ast.Import):
+        return {alias.name.split(".")[0] for alias in node.names}
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return {node.module.split(".")[0]}
+    return set()
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_floating_point(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+        assert not (isinstance(node, ast.Constant)
+                    and isinstance(node.value, (float, complex))), f"float literal at {where}"
+        assert not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "float"), f"float() call at {where}"
+        assert not (isinstance(node, (ast.BinOp, ast.AugAssign))
+                    and isinstance(node.op, ast.Div)), f"true division at {where}"
+        assert not imported_modules(node) & FLOAT_MODULES, f"float module import at {where}"

@@ -6,8 +6,9 @@ import pytest
 
 from hurwitzdegen import (ClassFunction, PermGroup, compose, induced_character, inverse,
                           is_inverting_involution, left_cosets, normalizer, perm_from_cycles)
+from hurwitzdegen import audit
 from hurwitzdegen.errors import (ClosureBoundExceeded, DegreeMismatch, NotACharacter)
-from hurwitzdegen.groups import as_perm, identity_perm, trivial_on
+from hurwitzdegen.groups import as_perm, identity_perm
 
 from conftest import all_subgroups, centralizer, sign_characters
 
@@ -81,13 +82,37 @@ def test_psl27_classes_order7_not_real(psl27):
             assert psl27.inv(c[0]) not in set(c)
 
 
-@pytest.mark.parametrize("fixture", ["s3", "s4", "d4", "d5", "a5"])
+@pytest.mark.parametrize("fixture", ["s3", "s4", "d4", "d5", "a5", "s5", "psl27"])
 def test_class_sizes_partition_group(fixture, request):
     G = request.getfixturevalue(fixture)
     classes = G.conjugacy_classes()
-    assert sum(len(c) for c in classes) == G.order
+    assert sorted(x for c in classes for x in c) == list(range(G.order))
     for c in classes:
         assert G.order % len(c) == 0
+        # oracle: the class as conjugates of its first member by all of G
+        assert set(c) == {G.conj(g, c[0]) for g in range(G.order)}
+
+
+def psl2(p: int) -> PermGroup:
+    """PSL(2, p) on the projective line over F_p, point p playing infinity:
+    z -> z+1 and z -> -1/z, the audit's formula for p = 7."""
+    return PermGroup([[(z + 1) % p for z in range(p)] + [p],
+                      [p] + [-pow(z, p - 2, p) % p for z in range(1, p)] + [0]])
+
+
+@pytest.mark.parametrize("p,order", [(None, 60), (7, 168), (11, 660), (19, 3420)],
+                         ids=["a5", "psl2_7", "psl2_11", "psl2_19"])
+def test_classes_against_sympy(p, order):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    G = audit.a5_group() if p is None else psl2(p)
+    S = combinatorics.PermutationGroup([combinatorics.Permutation(list(g))
+                                        for g in G.generators])
+    assert G.order == S.order() == order
+    for c in G.conjugacy_classes():
+        rep = combinatorics.Permutation(list(G.perm(c[0])))
+        assert {G.perm(x) for x in c} == {tuple(x.array_form) for x in S.conjugacy_class(rep)}
+        if order < 3420:
+            assert S.centralizer(rep).order() == G.order // len(c)
 
 
 def test_normalizer_of_c5_in_a5(a5):
@@ -126,15 +151,13 @@ def test_left_cosets(a5):
 
 def test_induction_from_whole_group_is_identity(a5):
     whole = a5.full_subgroup()
-    chi = trivial_on(whole)
-    assert induced_character(a5, whole, chi) == ClassFunction.trivial(a5)
+    assert induced_character(a5, whole, whole) == ClassFunction.trivial(a5)
 
 
 def test_induced_signum_from_d10(a5):
     C5 = a5.cyclic_subgroup(a5.id_of(perm_from_cycles(5, (0, 1, 2, 3, 4))))
     D10 = normalizer(a5, C5)
-    sgn = {h: (1 if h in C5 else -1) for h in D10.members}
-    ind = induced_character(a5, D10, sgn)
+    ind = induced_character(a5, D10, C5)
     assert ind.degree == 6
     # frozen via an independent signed fixed-coset computation
     assert ind.values == (6, -2, 0, 1, 1)
@@ -143,7 +166,7 @@ def test_induced_signum_from_d10(a5):
 def test_induced_trivial_is_coset_permutation_character(a5):
     # independent oracle: count fixed cosets of the class representative
     C5 = a5.cyclic_subgroup(a5.id_of(perm_from_cycles(5, (0, 1, 2, 3, 4))))
-    ind = induced_character(a5, C5, trivial_on(C5))
+    ind = induced_character(a5, C5, C5)
     table = left_cosets(a5, C5)
     for ci, c in enumerate(a5.conjugacy_classes()):
         g = c[0]
@@ -154,21 +177,19 @@ def test_induced_trivial_is_coset_permutation_character(a5):
 
 
 def test_not_a_character(s3):
-    H = s3.full_subgroup()
-    chi = {h: 1 for h in H.members}
-    chi[1] = -1  # arbitrary sign flip breaks multiplicativity
-    with pytest.raises(NotACharacter):
-        induced_character(s3, H, chi)
-    with pytest.raises(NotACharacter):
-        induced_character(s3, H, {h: 2 for h in H.members})
+    t01 = s3.cyclic_subgroup(s3.id_of(perm_from_cycles(3, (0, 1))))
+    t12 = s3.cyclic_subgroup(s3.id_of(perm_from_cycles(3, (1, 2))))
+    with pytest.raises(NotACharacter):  # index 3
+        induced_character(s3, s3.full_subgroup(), t01)
+    with pytest.raises(NotACharacter):  # not inside the subgroup
+        induced_character(s3, t01, t12)
 
 
 def test_mackey_identity(a5):
     C5 = a5.cyclic_subgroup(a5.id_of(perm_from_cycles(5, (0, 1, 2, 3, 4))))
     D10 = normalizer(a5, C5)
-    sgn = {h: (1 if h in C5 else -1) for h in D10.members}
-    lhs = induced_character(a5, C5, trivial_on(C5))
-    rhs = induced_character(a5, D10, trivial_on(D10)) + induced_character(a5, D10, sgn)
+    lhs = induced_character(a5, C5, C5)
+    rhs = induced_character(a5, D10, D10) + induced_character(a5, D10, C5)
     assert lhs == rhs
 
 
@@ -199,11 +220,11 @@ def test_frobenius_reciprocity_all_subgroups(fixture, request):
     G = request.getfixturevalue(fixture)
     triv = ClassFunction.trivial(G)
     for H in all_subgroups(G):
-        for chi in sign_characters(G, H):
-            ind = induced_character(G, H, chi)
+        for K in sign_characters(G, H):
+            ind = induced_character(G, H, K)
             assert ind.degree == G.order // H.order
             lhs = ind.inner(triv)
-            rhs = Fraction(sum(chi[h] for h in H.members), H.order)
+            rhs = Fraction(sum(1 if h in K.member_set() else -1 for h in H.members), H.order)
             assert lhs == rhs
 
 
@@ -211,7 +232,8 @@ def test_sign_character_counts(s3, d4):
     # abelianizations: S3 -> C2, D4 -> C2 x C2
     assert len(sign_characters(s3, s3.full_subgroup())) == 2
     assert len(sign_characters(d4, d4.full_subgroup())) == 4
-    for chi in sign_characters(d4, d4.full_subgroup()):
+    for K in sign_characters(d4, d4.full_subgroup()):
+        chi = [1 if g in K.member_set() else -1 for g in range(d4.order)]
         for a in range(d4.order):
             for b in range(d4.order):
                 assert chi[d4.mul(a, b)] == chi[a] * chi[b]
