@@ -274,17 +274,34 @@ def conjugate_datum(datum: BoundaryDatum, g: int) -> BoundaryDatum:
 
 
 def canonical_form(datum: BoundaryDatum) -> BoundaryDatum:
-    """Minimum of the serialized form over simultaneous conjugation by G."""
+    """Minimum of the serialized form over simultaneous conjugation by G.
+
+    Conjugation moves only the element ids, so serialized conjugates compare
+    as their id lists in ``serialize`` order (handles a, b, then each
+    point's m and, on dihedral points, s).  The candidates start as all of
+    G; each id in turn keeps only the g with the least g x g^-1.  The
+    survivors form a coset of the centralizer of the ids seen so far and
+    all give the same datum, so the first is conjugated once.  Cost: |G|
+    conjugations of one id, then of a shrinking set, and one datum built.
+    """
     require_valid(datum)
-    best = None
-    best_key = None
-    for g in range(datum.group.order):
-        cand = conjugate_datum(datum, g)
-        key = serialize(cand)
-        if best_key is None or key < best_key:
-            best, best_key = cand, key
-    assert best is not None
-    return best
+    G = datum.group
+    ids = []
+    for comp in datum.components:
+        for a, b in comp.handles:
+            ids += (a, b)
+        for pt in comp.points:
+            ids.append(pt.m)
+            if pt.s is not None:
+                ids.append(pt.s)
+    cands = range(G.order)
+    for x in ids:
+        if len(cands) == 1:
+            break
+        images = [G.conj(g, x) for g in cands]
+        least = min(images)
+        cands = [g for g, y in zip(cands, images) if y == least]
+    return conjugate_datum(datum, cands[0])
 
 
 def equivalent(d1: BoundaryDatum, d2: BoundaryDatum) -> bool:

@@ -294,6 +294,7 @@ def subcover(cover: CoverCurve, K: Subgroup) -> SubcoverReport:
     datum = cover.datum
     kcos = left_cosets(G, K)
     degree = len(kcos)
+    kgens = K.generators()
 
     def on_cosets(table: CosetTable):
         """Left multiplication on the cells of a coset table."""
@@ -307,7 +308,7 @@ def subcover(cover: CoverCurve, K: Subgroup) -> SubcoverReport:
     for ci, comp in enumerate(datum.components):
         cos = cover.comp_cosets[ci]
         # K-orbits on left cosets G/H_Y are the double cosets K\G/H_Y
-        for orbit in orbits(range(len(cos)), K.members, on_cosets(cos)):
+        for orbit in orbits(range(len(cos)), kgens, on_cosets(cos)):
             members = sorted({kcos.index_of[G.inv(x)] for c in orbit for x in cos.cells[c]})
             deg = len(members)
             cycles = tuple(tuple(sorted(cycles_on(members, pt.m), reverse=True))
@@ -332,7 +333,7 @@ def subcover(cover: CoverCurve, K: Subgroup) -> SubcoverReport:
             point_types.append(((ci, pi), parts))
 
     node_orbits: list[SubcoverNodeOrbit] = []
-    for orbit in orbits(range(len(cover.nodes)), K.members,
+    for orbit in orbits(range(len(cover.nodes)), kgens,
                         lambda n, k: cover.edge_image(k, 2 * n) // 2):
         idx, node = orbit[0], cover.nodes[orbit[0]]
         node_orbits.append(SubcoverNodeOrbit(

@@ -112,8 +112,9 @@ class PermGroup:
         return self._inv[i]
 
     def conj(self, g: int, x: int) -> int:
-        """g x g^-1."""
-        return self.mul(self.mul(g, x), self.inv(g))
+        """g x g^-1, built as the permutation i -> g(x(g^-1(i))) and looked up once."""
+        p, q = self.elements[g], self.elements[x]
+        return self.index[tuple([p[q[j]] for j in self.elements[self._inv[g]]])]
 
     def product(self, ids: Iterable[int]) -> int:
         acc = 0
@@ -230,8 +231,16 @@ class Subgroup:
     def order(self) -> int:
         return len(self.members)
 
-    def __contains__(self, element_id: int) -> bool:
-        return element_id in set(self.members)
+    def generators(self) -> list[int]:
+        """At most log2 |H| generators: each member outside the subgroup
+        generated so far is added, which at least doubles that subgroup."""
+        gens: list[int] = []
+        generated = {0}
+        for h in self.members:
+            if h not in generated:
+                gens.append(h)
+                generated = set(orbit(0, gens, self.group.mul))
+        return gens
 
     def member_set(self) -> frozenset:
         return frozenset(self.members)

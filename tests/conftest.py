@@ -9,6 +9,7 @@ from hurwitzdegen import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPo
                           PermGroup, Subgroup, is_inverting_involution, perm_from_cycles,
                           rh_genus)
 from hurwitzdegen import audit
+from hurwitzdegen.boundary import conjugate_datum, serialize
 
 
 @pytest.fixture(scope="session")
@@ -108,6 +109,12 @@ def random_rational_generating_tuples(G: PermGroup, rng: random.Random,
 
 
 # -- group-theory oracles ----------------------------------------------------
+
+
+def canonical_form_by_scan(datum: BoundaryDatum) -> tuple:
+    """The serialized canonical form by a full scan: the least serialized
+    conjugate over every g in G."""
+    return min(serialize(conjugate_datum(datum, g)) for g in range(datum.group.order))
 
 
 def assert_closed(H: Subgroup) -> None:

@@ -7,13 +7,13 @@ import pytest
 from hurwitzdegen import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPoint,
                           PermGroup, canonical_form, datum_from_jsonable, datum_to_jsonable,
                           dual_graph_of_groups, equivalent, hurwitz_to_datum,
-                          perm_from_cycles, quotient_stability, tuple_from_jsonable,
-                          tuple_to_jsonable, validate)
+                          is_inverting_involution, perm_from_cycles, quotient_stability,
+                          tuple_from_jsonable, tuple_to_jsonable, validate)
 from hurwitzdegen import audit
 from hurwitzdegen.boundary import conjugate_datum, datum_warnings, serialize
 from hurwitzdegen.errors import InvalidDatum, ProductNotOne, SchemaError
 
-from conftest import inverting_pairs, random_valid_datum
+from conftest import canonical_form_by_scan, inverting_pairs, random_valid_datum
 
 
 def test_marked_point_shape_guards():
@@ -157,6 +157,39 @@ def test_canonical_form_properties(s4):
         g = rng.randrange(s4.order)
         assert equivalent(datum, conjugate_datum(datum, g))
         assert serialize(canonical_form(conjugate_datum(datum, g))) == serialize(cf)
+
+
+def abelian_datum(G: PermGroup, rng: random.Random) -> BoundaryDatum:
+    """A valid datum whose ids lie in an abelian subgroup <x, y>.
+
+    Its centralizer contains <x, y>, so many conjugators tie on every id.
+    """
+    x = rng.randrange(G.order)
+    y = rng.choice([g for g in range(G.order) if G.mul(g, x) == G.mul(x, g)])
+    A = G.generated_subgroup([x, y]).members
+    genus = rng.randrange(2)
+    handles = tuple((rng.choice(A), rng.choice(A)) for _ in range(genus))  # commutators are e
+    pts = [MarkedPoint.cyclic(rng.choice(A)) for _ in range(rng.randrange(1, 4))]
+    pairs = [(m, s) for m in A for s in A if is_inverting_involution(G, m, s)]
+    if pairs:
+        pts.append(MarkedPoint.dihedral(*rng.choice(pairs)))
+    pts.append(MarkedPoint.cyclic(G.inv(G.product(pt.m for pt in pts))))
+    return BoundaryDatum(G, (MarkedComponent(genus, handles, tuple(pts)),))
+
+
+@pytest.mark.parametrize("fixture", ["s3", "d4", "s4", "d5", "a5", "s5", "psl27"])
+def test_canonical_form_matches_scan(fixture, request):
+    G = request.getfixturevalue(fixture)
+    rng = random.Random(G.order)
+    pairs = inverting_pairs(G)
+    data = [random_valid_datum(G, rng, pairs) for _ in range(24)]
+    # the oracle only means something if the inputs reach every id kind
+    assert any(comp.handles for d in data for comp in d.components)
+    assert any(d.dihedral_points() for d in data)
+    assert any(len(d.components) == 2 for d in data)
+    data += [abelian_datum(G, rng) for _ in range(12)]
+    for d in data:
+        assert serialize(canonical_form(d)) == canonical_form_by_scan(d)
 
 
 def test_non_conjugate_data_distinguished(a5):

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from hurwitzdegen import (HurwitzTuple, audit, datum_to_jsonable, hurwitz_to_datum,
-                          tuple_to_jsonable)
+                          perm_from_cycles, tuple_to_jsonable)
 from hurwitzdegen.cli import main
 
 
@@ -152,6 +152,23 @@ def test_degenerate_dihedral_with_dedup(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "degenerate", str(path), "--dihedral", "0", "--dedup")
     assert code == 0
     assert json.loads(out)["count"] == 5  # involution choices are inequivalent
+
+
+def test_degenerate_dedup_collapses_conjugates(tmp_path, capsys):
+    # entries in <c>, c a 5-cycle: conjugating by c fixes them and moves the
+    # five involutions inverting c among themselves
+    G = audit.a5_group()
+    c = G.id_of(perm_from_cycles(5, (0, 1, 2, 3, 4)))
+    entries = (c, c, c, G.inv(G.product([c, c, c])))
+    path = tmp_path / "c5.json"
+    path.write_text(json.dumps(tuple_to_jsonable(HurwitzTuple(G, entries))), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "degenerate", str(path), "--splits", "--dihedral", "0")
+    assert code == 0
+    assert json.loads(out)["count"] == 6
+    code, out, _ = run_cli(capsys, "degenerate", str(path), "--splits", "--dihedral", "0",
+                           "--dedup")
+    assert code == 0
+    assert json.loads(out)["count"] == 2
 
 
 @pytest.mark.parametrize("index", ["3", "7", "-1"])

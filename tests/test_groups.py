@@ -66,6 +66,23 @@ def test_element_orders(a5):
     assert a5.element_order(a5.id_of(perm_from_cycles(5, (1, 4), (2, 3)))) == 2
 
 
+@pytest.mark.parametrize("fixture", ["s4", "a5"])
+def test_conj_is_product_by_inverse(fixture, request):
+    G = request.getfixturevalue(fixture)
+    for g in range(G.order):
+        for x in range(G.order):
+            assert G.conj(g, x) == G.mul(G.mul(g, x), G.inv(g))
+
+
+@pytest.mark.parametrize("fixture", ["d4", "s4"])
+def test_subgroup_generators_are_small(fixture, request):
+    G = request.getfixturevalue(fixture)
+    for H in all_subgroups(G):
+        gens = H.generators()
+        assert G.generated_subgroup(gens) == H
+        assert 2 ** len(gens) <= H.order
+
+
 def test_a5_class_sizes(a5):
     classes = a5.conjugacy_classes()
     assert [(a5.element_order(c[0]), len(c)) for c in classes] == \
