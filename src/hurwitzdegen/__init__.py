@@ -21,9 +21,10 @@ from .degen import (Degeneration, collide_pair, dedup, dihedral_degenerations,
                     smooth_dihedral, split_degenerations)
 from .graphs import (EdgeOrbit, GenGraph, GraphAction, betti, edge_orbit_data,
                      gengraph_to_dot, graph_virtual_character)
-from .groups import (ClassFunction, CosetTable, PermGroup, Subgroup, compose,
-                     induced_character, inverse, is_inverting_involution, left_cosets,
-                     normalizer, perm_from_cycles, permutation_character)
+from .groups import (ClassFunction, ClassRecord, CosetTable, PermGroup, Subgroup, centralizer,
+                     compose, induced_character, inverse, inverting_involutions,
+                     is_inverting_involution, left_cosets, normalizer, perm_from_cycles,
+                     permutation_character)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -278,11 +278,15 @@ def canonical_form(datum: BoundaryDatum) -> BoundaryDatum:
 
     Conjugation moves only the element ids, so serialized conjugates compare
     as their id lists in ``serialize`` order (handles a, b, then each
-    point's m and, on dihedral points, s).  The candidates start as all of
-    G; each id in turn keeps only the g with the least g x g^-1.  The
+    point's m and, on dihedral points, s).  The least conjugate of the
+    first id x is the least id r of its class, reached exactly by the coset
+    C_G(r) t_x^-1 of x's class record; those are the first candidates.
+    Each later id keeps only the candidates g with the least g y g^-1.  The
     survivors form a coset of the centralizer of the ids seen so far and
-    all give the same datum, so the first is conjugated once.  Cost: |G|
-    conjugations of one id, then of a shrinking set, and one datum built.
+    all give the same datum, so the first is conjugated once.  Cost: one
+    class record per class of first ids (cached on the group), then
+    |C_G(r)| conjugations of the next id, a shrinking set after that, and
+    one datum built.
     """
     require_valid(datum)
     G = datum.group
@@ -294,8 +298,12 @@ def canonical_form(datum: BoundaryDatum) -> BoundaryDatum:
             ids.append(pt.m)
             if pt.s is not None:
                 ids.append(pt.s)
-    cands = range(G.order)
-    for x in ids:
+    if not ids:  # no element ids: conjugation fixes the datum
+        return conjugate_datum(datum, G.identity)
+    rec = G.class_record(ids[0])
+    back = G.inv(rec.conjugators[ids[0]])
+    cands = [G.mul(c, back) for c in rec.centralizer.members]
+    for x in ids[1:]:
         if len(cands) == 1:
             break
         images = [G.conj(g, x) for g in cands]

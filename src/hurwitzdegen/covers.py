@@ -305,14 +305,20 @@ def subcover(cover: CoverCurve, K: Subgroup) -> SubcoverReport:
 
     sub_components: list[SubcoverComponent] = []
     vertex_to_subcomp: dict[int, int] = {}
+    point_types = []
     for ci, comp in enumerate(datum.components):
         cos = cover.comp_cosets[ci]
+        # the component's double cosets partition K\G, so each point's cycles
+        # on all K-cosets are the union of its cycles on them
+        all_cycles: list[list[int]] = [[] for _ in comp.points]
         # K-orbits on left cosets G/H_Y are the double cosets K\G/H_Y
         for orbit in orbits(range(len(cos)), kgens, on_cosets(cos)):
             members = sorted({kcos.index_of[G.inv(x)] for c in orbit for x in cos.cells[c]})
             deg = len(members)
             cycles = tuple(tuple(sorted(cycles_on(members, pt.m), reverse=True))
                            for pt in comp.points)
+            for acc, cyc in zip(all_cycles, cycles):
+                acc += cyc
             double = deg * (2 * comp.genus - 2) + sum(
                 sum(L - 1 for L in cyc) for cyc in cycles)
             if double % 2 != 0:
@@ -325,12 +331,8 @@ def subcover(cover: CoverCurve, K: Subgroup) -> SubcoverReport:
             sub_components.append(SubcoverComponent(ci, rep, deg, g, cycles))
             for c in orbit:
                 vertex_to_subcomp[cover.offsets[ci] + c] = sub_idx
-
-    point_types = []
-    for ci, comp in enumerate(datum.components):
-        for pi, pt in enumerate(comp.points):
-            parts = tuple(sorted(cycles_on(list(range(degree)), pt.m), reverse=True))
-            point_types.append(((ci, pi), parts))
+        point_types += [((ci, pi), tuple(sorted(acc, reverse=True)))
+                        for pi, acc in enumerate(all_cycles)]
 
     node_orbits: list[SubcoverNodeOrbit] = []
     for orbit in orbits(range(len(cover.nodes)), kgens,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .boundary import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPoint,
                        Violation, canonical_form, quotient_stability, serialize, validate)
 from .errors import InvalidDatum, OddOrder, TooFewPoints
-from .groups import is_inverting_involution, orbits
+from .groups import inverting_involutions, orbits
 
 SPLIT = "split"
 DIHEDRAL = "dihedral"
@@ -69,9 +69,7 @@ def dihedral_degenerations(t: HurwitzTuple, index: int) -> list[Degeneration]:
     G = t.group
     m = t.entries[index]
     out = []
-    for s in range(G.order):
-        if not is_inverting_involution(G, m, s):
-            continue
+    for s in inverting_involutions(G, m):
         points = [MarkedPoint.dihedral(g, s) if i == index else MarkedPoint.cyclic(g)
                   for i, g in enumerate(t.entries)]
         datum = BoundaryDatum(G, (MarkedComponent(0, (), tuple(points)),))

@@ -4,14 +4,17 @@ Groups are materialized as complete, lexicographically sorted element lists
 (no stabilizer chains); every element is referred to by its integer id in
 that list, which makes all downstream enumerations deterministic.  All
 values are immutable after construction and every operation is a pure
-function, so concurrent reads are safe.
+function, so concurrent reads are safe; the lazily filled caches (element
+orders, classes, class records) hold correct values whichever call fills
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ClosureBoundExceeded, DegreeMismatch, NotACharacter
 
@@ -35,7 +38,7 @@ def identity_perm(degree: int) -> Perm:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """(p . q)(i) = p(q(i))."""
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple([p[i] for i in q])
 
 
 def inverse(p: Perm) -> Perm:
@@ -81,6 +84,7 @@ class PermGroup:
         self._orders: dict[int, int] = {}
         self._classes: tuple[tuple[int, ...], ...] | None = None
         self._class_of: list[int] | None = None
+        self._records: dict[int, ClassRecord] = {}
 
     # -- element arithmetic (by id) --------------------------------------
 
@@ -151,6 +155,15 @@ class PermGroup:
         self.conjugacy_classes()
         assert self._class_of is not None
         return self._class_of[i]
+
+    def class_record(self, x: int) -> "ClassRecord":
+        """The class record of x's conjugacy class, built on first use and
+        cached under every member of the class."""
+        if x not in self._records:
+            rec = _class_record(self, x)
+            for y in rec.conjugators:
+                self._records[y] = rec
+        return self._records[x]
 
     # -- subgroups ---------------------------------------------------------
 
@@ -232,18 +245,74 @@ class Subgroup:
         return len(self.members)
 
     def generators(self) -> list[int]:
-        """At most log2 |H| generators: each member outside the subgroup
-        generated so far is added, which at least doubles that subgroup."""
-        gens: list[int] = []
-        generated = {0}
-        for h in self.members:
-            if h not in generated:
-                gens.append(h)
-                generated = set(orbit(0, gens, self.group.mul))
-        return gens
+        """At most log2 |H| generators, picked greedily from the members."""
+        return _greedy_generators(self.group, self.members, self.order)[0]
 
     def member_set(self) -> frozenset:
         return frozenset(self.members)
+
+
+def _greedy_generators(group: PermGroup, candidates: Iterable[int],
+                       order: int) -> tuple[list[int], set[int]]:
+    """Generators taken in turn from ``candidates`` and the subgroup they
+    generate, stopping once it has ``order`` elements.
+
+    A candidate is added only when it lies outside the subgroup generated so
+    far, which at least doubles it, so at most log2 ``order`` closures are taken.
+    """
+    gens: list[int] = []
+    generated = {0}
+    for h in candidates:
+        if len(generated) == order:
+            break
+        if h not in generated:
+            gens.append(h)
+            generated = set(orbit(0, gens, group.mul))
+    return gens, generated
+
+
+@dataclass(frozen=True, eq=False)
+class ClassRecord:
+    """A conjugacy class with a transversal and the centralizer of its least id.
+
+    ``rep`` is the least id r of the class; ``conjugators`` maps every
+    member y to a t_y with t_y r t_y^-1 = y; ``centralizer`` is C_G(r).
+    The g with g y g^-1 = r are then exactly the coset C_G(r) t_y^-1.
+    """
+
+    rep: int
+    conjugators: Mapping[int, int]  # read-only: one record serves every caller
+    centralizer: Subgroup
+
+
+def _class_record(group: PermGroup, x: int) -> ClassRecord:
+    """Orbit-stabilizer on x's class (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, 4.1).
+
+    One walk under the generators records, for each member y, a conjugator
+    u_y with u_y x u_y^-1 = y (a Schreier vector with its words multiplied
+    out) and every edge y -> g y g^-1.  With r the least member,
+    t_y = u_y u_r^-1 conjugates r to y, and the Schreier generators
+    t_z^-1 g t_y of the edges y -> z generate C_G(r); they are added
+    greedily until |C_G(r)| |class| = |G|.
+    """
+    via = {x: 0}
+    edges: list[tuple[int, int, int]] = []
+
+    def act(y: int, g: int) -> int:
+        z = group.conj(g, y)
+        if z not in via:
+            via[z] = group.mul(g, via[y])
+        edges.append((y, g, z))
+        return z
+
+    members = orbit(x, group.generator_ids, act)
+    rep = min(members)
+    back = group.inv(via[rep])
+    t = {y: group.mul(u, back) for y, u in via.items()}
+    schreier = (group.mul(group.inv(t[z]), group.mul(g, t[y])) for y, g, z in edges)
+    _, cent = _greedy_generators(group, schreier, group.order // len(members))
+    return ClassRecord(rep, MappingProxyType(t), Subgroup(group, tuple(sorted(cent))))
 
 
 @dataclass(frozen=True)
@@ -281,6 +350,29 @@ def normalizer(group: PermGroup, sub: Subgroup) -> Subgroup:
     keep = [g for g in range(group.order)
             if all(group.conj(g, h) in ms for h in sub.members)]
     return Subgroup(group, tuple(keep))
+
+
+def centralizer(group: PermGroup, x: int) -> Subgroup:
+    """C_G(x) = t_x C_G(r) t_x^-1, read off x's class record."""
+    rec = group.class_record(x)
+    t = rec.conjugators[x]
+    return Subgroup(group, tuple(sorted(group.conj(t, c) for c in rec.centralizer.members)))
+
+
+def inverting_involutions(group: PermGroup, m: int) -> list[int]:
+    """The s with ``is_inverting_involution(group, m, s)``, ascending.
+
+    The elements inverting m form the coset s0 C_G(m) with
+    s0 = t_{m^-1} t_m^-1 from m's class record; it is empty when m^-1 is not
+    conjugate to m.  Each element of the coset is then checked.
+    """
+    rec = group.class_record(m)
+    mi = group.inv(m)
+    if mi not in rec.conjugators:
+        return []
+    s0 = group.mul(rec.conjugators[mi], group.inv(rec.conjugators[m]))
+    coset = (group.mul(s0, c) for c in centralizer(group, m).members)
+    return sorted(s for s in coset if is_inverting_involution(group, m, s))
 
 
 def is_inverting_involution(group: PermGroup, m: int, s: int) -> bool:

@@ -127,7 +127,9 @@ def assert_closed(H: Subgroup) -> None:
             assert G.mul(a, b) in ms, f"not closed under product at ({a}, {b})"
 
 
-def centralizer(group: PermGroup, sub: Subgroup) -> Subgroup:
+def centralizer_by_scan(group: PermGroup, sub: Subgroup) -> Subgroup:
+    """The centralizer of ``sub`` by a scan of G: the oracle for the class
+    records' centralizers."""
     keep = [g for g in range(group.order)
             if all(group.conj(g, h) == h for h in sub.members)]
     return Subgroup(group, tuple(keep))

@@ -177,6 +177,22 @@ def abelian_datum(G: PermGroup, rng: random.Random) -> BoundaryDatum:
     return BoundaryDatum(G, (MarkedComponent(genus, handles, tuple(pts)),))
 
 
+def central_first_datum(G: PermGroup, rng: random.Random, z: int,
+                        pairs: list[tuple[int, int]]) -> BoundaryDatum:
+    """A valid datum whose first serialized id is z, central in G.
+
+    Then C_G(z) = G and every element of G is a first candidate.
+    """
+    genus = rng.randrange(2)
+    handles = tuple((z, rng.randrange(G.order)) for _ in range(genus))  # [z, b] = e
+    pts = [] if handles else [MarkedPoint.cyclic(z)]
+    pts += [MarkedPoint.cyclic(rng.randrange(G.order)) for _ in range(rng.randrange(1, 4))]
+    if pairs and rng.random() < 0.5:
+        pts.append(MarkedPoint.dihedral(*rng.choice(pairs)))
+    pts.append(MarkedPoint.cyclic(G.inv(G.product(pt.m for pt in pts))))
+    return BoundaryDatum(G, (MarkedComponent(genus, handles, tuple(pts)),))
+
+
 @pytest.mark.parametrize("fixture", ["s3", "d4", "s4", "d5", "a5", "s5", "psl27"])
 def test_canonical_form_matches_scan(fixture, request):
     G = request.getfixturevalue(fixture)
@@ -188,6 +204,10 @@ def test_canonical_form_matches_scan(fixture, request):
     assert any(d.dihedral_points() for d in data)
     assert any(len(d.components) == 2 for d in data)
     data += [abelian_datum(G, rng) for _ in range(12)]
+    centre = [z for z in range(G.order)
+              if all(G.mul(z, g) == G.mul(g, z) for g in G.generator_ids)]
+    assert len(centre) == (2 if fixture == "d4" else 1)  # D4's centre is {e, r^2}
+    data += [central_first_datum(G, rng, z, pairs) for z in centre for _ in range(6)]
     for d in data:
         assert serialize(canonical_form(d)) == canonical_form_by_scan(d)
 
@@ -290,3 +310,9 @@ def test_validate_on_random_product_one_tuples(s4):
         entries.append(s4.inv(s4.product(entries)))
         t = HurwitzTuple(s4, tuple(entries))
         assert validate(hurwitz_to_datum(t)) == []
+
+
+def test_canonical_form_of_datum_without_ids(s3):
+    # no handles and no points: nothing for conjugation to move
+    d = BoundaryDatum(s3, (MarkedComponent(0, (), ()),))
+    assert serialize(canonical_form(d)) == serialize(d) == canonical_form_by_scan(d)

@@ -248,6 +248,48 @@ def test_subcover_genus_integral_on_random_data(s4):
                        if c.quotient_component == 0) == rep.degree
 
 
+def cycle_type_on_right_cosets(G: PermGroup, K: Subgroup, m: int) -> tuple[int, ...]:
+    """Cycle type of Kx -> Kxm on K\\G, from the cosets as sets of elements."""
+    coset_of: dict[int, int] = {}
+    reps = []
+    for x in range(G.order):
+        if x not in coset_of:
+            for y in {G.mul(k, x) for k in K.members}:
+                coset_of[y] = len(reps)
+            reps.append(x)
+    seen: set[int] = set()
+    lengths = []
+    for x in reps:
+        length = 0
+        while coset_of[x] not in seen:
+            seen.add(coset_of[x])
+            length += 1
+            x = G.mul(x, m)
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def test_subcover_point_types_on_all_cosets(s4):
+    rng = random.Random(11)
+    pairs = inverting_pairs(s4)
+    subs = [s4.subgroup([s4.identity]),
+            s4.generated_subgroup([s4.id_of(perm_from_cycles(4, (0, 1)))]),
+            s4.generated_subgroup([s4.id_of(perm_from_cycles(4, (0, 1, 2)))]),
+            s4.generated_subgroup([s4.id_of(perm_from_cycles(4, (0, 1, 2, 3)))])]
+    several_double_cosets = 0
+    for _ in range(12):
+        datum = random_valid_datum(s4, rng, pairs)
+        cover = build_cover(datum)
+        for K in subs:
+            rep = subcover(cover, K)
+            several_double_cosets += len(rep.components) > len(datum.components)
+            assert rep.point_cycle_types == tuple(
+                ((ci, pi), cycle_type_on_right_cosets(s4, K, pt.m))
+                for ci, comp in enumerate(datum.components) for pi, pt in enumerate(comp.points))
+    assert several_double_cosets  # a component's type is then a union over double cosets
+
+
 def test_rh_genus_never_errors_on_valid_data(s3, s4, d5):
     for G, seed in ((s3, 31), (s4, 32), (d5, 33)):
         rng = random.Random(seed)

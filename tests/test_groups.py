@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitzdegen import (ClassFunction, PermGroup, compose, induced_character, inverse,
-                          is_inverting_involution, left_cosets, normalizer, perm_from_cycles)
+from hurwitzdegen import (ClassFunction, PermGroup, centralizer, compose, induced_character,
+                          inverse, inverting_involutions, is_inverting_involution, left_cosets,
+                          normalizer, perm_from_cycles)
 from hurwitzdegen import audit
 from hurwitzdegen.errors import (ClosureBoundExceeded, DegreeMismatch, NotACharacter)
 from hurwitzdegen.groups import as_perm, identity_perm
 
-from conftest import all_subgroups, centralizer, sign_characters
+from conftest import all_subgroups, centralizer_by_scan, sign_characters
 
 
 def test_composition_convention():
@@ -132,10 +133,50 @@ def test_classes_against_sympy(p, order):
             assert S.centralizer(rep).order() == G.order // len(c)
 
 
+CLASS_RECORD_GROUPS = ["s3", "d4", "s4", "d5", "a5", "s5", "psl27", "psl2_11"]
+
+
+def class_record_group(name: str, request) -> PermGroup:
+    """A fresh group, so its class records are built by the test that uses it."""
+    if name == "psl2_11":
+        return psl2(11)
+    G = request.getfixturevalue(name)
+    return PermGroup(G.generators, degree=G.degree)
+
+
+@pytest.mark.parametrize("fixture", CLASS_RECORD_GROUPS)
+def test_class_records_against_scans(fixture, request):
+    G = class_record_group(fixture, request)
+    for x in reversed(range(G.order)):  # walks then start at a class's largest id
+        rec = G.class_record(x)
+        c = G.conjugacy_classes()[G.class_of(x)]
+        assert rec.rep == c[0]
+        assert sorted(rec.conjugators) == list(c)
+        assert rec is G.class_record(rec.rep)  # one record per class
+        for y, t in rec.conjugators.items():
+            assert G.conj(t, rec.rep) == y
+        if x == rec.rep:
+            cyclic = G.cyclic_subgroup(x)
+            assert rec.centralizer.members == centralizer_by_scan(G, cyclic).members
+            assert centralizer(G, x).members == rec.centralizer.members
+        # |C_G(x)| = |G| / |class| distinct elements commuting with x are all of C_G(x)
+        cent = centralizer(G, x).members
+        assert len(set(cent)) == len(cent) == G.order // len(c)
+        assert all(G.mul(g, x) == G.mul(x, g) for g in cent)
+
+
+@pytest.mark.parametrize("fixture", CLASS_RECORD_GROUPS)
+def test_inverting_involutions_against_scan(fixture, request):
+    G = class_record_group(fixture, request)
+    for m in range(G.order):
+        scan = [s for s in range(G.order) if is_inverting_involution(G, m, s)]
+        assert inverting_involutions(G, m) == scan
+
+
 def test_normalizer_of_c5_in_a5(a5):
     C5 = a5.cyclic_subgroup(a5.id_of(perm_from_cycles(5, (0, 1, 2, 3, 4))))
     assert normalizer(a5, C5).order == 10
-    assert centralizer(a5, C5).members == C5.members
+    assert centralizer_by_scan(a5, C5).members == C5.members
 
 
 def test_normalizer_of_group_is_group(a5):

@@ -1,4 +1,5 @@
-"""Property tests of the canonical form under simultaneous conjugation."""
+"""Property tests of the canonical form and the inverting involutions under
+conjugation."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from hurwitzdegen import canonical_form, equivalent
+from hurwitzdegen import canonical_form, equivalent, inverting_involutions
 from hurwitzdegen.boundary import conjugate_datum, serialize
 
 from conftest import inverting_pairs, random_valid_datum
@@ -38,3 +39,12 @@ def test_canonical_form_is_a_conjugation_invariant(groups, name, seed, g):
     assert serialize(canonical_form(cf)) == serialize(cf)
     assert serialize(canonical_form(conj)) == serialize(cf)
     assert equivalent(datum, conj)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(GROUPS), m=st.integers(0, 10**6), g=st.integers(0, 10**6))
+def test_inverting_involutions_are_conjugation_equivariant(groups, name, m, g):
+    G, _ = groups[name]
+    m, g = m % G.order, g % G.order
+    conjugated = sorted(G.conj(g, s) for s in inverting_involutions(G, m))
+    assert inverting_involutions(G, G.conj(g, m)) == conjugated
