@@ -8,6 +8,7 @@ tell bad input from bad math.  All output is deterministic for fixed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -245,7 +246,11 @@ def cmd_verify_examples(_args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared by every later ``main``
+    call in the process: ``parse_args`` returns a fresh namespace each time
+    and errors go to the ``sys.stderr`` of the moment."""
     parser = _Parser(prog="hurwitzdegen",
                      description="Boundary data, covers, characters and "
                                  "degenerations of group actions on curves")
@@ -282,8 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SchemaError as exc:

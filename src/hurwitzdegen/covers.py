@@ -118,6 +118,11 @@ class CoverCurve:
         return self._edge_of[branch.quotient_point, image]
 
     @cached_property
+    def component_ids(self) -> list[int]:
+        """The connected component of each cover component, computed once."""
+        return self.graph.connected_component_ids()
+
+    @cached_property
     def action(self) -> GraphAction:
         """The deck action as one table row per element of G, built on demand."""
         G, V, E = self.group, len(self.components), 2 * len(self.nodes)
@@ -170,8 +175,7 @@ def build_cover(datum: BoundaryDatum) -> CoverCurve:
 
 
 def is_connected(cover: CoverCurve) -> bool:
-    comp = cover.graph.connected_component_ids()
-    return len(set(comp)) <= 1
+    return len(set(cover.component_ids)) <= 1
 
 
 def arithmetic_genus(cover: CoverCurve) -> int:
@@ -185,7 +189,7 @@ def arithmetic_genus(cover: CoverCurve) -> int:
 
 def arithmetic_genus_by_component(cover: CoverCurve) -> tuple[int, ...]:
     """Arithmetic genus of each connected component of the cover."""
-    comp_ids = cover.graph.connected_component_ids()
+    comp_ids = cover.component_ids
     n = max(comp_ids) + 1 if comp_ids else 0
     genus_sum = [0] * n
     comp_count = [0] * n

@@ -171,7 +171,17 @@ class PermGroup:
         return Subgroup(self, tuple(sorted(set(member_ids))))
 
     def generated_subgroup(self, gen_ids: Iterable[int]) -> "Subgroup":
-        return Subgroup(self, tuple(sorted(orbit(0, list(gen_ids), self.mul))))
+        """<gen_ids>, closed from the distinct non-identity generators.
+
+        By Lagrange a subgroup with more than |G|/2 elements is G, so the
+        closure stops there and returns ``full_subgroup()``.
+        """
+        gens = [g for g in dict.fromkeys(gen_ids) if g != 0]
+        half = self.order // 2
+        members = orbit(0, gens, self.mul, stop=half)
+        if len(members) > half:
+            return self.full_subgroup()
+        return Subgroup(self, tuple(sorted(members)))
 
     def cyclic_subgroup(self, i: int) -> "Subgroup":
         return self.generated_subgroup([i])
@@ -189,13 +199,17 @@ class PermGroup:
         return cls(obj["generators"], degree=obj["degree"])
 
 
-def orbit(start, gens: Sequence, act: Callable, bound: int | None = None) -> list:
+def orbit(start, gens: Sequence, act: Callable, bound: int | None = None,
+          stop: int | None = None) -> list:
     """The orbit of ``start`` under the group generated by ``gens``, breadth first.
 
     ``act(x, g)`` is the image of x under g.  A finite set closed under
     every generator is closed under the group they generate, so the orbit of
     the identity under right multiplication is the generated subgroup.  More
-    than ``bound`` points raises ``ClosureBoundExceeded``.
+    than ``bound`` points raises ``ClosureBoundExceeded``.  With ``stop`` the
+    walk returns the points found so far as soon as it holds more than
+    ``stop`` of them: ``generated_subgroup`` stops at |G|/2, past which, by
+    Lagrange's theorem, the subgroup can only be G.
     """
     points, seen = [start], {start}
     for x in points:  # grows while it is walked
@@ -206,6 +220,8 @@ def orbit(start, gens: Sequence, act: Callable, bound: int | None = None) -> lis
                 points.append(y)
                 if bound is not None and len(points) > bound:
                     raise ClosureBoundExceeded(f"closure exceeded {bound} elements")
+                if stop is not None and len(points) > stop:
+                    return points
     return points
 
 

@@ -136,24 +136,52 @@ def centralizer_by_scan(group: PermGroup, sub: Subgroup) -> Subgroup:
 
 
 @cache
+def mul_table(group: PermGroup) -> tuple[tuple[int, ...], ...]:
+    """mul_table(G)[x][g] = G.mul(x, g)."""
+    return tuple(tuple(group.mul(x, g) for g in range(group.order)) for x in range(group.order))
+
+
+def closure_by_bfs(group: PermGroup, gen_ids) -> frozenset:
+    """<gen_ids> by a plain breadth-first closure that never stops early:
+    the oracle for ``PermGroup.generated_subgroup``."""
+    table = mul_table(group)
+    members, frontier = {0}, [0]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gen_ids:
+                y = table[x][g]
+                if y not in members:
+                    members.add(y)
+                    new.append(y)
+        frontier = new
+    return frozenset(members)
+
+
+@cache
 def all_subgroups(group: PermGroup) -> tuple[Subgroup, ...]:
-    """Every subgroup, by closure of extensions; fine for small groups."""
-    trivial = frozenset([0])
-    seen = {trivial}
-    frontier = [trivial]
+    """Every subgroup, by joining one cyclic subgroup at a time; fine for small groups.
+
+    A subgroup is generated by its cyclic subgroups, so extending each
+    subgroup found by each cyclic subgroup outside it reaches them all.
+    """
+    cyclic = {closure_by_bfs(group, [g]): g for g in range(group.order - 1, 0, -1)}
+    found = {frozenset([0]): []}   # members -> the generators they were reached by
+    frontier = [frozenset([0])]
     while frontier:
         new = []
         for members in frontier:
-            for g in range(1, group.order):
-                if g in members:
+            for c in cyclic.values():
+                if c in members:
                     continue
-                ext = group.generated_subgroup(list(members) + [g]).member_set()
-                if ext not in seen:
-                    seen.add(ext)
+                gens = found[members] + [c]
+                ext = closure_by_bfs(group, gens)
+                if ext not in found:
+                    found[ext] = gens
                     new.append(ext)
         frontier = new
     return tuple(Subgroup(group, tuple(sorted(m))) for m in
-                 sorted(seen, key=lambda m: (len(m), tuple(sorted(m)))))
+                 sorted(found, key=lambda m: (len(m), tuple(sorted(m)))))
 
 
 def sign_characters(group: PermGroup, sub: Subgroup) -> list[Subgroup]:

@@ -7,7 +7,7 @@ import pytest
 
 from hurwitzdegen import (HurwitzTuple, audit, datum_to_jsonable, hurwitz_to_datum,
                           perm_from_cycles, tuple_to_jsonable)
-from hurwitzdegen.cli import main
+from hurwitzdegen.cli import build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -269,6 +269,21 @@ def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["degenerate"])  # missing path
     assert exc.value.code == 1
+
+
+def test_parser_is_built_once_and_reused(a5_datum_file, capsys):
+    assert build_parser() is build_parser()
+    _, plain, _ = run_cli(capsys, "analyze", str(a5_datum_file))
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze"])
+    assert exc.value.code == 1
+    assert "the following arguments are required: path" in capsys.readouterr().err
+    code, pretty, _ = run_cli(capsys, "analyze", str(a5_datum_file), "--pretty")
+    assert code == 0 and pretty.startswith("group: degree 5")
+    code, again, _ = run_cli(capsys, "analyze", str(a5_datum_file))
+    assert code == 0
+    assert again == plain  # no --pretty state carried over
+    json.loads(again)
 
 
 def test_committed_example_files_match_builders():

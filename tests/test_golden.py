@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -75,8 +76,6 @@ def test_golden_output(name, monkeypatch):
 
 def regenerate() -> None:
     """Write every golden output from the code on the import path."""
-    import os
-
     os.chdir(ROOT)
     GOLDEN.mkdir(exist_ok=True)
     manifest = {}

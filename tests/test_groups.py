@@ -11,7 +11,7 @@ from hurwitzdegen import audit
 from hurwitzdegen.errors import (ClosureBoundExceeded, DegreeMismatch, NotACharacter)
 from hurwitzdegen.groups import as_perm, identity_perm
 
-from conftest import all_subgroups, centralizer_by_scan, sign_characters
+from conftest import all_subgroups, centralizer_by_scan, closure_by_bfs, sign_characters
 
 
 def test_composition_convention():
@@ -82,6 +82,39 @@ def test_subgroup_generators_are_small(fixture, request):
         gens = H.generators()
         assert G.generated_subgroup(gens) == H
         assert 2 ** len(gens) <= H.order
+
+
+@pytest.mark.parametrize("fixture", ["s3", "d4", "s4", "d5", "a5", "s5", "psl27"])
+def test_generated_subgroup_against_plain_closure(fixture, request):
+    G = request.getfixturevalue(fixture)
+
+    def check(ids: list[int]) -> None:
+        assert G.generated_subgroup(ids).members == tuple(sorted(closure_by_bfs(G, ids)))
+
+    assert G.generated_subgroup([]).members == G.generated_subgroup([0]).members == (0,)
+    for H in all_subgroups(G):
+        gens = H.generators()
+        assert closure_by_bfs(G, gens) == H.member_set()
+        check(gens)
+        check([0] + gens + gens[::-1])    # the identity and duplicate ids
+    if G.order <= 24:
+        for a in range(G.order):
+            for b in range(G.order):
+                check([a, b])
+
+
+@pytest.mark.parametrize("fixture,gens", [
+    ("s4", [(0, 1, 2), (0, 1, 3)]),       # A4 < S4
+    ("d5", [(0, 1, 2, 3, 4)]),            # C5 < D5
+    ("s5", [(0, 1, 2), (0, 1, 2, 3, 4)]),  # A5 < S5
+])
+def test_index_2_closure_is_not_promoted(fixture, gens, request):
+    # |H| = |G|/2 exactly: the closure's early stop must not take H for G
+    G = request.getfixturevalue(fixture)
+    ids = [G.id_of(perm_from_cycles(G.degree, c)) for c in gens]
+    H = G.generated_subgroup(ids)
+    assert 2 * H.order == G.order
+    assert H.member_set() == closure_by_bfs(G, ids)
 
 
 def test_a5_class_sizes(a5):
