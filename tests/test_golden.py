@@ -2,7 +2,10 @@
 
 ``tests/golden/cases.json`` lists each case's argv (paths relative to the
 repository root), exit code and standard error; its standard output is
-``tests/golden/<name>.out``.  Every case runs through ``cli.main`` in this one
+``tests/golden/<name>.out``.  A ``graph`` case writes its DOT text to the file
+named after ``--dot``: the argv holds the placeholder ``DOT_OUT``, the case
+runs with a temporary file in its place, and ``<name>.out`` holds the bytes
+written there (its standard output must stay empty).  Every case runs through ``cli.main`` in this one
 process, so the replay also exercises the reuse of the CLI parser.
 
 Regenerate after an intended output change (and name the change in
@@ -15,6 +18,7 @@ import contextlib
 import io
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -24,6 +28,7 @@ from hurwitzdegen.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 DATUM = "docs/examples/a5_dihedral_datum.json"
+DOT_OUT = "DOT_OUT"
 
 
 def golden_argvs() -> dict[str, list[str]]:
@@ -33,6 +38,8 @@ def golden_argvs() -> dict[str, list[str]]:
         "analyze_pretty": ["analyze", DATUM, "--pretty"],
         "character": ["character", DATUM],
         "character_json": ["character", DATUM, "--json"],
+        "graph_quotient": ["graph", DATUM, "--which", "quotient", "--dot", DOT_OUT],
+        "graph_cover": ["graph", DATUM, "--which", "cover", "--dot", DOT_OUT],
     }
     for path in sorted((ROOT / "docs" / "examples").glob("*tuple*.json")):
         rel = path.relative_to(ROOT).as_posix()
@@ -55,6 +62,17 @@ def run_main(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def run_case(argv: list[str]) -> tuple[int, str, str]:
+    """``run_main``, with a ``graph`` case's DOT file read back as its output."""
+    if DOT_OUT not in argv:
+        return run_main(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        dot = Path(tmp) / "out.dot"
+        code, out, err = run_main([str(dot) if a == DOT_OUT else a for a in argv])
+        assert out == ""
+        return code, dot.read_bytes().decode("utf-8"), err
+
+
 def load_cases() -> dict[str, dict]:
     return json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 
@@ -68,7 +86,7 @@ def test_golden_output(name, monkeypatch):
     case = load_cases()[name]
     assert case["argv"] == golden_argvs()[name]
     monkeypatch.chdir(ROOT)
-    code, out, err = run_main(case["argv"])
+    code, out, err = run_case(case["argv"])
     assert code == case["code"]
     assert err == case["stderr"]
     assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
@@ -80,7 +98,7 @@ def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     manifest = {}
     for name, argv in golden_argvs().items():
-        code, out, err = run_main(argv)
+        code, out, err = run_case(argv)
         (GOLDEN / f"{name}.out").write_bytes(out.encode("utf-8"))
         manifest[name] = {"argv": argv, "code": code, "stderr": err}
     (GOLDEN / "cases.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
