@@ -21,7 +21,7 @@ from .cohomology import (character_to_jsonable, classes_to_jsonable, de_rham_cha
 from .covers import build_cover, cover_report, cover_to_dot
 from .degen import dihedral_degenerations, local_model_fixpoint_orbits, predicted_fixpoint_orbits, \
     dedup as dedup_degenerations, split_degenerations
-from .errors import HurwitzDegenError, InvalidDatum, SchemaError
+from .errors import HurwitzDegenError, SchemaError
 from .groups import ClassFunction
 
 
@@ -101,8 +101,8 @@ def analyze_datum(datum: BoundaryDatum) -> tuple[dict, int]:
     G = datum.group
     report["characters"] = {
         "classes": classes_to_jsonable(G),
-        "connected": dev.connected,
-        "degree_chi_dR": dev.degree_chi_dR,
+        "connected": cov["connected"],
+        "degree_chi_dR": dev.chi_dR.degree,
         "chi_dR": character_to_jsonable(dev.chi_dR),
         "chi_normalization": character_to_jsonable(dev.chi_normalization),
         "edge_induction_sum": character_to_jsonable(dev.edge_induction_sum),
@@ -293,9 +293,6 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except InvalidDatum as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except HurwitzDegenError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

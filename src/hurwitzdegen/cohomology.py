@@ -28,8 +28,6 @@ class DevissageReport:
     chi_normalization: ClassFunction
     edge_induction_sum: ClassFunction
     h1_character: ClassFunction | None    # None exactly on disconnected covers
-    degree_chi_dR: int
-    connected: bool
 
 
 def de_rham_character(cover: CoverCurve) -> DevissageReport:
@@ -53,9 +51,8 @@ def de_rham_character(cover: CoverCurve) -> DevissageReport:
         edge_sum = edge_sum + induced_character(G, G.generated_subgroup([pt.m, pt.s]),
                                                 G.cyclic_subgroup(pt.m))
     chi_dR = chi_norm - 2 * edge_sum
-    connected = is_connected(cover)
-    h1 = 2 * ClassFunction.trivial(G) - chi_dR if connected else None
-    return DevissageReport(chi_dR, chi_norm, edge_sum, h1, chi_dR.degree, connected)
+    h1 = 2 * ClassFunction.trivial(G) - chi_dR if is_connected(cover) else None
+    return DevissageReport(chi_dR, chi_norm, edge_sum, h1)
 
 
 def h1_character(cover: CoverCurve) -> ClassFunction:

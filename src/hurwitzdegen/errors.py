@@ -19,10 +19,6 @@ class NotACharacter(HurwitzDegenError):
     """The supplied kernel is not a subgroup of index at most 2 of the subgroup."""
 
 
-class NotStrict(HurwitzDegenError):
-    """Chain-complex operation applied to a graph with a self-opposite edge."""
-
-
 class ProductNotOne(HurwitzDegenError):
     """Tuple entries do not multiply to the identity."""
 

@@ -1,10 +1,12 @@
-"""Generalized graphs, group actions on them, and graph characters.
+"""Generalized graphs, group actions on them, and DOT export.
 
 A generalized graph carries oriented edges with an opposite-edge involution
-that may have fixpoints (self-opposite edges).  Only *strict* graphs, where
-the involution is fixpoint free, admit the chain complex: a self-opposite
-edge would contribute 2-torsion to the group of 1-chains, so chain-level
-operations reject non-strict graphs instead of modelling torsion.
+that may have fixpoints: in a dual graph of groups a self-opposite edge is
+a dihedral point, the image of cover nodes whose stabilizers swap their two
+branches.  ``GraphAction`` is an action given by image tables and checked to
+be one by graph automorphisms.  It is the explicit deck action of a cover
+(``CoverCurve.action``); the package reads every reported quantity off the
+graph of groups instead, and tests use the explicit action as their oracle.
 """
 
 from __future__ import annotations
@@ -12,9 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import NotStrict
-from .groups import (ClassFunction, PermGroup, Subgroup, induced_character, orbits,
-                     permutation_character)
+from .groups import PermGroup
 
 
 @dataclass(frozen=True)
@@ -49,16 +49,6 @@ class GenGraph:
             opp.append(e)
         return cls(vertex_count, tuple(edges), tuple(opp))
 
-    def source(self, e: int) -> int:
-        return self.edges[e][0]
-
-    def target(self, e: int) -> int:
-        return self.edges[e][1]
-
-    @property
-    def is_strict(self) -> bool:
-        return all(self.opp[e] != e for e in range(len(self.edges)))
-
     def unoriented_reps(self) -> tuple[int, ...]:
         """One oriented id per unoriented edge (self-opposite edges included)."""
         return tuple(e for e in range(len(self.edges)) if e <= self.opp[e])
@@ -82,16 +72,6 @@ class GenGraph:
             r = find(v)
             out.append(roots.setdefault(r, len(roots)))
         return out
-
-
-def betti(graph: GenGraph) -> tuple[int, int]:
-    """(b0, b1) of a strict graph; b1 = E - V + b0 on unoriented edges."""
-    if not graph.is_strict:
-        raise NotStrict("chain complex undefined for self-opposite edges")
-    comp = graph.connected_component_ids()
-    b0 = (max(comp) + 1) if comp else 0
-    E = len(graph.unoriented_reps())
-    return b0, E - graph.vertex_count + b0
 
 
 @dataclass(frozen=True)
@@ -128,58 +108,6 @@ class GraphAction:
                     self.vertex_images[s][v] for v in self.vertex_images[g])
                 assert self.edge_images[sg] == tuple(
                     self.edge_images[s][e] for e in self.edge_images[g])
-
-    @classmethod
-    def trivial(cls, graph: GenGraph, group: PermGroup) -> "GraphAction":
-        vi = tuple(tuple(range(graph.vertex_count)) for _ in range(group.order))
-        ei = tuple(tuple(range(len(graph.edges))) for _ in range(group.order))
-        return cls(graph, group, vi, ei)
-
-
-@dataclass(frozen=True)
-class EdgeOrbit:
-    """One orbit of unoriented edges with its stabilizer and signum kernel."""
-
-    representative: int              # oriented edge id, e < opp(e)
-    members: tuple[int, ...]         # unoriented reps in the orbit
-    stabilizer: Subgroup             # setwise stabilizer of {e, opp(e)}
-    kernel: Subgroup                 # elements fixing the oriented edge e
-    orientable: bool
-
-
-def edge_orbit_data(action: GraphAction) -> tuple[EdgeOrbit, ...]:
-    """Orbits of unoriented edges; signum is -1 on elements swapping e, opp(e)."""
-    graph = action.graph
-    if not graph.is_strict:
-        raise NotStrict("edge orbits with signum need a strict graph")
-    group = action.group
-    reps = graph.unoriented_reps()
-    unor = {}
-    for r in reps:
-        unor[r] = r
-        unor[graph.opp[r]] = r
-    out = []
-    for members in orbits(reps, group.generator_ids, lambda e, g: unor[action.edge_images[g][e]]):
-        r = members[0]
-        images = [action.edge_images[g][r] for g in range(group.order)]
-        stab = group.subgroup(g for g, img in enumerate(images) if img in (r, graph.opp[r]))
-        kernel = group.subgroup(g for g, img in enumerate(images) if img == r)
-        out.append(EdgeOrbit(r, tuple(sorted(members)), stab, kernel,
-                             kernel.order == stab.order))
-    return tuple(out)
-
-
-def graph_virtual_character(action: GraphAction) -> ClassFunction:
-    """Character of 0-chains minus 1-chains: perm(V) - sum of Ind(signum).
-
-    Degree is V - E (unoriented E) for any strict graph with action.
-    """
-    if not action.graph.is_strict:
-        raise NotStrict("graph character needs a strict graph")
-    chi = permutation_character(action.group, action.vertex_images)
-    for orbit in edge_orbit_data(action):
-        chi = chi - induced_character(action.group, orbit.stabilizer, orbit.kernel)
-    return chi
 
 
 def gengraph_to_dot(graph: GenGraph, name: str = "G",

@@ -439,9 +439,6 @@ class ClassFunction:
     def degree(self) -> int:
         return self.values[0]  # identity sits in class 0
 
-    def value(self, element_id: int) -> int:
-        return self.values[self.group.class_of(element_id)]
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, ClassFunction)
                 and same_group(self.group, other.group)
@@ -472,15 +469,6 @@ class ClassFunction:
             inv_class = self.group.class_of(self.group.inv(c[0]))
             total += len(c) * self.values[ci] * other.values[inv_class]
         return Fraction(total, self.group.order)
-
-
-def permutation_character(group: PermGroup, images: Sequence[Sequence[int]]) -> ClassFunction:
-    """Fixed-point count per class of the action given by image tables."""
-    vals = []
-    for c in group.conjugacy_classes():
-        table = images[c[0]]
-        vals.append(sum(1 for i, v in enumerate(table) if v == i))
-    return ClassFunction(group, tuple(vals))
 
 
 def induced_character(group: PermGroup, sub: Subgroup, kernel: Subgroup) -> ClassFunction:

@@ -5,9 +5,9 @@ from functools import cache
 
 import pytest
 
-from hurwitzdegen import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPoint,
-                          PermGroup, Subgroup, is_inverting_involution, perm_from_cycles,
-                          rh_genus)
+from hurwitzdegen import (BoundaryDatum, GraphAction, HurwitzTuple, MarkedComponent,
+                          MarkedPoint, PermGroup, Subgroup, is_inverting_involution,
+                          perm_from_cycles, rh_genus)
 from hurwitzdegen import audit
 from hurwitzdegen.boundary import conjugate_datum, serialize
 
@@ -133,6 +133,25 @@ def centralizer_by_scan(group: PermGroup, sub: Subgroup) -> Subgroup:
     keep = [g for g in range(group.order)
             if all(group.conj(g, h) == h for h in sub.members)]
     return Subgroup(group, tuple(keep))
+
+
+def lefschetz_counts(action: GraphAction) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per class representative g, read off the explicit action rows: the
+    vertices g fixes, and the unoriented edges g fixes setwise, +1 if kept
+    and -1 if reversed.
+
+    The Lefschetz oracle for the de Rham character: the signed edge count is
+    the character of the 1-chains (the edge induction sum) on every cover, and
+    on an all-rational cover chi_dR = 2 * (fixed vertices - signed edges).
+    """
+    graph, G = action.graph, action.group
+    fixed, signed = [], []
+    for c in G.conjugacy_classes():
+        vi, ei = action.vertex_images[c[0]], action.edge_images[c[0]]
+        fixed.append(sum(1 for v, w in enumerate(vi) if v == w))
+        signed.append(sum(1 if ei[e] == e else -1 for e in graph.unoriented_reps()
+                          if ei[e] in (e, graph.opp[e])))
+    return tuple(fixed), tuple(signed)
 
 
 @cache

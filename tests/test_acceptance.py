@@ -143,7 +143,7 @@ def test_criterion_6_property_suites(s3, s4, d4, d5):
             all_rational = all(c.genus == 0 for c in cover.components)
             if all_rational and is_connected(cover):
                 rep = de_rham_character(cover)
-                assert rep.degree_chi_dR == 2 - 2 * arithmetic_genus(cover)
+                assert rep.chi_dR.degree == 2 - 2 * arithmetic_genus(cover)
                 degree_checked += 1
             cases += 1
     elapsed = time.perf_counter() - start

@@ -119,13 +119,13 @@ def test_dual_graph_shapes(a5):
     dihedral = dual_graph_of_groups(audit.a5_dihedral_degenerations(a5)[0].datum)
     assert dihedral.graph.vertex_count == 1
     assert dihedral.graph.unoriented_reps() == (0,)
-    assert not dihedral.graph.is_strict          # self-opposite edge
+    assert dihedral.graph.opp == (0,)            # self-opposite edge
     assert dihedral.vertex_group_orders == (60,)
     assert dihedral.edge_group_orders == (5,)
 
     split = dual_graph_of_groups(audit.a5_split_datum(a5))
     assert split.graph.vertex_count == 2
-    assert split.graph.is_strict
+    assert split.graph.opp == (1, 0)
     assert len(split.graph.unoriented_reps()) == 1
     assert split.vertex_group_orders == (10, 60)
 

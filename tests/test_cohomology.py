@@ -20,7 +20,7 @@ def test_trivial_group_line():
     cover = build_cover(BoundaryDatum(G, (MarkedComponent(0, (), ()),)))
     rep = de_rham_character(cover)
     assert rep.chi_dR == 2 * ClassFunction.trivial(G)
-    assert rep.degree_chi_dR == 2
+    assert rep.chi_dR.degree == 2
     assert rep.h1_character == ClassFunction.zero(G)
 
 
@@ -33,7 +33,7 @@ def test_a5_dihedral_characters(a5):
 
     assert rep.chi_dR == 2 * ClassFunction.trivial(a5) - 2 * ind_sgn
     assert rep.chi_dR.values == (-10, 6, 2, 0, 0)
-    assert rep.degree_chi_dR == 2 - 2 * arithmetic_genus(cover) == -10
+    assert rep.chi_dR.degree == 2 - 2 * arithmetic_genus(cover) == -10
     # devissage identity as implemented
     assert rep.chi_dR == rep.chi_normalization - 2 * rep.edge_induction_sum
 
@@ -48,7 +48,7 @@ def test_a5_split_characters_and_constancy(a5):
     rep = de_rham_character(split_cover)
     assert rep.chi_normalization.degree == 2 * 7
     assert rep.edge_induction_sum.degree == 12
-    assert rep.degree_chi_dR == -10
+    assert rep.chi_dR.degree == -10
     assert h1_character(split_cover) == h1_character(dihedral_cover)
 
 
@@ -69,7 +69,7 @@ def test_positive_genus_full_character(psl27):
     cover = build_cover(hurwitz_to_datum(audit.psl27_tuple(psl27)))
     assert cover.components[0].genus == 3
     rep = de_rham_character(cover)
-    assert rep.degree_chi_dR == rep.chi_dR.degree == 2 - 2 * 3
+    assert rep.chi_dR.degree == 2 - 2 * 3
     # Klein quartic: H^1 is the sum of the two conjugate 3-dimensional
     # irreducibles, so it has no invariants and is rational-valued on 7a/7b
     h1 = h1_character(cover)
@@ -129,10 +129,11 @@ def test_degree_identity_on_random_covers(fixture, seed, request):
     def check(cover):
         rep = de_rham_character(cover)
         V, E = len(cover.components), len(cover.nodes)
-        assert rep.degree_chi_dR == 2 * (V - E - sum(c.genus for c in cover.components))
-        if not rep.connected:
+        assert rep.chi_dR.degree == 2 * (V - E - sum(c.genus for c in cover.components))
+        assert (rep.h1_character is None) == (not is_connected(cover))
+        if rep.h1_character is None:
             return 0
-        assert rep.degree_chi_dR == 2 - 2 * arithmetic_genus(cover)
+        assert rep.chi_dR.degree == 2 - 2 * arithmetic_genus(cover)
         assert h1_character(cover).degree == 2 * arithmetic_genus(cover)
         assert all(isinstance(v, int) for v in rep.chi_dR.values)
         return 1

@@ -7,15 +7,14 @@ import pytest
 from hurwitzdegen import (BoundaryDatum, MarkedComponent, MarkedPoint,
                           PermGroup, Subgroup, arithmetic_genus, arithmetic_genus_by_component,
                           build_cover, classify_node, cover_to_dot, de_rham_character,
-                          dihedral_degenerations, edge_orbit_data, graph_virtual_character,
-                          hurwitz_to_datum, is_connected, is_stable, left_cosets,
-                          perm_from_cycles, rh_genus, subcover)
+                          dihedral_degenerations, hurwitz_to_datum, is_connected, is_stable,
+                          left_cosets, perm_from_cycles, rh_genus, subcover)
 from hurwitzdegen import audit
 from hurwitzdegen.covers import branch_counts, cover_report, node_class_summary
 from hurwitzdegen.errors import Disconnected, InvalidDatum, NegativeGenus, NonIntegralGenus
 
-from conftest import (assert_closed, inverting_pairs, random_rational_generating_tuples,
-                      random_valid_datum)
+from conftest import (assert_closed, inverting_pairs, lefschetz_counts,
+                      random_rational_generating_tuples, random_valid_datum)
 
 
 def test_rh_genus_worked_values():
@@ -357,8 +356,12 @@ def test_quotient_formulas_match_explicit_action(fixture, seed, request):
         assert node_class_summary(cover) == [
             {"kind": kind, "stabilizer_order": order, "count": count}
             for (kind, order), count in sorted(buckets.items())]
+        rep = de_rham_character(cover)
+        fixed, signed = lefschetz_counts(action)
+        assert rep.edge_induction_sum.values == signed
         if all(c.genus == 0 for c in cover.components):
-            assert de_rham_character(cover).chi_dR == 2 * graph_virtual_character(action)
+            assert rep.chi_normalization.values == tuple(2 * f for f in fixed)
+            assert rep.chi_dR.values == tuple(2 * (f - e) for f, e in zip(fixed, signed))
             rational += 1
     assert rational >= 5
 
@@ -366,8 +369,8 @@ def test_quotient_formulas_match_explicit_action(fixture, seed, request):
 @pytest.mark.parametrize("fixture,seed", [("s3", 41), ("s4", 42), ("s5", 43)])
 def test_pipeline_subgroups_are_closed(fixture, seed, request, monkeypatch):
     # Subgroup trusts its callers; record every one the pipeline builds
-    # (component images, <m>, <m, s>, node and edge-orbit stabilizers,
-    # edge-orbit signum kernels) and check closure here instead
+    # (component images, <m>, <m, s>, node stabilizers) and check closure
+    # here instead
     G = request.getfixturevalue(fixture)
     built: list[Subgroup] = []
     check = Subgroup.__post_init__
@@ -382,7 +385,6 @@ def test_pipeline_subgroups_are_closed(fixture, seed, request, monkeypatch):
         de_rham_character(cover)
         for k in range(len(cover.nodes)):
             classify_node(cover, k)
-        edge_orbit_data(cover.action)
     assert dihedral > 0
     for H in {H.members: H for H in built}.values():
         assert_closed(H)

@@ -1,88 +1,58 @@
 from __future__ import annotations
 
-import random
-
 import pytest
 
-from hurwitzdegen import (GenGraph, GraphAction, PermGroup, betti, build_cover,
-                          edge_orbit_data, gengraph_to_dot, graph_virtual_character)
+from hurwitzdegen import (ClassFunction, GenGraph, GraphAction, PermGroup, arithmetic_genus,
+                          build_cover, de_rham_character, gengraph_to_dot, is_connected)
 from hurwitzdegen import audit
-from hurwitzdegen.errors import NotStrict
+from hurwitzdegen.covers import node_class_summary
 
-from conftest import inverting_pairs, random_valid_datum
+from conftest import lefschetz_counts
 
 
 def test_gengraph_invariants():
     g = GenGraph.from_unoriented(2, [(0, 1)])
-    assert g.is_strict
+    assert g.opp == (1, 0)
     assert g.unoriented_reps() == (0,)
     with pytest.raises(AssertionError):
         GenGraph(2, ((0, 1), (0, 1)), (1, 0))  # opposite must reverse ends
     loop = GenGraph.from_unoriented(1, [], self_opposite=[0])
-    assert not loop.is_strict
+    assert loop.opp == (0,)
     assert loop.unoriented_reps() == (0,)
 
 
-def test_betti_single_vertex():
-    assert betti(GenGraph(1, (), ())) == (1, 0)
-
-
-def test_betti_rejects_self_opposite():
-    loop = GenGraph.from_unoriented(1, [], self_opposite=[0])
-    with pytest.raises(NotStrict):
-        betti(loop)
-
-
-def test_betti_on_worked_cover_graphs(a5):
+def test_worked_cover_graphs(a5):
     degs = audit.a5_dihedral_degenerations(a5)
     cover = build_cover(degs[0].datum)
     # one vertex carrying 6 loop edge pairs
     assert cover.graph.vertex_count == 1
-    assert betti(cover.graph) == (1, 6)
+    assert len(cover.graph.unoriented_reps()) == 6
+    assert is_connected(cover) and arithmetic_genus(cover) == 6
     split = build_cover(audit.a5_split_datum(a5))
     # 7 vertices, 12 edges, connected
     assert split.graph.vertex_count == 7
     assert len(split.graph.unoriented_reps()) == 12
-    assert betti(split.graph) == (1, 6)
-
-
-def test_trivial_action_orbits_orientable():
-    G = PermGroup([], degree=1)
-    graph = GenGraph.from_unoriented(3, [(0, 1), (1, 2), (2, 0)])
-    action = GraphAction.trivial(graph, G)
-    orbits = edge_orbit_data(action)
-    assert len(orbits) == 3
-    assert all(o.orientable for o in orbits)
-    chi = graph_virtual_character(action)
-    b0, b1 = betti(graph)
-    assert chi.degree == 3 - 3  # V - E
-    assert chi.degree == b0 - b1
+    assert is_connected(split) and arithmetic_genus(split) == 6
 
 
 def test_a5_dihedral_cover_orbit(a5):
     cover = build_cover(audit.a5_dihedral_degenerations(a5)[0].datum)
-    orbits = edge_orbit_data(cover.action)
-    assert len(orbits) == 1
-    orbit = orbits[0]
-    assert len(orbit.members) == 6
-    assert orbit.stabilizer.order == 10
-    assert not orbit.orientable
-    chi = graph_virtual_character(cover.action)
-    assert chi.degree == 1 - 6 == cover.graph.vertex_count - len(orbit.members)
-    # triv - Ind_{D10}(signum)
-    assert chi.values == (1 - 6, 1 + 2, 1, 1 - 1, 1 - 1)
+    assert node_class_summary(cover) == [
+        {"kind": "dihedral", "stabilizer_order": 10, "count": 6}]
+    fixed, signed = lefschetz_counts(cover.action)
+    # triv - Ind_{D10}(signum), V - E at the identity
+    chi = tuple(f - e for f, e in zip(fixed, signed))
+    assert chi == (1 - 6, 1 + 2, 1, 1 - 1, 1 - 1)
+    assert de_rham_character(cover).chi_dR.values == tuple(2 * x for x in chi)
 
 
 def test_a5_split_cover_orbit(a5):
     cover = build_cover(audit.a5_split_datum(a5))
-    orbits = edge_orbit_data(cover.action)
-    assert len(orbits) == 1
-    orbit = orbits[0]
-    assert len(orbit.members) == 12
-    assert orbit.stabilizer.order == 5
-    assert orbit.orientable
-    chi = graph_virtual_character(cover.action)
-    assert chi.degree == 7 - 12
+    assert node_class_summary(cover) == [
+        {"kind": "cyclic", "stabilizer_order": 5, "count": 12}]
+    fixed, signed = lefschetz_counts(cover.action)
+    assert (fixed[0], signed[0]) == (7, 12)
+    assert de_rham_character(cover).chi_dR.degree == 2 * (7 - 12)
 
 
 @pytest.mark.parametrize("table", ["vertex_images", "edge_images"])
@@ -128,32 +98,17 @@ def test_cayley_graph_character_degree(fixture, request):
     G = request.getfixturevalue(fixture)
     connection = sorted({g for g in G.generator_ids} | {G.inv(g) for g in G.generator_ids})
     action = cayley_graph_action(G, connection)
-    if not action.graph.is_strict:
-        pytest.skip("needs a strict connection set")
-    chi = graph_virtual_character(action)
+    fixed, signed = lefschetz_counts(action)
     V = action.graph.vertex_count
     E = len(action.graph.unoriented_reps())
-    assert chi.degree == V - E
-    # free vertex action: an involution generator gives an unorientable orbit
-    for orbit in edge_orbit_data(action):
-        size_times_stab = len(orbit.members) * orbit.stabilizer.order
-        assert size_times_stab == G.order
-
-
-@pytest.mark.parametrize("fixture,seed", [("s3", 11), ("s4", 12)])
-def test_character_degree_on_random_cover_actions(fixture, seed, request):
-    G = request.getfixturevalue(fixture)
-    rng = random.Random(seed)
-    pairs = inverting_pairs(G)
-    for _ in range(25):
-        datum = random_valid_datum(G, rng, pairs)
-        cover = build_cover(datum)
-        chi = graph_virtual_character(cover.action)
-        V = cover.graph.vertex_count
-        E = len(cover.graph.unoriented_reps())
-        assert chi.degree == V - E
-        for orbit in edge_orbit_data(cover.action):
-            assert len(orbit.members) * orbit.stabilizer.order == G.order
+    assert (fixed[0], signed[0]) == (V, E)
+    # the vertex action is free and transitive; the edge orbits are the
+    # pairs {s, s^-1} of the connection set, orientable unless s is an involution
+    assert fixed[1:] == (0,) * (len(fixed) - 1)
+    trivial = ClassFunction.trivial(G)
+    assert ClassFunction(G, fixed).inner(trivial) == 1
+    pairs = {frozenset((s, G.inv(s))) for s in connection}
+    assert ClassFunction(G, signed).inner(trivial) == sum(1 for p in pairs if len(p) == 2)
 
 
 def test_dot_output():
