@@ -286,9 +286,8 @@ def canonical_form(datum: BoundaryDatum) -> BoundaryDatum:
     all give the same datum, so the first is conjugated once.  Cost: one
     class record per class of first ids (cached on the group), then
     |C_G(r)| conjugations of the next id, a shrinking set after that, and
-    one datum built.
+    one datum built.  Conjugation is defined on every datum, valid or not.
     """
-    require_valid(datum)
     G = datum.group
     ids = []
     for comp in datum.components:
@@ -405,22 +404,17 @@ def datum_from_jsonable(obj) -> BoundaryDatum:
             if not isinstance(pt, dict) or "kind" not in pt or "m" not in pt:
                 raise SchemaError(ppath, "expected {kind, m, ...}")
             kind = pt["kind"]
+            if kind not in (CYCLIC, DIHEDRAL, NODE_END):
+                raise SchemaError(f"{ppath}.kind", f"unknown kind {kind!r}")
+            for key, owner in (("s", DIHEDRAL), ("node", NODE_END)):
+                if (key in pt) != (kind == owner):
+                    raise SchemaError(f"{ppath}.{key}", f"{owner} points need {key}"
+                                      if kind == owner else f"only {owner} points carry {key}")
             m = _perm_id(G, pt["m"], f"{ppath}.m")
-            try:
-                if kind == CYCLIC:
-                    points.append(MarkedPoint.cyclic(m))
-                elif kind == DIHEDRAL:
-                    if "s" not in pt:
-                        raise SchemaError(f"{ppath}.s", "dihedral point needs s")
-                    points.append(MarkedPoint.dihedral(m, _perm_id(G, pt["s"], f"{ppath}.s")))
-                elif kind == NODE_END:
-                    if not _is_int(pt.get("node")):
-                        raise SchemaError(f"{ppath}.node", "node end needs an integer node id")
-                    points.append(MarkedPoint.node_end(m, pt["node"]))
-                else:
-                    raise SchemaError(f"{ppath}.kind", f"unknown kind {kind!r}")
-            except ValueError as exc:
-                raise SchemaError(ppath, str(exc)) from None
+            if kind == NODE_END and not _is_int(pt["node"]):
+                raise SchemaError(f"{ppath}.node", "node end needs an integer node id")
+            s = _perm_id(G, pt["s"], f"{ppath}.s") if kind == DIHEDRAL else None
+            points.append(MarkedPoint(kind, m, s=s, node_id=pt.get("node")))
         comps.append(MarkedComponent(genus, tuple(handles), tuple(points)))
     return BoundaryDatum(G, tuple(comps))
 

@@ -15,13 +15,13 @@ import sys
 from .audit import FAIL, audit_passed, run_audit
 from .boundary import (BoundaryDatum, datum_from_jsonable, datum_to_jsonable, datum_warnings,
                        dual_graph_of_groups, quotient_stability, tuple_from_jsonable,
-                       tuple_to_jsonable, validate)
+                       tuple_to_jsonable)
 from .cohomology import (character_to_jsonable, classes_to_jsonable, de_rham_character,
                          render_character_table)
 from .covers import build_cover, cover_report, cover_to_dot
 from .degen import dihedral_degenerations, local_model_fixpoint_orbits, predicted_fixpoint_orbits, \
     dedup as dedup_degenerations, split_degenerations
-from .errors import HurwitzDegenError, SchemaError
+from .errors import HurwitzDegenError, InvalidDatum, SchemaError
 from .groups import ClassFunction
 
 
@@ -68,8 +68,12 @@ def _add_smoothing_orbits(node_classes: list[dict]) -> list[str]:
 
 
 def analyze_datum(datum: BoundaryDatum) -> tuple[dict, int]:
-    """Full analysis report plus the analyze exit code (0 or 2)."""
-    violations = validate(datum)
+    """Full analysis report plus the analyze exit code (0 or 2); the datum is
+    validated once, by ``build_cover``, whose ``InvalidDatum`` lists the violations."""
+    try:
+        cover, violations = build_cover(datum), []
+    except InvalidDatum as exc:
+        cover, violations = None, exc.violations
     stable_quotient = quotient_stability(datum)
     warnings = list(datum_warnings(datum))
     if not stable_quotient:
@@ -87,10 +91,9 @@ def analyze_datum(datum: BoundaryDatum) -> tuple[dict, int]:
         "characters": None,
         "warnings": warnings,
     }
-    if violations:
+    if cover is None:
         return report, 2
 
-    cover = build_cover(datum)
     cov = cover_report(cover)
     warnings.extend(_add_smoothing_orbits(cov["node_classes"]))
     report["cover"] = cov

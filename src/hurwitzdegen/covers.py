@@ -40,7 +40,11 @@ def rh_genus(subgroup_order: int, base_genus: int, ramification_orders: list[int
     for d in ramification_orders:
         if H % d != 0:
             raise ValueError(f"ramification order {d} does not divide {H}")
-    double = H * (2 * base_genus - 2) + sum(H - H // d for d in ramification_orders)
+    return _genus(H * (2 * base_genus - 2) + sum(H - H // d for d in ramification_orders))
+
+
+def _genus(double: int) -> int:
+    """g from a Riemann-Hurwitz count 2g - 2, which must be even and >= -2."""
     if double % 2 != 0:
         raise NonIntegralGenus(f"2g - 2 = {double} is odd")
     g = (double + 2) // 2
@@ -323,13 +327,8 @@ def subcover(cover: CoverCurve, K: Subgroup) -> SubcoverReport:
                            for pt in comp.points)
             for acc, cyc in zip(all_cycles, cycles):
                 acc += cyc
-            double = deg * (2 * comp.genus - 2) + sum(
-                sum(L - 1 for L in cyc) for cyc in cycles)
-            if double % 2 != 0:
-                raise NonIntegralGenus(f"subcover component 2g - 2 = {double}")
-            g = (double + 2) // 2
-            if g < 0:
-                raise NegativeGenus(f"subcover component genus {g} < 0")
+            g = _genus(deg * (2 * comp.genus - 2) + sum(
+                sum(L - 1 for L in cyc) for cyc in cycles))
             rep = min(min(cos.cells[c]) for c in orbit)
             sub_idx = len(sub_components)
             sub_components.append(SubcoverComponent(ci, rep, deg, g, cycles))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .boundary import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPoint,
-                       Violation, canonical_form, quotient_stability, serialize, validate)
+                       Violation, canonical_form, quotient_stability, serialize)
 from .errors import InvalidDatum, OddOrder, TooFewPoints
 from .groups import inverting_involutions, orbits
 
@@ -24,6 +24,14 @@ DIHEDRAL = "dihedral"
 
 @dataclass(frozen=True, eq=False)
 class Degeneration:
+    """A codimension-1 boundary datum of a tuple, admissible by construction:
+    a split closes each side with the node monodromy, a dihedral point takes s
+    from ``inverting_involutions``, and ``collide_pair`` takes s = a, which
+    inverts m = ab and lies outside <ab> (inside, a would commute with ab, so
+    (ab)^2 = e, a = ab and b = e).  Only quotient stability is checked: a
+    3-entry tuple collides to 2 points.
+    """
+
     kind: str
     datum: BoundaryDatum
     split_at: int | None = None       # split kind: size of the left group
@@ -31,9 +39,6 @@ class Degeneration:
     involution: int | None = None     # dihedral kind: element id of s
 
     def __post_init__(self):
-        violations = validate(self.datum)
-        if violations:
-            raise InvalidDatum(violations)
         if not quotient_stability(self.datum):
             raise InvalidDatum([Violation("Stability", "quotient curve",
                                           "a rational component has fewer than 3 marked points")])

@@ -194,10 +194,6 @@ class PermGroup:
     def to_jsonable(self) -> dict:
         return {"degree": self.degree, "generators": [list(g) for g in self.generators]}
 
-    @classmethod
-    def from_jsonable(cls, obj: dict) -> "PermGroup":
-        return cls(obj["generators"], degree=obj["degree"])
-
 
 def orbit(start, gens: Sequence, act: Callable, bound: int | None = None,
           stop: int | None = None) -> list:

@@ -226,11 +226,19 @@ def test_non_conjugate_data_distinguished(a5):
     assert not equivalent(base, other)
 
 
-def test_canonical_form_requires_valid_datum(s3):
-    t = s3.id_of(perm_from_cycles(3, (0, 1)))
-    bad = BoundaryDatum(s3, (MarkedComponent(0, (), (MarkedPoint.cyclic(t),)),))
-    with pytest.raises(InvalidDatum):
-        canonical_form(bad)
+def test_canonical_form_accepts_invalid_datum(s3):
+    # conjugation needs no validity: an inadmissible datum gets its least
+    # conjugate, which is just as inadmissible
+    t = s3.id_of(perm_from_cycles(3, (1, 2)))
+    c = s3.id_of(perm_from_cycles(3, (0, 1, 2)))
+    bad = BoundaryDatum(s3, (MarkedComponent(0, (), (
+        MarkedPoint.cyclic(t), MarkedPoint.dihedral(t, t), MarkedPoint.node_end(c, 5))),))
+    assert {v.kind for v in validate(bad)} == {"SurfaceRelation", "NodePairing",
+                                                "DihedralInvolution"}
+    for g in range(s3.order):
+        canon = canonical_form(conjugate_datum(bad, g))
+        assert serialize(canon) == canonical_form_by_scan(bad)
+        assert validate(canon) == validate(bad)
 
 
 def test_equivalent_needs_matching_groups(a5, s4):
@@ -285,6 +293,15 @@ def test_tuple_json_round_trip(a5):
                  "$.group.degree", id="negative-degree"),
     pytest.param(lambda obj: obj.update(components=[]),
                  "$.components: expected a non-empty list", id="empty-components"),
+    pytest.param(lambda obj: obj["components"][0]["points"][0].update(s=[0, 1, 2, 3, 4]),
+                 "$.components[0].points[0].s", id="s-on-cyclic-point"),
+    pytest.param(lambda obj: obj["components"][1]["points"][0].update(s=[0, 1, 2, 3, 4]),
+                 "$.components[1].points[0].s", id="s-on-node-end"),
+    pytest.param(lambda obj: obj["components"][0]["points"][1].update(node=0),
+                 "$.components[0].points[1].node", id="node-on-cyclic-point"),
+    pytest.param(lambda obj: obj["components"][0]["points"][0].update(
+        kind="dihedral", s=[0, 1, 2, 3, 4], node=0),
+                 "$.components[0].points[0].node", id="node-on-dihedral-point"),
 ])
 def test_datum_schema_errors(a5, mutate, path_part):
     datum = audit.a5_split_datum(a5)

@@ -91,6 +91,10 @@ def test_analyze_schema_error(tmp_path, capsys):
     assert "$.group" in err
 
 
+def _point(obj, pi):
+    return obj["components"][0]["points"][pi]
+
+
 MALFORMED = {
     "handles-not-a-list": lambda obj: obj["components"][0].update(handles=5),
     "points-not-a-list": lambda obj: obj["components"][0].update(points=5),
@@ -99,6 +103,12 @@ MALFORMED = {
     "boolean-genus": lambda obj: obj["components"][0].update(genus=False),
     "string-degree": lambda obj: obj["group"].update(degree="5"),
     "empty-components": lambda obj: obj.update(components=[]),
+    # fields of another point kind are rejected, not dropped
+    "s-on-cyclic-point": lambda obj: _point(obj, 0).update(s=_point(obj, 1)["m"]),
+    "s-on-node-end": lambda obj: _point(obj, 2).update(s=_point(obj, 1)["m"]),
+    "node-on-cyclic-point": lambda obj: _point(obj, 0).update(node=0),
+    "node-on-dihedral-point": lambda obj: _point(obj, 0).update(
+        kind="dihedral", s=_point(obj, 1)["m"], node=0),
 }
 
 

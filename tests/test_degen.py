@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 
-from hurwitzdegen import (HurwitzTuple, arithmetic_genus, build_cover, canonical_form,
+from hurwitzdegen import (HurwitzTuple, PermGroup, arithmetic_genus, build_cover, canonical_form,
                           collide_pair, dedup, dihedral_degenerations, equivalent,
                           local_model_fixpoint_orbits, local_model_orbit_sizes, predicted_fixpoint_orbits,
                           perm_from_cycles, quotient_stability, rh_genus, smooth_dihedral,
                           split_degenerations, validate)
 from hurwitzdegen import audit
 from hurwitzdegen.boundary import conjugate_datum, serialize
-from hurwitzdegen.errors import OddOrder, TooFewPoints
+from hurwitzdegen.errors import InvalidDatum, OddOrder, TooFewPoints
 
 
 def test_split_index_range(a5, s4):
@@ -34,13 +37,50 @@ def test_a5_split_matches_worked_grouping(a5):
     assert left.points[2].kind == "node" and right.points[0].kind == "node"
 
 
-def test_every_emitted_degeneration_is_valid_and_stable(a5):
-    t4 = audit.a5_smoothed_tuple(a5)
-    degs = split_degenerations(t4) + dihedral_degenerations(t4, 0)
-    assert degs
-    for deg in degs:
-        assert validate(deg.datum) == []
-        assert quotient_stability(deg.datum)
+def random_product_one_tuples(G, rng, count):
+    """Product-one tuples of length 4 to 6, half their free entries involutions."""
+    involutions = [g for g in range(G.order) if G.element_order(g) == 2]
+    out = []
+    for _ in range(count):
+        entries = [rng.choice(involutions) if rng.random() < 0.5 else rng.randrange(G.order)
+                   for _ in range(rng.randrange(3, 6))]
+        entries.append(G.inv(G.product(entries)))
+        out.append(HurwitzTuple(G, tuple(entries)))
+    return out
+
+
+def test_every_emitted_degeneration_is_valid_and_stable(a5, s4, d5, psl27):
+    # Degeneration trusts its constructors with admissibility; this is the
+    # oracle for that trust
+    rng = random.Random(20)
+    tuples = [audit.a5_smoothed_tuple(a5)]
+    for G in (s4, d5, a5, psl27):
+        tuples += random_product_one_tuples(G, rng, 10)
+    kinds = Counter()
+    for t in tuples:
+        G = t.group
+        degs = split_degenerations(t)
+        for i in range(len(t)):
+            degs += dihedral_degenerations(t, i)
+        for i in range(len(t) - 1):
+            if G.element_order(t.entries[i]) == 2 == G.element_order(t.entries[i + 1]):
+                degs.append(collide_pair(t, i))
+                kinds["collide"] += 1
+        for deg in degs:
+            kinds[deg.kind] += 1
+            assert validate(deg.datum) == []
+            assert quotient_stability(deg.datum)
+    assert kinds["split"] and kinds["dihedral"] and kinds["collide"] >= 10
+
+
+def test_collide_pair_of_a_three_entry_tuple_is_unstable():
+    # the one check Degeneration keeps: the Klein four-group tuple (a, b, ab)
+    # collides to two points
+    v4 = PermGroup([perm_from_cycles(4, (0, 1), (2, 3)), perm_from_cycles(4, (0, 2), (1, 3))])
+    a, b = v4.generator_ids
+    with pytest.raises(InvalidDatum) as exc:
+        collide_pair(HurwitzTuple(v4, (a, b, v4.mul(a, b))), 0)
+    assert [v.kind for v in exc.value.violations] == ["Stability"]
 
 
 def test_dihedral_count_a5(a5):
