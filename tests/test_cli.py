@@ -301,6 +301,8 @@ def test_committed_example_files_match_builders():
     datum = audit.a5_dihedral_degenerations()[0].datum
     assert json.loads((root / "a5_dihedral_datum.json").read_text()) == \
         datum_to_jsonable(datum)
+    assert json.loads((root / "a5_split_datum.json").read_text()) == \
+        datum_to_jsonable(audit.a5_split_datum())
     assert json.loads((root / "a5_tuple.json").read_text()) == \
         tuple_to_jsonable(audit.a5_smoothed_tuple())
     assert json.loads((root / "a5_three_point_tuple.json").read_text()) == \

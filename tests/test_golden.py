@@ -28,6 +28,7 @@ from hurwitzdegen.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 DATUM = "docs/examples/a5_dihedral_datum.json"
+SPLIT_DATUM = "docs/examples/a5_split_datum.json"
 DOT_OUT = "DOT_OUT"
 
 
@@ -40,6 +41,8 @@ def golden_argvs() -> dict[str, list[str]]:
         "character_json": ["character", DATUM, "--json"],
         "graph_quotient": ["graph", DATUM, "--which", "quotient", "--dot", DOT_OUT],
         "graph_cover": ["graph", DATUM, "--which", "cover", "--dot", DOT_OUT],
+        "graph_quotient_split": ["graph", SPLIT_DATUM, "--which", "quotient", "--dot", DOT_OUT],
+        "graph_cover_split": ["graph", SPLIT_DATUM, "--which", "cover", "--dot", DOT_OUT],
     }
     for path in sorted((ROOT / "docs" / "examples").glob("*tuple*.json")):
         rel = path.relative_to(ROOT).as_posix()
