@@ -7,9 +7,8 @@ codimension-1 degenerations of covers of the line.
 """
 
 from .boundary import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPoint,
-                       Violation, canonical_form, component_image_subgroup,
-                       datum_from_jsonable, datum_to_jsonable, datum_warnings,
-                       dual_graph_of_groups, equivalent, hurwitz_to_datum,
+                       Violation, canonical_form, datum_from_jsonable, datum_to_jsonable,
+                       datum_warnings, dual_graph_of_groups, equivalent, hurwitz_to_datum,
                        quotient_stability, tuple_from_jsonable, tuple_to_jsonable, validate)
 from .cohomology import (DevissageReport, class_labels, de_rham_character, h1_character,
                          render_character_table)

@@ -156,22 +156,6 @@ def quotient_stability(datum: BoundaryDatum) -> bool:
     return True
 
 
-def require_valid(datum: BoundaryDatum) -> None:
-    violations = validate(datum)
-    if violations:
-        raise InvalidDatum(violations)
-
-
-def component_image_subgroup(datum: BoundaryDatum, ci: int) -> Subgroup:
-    """H_Y = subgroup generated by handle images and point monodromies."""
-    comp = datum.components[ci]
-    gens: list[int] = []
-    for a, b in comp.handles:
-        gens.extend([a, b])
-    gens.extend(pt.m for pt in comp.points)
-    return datum.group.generated_subgroup(gens)
-
-
 # -- Hurwitz tuples ----------------------------------------------------------
 
 
@@ -202,44 +186,61 @@ def hurwitz_to_datum(t: HurwitzTuple) -> BoundaryDatum:
 
 @dataclass(frozen=True)
 class DualGraphOfGroups:
-    """Dual graph of the pointed quotient with group-order labels.
+    """The pointed quotient as a graph of groups (Bass, Covering theory for
+    graphs of groups, J. Pure Appl. Algebra 89 (1993)).
 
-    Vertices are components labelled by |H_Y|; nodes give ordinary edges and
-    dihedral points give self-opposite edges, labelled by the order of <m>.
+    Vertex ci is component Y with H_Y, generated by its handle images and
+    point monodromies.  Unoriented edge e is a node (an ordinary edge) or a
+    dihedral point (a self-opposite edge); nodes come first.  It carries
+    E_e = <m> at a node (<m_a> = <m_b>) and E_e = <m, s> at a dihedral
+    point, and K_e = <m>, the kernel of its sign character.
     """
 
     graph: GenGraph
-    vertex_group_orders: tuple[int, ...]
+    vertex_groups: tuple[Subgroup, ...]
     edge_origins: tuple[tuple, ...]       # per unoriented edge: ("node", id) | ("dihedral", ci, pi)
-    edge_group_orders: tuple[int, ...]
+    edge_groups: tuple[Subgroup, ...]
+    edge_kernels: tuple[Subgroup, ...]
 
     def to_dot(self) -> str:
-        vlabels = [f"v{v} |H|={o}" for v, o in enumerate(self.vertex_group_orders)]
-        elabels = [str(o) for o in self.edge_group_orders]
+        vlabels = [f"v{v} |H|={H.order}" for v, H in enumerate(self.vertex_groups)]
+        elabels = [str(K.order) for K in self.edge_kernels]
         return gengraph_to_dot(self.graph, name="quotient",
                                vertex_labels=vlabels, edge_labels=elabels)
 
 
 def dual_graph_of_groups(datum: BoundaryDatum) -> DualGraphOfGroups:
-    require_valid(datum)
+    """The datum's graph of groups; the only place its subgroups are built.
+
+    Raises ``InvalidDatum`` on an inadmissible datum: the one validation
+    that ``build_cover`` runs.
+    """
+    violations = validate(datum)
+    if violations:
+        raise InvalidDatum(violations)
     G = datum.group
     pairs = []
     origins: list[tuple] = []
-    orders: list[int] = []
+    groups: list[Subgroup] = []
+    kernels: list[Subgroup] = []
     for node_idx, ((ca, pa), (cb, pb)) in enumerate(datum.nodes()):
         # the oriented edge for each branch ends at that branch's component
         pairs.append((cb, ca))
-        origins.append(("node", node_idx))
-        orders.append(G.element_order(datum.point(ca, pa).m))
+        origins.append((NODE_END, node_idx))
+        kernels.append(G.cyclic_subgroup(datum.point(ca, pa).m))
+        groups.append(kernels[-1])
     loops = []
     for ci, pi in datum.dihedral_points():
+        pt = datum.point(ci, pi)
         loops.append(ci)
-        origins.append(("dihedral", ci, pi))
-        orders.append(G.element_order(datum.point(ci, pi).m))
+        origins.append((DIHEDRAL, ci, pi))
+        kernels.append(G.cyclic_subgroup(pt.m))
+        groups.append(G.generated_subgroup([pt.m, pt.s]))
     graph = GenGraph.from_unoriented(len(datum.components), pairs, self_opposite=loops)
-    vorders = tuple(component_image_subgroup(datum, ci).order
-                    for ci in range(len(datum.components)))
-    return DualGraphOfGroups(graph, vorders, tuple(origins), tuple(orders))
+    vertex_groups = tuple(
+        G.generated_subgroup([x for ab in comp.handles for x in ab] + [pt.m for pt in comp.points])
+        for comp in datum.components)
+    return DualGraphOfGroups(graph, vertex_groups, tuple(origins), tuple(groups), tuple(kernels))
 
 
 # -- conjugation, canonical form, equivalence --------------------------------
@@ -428,8 +429,8 @@ def tuple_from_jsonable(obj) -> HurwitzTuple:
     if not isinstance(obj, dict) or "group" not in obj or "entries" not in obj:
         raise SchemaError("$", "expected {group, entries}")
     G = _group_from_jsonable(obj["group"])
-    if not isinstance(obj["entries"], list):
-        raise SchemaError("$.entries", "expected a list of permutations")
+    if not isinstance(obj["entries"], list) or not obj["entries"]:
+        raise SchemaError("$.entries", "expected a non-empty list of permutations")
     ids = [_perm_id(G, e, f"$.entries[{i}]") for i, e in enumerate(obj["entries"])]
     try:
         return HurwitzTuple(G, tuple(ids))

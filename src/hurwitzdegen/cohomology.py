@@ -4,10 +4,12 @@ One formula for every cover, read off the datum's graph of groups (Lefschetz
 fixed points plus Frobenius induction):
 
     chi_dR = sum over Y of [(2 - 2 h_Y - n_Y) rho_G + sum over p in Y of Ind_<m_p> 1]
-             - 2 sum over nodes of Ind_<m> 1 - 2 sum over dihedral points of Ind_<m,s> sgn
+             - 2 sum over edges e of Ind_{E_e} sgn_e
 
-rho_G is the regular character, n_Y counts the marked points of Y and sgn is
-the character of <m,s> with kernel <m>, -1 on the branch-swapping coset s<m>.
+rho_G is the regular character, n_Y counts the marked points of Y and sgn_e
+is the character of the edge group E_e with kernel K_e = <m>: trivial at a
+node (E_e = <m>), and -1 on the branch-swapping coset s<m> of E_e = <m, s>
+at a dihedral point.
 The first sum is the character of the normalization, 2 * (permutation
 character on cover components) when every component is rational.
 """
@@ -44,12 +46,8 @@ def de_rham_character(cover: CoverCurve) -> DevissageReport:
         for pt in comp.points:
             chi_norm = chi_norm + ind_cyclic(pt.m)
     edge_sum = ClassFunction.zero(G)
-    for end_a, _ in datum.nodes():
-        edge_sum = edge_sum + ind_cyclic(datum.point(*end_a).m)
-    for ci, pi in datum.dihedral_points():
-        pt = datum.point(ci, pi)
-        edge_sum = edge_sum + induced_character(G, G.generated_subgroup([pt.m, pt.s]),
-                                                G.cyclic_subgroup(pt.m))
+    for E, K in zip(cover.gog.edge_groups, cover.gog.edge_kernels):
+        edge_sum = edge_sum + induced_character(G, E, K)
     chi_dR = chi_norm - 2 * edge_sum
     h1 = 2 * ClassFunction.trivial(G) - chi_dR if is_connected(cover) else None
     return DevissageReport(chi_dR, chi_norm, edge_sum, h1)

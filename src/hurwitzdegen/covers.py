@@ -8,11 +8,12 @@ marked point with monodromy m are the left cosets g<m>, and the nodes over
 a dihedral point (m, s) are the left cosets g<m, s> whose two branches are
 the two <m>-cosets contained in g<m, s>.
 
-Everything reported is read off the datum's graph of groups: node classes
-come from each node's origin.  A branch is a (quotient point, <m>-coset)
-pair and g acts on it by left multiplication on the coset; that one rule
-gives the explicit deck action, which ``CoverCurve.action`` builds as
-|G|-row tables only on demand.
+Everything reported is read off the datum's graph of groups
+(``boundary.dual_graph_of_groups``), kept on the cover as ``cover.gog``:
+each node lies over one of its edges and takes its class from that edge's
+group.  A branch is a (quotient point, <m>-coset) pair and g acts on it by
+left multiplication on the coset; that one rule gives the explicit deck
+action, which ``CoverCurve.action`` builds as |G|-row tables only on demand.
 """
 
 from __future__ import annotations
@@ -20,14 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .boundary import (DIHEDRAL, NODE_END, BoundaryDatum, component_image_subgroup,
-                       require_valid)
+from .boundary import (DIHEDRAL, NODE_END, BoundaryDatum, DualGraphOfGroups,
+                       dual_graph_of_groups)
 from .errors import Disconnected, NegativeGenus, NonIntegralGenus
 from .graphs import GenGraph, GraphAction, gengraph_to_dot
 from .groups import CosetTable, Subgroup, left_cosets, orbits
 
 CYCLIC_NODE = "cyclic"
 DIHEDRAL_NODE = "dihedral"
+_NODE_KIND = {NODE_END: CYCLIC_NODE, DIHEDRAL: DIHEDRAL_NODE}   # by quotient edge origin
 
 
 def rh_genus(subgroup_order: int, base_genus: int, ramification_orders: list[int]) -> int:
@@ -63,13 +65,13 @@ class CoverComponent:
 @dataclass(frozen=True)
 class CoverBranch:
     quotient_point: tuple[int, int]   # (component index, point index)
-    m_coset: int                      # index into the <m> coset table of that point
+    m_coset: int                      # index into the <m> coset table of the node's edge
     vertex: int                       # cover component carrying the branch
 
 
 @dataclass(frozen=True)
 class CoverNode:
-    origin: tuple                     # ("node", idx) or ("dihedral", ci, pi)
+    edge: int                         # unoriented edge of the graph of groups
     branch_a: CoverBranch
     branch_b: CoverBranch
 
@@ -87,16 +89,17 @@ class CoverCurve:
     its branch b; each edge ends at its branch's component.
     """
 
-    def __init__(self, datum: BoundaryDatum, components: list[CoverComponent],
-                 offsets: list[int], nodes: list[CoverNode], comp_cosets: list[CosetTable],
-                 point_mcosets: dict):
+    def __init__(self, datum: BoundaryDatum, gog: DualGraphOfGroups,
+                 components: list[CoverComponent], offsets: list[int], nodes: list[CoverNode],
+                 comp_cosets: list[CosetTable], edge_mcosets: list[CosetTable]):
         self.datum = datum
+        self.gog = gog
         self.group = datum.group
         self.components = components
         self.offsets = offsets        # first cover component over each quotient component
         self.nodes = nodes
-        self.comp_cosets = comp_cosets
-        self.point_mcosets = point_mcosets
+        self.comp_cosets = comp_cosets    # G/H_Y per quotient component
+        self.edge_mcosets = edge_mcosets  # G/<m> per quotient edge
         edges, opp = [], []
         self._edge_of: dict[tuple, int] = {}
         for k, node in enumerate(nodes):
@@ -117,7 +120,7 @@ class CoverCurve:
         """g sends the branch (point, x<m>) of edge e to the branch (point, gx<m>)."""
         node = self.nodes[e // 2]
         branch = node.branch_b if e % 2 else node.branch_a
-        mcos = self.point_mcosets[branch.quotient_point]
+        mcos = self.edge_mcosets[node.edge]
         image = mcos.index_of[self.group.mul(g, mcos.rep(branch.m_coset))]
         return self._edge_of[branch.quotient_point, image]
 
@@ -137,45 +140,44 @@ class CoverCurve:
 
 
 def build_cover(datum: BoundaryDatum) -> CoverCurve:
-    require_valid(datum)
+    gog = dual_graph_of_groups(datum)
     G = datum.group
 
-    comp_subs = [component_image_subgroup(datum, ci) for ci in range(len(datum.components))]
-    comp_cosets = [left_cosets(G, H) for H in comp_subs]
+    comp_cosets = [left_cosets(G, H) for H in gog.vertex_groups]
     components: list[CoverComponent] = []
     offsets: list[int] = []
     for ci, comp in enumerate(datum.components):
         orders = [G.element_order(pt.m) for pt in comp.points if pt.m != G.identity]
-        genus = rh_genus(comp_subs[ci].order, comp.genus, orders)
+        genus = rh_genus(gog.vertex_groups[ci].order, comp.genus, orders)
         offsets.append(len(components))
         components += [CoverComponent(ci, c, genus) for c in range(len(comp_cosets[ci]))]
 
-    point_mcosets: dict[tuple[int, int], CosetTable] = {}
-    for ci, comp in enumerate(datum.components):
-        for pi, pt in enumerate(comp.points):
-            if pt.kind in (NODE_END, DIHEDRAL):
-                point_mcosets[(ci, pi)] = left_cosets(G, G.cyclic_subgroup(pt.m))
+    # one <m>-coset table per edge, shared by both ends of a node
+    edge_mcosets = [left_cosets(G, K) for K in gog.edge_kernels]
 
-    def branch(point: tuple[int, int], element: int) -> CoverBranch:
+    def branch(e: int, point: tuple[int, int], element: int) -> CoverBranch:
         ci = point[0]
-        return CoverBranch(point, point_mcosets[point].index_of[element],
+        return CoverBranch(point, edge_mcosets[e].index_of[element],
                            offsets[ci] + comp_cosets[ci].index_of[element])
 
+    node_ends = datum.nodes()
     nodes: list[CoverNode] = []
-    for node_idx, (end_a, end_b) in enumerate(datum.nodes()):
-        for rep in (cell[0] for cell in point_mcosets[end_a].cells):  # <m_a> = <m_b>
-            nodes.append(CoverNode((NODE_END, node_idx), branch(end_a, rep), branch(end_b, rep)))
-    for ci, pi in datum.dihedral_points():
+    for e, origin in enumerate(gog.edge_origins):
+        mcos = edge_mcosets[e]
+        if origin[0] == NODE_END:
+            end_a, end_b = node_ends[origin[1]]
+            nodes += [CoverNode(e, branch(e, end_a, cell[0]), branch(e, end_b, cell[0]))
+                      for cell in mcos.cells]
+            continue
         # the node r<m, s> pairs the branches r<m> and rs<m>; the pair is met
         # first at the coset holding the minimum of r<m, s>
-        s = datum.point(ci, pi).s
-        mcos = point_mcosets[(ci, pi)]
+        point = origin[1:]
+        s = datum.point(*point).s
         for t, cell in enumerate(mcos.cells):
             rep_s = G.mul(cell[0], s)
             if mcos.index_of[rep_s] > t:
-                nodes.append(CoverNode((DIHEDRAL, ci, pi), branch((ci, pi), cell[0]),
-                                       branch((ci, pi), rep_s)))
-    return CoverCurve(datum, components, offsets, nodes, comp_cosets, point_mcosets)
+                nodes.append(CoverNode(e, branch(e, point, cell[0]), branch(e, point, rep_s)))
+    return CoverCurve(datum, gog, components, offsets, nodes, comp_cosets, edge_mcosets)
 
 
 def is_connected(cover: CoverCurve) -> bool:
@@ -187,8 +189,7 @@ def arithmetic_genus(cover: CoverCurve) -> int:
     if not is_connected(cover):
         raise Disconnected("arithmetic genus of a disconnected cover is undefined; "
                            "use arithmetic_genus_by_component")
-    return (sum(c.genus for c in cover.components) + len(cover.nodes)
-            - len(cover.components) + 1)
+    return arithmetic_genus_by_component(cover)[0]
 
 
 def arithmetic_genus_by_component(cover: CoverCurve) -> tuple[int, ...]:
@@ -229,31 +230,26 @@ def is_stable(cover: CoverCurve) -> bool:
     return True
 
 
-def _node_type(cover: CoverCurve, node: CoverNode) -> tuple[str, int]:
-    """(kind, stabilizer order) of a node, read off its origin: ord(m) or 2 ord(m)."""
-    order = cover.group.element_order(cover.datum.point(*node.branch_a.quotient_point).m)
-    return (CYCLIC_NODE, order) if node.origin[0] == NODE_END else (DIHEDRAL_NODE, 2 * order)
-
-
 def classify_node(cover: CoverCurve, node_idx: int) -> NodeClass:
-    """Setwise stabilizer of the branch pair: r<m>r^-1, or r<m, s>r^-1 over a
-    dihedral point, where r represents branch a's coset r<m>."""
+    """Setwise stabilizer of the branch pair: r E_e r^-1 for the group E_e of
+    the node's edge (<m>, or <m, s> over a dihedral point), where r
+    represents branch a's coset r<m>."""
     G = cover.group
     node = cover.nodes[node_idx]
-    point = node.branch_a.quotient_point
-    pt = cover.datum.point(*point)
-    r = cover.point_mcosets[point].rep(node.branch_a.m_coset)
-    gens = [pt.m] if node.origin[0] == NODE_END else [pt.m, pt.s]
-    members = G.generated_subgroup(gens).members
-    return NodeClass(_node_type(cover, node)[0], G.subgroup(G.conj(r, h) for h in members))
+    r = cover.edge_mcosets[node.edge].rep(node.branch_a.m_coset)
+    members = cover.gog.edge_groups[node.edge].members
+    return NodeClass(_NODE_KIND[cover.gog.edge_origins[node.edge][0]],
+                     G.subgroup(G.conj(r, h) for h in members))
 
 
 def node_class_summary(cover: CoverCurve) -> list[dict]:
-    """Counts of nodes grouped by (kind, stabilizer order)."""
+    """Counts of nodes grouped by (kind, stabilizer order): [G : E_e] nodes,
+    each with stabilizer conjugate to E_e, lie over quotient edge e."""
+    gog = cover.gog
     buckets: dict[tuple[str, int], int] = {}
-    for node in cover.nodes:
-        key = _node_type(cover, node)
-        buckets[key] = buckets.get(key, 0) + 1
+    for origin, E in zip(gog.edge_origins, gog.edge_groups):
+        key = (_NODE_KIND[origin[0]], E.order)
+        buckets[key] = buckets.get(key, 0) + cover.group.order // E.order
     return [{"kind": kind, "stabilizer_order": order, "count": count}
             for (kind, order), count in sorted(buckets.items())]
 
@@ -355,11 +351,10 @@ def subcover(cover: CoverCurve, K: Subgroup) -> SubcoverReport:
 
 
 def cover_to_dot(cover: CoverCurve) -> str:
-    vlabels = []
-    for comp in cover.components:
-        order = cover.comp_cosets[comp.quotient_component].subgroup_order
-        vlabels.append(f"g={comp.genus} |H|={order}")
-    elabels = [str(_node_type(cover, node)[1]) for node in cover.nodes]
+    gog = cover.gog
+    vlabels = [f"g={comp.genus} |H|={gog.vertex_groups[comp.quotient_component].order}"
+               for comp in cover.components]
+    elabels = [str(gog.edge_groups[node.edge].order) for node in cover.nodes]
     return gengraph_to_dot(cover.graph, name="cover",
                            vertex_labels=vlabels, edge_labels=elabels)
 

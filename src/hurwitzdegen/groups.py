@@ -331,7 +331,6 @@ def _class_record(group: PermGroup, x: int) -> ClassRecord:
 class CosetTable:
     """A partition of the group into cosets, ordered by minimal element id."""
 
-    subgroup_order: int
     cells: tuple[tuple[int, ...], ...]
     index_of: tuple[int, ...]  # element id -> coset index
 
@@ -354,7 +353,7 @@ def left_cosets(group: PermGroup, sub: Subgroup) -> CosetTable:
         cells.append(cell)
         for x in cell:
             assigned[x] = idx
-    return CosetTable(sub.order, tuple(cells), tuple(assigned))
+    return CosetTable(tuple(cells), tuple(assigned))
 
 
 def normalizer(group: PermGroup, sub: Subgroup) -> Subgroup:

@@ -13,7 +13,8 @@ from hurwitzdegen import audit
 from hurwitzdegen.boundary import conjugate_datum, datum_warnings, serialize
 from hurwitzdegen.errors import InvalidDatum, ProductNotOne, SchemaError
 
-from conftest import canonical_form_by_scan, inverting_pairs, random_valid_datum
+from conftest import (canonical_form_by_scan, closure_by_bfs, inverting_pairs,
+                      random_valid_datum)
 
 
 def test_marked_point_shape_guards():
@@ -120,14 +121,49 @@ def test_dual_graph_shapes(a5):
     assert dihedral.graph.vertex_count == 1
     assert dihedral.graph.unoriented_reps() == (0,)
     assert dihedral.graph.opp == (0,)            # self-opposite edge
-    assert dihedral.vertex_group_orders == (60,)
-    assert dihedral.edge_group_orders == (5,)
+    assert [H.order for H in dihedral.vertex_groups] == [60]
+    assert [E.order for E in dihedral.edge_groups] == [10]   # <m, s>
+    assert [K.order for K in dihedral.edge_kernels] == [5]   # <m>
 
     split = dual_graph_of_groups(audit.a5_split_datum(a5))
     assert split.graph.vertex_count == 2
     assert split.graph.opp == (1, 0)
     assert len(split.graph.unoriented_reps()) == 1
-    assert split.vertex_group_orders == (10, 60)
+    assert [H.order for H in split.vertex_groups] == [10, 60]
+    assert split.edge_groups == split.edge_kernels              # <m> at a node
+    assert [E.order for E in split.edge_groups] == [5]
+
+
+@pytest.mark.parametrize("fixture,seed", [("s3", 61), ("s4", 62), ("d5", 63), ("a5", 64)])
+def test_graph_of_groups_against_plain_closure(fixture, seed, request):
+    # H_Y = <handles, point monodromies>, E_e = <m> or <m, s>, K_e = <m>,
+    # each against a breadth-first closure that never stops early
+    G = request.getfixturevalue(fixture)
+    rng = random.Random(seed)
+    pairs = inverting_pairs(G)
+    kinds = set()
+    for _ in range(30):
+        datum = random_valid_datum(G, rng, pairs)
+        gog = dual_graph_of_groups(datum)
+        for ci, comp in enumerate(datum.components):
+            gens = [x for a, b in comp.handles for x in (a, b)] + [pt.m for pt in comp.points]
+            assert gog.vertex_groups[ci].member_set() == closure_by_bfs(G, gens)
+        for e, origin in enumerate(gog.edge_origins):
+            E, K = gog.edge_groups[e], gog.edge_kernels[e]
+            if origin[0] == "node":
+                end_a, end_b = datum.nodes()[origin[1]]
+                m = datum.point(*end_a).m
+                assert E.member_set() == closure_by_bfs(G, [m])
+                assert K.member_set() == closure_by_bfs(G, [datum.point(*end_b).m])
+                assert E.order == K.order
+            else:
+                pt = datum.point(*origin[1:])
+                m = pt.m
+                assert E.member_set() == closure_by_bfs(G, [m, pt.s])
+                assert E.order == 2 * K.order
+            assert K.member_set() == closure_by_bfs(G, [m])
+            kinds.add(origin[0])
+    assert kinds == {"node", "dihedral"}
 
 
 def test_dual_graph_requires_valid_datum(s3):
@@ -317,6 +353,9 @@ def test_tuple_schema_errors(a5):
     obj = tuple_to_jsonable(t)
     obj["entries"] = obj["entries"][:2]
     with pytest.raises(SchemaError):
+        tuple_from_jsonable(obj)
+    obj["entries"] = []
+    with pytest.raises(SchemaError, match=r"\$\.entries: expected a non-empty list"):
         tuple_from_jsonable(obj)
 
 

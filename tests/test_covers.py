@@ -9,7 +9,7 @@ from hurwitzdegen import (BoundaryDatum, MarkedComponent, MarkedPoint,
                           build_cover, classify_node, cover_to_dot, de_rham_character,
                           dihedral_degenerations, hurwitz_to_datum, is_connected, is_stable,
                           left_cosets, perm_from_cycles, rh_genus, subcover)
-from hurwitzdegen import audit
+from hurwitzdegen import audit, covers, groups
 from hurwitzdegen.covers import branch_counts, cover_report, node_class_summary
 from hurwitzdegen.errors import Disconnected, InvalidDatum, NegativeGenus, NonIntegralGenus
 
@@ -83,10 +83,10 @@ def test_dihedral_branch_pair_well_defined(a5):
     # the two branches of a dihedral node are exactly the two <m>-cosets
     # inside its <m, s>-coset, independent of the chosen representative
     cover = build_cover(audit.a5_dihedral_degenerations(a5)[0].datum)
-    (ci, pi) = cover.nodes[0].origin[1:]
+    (ci, pi) = cover.gog.edge_origins[cover.nodes[0].edge][1:]
     pt = cover.datum.point(ci, pi)
     dcos = left_cosets(a5, a5.generated_subgroup([pt.m, pt.s]))
-    mcos = cover.point_mcosets[(ci, pi)]
+    mcos = cover.edge_mcosets[cover.nodes[0].edge]
     for node in cover.nodes:
         dcell = dcos.cells[dcos.index_of[mcos.rep(node.branch_a.m_coset)]]
         inside = {mcos.index_of[x] for x in dcell}
@@ -99,9 +99,24 @@ def test_branch_contained_in_component_coset(a5):
         for branch in (node.branch_a, node.branch_b):
             comp = cover.components[branch.vertex]
             ctable = cover.comp_cosets[comp.quotient_component]
-            mtable = cover.point_mcosets[branch.quotient_point]
+            mtable = cover.edge_mcosets[node.edge]
             mcell = mtable.cells[branch.m_coset]
             assert set(mcell) <= set(ctable.cells[comp.coset])
+
+
+def test_build_cover_builds_one_coset_table_per_component_and_edge(a5, monkeypatch):
+    # the two ends of a node share <m_a> = <m_b>, so one <m>-coset table
+    # serves both: 2 component tables and 1 edge table
+    built = []
+
+    def counted(G, H):
+        built.append(H.order)
+        return groups.left_cosets(G, H)
+
+    monkeypatch.setattr(covers, "left_cosets", counted)
+    cover = build_cover(audit.a5_split_datum(a5))
+    assert sorted(built) == [5, 10, 60]
+    assert len(cover.nodes) == 12
 
 
 def test_disconnected_cover(s3):
@@ -308,9 +323,10 @@ def test_node_class_matches_origin_on_random_data(s4, d5):
             cover = build_cover(random_valid_datum(G, rng, pairs))
             for k, node in enumerate(cover.nodes):
                 nc = classify_node(cover, k)
-                if node.origin[0] == "dihedral":
+                origin = cover.gog.edge_origins[node.edge]
+                if origin[0] == "dihedral":
                     assert nc.kind == "dihedral"
-                    ci, pi = node.origin[1:]
+                    ci, pi = origin[1:]
                     m = cover.datum.point(ci, pi).m
                     assert nc.stabilizer.order == 2 * G.element_order(m)
                 else:
