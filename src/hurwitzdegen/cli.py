@@ -44,6 +44,11 @@ def _load_json(path: str):
                                 f"{exc.msg}") from None
 
 
+def json_dump(report) -> None:
+    """Write one JSON report to stdout, indented, in a single write."""
+    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+
+
 def _add_smoothing_orbits(node_classes: list[dict]) -> list[str]:
     """Annotate each node-class entry in place; returns the warnings."""
     warnings = []
@@ -163,8 +168,7 @@ def cmd_analyze(args) -> int:
     if args.pretty:
         _print_pretty(report, sys.stdout)
     else:
-        json.dump(report, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        json_dump(report)
     return code
 
 
@@ -199,8 +203,7 @@ def cmd_degenerate(args) -> int:
             entry["index"] = deg.index
             entry["involution"] = list(t.group.perm(deg.involution))
         out["degenerations"].append(entry)
-    json.dump(out, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    json_dump(out)
     return 0
 
 
@@ -213,8 +216,7 @@ def cmd_character(args) -> int:
         return code
     chars = report["characters"]
     if args.json:
-        json.dump(chars, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        json_dump(chars)
         return 0
     table = {name: ClassFunction(datum.group, tuple(chars[name]["values"]))
              for name in ("chi_dR", "h1") if chars[name] is not None}

@@ -19,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
+from .boundary import NODE_END
 from .covers import CoverCurve, is_connected
 from .errors import Disconnected
-from .groups import ClassFunction, PermGroup, induced_character
+from .groups import ClassFunction, PermGroup, Subgroup, induced_character
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,20 +34,28 @@ class DevissageReport:
 
 
 def de_rham_character(cover: CoverCurve) -> DevissageReport:
-    datum, G = cover.datum, cover.group
+    datum, G, gog = cover.datum, cover.group, cover.gog
+
+    # <m> of each point monodromy: read off the graph of groups at node ends
+    # and dihedral points, closed once per element at the other points
+    node_ends, cyclic = datum.nodes(), {}
+    for K, origin in zip(gog.edge_kernels, gog.edge_origins):
+        for point in (node_ends[origin[1]] if origin[0] == NODE_END else [origin[1:]]):
+            cyclic[datum.point(*point).m] = K
 
     @cache
-    def ind_cyclic(m: int) -> ClassFunction:
-        C = G.cyclic_subgroup(m)
+    def ind_trivial(C: Subgroup) -> ClassFunction:
         return induced_character(G, C, C)
 
     chi_norm = ClassFunction.zero(G)
     for comp in datum.components:
         chi_norm = chi_norm + (2 - 2 * comp.genus - len(comp.points)) * ClassFunction.regular(G)
         for pt in comp.points:
-            chi_norm = chi_norm + ind_cyclic(pt.m)
+            if pt.m not in cyclic:
+                cyclic[pt.m] = G.cyclic_subgroup(pt.m)
+            chi_norm = chi_norm + ind_trivial(cyclic[pt.m])
     edge_sum = ClassFunction.zero(G)
-    for E, K in zip(cover.gog.edge_groups, cover.gog.edge_kernels):
+    for E, K in zip(gog.edge_groups, gog.edge_kernels):
         edge_sum = edge_sum + induced_character(G, E, K)
     chi_dR = chi_norm - 2 * edge_sum
     h1 = 2 * ClassFunction.trivial(G) - chi_dR if is_connected(cover) else None

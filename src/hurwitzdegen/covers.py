@@ -172,9 +172,9 @@ def build_cover(datum: BoundaryDatum) -> CoverCurve:
         # the node r<m, s> pairs the branches r<m> and rs<m>; the pair is met
         # first at the coset holding the minimum of r<m, s>
         point = origin[1:]
-        s = datum.point(*point).s
+        times_s = G.right_table(datum.point(*point).s)
         for t, cell in enumerate(mcos.cells):
-            rep_s = G.mul(cell[0], s)
+            rep_s = times_s[cell[0]]
             if mcos.index_of[rep_s] > t:
                 nodes.append(CoverNode(e, branch(e, point, cell[0]), branch(e, point, rep_s)))
     return CoverCurve(datum, gog, components, offsets, nodes, comp_cosets, edge_mcosets)

@@ -2,17 +2,27 @@
 
 Groups are materialized as complete, lexicographically sorted element lists
 (no stabilizer chains); every element is referred to by its integer id in
-that list, which makes all downstream enumerations deterministic.  All
-values are immutable after construction and every operation is a pure
+that list, which makes all downstream enumerations deterministic.
+
+The closure keeps its Cayley graph: for each generator g_k the table
+x -> x g_k on ids, and each element's parent edge in the breadth-first
+walk.  ``PermGroup.right_table(h)`` composes generator tables along h's
+parent path, one C-level pass over |G| ids per step.  Conjugacy classes and
+coset tables are orbits of ids under such tables, so they cost
+O(|G| |gens|) integer lookups rather than one permutation product and hash
+per element.
+
+All values are immutable after construction and every operation is a pure
 function, so concurrent reads are safe; the lazily filled caches (element
-orders, classes, class records) hold correct values whichever call fills
-them.
+orders, classes, class records, right tables) hold correct values whichever
+call fills them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -48,6 +58,17 @@ def inverse(p: Perm) -> Perm:
     return tuple(inv)
 
 
+def _compose_tables(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
+    """The table x -> p[q[x]] in one C-level pass (``itemgetter`` of one
+    index returns a scalar, so length 1 is built by hand)."""
+    return itemgetter(*q)(p) if len(q) > 1 else tuple(p[i] for i in q)
+
+
+def _invert_table(t: Sequence[int]) -> list[int]:
+    """The inverse of a permutation table."""
+    return sorted(range(len(t)), key=t.__getitem__)
+
+
 def perm_from_cycles(degree: int, *cycles: Sequence[int]) -> Perm:
     """Build the permutation given by disjoint cycles, e.g. (0,1,2,3,4)."""
     images = list(range(degree))
@@ -77,10 +98,38 @@ class PermGroup:
                 raise DegreeMismatch(f"generator degree {len(g)} != {degree}")
         self.degree = degree
         self.generators = gens
-        self.elements = sorted(orbit(identity_perm(degree), gens, compose, max_order))
+        # breadth-first closure, keeping each product x . g_k and the
+        # (parent, k) edge that first reached each point, all by position
+        points = [identity_perm(degree)]
+        position = {points[0]: 0}
+        parent, via = [0], [-1]
+        products: list[list[int]] = [[] for _ in gens]
+        # x -> x . g; below degree 2 the only permutation is the identity
+        steps = [itemgetter(*g) if degree > 1 else (lambda x: x) for g in gens]
+        for i, x in enumerate(points):  # grows while it is walked
+            for k, step in enumerate(steps):
+                y = step(x)
+                j = position.get(y)
+                if j is None:
+                    j = position[y] = len(points)
+                    points.append(y)
+                    parent.append(i)
+                    via.append(k)
+                    if len(points) > max_order:
+                        raise ClosureBoundExceeded(f"closure exceeded {max_order} elements")
+                products[k].append(j)
+        del position
+        by_perm = sorted(range(len(points)), key=points.__getitem__)  # id -> position
+        rank = _invert_table(by_perm)
+        self.elements = [points[i] for i in by_perm]
         self.index = {g: i for i, g in enumerate(self.elements)}
         assert self.elements[0] == identity_perm(degree)
         self._inv = [self.index[inverse(g)] for g in self.elements]
+        # the same on ids: R_k is x -> x g_k, and id x = _parent[x] g_{_via[x]}
+        self._gen_tables = [_compose_tables(rank, _compose_tables(t, by_perm)) for t in products]
+        self._parent = _compose_tables(rank, _compose_tables(parent, by_perm))
+        self._via = _compose_tables(via, by_perm)
+        self._right: dict[int, tuple[int, ...]] = {}
         self._orders: dict[int, int] = {}
         self._classes: tuple[tuple[int, ...], ...] | None = None
         self._class_of: list[int] | None = None
@@ -120,6 +169,23 @@ class PermGroup:
         p, q = self.elements[g], self.elements[x]
         return self.index[tuple([p[q[j]] for j in self.elements[self._inv[g]]])]
 
+    def right_table(self, h: int) -> tuple[int, ...]:
+        """The table x -> x h on ids, cached.
+
+        With h = p g_k for its parent p, x h = (x p) g_k: the generator tables
+        are composed along h's parent path from the nearest cached ancestor.
+        """
+        if h not in self._right:
+            path, x = [], h
+            while x != 0 and x not in self._right:
+                path.append(self._via[x])
+                x = self._parent[x]
+            table = self._right[x] if x != 0 else tuple(range(self.order))
+            for k in reversed(path):
+                table = _compose_tables(self._gen_tables[k], table)
+            self._right[h] = table
+        return self._right[h]
+
     def product(self, ids: Iterable[int]) -> int:
         acc = 0
         for i in ids:
@@ -138,10 +204,18 @@ class PermGroup:
     # -- conjugacy classes ------------------------------------------------
 
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
-        """Conjugation orbits, ordered by (element order, minimal id)."""
+        """Conjugation orbits, ordered by (element order, minimal id).
+
+        Each generator g acts by the table x -> g x g^-1 = inv(inv(x g^-1) g^-1),
+        built from the inverse of its right table and ``_inv``.
+        """
         if self._classes is None:
-            classes = [tuple(sorted(c)) for c in
-                       orbits(range(self.order), self.generator_ids, lambda x, g: self.conj(g, x))]
+            inv, tables = self._inv, []
+            for right in self._gen_tables:
+                back = _invert_table(right)          # x -> x g^-1
+                half = _compose_tables(inv, back)    # x -> g x^-1
+                tables.append(_compose_tables(inv, _compose_tables(back, half)))
+            classes = _table_orbits(self.order, tables)[0]
             classes.sort(key=lambda c: (self.element_order(c[0]), c[0]))
             self._classes = tuple(classes)
             class_of = [0] * self.order
@@ -181,13 +255,13 @@ class PermGroup:
         members = orbit(0, gens, self.mul, stop=half)
         if len(members) > half:
             return self.full_subgroup()
-        return Subgroup(self, tuple(sorted(members)))
+        return Subgroup(self, tuple(sorted(members)), tuple(gens))
 
     def cyclic_subgroup(self, i: int) -> "Subgroup":
         return self.generated_subgroup([i])
 
     def full_subgroup(self) -> "Subgroup":
-        return Subgroup(self, tuple(range(self.order)))
+        return Subgroup(self, tuple(range(self.order)), tuple(self.generator_ids))
 
     # -- serialization ------------------------------------------------------
 
@@ -195,17 +269,15 @@ class PermGroup:
         return {"degree": self.degree, "generators": [list(g) for g in self.generators]}
 
 
-def orbit(start, gens: Sequence, act: Callable, bound: int | None = None,
-          stop: int | None = None) -> list:
+def orbit(start, gens: Sequence, act: Callable, stop: int | None = None) -> list:
     """The orbit of ``start`` under the group generated by ``gens``, breadth first.
 
     ``act(x, g)`` is the image of x under g.  A finite set closed under
     every generator is closed under the group they generate, so the orbit of
-    the identity under right multiplication is the generated subgroup.  More
-    than ``bound`` points raises ``ClosureBoundExceeded``.  With ``stop`` the
-    walk returns the points found so far as soon as it holds more than
-    ``stop`` of them: ``generated_subgroup`` stops at |G|/2, past which, by
-    Lagrange's theorem, the subgroup can only be G.
+    the identity under right multiplication is the generated subgroup.  With
+    ``stop`` the walk returns the points found so far as soon as it holds
+    more than ``stop`` of them: ``generated_subgroup`` stops at |G|/2, past
+    which, by Lagrange's theorem, the subgroup can only be G.
     """
     points, seen = [start], {start}
     for x in points:  # grows while it is walked
@@ -214,11 +286,31 @@ def orbit(start, gens: Sequence, act: Callable, bound: int | None = None,
             if y not in seen:
                 seen.add(y)
                 points.append(y)
-                if bound is not None and len(points) > bound:
-                    raise ClosureBoundExceeded(f"closure exceeded {bound} elements")
                 if stop is not None and len(points) > stop:
                     return points
     return points
+
+
+def _table_orbits(n: int, tables: Sequence[Sequence[int]]) -> tuple[list[tuple], list[int]]:
+    """The orbits of 0..n-1 under the group generated by permutation tables,
+    each sorted and listed by minimum, and the orbit index of every point."""
+    label = [-1] * n
+    cells = []
+    for start in range(n):
+        if label[start] >= 0:
+            continue
+        idx = len(cells)
+        label[start] = idx
+        cell = [start]
+        for x in cell:  # grows while it is walked
+            for table in tables:
+                y = table[x]
+                if label[y] < 0:
+                    label[y] = idx
+                    cell.append(y)
+        cell.sort()
+        cells.append(tuple(cell))
+    return cells, label
 
 
 def orbits(points: Iterable, gens: Sequence, act: Callable) -> list[list]:
@@ -242,11 +334,13 @@ class Subgroup:
 
     A trusted value: callers pass sets that are closed by construction
     (closures, normalizers, stabilizers, conjugates), so only the identity
-    is checked here.
+    is checked here.  ``gens``, when given, generate it: the ids a closure
+    started from.
     """
 
     group: PermGroup
     members: tuple[int, ...]
+    gens: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.members[:1] != (0,):
@@ -257,7 +351,10 @@ class Subgroup:
         return len(self.members)
 
     def generators(self) -> list[int]:
-        """At most log2 |H| generators, picked greedily from the members."""
+        """The generators it was closed from; else at most log2 |H|, picked
+        greedily from the members."""
+        if self.gens is not None:
+            return list(self.gens)
         return _greedy_generators(self.group, self.members, self.order)[0]
 
     def member_set(self) -> frozenset:
@@ -342,18 +439,10 @@ class CosetTable:
 
 
 def left_cosets(group: PermGroup, sub: Subgroup) -> CosetTable:
-    """Cosets gH; scanning ids in order labels each cell by its minimum."""
-    assigned = [-1] * group.order
-    cells = []
-    for g in range(group.order):
-        if assigned[g] != -1:
-            continue
-        cell = tuple(sorted(group.mul(g, h) for h in sub.members))
-        idx = len(cells)
-        cells.append(cell)
-        for x in cell:
-            assigned[x] = idx
-    return CosetTable(tuple(cells), tuple(assigned))
+    """Cosets gH: the orbits of ids under the right tables of H's generators,
+    labelled by their minima in id order."""
+    cells, index_of = _table_orbits(group.order, [group.right_table(h) for h in sub.generators()])
+    return CosetTable(tuple(cells), tuple(index_of))
 
 
 def normalizer(group: PermGroup, sub: Subgroup) -> Subgroup:

@@ -52,6 +52,21 @@ def test_a5_split_characters_and_constancy(a5):
     assert h1_character(split_cover) == h1_character(dihedral_cover)
 
 
+def test_de_rham_closes_only_cyclic_points(a5, monkeypatch):
+    # the node's <m> is read off the graph of groups, not closed again at
+    # either end: 4 closures for the 5 distinct subgroups of the split datum
+    datum = audit.a5_split_datum(a5)
+    points = [pt for comp in datum.components for pt in comp.points]
+    assert len({a5.cyclic_subgroup(pt.m) for pt in points}) == 5
+    cover = build_cover(datum)
+    closed = []
+    close = a5.cyclic_subgroup
+    monkeypatch.setattr(a5, "cyclic_subgroup", lambda m: closed.append(m) or close(m))
+    de_rham_character(cover)
+    assert sorted(closed) == sorted({pt.m for pt in points if pt.kind == "cyclic"})
+    assert len(closed) == 4
+
+
 def test_two_component_trivial_group_h1_vanishes():
     G = PermGroup([], degree=1)
     e = G.identity

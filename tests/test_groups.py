@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitzdegen import (ClassFunction, PermGroup, centralizer, compose, induced_character,
-                          inverse, inverting_involutions, is_inverting_involution, left_cosets,
-                          normalizer, perm_from_cycles)
+from hurwitzdegen import (ClassFunction, PermGroup, Subgroup, centralizer, compose,
+                          induced_character, inverse, inverting_involutions,
+                          is_inverting_involution, left_cosets, normalizer, perm_from_cycles)
 from hurwitzdegen import audit
 from hurwitzdegen.errors import (ClosureBoundExceeded, DegreeMismatch, NotACharacter)
-from hurwitzdegen.groups import as_perm, identity_perm
+from hurwitzdegen.groups import as_perm, identity_perm, orbits
 
 from conftest import all_subgroups, centralizer_by_scan, closure_by_bfs, sign_characters
 
@@ -56,9 +56,66 @@ def test_degree_mismatch():
 
 
 def test_closure_bound():
+    gens = [perm_from_cycles(5, (0, 1, 2, 3, 4)), perm_from_cycles(5, (0, 1, 2))]
     with pytest.raises(ClosureBoundExceeded):
-        PermGroup([perm_from_cycles(5, (0, 1, 2, 3, 4)), perm_from_cycles(5, (0, 1, 2))],
-                  max_order=10)
+        PermGroup(gens, max_order=10)
+    # the bound counts elements: |A5| = 60 fits 60 and not 59
+    assert PermGroup(gens, max_order=60).order == 60
+    with pytest.raises(ClosureBoundExceeded):
+        PermGroup(gens, max_order=59)
+
+
+@pytest.mark.parametrize("gens,degree", [([], 0), ([()], 0), ([], 1), ([(0,)], 1),
+                                         ([(0, 1, 2)], 3)])
+def test_trivial_groups_of_low_degree(gens, degree):
+    # below degree 2 a generator is applied by hand, not by itemgetter
+    G = PermGroup(gens, degree=degree)
+    assert G.order == 1
+    assert G.right_table(0) == (0,)
+    assert G.conjugacy_classes() == ((0,),)
+    table = left_cosets(G, G.full_subgroup())
+    assert table.cells == ((0,),) and table.index_of == (0,)
+
+
+@pytest.mark.parametrize("fixture", ["s4", "a5", "psl27"])
+def test_right_tables_against_mul(fixture, request):
+    G = request.getfixturevalue(fixture)
+    G = PermGroup(G.generators, degree=G.degree)  # an empty table cache
+    for h in reversed(range(G.order)):
+        assert G.right_table(h) == tuple(G.mul(x, h) for x in range(G.order))
+
+
+@pytest.mark.parametrize("fixture", ["s4", "a5", "psl27"])
+def test_left_cosets_against_products(fixture, request):
+    G = request.getfixturevalue(fixture)
+    x = G.generator_ids[0]
+    subs = {
+        "trivial": G.generated_subgroup([]),
+        "cyclic": G.cyclic_subgroup(x),
+        "generated": G.generated_subgroup([x, G.conj(G.generator_ids[1], x)]),
+        "full": G.full_subgroup(),
+        # built from members: generators() falls back to a greedy choice
+        "normalizer": normalizer(G, G.cyclic_subgroup(x)),
+        "centralizer": centralizer(G, x),
+    }
+    for name, H in subs.items():
+        assert (H.gens is None) == (name in ("normalizer", "centralizer")), name
+        table = left_cosets(G, H)
+        assert len(table) * H.order == G.order, name
+        for idx, cell in enumerate(table.cells):
+            assert cell == tuple(sorted(G.mul(cell[0], h) for h in H.members)), name
+            assert all(table.index_of[y] == idx for y in cell)
+        assert [c[0] for c in table.cells] == sorted(c[0] for c in table.cells)
+
+
+def test_subgroup_keeps_closure_generators(a5):
+    gens = a5.generator_ids
+    H = a5.generated_subgroup([0] + gens + gens)  # the identity and duplicates are dropped
+    assert H.generators() == gens
+    assert a5.full_subgroup().generators() == gens
+    # equality and hashing see the members only
+    plain = a5.subgroup(range(a5.order))
+    assert plain.gens is None and plain == H and hash(plain) == hash(H)
 
 
 def test_element_orders(a5):
@@ -142,6 +199,10 @@ def test_class_sizes_partition_group(fixture, request):
         assert G.order % len(c) == 0
         # oracle: the class as conjugates of its first member by all of G
         assert set(c) == {G.conj(g, c[0]) for g in range(G.order)}
+    # and as orbits of plain conj under the generators, in the same order
+    plain = [tuple(sorted(c)) for c in
+             orbits(range(G.order), G.generator_ids, lambda x, g: G.conj(g, x))]
+    assert classes == tuple(sorted(plain, key=lambda c: (G.element_order(c[0]), c[0])))
 
 
 def psl2(p: int) -> PermGroup:
@@ -164,6 +225,36 @@ def test_classes_against_sympy(p, order):
         assert {G.perm(x) for x in c} == {tuple(x.array_form) for x in S.conjugacy_class(rep)}
         if order < 3420:
             assert S.centralizer(rep).order() == G.order // len(c)
+
+
+def a5_image(G: PermGroup) -> tuple[int, Subgroup]:
+    """The first order-5 m and an A5 = <m, g1> with ord(g1) = 2 and
+    ord(m g1) = 3: the ladder's A5-image component group H_Y."""
+    m = next(x for x in range(G.order) if G.element_order(x) == 5)
+    for g1 in range(G.order):
+        if G.element_order(g1) == 2 and G.element_order(G.mul(m, g1)) == 3:
+            H = G.generated_subgroup([m, g1])
+            if H.order == 60:
+                return m, H
+    raise AssertionError("no A5 image")
+
+
+@pytest.mark.parametrize("p", [11, 19])
+def test_coset_counts_against_sympy(p):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    G = psl2(p)
+    S = combinatorics.PermutationGroup([combinatorics.Permutation(list(g))
+                                        for g in G.generators])
+    m, H_Y = a5_image(G)
+    for H in (G.cyclic_subgroup(m), H_Y):
+        S_H = combinatorics.PermutationGroup([combinatorics.Permutation(list(G.perm(h)))
+                                              for h in H.generators()])
+        assert S_H.order() == H.order
+        assert len(left_cosets(G, H)) == len(S.coset_transversal(S_H)) == G.order // H.order
+        if G.order <= 660:  # subgroup_search is quick at this size
+            N = S.subgroup_search(lambda g: all(S_H.contains(g * h * ~g)
+                                                for h in S_H.generators))
+            assert normalizer(G, H).order == N.order()
 
 
 CLASS_RECORD_GROUPS = ["s3", "d4", "s4", "d5", "a5", "s5", "psl27", "psl2_11"]
