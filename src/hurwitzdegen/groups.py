@@ -1,16 +1,23 @@
 """Exact arithmetic in finite permutation groups.
 
-Groups are materialized as complete, lexicographically sorted element lists
-(no stabilizer chains); every element is referred to by its integer id in
+Groups are materialized as complete element lists (no stabilizer chains),
+sorted by image sequence; every element is referred to by its integer id in
 that list, which makes all downstream enumerations deterministic.
 
-The closure keeps its Cayley graph: for each generator g_k the table
-x -> x g_k on ids, and each element's parent edge in the breadth-first
-walk.  ``PermGroup.right_table(h)`` composes generator tables along h's
-parent path, one C-level pass over |G| ids per step.  Conjugacy classes and
-coset tables are orbits of ids under such tables, so they cost
-O(|G| |gens|) integer lookups rather than one permutation product and hash
-per element.
+Up to degree 256 an element is stored as the ``bytes`` of its images, so a
+product is one C call, p . q = ``q.translate(p + tail)`` with
+``tail = bytes(range(degree, 256))``, and keys hash once and compare with
+``memcmp``; bytes sort like tuples of ints below 256, so ids are those of the
+tuple order.  Above degree 256 elements are image tuples, composed by
+``compose`` and ``inverse``.
+
+The closure walks x -> g_k x and keeps its Cayley graph: for each generator
+g_k the tables x -> g_k x and x -> x g_k on ids, and each element's parent
+edge in the breadth-first walk.  ``PermGroup.right_table(h)`` composes
+generator tables along h's parent path, one C-level pass over |G| ids per
+step.  Conjugacy classes and coset tables are orbits of ids under such
+tables, so they cost O(|G| |gens|) integer lookups rather than one
+permutation product and hash per element.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent reads are safe; the lazily filled caches (element
@@ -22,7 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
+from functools import partial
+from itertools import repeat
+from operator import itemgetter, methodcaller
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -81,9 +90,11 @@ def perm_from_cycles(degree: int, *cycles: Sequence[int]) -> Perm:
 class PermGroup:
     """A finite permutation group with its full element list.
 
-    Elements are sorted lexicographically by image tuple; the identity is
-    always element 0.  ``max_order`` bounds the closure so a typo'd
-    generating set fails fast instead of eating memory.
+    Up to degree 256 an element is stored as the ``bytes`` of its images,
+    above that as the tuple of them; both sort like the image tuple, so ids do
+    not depend on the storage.  Elements are sorted in that order and the
+    identity is always element 0.  ``max_order`` bounds the closure so a
+    typo'd generating set fails fast instead of eating memory.
     """
 
     def __init__(self, generators: Iterable[Sequence[int]], degree: int | None = None,
@@ -98,14 +109,22 @@ class PermGroup:
                 raise DegreeMismatch(f"generator degree {len(g)} != {degree}")
         self.degree = degree
         self.generators = gens
-        # breadth-first closure, keeping each product x . g_k and the
-        # (parent, k) edge that first reached each point, all by position
-        points = [identity_perm(degree)]
-        position = {points[0]: 0}
+        # elements as bytes, where p . q = q.translate(p + tail) looks q's
+        # images up in p's; above degree 256 as tuples, and _tail is None
+        self._tail: bytes | None = None
+        if degree <= 256:
+            self._tail = bytes(range(degree, 256))
+            ident, keys = bytes(range(degree)), [bytes(g) for g in gens]
+            steps = [methodcaller("translate", g + self._tail) for g in keys]
+        else:
+            ident, keys = identity_perm(degree), gens
+            steps = [partial(compose, g) for g in gens]
+        # breadth-first closure under x -> g_k . x, keeping each product and
+        # the (parent, k) edge that first reached each point, all by position
+        points = [ident]
+        position = {ident: 0}
         parent, via = [0], [-1]
         products: list[list[int]] = [[] for _ in gens]
-        # x -> x . g; below degree 2 the only permutation is the identity
-        steps = [itemgetter(*g) if degree > 1 else (lambda x: x) for g in gens]
         for i, x in enumerate(points):  # grows while it is walked
             for k, step in enumerate(steps):
                 y = step(x)
@@ -120,13 +139,23 @@ class PermGroup:
                 products[k].append(j)
         del position
         by_perm = sorted(range(len(points)), key=points.__getitem__)  # id -> position
-        rank = _invert_table(by_perm)
         self.elements = [points[i] for i in by_perm]
-        self.index = {g: i for i, g in enumerate(self.elements)}
-        assert self.elements[0] == identity_perm(degree)
-        self._inv = [self.index[inverse(g)] for g in self.elements]
-        # the same on ids: R_k is x -> x g_k, and id x = _parent[x] g_{_via[x]}
-        self._gen_tables = [_compose_tables(rank, _compose_tables(t, by_perm)) for t in products]
+        self.index = dict(zip(self.elements, range(len(points))))
+        assert self.elements[0] == ident
+        rank = list(map(self.index.__getitem__, points))  # position -> id
+        self._gen_ids = [self.index[g] for g in keys]
+        if self._tail is None:
+            inverses = map(inverse, self.elements)
+        else:  # maketrans(x, ident) maps x[i] to i: x^-1, padded to 256 bytes
+            inverses = map(itemgetter(slice(degree)),
+                           map(bytes.maketrans, self.elements, repeat(ident)))
+        self._inv = list(map(self.index.__getitem__, inverses))
+        # the same on ids: L_k is x -> g_k x, and id x = g_{_via[x]} _parent[x];
+        # R_k is x -> x g_k, the inverse of x -> x g_k^-1 = (g_k x^-1)^-1
+        inv = self._inv
+        self._left_gen = [_compose_tables(rank, _compose_tables(t, by_perm)) for t in products]
+        self._right_gen = [_invert_table(_compose_tables(inv, _compose_tables(t, inv)))
+                           for t in self._left_gen]
         self._parent = _compose_tables(rank, _compose_tables(parent, by_perm))
         self._via = _compose_tables(via, by_perm)
         self._right: dict[int, tuple[int, ...]] = {}
@@ -147,42 +176,48 @@ class PermGroup:
 
     @property
     def generator_ids(self) -> list[int]:
-        return [self.index[g] for g in self.generators]
+        return list(self._gen_ids)
 
     def perm(self, i: int) -> Perm:
-        return self.elements[i]
+        return tuple(self.elements[i])
 
     def id_of(self, p: Sequence[int]) -> int:
         key = as_perm(p)
+        if self._tail is not None and len(key) == self.degree:
+            key = bytes(key)
         if key not in self.index:
             raise KeyError(f"permutation {list(p)!r} is not an element of this group")
         return self.index[key]
 
     def mul(self, i: int, j: int) -> int:
-        return self.index[compose(self.elements[i], self.elements[j])]
+        p, q = self.elements[i], self.elements[j]
+        if self._tail is None:
+            return self.index[compose(p, q)]
+        return self.index[q.translate(p + self._tail)]
 
     def inv(self, i: int) -> int:
         return self._inv[i]
 
     def conj(self, g: int, x: int) -> int:
-        """g x g^-1, built as the permutation i -> g(x(g^-1(i))) and looked up once."""
-        p, q = self.elements[g], self.elements[x]
-        return self.index[tuple([p[q[j]] for j in self.elements[self._inv[g]]])]
+        """g x g^-1: two products and one lookup."""
+        p, q, r = self.elements[g], self.elements[x], self.elements[self._inv[g]]
+        if self._tail is None:
+            return self.index[compose(p, compose(q, r))]
+        return self.index[r.translate(q + self._tail).translate(p + self._tail)]
 
     def right_table(self, h: int) -> tuple[int, ...]:
         """The table x -> x h on ids, cached.
 
-        With h = p g_k for its parent p, x h = (x p) g_k: the generator tables
-        are composed along h's parent path from the nearest cached ancestor.
+        With h = g_k p for its parent p, x h = (x g_k) p: the generator tables
+        are composed along h's parent path, up to the nearest cached ancestor.
         """
         if h not in self._right:
-            path, x = [], h
+            table, x = tuple(range(self.order)), h
             while x != 0 and x not in self._right:
-                path.append(self._via[x])
+                table = _compose_tables(self._right_gen[self._via[x]], table)
                 x = self._parent[x]
-            table = self._right[x] if x != 0 else tuple(range(self.order))
-            for k in reversed(path):
-                table = _compose_tables(self._gen_tables[k], table)
+            if x != 0:
+                table = _compose_tables(self._right[x], table)
             self._right[h] = table
         return self._right[h]
 
@@ -206,15 +241,13 @@ class PermGroup:
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         """Conjugation orbits, ordered by (element order, minimal id).
 
-        Each generator g acts by the table x -> g x g^-1 = inv(inv(x g^-1) g^-1),
-        built from the inverse of its right table and ``_inv``.
+        Each generator g acts by the table x -> g x g^-1 = g (g x^-1)^-1,
+        built from its left table and ``_inv``.
         """
         if self._classes is None:
-            inv, tables = self._inv, []
-            for right in self._gen_tables:
-                back = _invert_table(right)          # x -> x g^-1
-                half = _compose_tables(inv, back)    # x -> g x^-1
-                tables.append(_compose_tables(inv, _compose_tables(back, half)))
+            inv = self._inv
+            tables = [_compose_tables(left, _compose_tables(inv, _compose_tables(left, inv)))
+                      for left in self._left_gen]
             classes = _table_orbits(self.order, tables)[0]
             classes.sort(key=lambda c: (self.element_order(c[0]), c[0]))
             self._classes = tuple(classes)

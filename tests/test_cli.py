@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hurwitzdegen import (HurwitzTuple, audit, datum_to_jsonable, hurwitz_to_datum,
+from hurwitzdegen import (HurwitzTuple, PermGroup, audit, datum_to_jsonable, hurwitz_to_datum,
                           perm_from_cycles, tuple_to_jsonable)
 from hurwitzdegen.cli import build_parser, main
 
@@ -210,6 +210,22 @@ def test_analyze_disconnected_positive_genus_cover(tmp_path, capsys, s5):
     V, E = cover["component_count"], cover["node_count"]
     assert chars["chi_dR"]["degree"] == chars["degree_chi_dR"] == 2 * (V - E - 18)
     assert chars["h1"] is None
+
+
+def test_analyze_degree_300_datum(tmp_path, capsys):
+    # above degree 256 elements are tuples: C300 with entries (c, c, c^-2)
+    c = [(x + 1) % 300 for x in range(300)]
+    G = PermGroup([c])
+    cid = G.id_of(c)
+    t = HurwitzTuple(G, (cid, cid, G.inv(G.mul(cid, cid))))
+    path = tmp_path / "c300.json"
+    path.write_text(json.dumps(datum_to_jsonable(hurwitz_to_datum(t))), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "analyze", str(path))
+    assert code == 0
+    cover = json.loads(out)["cover"]
+    # Riemann-Hurwitz: 2g - 2 = 300 (-2 + (1 - 1/300) + (1 - 1/300) + (1 - 1/150))
+    assert 2 * cover["arithmetic_genus"] - 2 == 300 - 4
+    assert [c["genus"] for c in cover["components"]] == [149]
 
 
 def test_degenerate_unrealizable_warns(tmp_path, capsys):

@@ -19,6 +19,7 @@ from hurwitzdegen.cli import main
 from conftest import inverting_pairs, random_valid_datum
 
 IDENTITY5 = [0, 1, 2, 3, 4]
+CYCLE300 = [(x + 1) % 300 for x in range(300)]  # images past 255 in a degree-5 group
 
 RAW_TEXT = {"non-json": "{not json", "empty-list": "[]", "null": "null", "number": "5"}
 
@@ -32,6 +33,7 @@ DATUM_CASES = {
     "m-null": lambda obj: _point(obj, 0, 0).update(m=None),
     "m-short": lambda obj: _point(obj, 0, 0).update(m=[1, 0]),
     "m-float": lambda obj: _point(obj, 0, 0).update(m=[0.0, 1, 2, 3, 4]),
+    "m-degree-300": lambda obj: _point(obj, 0, 0).update(m=CYCLE300),
     "degree-0-group": lambda obj: obj.update(group={"degree": 0, "generators": []}),
     "node-id-on-three-points": lambda obj: _point(obj, 0, 0).update(kind="node", node=0),
 }
@@ -42,6 +44,7 @@ TUPLE_CASES = {
     "entries-empty": lambda obj: obj.update(entries=[]),
     "two-entries": lambda obj: obj.update(entries=obj["entries"][:2]),
     "three-identities": lambda obj: obj.update(entries=[IDENTITY5] * 3),
+    "m-degree-300": lambda obj: obj["entries"].__setitem__(0, CYCLE300),
     "degree-0-group": lambda obj: obj.update(group={"degree": 0, "generators": []}),
 }
 
@@ -118,6 +121,23 @@ def test_degenerate_survives_malformed_input(tmp_path, capsys, flags, case):
     assert_clean_exit(code, err)
     if flags == "splits-dihedral-negative" or case == "entries-empty":
         assert code == 1
+
+
+def test_permutation_of_another_degree_names_its_path(tmp_path, capsys):
+    obj = datum_to_jsonable(audit.a5_split_datum())
+    DATUM_CASES["m-degree-300"](obj)
+    path = _write(tmp_path, json.dumps(obj))
+    code, _, err = run_cli(capsys, ["analyze", str(path)])
+    assert code == 1
+    assert err.startswith("error: $.components[0].points[0].m: ")
+    assert "is not an element of this group" in err
+    obj = tuple_to_jsonable(audit.a5_smoothed_tuple())
+    TUPLE_CASES["m-degree-300"](obj)
+    path = _write(tmp_path, json.dumps(obj))
+    code, _, err = run_cli(capsys, ["degenerate", str(path), "--splits"])
+    assert code == 1
+    assert err.startswith("error: $.entries[0]: ")
+    assert "is not an element of this group" in err
 
 
 @pytest.mark.parametrize("group", ["s4", "d5", "a5", "psl27"])

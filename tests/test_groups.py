@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -37,9 +38,8 @@ def test_trivial_group_from_empty_generators():
 
 def test_a5_closure(a5):
     assert a5.order == 60
-    assert a5.elements[0] == identity_perm(5)
+    assert a5.perm(0) == identity_perm(5)
     assert a5.elements == sorted(a5.elements)
-    import math
     assert math.factorial(a5.degree) % a5.order == 0
     assert all(a5.order % a5.element_order(g) == 0 for g in range(a5.order))
 
@@ -68,7 +68,7 @@ def test_closure_bound():
 @pytest.mark.parametrize("gens,degree", [([], 0), ([()], 0), ([], 1), ([(0,)], 1),
                                          ([(0, 1, 2)], 3)])
 def test_trivial_groups_of_low_degree(gens, degree):
-    # below degree 2 a generator is applied by hand, not by itemgetter
+    # translate and the table helpers handle lengths 0 and 1
     G = PermGroup(gens, degree=degree)
     assert G.order == 1
     assert G.right_table(0) == (0,)
@@ -83,6 +83,119 @@ def test_right_tables_against_mul(fixture, request):
     G = PermGroup(G.generators, degree=G.degree)  # an empty table cache
     for h in reversed(range(G.order)):
         assert G.right_table(h) == tuple(G.mul(x, h) for x in range(G.order))
+
+
+@pytest.mark.parametrize("fixture", ["s4", "a5", "psl27"])
+def test_arithmetic_against_tuple_compose(fixture, request):
+    # every pair: the stored products agree with the public tuple arithmetic
+    G = request.getfixturevalue(fixture)
+    perms = [G.perm(i) for i in range(G.order)]
+    assert all(type(p) is tuple for p in perms)
+    assert [G.id_of(p) for p in perms] == list(range(G.order))
+    for i, p in enumerate(perms):
+        assert perms[G.inv(i)] == inverse(p)
+        for j, q in enumerate(perms):
+            assert perms[G.mul(i, j)] == compose(p, q)
+            assert perms[G.conj(i, j)] == compose(compose(p, q), inverse(p))
+
+
+def _cyclic(degree: int, step: int = 1) -> tuple[int, ...]:
+    return tuple((x + step) % degree for x in range(degree))
+
+
+def _tuple_closure(gens: list[tuple[int, ...]], degree: int) -> list[tuple[int, ...]]:
+    """The sorted elements of <gens>, closed by tuple products alone."""
+    points = [identity_perm(degree)]
+    seen = set(points)
+    for x in points:  # grows while it is walked
+        for g in gens:
+            y = compose(x, g)
+            if y not in seen:
+                seen.add(y)
+                points.append(y)
+    return sorted(points)
+
+
+FLIP300 = tuple(-x % 300 for x in range(300))
+
+
+@pytest.mark.parametrize("gens,degree,subgroups", [
+    ([_cyclic(256)], 256, [[_cyclic(256, 64)], [_cyclic(256, 2)]]),   # C256: bytes
+    ([_cyclic(257)], 257, [[], [_cyclic(257)]]),                       # C257: tuples
+    ([_cyclic(300), FLIP300], 300,                                     # D300 on 300 points
+     [[_cyclic(300)], [FLIP300], [_cyclic(300, 100)]]),
+], ids=["c256", "c257", "d300"])
+def test_storage_switch_against_tuple_closure(gens, degree, subgroups):
+    G = PermGroup(gens, degree=degree)
+    assert type(G.elements[0]) is (bytes if degree <= 256 else tuple)
+    elements = _tuple_closure(gens, degree)
+    index = {g: i for i, g in enumerate(elements)}
+    n = len(elements)
+    assert [G.perm(i) for i in range(G.order)] == elements
+    assert [G.id_of(g) for g in elements] == list(range(n))
+    assert G.generator_ids == [index[g] for g in gens]
+    assert G._inv == [index[inverse(g)] for g in elements]
+
+    def times(x: int, h: int) -> int:
+        return index[compose(elements[x], elements[h])]
+
+    def order(x: int) -> int:  # the lcm of the cycle lengths
+        p, lengths, seen = elements[x], set(), set()
+        for start in range(degree):
+            if start not in seen:
+                k, y = 1, p[start]
+                while y != start:
+                    seen.add(y)
+                    k, y = k + 1, p[y]
+                lengths.add(k)
+        return math.lcm(*lengths)
+
+    # classes: conjugation orbits under the generators, by (order, least id)
+    label: dict[int, int] = {}
+    classes = []
+    for start in range(n):
+        if start not in label:
+            cell = [start]
+            label[start] = start
+            for x in cell:  # grows while it is walked
+                for g in gens:
+                    y = index[compose(compose(g, elements[x]), inverse(g))]
+                    if y not in label:
+                        label[y] = start
+                        cell.append(y)
+            classes.append(tuple(sorted(cell)))
+    classes.sort(key=lambda c: (order(c[0]), c[0]))
+    assert G.conjugacy_classes() == tuple(classes)
+
+    for sub_gens in subgroups:
+        H = G.generated_subgroup([index[h] for h in sub_gens])
+        members = sorted(index[h] for h in _tuple_closure(sub_gens, degree))
+        assert list(H.members) == members
+        cells, covered = [], set()
+        for x in range(n):
+            if x not in covered:
+                cells.append(tuple(sorted(times(x, h) for h in members)))
+                covered.update(cells[-1])
+        assert left_cosets(G, H).cells == tuple(cells)
+
+    sample = sorted({0, 1, n // 3, n // 2, n - 1, *G.generator_ids})
+    for h in sample:
+        assert G.right_table(h) == tuple(times(x, h) for x in range(n))
+        for x in sample:
+            assert G.mul(x, h) == times(x, h)
+            g = elements[h]
+            assert G.conj(h, x) == index[compose(compose(g, elements[x]), inverse(g))]
+
+
+@pytest.mark.parametrize("degree", [5, 256, 257, 300])
+def test_id_of_rejects_other_degrees(degree):
+    # a permutation of another degree, images >= 256 included, is no element
+    G = PermGroup([_cyclic(degree)], degree=degree)
+    for other in {degree - 1, degree + 1, 300 if degree != 300 else 257}:
+        p = list(_cyclic(other))
+        with pytest.raises(KeyError) as exc:
+            G.id_of(p)
+        assert exc.value.args == (f"permutation {p!r} is not an element of this group",)
 
 
 @pytest.mark.parametrize("fixture", ["s4", "a5", "psl27"])
