@@ -75,14 +75,16 @@ def h1_character(cover: CoverCurve) -> ClassFunction:
 
 
 def class_labels(group: PermGroup) -> list[str]:
-    """ATLAS-style class names: 1a, 2a, 3a, 5a, 5b, ..."""
+    """ATLAS-style class names: 1a, 2a, 3a, 5a, 5b, ...; past 26 classes of
+    one order the letters run again with a suffix: a..z, a1..z1, a2..z2, ..."""
     labels = []
     counts: dict[int, int] = {}
     for c in group.conjugacy_classes():
         order = group.element_order(c[0])
         n = counts.get(order, 0)
         counts[order] = n + 1
-        labels.append(f"{order}{chr(ord('a') + n)}")
+        suffix, letter = divmod(n, 26)
+        labels.append(f"{order}{chr(ord('a') + letter)}{suffix or ''}")
     return labels
 
 

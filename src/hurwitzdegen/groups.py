@@ -11,13 +11,12 @@ product is one C call, p . q = ``q.translate(p + tail)`` with
 tuple order.  Above degree 256 elements are image tuples, composed by
 ``compose`` and ``inverse``.
 
-The closure walks x -> g_k x and keeps its Cayley graph: for each generator
-g_k the tables x -> g_k x and x -> x g_k on ids, and each element's parent
-edge in the breadth-first walk.  ``PermGroup.right_table(h)`` composes
-generator tables along h's parent path, one C-level pass over |G| ids per
-step.  Conjugacy classes and coset tables are orbits of ids under such
-tables, so they cost O(|G| |gens|) integer lookups rather than one
-permutation product and hash per element.
+The closure is the orbit of the identity under the generators.  Any table
+x -> f(x) on ids is one C-level ``map`` of stored products over
+``elements`` followed by one ``index`` lookup each: ``PermGroup.right_table(h)``
+is x -> x h, and conjugacy classes and coset tables are orbits of ids under
+such tables, so they cost O(|G| |gens|) products and integer lookups with no
+Python frame per element.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent reads are safe; the lazily filled caches (element
@@ -29,9 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from itertools import repeat
-from operator import itemgetter, methodcaller
+from operator import add, itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -67,17 +65,6 @@ def inverse(p: Perm) -> Perm:
     return tuple(inv)
 
 
-def _compose_tables(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
-    """The table x -> p[q[x]] in one C-level pass (``itemgetter`` of one
-    index returns a scalar, so length 1 is built by hand)."""
-    return itemgetter(*q)(p) if len(q) > 1 else tuple(p[i] for i in q)
-
-
-def _invert_table(t: Sequence[int]) -> list[int]:
-    """The inverse of a permutation table."""
-    return sorted(range(len(t)), key=t.__getitem__)
-
-
 def perm_from_cycles(degree: int, *cycles: Sequence[int]) -> Perm:
     """Build the permutation given by disjoint cycles, e.g. (0,1,2,3,4)."""
     images = list(range(degree))
@@ -110,39 +97,22 @@ class PermGroup:
         self.degree = degree
         self.generators = gens
         # elements as bytes, where p . q = q.translate(p + tail) looks q's
-        # images up in p's; above degree 256 as tuples, and _tail is None
+        # images up in p's; above degree 256 as tuples, and _tail is None.
+        # The closure is the orbit of the identity under x -> g_k x (bytes)
+        # or x -> x g_k (tuples): either way the whole group.
         self._tail: bytes | None = None
         if degree <= 256:
-            self._tail = bytes(range(degree, 256))
+            self._tail = tail = bytes(range(degree, 256))
             ident, keys = bytes(range(degree)), [bytes(g) for g in gens]
-            steps = [methodcaller("translate", g + self._tail) for g in keys]
+            points = orbit(ident, [g + tail for g in keys], bytes.translate, stop=max_order)
         else:
             ident, keys = identity_perm(degree), gens
-            steps = [partial(compose, g) for g in gens]
-        # breadth-first closure under x -> g_k . x, keeping each product and
-        # the (parent, k) edge that first reached each point, all by position
-        points = [ident]
-        position = {ident: 0}
-        parent, via = [0], [-1]
-        products: list[list[int]] = [[] for _ in gens]
-        for i, x in enumerate(points):  # grows while it is walked
-            for k, step in enumerate(steps):
-                y = step(x)
-                j = position.get(y)
-                if j is None:
-                    j = position[y] = len(points)
-                    points.append(y)
-                    parent.append(i)
-                    via.append(k)
-                    if len(points) > max_order:
-                        raise ClosureBoundExceeded(f"closure exceeded {max_order} elements")
-                products[k].append(j)
-        del position
-        by_perm = sorted(range(len(points)), key=points.__getitem__)  # id -> position
-        self.elements = [points[i] for i in by_perm]
+            points = orbit(ident, gens, compose, stop=max_order)
+        if len(points) > max_order:
+            raise ClosureBoundExceeded(f"closure exceeded {max_order} elements")
+        self.elements = sorted(points)
         self.index = dict(zip(self.elements, range(len(points))))
         assert self.elements[0] == ident
-        rank = list(map(self.index.__getitem__, points))  # position -> id
         self._gen_ids = [self.index[g] for g in keys]
         if self._tail is None:
             inverses = map(inverse, self.elements)
@@ -150,14 +120,6 @@ class PermGroup:
             inverses = map(itemgetter(slice(degree)),
                            map(bytes.maketrans, self.elements, repeat(ident)))
         self._inv = list(map(self.index.__getitem__, inverses))
-        # the same on ids: L_k is x -> g_k x, and id x = g_{_via[x]} _parent[x];
-        # R_k is x -> x g_k, the inverse of x -> x g_k^-1 = (g_k x^-1)^-1
-        inv = self._inv
-        self._left_gen = [_compose_tables(rank, _compose_tables(t, by_perm)) for t in products]
-        self._right_gen = [_invert_table(_compose_tables(inv, _compose_tables(t, inv)))
-                           for t in self._left_gen]
-        self._parent = _compose_tables(rank, _compose_tables(parent, by_perm))
-        self._via = _compose_tables(via, by_perm)
         self._right: dict[int, tuple[int, ...]] = {}
         self._orders: dict[int, int] = {}
         self._classes: tuple[tuple[int, ...], ...] | None = None
@@ -205,20 +167,20 @@ class PermGroup:
             return self.index[compose(p, compose(q, r))]
         return self.index[r.translate(q + self._tail).translate(p + self._tail)]
 
-    def right_table(self, h: int) -> tuple[int, ...]:
-        """The table x -> x h on ids, cached.
+    def _products(self, xs: Iterable, ys: Iterable) -> Iterable:
+        """The stored products x . y of ``xs`` and ``ys`` taken pairwise, one
+        C-level ``map``."""
+        if self._tail is None:
+            return map(compose, xs, ys)
+        return map(bytes.translate, ys, map(add, xs, repeat(self._tail)))
 
-        With h = g_k p for its parent p, x h = (x g_k) p: the generator tables
-        are composed along h's parent path, up to the nearest cached ancestor.
-        """
+    def _table(self, products: Iterable) -> tuple[int, ...]:
+        return tuple(map(self.index.__getitem__, products))
+
+    def right_table(self, h: int) -> tuple[int, ...]:
+        """The table x -> x h on ids, cached: one product per element."""
         if h not in self._right:
-            table, x = tuple(range(self.order)), h
-            while x != 0 and x not in self._right:
-                table = _compose_tables(self._right_gen[self._via[x]], table)
-                x = self._parent[x]
-            if x != 0:
-                table = _compose_tables(self._right[x], table)
-            self._right[h] = table
+            self._right[h] = self._table(self._products(self.elements, repeat(self.elements[h])))
         return self._right[h]
 
     def product(self, ids: Iterable[int]) -> int:
@@ -228,12 +190,17 @@ class PermGroup:
         return acc
 
     def element_order(self, i: int) -> int:
+        """The lcm of the cycle lengths of element i, cached; no products."""
         if i not in self._orders:
-            k, acc = 1, i
-            while acc != 0:
-                acc = self.mul(acc, i)
-                k += 1
-            self._orders[i] = k
+            p, seen, order = self.elements[i], [False] * self.degree, 1
+            for start in range(self.degree):
+                if not seen[start]:
+                    length, x = 0, start
+                    while not seen[x]:
+                        seen[x] = True
+                        length, x = length + 1, p[x]
+                    order = order * length // _gcd(order, length)
+            self._orders[i] = order
         return self._orders[i]
 
     # -- conjugacy classes ------------------------------------------------
@@ -241,13 +208,15 @@ class PermGroup:
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         """Conjugation orbits, ordered by (element order, minimal id).
 
-        Each generator g acts by the table x -> g x g^-1 = g (g x^-1)^-1,
-        built from its left table and ``_inv``.
+        Each generator g acts by the table x -> g (x g^-1), two products per
+        element.
         """
         if self._classes is None:
-            inv = self._inv
-            tables = [_compose_tables(left, _compose_tables(inv, _compose_tables(left, inv)))
-                      for left in self._left_gen]
+            elements = self.elements
+            tables = [self._table(self._products(
+                          repeat(elements[g]),
+                          self._products(elements, repeat(elements[self._inv[g]]))))
+                      for g in self._gen_ids]
             classes = _table_orbits(self.order, tables)[0]
             classes.sort(key=lambda c: (self.element_order(c[0]), c[0]))
             self._classes = tuple(classes)
@@ -309,8 +278,9 @@ def orbit(start, gens: Sequence, act: Callable, stop: int | None = None) -> list
     every generator is closed under the group they generate, so the orbit of
     the identity under right multiplication is the generated subgroup.  With
     ``stop`` the walk returns the points found so far as soon as it holds
-    more than ``stop`` of them: ``generated_subgroup`` stops at |G|/2, past
-    which, by Lagrange's theorem, the subgroup can only be G.
+    more than ``stop`` of them: the ``PermGroup`` closure stops past its
+    ``max_order`` bound, and ``generated_subgroup`` at |G|/2, past which, by
+    Lagrange's theorem, the subgroup can only be G.
     """
     points, seen = [start], {start}
     for x in points:  # grows while it is walked
@@ -322,6 +292,12 @@ def orbit(start, gens: Sequence, act: Callable, stop: int | None = None) -> list
                 if stop is not None and len(points) > stop:
                     return points
     return points
+
+
+def _gcd(a: int, b: int) -> int:
+    while b:
+        a, b = b, a % b
+    return a
 
 
 def _table_orbits(n: int, tables: Sequence[Sequence[int]]) -> tuple[list[tuple], list[int]]:
@@ -516,15 +492,9 @@ def is_inverting_involution(group: PermGroup, m: int, s: int) -> bool:
     """
     if s == 0 or group.mul(s, s) != 0:
         return False
-    if group.conj(s, m) != group.inv(m):
-        return False
-    acc = 0
-    while True:
-        if acc == s:
-            return False
-        acc = group.mul(acc, m)
-        if acc == 0:
-            return True
+    # s in <m> would commute with m, so m = m^-1 and <m> lies in {e, m}:
+    # with s != e, s lies in <m> exactly when s = m
+    return group.conj(s, m) == group.inv(m) and s != m
 
 
 # -- class functions -------------------------------------------------------

@@ -167,6 +167,18 @@ def test_degree_identity_on_random_covers(fixture, seed, request):
     assert checked > 10
 
 
+def test_class_labels_past_26_classes_of_one_order():
+    # C300 has phi(300) = 80 classes of order 300: a..z, a1..z1, a2..z2, a3..b3
+    G = PermGroup([tuple((x + 1) % 300 for x in range(300))])
+    labels = class_labels(G)
+    assert len(set(labels)) == len(labels) == 300
+    assert all(label.isascii() and label.isalnum() for label in labels)
+    top = [label for label in labels if label.startswith("300")]
+    assert len(top) == 80
+    assert top[25:28] == ["300z", "300a1", "300b1"]
+    assert top[-1] == "300b3"
+
+
 def test_class_labels_and_table(a5):
     assert class_labels(a5) == ["1a", "2a", "3a", "5a", "5b"]
     cover = build_cover(audit.a5_dihedral_degenerations(a5)[0].datum)

@@ -237,6 +237,18 @@ def test_element_orders(a5):
     assert a5.element_order(a5.id_of(perm_from_cycles(5, (1, 4), (2, 3)))) == 2
 
 
+@pytest.mark.parametrize("fixture", ["s4", "a5", "psl27", "c300"])
+def test_element_order_against_powers(fixture, request):
+    # the order read off the cycle lengths is the least k with x^k = e
+    G = (PermGroup([_cyclic(300)]) if fixture == "c300"  # tuple storage
+         else PermGroup(request.getfixturevalue(fixture).generators))
+    for x in range(G.order):
+        k, acc = 1, x
+        while acc != 0:
+            k, acc = k + 1, G.mul(acc, x)
+        assert G.element_order(x) == k
+
+
 @pytest.mark.parametrize("fixture", ["s4", "a5"])
 def test_conj_is_product_by_inverse(fixture, request):
     G = request.getfixturevalue(fixture)
@@ -496,6 +508,18 @@ def test_is_inverting_involution(a5, psl27):
     # no involution inverts an order-7 element of the 168-element group
     u = psl27.id_of([1, 2, 3, 4, 5, 6, 0, 7])
     assert all(not is_inverting_involution(psl27, u, s) for s in range(psl27.order))
+
+
+@pytest.mark.parametrize("fixture", ["s3", "d4", "s4", "d5", "a5", "psl27"])
+def test_is_inverting_involution_against_definition(fixture, request):
+    # every pair (m, s), checked against the definition with <m> closed
+    G = request.getfixturevalue(fixture)
+    for m in range(G.order):
+        powers = G.cyclic_subgroup(m).member_set()
+        for s in range(G.order):
+            expected = (G.mul(s, s) == 0 and G.conj(s, m) == G.inv(m)
+                        and s not in powers)
+            assert is_inverting_involution(G, m, s) == expected, (m, s)
 
 
 def test_inverting_involution_for_identity_monodromy(s3):
