@@ -20,8 +20,9 @@ from .degen import (Degeneration, collide_pair, dedup, dihedral_degenerations,
                     smooth_dihedral, split_degenerations)
 from .graphs import GenGraph, GraphAction, gengraph_to_dot
 from .groups import (ClassFunction, ClassRecord, CosetTable, PermGroup, Subgroup, centralizer,
-                     compose, induced_character, inverse, inverting_involutions,
-                     is_inverting_involution, left_cosets, normalizer, perm_from_cycles)
+                     compose, induced_character, induced_from_cyclic, inverse,
+                     inverting_involutions, is_inverting_involution, left_cosets, normalizer,
+                     perm_from_cycles)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .audit import FAIL, audit_passed, run_audit
 from .boundary import (BoundaryDatum, datum_from_jsonable, datum_to_jsonable, datum_warnings,
@@ -42,11 +43,60 @@ def _load_json(path: str):
     except json.JSONDecodeError as exc:
         raise SchemaError(path, f"invalid JSON at line {exc.lineno} column {exc.colno}: "
                                 f"{exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(path, f"not UTF-8: {exc.reason} at byte {exc.start}") from None
+    except RecursionError:
+        raise SchemaError(path, "invalid JSON: nested too deeply") from None
 
 
 def json_dump(report) -> None:
-    """Write one JSON report to stdout, indented, in a single write."""
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    """Write one JSON report to stdout in a single write, as
+    ``json.dumps(report, indent=2)`` would print it, plus a newline."""
+    out: list[str] = []
+    _write_json(report, "\n", out)
+    out.append("\n")
+    sys.stdout.write("".join(out))
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append the indent-2 JSON text of ``value`` to ``out``; ``newline`` is
+    a newline plus the indent of the line ``value`` starts on.  Strings go
+    through the C escaper of ``json.dumps``; floats and other types raise
+    ``TypeError``, as exact reports hold none."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner, sep = newline + "  ", "{"
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+            out += (sep, inner, _quote(key), ": ")
+            _write_json(item, inner, out)
+            sep = ","
+        out += (newline, "}")
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(x) is int for x in value):
+            out += ("[", inner, ("," + inner).join(map(int.__repr__, value)), newline, "]")
+            return
+        sep = "["
+        for item in value:
+            out += (sep, inner)
+            _write_json(item, inner, out)
+            sep = ","
+        out += (newline, "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _add_smoothing_orbits(node_classes: list[dict]) -> list[str]:

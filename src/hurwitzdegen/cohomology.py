@@ -12,17 +12,21 @@ node (E_e = <m>), and -1 on the branch-swapping coset s<m> of E_e = <m, s>
 at a dihedral point.
 The first sum is the character of the normalization, 2 * (permutation
 character on cover components) when every component is rational.
+
+Ind_<m> 1 takes the value |G| #{k < ord m : m^k in c} / (|c| ord m) on the
+class c, so it depends only on the class of m and is read off the classes of
+m's powers, once per class of point monodromy, with no subgroup closed; a
+node edge reuses it, and only a dihedral edge induces from its E_e = <m, s>.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 from .boundary import NODE_END
 from .covers import CoverCurve, is_connected
 from .errors import Disconnected
-from .groups import ClassFunction, PermGroup, Subgroup, induced_character
+from .groups import ClassFunction, PermGroup, induced_character, induced_from_cyclic
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,31 +39,36 @@ class DevissageReport:
 
 def de_rham_character(cover: CoverCurve) -> DevissageReport:
     datum, G, gog = cover.datum, cover.group, cover.gog
+    by_class: dict[int, tuple[int, ...]] = {}   # class of m -> values of Ind_<m> 1
 
-    # <m> of each point monodromy: read off the graph of groups at node ends
-    # and dihedral points, closed once per element at the other points
-    node_ends, cyclic = datum.nodes(), {}
-    for K, origin in zip(gog.edge_kernels, gog.edge_origins):
-        for point in (node_ends[origin[1]] if origin[0] == NODE_END else [origin[1:]]):
-            cyclic[datum.point(*point).m] = K
+    def add(acc: list[int], values) -> None:
+        for i, v in enumerate(values):
+            acc[i] += v
 
-    @cache
-    def ind_trivial(C: Subgroup) -> ClassFunction:
-        return induced_character(G, C, C)
+    def add_cyclic(acc: list[int], m: int) -> None:
+        c = G.class_of(m)
+        if c not in by_class:
+            by_class[c] = induced_from_cyclic(G, m).values
+        add(acc, by_class[c])
 
-    chi_norm = ClassFunction.zero(G)
+    n = len(G.conjugacy_classes())
+    norm, edge = [0] * n, [0] * n
     for comp in datum.components:
-        chi_norm = chi_norm + (2 - 2 * comp.genus - len(comp.points)) * ClassFunction.regular(G)
+        norm[0] += (2 - 2 * comp.genus - len(comp.points)) * G.order
         for pt in comp.points:
-            if pt.m not in cyclic:
-                cyclic[pt.m] = G.cyclic_subgroup(pt.m)
-            chi_norm = chi_norm + ind_trivial(cyclic[pt.m])
-    edge_sum = ClassFunction.zero(G)
-    for E, K in zip(gog.edge_groups, gog.edge_kernels):
-        edge_sum = edge_sum + induced_character(G, E, K)
-    chi_dR = chi_norm - 2 * edge_sum
-    h1 = 2 * ClassFunction.trivial(G) - chi_dR if is_connected(cover) else None
-    return DevissageReport(chi_dR, chi_norm, edge_sum, h1)
+            add_cyclic(norm, pt.m)
+    node_ends = datum.nodes()
+    for origin, E, K in zip(gog.edge_origins, gog.edge_groups, gog.edge_kernels):
+        if origin[0] == NODE_END:  # E_e = K_e = <m> of either end
+            add_cyclic(edge, datum.point(*node_ends[origin[1]][0]).m)
+        else:
+            add(edge, induced_character(G, E, K).values)
+    chi = [a - 2 * b for a, b in zip(norm, edge)]
+    h1 = None
+    if is_connected(cover):
+        h1 = ClassFunction(G, tuple([2 - v for v in chi]))  # 2 triv - chi_dR
+    return DevissageReport(ClassFunction(G, tuple(chi)), ClassFunction(G, tuple(norm)),
+                           ClassFunction(G, tuple(edge)), h1)
 
 
 def h1_character(cover: CoverCurve) -> ClassFunction:

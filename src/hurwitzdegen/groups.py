@@ -228,9 +228,13 @@ class PermGroup:
         return self._classes
 
     def class_of(self, i: int) -> int:
+        return self._class_table()[i]
+
+    def _class_table(self) -> list[int]:
+        """The class index of every id; read it once before a loop over ids."""
         self.conjugacy_classes()
         assert self._class_of is not None
-        return self._class_of[i]
+        return self._class_of
 
     def class_record(self, x: int) -> "ClassRecord":
         """The class record of x's conjugacy class, built on first use and
@@ -572,13 +576,29 @@ def induced_character(group: PermGroup, sub: Subgroup, kernel: Subgroup) -> Clas
     if not ks <= sub.member_set() or sub.order not in (kernel.order, 2 * kernel.order):
         raise NotACharacter(f"a kernel of order {kernel.order} is not of index <= 2 "
                             f"in a subgroup of order {sub.order}")
-    classes = group.conjugacy_classes()
-    sums = [0] * len(classes)
+    sums, class_of = [0] * len(group.conjugacy_classes()), group._class_table()
     for h in sub.members:
-        sums[group.class_of(h)] += 1 if h in ks else -1
+        sums[class_of[h]] += 1 if h in ks else -1
+    return _induced(group, sums, sub.order)
+
+
+def induced_from_cyclic(group: PermGroup, m: int) -> ClassFunction:
+    """Ind_<m> 1, read off the classes of m's powers with no closure:
+    Ind_<m> 1(c) = |G| #{k < ord m : m^k in c} / (|c| ord m), so it depends
+    only on the class of m."""
+    counts, class_of = [0] * len(group.conjugacy_classes()), group._class_table()
+    counts[0], x, order = 1, m, 1  # m^0 = e lies in class 0
+    while x != 0:
+        counts[class_of[x]] += 1
+        x, order = group.mul(x, m), order + 1
+    return _induced(group, counts, order)
+
+
+def _induced(group: PermGroup, sums: list[int], sub_order: int) -> ClassFunction:
+    """The induced values |G| sums[c] / (|c| |H|), which must be integers."""
     vals = []
-    for total, c in zip(sums, classes):
-        q, r = divmod(group.order * total, len(c) * sub.order)
+    for total, c in zip(sums, group.conjugacy_classes()):
+        q, r = divmod(group.order * total, len(c) * sub_order)
         assert r == 0, "induced value not integral"
         vals.append(q)
     return ClassFunction(group, tuple(vals))

@@ -7,7 +7,7 @@ import pytest
 
 from hurwitzdegen import (HurwitzTuple, PermGroup, audit, datum_to_jsonable, hurwitz_to_datum,
                           perm_from_cycles, tuple_to_jsonable)
-from hurwitzdegen.cli import build_parser, main
+from hurwitzdegen.cli import build_parser, json_dump, main
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +30,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("value", [0.5, [1, 2.0], {"a": [{"b": float("nan")}]}])
+def test_json_dump_rejects_floats(value, capsys):
+    # reports are exact: a float anywhere is a bug, not something to print
+    with pytest.raises(TypeError):
+        json_dump(value)
+    assert capsys.readouterr().out == ""
 
 
 def test_analyze_valid_datum(a5_datum_file, capsys):

@@ -21,7 +21,9 @@ from conftest import inverting_pairs, random_valid_datum
 IDENTITY5 = [0, 1, 2, 3, 4]
 CYCLE300 = [(x + 1) % 300 for x in range(300)]  # images past 255 in a degree-5 group
 
-RAW_TEXT = {"non-json": "{not json", "empty-list": "[]", "null": "null", "number": "5"}
+RAW_TEXT = {"non-json": "{not json", "empty-list": "[]", "null": "null", "number": "5",
+            "nested-100000": "[" * 100000}
+RAW_BYTES = {"invalid-utf8": b"\xff\xfe{}"}
 
 
 def _point(obj, ci, pi):
@@ -92,34 +94,41 @@ def _write(tmp_path, text):
     return path
 
 
-@pytest.mark.parametrize("command", sorted(DATUM_COMMANDS))
-@pytest.mark.parametrize("case", sorted(RAW_TEXT) + sorted(DATUM_CASES))
-def test_datum_commands_survive_malformed_input(tmp_path, capsys, command, case):
+def _write_raw(tmp_path, case):
+    """The input file of a ``RAW_TEXT`` or ``RAW_BYTES`` case."""
     if case in RAW_TEXT:
-        text = RAW_TEXT[case]
-    else:
+        return _write(tmp_path, RAW_TEXT[case])
+    path = tmp_path / "input.json"
+    path.write_bytes(RAW_BYTES[case])
+    return path
+
+
+@pytest.mark.parametrize("command", sorted(DATUM_COMMANDS))
+@pytest.mark.parametrize("case", sorted(RAW_TEXT) + sorted(RAW_BYTES) + sorted(DATUM_CASES))
+def test_datum_commands_survive_malformed_input(tmp_path, capsys, command, case):
+    if case in DATUM_CASES:
         obj = datum_to_jsonable(audit.a5_split_datum())
         DATUM_CASES[case](obj)
-        text = json.dumps(obj)
-    path = _write(tmp_path, text)
+        path = _write(tmp_path, json.dumps(obj))
+    else:
+        path = _write_raw(tmp_path, case)
     code, _, err = run_cli(capsys, _argv(DATUM_COMMANDS[command], path, tmp_path))
     assert_clean_exit(code, err)
     assert code == (2 if case == "node-id-on-three-points" else 1)
 
 
 @pytest.mark.parametrize("flags", sorted(DEGENERATE_FLAGS))
-@pytest.mark.parametrize("case", sorted(RAW_TEXT) + sorted(TUPLE_CASES))
+@pytest.mark.parametrize("case", sorted(RAW_TEXT) + sorted(RAW_BYTES) + sorted(TUPLE_CASES))
 def test_degenerate_survives_malformed_input(tmp_path, capsys, flags, case):
-    if case in RAW_TEXT:
-        text = RAW_TEXT[case]
-    else:
+    if case in TUPLE_CASES:
         obj = tuple_to_jsonable(audit.a5_smoothed_tuple())
         TUPLE_CASES[case](obj)
-        text = json.dumps(obj)
-    path = _write(tmp_path, text)
+        path = _write(tmp_path, json.dumps(obj))
+    else:
+        path = _write_raw(tmp_path, case)
     code, _, err = run_cli(capsys, ["degenerate", str(path)] + DEGENERATE_FLAGS[flags])
     assert_clean_exit(code, err)
-    if flags == "splits-dihedral-negative" or case == "entries-empty":
+    if flags == "splits-dihedral-negative" or case == "entries-empty" or case not in TUPLE_CASES:
         assert code == 1
 
 

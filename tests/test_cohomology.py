@@ -7,8 +7,8 @@ import pytest
 from hurwitzdegen import (BoundaryDatum, ClassFunction, HurwitzTuple, MarkedComponent,
                           MarkedPoint, PermGroup, arithmetic_genus, build_cover, class_labels,
                           de_rham_character, h1_character, hurwitz_to_datum,
-                          induced_character, is_connected, normalizer, perm_from_cycles,
-                          render_character_table, subcover)
+                          induced_character, induced_from_cyclic, is_connected, normalizer,
+                          perm_from_cycles, render_character_table, subcover)
 from hurwitzdegen import audit
 from hurwitzdegen.errors import Disconnected
 
@@ -52,19 +52,30 @@ def test_a5_split_characters_and_constancy(a5):
     assert h1_character(split_cover) == h1_character(dihedral_cover)
 
 
-def test_de_rham_closes_only_cyclic_points(a5, monkeypatch):
-    # the node's <m> is read off the graph of groups, not closed again at
-    # either end: 4 closures for the 5 distinct subgroups of the split datum
-    datum = audit.a5_split_datum(a5)
-    points = [pt for comp in datum.components for pt in comp.points]
-    assert len({a5.cyclic_subgroup(pt.m) for pt in points}) == 5
-    cover = build_cover(datum)
-    closed = []
-    close = a5.cyclic_subgroup
-    monkeypatch.setattr(a5, "cyclic_subgroup", lambda m: closed.append(m) or close(m))
-    de_rham_character(cover)
-    assert sorted(closed) == sorted({pt.m for pt in points if pt.kind == "cyclic"})
-    assert len(closed) == 4
+@pytest.mark.parametrize("build", [audit.a5_split_datum,
+                                   lambda G: audit.a5_dihedral_degenerations(G)[0].datum],
+                         ids=["split", "dihedral"])
+def test_de_rham_closes_no_subgroup(a5, monkeypatch, build):
+    # Ind_<m> 1 comes from the classes of m's powers and the dihedral edge
+    # groups from the graph of groups: no subgroup is closed again
+    cover = build_cover(build(a5))
+
+    def fail(*args):
+        raise AssertionError("de_rham_character closed a subgroup")
+
+    monkeypatch.setattr(a5, "cyclic_subgroup", fail)
+    monkeypatch.setattr(a5, "generated_subgroup", fail)
+    assert de_rham_character(cover).chi_dR.degree == -10
+
+
+@pytest.mark.parametrize("fixture", ["s4", "a5", "psl27", "c300"])
+def test_induced_from_cyclic_against_closure(fixture, request):
+    # the class-indexed Ind_<m> 1 against induction over the closed <m>
+    G = (PermGroup([tuple((x + 1) % 300 for x in range(300))]) if fixture == "c300"  # tuple path
+         else request.getfixturevalue(fixture))
+    for m in range(G.order):
+        C = G.cyclic_subgroup(m)
+        assert induced_from_cyclic(G, m) == induced_character(G, C, C)
 
 
 def test_two_component_trivial_group_h1_vanishes():

@@ -1,8 +1,11 @@
 """Property tests of the canonical form and the inverting involutions under
-conjugation."""
+conjugation, and of the report writer against ``json.dumps``."""
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import random
 
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from hurwitzdegen import canonical_form, equivalent, inverting_involutions
 from hurwitzdegen.boundary import conjugate_datum, serialize
+from hurwitzdegen.cli import json_dump
 
 from conftest import inverting_pairs, random_valid_datum
 
@@ -48,3 +52,20 @@ def test_inverting_involutions_are_conjugation_equivariant(groups, name, m, g):
     m, g = m % G.order, g % G.order
     conjugated = sorted(G.conj(g, s) for s in inverting_involutions(G, m))
     assert inverting_involutions(G, G.conj(g, m)) == conjugated
+
+
+TEXT = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2603\U0001f600'))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64)
+    | st.integers(max_value=-2**64) | TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=40)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(value=JSON_VALUES)
+def test_json_dump_prints_what_json_dumps_prints(value):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        json_dump(value)
+    assert out.getvalue() == json.dumps(value, indent=2) + "\n"
