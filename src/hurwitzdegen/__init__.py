@@ -19,10 +19,9 @@ from .degen import (Degeneration, collide_pair, dedup, dihedral_degenerations,
                     local_model_fixpoint_orbits, local_model_orbit_sizes, predicted_fixpoint_orbits,
                     smooth_dihedral, split_degenerations)
 from .graphs import GenGraph, GraphAction, gengraph_to_dot
-from .groups import (ClassFunction, ClassRecord, CosetTable, PermGroup, Subgroup, centralizer,
-                     compose, induced_character, induced_from_cyclic, inverse,
-                     inverting_involutions, is_inverting_involution, left_cosets, normalizer,
-                     perm_from_cycles)
+from .groups import (ClassFunction, ClassRecord, CosetTable, PermGroup, Subgroup, compose,
+                     induced_character, induced_from_cyclic, inverse, inverting_involutions,
+                     is_inverting_involution, left_cosets, normalizer, perm_from_cycles)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -191,14 +191,17 @@ class DualGraphOfGroups:
 
     Vertex ci is component Y with H_Y, generated by its handle images and
     point monodromies.  Unoriented edge e is a node (an ordinary edge) or a
-    dihedral point (a self-opposite edge); nodes come first.  It carries
-    E_e = <m> at a node (<m_a> = <m_b>) and E_e = <m, s> at a dihedral
-    point, and K_e = <m>, the kernel of its sign character.
+    dihedral point (a self-opposite edge); nodes come first, in
+    ``BoundaryDatum.nodes`` order.  ``edge_ends[e]`` lists the quotient points
+    (ci, pi) it joins: the two ends of a node, or the one dihedral point, so
+    an edge's kind is its number of ends.  It carries E_e = <m> at a node
+    (<m_a> = <m_b>) and E_e = <m, s> at a dihedral point, and K_e = <m>, the
+    kernel of its sign character.
     """
 
     graph: GenGraph
     vertex_groups: tuple[Subgroup, ...]
-    edge_origins: tuple[tuple, ...]       # per unoriented edge: ("node", id) | ("dihedral", ci, pi)
+    edge_ends: tuple[tuple[tuple[int, int], ...], ...]
     edge_groups: tuple[Subgroup, ...]
     edge_kernels: tuple[Subgroup, ...]
 
@@ -220,27 +223,27 @@ def dual_graph_of_groups(datum: BoundaryDatum) -> DualGraphOfGroups:
         raise InvalidDatum(violations)
     G = datum.group
     pairs = []
-    origins: list[tuple] = []
+    ends: list[tuple[tuple[int, int], ...]] = []
     groups: list[Subgroup] = []
     kernels: list[Subgroup] = []
-    for node_idx, ((ca, pa), (cb, pb)) in enumerate(datum.nodes()):
+    for end_a, end_b in datum.nodes():
         # the oriented edge for each branch ends at that branch's component
-        pairs.append((cb, ca))
-        origins.append((NODE_END, node_idx))
-        kernels.append(G.cyclic_subgroup(datum.point(ca, pa).m))
+        pairs.append((end_b[0], end_a[0]))
+        ends.append((end_a, end_b))
+        kernels.append(G.cyclic_subgroup(datum.point(*end_a).m))
         groups.append(kernels[-1])
     loops = []
     for ci, pi in datum.dihedral_points():
         pt = datum.point(ci, pi)
         loops.append(ci)
-        origins.append((DIHEDRAL, ci, pi))
+        ends.append(((ci, pi),))
         kernels.append(G.cyclic_subgroup(pt.m))
         groups.append(G.generated_subgroup([pt.m, pt.s]))
     graph = GenGraph.from_unoriented(len(datum.components), pairs, self_opposite=loops)
     vertex_groups = tuple(
         G.generated_subgroup([x for ab in comp.handles for x in ab] + [pt.m for pt in comp.points])
         for comp in datum.components)
-    return DualGraphOfGroups(graph, vertex_groups, tuple(origins), tuple(groups), tuple(kernels))
+    return DualGraphOfGroups(graph, vertex_groups, tuple(ends), tuple(groups), tuple(kernels))
 
 
 # -- conjugation, canonical form, equivalence --------------------------------
@@ -344,16 +347,19 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _is_perm_list(raw) -> bool:
-    return isinstance(raw, list) and all(_is_int(x) for x in raw)
+def _is_int_list(raw) -> bool:
+    """A JSON array of JSON integers, its images' types checked in one C pass;
+    ``type(True)`` is ``bool``, so booleans fail."""
+    return type(raw) is list and set(map(type, raw)) <= {int}
 
 
 def _perm_id(G: PermGroup, raw, path: str) -> int:
-    if not _is_perm_list(raw):
+    """The id of an image array; ``PermGroup.id_of`` is its one permutation check."""
+    if not _is_int_list(raw):
         raise SchemaError(path, "expected a permutation as a list of integer images")
     try:
         return G.id_of(raw)
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:
         raise SchemaError(path, str(exc)) from None
 
 
@@ -362,7 +368,7 @@ def _group_from_jsonable(grp) -> PermGroup:
         raise SchemaError("$.group", "expected {degree, generators}")
     if not _is_int(grp["degree"]) or grp["degree"] < 0:
         raise SchemaError("$.group.degree", "expected a nonnegative integer")
-    if not isinstance(grp["generators"], list) or not all(map(_is_perm_list, grp["generators"])):
+    if not isinstance(grp["generators"], list) or not all(map(_is_int_list, grp["generators"])):
         raise SchemaError("$.group.generators", "expected permutations as lists of integers")
     try:
         return PermGroup(grp["generators"], degree=grp["degree"])

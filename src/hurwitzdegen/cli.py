@@ -45,6 +45,8 @@ def _load_json(path: str):
                                 f"{exc.msg}") from None
     except UnicodeDecodeError as exc:
         raise SchemaError(path, f"not UTF-8: {exc.reason} at byte {exc.start}") from None
+    except ValueError as exc:  # an integer literal past sys.get_int_max_str_digits()
+        raise SchemaError(path, f"invalid JSON: {exc}") from None
     except RecursionError:
         raise SchemaError(path, "invalid JSON: nested too deeply") from None
 

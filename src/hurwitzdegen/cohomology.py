@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boundary import NODE_END
 from .covers import CoverCurve, is_connected
 from .errors import Disconnected
 from .groups import ClassFunction, PermGroup, induced_character, induced_from_cyclic
@@ -57,10 +56,9 @@ def de_rham_character(cover: CoverCurve) -> DevissageReport:
         norm[0] += (2 - 2 * comp.genus - len(comp.points)) * G.order
         for pt in comp.points:
             add_cyclic(norm, pt.m)
-    node_ends = datum.nodes()
-    for origin, E, K in zip(gog.edge_origins, gog.edge_groups, gog.edge_kernels):
-        if origin[0] == NODE_END:  # E_e = K_e = <m> of either end
-            add_cyclic(edge, datum.point(*node_ends[origin[1]][0]).m)
+    for ends, E, K in zip(gog.edge_ends, gog.edge_groups, gog.edge_kernels):
+        if len(ends) == 2:  # a node: E_e = K_e = <m> of either end
+            add_cyclic(edge, datum.point(*ends[0]).m)
         else:
             add(edge, induced_character(G, E, K).values)
     chi = [a - 2 * b for a, b in zip(norm, edge)]

@@ -21,15 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .boundary import (DIHEDRAL, NODE_END, BoundaryDatum, DualGraphOfGroups,
-                       dual_graph_of_groups)
+from .boundary import BoundaryDatum, DualGraphOfGroups, dual_graph_of_groups
 from .errors import Disconnected, NegativeGenus, NonIntegralGenus
 from .graphs import GenGraph, GraphAction, gengraph_to_dot
 from .groups import CosetTable, Subgroup, left_cosets, orbits
 
 CYCLIC_NODE = "cyclic"
 DIHEDRAL_NODE = "dihedral"
-_NODE_KIND = {NODE_END: CYCLIC_NODE, DIHEDRAL: DIHEDRAL_NODE}   # by quotient edge origin
+_NODE_KIND = {2: CYCLIC_NODE, 1: DIHEDRAL_NODE}   # by the number of ends of the quotient edge
 
 
 def rh_genus(subgroup_order: int, base_genus: int, ramification_orders: list[int]) -> int:
@@ -160,18 +159,17 @@ def build_cover(datum: BoundaryDatum) -> CoverCurve:
         return CoverBranch(point, edge_mcosets[e].index_of[element],
                            offsets[ci] + comp_cosets[ci].index_of[element])
 
-    node_ends = datum.nodes()
     nodes: list[CoverNode] = []
-    for e, origin in enumerate(gog.edge_origins):
+    for e, ends in enumerate(gog.edge_ends):
         mcos = edge_mcosets[e]
-        if origin[0] == NODE_END:
-            end_a, end_b = node_ends[origin[1]]
+        if len(ends) == 2:
+            end_a, end_b = ends
             nodes += [CoverNode(e, branch(e, end_a, cell[0]), branch(e, end_b, cell[0]))
                       for cell in mcos.cells]
             continue
         # the node r<m, s> pairs the branches r<m> and rs<m>; the pair is met
         # first at the coset holding the minimum of r<m, s>
-        point = origin[1:]
+        (point,) = ends
         times_s = G.right_table(datum.point(*point).s)
         for t, cell in enumerate(mcos.cells):
             rep_s = times_s[cell[0]]
@@ -238,7 +236,7 @@ def classify_node(cover: CoverCurve, node_idx: int) -> NodeClass:
     node = cover.nodes[node_idx]
     r = cover.edge_mcosets[node.edge].rep(node.branch_a.m_coset)
     members = cover.gog.edge_groups[node.edge].members
-    return NodeClass(_NODE_KIND[cover.gog.edge_origins[node.edge][0]],
+    return NodeClass(_NODE_KIND[len(cover.gog.edge_ends[node.edge])],
                      G.subgroup(G.conj(r, h) for h in members))
 
 
@@ -247,8 +245,8 @@ def node_class_summary(cover: CoverCurve) -> list[dict]:
     each with stabilizer conjugate to E_e, lie over quotient edge e."""
     gog = cover.gog
     buckets: dict[tuple[str, int], int] = {}
-    for origin, E in zip(gog.edge_origins, gog.edge_groups):
-        key = (_NODE_KIND[origin[0]], E.order)
+    for ends, E in zip(gog.edge_ends, gog.edge_groups):
+        key = (_NODE_KIND[len(ends)], E.order)
         buckets[key] = buckets.get(key, 0) + cover.group.order // E.order
     return [{"kind": kind, "stabilizer_order": order, "count": count}
             for (kind, order), count in sorted(buckets.items())]

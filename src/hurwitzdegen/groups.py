@@ -144,12 +144,12 @@ class PermGroup:
         return tuple(self.elements[i])
 
     def id_of(self, p: Sequence[int]) -> int:
-        key = as_perm(p)
-        if self._tail is not None and len(key) == self.degree:
-            key = bytes(key)
-        if key not in self.index:
-            raise KeyError(f"permutation {list(p)!r} is not an element of this group")
-        return self.index[key]
+        """The id of the image array ``p``; being a key of ``index`` is what
+        makes it a permutation in this group."""
+        try:
+            return self.index[tuple(p) if self._tail is None else bytes(p)]
+        except (KeyError, TypeError, ValueError):  # bytes() takes integer images 0..255 only
+            raise KeyError(f"permutation {list(p)!r} is not an element of this group") from None
 
     def mul(self, i: int, j: int) -> int:
         p, q = self.elements[i], self.elements[j]
@@ -465,26 +465,21 @@ def normalizer(group: PermGroup, sub: Subgroup) -> Subgroup:
     return Subgroup(group, tuple(keep))
 
 
-def centralizer(group: PermGroup, x: int) -> Subgroup:
-    """C_G(x) = t_x C_G(r) t_x^-1, read off x's class record."""
-    rec = group.class_record(x)
-    t = rec.conjugators[x]
-    return Subgroup(group, tuple(sorted(group.conj(t, c) for c in rec.centralizer.members)))
-
-
 def inverting_involutions(group: PermGroup, m: int) -> list[int]:
     """The s with ``is_inverting_involution(group, m, s)``, ascending.
 
-    The elements inverting m form the coset s0 C_G(m) with
-    s0 = t_{m^-1} t_m^-1 from m's class record; it is empty when m^-1 is not
-    conjugate to m.  Each element of the coset is then checked.
+    With r the least id of m's class, s m s^-1 = m^-1 exactly when
+    t_{m^-1}^-1 s t_m centralizes r, so the elements inverting m are
+    t_{m^-1} C_G(r) t_m^-1, read off m's class record with two products per
+    member; there are none when m^-1 is not conjugate to m.  Each is then
+    checked.
     """
     rec = group.class_record(m)
     mi = group.inv(m)
     if mi not in rec.conjugators:
         return []
-    s0 = group.mul(rec.conjugators[mi], group.inv(rec.conjugators[m]))
-    coset = (group.mul(s0, c) for c in centralizer(group, m).members)
+    left, right = rec.conjugators[mi], group.inv(rec.conjugators[m])
+    coset = (group.mul(group.mul(left, c), right) for c in rec.centralizer.members)
     return sorted(s for s in coset if is_inverting_involution(group, m, s))
 
 
@@ -521,10 +516,6 @@ class ClassFunction:
     @classmethod
     def zero(cls, group: PermGroup) -> "ClassFunction":
         return cls(group, tuple([0] * len(group.conjugacy_classes())))
-
-    @classmethod
-    def regular(cls, group: PermGroup) -> "ClassFunction":
-        return cls(group, tuple([group.order] + [0] * (len(group.conjugacy_classes()) - 1)))
 
     @property
     def degree(self) -> int:

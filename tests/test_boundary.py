@@ -148,22 +148,24 @@ def test_graph_of_groups_against_plain_closure(fixture, seed, request):
         for ci, comp in enumerate(datum.components):
             gens = [x for a, b in comp.handles for x in (a, b)] + [pt.m for pt in comp.points]
             assert gog.vertex_groups[ci].member_set() == closure_by_bfs(G, gens)
-        for e, origin in enumerate(gog.edge_origins):
+        assert gog.edge_ends == tuple(datum.nodes()) + tuple(
+            (point,) for point in datum.dihedral_points())
+        for e, ends in enumerate(gog.edge_ends):
             E, K = gog.edge_groups[e], gog.edge_kernels[e]
-            if origin[0] == "node":
-                end_a, end_b = datum.nodes()[origin[1]]
+            if len(ends) == 2:  # a node
+                end_a, end_b = ends
                 m = datum.point(*end_a).m
                 assert E.member_set() == closure_by_bfs(G, [m])
                 assert K.member_set() == closure_by_bfs(G, [datum.point(*end_b).m])
                 assert E.order == K.order
             else:
-                pt = datum.point(*origin[1:])
+                pt = datum.point(*ends[0])
                 m = pt.m
                 assert E.member_set() == closure_by_bfs(G, [m, pt.s])
                 assert E.order == 2 * K.order
             assert K.member_set() == closure_by_bfs(G, [m])
-            kinds.add(origin[0])
-    assert kinds == {"node", "dihedral"}
+            kinds.add(len(ends))
+    assert kinds == {1, 2}
 
 
 def test_dual_graph_requires_valid_datum(s3):
@@ -283,11 +285,12 @@ def test_equivalent_needs_matching_groups(a5, s4):
     assert not equivalent(e5, e4)
 
 
-def test_dual_graph_edge_origins(a5):
-    split = dual_graph_of_groups(audit.a5_split_datum(a5))
-    assert split.edge_origins == (("node", 0),)
+def test_dual_graph_edge_ends(a5):
+    split = audit.a5_split_datum(a5)
+    assert split.nodes() == [((0, 2), (1, 0))]
+    assert dual_graph_of_groups(split).edge_ends == (((0, 2), (1, 0)),)
     dihedral = dual_graph_of_groups(audit.a5_dihedral_degenerations(a5)[0].datum)
-    assert dihedral.edge_origins == (("dihedral", 0, 0),)
+    assert dihedral.edge_ends == (((0, 0),),)
 
 
 def test_datum_json_round_trip(a5):

@@ -19,10 +19,14 @@ from hurwitzdegen.cli import main
 from conftest import inverting_pairs, random_valid_datum
 
 IDENTITY5 = [0, 1, 2, 3, 4]
+BOOL_IDENTITY5 = [False, True, 2, 3, 4]  # the identity if booleans were read as integers
 CYCLE300 = [(x + 1) % 300 for x in range(300)]  # images past 255 in a degree-5 group
 
 RAW_TEXT = {"non-json": "{not json", "empty-list": "[]", "null": "null", "number": "5",
-            "nested-100000": "[" * 100000}
+            "nested-100000": "[" * 100000,
+            # past the int-to-string digit limit json.load raises a plain ValueError
+            "int-5000-digits": '{"group": {"degree": 1, "generators": []}, '
+                               '"components": [{"genus": ' + "9" * 5000 + "}]}"}
 RAW_BYTES = {"invalid-utf8": b"\xff\xfe{}"}
 
 
@@ -35,6 +39,10 @@ DATUM_CASES = {
     "m-null": lambda obj: _point(obj, 0, 0).update(m=None),
     "m-short": lambda obj: _point(obj, 0, 0).update(m=[1, 0]),
     "m-float": lambda obj: _point(obj, 0, 0).update(m=[0.0, 1, 2, 3, 4]),
+    "m-bool": lambda obj: _point(obj, 0, 0).update(m=BOOL_IDENTITY5),
+    "m-negative": lambda obj: _point(obj, 0, 0).update(m=[-1, 0, 1, 2, 3]),
+    "handle-bool": lambda obj: obj["components"][0].update(
+        genus=1, handles=[[BOOL_IDENTITY5, IDENTITY5]]),
     "m-degree-300": lambda obj: _point(obj, 0, 0).update(m=CYCLE300),
     "degree-0-group": lambda obj: obj.update(group={"degree": 0, "generators": []}),
     "node-id-on-three-points": lambda obj: _point(obj, 0, 0).update(kind="node", node=0),
@@ -47,7 +55,16 @@ TUPLE_CASES = {
     "two-entries": lambda obj: obj.update(entries=obj["entries"][:2]),
     "three-identities": lambda obj: obj.update(entries=[IDENTITY5] * 3),
     "m-degree-300": lambda obj: obj["entries"].__setitem__(0, CYCLE300),
+    "entry-bool": lambda obj: obj["entries"].__setitem__(0, BOOL_IDENTITY5),
     "degree-0-group": lambda obj: obj.update(group={"degree": 0, "generators": []}),
+}
+
+# cases with one malformed image array, and the $.path that must name it
+IMAGE_PATHS = {
+    "m-bool": "$.components[0].points[0].m",
+    "m-negative": "$.components[0].points[0].m",
+    "handle-bool": "$.components[0].handles[0][0]",
+    "entry-bool": "$.entries[0]",
 }
 
 DATUM_COMMANDS = {
@@ -115,6 +132,8 @@ def test_datum_commands_survive_malformed_input(tmp_path, capsys, command, case)
     code, _, err = run_cli(capsys, _argv(DATUM_COMMANDS[command], path, tmp_path))
     assert_clean_exit(code, err)
     assert code == (2 if case == "node-id-on-three-points" else 1)
+    if case in IMAGE_PATHS:
+        assert err.startswith(f"error: {IMAGE_PATHS[case]}: ")
 
 
 @pytest.mark.parametrize("flags", sorted(DEGENERATE_FLAGS))
@@ -130,6 +149,9 @@ def test_degenerate_survives_malformed_input(tmp_path, capsys, flags, case):
     assert_clean_exit(code, err)
     if flags == "splits-dihedral-negative" or case == "entries-empty" or case not in TUPLE_CASES:
         assert code == 1
+    if case in IMAGE_PATHS:
+        assert code == 1
+        assert err.startswith(f"error: {IMAGE_PATHS[case]}: ")
 
 
 def test_permutation_of_another_degree_names_its_path(tmp_path, capsys):

@@ -83,7 +83,7 @@ def test_dihedral_branch_pair_well_defined(a5):
     # the two branches of a dihedral node are exactly the two <m>-cosets
     # inside its <m, s>-coset, independent of the chosen representative
     cover = build_cover(audit.a5_dihedral_degenerations(a5)[0].datum)
-    (ci, pi) = cover.gog.edge_origins[cover.nodes[0].edge][1:]
+    ((ci, pi),) = cover.gog.edge_ends[cover.nodes[0].edge]
     pt = cover.datum.point(ci, pi)
     dcos = left_cosets(a5, a5.generated_subgroup([pt.m, pt.s]))
     mcos = cover.edge_mcosets[cover.nodes[0].edge]
@@ -323,11 +323,10 @@ def test_node_class_matches_origin_on_random_data(s4, d5):
             cover = build_cover(random_valid_datum(G, rng, pairs))
             for k, node in enumerate(cover.nodes):
                 nc = classify_node(cover, k)
-                origin = cover.gog.edge_origins[node.edge]
-                if origin[0] == "dihedral":
+                ends = cover.gog.edge_ends[node.edge]
+                if len(ends) == 1:  # a dihedral point
                     assert nc.kind == "dihedral"
-                    ci, pi = origin[1:]
-                    m = cover.datum.point(ci, pi).m
+                    m = cover.datum.point(*ends[0]).m
                     assert nc.stabilizer.order == 2 * G.element_order(m)
                 else:
                     assert nc.kind == "cyclic"

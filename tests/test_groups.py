@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitzdegen import (ClassFunction, PermGroup, Subgroup, centralizer, compose,
-                          induced_character, inverse, inverting_involutions,
-                          is_inverting_involution, left_cosets, normalizer, perm_from_cycles)
+from hurwitzdegen import (ClassFunction, PermGroup, Subgroup, compose, induced_character,
+                          inverse, inverting_involutions, is_inverting_involution, left_cosets,
+                          normalizer, perm_from_cycles)
 from hurwitzdegen import audit
 from hurwitzdegen.errors import (ClosureBoundExceeded, DegreeMismatch, NotACharacter)
 from hurwitzdegen.groups import as_perm, identity_perm, orbits
@@ -189,10 +189,15 @@ def test_storage_switch_against_tuple_closure(gens, degree, subgroups):
 
 @pytest.mark.parametrize("degree", [5, 256, 257, 300])
 def test_id_of_rejects_other_degrees(degree):
-    # a permutation of another degree, images >= 256 included, is no element
+    # a permutation of another degree, images >= 256 included, is no element;
+    # nor is an image array of the same degree with a repeated, negative or
+    # out-of-range image
     G = PermGroup([_cyclic(degree)], degree=degree)
-    for other in {degree - 1, degree + 1, 300 if degree != 300 else 257}:
-        p = list(_cyclic(other))
+    rest = list(range(2, degree))
+    others = [list(_cyclic(other)) for other in {degree - 1, degree + 1,
+                                                 300 if degree != 300 else 257}]
+    others += [[0, 0] + rest, [1, -1] + rest, [-1, -2] + rest, [degree, 1] + rest]
+    for p in others:
         with pytest.raises(KeyError) as exc:
             G.id_of(p)
         assert exc.value.args == (f"permutation {p!r} is not an element of this group",)
@@ -209,7 +214,7 @@ def test_left_cosets_against_products(fixture, request):
         "full": G.full_subgroup(),
         # built from members: generators() falls back to a greedy choice
         "normalizer": normalizer(G, G.cyclic_subgroup(x)),
-        "centralizer": centralizer(G, x),
+        "centralizer": G.class_record(x).centralizer,
     }
     for name, H in subs.items():
         assert (H.gens is None) == (name in ("normalizer", "centralizer")), name
@@ -404,12 +409,13 @@ def test_class_records_against_scans(fixture, request):
         assert rec is G.class_record(rec.rep)  # one record per class
         for y, t in rec.conjugators.items():
             assert G.conj(t, rec.rep) == y
+        # C_G(x) = t_x C_G(r) t_x^-1: |G| / |class| distinct elements commuting with x
+        t = rec.conjugators[x]
+        cent = sorted(G.conj(t, h) for h in rec.centralizer.members)
         if x == rec.rep:
             cyclic = G.cyclic_subgroup(x)
             assert rec.centralizer.members == centralizer_by_scan(G, cyclic).members
-            assert centralizer(G, x).members == rec.centralizer.members
-        # |C_G(x)| = |G| / |class| distinct elements commuting with x are all of C_G(x)
-        cent = centralizer(G, x).members
+            assert cent == list(rec.centralizer.members)
         assert len(set(cent)) == len(cent) == G.order // len(c)
         assert all(G.mul(g, x) == G.mul(x, g) for g in cent)
 
