@@ -1,7 +1,8 @@
 """Behaviour contract: CLI outputs replayed byte for byte.
 
 ``tests/golden/cases.json`` lists each case's argv (paths relative to the
-repository root), exit code and standard error; its standard output is
+repository root; inputs that are not docs examples are in
+``tests/golden/data``), exit code and standard error; its standard output is
 ``tests/golden/<name>.out``.  A ``graph`` case writes its DOT text to the file
 named after ``--dot``: the argv holds the placeholder ``DOT_OUT``, the case
 runs with a temporary file in its place, and ``<name>.out`` holds the bytes
@@ -29,6 +30,9 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 DATUM = "docs/examples/a5_dihedral_datum.json"
 SPLIT_DATUM = "docs/examples/a5_split_datum.json"
+# a cover connected only through a dihedral point's s, and a disconnected cover
+BRIDGE_DATUM = "tests/golden/data/s3_dihedral_bridge_datum.json"
+DISCONNECTED_DATUM = "tests/golden/data/s5_disconnected_datum.json"
 DOT_OUT = "DOT_OUT"
 
 
@@ -37,6 +41,8 @@ def golden_argvs() -> dict[str, list[str]]:
     cases = {
         "analyze": ["analyze", DATUM],
         "analyze_pretty": ["analyze", DATUM, "--pretty"],
+        "analyze_s3_dihedral_bridge": ["analyze", BRIDGE_DATUM],
+        "analyze_s5_disconnected": ["analyze", DISCONNECTED_DATUM],
         "character": ["character", DATUM],
         "character_json": ["character", DATUM, "--json"],
         "graph_quotient": ["graph", DATUM, "--which", "quotient", "--dot", DOT_OUT],
