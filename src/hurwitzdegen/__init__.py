@@ -1,20 +1,18 @@
 """Finite-group actions on stable curves as combinatorial boundary data.
 
 Encode a group action through its pointed quotient curve plus monodromy and
-involution assignments, rebuild the covering curve by coset enumeration,
-compute equivariant de Rham characters of nodal covers, and enumerate the
-codimension-1 degenerations of covers of the line.
+involution assignments, read the covering curve and the equivariant de Rham
+character of nodal covers off its graph of groups (or build the cover by
+coset enumeration), and enumerate the codimension-1 degenerations of covers
+of the line.
 """
 
 from .boundary import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPoint,
                        Violation, canonical_form, datum_from_jsonable, datum_to_jsonable,
                        datum_warnings, dual_graph_of_groups, equivalent, hurwitz_to_datum,
                        quotient_stability, tuple_from_jsonable, tuple_to_jsonable, validate)
-from .cohomology import (DevissageReport, class_labels, de_rham_character, h1_character,
-                         render_character_table)
-from .covers import (CoverCurve, NodeClass, arithmetic_genus, arithmetic_genus_by_component,
-                     build_cover, classify_node, cover_to_dot, is_connected, is_stable,
-                     rh_genus, subcover)
+from .cohomology import DevissageReport, class_labels, de_rham_character, render_character_table
+from .covers import CoverCurve, build_cover, cover_report, cover_to_dot, rh_genus, subcover
 from .degen import (Degeneration, collide_pair, dedup, dihedral_degenerations,
                     local_model_fixpoint_orbits, local_model_orbit_sizes, predicted_fixpoint_orbits,
                     smooth_dihedral, split_degenerations)

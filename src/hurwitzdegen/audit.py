@@ -13,13 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boundary import HurwitzTuple, equivalent, hurwitz_to_datum
-from .cohomology import h1_character
-from .covers import arithmetic_genus, build_cover, classify_node, is_stable, rh_genus
+from .boundary import BoundaryDatum, HurwitzTuple, dual_graph_of_groups, equivalent, \
+    hurwitz_to_datum
+from .cohomology import de_rham_character
+from .covers import cover_report, rh_genus
 from .degen import collide_pair, dihedral_degenerations, local_model_fixpoint_orbits, \
     predicted_fixpoint_orbits, smooth_dihedral, split_degenerations
 from .groups import ClassFunction, PermGroup, induced_character, is_inverting_involution, \
-    left_cosets, normalizer, perm_from_cycles
+    normalizer, perm_from_cycles
 
 PASS = "PASS"
 WARN = "WARN"
@@ -85,6 +86,13 @@ def psl27_tuple(G: PermGroup | None = None) -> HurwitzTuple:
     return complete_three_point_tuple(G, u, 2, 3)
 
 
+def _report_and_h1(datum: BoundaryDatum) -> tuple[dict, ClassFunction | None]:
+    """The cover block of ``analyze`` and the H^1 character of the datum's cover."""
+    gog = dual_graph_of_groups(datum)
+    report = cover_report(datum, gog)
+    return report, de_rham_character(datum, gog, report["connected"]).h1_character
+
+
 def run_audit() -> list[AuditCheck]:
     checks: list[AuditCheck] = []
 
@@ -105,9 +113,9 @@ def run_audit() -> list[AuditCheck]:
     N = normalizer(G, C5)
     check("a5-normalizer", N.order == 10,
           f"normalizer of the 5-cycle subgroup has order {N.order}, expected 10")
-    cosets = left_cosets(G, C5)
-    check("a5-cosets", len(cosets) == 12,
-          f"{len(cosets)} cosets of the order-5 subgroup, expected 12")
+    cosets = G.order // C5.order
+    check("a5-cosets", cosets == 12,
+          f"{cosets} cosets of the order-5 subgroup, expected 12")
     invs = [s for s in range(G.order) if is_inverting_involution(G, m, s)]
     check("a5-involutions", len(invs) == 5,
           f"{len(invs)} inverting involutions for the 5-cycle, expected 5")
@@ -115,27 +123,25 @@ def run_audit() -> list[AuditCheck]:
     degs = a5_dihedral_degenerations(G)
     check("a5-dihedral-count", len(degs) == 5,
           f"{len(degs)} dihedral degenerations at index 0, expected 5")
-    dihedral_cover = build_cover(degs[0].datum)
-    check("a5-dihedral-components", len(dihedral_cover.components) == 1,
-          f"{len(dihedral_cover.components)} cover component(s), expected 1")
-    check("a5-dihedral-genus0", all(c.genus == 0 for c in dihedral_cover.components),
+    dihedral, h1 = _report_and_h1(degs[0].datum)
+    check("a5-dihedral-components", dihedral["component_count"] == 1,
+          f"{dihedral['component_count']} cover component(s), expected 1")
+    check("a5-dihedral-genus0", all(c["genus"] == 0 for c in dihedral["components"]),
           "all cover components rational")
-    check("a5-dihedral-nodes", len(dihedral_cover.nodes) == 6,
-          f"{len(dihedral_cover.nodes)} nodes, expected 6")
-    kinds = {classify_node(dihedral_cover, k).kind for k in range(len(dihedral_cover.nodes))}
-    stabs = {classify_node(dihedral_cover, k).stabilizer.order
-             for k in range(len(dihedral_cover.nodes))}
+    check("a5-dihedral-nodes", dihedral["node_count"] == 6,
+          f"{dihedral['node_count']} nodes, expected 6")
+    kinds = {entry["kind"] for entry in dihedral["node_classes"]}
+    stabs = {entry["stabilizer_order"] for entry in dihedral["node_classes"]}
     check("a5-node-class", kinds == {"dihedral"} and stabs == {10},
           f"node kinds {sorted(kinds)}, stabilizer orders {sorted(stabs)}, expected dihedral/10")
-    ga = arithmetic_genus(dihedral_cover)
+    ga = dihedral["arithmetic_genus"]
     check("a5-arithmetic-genus", ga == 6, f"arithmetic genus {ga}, expected 6")
     note("a5-genus-consistency", WARN if ga == 6 else FAIL,
          "computed arithmetic genus 6; a genus-5 description of this curve is "
          "inconsistent with 6 nodes on one rational component")
-    check("a5-stable", is_stable(dihedral_cover), "cover is stable")
+    check("a5-stable", dihedral["stable"], "cover is stable")
 
     ind_sgn = induced_character(G, N, C5)
-    h1 = h1_character(dihedral_cover)
     check("a5-h1-character", h1 == 2 * ind_sgn and h1.degree == 12,
           f"H1 character degree {h1.degree} "
           f"{'equals' if h1 == 2 * ind_sgn else 'differs from'} "
@@ -146,14 +152,13 @@ def run_audit() -> list[AuditCheck]:
           f"smoothed tuple branch orders {t4.orders()}, expected (2, 2, 2, 3)")
     splits = split_degenerations(t4)
     check("a5-split-count", len(splits) == 1, f"{len(splits)} split(s), expected 1")
-    split_cover = build_cover(splits[0].datum)
+    split, h1_split = _report_and_h1(splits[0].datum)
     check("a5-split-shape",
-          len(split_cover.components) == 7 and len(split_cover.nodes) == 12,
-          f"{len(split_cover.components)} components / {len(split_cover.nodes)} nodes, "
+          split["component_count"] == 7 and split["node_count"] == 12,
+          f"{split['component_count']} components / {split['node_count']} nodes, "
           "expected 7 / 12")
-    ga2 = arithmetic_genus(split_cover)
+    ga2 = split["arithmetic_genus"]
     check("a5-split-genus", ga2 == 6, f"split-side arithmetic genus {ga2}, expected 6")
-    h1_split = h1_character(split_cover)
     check("a5-character-constancy", h1_split == h1,
           "H1 characters of the two degenerations of one family "
           + ("agree exactly" if h1_split == h1 else "differ"))
@@ -161,7 +166,7 @@ def run_audit() -> list[AuditCheck]:
     check("a5-mackey", mackey,
           "induction from the order-5 subgroup matches the order-10 subgroup's "
           "trivial plus signum inductions")
-    nstab = classify_node(dihedral_cover, 0).stabilizer.order
+    nstab = dihedral["node_classes"][0]["stabilizer_order"]
     oracle = local_model_fixpoint_orbits(nstab // 2)
     predicted = predicted_fixpoint_orbits(nstab)
     check("a5-node-smoothing-orbits", oracle == 2 and predicted == 2,
@@ -205,11 +210,10 @@ def run_audit() -> list[AuditCheck]:
           )
 
     # the smooth interior datum itself is fine
-    coverP = build_cover(hurwitz_to_datum(tP))
-    h1P = h1_character(coverP)
+    interior, h1P = _report_and_h1(hurwitz_to_datum(tP))
     invariants = h1P.inner(ClassFunction.trivial(P))
-    check("psl27-interior", len(coverP.components) == 1
-          and coverP.components[0].genus == 3
+    check("psl27-interior", interior["component_count"] == 1
+          and interior["components"][0]["genus"] == 3
           and h1P.degree == 2 * 3 and invariants == 0,
           "interior cover: one component of genus 3; H1 character of degree "
           f"{h1P.degree} with {invariants} trivial constituent(s), expected 6 and 0")

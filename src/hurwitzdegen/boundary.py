@@ -213,10 +213,10 @@ class DualGraphOfGroups:
 
 
 def dual_graph_of_groups(datum: BoundaryDatum) -> DualGraphOfGroups:
-    """The datum's graph of groups; the only place its subgroups are built.
+    """The datum's graph of groups; the only place its vertex and edge groups are built.
 
     Raises ``InvalidDatum`` on an inadmissible datum: the one validation
-    that ``build_cover`` runs.
+    that ``analyze`` and ``build_cover`` run.
     """
     violations = validate(datum)
     if violations:
@@ -360,7 +360,7 @@ def _perm_id(G: PermGroup, raw, path: str) -> int:
     try:
         return G.id_of(raw)
     except KeyError as exc:
-        raise SchemaError(path, str(exc)) from None
+        raise SchemaError(path, exc.args[0]) from None
 
 
 def _group_from_jsonable(grp) -> PermGroup:

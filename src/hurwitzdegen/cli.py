@@ -126,11 +126,13 @@ def _add_smoothing_orbits(node_classes: list[dict]) -> list[str]:
 
 def analyze_datum(datum: BoundaryDatum) -> tuple[dict, int]:
     """Full analysis report plus the analyze exit code (0 or 2); the datum is
-    validated once, by ``build_cover``, whose ``InvalidDatum`` lists the violations."""
+    validated once, by ``dual_graph_of_groups``, whose ``InvalidDatum`` lists
+    the violations.  The cover block and the characters are both read off
+    that one graph of groups; no cover is built."""
     try:
-        cover, violations = build_cover(datum), []
+        gog, violations = dual_graph_of_groups(datum), []
     except InvalidDatum as exc:
-        cover, violations = None, exc.violations
+        gog, violations = None, exc.violations
     stable_quotient = quotient_stability(datum)
     warnings = list(datum_warnings(datum))
     if not stable_quotient:
@@ -148,16 +150,16 @@ def analyze_datum(datum: BoundaryDatum) -> tuple[dict, int]:
         "characters": None,
         "warnings": warnings,
     }
-    if cover is None:
+    if gog is None:
         return report, 2
 
-    cov = cover_report(cover)
+    cov = cover_report(datum, gog)
     warnings.extend(_add_smoothing_orbits(cov["node_classes"]))
     report["cover"] = cov
     if not cov["connected"]:
         warnings.append("cover is disconnected; arithmetic genus reported per component")
 
-    dev = de_rham_character(cover)
+    dev = de_rham_character(datum, gog, cov["connected"])
     G = datum.group
     report["characters"] = {
         "classes": classes_to_jsonable(G),

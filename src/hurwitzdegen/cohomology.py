@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .covers import CoverCurve, is_connected
-from .errors import Disconnected
+from .boundary import BoundaryDatum, DualGraphOfGroups
 from .groups import ClassFunction, PermGroup, induced_character, induced_from_cyclic
 
 
@@ -36,8 +35,11 @@ class DevissageReport:
     h1_character: ClassFunction | None    # None exactly on disconnected covers
 
 
-def de_rham_character(cover: CoverCurve) -> DevissageReport:
-    datum, G, gog = cover.datum, cover.group, cover.gog
+def de_rham_character(datum: BoundaryDatum, gog: DualGraphOfGroups,
+                      connected: bool) -> DevissageReport:
+    """chi_dR of the datum's cover, with [H^1] when the cover is ``connected``
+    (as ``covers.cover_report`` says)."""
+    G = datum.group
     by_class: dict[int, tuple[int, ...]] = {}   # class of m -> values of Ind_<m> 1
 
     def add(acc: list[int], values) -> None:
@@ -62,20 +64,9 @@ def de_rham_character(cover: CoverCurve) -> DevissageReport:
         else:
             add(edge, induced_character(G, E, K).values)
     chi = [a - 2 * b for a, b in zip(norm, edge)]
-    h1 = None
-    if is_connected(cover):
-        h1 = ClassFunction(G, tuple([2 - v for v in chi]))  # 2 triv - chi_dR
+    h1 = ClassFunction(G, tuple([2 - v for v in chi])) if connected else None  # 2 triv - chi_dR
     return DevissageReport(ClassFunction(G, tuple(chi)), ClassFunction(G, tuple(norm)),
                            ClassFunction(G, tuple(edge)), h1)
-
-
-def h1_character(cover: CoverCurve) -> ClassFunction:
-    """[H^1] = 2*triv - chi_dR for a connected cover."""
-    if not is_connected(cover):
-        raise Disconnected("H^1 character needs a connected cover")
-    report = de_rham_character(cover)
-    assert report.h1_character is not None
-    return report.h1_character
 
 
 # -- rendering ----------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Covering curves of boundary data by coset enumeration.
+"""Covering curves of boundary data: the report from the graph of groups,
+the explicit cover by coset enumeration.
 
 Conventions fixed once for the whole package: fibers are copies of G,
 monodromy acts by right multiplication and deck transformations by left
@@ -8,12 +9,15 @@ marked point with monodromy m are the left cosets g<m>, and the nodes over
 a dihedral point (m, s) are the left cosets g<m, s> whose two branches are
 the two <m>-cosets contained in g<m, s>.
 
-Everything reported is read off the datum's graph of groups
-(``boundary.dual_graph_of_groups``), kept on the cover as ``cover.gog``:
-each node lies over one of its edges and takes its class from that edge's
-group.  A branch is a (quotient point, <m>-coset) pair and g acts on it by
-left multiplication on the coset; that one rule gives the explicit deck
-action, which ``CoverCurve.action`` builds as |G|-row tables only on demand.
+``cover_report`` counts everything it reports over the datum's graph of
+groups (``boundary.dual_graph_of_groups``; Bass, J. Pure Appl. Algebra 89
+(1993)): [G : H_Y] components over Y, [G : E_e] nodes over edge e, and
+[G : K_P] connected components over each connected piece P of the quotient
+graph, where K_P is generated by P's vertex groups and dihedral edge groups.
+``build_cover`` enumerates the cover itself, one coset table per component
+and edge, for ``graph --which cover``; a branch is a (quotient point,
+<m>-coset) pair, g acts on it by left multiplication on the coset, and
+``CoverCurve.action`` builds that deck action as |G|-row tables on demand.
 """
 
 from __future__ import annotations
@@ -22,13 +26,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .boundary import BoundaryDatum, DualGraphOfGroups, dual_graph_of_groups
-from .errors import Disconnected, NegativeGenus, NonIntegralGenus
+from .errors import NegativeGenus, NonIntegralGenus
 from .graphs import GenGraph, GraphAction, gengraph_to_dot
-from .groups import CosetTable, Subgroup, left_cosets, orbits
+from .groups import CosetTable, PermGroup, Subgroup, left_cosets, orbits
 
-CYCLIC_NODE = "cyclic"
-DIHEDRAL_NODE = "dihedral"
-_NODE_KIND = {2: CYCLIC_NODE, 1: DIHEDRAL_NODE}   # by the number of ends of the quotient edge
+_NODE_KIND = {2: "cyclic", 1: "dihedral"}   # by the number of ends of the quotient edge
 
 
 def rh_genus(subgroup_order: int, base_genus: int, ramification_orders: list[int]) -> int:
@@ -42,6 +44,14 @@ def rh_genus(subgroup_order: int, base_genus: int, ramification_orders: list[int
         if H % d != 0:
             raise ValueError(f"ramification order {d} does not divide {H}")
     return _genus(H * (2 * base_genus - 2) + sum(H - H // d for d in ramification_orders))
+
+
+def _component_genera(datum: BoundaryDatum, gog: DualGraphOfGroups) -> list[int]:
+    """The genus of the cover components over each quotient component."""
+    G = datum.group
+    return [rh_genus(H.order, comp.genus,
+                     [G.element_order(pt.m) for pt in comp.points if pt.m != G.identity])
+            for comp, H in zip(datum.components, gog.vertex_groups)]
 
 
 def _genus(double: int) -> int:
@@ -73,12 +83,6 @@ class CoverNode:
     edge: int                         # unoriented edge of the graph of groups
     branch_a: CoverBranch
     branch_b: CoverBranch
-
-
-@dataclass(frozen=True)
-class NodeClass:
-    kind: str                         # CYCLIC_NODE | DIHEDRAL_NODE
-    stabilizer: Subgroup
 
 
 class CoverCurve:
@@ -124,11 +128,6 @@ class CoverCurve:
         return self._edge_of[branch.quotient_point, image]
 
     @cached_property
-    def component_ids(self) -> list[int]:
-        """The connected component of each cover component, computed once."""
-        return self.graph.connected_component_ids()
-
-    @cached_property
     def action(self) -> GraphAction:
         """The deck action as one table row per element of G, built on demand."""
         G, V, E = self.group, len(self.components), 2 * len(self.nodes)
@@ -145,9 +144,7 @@ def build_cover(datum: BoundaryDatum) -> CoverCurve:
     comp_cosets = [left_cosets(G, H) for H in gog.vertex_groups]
     components: list[CoverComponent] = []
     offsets: list[int] = []
-    for ci, comp in enumerate(datum.components):
-        orders = [G.element_order(pt.m) for pt in comp.points if pt.m != G.identity]
-        genus = rh_genus(gog.vertex_groups[ci].order, comp.genus, orders)
+    for ci, genus in enumerate(_component_genera(datum, gog)):
         offsets.append(len(components))
         components += [CoverComponent(ci, c, genus) for c in range(len(comp_cosets[ci]))]
 
@@ -178,76 +175,13 @@ def build_cover(datum: BoundaryDatum) -> CoverCurve:
     return CoverCurve(datum, gog, components, offsets, nodes, comp_cosets, edge_mcosets)
 
 
-def is_connected(cover: CoverCurve) -> bool:
-    return len(set(cover.component_ids)) <= 1
-
-
-def arithmetic_genus(cover: CoverCurve) -> int:
-    """sum g_i + #nodes - #components + 1; connected covers only."""
-    if not is_connected(cover):
-        raise Disconnected("arithmetic genus of a disconnected cover is undefined; "
-                           "use arithmetic_genus_by_component")
-    return arithmetic_genus_by_component(cover)[0]
-
-
-def arithmetic_genus_by_component(cover: CoverCurve) -> tuple[int, ...]:
-    """Arithmetic genus of each connected component of the cover."""
-    comp_ids = cover.component_ids
-    n = max(comp_ids) + 1 if comp_ids else 0
-    genus_sum = [0] * n
-    comp_count = [0] * n
-    node_count = [0] * n
-    for v, c in enumerate(cover.components):
-        genus_sum[comp_ids[v]] += c.genus
-        comp_count[comp_ids[v]] += 1
-    for node in cover.nodes:
-        node_count[comp_ids[node.branch_a.vertex]] += 1
-    return tuple(genus_sum[i] + node_count[i] - comp_count[i] + 1 for i in range(n))
-
-
-def branch_counts(cover: CoverCurve) -> list[int]:
-    counts = [0] * len(cover.components)
-    for node in cover.nodes:
-        counts[node.branch_a.vertex] += 1
-        counts[node.branch_b.vertex] += 1
-    return counts
-
-
-def is_stable(cover: CoverCurve) -> bool:
-    """Connected, genus >= 2, rational components meet >= 3 branches."""
-    if not is_connected(cover):
-        return False
-    if arithmetic_genus(cover) < 2:
-        return False
-    counts = branch_counts(cover)
-    for v, comp in enumerate(cover.components):
-        if comp.genus == 0 and counts[v] < 3:
-            return False
-        if comp.genus == 1 and counts[v] < 1:
-            return False
-    return True
-
-
-def classify_node(cover: CoverCurve, node_idx: int) -> NodeClass:
-    """Setwise stabilizer of the branch pair: r E_e r^-1 for the group E_e of
-    the node's edge (<m>, or <m, s> over a dihedral point), where r
-    represents branch a's coset r<m>."""
-    G = cover.group
-    node = cover.nodes[node_idx]
-    r = cover.edge_mcosets[node.edge].rep(node.branch_a.m_coset)
-    members = cover.gog.edge_groups[node.edge].members
-    return NodeClass(_NODE_KIND[len(cover.gog.edge_ends[node.edge])],
-                     G.subgroup(G.conj(r, h) for h in members))
-
-
-def node_class_summary(cover: CoverCurve) -> list[dict]:
+def node_class_summary(G: PermGroup, gog: DualGraphOfGroups) -> list[dict]:
     """Counts of nodes grouped by (kind, stabilizer order): [G : E_e] nodes,
     each with stabilizer conjugate to E_e, lie over quotient edge e."""
-    gog = cover.gog
     buckets: dict[tuple[str, int], int] = {}
     for ends, E in zip(gog.edge_ends, gog.edge_groups):
         key = (_NODE_KIND[len(ends)], E.order)
-        buckets[key] = buckets.get(key, 0) + cover.group.order // E.order
+        buckets[key] = buckets.get(key, 0) + G.order // E.order
     return [{"kind": kind, "stabilizer_order": order, "count": count}
             for (kind, order), count in sorted(buckets.items())]
 
@@ -357,17 +291,50 @@ def cover_to_dot(cover: CoverCurve) -> str:
                            vertex_labels=vlabels, edge_labels=elabels)
 
 
-def cover_report(cover: CoverCurve) -> dict:
-    connected = is_connected(cover)
+def cover_report(datum: BoundaryDatum, gog: DualGraphOfGroups) -> dict:
+    """The cover block of ``analyze``, counted on the graph of groups.
+
+    A connected piece P of the quotient graph carries [G : K_P] connected
+    cover components, permuted transitively by G, so each has arithmetic
+    genus (sum g + nodes - components) / [G : K_P] + 1 with the sums over
+    P's part of the cover.  A cover component over Y meets sum |H_Y| / |K_e|
+    branches, over the edge ends e at Y.
+    """
+    G = datum.group
+    genera = _component_genera(datum, gog)
+    components = [{"quotient_component": ci, "coset": c, "genus": genera[ci]}
+                  for ci, H in enumerate(gog.vertex_groups) for c in range(G.order // H.order)]
+
+    piece_of = gog.graph.connected_component_ids()
+    groups: list[list[Subgroup]] = [[] for _ in range(max(piece_of) + 1)]  # generate K_P
+    euler = [0] * len(groups)      # sum g + nodes - components over P
+    branches = [0] * len(datum.components)
+    for ci, H in enumerate(gog.vertex_groups):
+        groups[piece_of[ci]].append(H)
+        euler[piece_of[ci]] += (genera[ci] - 1) * (G.order // H.order)
+    for ends, E, K in zip(gog.edge_ends, gog.edge_groups, gog.edge_kernels):
+        euler[piece_of[ends[0][0]]] += G.order // E.order
+        if len(ends) == 1:  # a dihedral point: its nodes join gH_Y to gsH_Y
+            groups[piece_of[ends[0][0]]].append(E)
+        for ci, _ in ends:
+            branches[ci] += gog.vertex_groups[ci].order // K.order
+
+    piece_genera = []
+    for P, total in zip(groups, euler):
+        K_P = P[0] if len(P) == 1 else G.generated_subgroup(g for S in P for g in S.generators())
+        count = G.order // K_P.order
+        piece_genera += [total // count + 1] * count
+    connected = len(piece_genera) == 1
+    least = {0: 3, 1: 1}   # branches a rational or elliptic component needs
+    stable = connected and piece_genera[0] >= 2 and all(
+        branches[ci] >= least.get(g, 0) for ci, g in enumerate(genera))
     return {
-        "component_count": len(cover.components),
-        "components": [{"quotient_component": c.quotient_component,
-                        "coset": c.coset, "genus": c.genus}
-                       for c in cover.components],
-        "node_count": len(cover.nodes),
-        "node_classes": node_class_summary(cover),
+        "component_count": len(components),
+        "components": components,
+        "node_count": sum(G.order // E.order for E in gog.edge_groups),
+        "node_classes": node_class_summary(G, gog),
         "connected": connected,
-        "stable": is_stable(cover),
-        "arithmetic_genus": arithmetic_genus(cover) if connected else None,
-        "component_arithmetic_genera": list(arithmetic_genus_by_component(cover)),
+        "stable": stable,
+        "arithmetic_genus": piece_genera[0] if connected else None,
+        "component_arithmetic_genera": piece_genera,
     }

@@ -40,10 +40,6 @@ class NegativeGenus(HurwitzDegenError):
     """Riemann-Hurwitz bookkeeping produced a negative genus."""
 
 
-class Disconnected(HurwitzDegenError):
-    """Operation requires a connected cover."""
-
-
 class TooFewPoints(HurwitzDegenError):
     """Tuple too short to admit stable degenerations."""
 

@@ -5,8 +5,9 @@ that may have fixpoints: in a dual graph of groups a self-opposite edge is
 a dihedral point, the image of cover nodes whose stabilizers swap their two
 branches.  ``GraphAction`` is an action given by image tables and checked to
 be one by graph automorphisms.  It is the explicit deck action of a cover
-(``CoverCurve.action``); the package reads every reported quantity off the
-graph of groups instead, and tests use the explicit action as their oracle.
+(``CoverCurve.action``), which tests use as their oracle; reports are read
+off the graph of groups, and the explicit cover is built only for its DOT
+export.
 """
 
 from __future__ import annotations

@@ -534,9 +534,6 @@ class ClassFunction:
         assert same_group(self.group, other.group)
         return ClassFunction(self.group, tuple(a - b for a, b in zip(self.values, other.values)))
 
-    def __neg__(self) -> "ClassFunction":
-        return ClassFunction(self.group, tuple(-a for a in self.values))
-
     def __mul__(self, k: int) -> "ClassFunction":
         return ClassFunction(self.group, tuple(k * a for a in self.values))
 

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from functools import cache
 
 import pytest
 
-from hurwitzdegen import (BoundaryDatum, GraphAction, HurwitzTuple, MarkedComponent,
-                          MarkedPoint, PermGroup, Subgroup, is_inverting_involution,
-                          perm_from_cycles, rh_genus)
+from hurwitzdegen import (BoundaryDatum, CoverCurve, DevissageReport, GraphAction,
+                          HurwitzTuple, MarkedComponent, MarkedPoint, PermGroup, Subgroup,
+                          cover_report, de_rham_character, dual_graph_of_groups,
+                          is_inverting_involution, perm_from_cycles, rh_genus)
 from hurwitzdegen import audit
 from hurwitzdegen.boundary import conjugate_datum, serialize
 
@@ -106,6 +108,77 @@ def random_rational_generating_tuples(G: PermGroup, rng: random.Random,
         if rh_genus(G.order, 0, orders) == 0:
             out.append(HurwitzTuple(G, tuple(entries)))
     return out
+
+
+# -- covers --------------------------------------------------------------------
+
+
+def quotient_report(datum: BoundaryDatum) -> dict:
+    """The cover block of ``analyze``: ``cover_report`` on the datum's graph of groups."""
+    return cover_report(datum, dual_graph_of_groups(datum))
+
+
+def characters(datum: BoundaryDatum) -> DevissageReport:
+    """``de_rham_character`` as ``analyze`` calls it."""
+    gog = dual_graph_of_groups(datum)
+    return de_rham_character(datum, gog, cover_report(datum, gog)["connected"])
+
+
+def branch_counts(cover: CoverCurve) -> list[int]:
+    """The branches meeting each cover component, from the node list."""
+    counts = [0] * len(cover.components)
+    for node in cover.nodes:
+        counts[node.branch_a.vertex] += 1
+        counts[node.branch_b.vertex] += 1
+    return counts
+
+
+def explicit_cover_report(cover: CoverCurve) -> dict:
+    """The cover block of ``analyze`` counted on the explicit cover: its
+    connected components by union-find on ``cover.graph``, its nodes and
+    branches one by one from the node list.  The oracle for ``cover_report``,
+    which counts on the graph of groups."""
+    comp_ids = cover.graph.connected_component_ids()
+    n = max(comp_ids) + 1
+    genus_sum, comp_count, node_count = [0] * n, [0] * n, [0] * n
+    for v, c in enumerate(cover.components):
+        genus_sum[comp_ids[v]] += c.genus
+        comp_count[comp_ids[v]] += 1
+    buckets: dict[tuple[str, int], int] = {}
+    for node in cover.nodes:
+        node_count[comp_ids[node.branch_a.vertex]] += 1
+        kind = "dihedral" if len(cover.gog.edge_ends[node.edge]) == 1 else "cyclic"
+        key = (kind, cover.gog.edge_groups[node.edge].order)
+        buckets[key] = buckets.get(key, 0) + 1
+    genera = [genus_sum[i] + node_count[i] - comp_count[i] + 1 for i in range(n)]
+    connected = n == 1
+    counts = branch_counts(cover)
+    stable = connected and genera[0] >= 2 and not any(
+        (c.genus == 0 and counts[v] < 3) or (c.genus == 1 and counts[v] < 1)
+        for v, c in enumerate(cover.components))
+    return {
+        "component_count": len(cover.components),
+        "components": [{"quotient_component": c.quotient_component,
+                        "coset": c.coset, "genus": c.genus} for c in cover.components],
+        "node_count": len(cover.nodes),
+        "node_classes": [{"kind": kind, "stabilizer_order": order, "count": count}
+                         for (kind, order), count in sorted(buckets.items())],
+        "connected": connected,
+        "stable": stable,
+        "arithmetic_genus": genera[0] if connected else None,
+        "component_arithmetic_genera": genera,
+    }
+
+
+def disjoint_union(a: BoundaryDatum, b: BoundaryDatum) -> BoundaryDatum:
+    """The components of ``a`` then those of ``b``, with ``b``'s node ids
+    shifted past ``a``'s: a datum whose quotient graph has several pieces."""
+    shift = 1 + max((pt.node_id for comp in a.components for pt in comp.points
+                     if pt.node_id is not None), default=-1)
+    moved = tuple(replace(comp, points=tuple(
+        pt if pt.node_id is None else replace(pt, node_id=pt.node_id + shift)
+        for pt in comp.points)) for comp in b.components)
+    return BoundaryDatum(a.group, a.components + moved)
 
 
 # -- group-theory oracles ----------------------------------------------------

@@ -9,17 +9,17 @@ from __future__ import annotations
 import random
 import time
 
-from hurwitzdegen import (arithmetic_genus, build_cover, canonical_form,
-                          collide_pair, de_rham_character, dihedral_degenerations,
-                          equivalent, local_model_fixpoint_orbits, local_model_orbit_sizes,
-                          predicted_fixpoint_orbits, h1_character, induced_character,
-                          is_connected, is_inverting_involution, left_cosets, normalizer,
+from hurwitzdegen import (build_cover, canonical_form, collide_pair, de_rham_character,
+                          dihedral_degenerations, dual_graph_of_groups, equivalent,
+                          local_model_fixpoint_orbits, local_model_orbit_sizes,
+                          predicted_fixpoint_orbits, induced_character,
+                          is_inverting_involution, left_cosets, normalizer,
                           perm_from_cycles, rh_genus, smooth_dihedral, validate)
 from hurwitzdegen import audit
 from hurwitzdegen.boundary import conjugate_datum, serialize
-from hurwitzdegen.covers import classify_node
+from hurwitzdegen.covers import cover_report
 
-from conftest import inverting_pairs, random_valid_datum
+from conftest import characters, inverting_pairs, quotient_report, random_valid_datum
 
 
 def _result(name: str, ok: bool) -> None:
@@ -37,12 +37,12 @@ def test_criterion_1_a5_pipeline():
     ok &= normalizer(G, C5).order == 10
     ok &= len(left_cosets(G, C5)) == 12
 
-    cover = build_cover(audit.a5_dihedral_degenerations(G)[0].datum)
-    ok &= len(cover.components) == 1
-    ok &= cover.components[0].genus == 0
-    ok &= len(cover.nodes) == 6
-    ok &= all(classify_node(cover, k).kind == "dihedral" for k in range(6))
-    ok &= arithmetic_genus(cover) == 6
+    cover = quotient_report(audit.a5_dihedral_degenerations(G)[0].datum)
+    ok &= cover["component_count"] == 1
+    ok &= cover["components"][0]["genus"] == 0
+    ok &= cover["node_count"] == 6
+    ok &= cover["node_classes"] == [{"kind": "dihedral", "stabilizer_order": 10, "count": 6}]
+    ok &= cover["arithmetic_genus"] == 6
     elapsed = time.perf_counter() - start
     ok &= elapsed < 1.0
     _result(f"1 (A5 pipeline, {elapsed:.2f}s)", ok)
@@ -50,26 +50,27 @@ def test_criterion_1_a5_pipeline():
 
 def test_criterion_2_a5_h1_character():
     G = audit.a5_group()
-    cover = build_cover(audit.a5_dihedral_degenerations(G)[0].datum)
+    datum = audit.a5_dihedral_degenerations(G)[0].datum
     m = G.id_of(perm_from_cycles(5, (0, 1, 2, 3, 4)))
     C5 = G.cyclic_subgroup(m)
     D10 = normalizer(G, C5)
     expected = 2 * induced_character(G, D10, C5)
-    h1 = h1_character(cover)
-    ok = h1 == expected and h1.degree == 12 == 2 * arithmetic_genus(cover)
+    h1 = characters(datum).h1_character
+    ok = h1 == expected and h1.degree == 12 == 2 * quotient_report(datum)["arithmetic_genus"]
     _result("2 (A5 h1 = 2*Ind(signum), degree 12)", ok)
 
 
 def test_criterion_3_cross_degeneration_constancy():
     G = audit.a5_group()
-    dihedral_cover = build_cover(audit.a5_dihedral_degenerations(G)[0].datum)
-    split_cover = build_cover(audit.a5_split_datum(G))
-    ok = len(split_cover.components) == 7
-    ok &= all(c.genus == 0 for c in split_cover.components)
-    ok &= len(split_cover.nodes) == 12
-    ok &= all(classify_node(split_cover, k).kind == "cyclic" for k in range(12))
-    ok &= arithmetic_genus(split_cover) == 6
-    ok &= h1_character(split_cover) == h1_character(dihedral_cover)
+    dihedral = audit.a5_dihedral_degenerations(G)[0].datum
+    split = audit.a5_split_datum(G)
+    split_cover = quotient_report(split)
+    ok = split_cover["component_count"] == 7
+    ok &= all(c["genus"] == 0 for c in split_cover["components"])
+    ok &= split_cover["node_count"] == 12
+    ok &= [c["kind"] for c in split_cover["node_classes"]] == ["cyclic"]
+    ok &= split_cover["arithmetic_genus"] == 6
+    ok &= characters(split).h1_character == characters(dihedral).h1_character
 
     m = G.id_of(perm_from_cycles(5, (0, 1, 2, 3, 4)))
     C5 = G.cyclic_subgroup(m)
@@ -141,9 +142,11 @@ def test_criterion_6_property_suites(s3, s4, d4, d5):
             assert serialize(canonical_form(conj)) == serialize(cf)
 
             all_rational = all(c.genus == 0 for c in cover.components)
-            if all_rational and is_connected(cover):
-                rep = de_rham_character(cover)
-                assert rep.chi_dR.degree == 2 - 2 * arithmetic_genus(cover)
+            gog = dual_graph_of_groups(datum)
+            report = cover_report(datum, gog)
+            if all_rational and report["connected"]:
+                rep = de_rham_character(datum, gog, True)
+                assert rep.chi_dR.degree == 2 - 2 * report["arithmetic_genus"]
                 degree_checked += 1
             cases += 1
     elapsed = time.perf_counter() - start

@@ -59,12 +59,16 @@ TUPLE_CASES = {
     "degree-0-group": lambda obj: obj.update(group={"degree": 0, "generators": []}),
 }
 
-# cases with one malformed image array, and the $.path that must name it
-IMAGE_PATHS = {
-    "m-bool": "$.components[0].points[0].m",
-    "m-negative": "$.components[0].points[0].m",
-    "handle-bool": "$.components[0].handles[0][0]",
-    "entry-bool": "$.entries[0]",
+NOT_A_LIST = "expected a permutation as a list of integer images"
+
+# cases with one malformed image array, and the one stderr line, naming its
+# $.path, that they must print
+IMAGE_ERRORS = {
+    "m-bool": f"error: $.components[0].points[0].m: {NOT_A_LIST}",
+    "m-negative": "error: $.components[0].points[0].m: "
+                  "permutation [-1, 0, 1, 2, 3] is not an element of this group",
+    "handle-bool": f"error: $.components[0].handles[0][0]: {NOT_A_LIST}",
+    "entry-bool": f"error: $.entries[0]: {NOT_A_LIST}",
 }
 
 DATUM_COMMANDS = {
@@ -132,8 +136,8 @@ def test_datum_commands_survive_malformed_input(tmp_path, capsys, command, case)
     code, _, err = run_cli(capsys, _argv(DATUM_COMMANDS[command], path, tmp_path))
     assert_clean_exit(code, err)
     assert code == (2 if case == "node-id-on-three-points" else 1)
-    if case in IMAGE_PATHS:
-        assert err.startswith(f"error: {IMAGE_PATHS[case]}: ")
+    if case in IMAGE_ERRORS:
+        assert err == IMAGE_ERRORS[case] + "\n"
 
 
 @pytest.mark.parametrize("flags", sorted(DEGENERATE_FLAGS))
@@ -149,9 +153,9 @@ def test_degenerate_survives_malformed_input(tmp_path, capsys, flags, case):
     assert_clean_exit(code, err)
     if flags == "splits-dihedral-negative" or case == "entries-empty" or case not in TUPLE_CASES:
         assert code == 1
-    if case in IMAGE_PATHS:
+    if case in IMAGE_ERRORS:
         assert code == 1
-        assert err.startswith(f"error: {IMAGE_PATHS[case]}: ")
+        assert err == IMAGE_ERRORS[case] + "\n"
 
 
 def test_permutation_of_another_degree_names_its_path(tmp_path, capsys):
@@ -160,15 +164,14 @@ def test_permutation_of_another_degree_names_its_path(tmp_path, capsys):
     path = _write(tmp_path, json.dumps(obj))
     code, _, err = run_cli(capsys, ["analyze", str(path)])
     assert code == 1
-    assert err.startswith("error: $.components[0].points[0].m: ")
-    assert "is not an element of this group" in err
+    assert err == (f"error: $.components[0].points[0].m: "
+                   f"permutation {CYCLE300} is not an element of this group\n")
     obj = tuple_to_jsonable(audit.a5_smoothed_tuple())
     TUPLE_CASES["m-degree-300"](obj)
     path = _write(tmp_path, json.dumps(obj))
     code, _, err = run_cli(capsys, ["degenerate", str(path), "--splits"])
     assert code == 1
-    assert err.startswith("error: $.entries[0]: ")
-    assert "is not an element of this group" in err
+    assert err == f"error: $.entries[0]: permutation {CYCLE300} is not an element of this group\n"
 
 
 @pytest.mark.parametrize("group", ["s4", "d5", "a5", "psl27"])

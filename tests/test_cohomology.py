@@ -5,51 +5,48 @@ import random
 import pytest
 
 from hurwitzdegen import (BoundaryDatum, ClassFunction, HurwitzTuple, MarkedComponent,
-                          MarkedPoint, PermGroup, arithmetic_genus, build_cover, class_labels,
-                          de_rham_character, h1_character, hurwitz_to_datum,
-                          induced_character, induced_from_cyclic, is_connected, normalizer,
-                          perm_from_cycles, render_character_table, subcover)
+                          MarkedPoint, PermGroup, build_cover, class_labels, de_rham_character,
+                          dual_graph_of_groups, hurwitz_to_datum, induced_character,
+                          induced_from_cyclic, normalizer, perm_from_cycles,
+                          render_character_table, subcover)
 from hurwitzdegen import audit
-from hurwitzdegen.errors import Disconnected
 
-from conftest import inverting_pairs, random_valid_datum
+from conftest import characters, inverting_pairs, quotient_report, random_valid_datum
 
 
 def test_trivial_group_line():
     G = PermGroup([], degree=1)
-    cover = build_cover(BoundaryDatum(G, (MarkedComponent(0, (), ()),)))
-    rep = de_rham_character(cover)
+    rep = characters(BoundaryDatum(G, (MarkedComponent(0, (), ()),)))
     assert rep.chi_dR == 2 * ClassFunction.trivial(G)
     assert rep.chi_dR.degree == 2
     assert rep.h1_character == ClassFunction.zero(G)
 
 
 def test_a5_dihedral_characters(a5):
-    cover = build_cover(audit.a5_dihedral_degenerations(a5)[0].datum)
-    rep = de_rham_character(cover)
+    datum = audit.a5_dihedral_degenerations(a5)[0].datum
+    rep = characters(datum)
+    genus = quotient_report(datum)["arithmetic_genus"]
     C5 = a5.cyclic_subgroup(a5.id_of(perm_from_cycles(5, (0, 1, 2, 3, 4))))
     D10 = normalizer(a5, C5)
     ind_sgn = induced_character(a5, D10, C5)
 
     assert rep.chi_dR == 2 * ClassFunction.trivial(a5) - 2 * ind_sgn
     assert rep.chi_dR.values == (-10, 6, 2, 0, 0)
-    assert rep.chi_dR.degree == 2 - 2 * arithmetic_genus(cover) == -10
+    assert rep.chi_dR.degree == 2 - 2 * genus == -10
     # devissage identity as implemented
     assert rep.chi_dR == rep.chi_normalization - 2 * rep.edge_induction_sum
 
-    h1 = h1_character(cover)
+    h1 = rep.h1_character
     assert h1 == 2 * ind_sgn
-    assert h1.degree == 12 == 2 * arithmetic_genus(cover)
+    assert h1.degree == 12 == 2 * genus
 
 
 def test_a5_split_characters_and_constancy(a5):
-    dihedral_cover = build_cover(audit.a5_dihedral_degenerations(a5)[0].datum)
-    split_cover = build_cover(audit.a5_split_datum(a5))
-    rep = de_rham_character(split_cover)
+    rep = characters(audit.a5_split_datum(a5))
     assert rep.chi_normalization.degree == 2 * 7
     assert rep.edge_induction_sum.degree == 12
     assert rep.chi_dR.degree == -10
-    assert h1_character(split_cover) == h1_character(dihedral_cover)
+    assert rep.h1_character == characters(audit.a5_dihedral_degenerations(a5)[0].datum).h1_character
 
 
 @pytest.mark.parametrize("build", [audit.a5_split_datum,
@@ -58,14 +55,15 @@ def test_a5_split_characters_and_constancy(a5):
 def test_de_rham_closes_no_subgroup(a5, monkeypatch, build):
     # Ind_<m> 1 comes from the classes of m's powers and the dihedral edge
     # groups from the graph of groups: no subgroup is closed again
-    cover = build_cover(build(a5))
+    datum = build(a5)
+    gog = dual_graph_of_groups(datum)
 
     def fail(*args):
         raise AssertionError("de_rham_character closed a subgroup")
 
     monkeypatch.setattr(a5, "cyclic_subgroup", fail)
     monkeypatch.setattr(a5, "generated_subgroup", fail)
-    assert de_rham_character(cover).chi_dR.degree == -10
+    assert de_rham_character(datum, gog, True).chi_dR.degree == -10
 
 
 @pytest.mark.parametrize("fixture", ["s4", "a5", "psl27", "c300"])
@@ -84,22 +82,21 @@ def test_two_component_trivial_group_h1_vanishes():
     comps = tuple(MarkedComponent(0, (), (
         MarkedPoint.node_end(e, 0), MarkedPoint.cyclic(e), MarkedPoint.cyclic(e)))
         for _ in range(2))
-    cover = build_cover(BoundaryDatum(G, comps))
-    assert arithmetic_genus(cover) == 0
-    h1 = h1_character(cover)
+    datum = BoundaryDatum(G, comps)
+    assert quotient_report(datum)["arithmetic_genus"] == 0
+    h1 = characters(datum).h1_character
     assert h1 == ClassFunction.zero(G)
     assert h1.degree == 0
 
 
 def test_positive_genus_full_character(psl27):
-    cover = build_cover(hurwitz_to_datum(audit.psl27_tuple(psl27)))
-    assert cover.components[0].genus == 3
-    rep = de_rham_character(cover)
+    datum = hurwitz_to_datum(audit.psl27_tuple(psl27))
+    assert quotient_report(datum)["components"][0]["genus"] == 3
+    rep = characters(datum)
     assert rep.chi_dR.degree == 2 - 2 * 3
     # Klein quartic: H^1 is the sum of the two conjugate 3-dimensional
     # irreducibles, so it has no invariants and is rational-valued on 7a/7b
-    h1 = h1_character(cover)
-    assert h1 == rep.h1_character
+    h1 = rep.h1_character
     assert h1.values == (6, -2, 0, 2, -1, -1)
     assert h1.inner(ClassFunction.trivial(psl27)) == 0
     assert h1.inner(h1) == 2
@@ -121,25 +118,23 @@ def test_h1_against_subcover_genera(fixture, seed, request):
         entries.append(G.inv(G.product(entries)))
         if G.generated_subgroup(entries).order != G.order:
             continue
-        cover = build_cover(hurwitz_to_datum(HurwitzTuple(G, tuple(entries))))
-        h1 = h1_character(cover)
+        datum = hurwitz_to_datum(HurwitzTuple(G, tuple(entries)))
+        cover = build_cover(datum)
+        h1 = characters(datum).h1_character
         assert h1.degree == 2 * cover.components[0].genus
         for K, ind in inductions:
             assert h1.inner(ind) == 2 * sum(c.genus for c in subcover(cover, K).components)
         covers += 1
 
 
-def test_disconnected_h1_raises(s3):
+def test_disconnected_cover_has_no_h1(s3):
     t = s3.id_of(perm_from_cycles(3, (0, 1)))
     datum = BoundaryDatum(s3, (MarkedComponent(0, (), (
         MarkedPoint.cyclic(t), MarkedPoint.cyclic(t),
         MarkedPoint.cyclic(s3.identity))),))
-    cover = build_cover(datum)
-    assert not is_connected(cover)
-    rep = de_rham_character(cover)
+    assert not quotient_report(datum)["connected"]
+    rep = characters(datum)
     assert rep.chi_dR is not None and rep.h1_character is None
-    with pytest.raises(Disconnected):
-        h1_character(cover)
 
 
 @pytest.mark.parametrize("fixture,seed", [("s3", 101), ("s4", 102), ("d5", 103)])
@@ -152,29 +147,28 @@ def test_degree_identity_on_random_covers(fixture, seed, request):
     rng = random.Random(seed)
     pairs = inverting_pairs(G)
 
-    def check(cover):
-        rep = de_rham_character(cover)
-        V, E = len(cover.components), len(cover.nodes)
-        assert rep.chi_dR.degree == 2 * (V - E - sum(c.genus for c in cover.components))
-        assert (rep.h1_character is None) == (not is_connected(cover))
+    def check(datum):
+        rep, cover = characters(datum), quotient_report(datum)
+        V, E = cover["component_count"], cover["node_count"]
+        assert rep.chi_dR.degree == 2 * (V - E - sum(c["genus"] for c in cover["components"]))
+        assert (rep.h1_character is None) == (not cover["connected"])
         if rep.h1_character is None:
             return 0
-        assert rep.chi_dR.degree == 2 - 2 * arithmetic_genus(cover)
-        assert h1_character(cover).degree == 2 * arithmetic_genus(cover)
+        assert rep.chi_dR.degree == 2 - 2 * cover["arithmetic_genus"]
+        assert rep.h1_character.degree == 2 * cover["arithmetic_genus"]
         assert all(isinstance(v, int) for v in rep.chi_dR.values)
         return 1
 
     checked = 0
     for _ in range(40):
-        datum = random_valid_datum(G, rng, pairs)
-        checked += check(build_cover(datum))
+        checked += check(random_valid_datum(G, rng, pairs))
     # nodal connected rational covers: dihedral degenerations of rational
     # generating triangles
     for t in random_rational_generating_tuples(G, rng, 6):
-        checked += check(build_cover(hurwitz_to_datum(t)))
+        checked += check(hurwitz_to_datum(t))
         for i in range(len(t)):
             for deg in dihedral_degenerations(t, i)[:2]:
-                checked += check(build_cover(deg.datum))
+                checked += check(deg.datum)
     assert checked > 10
 
 
@@ -192,8 +186,7 @@ def test_class_labels_past_26_classes_of_one_order():
 
 def test_class_labels_and_table(a5):
     assert class_labels(a5) == ["1a", "2a", "3a", "5a", "5b"]
-    cover = build_cover(audit.a5_dihedral_degenerations(a5)[0].datum)
-    rep = de_rham_character(cover)
+    rep = characters(audit.a5_dihedral_degenerations(a5)[0].datum)
     table = render_character_table(a5, {"chi_dR": rep.chi_dR, "h1": rep.h1_character})
     lines = table.splitlines()
     assert lines[0].split() == ["class", "order", "size", "chi_dR", "h1"]

@@ -1,20 +1,23 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
 from hurwitzdegen import (BoundaryDatum, MarkedComponent, MarkedPoint,
-                          PermGroup, Subgroup, arithmetic_genus, arithmetic_genus_by_component,
-                          build_cover, classify_node, cover_to_dot, de_rham_character,
-                          dihedral_degenerations, hurwitz_to_datum, is_connected, is_stable,
-                          left_cosets, perm_from_cycles, rh_genus, subcover)
+                          PermGroup, Subgroup, build_cover, cover_report, cover_to_dot,
+                          datum_from_jsonable, de_rham_character, dihedral_degenerations,
+                          dual_graph_of_groups, hurwitz_to_datum, left_cosets, perm_from_cycles,
+                          rh_genus, split_degenerations, subcover, tuple_from_jsonable)
 from hurwitzdegen import audit, covers, groups
-from hurwitzdegen.covers import branch_counts, cover_report, node_class_summary
-from hurwitzdegen.errors import Disconnected, InvalidDatum, NegativeGenus, NonIntegralGenus
+from hurwitzdegen.covers import node_class_summary
+from hurwitzdegen.errors import InvalidDatum, NegativeGenus, NonIntegralGenus
 
-from conftest import (assert_closed, inverting_pairs, lefschetz_counts,
+from conftest import (assert_closed, branch_counts, disjoint_union, explicit_cover_report,
+                      inverting_pairs, lefschetz_counts, quotient_report,
                       random_rational_generating_tuples, random_valid_datum)
+from test_golden import ROOT, golden_argvs
 
 
 def test_rh_genus_worked_values():
@@ -42,41 +45,42 @@ def test_trivial_cover():
     assert len(cover.components) == 1
     assert cover.components[0].genus == 0
     assert len(cover.nodes) == 0
-    assert is_connected(cover)
-    assert arithmetic_genus(cover) == 0
-    assert not is_stable(cover)
+    report = quotient_report(datum)
+    assert report["connected"] and report["arithmetic_genus"] == 0
+    assert not report["stable"]
+    assert report == explicit_cover_report(cover)
 
 
 def test_a5_dihedral_cover(a5):
-    cover = build_cover(audit.a5_dihedral_degenerations(a5)[0].datum)
+    datum = audit.a5_dihedral_degenerations(a5)[0].datum
+    cover = build_cover(datum)
     assert len(cover.components) == 1
     assert cover.components[0].genus == 0
     assert len(cover.nodes) == 6
-    assert arithmetic_genus(cover) == 6
-    assert is_stable(cover)
     assert branch_counts(cover) == [12]
-    for k in range(6):
-        nc = classify_node(cover, k)
-        assert nc.kind == "dihedral"
-        assert nc.stabilizer.order == 10
+    report = quotient_report(datum)
+    assert report["arithmetic_genus"] == 6
+    assert report["stable"]
+    assert report["node_classes"] == [
+        {"kind": "dihedral", "stabilizer_order": 10, "count": 6}]
+    assert report == explicit_cover_report(cover)
 
 
 def test_a5_split_cover(a5):
-    cover = build_cover(audit.a5_split_datum(a5))
+    datum = audit.a5_split_datum(a5)
+    cover = build_cover(datum)
     genera = sorted(c.genus for c in cover.components)
     assert genera == [0] * 7
     assert len(cover.nodes) == 12
-    assert arithmetic_genus(cover) == 0 * 7 + 12 - 7 + 1 == 6
+    report = quotient_report(datum)
+    assert report["arithmetic_genus"] == 0 * 7 + 12 - 7 + 1 == 6
     # semistable only: the 6 outer components carry 2 branches each; this is
     # the blow-up picture whose contraction is the 6-node dihedral cover
-    assert not is_stable(cover)
+    assert not report["stable"]
     assert sorted(branch_counts(cover)) == [2] * 6 + [12]
-    for k in range(12):
-        nc = classify_node(cover, k)
-        assert nc.kind == "cyclic"
-        assert nc.stabilizer.order == 5
-    assert node_class_summary(cover) == [
+    assert report["node_classes"] == node_class_summary(a5, cover.gog) == [
         {"kind": "cyclic", "stabilizer_order": 5, "count": 12}]
+    assert report == explicit_cover_report(cover)
 
 
 def test_dihedral_branch_pair_well_defined(a5):
@@ -124,13 +128,12 @@ def test_disconnected_cover(s3):
     datum = BoundaryDatum(s3, (MarkedComponent(0, (), (
         MarkedPoint.cyclic(t), MarkedPoint.cyclic(t),
         MarkedPoint.cyclic(s3.identity))),))
-    cover = build_cover(datum)
-    assert len(cover.components) == 3  # cosets of the order-2 image
-    assert not is_connected(cover)
-    with pytest.raises(Disconnected):
-        arithmetic_genus(cover)
-    assert arithmetic_genus_by_component(cover) == (0, 0, 0)
-    assert not is_stable(cover)
+    report = quotient_report(datum)
+    assert report["component_count"] == 3  # cosets of the order-2 image
+    assert not report["connected"] and report["arithmetic_genus"] is None
+    assert report["component_arithmetic_genera"] == [0, 0, 0]
+    assert not report["stable"]
+    assert report == explicit_cover_report(build_cover(datum))
 
 
 def test_build_cover_requires_valid_datum(s3):
@@ -138,6 +141,8 @@ def test_build_cover_requires_valid_datum(s3):
     bad = BoundaryDatum(s3, (MarkedComponent(0, (), (MarkedPoint.cyclic(t),)),))
     with pytest.raises(InvalidDatum):
         build_cover(bad)
+    with pytest.raises(InvalidDatum):
+        dual_graph_of_groups(bad)
 
 
 def test_trivial_group_two_component_node():
@@ -147,13 +152,12 @@ def test_trivial_group_two_component_node():
         MarkedPoint.node_end(e, 0), MarkedPoint.cyclic(e), MarkedPoint.cyclic(e)))
     comp_b = MarkedComponent(0, (), (
         MarkedPoint.node_end(e, 0), MarkedPoint.cyclic(e), MarkedPoint.cyclic(e)))
-    cover = build_cover(BoundaryDatum(G, (comp_a, comp_b)))
-    assert len(cover.components) == 2
-    assert len(cover.nodes) == 1
-    assert is_connected(cover)
-    assert arithmetic_genus(cover) == 0
-    nc = classify_node(cover, 0)
-    assert nc.kind == "cyclic" and nc.stabilizer.order == 1
+    report = quotient_report(BoundaryDatum(G, (comp_a, comp_b)))
+    assert report["component_count"] == 2
+    assert report["node_count"] == 1
+    assert report["connected"]
+    assert report["arithmetic_genus"] == 0
+    assert report["node_classes"] == [{"kind": "cyclic", "stabilizer_order": 1, "count": 1}]
 
 
 def test_self_node_gives_loop():
@@ -167,10 +171,12 @@ def test_self_node_gives_loop():
     assert len(cover.components) == 1 and len(cover.nodes) == 1
     node = cover.nodes[0]
     assert node.branch_a.vertex == node.branch_b.vertex
-    assert is_connected(cover)
-    assert arithmetic_genus(cover) == 1
-    assert not is_stable(cover)  # rational component with only 2 branches
-    assert classify_node(cover, 0).kind == "cyclic"
+    report = quotient_report(datum)
+    assert report["connected"]
+    assert report["arithmetic_genus"] == 1
+    assert not report["stable"]  # rational component with only 2 branches
+    assert report["node_classes"][0]["kind"] == "cyclic"
+    assert report == explicit_cover_report(cover)
 
 
 def test_self_node_on_nontrivial_group(s3):
@@ -178,14 +184,13 @@ def test_self_node_on_nontrivial_group(s3):
     datum = BoundaryDatum(s3, (MarkedComponent(0, (), (
         MarkedPoint.node_end(r, 0), MarkedPoint.node_end(s3.inv(r), 0),
         MarkedPoint.cyclic(s3.identity))),))
-    cover = build_cover(datum)
+    report = quotient_report(datum)
     # image subgroup C3: two cover components, each with one loop node
-    assert len(cover.components) == 2 and len(cover.nodes) == 2
-    assert not is_connected(cover)
-    assert arithmetic_genus_by_component(cover) == (1, 1)
-    for k in range(2):
-        nc = classify_node(cover, k)
-        assert nc.kind == "cyclic" and nc.stabilizer.order == 3
+    assert report["component_count"] == 2 and report["node_count"] == 2
+    assert not report["connected"]
+    assert report["component_arithmetic_genera"] == [1, 1]
+    assert report["node_classes"] == [{"kind": "cyclic", "stabilizer_order": 3, "count": 2}]
+    assert report == explicit_cover_report(build_cover(datum))
 
 
 def test_subcover_by_whole_group(a5):
@@ -310,34 +315,37 @@ def test_rh_genus_never_errors_on_valid_data(s3, s4, d5):
         pairs = inverting_pairs(G)
         for _ in range(40):
             datum = random_valid_datum(G, rng, pairs)
-            cover = build_cover(datum)  # raises on non-integral/negative genus
-            assert all(c.genus >= 0 for c in cover.components)
+            report = quotient_report(datum)  # raises on non-integral/negative genus
+            assert all(c["genus"] >= 0 for c in report["components"])
 
 
 def test_node_class_matches_origin_on_random_data(s4, d5):
-    # nodes above quotient nodes stay cyclic, above dihedral points dihedral
+    # nodes above quotient nodes stay cyclic with stabilizer <m>, above
+    # dihedral points dihedral with stabilizer <m, s> of order 2 ord(m)
     for G, seed in ((s4, 34), (d5, 35)):
         rng = random.Random(seed)
         pairs = inverting_pairs(G)
         for _ in range(25):
-            cover = build_cover(random_valid_datum(G, rng, pairs))
-            for k, node in enumerate(cover.nodes):
-                nc = classify_node(cover, k)
+            datum = random_valid_datum(G, rng, pairs)
+            cover = build_cover(datum)
+            buckets: dict = {}
+            for node in cover.nodes:
                 ends = cover.gog.edge_ends[node.edge]
-                if len(ends) == 1:  # a dihedral point
-                    assert nc.kind == "dihedral"
-                    m = cover.datum.point(*ends[0]).m
-                    assert nc.stabilizer.order == 2 * G.element_order(m)
-                else:
-                    assert nc.kind == "cyclic"
+                order = G.element_order(datum.point(*ends[0]).m)
+                key = ("dihedral", 2 * order) if len(ends) == 1 else ("cyclic", order)
+                buckets[key] = buckets.get(key, 0) + 1
+            assert quotient_report(datum)["node_classes"] == [
+                {"kind": kind, "stabilizer_order": order, "count": count}
+                for (kind, order), count in sorted(buckets.items())]
 
 
 def test_cover_dot_and_report(a5):
-    cover = build_cover(audit.a5_dihedral_degenerations(a5)[0].datum)
+    datum = audit.a5_dihedral_degenerations(a5)[0].datum
+    cover = build_cover(datum)
     dot = cover_to_dot(cover)
     assert 'label="g=0 |H|=60"' in dot
     assert dot.count('v0 -- v0 [label="10"]') == 6
-    report = cover_report(cover)
+    report = cover_report(datum, dual_graph_of_groups(datum))
     assert report["component_count"] == 1
     assert report["node_count"] == 6
     assert report["arithmetic_genus"] == 6
@@ -359,19 +367,23 @@ def test_quotient_formulas_match_explicit_action(fixture, seed, request):
     rational = 0
     for datum in data:
         cover = build_cover(datum)
-        action = cover.action
+        gog, action = cover.gog, cover.action
         buckets: dict = {}
-        for k in range(len(cover.nodes)):
+        for k, node in enumerate(cover.nodes):
             images = [action.edge_images[g][2 * k] for g in range(G.order)]
             stab = tuple(g for g, e in enumerate(images) if e // 2 == k)
             kind = "dihedral" if 2 * k + 1 in images else "cyclic"
-            nc = classify_node(cover, k)
-            assert (nc.kind, nc.stabilizer.members) == (kind, stab)
+            # the stabilizer is r E_e r^-1, r representing branch a's coset r<m>
+            r = cover.edge_mcosets[node.edge].rep(node.branch_a.m_coset)
+            assert kind == ("dihedral" if len(gog.edge_ends[node.edge]) == 1 else "cyclic")
+            assert stab == tuple(sorted(G.conj(r, h) for h in gog.edge_groups[node.edge].members))
             buckets[kind, len(stab)] = buckets.get((kind, len(stab)), 0) + 1
-        assert node_class_summary(cover) == [
+        assert node_class_summary(G, gog) == [
             {"kind": kind, "stabilizer_order": order, "count": count}
             for (kind, order), count in sorted(buckets.items())]
-        rep = de_rham_character(cover)
+        report = cover_report(datum, gog)
+        assert report == explicit_cover_report(cover)
+        rep = de_rham_character(datum, gog, report["connected"])
         fixed, signed = lefschetz_counts(action)
         assert rep.edge_induction_sum.values == signed
         if all(c.genus == 0 for c in cover.components):
@@ -384,22 +396,54 @@ def test_quotient_formulas_match_explicit_action(fixture, seed, request):
 @pytest.mark.parametrize("fixture,seed", [("s3", 41), ("s4", 42), ("s5", 43)])
 def test_pipeline_subgroups_are_closed(fixture, seed, request, monkeypatch):
     # Subgroup trusts its callers; record every one the pipeline builds
-    # (component images, <m>, <m, s>, node stabilizers) and check closure
-    # here instead
+    # (component images, <m>, <m, s>, and the closures K_P that cover_report
+    # takes over the quotient graph's pieces) and check closure here instead
     G = request.getfixturevalue(fixture)
     built: list[Subgroup] = []
     check = Subgroup.__post_init__
     monkeypatch.setattr(Subgroup, "__post_init__", lambda self: (check(self), built.append(self)))
     rng = random.Random(seed)
     pairs = inverting_pairs(G)
-    dihedral = 0
+    dihedral = pieces = 0
     for _ in range(12):
         datum = random_valid_datum(G, rng, pairs)
+        if rng.random() < 0.3:
+            datum = disjoint_union(datum, random_valid_datum(G, rng, pairs))
         dihedral += len(datum.dihedral_points())
-        cover = build_cover(datum)
-        de_rham_character(cover)
-        for k in range(len(cover.nodes)):
-            classify_node(cover, k)
-    assert dihedral > 0
+        gog = dual_graph_of_groups(datum)
+        before = len(built)
+        report = cover_report(datum, gog)
+        pieces += len(built) - before     # the K_P closed below |G|
+        de_rham_character(datum, gog, report["connected"])
+    assert dihedral > 0 and pieces > 0
     for H in {H.members: H for H in built}.values():
         assert_closed(H)
+
+
+def golden_inputs() -> list[tuple[str, BoundaryDatum]]:
+    """Every datum the golden cases analyze: the data files, and each tuple's
+    interior datum with all of its split and dihedral degenerations."""
+    out, seen = [], set()
+    for argv in golden_argvs().values():
+        if len(argv) < 2 or argv[1] in seen:
+            continue
+        seen.add(argv[1])
+        obj = json.loads((ROOT / argv[1]).read_text(encoding="utf-8"))
+        if argv[0] != "degenerate":
+            out.append((argv[1], datum_from_jsonable(obj)))
+            continue
+        t = tuple_from_jsonable(obj)
+        out.append((argv[1], hurwitz_to_datum(t)))
+        degs = split_degenerations(t) + [d for i in range(len(t))
+                                         for d in dihedral_degenerations(t, i)]
+        out += [(f"{argv[1]} {d.kind}", d.datum) for d in degs]
+    return out
+
+
+def test_cover_report_matches_explicit_cover_on_golden_inputs():
+    data = golden_inputs()
+    for name, datum in data:
+        assert quotient_report(datum) == explicit_cover_report(build_cover(datum)), name
+    # the pinned multi-piece and disconnected cases are among them
+    assert sum(not quotient_report(d)["connected"] for _, d in data) >= 1
+    assert len(data) >= 30

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from hurwitzdegen import (HurwitzTuple, PermGroup, arithmetic_genus, build_cover, canonical_form,
+from hurwitzdegen import (HurwitzTuple, PermGroup, canonical_form,
                           collide_pair, dedup, dihedral_degenerations, equivalent,
                           local_model_fixpoint_orbits, local_model_orbit_sizes, predicted_fixpoint_orbits,
                           perm_from_cycles, quotient_stability, rh_genus, smooth_dihedral,
@@ -13,6 +13,8 @@ from hurwitzdegen import (HurwitzTuple, PermGroup, arithmetic_genus, build_cover
 from hurwitzdegen import audit
 from hurwitzdegen.boundary import conjugate_datum, serialize
 from hurwitzdegen.errors import InvalidDatum, OddOrder, TooFewPoints
+
+from conftest import quotient_report
 
 
 def test_split_index_range(a5, s4):
@@ -156,12 +158,12 @@ def test_split_genus_matches_interior(a5):
     t4 = audit.a5_smoothed_tuple(a5)
     interior_genus = rh_genus(60, 0, [2, 2, 2, 3])
     for deg in split_degenerations(t4):
-        assert arithmetic_genus(build_cover(deg.datum)) == interior_genus == 6
+        assert quotient_report(deg.datum)["arithmetic_genus"] == interior_genus == 6
 
 
 def test_smooth_dihedral_genus_constancy(a5):
     for d in dihedral_degenerations(audit.a5_tuple(a5), 0):
-        boundary_genus = arithmetic_genus(build_cover(d.datum))
+        boundary_genus = quotient_report(d.datum)["arithmetic_genus"]
         t = smooth_dihedral(d)
         smooth_genus = rh_genus(a5.order, 0,
                                 [a5.element_order(g) for g in t.entries])

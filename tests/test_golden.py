@@ -19,6 +19,7 @@ import contextlib
 import io
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -98,6 +99,25 @@ def test_golden_output(name, monkeypatch):
     code, out, err = run_case(case["argv"])
     assert code == case["code"]
     assert err == case["stderr"]
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("name", [n for n, argv in golden_argvs().items()
+                                  if argv[0] != "graph"])
+def test_reports_build_no_cover(name, monkeypatch):
+    # analyze, character, degenerate and verify-examples read the cover off
+    # the graph of groups: neither the explicit cover nor a coset table is built
+    def fail(*args, **kwargs):
+        raise AssertionError("a report built the explicit cover or a coset table")
+
+    for module in [m for n, m in sys.modules.items() if n.startswith("hurwitzdegen")]:
+        for attr in ("build_cover", "left_cosets"):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, fail)
+    monkeypatch.chdir(ROOT)
+    case = load_cases()[name]
+    code, out, err = run_case(case["argv"])
+    assert (code, err) == (case["code"], case["stderr"])
     assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
 
 

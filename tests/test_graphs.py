@@ -2,12 +2,11 @@ from __future__ import annotations
 
 import pytest
 
-from hurwitzdegen import (ClassFunction, GenGraph, GraphAction, PermGroup, arithmetic_genus,
-                          build_cover, de_rham_character, gengraph_to_dot, is_connected)
+from hurwitzdegen import ClassFunction, GenGraph, GraphAction, PermGroup, build_cover, \
+    gengraph_to_dot
 from hurwitzdegen import audit
-from hurwitzdegen.covers import node_class_summary
 
-from conftest import lefschetz_counts
+from conftest import characters, lefschetz_counts, quotient_report
 
 
 def test_gengraph_invariants():
@@ -27,32 +26,34 @@ def test_worked_cover_graphs(a5):
     # one vertex carrying 6 loop edge pairs
     assert cover.graph.vertex_count == 1
     assert len(cover.graph.unoriented_reps()) == 6
-    assert is_connected(cover) and arithmetic_genus(cover) == 6
+    assert cover.graph.connected_component_ids() == [0]
+    assert quotient_report(degs[0].datum)["arithmetic_genus"] == 6
     split = build_cover(audit.a5_split_datum(a5))
     # 7 vertices, 12 edges, connected
     assert split.graph.vertex_count == 7
     assert len(split.graph.unoriented_reps()) == 12
-    assert is_connected(split) and arithmetic_genus(split) == 6
+    assert split.graph.connected_component_ids() == [0] * 7
+    assert quotient_report(audit.a5_split_datum(a5))["arithmetic_genus"] == 6
 
 
 def test_a5_dihedral_cover_orbit(a5):
-    cover = build_cover(audit.a5_dihedral_degenerations(a5)[0].datum)
-    assert node_class_summary(cover) == [
+    datum = audit.a5_dihedral_degenerations(a5)[0].datum
+    assert quotient_report(datum)["node_classes"] == [
         {"kind": "dihedral", "stabilizer_order": 10, "count": 6}]
-    fixed, signed = lefschetz_counts(cover.action)
+    fixed, signed = lefschetz_counts(build_cover(datum).action)
     # triv - Ind_{D10}(signum), V - E at the identity
     chi = tuple(f - e for f, e in zip(fixed, signed))
     assert chi == (1 - 6, 1 + 2, 1, 1 - 1, 1 - 1)
-    assert de_rham_character(cover).chi_dR.values == tuple(2 * x for x in chi)
+    assert characters(datum).chi_dR.values == tuple(2 * x for x in chi)
 
 
 def test_a5_split_cover_orbit(a5):
-    cover = build_cover(audit.a5_split_datum(a5))
-    assert node_class_summary(cover) == [
+    datum = audit.a5_split_datum(a5)
+    assert quotient_report(datum)["node_classes"] == [
         {"kind": "cyclic", "stabilizer_order": 5, "count": 12}]
-    fixed, signed = lefschetz_counts(cover.action)
+    fixed, signed = lefschetz_counts(build_cover(datum).action)
     assert (fixed[0], signed[0]) == (7, 12)
-    assert de_rham_character(cover).chi_dR.degree == 2 * (7 - 12)
+    assert characters(datum).chi_dR.degree == 2 * (7 - 12)
 
 
 @pytest.mark.parametrize("table", ["vertex_images", "edge_images"])

@@ -13,11 +13,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from hurwitzdegen import canonical_form, equivalent, inverting_involutions
+from hurwitzdegen import build_cover, canonical_form, equivalent, inverting_involutions
 from hurwitzdegen.boundary import conjugate_datum, serialize
 from hurwitzdegen.cli import json_dump
 
-from conftest import inverting_pairs, random_valid_datum
+from conftest import (disjoint_union, explicit_cover_report, inverting_pairs, quotient_report,
+                      random_valid_datum)
 
 GROUPS = ["s3", "d4", "s4", "d5", "a5", "s5", "psl27"]
 
@@ -52,6 +53,19 @@ def test_inverting_involutions_are_conjugation_equivariant(groups, name, m, g):
     m, g = m % G.order, g % G.order
     conjugated = sorted(G.conj(g, s) for s in inverting_involutions(G, m))
     assert inverting_involutions(G, G.conj(g, m)) == conjugated
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(GROUPS), seed=st.integers(0, 2**32 - 1), pieces=st.integers(1, 3))
+def test_cover_report_matches_explicit_cover(groups, name, seed, pieces):
+    # the quotient-level report against union-find on the explicit cover,
+    # on data whose quotient graph has up to three pieces
+    G, pairs = groups[name]
+    rng = random.Random(seed)
+    datum = random_valid_datum(G, rng, pairs)
+    for _ in range(pieces - 1):
+        datum = disjoint_union(datum, random_valid_datum(G, rng, pairs))
+    assert quotient_report(datum) == explicit_cover_report(build_cover(datum))
 
 
 TEXT = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2603\U0001f600'))
