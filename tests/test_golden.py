@@ -50,6 +50,14 @@ def golden_argvs() -> dict[str, list[str]]:
         "graph_cover": ["graph", DATUM, "--which", "cover", "--dot", DOT_OUT],
         "graph_quotient_split": ["graph", SPLIT_DATUM, "--which", "quotient", "--dot", DOT_OUT],
         "graph_cover_split": ["graph", SPLIT_DATUM, "--which", "cover", "--dot", DOT_OUT],
+        "graph_quotient_s3_dihedral_bridge":
+            ["graph", BRIDGE_DATUM, "--which", "quotient", "--dot", DOT_OUT],
+        "graph_cover_s3_dihedral_bridge":
+            ["graph", BRIDGE_DATUM, "--which", "cover", "--dot", DOT_OUT],
+        "graph_quotient_s5_disconnected":
+            ["graph", DISCONNECTED_DATUM, "--which", "quotient", "--dot", DOT_OUT],
+        "graph_cover_s5_disconnected":
+            ["graph", DISCONNECTED_DATUM, "--which", "cover", "--dot", DOT_OUT],
     }
     for path in sorted((ROOT / "docs" / "examples").glob("*tuple*.json")):
         rel = path.relative_to(ROOT).as_posix()
