@@ -2,9 +2,10 @@
 
 Encode a group action through its pointed quotient curve plus monodromy and
 involution assignments, read the covering curve and the equivariant de Rham
-character of nodal covers off its graph of groups (or build the cover by
-coset enumeration), and enumerate the codimension-1 degenerations of covers
-of the line.
+character of nodal covers off its graph of groups, and enumerate the
+codimension-1 degenerations of covers of the line.  The explicit cover, by
+coset enumeration, is built only for its DOT export and for the tests, which
+keep its deck action and its intermediate quotients as their oracles.
 """
 
 from .boundary import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPoint,
@@ -12,7 +13,7 @@ from .boundary import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPoint
                        datum_warnings, dual_graph_of_groups, equivalent, hurwitz_to_datum,
                        quotient_stability, tuple_from_jsonable, tuple_to_jsonable, validate)
 from .cohomology import DevissageReport, class_labels, de_rham_character, render_character_table
-from .covers import CoverCurve, build_cover, cover_report, cover_to_dot, rh_genus, subcover
+from .covers import CoverCurve, build_cover, cover_report, cover_to_dot, rh_genus
 from .degen import (Degeneration, collide_pair, dedup, dihedral_degenerations,
                     local_model_fixpoint_orbits, local_model_orbit_sizes, predicted_fixpoint_orbits,
                     smooth_dihedral, split_degenerations)

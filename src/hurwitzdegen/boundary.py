@@ -146,14 +146,21 @@ def datum_warnings(datum: BoundaryDatum) -> list[str]:
     return out
 
 
+def is_stable_curve(genus: int, points: int) -> bool:
+    """A genus-g curve with n special points is stable when 2g - 2 + n > 0:
+    a rational one needs 3 points, an elliptic one 1."""
+    return 2 * genus - 2 + points > 0
+
+
+def unstable_components(datum: BoundaryDatum) -> list[int]:
+    """The components that are not stable with their marked points."""
+    return [ci for ci, comp in enumerate(datum.components)
+            if not is_stable_curve(comp.genus, len(comp.points))]
+
+
 def quotient_stability(datum: BoundaryDatum) -> bool:
-    """Genus-0 components need >= 3 marked points, genus-1 components >= 1."""
-    for comp in datum.components:
-        if comp.genus == 0 and len(comp.points) < 3:
-            return False
-        if comp.genus == 1 and len(comp.points) < 1:
-            return False
-    return True
+    """Every component is stable with its marked points."""
+    return not unstable_components(datum)
 
 
 # -- Hurwitz tuples ----------------------------------------------------------

@@ -15,8 +15,8 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .audit import FAIL, audit_passed, run_audit
 from .boundary import (BoundaryDatum, datum_from_jsonable, datum_to_jsonable, datum_warnings,
-                       dual_graph_of_groups, quotient_stability, tuple_from_jsonable,
-                       tuple_to_jsonable)
+                       dual_graph_of_groups, tuple_from_jsonable, tuple_to_jsonable,
+                       unstable_components)
 from .cohomology import (character_to_jsonable, classes_to_jsonable, de_rham_character,
                          render_character_table)
 from .covers import build_cover, cover_report, cover_to_dot
@@ -133,18 +133,19 @@ def analyze_datum(datum: BoundaryDatum) -> tuple[dict, int]:
         gog, violations = dual_graph_of_groups(datum), []
     except InvalidDatum as exc:
         gog, violations = None, exc.violations
-    stable_quotient = quotient_stability(datum)
+    unstable = unstable_components(datum)
     warnings = list(datum_warnings(datum))
-    if not stable_quotient:
-        warnings.append("quotient curve is not stable "
-                        "(a rational component has fewer than 3 marked points)")
+    if unstable:
+        comp = datum.components[unstable[0]]
+        warnings.append(f"quotient curve is not stable (component {unstable[0]} has genus "
+                        f"{comp.genus} and {len(comp.points)} marked points)")
     report: dict = {
         "datum": datum_to_jsonable(datum),
         "validation": {
             "ok": not violations,
             "violations": [{"kind": v.kind, "location": v.location, "detail": v.detail}
                            for v in violations],
-            "quotient_stable": stable_quotient,
+            "quotient_stable": not unstable,
         },
         "cover": None,
         "characters": None,

@@ -15,20 +15,19 @@ groups (``boundary.dual_graph_of_groups``; Bass, J. Pure Appl. Algebra 89
 [G : K_P] connected components over each connected piece P of the quotient
 graph, where K_P is generated by P's vertex groups and dihedral edge groups.
 ``build_cover`` enumerates the cover itself, one coset table per component
-and edge, for ``graph --which cover``; a branch is a (quotient point,
-<m>-coset) pair, g acts on it by left multiplication on the coset, and
-``CoverCurve.action`` builds that deck action as |G|-row tables on demand.
+and edge, for the DOT export of ``graph --which cover`` and for the tests,
+which count the same report on it and build its deck action and its
+intermediate quotients from its coset tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
-from .boundary import BoundaryDatum, DualGraphOfGroups, dual_graph_of_groups
+from .boundary import BoundaryDatum, DualGraphOfGroups, dual_graph_of_groups, is_stable_curve
 from .errors import NegativeGenus, NonIntegralGenus
-from .graphs import GenGraph, GraphAction, gengraph_to_dot
-from .groups import CosetTable, PermGroup, Subgroup, left_cosets, orbits
+from .graphs import GenGraph, gengraph_to_dot
+from .groups import CosetTable, PermGroup, Subgroup, left_cosets
 
 _NODE_KIND = {2: "cyclic", 1: "dihedral"}   # by the number of ends of the quotient edge
 
@@ -85,6 +84,7 @@ class CoverNode:
     branch_b: CoverBranch
 
 
+@dataclass(frozen=True)
 class CoverCurve:
     """The cover of a boundary datum: components, nodes and their dual graph.
 
@@ -92,49 +92,14 @@ class CoverCurve:
     its branch b; each edge ends at its branch's component.
     """
 
-    def __init__(self, datum: BoundaryDatum, gog: DualGraphOfGroups,
-                 components: list[CoverComponent], offsets: list[int], nodes: list[CoverNode],
-                 comp_cosets: list[CosetTable], edge_mcosets: list[CosetTable]):
-        self.datum = datum
-        self.gog = gog
-        self.group = datum.group
-        self.components = components
-        self.offsets = offsets        # first cover component over each quotient component
-        self.nodes = nodes
-        self.comp_cosets = comp_cosets    # G/H_Y per quotient component
-        self.edge_mcosets = edge_mcosets  # G/<m> per quotient edge
-        edges, opp = [], []
-        self._edge_of: dict[tuple, int] = {}
-        for k, node in enumerate(nodes):
-            edges += [(node.branch_b.vertex, node.branch_a.vertex),
-                      (node.branch_a.vertex, node.branch_b.vertex)]
-            opp += [2 * k + 1, 2 * k]
-            self._edge_of[node.branch_a.quotient_point, node.branch_a.m_coset] = 2 * k
-            self._edge_of[node.branch_b.quotient_point, node.branch_b.m_coset] = 2 * k + 1
-        self.graph = GenGraph(len(components), tuple(edges), tuple(opp))
-
-    def vertex_image(self, g: int, v: int) -> int:
-        """g sends the component xH_Y to gxH_Y."""
-        ci, coset = self.components[v].quotient_component, self.components[v].coset
-        cos = self.comp_cosets[ci]
-        return self.offsets[ci] + cos.index_of[self.group.mul(g, cos.rep(coset))]
-
-    def edge_image(self, g: int, e: int) -> int:
-        """g sends the branch (point, x<m>) of edge e to the branch (point, gx<m>)."""
-        node = self.nodes[e // 2]
-        branch = node.branch_b if e % 2 else node.branch_a
-        mcos = self.edge_mcosets[node.edge]
-        image = mcos.index_of[self.group.mul(g, mcos.rep(branch.m_coset))]
-        return self._edge_of[branch.quotient_point, image]
-
-    @cached_property
-    def action(self) -> GraphAction:
-        """The deck action as one table row per element of G, built on demand."""
-        G, V, E = self.group, len(self.components), 2 * len(self.nodes)
-        return GraphAction(
-            self.graph, G,
-            tuple(tuple(self.vertex_image(g, v) for v in range(V)) for g in range(G.order)),
-            tuple(tuple(self.edge_image(g, e) for e in range(E)) for g in range(G.order)))
+    datum: BoundaryDatum
+    gog: DualGraphOfGroups
+    components: list[CoverComponent]
+    offsets: list[int]                # first cover component over each quotient component
+    nodes: list[CoverNode]
+    comp_cosets: list[CosetTable]     # G/H_Y per quotient component
+    edge_mcosets: list[CosetTable]    # G/<m> per quotient edge
+    graph: GenGraph
 
 
 def build_cover(datum: BoundaryDatum) -> CoverCurve:
@@ -172,7 +137,9 @@ def build_cover(datum: BoundaryDatum) -> CoverCurve:
             rep_s = times_s[cell[0]]
             if mcos.index_of[rep_s] > t:
                 nodes.append(CoverNode(e, branch(e, point, cell[0]), branch(e, point, rep_s)))
-    return CoverCurve(datum, gog, components, offsets, nodes, comp_cosets, edge_mcosets)
+    graph = GenGraph.from_unoriented(
+        len(components), [(node.branch_b.vertex, node.branch_a.vertex) for node in nodes])
+    return CoverCurve(datum, gog, components, offsets, nodes, comp_cosets, edge_mcosets, graph)
 
 
 def node_class_summary(G: PermGroup, gog: DualGraphOfGroups) -> list[dict]:
@@ -184,99 +151,6 @@ def node_class_summary(G: PermGroup, gog: DualGraphOfGroups) -> list[dict]:
         buckets[key] = buckets.get(key, 0) + G.order // E.order
     return [{"kind": kind, "stabilizer_order": order, "count": count}
             for (kind, order), count in sorted(buckets.items())]
-
-
-# -- intermediate quotients ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SubcoverComponent:
-    quotient_component: int
-    double_coset_rep: int             # minimal element id in K g H_Y
-    degree: int                       # over the quotient component
-    genus: int
-    point_cycles: tuple[tuple[int, ...], ...]  # per point of Y, sorted descending
-
-
-@dataclass(frozen=True)
-class SubcoverNodeOrbit:
-    representative: int               # cover node index
-    size: int
-    component_a: int                  # indices into SubcoverReport.components
-    component_b: int
-    swapped_within_orbit: bool        # some element of K exchanges the branches
-
-
-@dataclass(frozen=True)
-class SubcoverReport:
-    subgroup_order: int
-    degree: int                       # [G : K]
-    components: tuple[SubcoverComponent, ...]
-    point_cycle_types: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
-    node_orbits: tuple[SubcoverNodeOrbit, ...]
-
-
-def subcover(cover: CoverCurve, K: Subgroup) -> SubcoverReport:
-    """Quotient of the cover by K: the degree-[G:K] admissible-cover picture.
-
-    Components correspond to double cosets K\\G/H_Y; their genera come from
-    cycle-type Riemann-Hurwitz for the possibly non-Galois map to Y, and the
-    cycle type of each marked monodromy on the K-cosets is reported.
-
-    The right coset Kx is read as the left coset x^-1 K, so right
-    multiplication by m on K\\G becomes left multiplication by m^-1 on G/K.
-    """
-    G = cover.group
-    datum = cover.datum
-    kcos = left_cosets(G, K)
-    degree = len(kcos)
-    kgens = K.generators()
-
-    def on_cosets(table: CosetTable):
-        """Left multiplication on the cells of a coset table."""
-        return lambda c, g: table.index_of[G.mul(g, table.rep(c))]
-
-    def cycles_on(coset_set: list[int], m: int) -> list[int]:
-        return [len(cycle) for cycle in orbits(coset_set, [G.inv(m)], on_cosets(kcos))]
-
-    sub_components: list[SubcoverComponent] = []
-    vertex_to_subcomp: dict[int, int] = {}
-    point_types = []
-    for ci, comp in enumerate(datum.components):
-        cos = cover.comp_cosets[ci]
-        # the component's double cosets partition K\G, so each point's cycles
-        # on all K-cosets are the union of its cycles on them
-        all_cycles: list[list[int]] = [[] for _ in comp.points]
-        # K-orbits on left cosets G/H_Y are the double cosets K\G/H_Y
-        for orbit in orbits(range(len(cos)), kgens, on_cosets(cos)):
-            members = sorted({kcos.index_of[G.inv(x)] for c in orbit for x in cos.cells[c]})
-            deg = len(members)
-            cycles = tuple(tuple(sorted(cycles_on(members, pt.m), reverse=True))
-                           for pt in comp.points)
-            for acc, cyc in zip(all_cycles, cycles):
-                acc += cyc
-            g = _genus(deg * (2 * comp.genus - 2) + sum(
-                sum(L - 1 for L in cyc) for cyc in cycles))
-            rep = min(min(cos.cells[c]) for c in orbit)
-            sub_idx = len(sub_components)
-            sub_components.append(SubcoverComponent(ci, rep, deg, g, cycles))
-            for c in orbit:
-                vertex_to_subcomp[cover.offsets[ci] + c] = sub_idx
-        point_types += [((ci, pi), tuple(sorted(acc, reverse=True)))
-                        for pi, acc in enumerate(all_cycles)]
-
-    node_orbits: list[SubcoverNodeOrbit] = []
-    for orbit in orbits(range(len(cover.nodes)), kgens,
-                        lambda n, k: cover.edge_image(k, 2 * n) // 2):
-        idx, node = orbit[0], cover.nodes[orbit[0]]
-        node_orbits.append(SubcoverNodeOrbit(
-            idx, len(orbit),
-            vertex_to_subcomp[node.branch_a.vertex],
-            vertex_to_subcomp[node.branch_b.vertex],
-            any(cover.edge_image(k, 2 * idx) == 2 * idx + 1 for k in K.members)))
-
-    return SubcoverReport(K.order, degree, tuple(sub_components),
-                          tuple(point_types), tuple(node_orbits))
 
 
 # -- reporting ----------------------------------------------------------------
@@ -325,9 +199,8 @@ def cover_report(datum: BoundaryDatum, gog: DualGraphOfGroups) -> dict:
         count = G.order // K_P.order
         piece_genera += [total // count + 1] * count
     connected = len(piece_genera) == 1
-    least = {0: 3, 1: 1}   # branches a rational or elliptic component needs
     stable = connected and piece_genera[0] >= 2 and all(
-        branches[ci] >= least.get(g, 0) for ci, g in enumerate(genera))
+        is_stable_curve(g, branches[ci]) for ci, g in enumerate(genera))
     return {
         "component_count": len(components),
         "components": components,

@@ -4,10 +4,11 @@ A generalized graph carries oriented edges with an opposite-edge involution
 that may have fixpoints: in a dual graph of groups a self-opposite edge is
 a dihedral point, the image of cover nodes whose stabilizers swap their two
 branches.  ``GraphAction`` is an action given by image tables and checked to
-be one by graph automorphisms.  It is the explicit deck action of a cover
-(``CoverCurve.action``), which tests use as their oracle; reports are read
-off the graph of groups, and the explicit cover is built only for its DOT
-export.
+be one by graph automorphisms.  No report reads one: reports are read off
+the graph of groups, the explicit cover is built for its DOT export and for
+the tests, and the tests build its deck action as a ``GraphAction``, their
+oracle.  The class stays here because the benchmark's tracer patches its
+constructor check by name.
 """
 
 from __future__ import annotations

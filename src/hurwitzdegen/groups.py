@@ -447,9 +447,6 @@ class CosetTable:
     def __len__(self) -> int:
         return len(self.cells)
 
-    def rep(self, coset: int) -> int:
-        return self.cells[coset][0]
-
 
 def left_cosets(group: PermGroup, sub: Subgroup) -> CosetTable:
     """Cosets gH: the orbits of ids under the right tables of H's generators,
@@ -512,10 +509,6 @@ class ClassFunction:
     @classmethod
     def trivial(cls, group: PermGroup) -> "ClassFunction":
         return cls(group, tuple([1] * len(group.conjugacy_classes())))
-
-    @classmethod
-    def zero(cls, group: PermGroup) -> "ClassFunction":
-        return cls(group, tuple([0] * len(group.conjugacy_classes())))
 
     @property
     def degree(self) -> int:

@@ -1,17 +1,19 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from functools import cache
 
 import pytest
 
-from hurwitzdegen import (BoundaryDatum, CoverCurve, DevissageReport, GraphAction,
+from hurwitzdegen import (BoundaryDatum, CosetTable, CoverCurve, DevissageReport, GraphAction,
                           HurwitzTuple, MarkedComponent, MarkedPoint, PermGroup, Subgroup,
                           cover_report, de_rham_character, dual_graph_of_groups,
-                          is_inverting_involution, perm_from_cycles, rh_genus)
+                          is_inverting_involution, left_cosets, perm_from_cycles, rh_genus)
 from hurwitzdegen import audit
 from hurwitzdegen.boundary import conjugate_datum, serialize
+from hurwitzdegen.covers import _genus
+from hurwitzdegen.groups import orbits
 
 
 @pytest.fixture(scope="session")
@@ -168,6 +170,131 @@ def explicit_cover_report(cover: CoverCurve) -> dict:
         "arithmetic_genus": genera[0] if connected else None,
         "component_arithmetic_genera": genera,
     }
+
+
+def deck_action(cover: CoverCurve) -> GraphAction:
+    """The deck action of G on the explicit cover, one table row per element.
+
+    g sends the component xH_Y to gxH_Y, and the branch (point, x<m>) of a
+    node to the branch (point, gx<m>).
+    """
+    G = cover.datum.group
+    edge_of: dict[tuple, int] = {}
+    for k, node in enumerate(cover.nodes):
+        edge_of[node.branch_a.quotient_point, node.branch_a.m_coset] = 2 * k
+        edge_of[node.branch_b.quotient_point, node.branch_b.m_coset] = 2 * k + 1
+
+    def vertex_image(g: int, v: int) -> int:
+        ci, coset = cover.components[v].quotient_component, cover.components[v].coset
+        cos = cover.comp_cosets[ci]
+        return cover.offsets[ci] + cos.index_of[G.mul(g, cos.cells[coset][0])]
+
+    def edge_image(g: int, e: int) -> int:
+        node = cover.nodes[e // 2]
+        branch = node.branch_b if e % 2 else node.branch_a
+        mcos = cover.edge_mcosets[node.edge]
+        image = mcos.index_of[G.mul(g, mcos.cells[branch.m_coset][0])]
+        return edge_of[branch.quotient_point, image]
+
+    V, E = len(cover.components), 2 * len(cover.nodes)
+    return GraphAction(
+        cover.graph, G,
+        tuple(tuple(vertex_image(g, v) for v in range(V)) for g in range(G.order)),
+        tuple(tuple(edge_image(g, e) for e in range(E)) for g in range(G.order)))
+
+
+# -- intermediate quotients ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SubcoverComponent:
+    quotient_component: int
+    double_coset_rep: int             # minimal element id in K g H_Y
+    degree: int                       # over the quotient component
+    genus: int
+    point_cycles: tuple[tuple[int, ...], ...]  # per point of Y, sorted descending
+
+
+@dataclass(frozen=True)
+class SubcoverNodeOrbit:
+    representative: int               # cover node index
+    size: int
+    component_a: int                  # indices into SubcoverReport.components
+    component_b: int
+    swapped_within_orbit: bool        # some element of K exchanges the branches
+
+
+@dataclass(frozen=True)
+class SubcoverReport:
+    subgroup_order: int
+    degree: int                       # [G : K]
+    components: tuple[SubcoverComponent, ...]
+    point_cycle_types: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
+    node_orbits: tuple[SubcoverNodeOrbit, ...]
+
+
+def subcover(cover: CoverCurve, K: Subgroup) -> SubcoverReport:
+    """Quotient of the cover by K: the degree-[G:K] admissible-cover picture.
+
+    Components correspond to double cosets K\\G/H_Y; their genera come from
+    cycle-type Riemann-Hurwitz for the possibly non-Galois map to Y, and the
+    cycle type of each marked monodromy on the K-cosets is reported.
+
+    The right coset Kx is read as the left coset x^-1 K, so right
+    multiplication by m on K\\G becomes left multiplication by m^-1 on G/K.
+    """
+    G = cover.datum.group
+    datum = cover.datum
+    kcos = left_cosets(G, K)
+    degree = len(kcos)
+    kgens = K.generators()
+    edge_images = deck_action(cover).edge_images
+
+    def on_cosets(table: CosetTable):
+        """Left multiplication on the cells of a coset table."""
+        return lambda c, g: table.index_of[G.mul(g, table.cells[c][0])]
+
+    def cycles_on(coset_set: list[int], m: int) -> list[int]:
+        return [len(cycle) for cycle in orbits(coset_set, [G.inv(m)], on_cosets(kcos))]
+
+    sub_components: list[SubcoverComponent] = []
+    vertex_to_subcomp: dict[int, int] = {}
+    point_types = []
+    for ci, comp in enumerate(datum.components):
+        cos = cover.comp_cosets[ci]
+        # the component's double cosets partition K\G, so each point's cycles
+        # on all K-cosets are the union of its cycles on them
+        all_cycles: list[list[int]] = [[] for _ in comp.points]
+        # K-orbits on left cosets G/H_Y are the double cosets K\G/H_Y
+        for orbit in orbits(range(len(cos)), kgens, on_cosets(cos)):
+            members = sorted({kcos.index_of[G.inv(x)] for c in orbit for x in cos.cells[c]})
+            deg = len(members)
+            cycles = tuple(tuple(sorted(cycles_on(members, pt.m), reverse=True))
+                           for pt in comp.points)
+            for acc, cyc in zip(all_cycles, cycles):
+                acc += cyc
+            g = _genus(deg * (2 * comp.genus - 2) + sum(
+                sum(L - 1 for L in cyc) for cyc in cycles))
+            rep = min(min(cos.cells[c]) for c in orbit)
+            sub_idx = len(sub_components)
+            sub_components.append(SubcoverComponent(ci, rep, deg, g, cycles))
+            for c in orbit:
+                vertex_to_subcomp[cover.offsets[ci] + c] = sub_idx
+        point_types += [((ci, pi), tuple(sorted(acc, reverse=True)))
+                        for pi, acc in enumerate(all_cycles)]
+
+    node_orbits: list[SubcoverNodeOrbit] = []
+    for orbit in orbits(range(len(cover.nodes)), kgens,
+                        lambda n, k: edge_images[k][2 * n] // 2):
+        idx, node = orbit[0], cover.nodes[orbit[0]]
+        node_orbits.append(SubcoverNodeOrbit(
+            idx, len(orbit),
+            vertex_to_subcomp[node.branch_a.vertex],
+            vertex_to_subcomp[node.branch_b.vertex],
+            any(edge_images[k][2 * idx] == 2 * idx + 1 for k in K.members)))
+
+    return SubcoverReport(K.order, degree, tuple(sub_components),
+                          tuple(point_types), tuple(node_orbits))
 
 
 def disjoint_union(a: BoundaryDatum, b: BoundaryDatum) -> BoundaryDatum:

@@ -19,7 +19,7 @@ from hurwitzdegen import audit
 from hurwitzdegen.boundary import conjugate_datum, serialize
 from hurwitzdegen.covers import cover_report
 
-from conftest import characters, inverting_pairs, quotient_report, random_valid_datum
+from conftest import characters, deck_action, inverting_pairs, quotient_report, random_valid_datum
 
 
 def _result(name: str, ok: bool) -> None:
@@ -123,14 +123,15 @@ def test_criterion_6_property_suites(s3, s4, d4, d5):
 
             # equivariance: orbit size times stabilizer order equals |G|
             v0 = 0
-            orbit = {cover.action.vertex_images[g][v0] for g in range(G.order)}
+            action = deck_action(cover)
+            orbit = {action.vertex_images[g][v0] for g in range(G.order)}
             stab = sum(1 for g in range(G.order)
-                       if cover.action.vertex_images[g][v0] == v0)
+                       if action.vertex_images[g][v0] == v0)
             assert len(orbit) * stab == G.order
             if cover.nodes:
-                images = {cover.action.edge_images[g][0] // 2 for g in range(G.order)}
+                images = {action.edge_images[g][0] // 2 for g in range(G.order)}
                 nstab = sum(1 for g in range(G.order)
-                            if cover.action.edge_images[g][0] // 2 == 0)
+                            if action.edge_images[g][0] // 2 == 0)
                 assert len(images) * nstab == G.order
 
             # canonical form: idempotent and constant on conjugation orbits

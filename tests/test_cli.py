@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from hurwitzdegen import (HurwitzTuple, PermGroup, audit, datum_to_jsonable, hurwitz_to_datum,
-                          perm_from_cycles, tuple_to_jsonable)
+from hurwitzdegen import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPoint, PermGroup,
+                          audit, datum_to_jsonable, hurwitz_to_datum, perm_from_cycles,
+                          tuple_to_jsonable)
 from hurwitzdegen.cli import build_parser, json_dump, main
 
 
@@ -67,6 +68,40 @@ def test_analyze_split_datum(tmp_path, capsys):
     assert entry["kind"] == "cyclic"
     assert entry["smoothing_fixpoint_orbits"] is None
     assert report["characters"]["h1"]["values"] == [12, -4, 0, 2, 2]
+
+
+def unstable_elliptic_datum() -> BoundaryDatum:
+    """S3, one genus-1 component with handle ((012), (012)) and no points."""
+    G = PermGroup([perm_from_cycles(3, (0, 1)), perm_from_cycles(3, (0, 1, 2))])
+    r = G.id_of(perm_from_cycles(3, (0, 1, 2)))
+    return BoundaryDatum(G, (MarkedComponent(1, ((r, r),), ()),))
+
+
+def unstable_second_component_datum() -> BoundaryDatum:
+    """Trivial group, two rational components joined by a node; the second
+    has only one other point."""
+    G = PermGroup([], degree=1)
+    e = G.identity
+    return BoundaryDatum(G, (
+        MarkedComponent(0, (), (MarkedPoint.node_end(e, 0), MarkedPoint.cyclic(e),
+                                MarkedPoint.cyclic(e))),
+        MarkedComponent(0, (), (MarkedPoint.node_end(e, 0), MarkedPoint.cyclic(e)))))
+
+
+@pytest.mark.parametrize("make,warning", [
+    (unstable_elliptic_datum,
+     "quotient curve is not stable (component 0 has genus 1 and 0 marked points)"),
+    (unstable_second_component_datum,
+     "quotient curve is not stable (component 1 has genus 0 and 2 marked points)"),
+])
+def test_analyze_names_the_first_unstable_component(make, warning, tmp_path, capsys):
+    path = tmp_path / "unstable.json"
+    path.write_text(json.dumps(datum_to_jsonable(make())), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "analyze", str(path))
+    assert code == 0
+    report = json.loads(out)
+    assert report["validation"]["ok"] and not report["validation"]["quotient_stable"]
+    assert [w for w in report["warnings"] if "not stable" in w] == [warning]
 
 
 def test_analyze_pretty(a5_datum_file, capsys):

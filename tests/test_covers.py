@@ -9,14 +9,15 @@ from hurwitzdegen import (BoundaryDatum, MarkedComponent, MarkedPoint,
                           PermGroup, Subgroup, build_cover, cover_report, cover_to_dot,
                           datum_from_jsonable, de_rham_character, dihedral_degenerations,
                           dual_graph_of_groups, hurwitz_to_datum, left_cosets, perm_from_cycles,
-                          rh_genus, split_degenerations, subcover, tuple_from_jsonable)
+                          rh_genus, split_degenerations, tuple_from_jsonable)
 from hurwitzdegen import audit, covers, groups
+from hurwitzdegen.boundary import quotient_stability
 from hurwitzdegen.covers import node_class_summary
 from hurwitzdegen.errors import InvalidDatum, NegativeGenus, NonIntegralGenus
 
-from conftest import (assert_closed, branch_counts, disjoint_union, explicit_cover_report,
-                      inverting_pairs, lefschetz_counts, quotient_report,
-                      random_rational_generating_tuples, random_valid_datum)
+from conftest import (assert_closed, branch_counts, deck_action, disjoint_union,
+                      explicit_cover_report, inverting_pairs, lefschetz_counts, quotient_report,
+                      random_rational_generating_tuples, random_valid_datum, subcover)
 from test_golden import ROOT, golden_argvs
 
 
@@ -92,7 +93,7 @@ def test_dihedral_branch_pair_well_defined(a5):
     dcos = left_cosets(a5, a5.generated_subgroup([pt.m, pt.s]))
     mcos = cover.edge_mcosets[cover.nodes[0].edge]
     for node in cover.nodes:
-        dcell = dcos.cells[dcos.index_of[mcos.rep(node.branch_a.m_coset)]]
+        dcell = dcos.cells[dcos.index_of[mcos.cells[node.branch_a.m_coset][0]]]
         inside = {mcos.index_of[x] for x in dcell}
         assert inside == {node.branch_a.m_coset, node.branch_b.m_coset}
 
@@ -191,6 +192,25 @@ def test_self_node_on_nontrivial_group(s3):
     assert report["component_arithmetic_genera"] == [1, 1]
     assert report["node_classes"] == [{"kind": "cyclic", "stabilizer_order": 3, "count": 2}]
     assert report == explicit_cover_report(build_cover(datum))
+
+
+@pytest.mark.parametrize("genus", [0, 1, 2, 3])
+@pytest.mark.parametrize("points", [0, 1, 2, 3, 4])
+def test_stability_is_2g_minus_2_plus_n_positive(genus, points):
+    # both readers of the one rule, over the trivial group, whose cover is the
+    # quotient: a component with n marked points, and a component with n
+    # branches, each a node to its own stable genus-2 tail
+    G = PermGroup([], degree=1)
+    e = G.identity
+    handles = ((e, e),) * genus
+    lone = BoundaryDatum(G, (MarkedComponent(genus, handles, (MarkedPoint.cyclic(e),) * points),))
+    assert quotient_stability(lone) == (2 * genus - 2 + points > 0)
+    core = MarkedComponent(genus, handles, tuple(MarkedPoint.node_end(e, k) for k in range(points)))
+    tails = tuple(MarkedComponent(2, ((e, e),) * 2, (MarkedPoint.node_end(e, k),))
+                  for k in range(points))
+    report = quotient_report(BoundaryDatum(G, (core,) + tails))
+    assert report["connected"] and report["arithmetic_genus"] == genus + 2 * points
+    assert report["stable"] == (2 * genus - 2 + points > 0)
 
 
 def test_subcover_by_whole_group(a5):
@@ -367,14 +387,14 @@ def test_quotient_formulas_match_explicit_action(fixture, seed, request):
     rational = 0
     for datum in data:
         cover = build_cover(datum)
-        gog, action = cover.gog, cover.action
+        gog, action = cover.gog, deck_action(cover)
         buckets: dict = {}
         for k, node in enumerate(cover.nodes):
             images = [action.edge_images[g][2 * k] for g in range(G.order)]
             stab = tuple(g for g, e in enumerate(images) if e // 2 == k)
             kind = "dihedral" if 2 * k + 1 in images else "cyclic"
             # the stabilizer is r E_e r^-1, r representing branch a's coset r<m>
-            r = cover.edge_mcosets[node.edge].rep(node.branch_a.m_coset)
+            r = cover.edge_mcosets[node.edge].cells[node.branch_a.m_coset][0]
             assert kind == ("dihedral" if len(gog.edge_ends[node.edge]) == 1 else "cyclic")
             assert stab == tuple(sorted(G.conj(r, h) for h in gog.edge_groups[node.edge].members))
             buckets[kind, len(stab)] = buckets.get((kind, len(stab)), 0) + 1

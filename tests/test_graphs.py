@@ -6,7 +6,7 @@ from hurwitzdegen import ClassFunction, GenGraph, GraphAction, PermGroup, build_
     gengraph_to_dot
 from hurwitzdegen import audit
 
-from conftest import characters, lefschetz_counts, quotient_report
+from conftest import characters, deck_action, lefschetz_counts, quotient_report
 
 
 def test_gengraph_invariants():
@@ -40,7 +40,7 @@ def test_a5_dihedral_cover_orbit(a5):
     datum = audit.a5_dihedral_degenerations(a5)[0].datum
     assert quotient_report(datum)["node_classes"] == [
         {"kind": "dihedral", "stabilizer_order": 10, "count": 6}]
-    fixed, signed = lefschetz_counts(build_cover(datum).action)
+    fixed, signed = lefschetz_counts(deck_action(build_cover(datum)))
     # triv - Ind_{D10}(signum), V - E at the identity
     chi = tuple(f - e for f, e in zip(fixed, signed))
     assert chi == (1 - 6, 1 + 2, 1, 1 - 1, 1 - 1)
@@ -51,7 +51,7 @@ def test_a5_split_cover_orbit(a5):
     datum = audit.a5_split_datum(a5)
     assert quotient_report(datum)["node_classes"] == [
         {"kind": "cyclic", "stabilizer_order": 5, "count": 12}]
-    fixed, signed = lefschetz_counts(build_cover(datum).action)
+    fixed, signed = lefschetz_counts(deck_action(build_cover(datum)))
     assert (fixed[0], signed[0]) == (7, 12)
     assert characters(datum).chi_dR.degree == 2 * (7 - 12)
 
@@ -60,7 +60,7 @@ def test_a5_split_cover_orbit(a5):
 def test_action_rejects_broken_non_generator_row(a5, table):
     # only the identity and generator rows are checked directly; the
     # homomorphism check must still catch a fault in any other row
-    action = build_cover(audit.a5_split_datum(a5)).action
+    action = deck_action(build_cover(audit.a5_split_datum(a5)))
     g = next(g for g in range(1, a5.order) if g not in a5.generator_ids)
     rows = [list(row) for row in getattr(action, table)]
     rows[g][0], rows[g][1] = rows[g][1], rows[g][0]

@@ -1,0 +1,67 @@
+"""Every public name of the package is read by the package or by perfbench.
+
+A function, class, method or property that only the tests read is a test
+oracle, and lives in ``tests/conftest.py`` instead.  A name counts as read
+when it occurs in the syntax tree of a module under ``src/hurwitzdegen``
+(``__init__.py`` aside, which only re-exports) or under ``perfbench`` as a
+loaded name, an attribute, an imported name or a string constant (perfbench
+patches methods by name).
+"""
+
+from __future__ import annotations
+
+import ast
+import inspect
+from functools import cached_property
+from pathlib import Path
+
+import hurwitzdegen
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted(p for p in (ROOT / "src" / "hurwitzdegen").glob("*.py")
+                 if p.name != "__init__.py") + sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def names_read() -> set[str]:
+    seen: set[str] = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                seen.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                seen.add(node.attr)
+            elif isinstance(node, ast.alias):
+                seen.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                seen.add(node.value)
+    return seen
+
+
+def public_api() -> list[str]:
+    """Exported names, then ``Class.member`` for each public method or
+    property of an exported class."""
+    out = []
+    for name in hurwitzdegen.__all__:
+        obj = getattr(hurwitzdegen, name)
+        if inspect.ismodule(obj):
+            continue
+        out.append(name)
+        if inspect.isclass(obj):
+            out += [f"{name}.{attr}" for attr, member in vars(obj).items()
+                    if not attr.startswith("_") and (
+                        inspect.isfunction(member)
+                        or isinstance(member, (property, cached_property,
+                                               classmethod, staticmethod)))]
+    return out
+
+
+def test_scan_sees_the_package_and_its_classes():
+    assert {"cli.py", "covers.py", "groups.py", "spans.py"} <= {p.name for p in SOURCES}
+    assert {"build_cover", "PermGroup.mul", "PermGroup.conjugacy_classes",
+            "ClassFunction.degree"} <= set(public_api())
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    seen = names_read()
+    unread = [name for name in public_api() if name.rpartition(".")[2] not in seen]
+    assert unread == []
