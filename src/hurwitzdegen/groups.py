@@ -11,17 +11,21 @@ product is one C call, p . q = ``q.translate(p + tail)`` with
 tuple order.  Above degree 256 elements are image tuples, composed by
 ``compose`` and ``inverse``.
 
-The closure is the orbit of the identity under the generators.  Any table
-x -> f(x) on ids is one C-level ``map`` of stored products over
-``elements`` followed by one ``index`` lookup each: ``PermGroup.right_table(h)``
-is x -> x h, and conjugacy classes and coset tables are orbits of ids under
-such tables, so they cost O(|G| |gens|) products and integer lookups with no
-Python frame per element.
+A group and each subgroup generated from ids are closed one right coset of
+a cyclic subgroup H = <a> at a time (Dimino's algorithm): a new coset H y is
+added whole by one C-level ``map`` of products h y, so the closure takes a
+Python step per coset and generator, not per element.  Inverses are found on
+demand, one inversion and lookup each.  Any table x -> f(x) on ids is one
+C-level ``map`` of stored products over ``elements`` followed by one
+``index`` lookup each: ``PermGroup.right_table(h)`` is x -> x h, and
+conjugacy classes and coset tables are orbits of ids under such tables, so
+they cost O(|G| |gens|) products and integer lookups with no Python frame per
+element.
 
 All values are immutable after construction and every operation is a pure
-function, so concurrent reads are safe; the lazily filled caches (element
-orders, classes, class records, right tables) hold correct values whichever
-call fills them.
+function, so concurrent reads are safe; the lazily filled caches (inverses,
+element orders, classes, class records, right tables) hold correct values
+whichever call fills them.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from operator import add, itemgetter
+from operator import add
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -97,29 +101,21 @@ class PermGroup:
         self.degree = degree
         self.generators = gens
         # elements as bytes, where p . q = q.translate(p + tail) looks q's
-        # images up in p's; above degree 256 as tuples, and _tail is None.
-        # The closure is the orbit of the identity under x -> g_k x (bytes)
-        # or x -> x g_k (tuples): either way the whole group.
+        # images up in p's; above degree 256 as tuples, and _tail is None
         self._tail: bytes | None = None
         if degree <= 256:
-            self._tail = tail = bytes(range(degree, 256))
+            self._tail = bytes(range(degree, 256))
             ident, keys = bytes(range(degree)), [bytes(g) for g in gens]
-            points = orbit(ident, [g + tail for g in keys], bytes.translate, stop=max_order)
         else:
             ident, keys = identity_perm(degree), gens
-            points = orbit(ident, gens, compose, stop=max_order)
+        points = self._close(ident, sorted(keys, key=_perm_order, reverse=True), max_order)
         if len(points) > max_order:
             raise ClosureBoundExceeded(f"closure exceeded {max_order} elements")
         self.elements = sorted(points)
         self.index = dict(zip(self.elements, range(len(points))))
         assert self.elements[0] == ident
         self._gen_ids = [self.index[g] for g in keys]
-        if self._tail is None:
-            inverses = map(inverse, self.elements)
-        else:  # maketrans(x, ident) maps x[i] to i: x^-1, padded to 256 bytes
-            inverses = map(itemgetter(slice(degree)),
-                           map(bytes.maketrans, self.elements, repeat(ident)))
-        self._inv = list(map(self.index.__getitem__, inverses))
+        self._inv = [-1] * len(points)  # filled by inv() on demand
         self._right: dict[int, tuple[int, ...]] = {}
         self._orders: dict[int, int] = {}
         self._classes: tuple[tuple[int, ...], ...] | None = None
@@ -158,14 +154,69 @@ class PermGroup:
         return self.index[q.translate(p + self._tail)]
 
     def inv(self, i: int) -> int:
-        return self._inv[i]
+        """The id of i^-1, found on first use with one inversion and lookup,
+        and kept for i and i^-1 alike."""
+        j = self._inv[i]
+        if j < 0:
+            p = self.elements[i]
+            if self._tail is None:
+                j = self.index[inverse(p)]
+            else:  # maketrans(p, ident) maps p[k] to k: p^-1, padded to 256 bytes
+                j = self.index[bytes.maketrans(p, self.elements[0])[:self.degree]]
+            self._inv[i], self._inv[j] = j, i
+        return j
 
     def conj(self, g: int, x: int) -> int:
         """g x g^-1: two products and one lookup."""
-        p, q, r = self.elements[g], self.elements[x], self.elements[self._inv[g]]
+        gi = self._inv[g]  # inv's hit path inlined: class records call conj per edge
+        if gi < 0:
+            gi = self.inv(g)
+        p, q, r = self.elements[g], self.elements[x], self.elements[gi]
         if self._tail is None:
             return self.index[compose(p, compose(q, r))]
         return self.index[r.translate(q + self._tail).translate(p + self._tail)]
+
+    def _close(self, ident, gens: list, stop: int) -> list | set:
+        """The stored elements of <gens>, closed one right coset of a cyclic
+        subgroup at a time (Dimino's algorithm; G. Butler, Fundamental
+        Algorithms for Permutation Groups, LNCS 559, 1991).
+
+        H = <a> for a = gens[0].  The constructor lists a generator of largest
+        order first; ``generated_subgroup`` keeps its caller's order (a
+        dihedral point's m before its s), as element orders cost more than
+        they save on its small closures.  Each right coset H t found is
+        walked once: for each generator g, a new y = t g adds the whole coset
+        H y, one C-level ``map`` of products h y with each h stored (and, as
+        bytes, padded) once.  A union of right cosets of H that holds the
+        identity and is closed under right multiplication by the generators
+        is the group.  The walk returns the points found so far as soon as it
+        holds more than ``stop`` of them, a's powers included: the
+        constructor stops past its ``max_order`` bound and
+        ``generated_subgroup`` at |G|/2, past which, by Lagrange's theorem,
+        the subgroup can only be G.
+        """
+        tail = self._tail
+        a = gens[0] if gens else ident
+        powers, x, pa = [ident], a, a if tail is None else a + tail
+        while x != ident:
+            powers.append(x)
+            if len(powers) > stop:
+                return powers
+            x = compose(a, x) if tail is None else x.translate(pa)
+        if len(gens) < 2:  # <a> is the closure
+            return powers
+        lefts = powers if tail is None else [h + tail for h in powers]
+        seen, reps = set(powers), [ident]
+        for t in reps:  # grows while it is walked
+            for y in (map(compose, repeat(t), gens) if tail is None
+                      else map(bytes.translate, gens, repeat(t + tail))):
+                if y not in seen:
+                    seen.update(map(compose, lefts, repeat(y)) if tail is None
+                                else map(bytes.translate, repeat(y), lefts))
+                    if len(seen) > stop:
+                        return seen
+                    reps.append(y)
+        return seen
 
     def _products(self, xs: Iterable, ys: Iterable) -> Iterable:
         """The stored products x . y of ``xs`` and ``ys`` taken pairwise, one
@@ -192,15 +243,7 @@ class PermGroup:
     def element_order(self, i: int) -> int:
         """The lcm of the cycle lengths of element i, cached; no products."""
         if i not in self._orders:
-            p, seen, order = self.elements[i], [False] * self.degree, 1
-            for start in range(self.degree):
-                if not seen[start]:
-                    length, x = 0, start
-                    while not seen[x]:
-                        seen[x] = True
-                        length, x = length + 1, p[x]
-                    order = order * length // _gcd(order, length)
-            self._orders[i] = order
+            self._orders[i] = _perm_order(self.elements[i])
         return self._orders[i]
 
     # -- conjugacy classes ------------------------------------------------
@@ -209,14 +252,15 @@ class PermGroup:
         """Conjugation orbits, ordered by (element order, minimal id).
 
         Each generator g acts by the table x -> g (x g^-1), two products per
-        element.
+        element with g padded once per table.
         """
         if self._classes is None:
-            elements = self.elements
-            tables = [self._table(self._products(
-                          repeat(elements[g]),
-                          self._products(elements, repeat(elements[self._inv[g]]))))
-                      for g in self._gen_ids]
+            elements, tail = self.elements, self._tail
+            tables = []
+            for g in self._gen_ids:
+                p, right = elements[g], self._products(elements, repeat(elements[self.inv(g)]))
+                tables.append(self._table(map(compose, repeat(p), right) if tail is None
+                                          else map(bytes.translate, right, repeat(p + tail))))
             classes = _table_orbits(self.order, tables)[0]
             classes.sort(key=lambda c: (self.element_order(c[0]), c[0]))
             self._classes = tuple(classes)
@@ -258,10 +302,10 @@ class PermGroup:
         """
         gens = [g for g in dict.fromkeys(gen_ids) if g != 0]
         half = self.order // 2
-        members = orbit(0, gens, self.mul, stop=half)
-        if len(members) > half:
+        points = self._close(self.elements[0], [self.elements[g] for g in gens], half)
+        if len(points) > half:
             return self.full_subgroup()
-        return Subgroup(self, tuple(sorted(members)), tuple(gens))
+        return Subgroup(self, tuple(sorted(map(self.index.__getitem__, points))), tuple(gens))
 
     def cyclic_subgroup(self, i: int) -> "Subgroup":
         return self.generated_subgroup([i])
@@ -275,16 +319,13 @@ class PermGroup:
         return {"degree": self.degree, "generators": [list(g) for g in self.generators]}
 
 
-def orbit(start, gens: Sequence, act: Callable, stop: int | None = None) -> list:
+def orbit(start, gens: Sequence, act: Callable) -> list:
     """The orbit of ``start`` under the group generated by ``gens``, breadth first.
 
     ``act(x, g)`` is the image of x under g.  A finite set closed under
     every generator is closed under the group they generate, so the orbit of
-    the identity under right multiplication is the generated subgroup.  With
-    ``stop`` the walk returns the points found so far as soon as it holds
-    more than ``stop`` of them: the ``PermGroup`` closure stops past its
-    ``max_order`` bound, and ``generated_subgroup`` at |G|/2, past which, by
-    Lagrange's theorem, the subgroup can only be G.
+    the identity under right multiplication is the generated subgroup: the
+    closure that class records take of small centralizers.
     """
     points, seen = [start], {start}
     for x in points:  # grows while it is walked
@@ -293,9 +334,20 @@ def orbit(start, gens: Sequence, act: Callable, stop: int | None = None) -> list
             if y not in seen:
                 seen.add(y)
                 points.append(y)
-                if stop is not None and len(points) > stop:
-                    return points
     return points
+
+
+def _perm_order(p: Sequence[int]) -> int:
+    """The lcm of the cycle lengths of the image sequence ``p``."""
+    seen, order = [False] * len(p), 1
+    for start in range(len(p)):
+        if not seen[start]:
+            length, x = 0, start
+            while not seen[x]:
+                seen[x] = True
+                length, x = length + 1, p[x]
+            order = order * length // _gcd(order, length)
+    return order
 
 
 def _gcd(a: int, b: int) -> int:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from hurwitzdegen import (ClassFunction, PermGroup, Subgroup, compose, induced_c
                           normalizer, perm_from_cycles)
 from hurwitzdegen import audit
 from hurwitzdegen.errors import (ClosureBoundExceeded, DegreeMismatch, NotACharacter)
-from hurwitzdegen.groups import as_perm, identity_perm, orbits
+from hurwitzdegen.groups import as_perm, identity_perm, orbit, orbits
 
 from conftest import all_subgroups, centralizer_by_scan, closure_by_bfs, sign_characters
 
@@ -63,6 +64,31 @@ def test_closure_bound():
     assert PermGroup(gens, max_order=60).order == 60
     with pytest.raises(ClosureBoundExceeded):
         PermGroup(gens, max_order=59)
+
+
+def test_closure_bound_stops_the_power_walk():
+    # cycles of the first nine primes on 100 points: order 223,092,870, so
+    # only a walk of a's powers that stops past the bound can raise at once
+    start, cycles = 0, []
+    for length in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        cycles.append(tuple(range(start, start + length)))
+        start += length
+    c = perm_from_cycles(100, *cycles)
+    began = time.perf_counter()
+    with pytest.raises(ClosureBoundExceeded):
+        PermGroup([c], max_order=1000)
+    assert time.perf_counter() - began < 5  # an unbounded walk takes minutes
+
+
+def test_generated_subgroup_of_an_element_above_half_order():
+    # by Lagrange an element of order above |G|/2 generates G
+    G = PermGroup([_cyclic(12)])
+    g = G.generator_ids[0]
+    g5 = G.product([g] * 5)
+    assert G.generated_subgroup([g]) == G.full_subgroup()
+    assert G.generated_subgroup([g5]) == G.full_subgroup()
+    square = G.generated_subgroup([G.mul(g, g)])  # order 6 = |G|/2: a proper subgroup
+    assert square.order == 6 and square.gens == (G.mul(g, g),)
 
 
 @pytest.mark.parametrize("gens,degree", [([], 0), ([()], 0), ([], 1), ([(0,)], 1),
@@ -123,8 +149,11 @@ FLIP300 = tuple(-x % 300 for x in range(300))
     ([_cyclic(256)], 256, [[_cyclic(256, 64)], [_cyclic(256, 2)]]),   # C256: bytes
     ([_cyclic(257)], 257, [[], [_cyclic(257)]]),                       # C257: tuples
     ([_cyclic(300), FLIP300], 300,                                     # D300 on 300 points
-     [[_cyclic(300)], [FLIP300], [_cyclic(300, 100)]]),
-], ids=["c256", "c257", "d300"])
+     [[_cyclic(300)], [FLIP300], [_cyclic(300, 100)], [FLIP300, _cyclic(300, 60)]]),
+    ([perm_from_cycles(257, (0, 1, 2, 3, 4)), perm_from_cycles(257, (0, 1))], 257,
+     [[perm_from_cycles(257, (0, 1, 2, 3)), perm_from_cycles(257, (0, 1))],  # S4: <a> not normal
+      [perm_from_cycles(257, (0, 1)), perm_from_cycles(257, (1, 2, 3, 4))]]),  # all of S5
+], ids=["c256", "c257", "d300", "s5_on_257"])
 def test_storage_switch_against_tuple_closure(gens, degree, subgroups):
     G = PermGroup(gens, degree=degree)
     assert type(G.elements[0]) is (bytes if degree <= 256 else tuple)
@@ -134,7 +163,7 @@ def test_storage_switch_against_tuple_closure(gens, degree, subgroups):
     assert [G.perm(i) for i in range(G.order)] == elements
     assert [G.id_of(g) for g in elements] == list(range(n))
     assert G.generator_ids == [index[g] for g in gens]
-    assert G._inv == [index[inverse(g)] for g in elements]
+    assert [G.inv(i) for i in range(n)] == [index[inverse(g)] for g in elements]
 
     def times(x: int, h: int) -> int:
         return index[compose(elements[x], elements[h])]
@@ -185,6 +214,32 @@ def test_storage_switch_against_tuple_closure(gens, degree, subgroups):
             assert G.mul(x, h) == times(x, h)
             g = elements[h]
             assert G.conj(h, x) == index[compose(compose(g, elements[x]), inverse(g))]
+
+
+def test_closure_against_orbit_closure_in_small_symmetric_groups():
+    # the coset-by-coset closures against the plain orbit closure: the
+    # elements, generated subgroups and every inverse
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(data=st.data(), degree=st.integers(3, 7))
+    def check(data, degree):
+        gens = data.draw(st.lists(st.permutations(range(degree)), max_size=3))
+        if gens and data.draw(st.booleans()):
+            gens.append(gens[0])  # a duplicate generator
+        if data.draw(st.booleans()):
+            gens.insert(data.draw(st.integers(0, len(gens))), identity_perm(degree))
+        G = PermGroup(gens, degree=degree)
+        assert [G.perm(i) for i in range(G.order)] == \
+            sorted(orbit(identity_perm(degree), G.generators, compose))
+        for ids in data.draw(st.lists(st.lists(st.integers(0, G.order - 1), max_size=3),
+                                      min_size=1, max_size=3)):
+            assert list(G.generated_subgroup(ids).members) == sorted(orbit(0, ids, G.mul))
+        assert [G.inv(i) for i in reversed(range(G.order))] == \
+            [G.id_of(inverse(G.perm(i))) for i in reversed(range(G.order))]
+
+    check()
 
 
 @pytest.mark.parametrize("degree", [5, 256, 257, 300])
