@@ -108,7 +108,7 @@ class PermGroup:
             ident, keys = bytes(range(degree)), [bytes(g) for g in gens]
         else:
             ident, keys = identity_perm(degree), gens
-        points = self._close(ident, sorted(keys, key=_perm_order, reverse=True), max_order)
+        points = self._close(ident, keys, max_order)
         if len(points) > max_order:
             raise ClosureBoundExceeded(f"closure exceeded {max_order} elements")
         self.elements = sorted(points)
@@ -181,13 +181,11 @@ class PermGroup:
         subgroup at a time (Dimino's algorithm; G. Butler, Fundamental
         Algorithms for Permutation Groups, LNCS 559, 1991).
 
-        H = <a> for a = gens[0].  The constructor lists a generator of largest
-        order first; ``generated_subgroup`` keeps its caller's order (a
-        dihedral point's m before its s), as element orders cost more than
-        they save on its small closures.  Each right coset H t found is
-        walked once: for each generator g, a new y = t g adds the whole coset
-        H y, one C-level ``map`` of products h y with each h stored (and, as
-        bytes, padded) once.  A union of right cosets of H that holds the
+        H = <a> for a = gens[0], in the caller's order (a group's generators
+        as given, a dihedral point's m before its s).  Each right coset H t
+        found is walked once: for each generator g, a new y = t g adds the
+        whole coset H y, one C-level ``map`` of products h y with each h
+        stored (and, as bytes, padded) once.  A union of right cosets of H that holds the
         identity and is closed under right multiplication by the generators
         is the group.  The walk returns the points found so far as soon as it
         holds more than ``stop`` of them, a's powers included: the
@@ -208,8 +206,7 @@ class PermGroup:
         lefts = powers if tail is None else [h + tail for h in powers]
         seen, reps = set(powers), [ident]
         for t in reps:  # grows while it is walked
-            for y in (map(compose, repeat(t), gens) if tail is None
-                      else map(bytes.translate, gens, repeat(t + tail))):
+            for y in self._products(repeat(t), gens):
                 if y not in seen:
                     seen.update(map(compose, lefts, repeat(y)) if tail is None
                                 else map(bytes.translate, repeat(y), lefts))
@@ -243,7 +240,15 @@ class PermGroup:
     def element_order(self, i: int) -> int:
         """The lcm of the cycle lengths of element i, cached; no products."""
         if i not in self._orders:
-            self._orders[i] = _perm_order(self.elements[i])
+            p, seen, order = self.elements[i], [False] * self.degree, 1
+            for start in range(self.degree):
+                if not seen[start]:
+                    length, x = 0, start
+                    while not seen[x]:
+                        seen[x] = True
+                        length, x = length + 1, p[x]
+                    order = order * length // _gcd(order, length)
+            self._orders[i] = order
         return self._orders[i]
 
     # -- conjugacy classes ------------------------------------------------
@@ -335,19 +340,6 @@ def orbit(start, gens: Sequence, act: Callable) -> list:
                 seen.add(y)
                 points.append(y)
     return points
-
-
-def _perm_order(p: Sequence[int]) -> int:
-    """The lcm of the cycle lengths of the image sequence ``p``."""
-    seen, order = [False] * len(p), 1
-    for start in range(len(p)):
-        if not seen[start]:
-            length, x = 0, start
-            while not seen[x]:
-                seen[x] = True
-                length, x = length + 1, p[x]
-            order = order * length // _gcd(order, length)
-    return order
 
 
 def _gcd(a: int, b: int) -> int:
