@@ -11,8 +11,7 @@ as a warning rather than a failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record, set_field
 from .boundary import BoundaryDatum, HurwitzTuple, dual_graph_of_groups, equivalent, \
     hurwitz_to_datum
 from .cohomology import de_rham_character
@@ -27,11 +26,13 @@ WARN = "WARN"
 FAIL = "FAIL"
 
 
-@dataclass(frozen=True)
-class AuditCheck:
-    name: str
-    status: str
-    detail: str
+class AuditCheck(Record):
+    __slots__ = ("name", "status", "detail")
+
+    def __init__(self, name: str, status: str, detail: str):
+        set_field(self, "name", name)
+        set_field(self, "status", status)
+        set_field(self, "detail", detail)
 
 
 def a5_group() -> PermGroup:

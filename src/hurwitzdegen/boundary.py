@@ -10,8 +10,7 @@ admissibility of the encoded action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record, set_field
 from .errors import InvalidDatum, ProductNotOne, SchemaError
 from .graphs import GenGraph, gengraph_to_dot
 from .groups import PermGroup, Subgroup, is_inverting_involution, same_group
@@ -21,20 +20,20 @@ DIHEDRAL = "dihedral"
 NODE_END = "node"
 
 
-@dataclass(frozen=True)
-class MarkedPoint:
-    kind: str
-    m: int
-    s: int | None = None
-    node_id: int | None = None
+class MarkedPoint(Record):
+    __slots__ = ("kind", "m", "s", "node_id")
 
-    def __post_init__(self):
-        if self.kind not in (CYCLIC, DIHEDRAL, NODE_END):
-            raise ValueError(f"unknown point kind {self.kind!r}")
-        if (self.s is not None) != (self.kind == DIHEDRAL):
+    def __init__(self, kind: str, m: int, s: int | None = None, node_id: int | None = None):
+        if kind not in (CYCLIC, DIHEDRAL, NODE_END):
+            raise ValueError(f"unknown point kind {kind!r}")
+        if (s is not None) != (kind == DIHEDRAL):
             raise ValueError("s is set exactly on dihedral points")
-        if (self.node_id is not None) != (self.kind == NODE_END):
+        if (node_id is not None) != (kind == NODE_END):
             raise ValueError("node_id is set exactly on node ends")
+        set_field(self, "kind", kind)
+        set_field(self, "m", m)
+        set_field(self, "s", s)
+        set_field(self, "node_id", node_id)
 
     @classmethod
     def cyclic(cls, m: int) -> "MarkedPoint":
@@ -49,30 +48,35 @@ class MarkedPoint:
         return cls(NODE_END, m, node_id=node_id)
 
 
-@dataclass(frozen=True)
-class MarkedComponent:
-    genus: int
-    handles: tuple[tuple[int, int], ...]
-    points: tuple[MarkedPoint, ...]
+class MarkedComponent(Record):
+    __slots__ = ("genus", "handles", "points")
 
-    def __post_init__(self):
-        if self.genus < 0:
+    def __init__(self, genus: int, handles: tuple[tuple[int, int], ...],
+                 points: tuple[MarkedPoint, ...]):
+        if genus < 0:
             raise ValueError("genus must be nonnegative")
-        if len(self.handles) != self.genus:
+        if len(handles) != genus:
             raise ValueError("need one handle image pair per unit of genus")
+        set_field(self, "genus", genus)
+        set_field(self, "handles", handles)
+        set_field(self, "points", points)
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str      # SurfaceRelation | NodePairing | DihedralInvolution
-    location: str
-    detail: str
+class Violation(Record):
+    __slots__ = ("kind", "location", "detail")
+
+    def __init__(self, kind: str, location: str, detail: str):
+        set_field(self, "kind", kind)  # SurfaceRelation | NodePairing | DihedralInvolution
+        set_field(self, "location", location)
+        set_field(self, "detail", detail)
 
 
-@dataclass(frozen=True, eq=False)
-class BoundaryDatum:
-    group: PermGroup
-    components: tuple[MarkedComponent, ...]
+class BoundaryDatum(Record, eq=False):
+    __slots__ = ("group", "components")
+
+    def __init__(self, group: PermGroup, components: tuple[MarkedComponent, ...]):
+        set_field(self, "group", group)
+        set_field(self, "components", components)
 
     def node_ends(self) -> dict[int, list[tuple[int, int]]]:
         """node_id -> list of (component index, point index), in scan order."""
@@ -166,14 +170,14 @@ def quotient_stability(datum: BoundaryDatum) -> bool:
 # -- Hurwitz tuples ----------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class HurwitzTuple:
-    group: PermGroup
-    entries: tuple[int, ...]
+class HurwitzTuple(Record, eq=False):
+    __slots__ = ("group", "entries")
 
-    def __post_init__(self):
-        if self.group.product(self.entries) != self.group.identity:
+    def __init__(self, group: PermGroup, entries: tuple[int, ...]):
+        if group.product(entries) != group.identity:
             raise ProductNotOne("tuple entries must multiply to the identity")
+        set_field(self, "group", group)
+        set_field(self, "entries", entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -191,8 +195,7 @@ def hurwitz_to_datum(t: HurwitzTuple) -> BoundaryDatum:
 # -- dual graph of groups ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DualGraphOfGroups:
+class DualGraphOfGroups(Record):
     """The pointed quotient as a graph of groups (Bass, Covering theory for
     graphs of groups, J. Pure Appl. Algebra 89 (1993)).
 
@@ -206,11 +209,16 @@ class DualGraphOfGroups:
     kernel of its sign character.
     """
 
-    graph: GenGraph
-    vertex_groups: tuple[Subgroup, ...]
-    edge_ends: tuple[tuple[tuple[int, int], ...], ...]
-    edge_groups: tuple[Subgroup, ...]
-    edge_kernels: tuple[Subgroup, ...]
+    __slots__ = ("graph", "vertex_groups", "edge_ends", "edge_groups", "edge_kernels")
+
+    def __init__(self, graph: GenGraph, vertex_groups: tuple[Subgroup, ...],
+                 edge_ends: tuple[tuple[tuple[int, int], ...], ...],
+                 edge_groups: tuple[Subgroup, ...], edge_kernels: tuple[Subgroup, ...]):
+        set_field(self, "graph", graph)
+        set_field(self, "vertex_groups", vertex_groups)
+        set_field(self, "edge_ends", edge_ends)
+        set_field(self, "edge_groups", edge_groups)
+        set_field(self, "edge_kernels", edge_kernels)
 
     def to_dot(self) -> str:
         vlabels = [f"v{v} |H|={H.order}" for v, H in enumerate(self.vertex_groups)]

@@ -13,7 +13,6 @@ import json
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
-from .audit import FAIL, audit_passed, run_audit
 from .boundary import (BoundaryDatum, datum_from_jsonable, datum_to_jsonable, datum_warnings,
                        dual_graph_of_groups, tuple_from_jsonable, tuple_to_jsonable,
                        unstable_components)
@@ -291,6 +290,8 @@ def cmd_graph(args) -> int:
 
 
 def cmd_verify_examples(_args) -> int:
+    from .audit import FAIL, audit_passed, run_audit   # only this command loads the audit
+
     checks = run_audit()
     width = max(len(c.name) for c in checks)
     for c in checks:

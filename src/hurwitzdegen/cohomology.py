@@ -21,18 +21,20 @@ node edge reuses it, and only a dihedral edge induces from its E_e = <m, s>.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record, set_field
 from .boundary import BoundaryDatum, DualGraphOfGroups
 from .groups import ClassFunction, PermGroup, induced_character, induced_from_cyclic
 
 
-@dataclass(frozen=True, eq=False)
-class DevissageReport:
-    chi_dR: ClassFunction
-    chi_normalization: ClassFunction
-    edge_induction_sum: ClassFunction
-    h1_character: ClassFunction | None    # None exactly on disconnected covers
+class DevissageReport(Record, eq=False):
+    __slots__ = ("chi_dR", "chi_normalization", "edge_induction_sum", "h1_character")
+
+    def __init__(self, chi_dR: ClassFunction, chi_normalization: ClassFunction,
+                 edge_induction_sum: ClassFunction, h1_character: ClassFunction | None):
+        set_field(self, "chi_dR", chi_dR)
+        set_field(self, "chi_normalization", chi_normalization)
+        set_field(self, "edge_induction_sum", edge_induction_sum)
+        set_field(self, "h1_character", h1_character)  # None exactly on disconnected covers
 
 
 def de_rham_character(datum: BoundaryDatum, gog: DualGraphOfGroups,

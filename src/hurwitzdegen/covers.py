@@ -22,8 +22,7 @@ intermediate quotients from its coset tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record, set_field
 from .boundary import BoundaryDatum, DualGraphOfGroups, dual_graph_of_groups, is_stable_curve
 from .errors import NegativeGenus, NonIntegralGenus
 from .graphs import GenGraph, gengraph_to_dot
@@ -63,43 +62,54 @@ def _genus(double: int) -> int:
     return g
 
 
-@dataclass(frozen=True)
-class CoverComponent:
-    quotient_component: int
-    coset: int      # index into the H_Y coset table of that component
-    genus: int
+class CoverComponent(Record):
+    __slots__ = ("quotient_component", "coset", "genus")
+
+    def __init__(self, quotient_component: int, coset: int, genus: int):
+        set_field(self, "quotient_component", quotient_component)
+        set_field(self, "coset", coset)      # index into the H_Y coset table of that component
+        set_field(self, "genus", genus)
 
 
-@dataclass(frozen=True)
-class CoverBranch:
-    quotient_point: tuple[int, int]   # (component index, point index)
-    m_coset: int                      # index into the <m> coset table of the node's edge
-    vertex: int                       # cover component carrying the branch
+class CoverBranch(Record):
+    __slots__ = ("quotient_point", "m_coset", "vertex")
+
+    def __init__(self, quotient_point: tuple[int, int], m_coset: int, vertex: int):
+        set_field(self, "quotient_point", quotient_point)  # (component index, point index)
+        set_field(self, "m_coset", m_coset)  # index into the <m> coset table of the node's edge
+        set_field(self, "vertex", vertex)    # cover component carrying the branch
 
 
-@dataclass(frozen=True)
-class CoverNode:
-    edge: int                         # unoriented edge of the graph of groups
-    branch_a: CoverBranch
-    branch_b: CoverBranch
+class CoverNode(Record):
+    __slots__ = ("edge", "branch_a", "branch_b")
+
+    def __init__(self, edge: int, branch_a: CoverBranch, branch_b: CoverBranch):
+        set_field(self, "edge", edge)        # unoriented edge of the graph of groups
+        set_field(self, "branch_a", branch_a)
+        set_field(self, "branch_b", branch_b)
 
 
-@dataclass(frozen=True)
-class CoverCurve:
+class CoverCurve(Record):
     """The cover of a boundary datum: components, nodes and their dual graph.
 
     Oriented edge 2k of the dual graph is branch a of node k and edge 2k + 1
     its branch b; each edge ends at its branch's component.
     """
 
-    datum: BoundaryDatum
-    gog: DualGraphOfGroups
-    components: list[CoverComponent]
-    offsets: list[int]                # first cover component over each quotient component
-    nodes: list[CoverNode]
-    comp_cosets: list[CosetTable]     # G/H_Y per quotient component
-    edge_mcosets: list[CosetTable]    # G/<m> per quotient edge
-    graph: GenGraph
+    __slots__ = ("datum", "gog", "components", "offsets", "nodes", "comp_cosets",
+                 "edge_mcosets", "graph")
+
+    def __init__(self, datum: BoundaryDatum, gog: DualGraphOfGroups,
+                 components: list[CoverComponent], offsets: list[int], nodes: list[CoverNode],
+                 comp_cosets: list[CosetTable], edge_mcosets: list[CosetTable], graph: GenGraph):
+        set_field(self, "datum", datum)
+        set_field(self, "gog", gog)
+        set_field(self, "components", components)
+        set_field(self, "offsets", offsets)  # first cover component over each quotient component
+        set_field(self, "nodes", nodes)
+        set_field(self, "comp_cosets", comp_cosets)  # G/H_Y per quotient component
+        set_field(self, "edge_mcosets", edge_mcosets)  # G/<m> per quotient edge
+        set_field(self, "graph", graph)
 
 
 def build_cover(datum: BoundaryDatum) -> CoverCurve:

@@ -11,8 +11,7 @@ adjacent involution entries into a dihedral point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record, set_field
 from .boundary import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPoint,
                        Violation, canonical_form, quotient_stability, serialize)
 from .errors import InvalidDatum, OddOrder, TooFewPoints
@@ -22,8 +21,7 @@ SPLIT = "split"
 DIHEDRAL = "dihedral"
 
 
-@dataclass(frozen=True, eq=False)
-class Degeneration:
+class Degeneration(Record, eq=False):
     """A codimension-1 boundary datum of a tuple, admissible by construction:
     a split closes each side with the node monodromy, a dihedral point takes s
     from ``inverting_involutions``, and ``collide_pair`` takes s = a, which
@@ -32,11 +30,16 @@ class Degeneration:
     3-entry tuple collides to 2 points.
     """
 
-    kind: str
-    datum: BoundaryDatum
-    split_at: int | None = None       # split kind: size of the left group
-    index: int | None = None          # dihedral kind: marked point index
-    involution: int | None = None     # dihedral kind: element id of s
+    __slots__ = ("kind", "datum", "split_at", "index", "involution")
+
+    def __init__(self, kind: str, datum: BoundaryDatum, split_at: int | None = None,
+                 index: int | None = None, involution: int | None = None):
+        set_field(self, "kind", kind)
+        set_field(self, "datum", datum)
+        set_field(self, "split_at", split_at)      # split kind: size of the left group
+        set_field(self, "index", index)            # dihedral kind: marked point index
+        set_field(self, "involution", involution)  # dihedral kind: element id of s
+        self.__post_init__()
 
     def __post_init__(self):
         if not quotient_stability(self.datum):

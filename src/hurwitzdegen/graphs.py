@@ -13,17 +13,21 @@ constructor check by name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
+from ._record import Record, set_field
 from .groups import PermGroup
 
 
-@dataclass(frozen=True)
-class GenGraph:
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]  # oriented: (source, target)
-    opp: tuple[int, ...]
+class GenGraph(Record):
+    __slots__ = ("vertex_count", "edges", "opp")
+
+    def __init__(self, vertex_count: int, edges: tuple[tuple[int, int], ...],
+                 opp: tuple[int, ...]):
+        set_field(self, "vertex_count", vertex_count)
+        set_field(self, "edges", edges)  # oriented: (source, target)
+        set_field(self, "opp", opp)
+        self.__post_init__()
 
     def __post_init__(self):
         E = len(self.edges)
@@ -76,8 +80,7 @@ class GenGraph:
         return out
 
 
-@dataclass(frozen=True)
-class GraphAction:
+class GraphAction(Record):
     """Action of a group on a generalized graph via full image tables.
 
     ``vertex_images[g]`` and ``edge_images[g]`` give the permutation induced
@@ -87,10 +90,16 @@ class GraphAction:
     every row is then a product of checked automorphisms.
     """
 
-    graph: GenGraph
-    group: PermGroup
-    vertex_images: tuple[tuple[int, ...], ...]
-    edge_images: tuple[tuple[int, ...], ...]
+    __slots__ = ("graph", "group", "vertex_images", "edge_images")
+
+    def __init__(self, graph: GenGraph, group: PermGroup,
+                 vertex_images: tuple[tuple[int, ...], ...],
+                 edge_images: tuple[tuple[int, ...], ...]):
+        set_field(self, "graph", graph)
+        set_field(self, "group", group)
+        set_field(self, "vertex_images", vertex_images)
+        set_field(self, "edge_images", edge_images)
+        self.__post_init__()
 
     def __post_init__(self):
         G, graph = self.group, self.graph

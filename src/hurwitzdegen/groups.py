@@ -30,13 +30,12 @@ whichever call fills them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from itertools import repeat
 from operator import add
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
 
+from ._record import Record, set_field
 from .errors import ClosureBoundExceeded, DegreeMismatch, NotACharacter
 
 Perm = tuple  # images: Perm[i] = image of point i
@@ -385,19 +384,24 @@ def same_group(a: PermGroup, b: PermGroup) -> bool:
     return a is b or (a.degree == b.degree and a.elements == b.elements)
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(Record):
     """Subgroup of ``group`` given by its sorted member ids.
 
     A trusted value: callers pass sets that are closed by construction
     (closures, normalizers, stabilizers, conjugates), so only the identity
     is checked here.  ``gens``, when given, generate it: the ids a closure
-    started from.
+    started from; equality, hash and repr ignore them.
     """
 
-    group: PermGroup
-    members: tuple[int, ...]
-    gens: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("group", "members", "gens")
+    _fields = ("group", "members")
+
+    def __init__(self, group: PermGroup, members: tuple[int, ...],
+                 gens: tuple[int, ...] | None = None):
+        set_field(self, "group", group)
+        set_field(self, "members", members)
+        set_field(self, "gens", gens)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.members[:1] != (0,):
@@ -437,8 +441,7 @@ def _greedy_generators(group: PermGroup, candidates: Iterable[int],
     return gens, generated
 
 
-@dataclass(frozen=True, eq=False)
-class ClassRecord:
+class ClassRecord(Record, eq=False):
     """A conjugacy class with a transversal and the centralizer of its least id.
 
     ``rep`` is the least id r of the class; ``conjugators`` maps every
@@ -446,9 +449,12 @@ class ClassRecord:
     The g with g y g^-1 = r are then exactly the coset C_G(r) t_y^-1.
     """
 
-    rep: int
-    conjugators: Mapping[int, int]  # read-only: one record serves every caller
-    centralizer: Subgroup
+    __slots__ = ("rep", "conjugators", "centralizer")
+
+    def __init__(self, rep: int, conjugators: Mapping[int, int], centralizer: Subgroup):
+        set_field(self, "rep", rep)
+        set_field(self, "conjugators", conjugators)  # read-only: one record serves every caller
+        set_field(self, "centralizer", centralizer)
 
 
 def _class_record(group: PermGroup, x: int) -> ClassRecord:
@@ -481,12 +487,14 @@ def _class_record(group: PermGroup, x: int) -> ClassRecord:
     return ClassRecord(rep, MappingProxyType(t), Subgroup(group, tuple(sorted(cent))))
 
 
-@dataclass(frozen=True)
-class CosetTable:
+class CosetTable(Record):
     """A partition of the group into cosets, ordered by minimal element id."""
 
-    cells: tuple[tuple[int, ...], ...]
-    index_of: tuple[int, ...]  # element id -> coset index
+    __slots__ = ("cells", "index_of")
+
+    def __init__(self, cells: tuple[tuple[int, ...], ...], index_of: tuple[int, ...]):
+        set_field(self, "cells", cells)
+        set_field(self, "index_of", index_of)  # element id -> coset index
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -540,15 +548,15 @@ def is_inverting_involution(group: PermGroup, m: int, s: int) -> bool:
 # -- class functions -------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class ClassFunction:
+class ClassFunction(Record, eq=False):
     """Integer-valued function on conjugacy classes, in canonical class order."""
 
-    group: PermGroup
-    values: tuple[int, ...]
+    __slots__ = ("group", "values")
 
-    def __post_init__(self):
-        assert len(self.values) == len(self.group.conjugacy_classes())
+    def __init__(self, group: PermGroup, values: tuple[int, ...]):
+        assert len(values) == len(group.conjugacy_classes())
+        set_field(self, "group", group)
+        set_field(self, "values", values)
 
     @classmethod
     def trivial(cls, group: PermGroup) -> "ClassFunction":
@@ -577,7 +585,11 @@ class ClassFunction:
     __rmul__ = __mul__
 
     def inner(self, other: "ClassFunction") -> Fraction:
-        """<chi, psi> = (1/|G|) sum chi(g) psi(g^-1); exact rational."""
+        """<chi, psi> = (1/|G|) sum chi(g) psi(g^-1); an exact rational, a
+        ``Fraction``, whose module is imported on first use to keep it out of
+        the package's import."""
+        from fractions import Fraction
+
         assert same_group(self.group, other.group)
         total = 0
         classes = self.group.conjugacy_classes()

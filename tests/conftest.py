@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 
 import pytest
@@ -302,8 +302,8 @@ def disjoint_union(a: BoundaryDatum, b: BoundaryDatum) -> BoundaryDatum:
     shifted past ``a``'s: a datum whose quotient graph has several pieces."""
     shift = 1 + max((pt.node_id for comp in a.components for pt in comp.points
                      if pt.node_id is not None), default=-1)
-    moved = tuple(replace(comp, points=tuple(
-        pt if pt.node_id is None else replace(pt, node_id=pt.node_id + shift)
+    moved = tuple(MarkedComponent(comp.genus, comp.handles, tuple(
+        pt if pt.node_id is None else MarkedPoint(pt.kind, pt.m, node_id=pt.node_id + shift)
         for pt in comp.points)) for comp in b.components)
     return BoundaryDatum(a.group, a.components + moved)
 

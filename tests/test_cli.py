@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -368,3 +370,17 @@ def test_committed_example_files_match_builders():
         tuple_to_jsonable(audit.a5_tuple())
     assert json.loads((root / "psl27_tuple.json").read_text()) == \
         tuple_to_jsonable(audit.psl27_tuple())
+
+
+def test_cli_import_loads_no_slow_modules():
+    # -S keeps site hooks out, as a .pth file may preload typing
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import hurwitzdegen.cli; "
+            "cli = sorted(sys.modules); import hurwitzdegen.audit; "
+            "print(json.dumps([cli, sorted(sys.modules)]))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
+                         capture_output=True, text=True, check=True).stdout
+    at_cli, with_audit = map(set, json.loads(out))
+    slow = {"dataclasses", "inspect", "fractions", "decimal", "typing"}
+    assert "hurwitzdegen.cli" in at_cli and not at_cli & (slow | {"hurwitzdegen.audit"})
+    assert "hurwitzdegen.audit" in with_audit and not with_audit & slow
