@@ -20,7 +20,8 @@ from .degen import (Degeneration, collide_pair, dedup, dihedral_degenerations,
 from .graphs import GenGraph, GraphAction, gengraph_to_dot
 from .groups import (ClassFunction, ClassRecord, CosetTable, PermGroup, Subgroup, compose,
                      induced_character, induced_from_cyclic, inverse, inverting_involutions,
-                     is_inverting_involution, left_cosets, normalizer, perm_from_cycles)
+                     is_inverting_involution, least_conjugate, left_cosets, normalizer,
+                     perm_from_cycles)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

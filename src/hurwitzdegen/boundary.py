@@ -13,7 +13,8 @@ from __future__ import annotations
 from ._record import Record, set_field
 from .errors import InvalidDatum, ProductNotOne, SchemaError
 from .graphs import GenGraph, gengraph_to_dot
-from .groups import PermGroup, Subgroup, is_inverting_involution, same_group
+from .groups import (MAX_DEGREE, PermGroup, Subgroup, is_inverting_involution, least_conjugate,
+                     same_group)
 
 CYCLIC = "cyclic"
 DIHEDRAL = "dihedral"
@@ -266,48 +267,9 @@ def dual_graph_of_groups(datum: BoundaryDatum) -> DualGraphOfGroups:
 _KIND_CODE = {CYCLIC: 0, DIHEDRAL: 1, NODE_END: 2}
 
 
-def serialize(datum: BoundaryDatum) -> tuple:
-    """Deterministic nested tuple of all structure and element ids."""
-    out = []
-    for comp in datum.components:
-        pts = tuple((_KIND_CODE[pt.kind], pt.m,
-                     -1 if pt.s is None else pt.s,
-                     -1 if pt.node_id is None else pt.node_id)
-                    for pt in comp.points)
-        out.append((comp.genus, comp.handles, pts))
-    return tuple(out)
-
-
-def conjugate_datum(datum: BoundaryDatum, g: int) -> BoundaryDatum:
-    """Replace every element id x by g x g^-1."""
-    G = datum.group
-    comps = []
-    for comp in datum.components:
-        handles = tuple((G.conj(g, a), G.conj(g, b)) for a, b in comp.handles)
-        points = tuple(MarkedPoint(pt.kind, G.conj(g, pt.m),
-                                   s=None if pt.s is None else G.conj(g, pt.s),
-                                   node_id=pt.node_id)
-                       for pt in comp.points)
-        comps.append(MarkedComponent(comp.genus, handles, points))
-    return BoundaryDatum(G, tuple(comps))
-
-
-def canonical_form(datum: BoundaryDatum) -> BoundaryDatum:
-    """Minimum of the serialized form over simultaneous conjugation by G.
-
-    Conjugation moves only the element ids, so serialized conjugates compare
-    as their id lists in ``serialize`` order (handles a, b, then each
-    point's m and, on dihedral points, s).  The least conjugate of the
-    first id x is the least id r of its class, reached exactly by the coset
-    C_G(r) t_x^-1 of x's class record; those are the first candidates.
-    Each later id keeps only the candidates g with the least g y g^-1.  The
-    survivors form a coset of the centralizer of the ids seen so far and
-    all give the same datum, so the first is conjugated once.  Cost: one
-    class record per class of first ids (cached on the group), then
-    |C_G(r)| conjugations of the next id, a shrinking set after that, and
-    one datum built.  Conjugation is defined on every datum, valid or not.
-    """
-    G = datum.group
+def _element_ids(datum: BoundaryDatum) -> list[int]:
+    """The datum's element ids in ``serialize`` order: each component's
+    handles a, b, then each point's m and, on dihedral points, s."""
     ids = []
     for comp in datum.components:
         for a, b in comp.handles:
@@ -316,24 +278,37 @@ def canonical_form(datum: BoundaryDatum) -> BoundaryDatum:
             ids.append(pt.m)
             if pt.s is not None:
                 ids.append(pt.s)
-    if not ids:  # no element ids: conjugation fixes the datum
-        return conjugate_datum(datum, G.identity)
-    rec = G.class_record(ids[0])
-    back = G.inv(rec.conjugators[ids[0]])
-    cands = [G.mul(c, back) for c in rec.centralizer.members]
-    for x in ids[1:]:
-        if len(cands) == 1:
-            break
-        images = [G.conj(g, x) for g in cands]
-        least = min(images)
-        cands = [g for g, y in zip(cands, images) if y == least]
-    return conjugate_datum(datum, cands[0])
+    return ids
+
+
+def serialize(datum: BoundaryDatum, ids: tuple[int, ...] | None = None) -> tuple:
+    """Deterministic nested tuple of all structure and element ids; given
+    ``ids``, they replace the datum's element ids in ``_element_ids`` order."""
+    take = iter(_element_ids(datum) if ids is None else ids).__next__
+    out = []
+    for comp in datum.components:
+        handles = tuple((take(), take()) for _ in comp.handles)
+        pts = tuple((_KIND_CODE[pt.kind], take(), -1 if pt.s is None else take(),
+                     -1 if pt.node_id is None else pt.node_id)
+                    for pt in comp.points)
+        out.append((comp.genus, handles, pts))
+    return tuple(out)
+
+
+def canonical_form(datum: BoundaryDatum) -> tuple:
+    """The key of the datum up to simultaneous conjugation by G: the least
+    serialized conjugate.
+
+    Conjugation moves only the element ids, so serialized conjugates compare
+    as their id lists in ``serialize`` order, and the key is the datum
+    serialized with ``least_conjugate`` of its ids: no conjugate datum is
+    built.  Conjugation is defined on every datum, valid or not.
+    """
+    return serialize(datum, least_conjugate(datum.group, _element_ids(datum)))
 
 
 def equivalent(d1: BoundaryDatum, d2: BoundaryDatum) -> bool:
-    if not same_group(d1.group, d2.group):
-        return False
-    return serialize(canonical_form(d1)) == serialize(canonical_form(d2))
+    return same_group(d1.group, d2.group) and canonical_form(d1) == canonical_form(d2)
 
 
 # -- JSON ---------------------------------------------------------------------
@@ -383,6 +358,8 @@ def _group_from_jsonable(grp) -> PermGroup:
         raise SchemaError("$.group", "expected {degree, generators}")
     if not _is_int(grp["degree"]) or grp["degree"] < 0:
         raise SchemaError("$.group.degree", "expected a nonnegative integer")
+    if grp["degree"] > MAX_DEGREE:
+        raise SchemaError("$.group.degree", f"degree {grp['degree']} exceeds {MAX_DEGREE}")
     if not isinstance(grp["generators"], list) or not all(map(_is_int_list, grp["generators"])):
         raise SchemaError("$.group.generators", "expected permutations as lists of integers")
     try:

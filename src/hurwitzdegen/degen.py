@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from ._record import Record, set_field
 from .boundary import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPoint,
-                       Violation, canonical_form, quotient_stability, serialize)
+                       Violation, canonical_form, quotient_stability)
 from .errors import InvalidDatum, OddOrder, TooFewPoints
 from .groups import inverting_involutions, orbits
 
@@ -156,7 +156,7 @@ def dedup(degenerations: list[Degeneration]) -> list[Degeneration]:
     seen = set()
     out = []
     for deg in degenerations:
-        key = serialize(canonical_form(deg.datum))
+        key = canonical_form(deg.datum)
         if key not in seen:
             seen.add(key)
             out.append(deg)

@@ -41,6 +41,7 @@ from .errors import ClosureBoundExceeded, DegreeMismatch, NotACharacter
 Perm = tuple  # images: Perm[i] = image of point i
 
 DEFAULT_CLOSURE_BOUND = 10**6
+MAX_DEGREE = 10**4  # the loader's bound on a declared degree, checked before anything is built
 
 
 def as_perm(images: Sequence[int]) -> Perm:
@@ -59,6 +60,10 @@ def identity_perm(degree: int) -> Perm:
 def compose(p: Perm, q: Perm) -> Perm:
     """(p . q)(i) = p(q(i))."""
     return tuple([p[i] for i in q])
+
+
+def _swapped_compose(q: Perm, p: Perm) -> Perm:  # p . q, argued like bytes.translate
+    return compose(p, q)
 
 
 def inverse(p: Perm) -> Perm:
@@ -99,14 +104,14 @@ class PermGroup:
                 raise DegreeMismatch(f"generator degree {len(g)} != {degree}")
         self.degree = degree
         self.generators = gens
-        # elements as bytes, where p . q = q.translate(p + tail) looks q's
-        # images up in p's; above degree 256 as tuples, and _tail is None
-        self._tail: bytes | None = None
+        # p . q = _tr(q, p + _pad): on bytes, q.translate(p + tail) looks q's
+        # images up in p's; on tuples, compose(p, q), and () keeps p as it is
         if degree <= 256:
-            self._tail = bytes(range(degree, 256))
             ident, keys = bytes(range(degree)), [bytes(g) for g in gens]
+            self._tr, self._pad = bytes.translate, bytes(range(degree, 256))
         else:
             ident, keys = identity_perm(degree), gens
+            self._tr, self._pad = _swapped_compose, ()
         points = self._close(ident, keys, max_order)
         if len(points) > max_order:
             raise ClosureBoundExceeded(f"closure exceeded {max_order} elements")
@@ -142,15 +147,12 @@ class PermGroup:
         """The id of the image array ``p``; being a key of ``index`` is what
         makes it a permutation in this group."""
         try:
-            return self.index[tuple(p) if self._tail is None else bytes(p)]
+            return self.index[bytes(p) if self.degree <= 256 else tuple(p)]
         except (KeyError, TypeError, ValueError):  # bytes() takes integer images 0..255 only
             raise KeyError(f"permutation {list(p)!r} is not an element of this group") from None
 
     def mul(self, i: int, j: int) -> int:
-        p, q = self.elements[i], self.elements[j]
-        if self._tail is None:
-            return self.index[compose(p, q)]
-        return self.index[q.translate(p + self._tail)]
+        return self.index[self._tr(self.elements[j], self.elements[i] + self._pad)]
 
     def inv(self, i: int) -> int:
         """The id of i^-1, found on first use with one inversion and lookup,
@@ -158,7 +160,7 @@ class PermGroup:
         j = self._inv[i]
         if j < 0:
             p = self.elements[i]
-            if self._tail is None:
+            if self.degree > 256:
                 j = self.index[inverse(p)]
             else:  # maketrans(p, ident) maps p[k] to k: p^-1, padded to 256 bytes
                 j = self.index[bytes.maketrans(p, self.elements[0])[:self.degree]]
@@ -167,13 +169,8 @@ class PermGroup:
 
     def conj(self, g: int, x: int) -> int:
         """g x g^-1: two products and one lookup."""
-        gi = self._inv[g]  # inv's hit path inlined: class records call conj per edge
-        if gi < 0:
-            gi = self.inv(g)
-        p, q, r = self.elements[g], self.elements[x], self.elements[gi]
-        if self._tail is None:
-            return self.index[compose(p, compose(q, r))]
-        return self.index[r.translate(q + self._tail).translate(p + self._tail)]
+        tr, pad, elements = self._tr, self._pad, self.elements
+        return self.index[tr(tr(elements[self.inv(g)], elements[x] + pad), elements[g] + pad)]
 
     def _close(self, ident, gens: list, stop: int) -> list | set:
         """The stored elements of <gens>, closed one right coset of a cyclic
@@ -192,23 +189,22 @@ class PermGroup:
         ``generated_subgroup`` at |G|/2, past which, by Lagrange's theorem,
         the subgroup can only be G.
         """
-        tail = self._tail
+        tr, pad = self._tr, self._pad
         a = gens[0] if gens else ident
-        powers, x, pa = [ident], a, a if tail is None else a + tail
+        powers, x, pa = [ident], a, a + pad
         while x != ident:
             powers.append(x)
             if len(powers) > stop:
                 return powers
-            x = compose(a, x) if tail is None else x.translate(pa)
+            x = tr(x, pa)
         if len(gens) < 2:  # <a> is the closure
             return powers
-        lefts = powers if tail is None else [h + tail for h in powers]
+        lefts = [h + pad for h in powers]
         seen, reps = set(powers), [ident]
         for t in reps:  # grows while it is walked
             for y in self._products(repeat(t), gens):
                 if y not in seen:
-                    seen.update(map(compose, lefts, repeat(y)) if tail is None
-                                else map(bytes.translate, repeat(y), lefts))
+                    seen.update(map(tr, repeat(y), lefts))
                     if len(seen) > stop:
                         return seen
                     reps.append(y)
@@ -217,9 +213,7 @@ class PermGroup:
     def _products(self, xs: Iterable, ys: Iterable) -> Iterable:
         """The stored products x . y of ``xs`` and ``ys`` taken pairwise, one
         C-level ``map``."""
-        if self._tail is None:
-            return map(compose, xs, ys)
-        return map(bytes.translate, ys, map(add, xs, repeat(self._tail)))
+        return map(self._tr, ys, map(add, xs, repeat(self._pad)))
 
     def _table(self, products: Iterable) -> tuple[int, ...]:
         return tuple(map(self.index.__getitem__, products))
@@ -259,12 +253,10 @@ class PermGroup:
         element with g padded once per table.
         """
         if self._classes is None:
-            elements, tail = self.elements, self._tail
-            tables = []
+            elements, tables = self.elements, []
             for g in self._gen_ids:
-                p, right = elements[g], self._products(elements, repeat(elements[self.inv(g)]))
-                tables.append(self._table(map(compose, repeat(p), right) if tail is None
-                                          else map(bytes.translate, right, repeat(p + tail))))
+                right = self._products(elements, repeat(elements[self.inv(g)]))
+                tables.append(self._table(map(self._tr, right, repeat(elements[g] + self._pad))))
             classes = _table_orbits(self.order, tables)[0]
             classes.sort(key=lambda c: (self.element_order(c[0]), c[0]))
             self._classes = tuple(classes)
@@ -323,24 +315,6 @@ class PermGroup:
         return {"degree": self.degree, "generators": [list(g) for g in self.generators]}
 
 
-def orbit(start, gens: Sequence, act: Callable) -> list:
-    """The orbit of ``start`` under the group generated by ``gens``, breadth first.
-
-    ``act(x, g)`` is the image of x under g.  A finite set closed under
-    every generator is closed under the group they generate, so the orbit of
-    the identity under right multiplication is the generated subgroup: the
-    closure that class records take of small centralizers.
-    """
-    points, seen = [start], {start}
-    for x in points:  # grows while it is walked
-        for g in gens:
-            y = act(x, g)
-            if y not in seen:
-                seen.add(y)
-                points.append(y)
-    return points
-
-
 def _gcd(a: int, b: int) -> int:
     while b:
         a, b = b, a % b
@@ -370,13 +344,21 @@ def _table_orbits(n: int, tables: Sequence[Sequence[int]]) -> tuple[list[tuple],
 
 
 def orbits(points: Iterable, gens: Sequence, act: Callable) -> list[list]:
-    """The orbits that meet ``points``, each opened at its first point there."""
+    """The orbits that meet ``points`` under the group generated by ``gens``,
+    each walked breadth first from its first point there; ``act(x, g)`` is
+    the image of x under g."""
     seen: set = set()
     out = []
     for p in points:
         if p not in seen:
-            out.append(orbit(p, gens, act))
-            seen.update(out[-1])
+            seen.add(p)
+            out.append([p])
+            for x in out[-1]:  # grows while it is walked
+                for g in gens:
+                    y = act(x, g)
+                    if y not in seen:
+                        seen.add(y)
+                        out[-1].append(y)
     return out
 
 
@@ -437,7 +419,7 @@ def _greedy_generators(group: PermGroup, candidates: Iterable[int],
             break
         if h not in generated:
             gens.append(h)
-            generated = set(orbit(0, gens, group.mul))
+            generated = set(group.generated_subgroup(gens).members)
     return gens, generated
 
 
@@ -461,30 +443,70 @@ def _class_record(group: PermGroup, x: int) -> ClassRecord:
     """Orbit-stabilizer on x's class (Holt, Eick and O'Brien, Handbook of
     Computational Group Theory, 4.1).
 
-    One walk under the generators records, for each member y, a conjugator
-    u_y with u_y x u_y^-1 = y (a Schreier vector with its words multiplied
-    out) and every edge y -> g y g^-1.  With r the least member,
-    t_y = u_y u_r^-1 conjugates r to y, and the Schreier generators
-    t_z^-1 g t_y of the edges y -> z generate C_G(r); they are added
-    greedily until |C_G(r)| |class| = |G|.
+    One walk over the class on stored elements records, for each member y,
+    a conjugator u_y with u_y x u_y^-1 = y (a Schreier vector with its words
+    multiplied out).  Each generator g is padded, and g^-1 found, once, and
+    each member padded once, so an edge y -> g y g^-1 costs two products.
+    With r the least member, t_y = u_y u_r^-1 conjugates r to y.  An edge
+    that finds z new is a tree edge, u_z = g u_y, whose Schreier generator
+    t_z^-1 g t_y is the identity; those of the other edges generate C_G(r)
+    and are added greedily until |C_G(r)| |class| = |G|.
     """
-    via = {x: 0}
-    edges: list[tuple[int, int, int]] = []
-
-    def act(y: int, g: int) -> int:
-        z = group.conj(g, y)
-        if z not in via:
-            via[z] = group.mul(g, via[y])
-        edges.append((y, g, z))
-        return z
-
-    members = orbit(x, group.generator_ids, act)
-    rep = min(members)
-    back = group.inv(via[rep])
-    t = {y: group.mul(u, back) for y, u in via.items()}
-    schreier = (group.mul(group.inv(t[z]), group.mul(g, t[y])) for y, g, z in edges)
+    elements, index, tr, pad = group.elements, group.index, group._tr, group._pad
+    steps = [(g, elements[group.inv(g)], elements[g] + pad) for g in group._gen_ids]
+    via = {elements[x]: elements[0]}
+    members, edges = [elements[x]], []
+    for y in members:  # grows while it is walked
+        u, py = via[y], y + pad
+        for g, q, pg in steps:
+            z = tr(tr(q, py), pg)  # g (y g^-1)
+            if z in via:
+                edges.append((y, g, z))
+            else:
+                via[z] = tr(u, pg)
+                members.append(z)
+    r = min(members)
+    back = elements[group.inv(index[via[r]])]
+    t = {index[y]: index[tr(back, u + pad)] for y, u in via.items()}
+    schreier = (group.mul(group.inv(t[index[z]]), group.mul(g, t[index[y]])) for y, g, z in edges)
     _, cent = _greedy_generators(group, schreier, group.order // len(members))
-    return ClassRecord(rep, MappingProxyType(t), Subgroup(group, tuple(sorted(cent))))
+    return ClassRecord(index[r], MappingProxyType(t), Subgroup(group, tuple(sorted(cent))))
+
+
+def least_conjugate(group: PermGroup, ids: Sequence[int]) -> tuple[int, ...]:
+    """The least of the tuples (g x g^-1 for x in ``ids``) over g in G: the
+    key of ``ids`` up to simultaneous conjugation (of a Hurwitz tuple's
+    Nielsen class mod Inn).
+
+    The least conjugate of the first id x is the least id r of its class,
+    reached exactly by the coset C_G(r) t_x^-1 of x's class record: the
+    first candidates g, each kept padded and with g^-1.  Each later id y
+    keeps those with the least g y g^-1, compared as stored elements, which
+    sort like ids.  The survivors form a coset of the centralizer of the ids
+    seen so far; once one is left, it conjugates the ids that remain.  Cost:
+    one class record per class of first ids (cached on the group), then two
+    products per candidate and id.
+    """
+    if not ids:
+        return ()
+    elements, index, tr, pad = group.elements, group.index, group._tr, group._pad
+    rec = group.class_record(ids[0])
+    t = rec.conjugators[ids[0]]
+    back, pt = elements[group.inv(t)], elements[t] + pad
+    # g = c t^-1 and g^-1 = t c^-1 for c in C_G(r)
+    cands = [(tr(back, elements[c] + pad) + pad, tr(elements[group.inv(c)], pt))
+             for c in rec.centralizer.members]
+    out = [rec.rep]
+    for x in ids[1:]:
+        if len(cands) == 1:
+            break
+        px = elements[x] + pad
+        images = [tr(tr(gi, px), pg) for pg, gi in cands]  # g (x g^-1)
+        least = min(images)
+        out.append(index[least])
+        cands = [c for c, y in zip(cands, images) if y == least]
+    pg, gi = cands[0]
+    return (*out, *[index[tr(tr(gi, elements[x] + pad), pg)] for x in ids[len(out):]])
 
 
 class CosetTable(Record):

@@ -11,7 +11,7 @@ from hurwitzdegen import (BoundaryDatum, CosetTable, CoverCurve, DevissageReport
                           cover_report, de_rham_character, dual_graph_of_groups,
                           is_inverting_involution, left_cosets, perm_from_cycles, rh_genus)
 from hurwitzdegen import audit
-from hurwitzdegen.boundary import conjugate_datum, serialize
+from hurwitzdegen.boundary import serialize
 from hurwitzdegen.covers import _genus
 from hurwitzdegen.groups import orbits
 
@@ -50,6 +50,12 @@ def d5():
 @pytest.fixture(scope="session")
 def s5():
     return PermGroup([perm_from_cycles(5, (0, 1, 2, 3, 4)), perm_from_cycles(5, (0, 1))])
+
+
+@pytest.fixture(scope="session")
+def s4_on_257():
+    """S4 fixing 253 of 257 points: above degree 256 elements are stored as tuples."""
+    return PermGroup([perm_from_cycles(257, (0, 1, 2, 3)), perm_from_cycles(257, (0, 1))])
 
 
 def inverting_pairs(G: PermGroup) -> list[tuple[int, int]]:
@@ -309,6 +315,20 @@ def disjoint_union(a: BoundaryDatum, b: BoundaryDatum) -> BoundaryDatum:
 
 
 # -- group-theory oracles ----------------------------------------------------
+
+
+def conjugate_datum(datum: BoundaryDatum, g: int) -> BoundaryDatum:
+    """Replace every element id x by g x g^-1."""
+    G = datum.group
+    comps = []
+    for comp in datum.components:
+        handles = tuple((G.conj(g, a), G.conj(g, b)) for a, b in comp.handles)
+        points = tuple(MarkedPoint(pt.kind, G.conj(g, pt.m),
+                                   s=None if pt.s is None else G.conj(g, pt.s),
+                                   node_id=pt.node_id)
+                       for pt in comp.points)
+        comps.append(MarkedComponent(comp.genus, handles, points))
+    return BoundaryDatum(G, tuple(comps))
 
 
 def canonical_form_by_scan(datum: BoundaryDatum) -> tuple:

@@ -16,10 +16,10 @@ from hurwitzdegen import (build_cover, canonical_form, collide_pair, de_rham_cha
                           is_inverting_involution, left_cosets, normalizer,
                           perm_from_cycles, rh_genus, smooth_dihedral, validate)
 from hurwitzdegen import audit
-from hurwitzdegen.boundary import conjugate_datum, serialize
 from hurwitzdegen.covers import cover_report
 
-from conftest import characters, deck_action, inverting_pairs, quotient_report, random_valid_datum
+from conftest import (canonical_form_by_scan, characters, conjugate_datum, deck_action,
+                      inverting_pairs, quotient_report, random_valid_datum)
 
 
 def _result(name: str, ok: bool) -> None:
@@ -134,13 +134,12 @@ def test_criterion_6_property_suites(s3, s4, d4, d5):
                             if action.edge_images[g][0] // 2 == 0)
                 assert len(images) * nstab == G.order
 
-            # canonical form: idempotent and constant on conjugation orbits
+            # canonical form: every conjugate gives the same key, which equals the scan
             cf = canonical_form(datum)
-            assert serialize(canonical_form(cf)) == serialize(cf)
+            assert {canonical_form(conjugate_datum(datum, h)) for h in range(G.order)} == {cf}
+            assert cf == canonical_form_by_scan(datum)
             g = rng.randrange(G.order)
-            conj = conjugate_datum(datum, g)
-            assert equivalent(datum, conj)
-            assert serialize(canonical_form(conj)) == serialize(cf)
+            assert equivalent(datum, conjugate_datum(datum, g))
 
             all_rational = all(c.genus == 0 for c in cover.components)
             gog = dual_graph_of_groups(datum)

@@ -11,6 +11,7 @@ from hurwitzdegen import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPo
                           audit, datum_to_jsonable, hurwitz_to_datum, perm_from_cycles,
                           tuple_to_jsonable)
 from hurwitzdegen.cli import build_parser, json_dump, main
+from hurwitzdegen.groups import MAX_DEGREE
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +256,30 @@ def test_analyze_disconnected_positive_genus_cover(tmp_path, capsys, s5):
     V, E = cover["component_count"], cover["node_count"]
     assert chars["chi_dR"]["degree"] == chars["degree_chi_dR"] == 2 * (V - E - 18)
     assert chars["h1"] is None
+
+
+@pytest.mark.parametrize("command", ["analyze", "degenerate"])
+def test_declared_degree_above_the_bound_exits_1(tmp_path, capsys, command):
+    # a few bytes of input must not buy memory linear in a huge declared degree:
+    # the loader rejects it before any permutation of that size is built
+    obj = {"group": {"degree": MAX_DEGREE + 1, "generators": []},
+           "components": [{"points": [{"kind": "cyclic", "m": []}]}], "entries": [[]]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: $.group.degree: degree {MAX_DEGREE + 1} exceeds {MAX_DEGREE}\n"
+
+
+def test_declared_degree_at_the_bound_loads(tmp_path, capsys):
+    ident = list(range(MAX_DEGREE))
+    obj = {"group": {"degree": MAX_DEGREE, "generators": []},
+           "components": [{"points": [{"kind": "cyclic", "m": ident}] * 3}]}
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "analyze", str(path))
+    assert code == 0
+    assert json.loads(out)["cover"]["component_count"] == 1  # the trivial group
 
 
 def test_analyze_degree_300_datum(tmp_path, capsys):

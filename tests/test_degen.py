@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 
@@ -11,10 +12,11 @@ from hurwitzdegen import (HurwitzTuple, PermGroup, canonical_form,
                           perm_from_cycles, quotient_stability, rh_genus, smooth_dihedral,
                           split_degenerations, validate)
 from hurwitzdegen import audit
-from hurwitzdegen.boundary import conjugate_datum, serialize
+from hurwitzdegen.boundary import serialize
+from hurwitzdegen.degen import Degeneration
 from hurwitzdegen.errors import InvalidDatum, OddOrder, TooFewPoints
 
-from conftest import quotient_report
+from conftest import canonical_form_by_scan, conjugate_datum, quotient_report
 
 
 def test_split_index_range(a5, s4):
@@ -206,14 +208,60 @@ def test_dedup(a5, s4):
     twin = dihedral_degenerations(audit.a5_tuple(a5), 0)[0]
     conj = conjugate_datum(d.datum, 7)
     assert equivalent(conj, twin.datum)
-    from hurwitzdegen.degen import Degeneration
     conj_deg = Degeneration("dihedral", conj, index=0,
                             involution=a5.conj(7, d.involution))
     assert len(dedup([d, conj_deg, twin])) == 1
 
 
+def braid_walk(G: PermGroup, entries, rng: random.Random, steps: int) -> list[HurwitzTuple]:
+    """The tuples met on a seeded walk of braid moves and conjugations by generators."""
+    entries, out = list(entries), []
+    for _ in range(steps):
+        move = rng.randrange(4)
+        if move == 3:
+            g = rng.choice(G.generator_ids)
+            entries = [G.conj(g, x) for x in entries]
+        else:
+            i = rng.randrange(len(entries) - 1)
+            a, b = entries[i], entries[i + 1]
+            if move < 2:  # sigma_i: (a, b) -> (a b a^-1, a)
+                entries[i:i + 2] = [G.conj(a, b), a]
+            else:         # sigma_i^-1: (a, b) -> (b, b^-1 a b)
+                entries[i:i + 2] = [b, G.conj(G.inv(b), a)]
+        out.append(HurwitzTuple(G, tuple(entries)))
+    return out
+
+
+def test_dedup_against_scan_on_braid_walks(a5, psl27):
+    # the strata benchmark's input: A5 (2, 2, 2, 3) and PSL(2, 7) (7, 2, 2, 2)
+    # walks, each tuple next to a conjugate, so that dedup has work to do
+    rng = random.Random(21)
+    bases = [(a5, audit.a5_smoothed_tuple(a5)),
+             (psl27, smooth_dihedral(dihedral_degenerations(audit.psl27_tuple(psl27), 2)[0]))]
+    for G, base in bases:
+        tuples = []
+        for t in braid_walk(G, base.entries, rng, 6):
+            g = rng.randrange(G.order)
+            tuples += [t, HurwitzTuple(G, tuple(G.conj(g, x) for x in t.entries))]
+        rng.shuffle(tuples)
+        found = []
+        for t in tuples:
+            found += split_degenerations(t)
+            for i in range(len(t)):
+                found += dihedral_degenerations(t, i)
+        keys = [canonical_form_by_scan(d.datum) for d in found]
+        first: dict[tuple, Degeneration] = {}
+        for d, key in zip(found, keys):
+            first.setdefault(key, d)
+        kept = dedup(found)
+        assert [id(d) for d in kept] == [id(d) for d in first.values()]
+        assert len(kept) < len(found)
+        assert [canonical_form(d.datum) for d in found] == keys
+        for (a, ka), (b, kb) in itertools.combinations(zip(found, keys), 2):
+            assert equivalent(a.datum, b.datum) == (ka == kb)
+
+
 def test_canonical_form_fixes_conjugates(a5):
     d = dihedral_degenerations(audit.a5_tuple(a5), 0)[0].datum
     for g in (3, 17, 42):
-        assert serialize(canonical_form(conjugate_datum(d, g))) == \
-            serialize(canonical_form(d))
+        assert canonical_form(conjugate_datum(d, g)) == canonical_form(d)

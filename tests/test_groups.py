@@ -10,7 +10,7 @@ from hurwitzdegen import (ClassFunction, PermGroup, Subgroup, compose, induced_c
                           normalizer, perm_from_cycles)
 from hurwitzdegen import audit
 from hurwitzdegen.errors import (ClosureBoundExceeded, DegreeMismatch, NotACharacter)
-from hurwitzdegen.groups import as_perm, identity_perm, orbit, orbits
+from hurwitzdegen.groups import as_perm, identity_perm, orbits
 
 from conftest import all_subgroups, centralizer_by_scan, closure_by_bfs, sign_characters
 
@@ -235,7 +235,7 @@ def test_closure_against_orbit_closure_in_small_symmetric_groups():
             gens.insert(data.draw(st.integers(0, len(gens))), identity_perm(degree))
         G = PermGroup(gens, degree=degree)
         assert [G.perm(i) for i in range(G.order)] == \
-            sorted(orbit(identity_perm(degree), G.generators, compose))
+            sorted(orbits([identity_perm(degree)], G.generators, compose)[0])
         assert [G.inv(i) for i in reversed(range(G.order))] == \
             [G.id_of(inverse(G.perm(i))) for i in reversed(range(G.order))]
 
@@ -442,7 +442,7 @@ def test_coset_counts_against_sympy(p):
             assert normalizer(G, H).order == N.order()
 
 
-CLASS_RECORD_GROUPS = ["s3", "d4", "s4", "d5", "a5", "s5", "psl27", "psl2_11"]
+CLASS_RECORD_GROUPS = ["s3", "d4", "s4", "d5", "a5", "s5", "psl27", "psl2_11", "s4_on_257"]
 
 
 def class_record_group(name: str, request) -> PermGroup:
