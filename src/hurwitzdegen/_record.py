@@ -11,6 +11,12 @@ by name (``Subgroup``, ``GenGraph``, ``GraphAction`` and ``Degeneration``:
 the benchmark's tracer and the tests wrap it) stays a ``__post_init__``
 method that the constructor calls through ``self``.
 
+A slot filled on first use (a datum's canonical key, a class record's stored
+centralizer) sits outside ``_fields``, so repr, equality and hash ignore it.
+The constructor sets it to ``None``; the one function that fills it sets it
+once, through ``set_field``, to a pure function of the fields, so every
+reader sees the same value whichever call filled it.
+
 Defining a record runs no generated code, unlike a dataclass, so importing
 the package stays cheap; constructors are written out field by field, as a
 generic loop over the fields would slow the records built per conjugate.

@@ -73,11 +73,16 @@ class Violation(Record):
 
 
 class BoundaryDatum(Record, eq=False):
-    __slots__ = ("group", "components")
+    """A pointed quotient with its monodromy labels; ``_canonical`` holds its
+    ``canonical_form`` key, filled on first use."""
+
+    __slots__ = ("group", "components", "_canonical")
+    _fields = ("group", "components")
 
     def __init__(self, group: PermGroup, components: tuple[MarkedComponent, ...]):
         set_field(self, "group", group)
         set_field(self, "components", components)
+        set_field(self, "_canonical", None)
 
     def node_ends(self) -> dict[int, list[tuple[int, int]]]:
         """node_id -> list of (component index, point index), in scan order."""
@@ -302,9 +307,15 @@ def canonical_form(datum: BoundaryDatum) -> tuple:
     Conjugation moves only the element ids, so serialized conjugates compare
     as their id lists in ``serialize`` order, and the key is the datum
     serialized with ``least_conjugate`` of its ids: no conjugate datum is
-    built.  Conjugation is defined on every datum, valid or not.
+    built.  Conjugation is defined on every datum, valid or not.  A datum is
+    immutable, so its key is computed once and kept on it: ``equivalent`` and
+    ``degen.dedup`` key each datum once however often they meet it.
     """
-    return serialize(datum, least_conjugate(datum.group, _element_ids(datum)))
+    key = datum._canonical
+    if key is None:
+        key = serialize(datum, least_conjugate(datum.group, _element_ids(datum)))
+        set_field(datum, "_canonical", key)
+    return key
 
 
 def equivalent(d1: BoundaryDatum, d2: BoundaryDatum) -> bool:

@@ -57,13 +57,12 @@ def split_degenerations(t: HurwitzTuple) -> list[Degeneration]:
     if n < 3:
         raise TooFewPoints(f"tuple of length {n} has no stable quotient")
     G = t.group
+    cyclic = [MarkedPoint.cyclic(g) for g in t.entries]  # immutable: shared by every split
     out = []
     for k in range(2, n - 1):
         h = G.inv(G.product(t.entries[:k]))
-        left = MarkedComponent(0, (), tuple(
-            [MarkedPoint.cyclic(g) for g in t.entries[:k]] + [MarkedPoint.node_end(h, 0)]))
-        right = MarkedComponent(0, (), tuple(
-            [MarkedPoint.node_end(G.inv(h), 0)] + [MarkedPoint.cyclic(g) for g in t.entries[k:]]))
+        left = MarkedComponent(0, (), (*cyclic[:k], MarkedPoint.node_end(h, 0)))
+        right = MarkedComponent(0, (), (MarkedPoint.node_end(G.inv(h), 0), *cyclic[k:]))
         datum = BoundaryDatum(G, (left, right))
         out.append(Degeneration(SPLIT, datum, split_at=k))
     return out
@@ -74,13 +73,18 @@ def dihedral_degenerations(t: HurwitzTuple, index: int) -> list[Degeneration]:
     n = len(t)
     if n < 3:
         raise TooFewPoints("need at least 2 cyclic points besides the dihedral one")
+    if not 0 <= index < n:
+        raise ValueError(f"no entry {index} in a tuple of length {n}")
     G = t.group
     m = t.entries[index]
+    involutions = inverting_involutions(G, m)
+    if not involutions:
+        return []
+    cyclic = [MarkedPoint.cyclic(g) for g in t.entries]  # immutable: shared by every involution
     out = []
-    for s in inverting_involutions(G, m):
-        points = [MarkedPoint.dihedral(g, s) if i == index else MarkedPoint.cyclic(g)
-                  for i, g in enumerate(t.entries)]
-        datum = BoundaryDatum(G, (MarkedComponent(0, (), tuple(points)),))
+    for s in involutions:
+        points = (*cyclic[:index], MarkedPoint.dihedral(m, s), *cyclic[index + 1:])
+        datum = BoundaryDatum(G, (MarkedComponent(0, (), points),))
         out.append(Degeneration(DIHEDRAL, datum, index=index, involution=s))
     return out
 

@@ -24,8 +24,9 @@ element.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent reads are safe; the lazily filled caches (inverses,
-element orders, classes, class records, right tables) hold correct values
-whichever call fills them.
+element orders, classes, class records, right tables, and on each record of
+a non-central class its centralizer as stored (padded member, inverse)
+pairs) hold correct values whichever call fills them.
 """
 
 from __future__ import annotations
@@ -429,14 +430,18 @@ class ClassRecord(Record, eq=False):
     ``rep`` is the least id r of the class; ``conjugators`` maps every
     member y to a t_y with t_y r t_y^-1 = y; ``centralizer`` is C_G(r).
     The g with g y g^-1 = r are then exactly the coset C_G(r) t_y^-1.
+    ``_pairs`` holds C_G(r) as stored elements, filled on first use by
+    ``_centralizer_pairs``.
     """
 
-    __slots__ = ("rep", "conjugators", "centralizer")
+    __slots__ = ("rep", "conjugators", "centralizer", "_pairs")
+    _fields = ("rep", "conjugators", "centralizer")
 
     def __init__(self, rep: int, conjugators: Mapping[int, int], centralizer: Subgroup):
         set_field(self, "rep", rep)
         set_field(self, "conjugators", conjugators)  # read-only: one record serves every caller
         set_field(self, "centralizer", centralizer)
+        set_field(self, "_pairs", None)
 
 
 def _class_record(group: PermGroup, x: int) -> ClassRecord:
@@ -473,40 +478,64 @@ def _class_record(group: PermGroup, x: int) -> ClassRecord:
     return ClassRecord(index[r], MappingProxyType(t), Subgroup(group, tuple(sorted(cent))))
 
 
+def _centralizer_pairs(group: PermGroup, rec: ClassRecord) -> tuple[tuple, ...]:
+    """C_G(r) of a record as (padded member, inverse) stored elements, built
+    on first use and kept on the record, so every member of the class shares
+    them.  Callers skip central classes, whose C_G(r) is all of G."""
+    if rec._pairs is None:
+        elements, pad = group.elements, group._pad
+        set_field(rec, "_pairs", tuple((elements[c] + pad, elements[group.inv(c)])
+                                       for c in rec.centralizer.members))
+    return rec._pairs
+
+
+def _is_central(group: PermGroup, x: int) -> bool:
+    """x commutes with every generator of G: two stored products each."""
+    elements, tr, pad = group.elements, group._tr, group._pad
+    p = elements[x]
+    px = p + pad
+    return all(tr(g, px) == tr(p, g + pad) for g in map(elements.__getitem__, group._gen_ids))
+
+
 def least_conjugate(group: PermGroup, ids: Sequence[int]) -> tuple[int, ...]:
     """The least of the tuples (g x g^-1 for x in ``ids``) over g in G: the
     key of ``ids`` up to simultaneous conjugation (of a Hurwitz tuple's
     Nielsen class mod Inn).
 
-    The least conjugate of the first id x is the least id r of its class,
-    reached exactly by the coset C_G(r) t_x^-1 of x's class record: the
-    first candidates g, each kept padded and with g^-1.  Each later id y
-    keeps those with the least g y g^-1, compared as stored elements, which
-    sort like ids.  The survivors form a coset of the centralizer of the ids
-    seen so far; once one is left, it conjugates the ids that remain.  Cost:
-    one class record per class of first ids (cached on the group), then two
-    products per candidate and id.
+    Leading central ids are their own least conjugates and leave every g a
+    candidate, so they are kept as they are.  The least conjugate of the
+    first other id x is the least id r of its class, reached exactly by the
+    g = c t_x^-1 with c in C_G(r), t_x being x's conjugator in its class
+    record.  So the later ids y are conjugated once by t_x^-1, to
+    y' = t_x^-1 y t_x, and the candidates are the c themselves, the
+    record's stored centralizer pairs.  Each y' keeps the c with the least
+    c y' c^-1, compared as stored elements, which sort like ids.  The
+    survivors form a coset of the centralizer of the ids seen so far; once
+    one is left, it conjugates the ids that remain.  Cost: one class record
+    and one candidate coset per class of first ids (both cached), two
+    products per later id, then two per candidate and id.
     """
-    if not ids:
-        return ()
+    k = 0
+    while k < len(ids) and _is_central(group, ids[k]):
+        k += 1
+    if k == len(ids):
+        return tuple(ids)
     elements, index, tr, pad = group.elements, group.index, group._tr, group._pad
-    rec = group.class_record(ids[0])
-    t = rec.conjugators[ids[0]]
-    back, pt = elements[group.inv(t)], elements[t] + pad
-    # g = c t^-1 and g^-1 = t c^-1 for c in C_G(r)
-    cands = [(tr(back, elements[c] + pad) + pad, tr(elements[group.inv(c)], pt))
-             for c in rec.centralizer.members]
-    out = [rec.rep]
-    for x in ids[1:]:
+    rec = group.class_record(ids[k])
+    t = rec.conjugators[ids[k]]
+    pt, back = elements[t], elements[group.inv(t)] + pad
+    rest = [tr(tr(pt, elements[y] + pad), back) + pad for y in ids[k + 1:]]  # t^-1 (y t)
+    cands = _centralizer_pairs(group, rec)
+    out = [*ids[:k], rec.rep]
+    for py in rest:
         if len(cands) == 1:
             break
-        px = elements[x] + pad
-        images = [tr(tr(gi, px), pg) for pg, gi in cands]  # g (x g^-1)
+        images = [tr(tr(ci, py), pc) for pc, ci in cands]  # c (y' c^-1)
         least = min(images)
         out.append(index[least])
         cands = [c for c, y in zip(cands, images) if y == least]
-    pg, gi = cands[0]
-    return (*out, *[index[tr(tr(gi, elements[x] + pad), pg)] for x in ids[len(out):]])
+    pc, ci = cands[0]
+    return (*out, *[index[tr(tr(ci, py), pc)] for py in rest[len(out) - k - 1:]])
 
 
 class CosetTable(Record):
@@ -541,16 +570,22 @@ def inverting_involutions(group: PermGroup, m: int) -> list[int]:
 
     With r the least id of m's class, s m s^-1 = m^-1 exactly when
     t_{m^-1}^-1 s t_m centralizes r, so the elements inverting m are
-    t_{m^-1} C_G(r) t_m^-1, read off m's class record with two products per
-    member; there are none when m^-1 is not conjugate to m.  Each is then
-    checked.
+    t_{m^-1} C_G(r) t_m^-1, read off m's class record with two stored
+    products per centralizer pair; there are none when m^-1 is not conjugate
+    to m.  A central m (= m^-1) has the coset G, walked by id and never
+    kept.  Each element is then checked.
     """
     rec = group.class_record(m)
     mi = group.inv(m)
     if mi not in rec.conjugators:
         return []
-    left, right = rec.conjugators[mi], group.inv(rec.conjugators[m])
-    coset = (group.mul(group.mul(left, c), right) for c in rec.centralizer.members)
+    if len(rec.conjugators) == 1:
+        coset: Iterable[int] = range(group.order)
+    else:
+        elements, index, tr, pad = group.elements, group.index, group._tr, group._pad
+        left = elements[rec.conjugators[mi]] + pad
+        right = elements[group.inv(rec.conjugators[m])]
+        coset = (index[tr(tr(right, pc), left)] for pc, _ in _centralizer_pairs(group, rec))
     return sorted(s for s in coset if is_inverting_involution(group, m, s))
 
 

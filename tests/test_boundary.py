@@ -9,7 +9,7 @@ from hurwitzdegen import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPo
                           dual_graph_of_groups, equivalent, hurwitz_to_datum,
                           is_inverting_involution, perm_from_cycles, quotient_stability,
                           tuple_from_jsonable, tuple_to_jsonable, validate)
-from hurwitzdegen import audit
+from hurwitzdegen import audit, groups
 from hurwitzdegen.boundary import datum_warnings, serialize
 from hurwitzdegen.errors import InvalidDatum, ProductNotOne, SchemaError
 
@@ -232,8 +232,9 @@ def central_first_datum(G: PermGroup, rng: random.Random, z: int,
 
 
 @pytest.mark.parametrize("fixture", ["s3", "d4", "s4", "d5", "a5", "s5", "psl27", "s4_on_257"])
-def test_canonical_form_matches_scan(fixture, request):
-    G = request.getfixturevalue(fixture)
+def test_canonical_form_matches_scan(fixture, request, monkeypatch):
+    shared = request.getfixturevalue(fixture)
+    G = PermGroup(shared.generators, degree=shared.degree)  # fresh: no class record is cached
     rng = random.Random(G.order)
     pairs = inverting_pairs(G)
     data = [random_valid_datum(G, rng, pairs) for _ in range(24)]
@@ -246,8 +247,13 @@ def test_canonical_form_matches_scan(fixture, request):
               if all(G.mul(z, g) == G.mul(g, z) for g in G.generator_ids)]
     assert len(centre) == (2 if fixture == "d4" else 1)  # D4's centre is {e, r^2}
     data += [central_first_datum(G, rng, z, pairs) for z in centre for _ in range(6)]
+    built, build = [], groups._class_record
+    monkeypatch.setattr(groups, "_class_record",
+                        lambda group, x: built.append(x) or build(group, x))
     for d in data:
         assert canonical_form(d) == canonical_form_by_scan(d)
+    # a leading central id is its own least conjugate: its record (C_G = G) is never built
+    assert built and not set(built) & set(centre)
 
 
 def test_non_conjugate_data_distinguished(a5):

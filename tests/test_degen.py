@@ -116,6 +116,12 @@ def test_too_few_points_for_dihedral(s3):
         dihedral_degenerations(HurwitzTuple(s3, (t, t)), 0)
 
 
+@pytest.mark.parametrize("index", [-1, 3])
+def test_dihedral_index_out_of_range(a5, index):
+    with pytest.raises(ValueError):
+        dihedral_degenerations(audit.a5_tuple(a5), index)
+
+
 def test_smooth_dihedral_entries(a5):
     degs = dihedral_degenerations(audit.a5_tuple(a5), 0)
     d = degs[0]
@@ -259,6 +265,28 @@ def test_dedup_against_scan_on_braid_walks(a5, psl27):
         assert [canonical_form(d.datum) for d in found] == keys
         for (a, ka), (b, kb) in itertools.combinations(zip(found, keys), 2):
             assert equivalent(a.datum, b.datum) == (ka == kb)
+
+
+@pytest.mark.parametrize("dedup_first", [True, False], ids=["dedup-first", "equivalent-first"])
+def test_each_datum_is_keyed_once(a5, dedup_first):
+    # the key is kept on the datum by whichever of dedup and equivalent meets
+    # it first, and either way it is the least serialized conjugate
+    t = audit.a5_smoothed_tuple(a5)
+    found = []
+    for u in (t, HurwitzTuple(a5, tuple(a5.conj(7, x) for x in t.entries))):
+        found += split_degenerations(u)
+        found += [d for i in range(len(u)) for d in dihedral_degenerations(u, i)]
+    twins = [conjugate_datum(d.datum, 11) for d in found]
+    if dedup_first:
+        kept = dedup(found)
+    assert all(equivalent(twin, d.datum) for d, twin in zip(found, twins))
+    if not dedup_first:
+        kept = dedup(found)
+    assert 2 * len(kept) == len(found)
+    for datum in [d.datum for d in found] + twins:
+        key = canonical_form(datum)
+        assert canonical_form(datum) is key
+        assert key == canonical_form_by_scan(datum)
 
 
 def test_canonical_form_fixes_conjugates(a5):

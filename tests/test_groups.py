@@ -481,6 +481,9 @@ def test_inverting_involutions_against_scan(fixture, request):
     for m in range(G.order):
         scan = [s for s in range(G.order) if is_inverting_involution(G, m, s)]
         assert inverting_involutions(G, m) == scan
+    # a central class's coset is G: walked, never kept as pairs on its record
+    assert all(G.class_record(c[0])._pairs is None
+               for c in G.conjugacy_classes() if len(c) == 1)
 
 
 def test_normalizer_of_c5_in_a5(a5):

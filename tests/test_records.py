@@ -8,7 +8,8 @@ import pytest
 
 from hurwitzdegen import (BoundaryDatum, ClassFunction, ClassRecord, CosetTable, CoverCurve,
                           Degeneration, DevissageReport, GenGraph, GraphAction, HurwitzTuple,
-                          MarkedComponent, MarkedPoint, Subgroup, Violation, hurwitz_to_datum)
+                          MarkedComponent, MarkedPoint, PermGroup, Subgroup, Violation,
+                          canonical_form, hurwitz_to_datum)
 from hurwitzdegen.audit import AuditCheck
 from hurwitzdegen.boundary import DualGraphOfGroups
 from hurwitzdegen.covers import CoverBranch, CoverComponent, CoverNode
@@ -100,6 +101,20 @@ def test_subgroup_ignores_its_generators(s3):
     assert built == bare and hash(built) == hash(bare)
     assert "gens" not in repr(built)
     assert built.generators() == list(built.gens)
+
+
+def test_cache_slots_stay_out_of_repr_and_equality(s3):
+    G = PermGroup(s3.generators, degree=s3.degree)  # fresh: no record is cached
+    datum = hurwitz_to_datum(HurwitzTuple(G, (1, 2, G.inv(G.mul(1, 2)))))
+    rec = G.class_record(1)
+    before = [(repr(r), hash(r)) for r in (datum, rec)]
+    assert datum._canonical is None and rec._pairs is None
+    canonical_form(datum)   # fills the datum's key and the record's pairs
+    assert datum._canonical is not None and rec._pairs is not None
+    assert [(repr(r), hash(r)) for r in (datum, rec)] == before
+    assert "_canonical" not in before[0][0] and "_pairs" not in before[1][0]
+    assert datum == datum and datum != BoundaryDatum(G, datum.components)
+    assert rec == rec and rec != ClassRecord(rec.rep, rec.conjugators, rec.centralizer)
 
 
 @pytest.mark.parametrize("build,error", [
