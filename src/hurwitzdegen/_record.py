@@ -1,25 +1,28 @@
 """The immutable record base of the package's value classes.
 
-A record is a ``__slots__`` class whose hand-written constructor sets each
-field once through ``set_field``; afterwards assigning or deleting a field
-raises ``AttributeError``, so a changed copy is a newly built record.  Its
-repr is ``Name(field=value, ...)`` over ``_fields``, the slots unless the
-class names fewer.  A class compares and hashes by those fields, and only
-against its own class, unless it is declared with ``eq=False``, which keeps
-identity or the class's own ``__eq__``.  A check that is patched on the class
-by name (``Subgroup``, ``GenGraph``, ``GraphAction`` and ``Degeneration``:
-the benchmark's tracer and the tests wrap it) stays a ``__post_init__``
-method that the constructor calls through ``self``.
+A record is a ``__slots__`` class whose constructor sets each field once
+through ``set_field``; afterwards assigning or deleting a field raises
+``AttributeError``, so a changed copy is a newly built record.  Its repr is
+``Name(field=value, ...)`` over ``_fields``, the slots unless the class names
+fewer.  A class compares and hashes by those fields, and only against its
+own class, unless it is declared with ``eq=False``, which keeps identity or
+the class's own ``__eq__``.  Defining a record runs no generated code,
+unlike a dataclass, so importing the package stays cheap.
+
+``Record.__init__`` sets every slot from values in slot order or by name,
+raising ``TypeError`` on a missing, extra, unknown or repeated field, then
+calls ``self.__post_init__()``: a no-op here, or the check that
+``Subgroup``, ``GenGraph``, ``GraphAction`` and ``Degeneration`` define,
+which the benchmark's tracer and the tests patch on the class by name.  A
+record writes its own constructor only to give defaults, to fill a slot on
+first use, or because it is built per element, per coset, per conjugate or
+per induced character, where the generic loop costs about a microsecond more.
 
 A slot filled on first use (a datum's canonical key, a class record's stored
 centralizer) sits outside ``_fields``, so repr, equality and hash ignore it.
 The constructor sets it to ``None``; the one function that fills it sets it
 once, through ``set_field``, to a pure function of the fields, so every
 reader sees the same value whichever call filled it.
-
-Defining a record runs no generated code, unlike a dataclass, so importing
-the package stays cheap; constructors are written out field by field, as a
-generic loop over the fields would slow the records built per conjugate.
 """
 
 from __future__ import annotations
@@ -40,6 +43,21 @@ class Record:
             cls._key = attrgetter(*cls._fields)   # not a descriptor: self._key(x) reads x
             cls.__eq__ = _eq
             cls.__hash__ = _hash
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if len(args) > len(names) or kwargs.keys() != set(names[len(args):]):
+            wrong = sorted(set(names[len(args):]).symmetric_difference(kwargs))
+            raise TypeError(f"{type(self).__name__} takes {len(names)} fields, got {len(args)} "
+                            f"by position; missing, unknown or repeated: {wrong}")
+        for name, value in zip(names, args):
+            set_field(self, name, value)
+        for name in names[len(args):]:
+            set_field(self, name, kwargs[name])
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")

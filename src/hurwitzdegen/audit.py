@@ -11,7 +11,7 @@ as a warning rather than a failure.
 
 from __future__ import annotations
 
-from ._record import Record, set_field
+from ._record import Record
 from .boundary import BoundaryDatum, HurwitzTuple, dual_graph_of_groups, equivalent, \
     hurwitz_to_datum
 from .cohomology import de_rham_character
@@ -27,12 +27,9 @@ FAIL = "FAIL"
 
 
 class AuditCheck(Record):
-    __slots__ = ("name", "status", "detail")
+    """One audit line; ``status`` is PASS, WARN or FAIL."""
 
-    def __init__(self, name: str, status: str, detail: str):
-        set_field(self, "name", name)
-        set_field(self, "status", status)
-        set_field(self, "detail", detail)
+    __slots__ = ("name", "status", "detail")
 
 
 def a5_group() -> PermGroup:

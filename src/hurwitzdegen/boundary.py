@@ -64,12 +64,9 @@ class MarkedComponent(Record):
 
 
 class Violation(Record):
-    __slots__ = ("kind", "location", "detail")
+    """A failed check: SurfaceRelation, NodePairing, DihedralInvolution or Stability."""
 
-    def __init__(self, kind: str, location: str, detail: str):
-        set_field(self, "kind", kind)  # SurfaceRelation | NodePairing | DihedralInvolution
-        set_field(self, "location", location)
-        set_field(self, "detail", detail)
+    __slots__ = ("kind", "location", "detail")
 
 
 class BoundaryDatum(Record, eq=False):
@@ -212,19 +209,10 @@ class DualGraphOfGroups(Record):
     (ci, pi) it joins: the two ends of a node, or the one dihedral point, so
     an edge's kind is its number of ends.  It carries E_e = <m> at a node
     (<m_a> = <m_b>) and E_e = <m, s> at a dihedral point, and K_e = <m>, the
-    kernel of its sign character.
+    kernel of its sign character; ``graph`` is the underlying ``GenGraph``.
     """
 
     __slots__ = ("graph", "vertex_groups", "edge_ends", "edge_groups", "edge_kernels")
-
-    def __init__(self, graph: GenGraph, vertex_groups: tuple[Subgroup, ...],
-                 edge_ends: tuple[tuple[tuple[int, int], ...], ...],
-                 edge_groups: tuple[Subgroup, ...], edge_kernels: tuple[Subgroup, ...]):
-        set_field(self, "graph", graph)
-        set_field(self, "vertex_groups", vertex_groups)
-        set_field(self, "edge_ends", edge_ends)
-        set_field(self, "edge_groups", edge_groups)
-        set_field(self, "edge_kernels", edge_kernels)
 
     def to_dot(self) -> str:
         vlabels = [f"v{v} |H|={H.order}" for v, H in enumerate(self.vertex_groups)]

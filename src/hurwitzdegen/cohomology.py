@@ -21,20 +21,15 @@ node edge reuses it, and only a dihedral edge induces from its E_e = <m, s>.
 
 from __future__ import annotations
 
-from ._record import Record, set_field
+from ._record import Record
 from .boundary import BoundaryDatum, DualGraphOfGroups
 from .groups import ClassFunction, PermGroup, induced_character, induced_from_cyclic
 
 
 class DevissageReport(Record, eq=False):
-    __slots__ = ("chi_dR", "chi_normalization", "edge_induction_sum", "h1_character")
+    """``h1_character`` is None exactly on disconnected covers."""
 
-    def __init__(self, chi_dR: ClassFunction, chi_normalization: ClassFunction,
-                 edge_induction_sum: ClassFunction, h1_character: ClassFunction | None):
-        set_field(self, "chi_dR", chi_dR)
-        set_field(self, "chi_normalization", chi_normalization)
-        set_field(self, "edge_induction_sum", edge_induction_sum)
-        set_field(self, "h1_character", h1_character)  # None exactly on disconnected covers
+    __slots__ = ("chi_dR", "chi_normalization", "edge_induction_sum", "h1_character")
 
 
 def de_rham_character(datum: BoundaryDatum, gog: DualGraphOfGroups,

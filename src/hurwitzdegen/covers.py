@@ -26,7 +26,7 @@ from ._record import Record, set_field
 from .boundary import BoundaryDatum, DualGraphOfGroups, dual_graph_of_groups, is_stable_curve
 from .errors import NegativeGenus, NonIntegralGenus
 from .graphs import GenGraph, gengraph_to_dot
-from .groups import CosetTable, PermGroup, Subgroup, left_cosets
+from .groups import PermGroup, Subgroup, left_cosets
 
 _NODE_KIND = {2: "cyclic", 1: "dihedral"}   # by the number of ends of the quotient edge
 
@@ -92,24 +92,14 @@ class CoverNode(Record):
 class CoverCurve(Record):
     """The cover of a boundary datum: components, nodes and their dual graph.
 
-    Oriented edge 2k of the dual graph is branch a of node k and edge 2k + 1
-    its branch b; each edge ends at its branch's component.
+    ``offsets[ci]`` is the first cover component over quotient component ci;
+    ``comp_cosets`` and ``edge_mcosets`` hold G/H_Y and G/<m> per quotient
+    component and edge.  Oriented edge 2k of ``graph`` is branch a of node k
+    and edge 2k + 1 its branch b; each edge ends at its branch's component.
     """
 
     __slots__ = ("datum", "gog", "components", "offsets", "nodes", "comp_cosets",
                  "edge_mcosets", "graph")
-
-    def __init__(self, datum: BoundaryDatum, gog: DualGraphOfGroups,
-                 components: list[CoverComponent], offsets: list[int], nodes: list[CoverNode],
-                 comp_cosets: list[CosetTable], edge_mcosets: list[CosetTable], graph: GenGraph):
-        set_field(self, "datum", datum)
-        set_field(self, "gog", gog)
-        set_field(self, "components", components)
-        set_field(self, "offsets", offsets)  # first cover component over each quotient component
-        set_field(self, "nodes", nodes)
-        set_field(self, "comp_cosets", comp_cosets)  # G/H_Y per quotient component
-        set_field(self, "edge_mcosets", edge_mcosets)  # G/<m> per quotient edge
-        set_field(self, "graph", graph)
 
 
 def build_cover(datum: BoundaryDatum) -> CoverCurve:

@@ -15,19 +15,14 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from ._record import Record, set_field
-from .groups import PermGroup
+from ._record import Record
 
 
 class GenGraph(Record):
-    __slots__ = ("vertex_count", "edges", "opp")
+    """Oriented ``edges`` (source, target) on ``vertex_count`` vertices, with
+    ``opp`` the opposite-edge involution."""
 
-    def __init__(self, vertex_count: int, edges: tuple[tuple[int, int], ...],
-                 opp: tuple[int, ...]):
-        set_field(self, "vertex_count", vertex_count)
-        set_field(self, "edges", edges)  # oriented: (source, target)
-        set_field(self, "opp", opp)
-        self.__post_init__()
+    __slots__ = ("vertex_count", "edges", "opp")
 
     def __post_init__(self):
         E = len(self.edges)
@@ -91,15 +86,6 @@ class GraphAction(Record):
     """
 
     __slots__ = ("graph", "group", "vertex_images", "edge_images")
-
-    def __init__(self, graph: GenGraph, group: PermGroup,
-                 vertex_images: tuple[tuple[int, ...], ...],
-                 edge_images: tuple[tuple[int, ...], ...]):
-        set_field(self, "graph", graph)
-        set_field(self, "group", group)
-        set_field(self, "vertex_images", vertex_images)
-        set_field(self, "edge_images", edge_images)
-        self.__post_init__()
 
     def __post_init__(self):
         G, graph = self.group, self.graph

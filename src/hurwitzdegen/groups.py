@@ -539,13 +539,9 @@ def least_conjugate(group: PermGroup, ids: Sequence[int]) -> tuple[int, ...]:
 
 
 class CosetTable(Record):
-    """A partition of the group into cosets, ordered by minimal element id."""
+    """Cosets as ``cells``, ordered by least element id; ``index_of[g]`` is g's coset."""
 
     __slots__ = ("cells", "index_of")
-
-    def __init__(self, cells: tuple[tuple[int, ...], ...], index_of: tuple[int, ...]):
-        set_field(self, "cells", cells)
-        set_field(self, "index_of", index_of)  # element id -> coset index
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -572,21 +568,22 @@ def inverting_involutions(group: PermGroup, m: int) -> list[int]:
     t_{m^-1}^-1 s t_m centralizes r, so the elements inverting m are
     t_{m^-1} C_G(r) t_m^-1, read off m's class record with two stored
     products per centralizer pair; there are none when m^-1 is not conjugate
-    to m.  A central m (= m^-1) has the coset G, walked by id and never
-    kept.  Each element is then checked.
+    to m.  They invert m by construction, so only s^2 = e and s not in
+    {e, m} are tested.  A central m (= m^-1) has the coset G, walked by id
+    and never kept.
     """
     rec = group.class_record(m)
     mi = group.inv(m)
     if mi not in rec.conjugators:
         return []
     if len(rec.conjugators) == 1:
-        coset: Iterable[int] = range(group.order)
-    else:
-        elements, index, tr, pad = group.elements, group.index, group._tr, group._pad
-        left = elements[rec.conjugators[mi]] + pad
-        right = elements[group.inv(rec.conjugators[m])]
-        coset = (index[tr(tr(right, pc), left)] for pc, _ in _centralizer_pairs(group, rec))
-    return sorted(s for s in coset if is_inverting_involution(group, m, s))
+        return [s for s in range(group.order) if is_inverting_involution(group, m, s)]
+    elements, index, tr, pad = group.elements, group.index, group._tr, group._pad
+    left = elements[rec.conjugators[mi]] + pad
+    right = elements[group.inv(rec.conjugators[m])]
+    e, pm = elements[0], elements[m]
+    coset = (tr(tr(right, pc), left) for pc, _ in _centralizer_pairs(group, rec))
+    return sorted(index[s] for s in coset if s != e and s != pm and tr(s, s + pad) == e)
 
 
 def is_inverting_involution(group: PermGroup, m: int, s: int) -> bool:

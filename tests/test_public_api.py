@@ -5,13 +5,14 @@ oracle, and lives in ``tests/conftest.py`` instead.  A name counts as read
 when it occurs in the syntax tree of a module under ``src/hurwitzdegen``
 (``__init__.py`` aside, which only re-exports) or under ``perfbench`` as a
 loaded name, an attribute, an imported name or a string constant (perfbench
-patches methods by name).
+patches methods by name).  The README's library example runs as written.
 """
 
 from __future__ import annotations
 
 import ast
 import inspect
+import re
 from functools import cached_property
 from pathlib import Path
 
@@ -65,3 +66,11 @@ def test_every_public_name_is_read_outside_the_tests():
     seen = names_read()
     unread = [name for name in public_api() if name.rpartition(".")[2] not in seen]
     assert unread == []
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library example\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

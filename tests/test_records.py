@@ -4,12 +4,17 @@ a ``Name(field=value, ...)`` repr, checking constructors, and the
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
 
+import hurwitzdegen
 from hurwitzdegen import (BoundaryDatum, ClassFunction, ClassRecord, CosetTable, CoverCurve,
                           Degeneration, DevissageReport, GenGraph, GraphAction, HurwitzTuple,
                           MarkedComponent, MarkedPoint, PermGroup, Subgroup, Violation,
                           canonical_form, hurwitz_to_datum)
+from hurwitzdegen._record import Record
 from hurwitzdegen.audit import AuditCheck
 from hurwitzdegen.boundary import DualGraphOfGroups
 from hurwitzdegen.covers import CoverBranch, CoverComponent, CoverNode
@@ -54,8 +59,58 @@ RECORDS = [
 ]
 
 
+def package_records() -> set[type]:
+    """Every ``Record`` subclass defined in the package, after importing each
+    of its modules (``__main__`` aside, which runs the CLI)."""
+    for info in pkgutil.iter_modules(hurwitzdegen.__path__):
+        if info.name != "__main__":
+            importlib.import_module(f"hurwitzdegen.{info.name}")
+    found, todo = set(), [Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("hurwitzdegen.") and sub not in found:
+                found.add(sub)
+                todo.append(sub)
+    return found
+
+
 def test_the_table_covers_every_record():
-    assert len({cls for cls, _, _ in RECORDS}) == 19
+    table = [cls for cls, _, _ in RECORDS]
+    assert len(set(table)) == len(table)
+    assert set(table) == package_records()
+
+
+# the records that keep the base constructor: they only store their fields
+BASE_BUILT = [row for row in RECORDS if "__init__" not in vars(row[0])]
+
+
+def test_plain_records_take_the_base_constructor():
+    assert {cls.__name__ for cls, _, _ in BASE_BUILT} == {
+        "Violation", "DualGraphOfGroups", "DevissageReport", "CoverCurve", "CosetTable",
+        "GenGraph", "GraphAction", "AuditCheck"}
+
+
+@pytest.mark.parametrize("cls,equality,build", BASE_BUILT,
+                         ids=[c.__name__ for c, _, _ in BASE_BUILT])
+def test_base_constructor_by_position_or_name(cls, equality, build, s3):
+    record = build(s3)
+    names = cls.__slots__
+    values = [getattr(record, name) for name in names]
+    by_name = dict(zip(names, values))
+    built = [cls(*values), cls(**by_name), cls(values[0], **dict(zip(names[1:], values[1:])))]
+    same = repr if equality == IDENTITY else (lambda r: r)   # identity records compare by repr
+    assert all(same(r) == same(record) for r in built)
+    assert all(getattr(r, name) is value for r in built for name, value in by_name.items())
+    bad_calls = {   # the message names the field at fault
+        f"'{names[-1]}'": lambda: cls(*values[:-1]),
+        f"'{names[0]}'": lambda: cls(**dict(zip(names[1:], values[1:]))),
+        f"got {len(names) + 1} by position": lambda: cls(*values, values[0]),
+        "'unknown_field'": lambda: cls(*values, unknown_field=0),
+        f"repeated: \\['{names[0]}'\\]": lambda: cls(*values, **{names[0]: values[0]}),
+    }
+    for message, call in bad_calls.items():
+        with pytest.raises(TypeError, match=message):
+            call()
 
 
 @pytest.mark.parametrize("cls,equality,build", RECORDS, ids=[c.__name__ for c, _, _ in RECORDS])
@@ -139,7 +194,8 @@ def test_constructor_checks_still_raise(build, error, s3):
     (GenGraph, lambda G: GenGraph(1, (), ())),
     (GraphAction, trivial_action),
     (Degeneration, lambda G: Degeneration("split", stable_datum(G), split_at=2)),
-], ids=["Subgroup", "GenGraph", "GraphAction", "Degeneration"])
+    (CosetTable, lambda G: CosetTable(((0,),), (0,))),
+], ids=["Subgroup", "GenGraph", "GraphAction", "Degeneration", "CosetTable"])
 def test_patched_post_init_takes_effect(cls, build, s3, monkeypatch):
     seen = []
     check = cls.__post_init__
