@@ -22,7 +22,10 @@ A slot filled on first use (a datum's canonical key, a class record's stored
 centralizer) sits outside ``_fields``, so repr, equality and hash ignore it.
 The constructor sets it to ``None``; the one function that fills it sets it
 once, through ``set_field``, to a pure function of the fields, so every
-reader sees the same value whichever call filled it.
+reader sees the same value whichever call filled it.  Such a slot, and any
+record a group caches, holds ids or stored elements, never the group: a
+group that its own cache pointed back to would live on in a reference cycle
+until the cyclic garbage collector found it.
 """
 
 from __future__ import annotations

@@ -26,7 +26,10 @@ All values are immutable after construction and every operation is a pure
 function, so concurrent reads are safe; the lazily filled caches (inverses,
 element orders, classes, class records, right tables, and on each record of
 a non-central class its centralizer as stored (padded member, inverse)
-pairs) hold correct values whichever call fills them.
+pairs) hold correct values whichever call fills them.  They hold ids and
+stored elements only, never an object that refers back to the group, so
+reference counting frees a group, its tables and its class records as soon
+as the group's last holder drops it.
 """
 
 from __future__ import annotations
@@ -117,10 +120,11 @@ class PermGroup:
         if len(points) > max_order:
             raise ClosureBoundExceeded(f"closure exceeded {max_order} elements")
         self.elements = sorted(points)
-        self.index = dict(zip(self.elements, range(len(points))))
+        del points  # the closure's working set goes before the index is built
+        self.index = dict(zip(self.elements, range(self.order)))
         assert self.elements[0] == ident
         self._gen_ids = [self.index[g] for g in keys]
-        self._inv = [-1] * len(points)  # filled by inv() on demand
+        self._inv = [-1] * self.order  # filled by inv() on demand
         self._right: dict[int, tuple[int, ...]] = {}
         self._orders: dict[int, int] = {}
         self._classes: tuple[tuple[int, ...], ...] | None = None
@@ -428,16 +432,18 @@ class ClassRecord(Record, eq=False):
     """A conjugacy class with a transversal and the centralizer of its least id.
 
     ``rep`` is the least id r of the class; ``conjugators`` maps every
-    member y to a t_y with t_y r t_y^-1 = y; ``centralizer`` is C_G(r).
-    The g with g y g^-1 = r are then exactly the coset C_G(r) t_y^-1.
-    ``_pairs`` holds C_G(r) as stored elements, filled on first use by
-    ``_centralizer_pairs``.
+    member y to a t_y with t_y r t_y^-1 = y; ``centralizer`` holds the
+    sorted member ids of C_G(r), which ``group.subgroup`` turns into a
+    ``Subgroup``.  The g with g y g^-1 = r are then exactly the coset
+    C_G(r) t_y^-1.  ``_pairs`` holds C_G(r) as stored elements, filled on
+    first use by ``_centralizer_pairs``.  No field refers to the group that
+    caches the record.
     """
 
     __slots__ = ("rep", "conjugators", "centralizer", "_pairs")
     _fields = ("rep", "conjugators", "centralizer")
 
-    def __init__(self, rep: int, conjugators: Mapping[int, int], centralizer: Subgroup):
+    def __init__(self, rep: int, conjugators: Mapping[int, int], centralizer: tuple[int, ...]):
         set_field(self, "rep", rep)
         set_field(self, "conjugators", conjugators)  # read-only: one record serves every caller
         set_field(self, "centralizer", centralizer)
@@ -475,7 +481,7 @@ def _class_record(group: PermGroup, x: int) -> ClassRecord:
     t = {index[y]: index[tr(back, u + pad)] for y, u in via.items()}
     schreier = (group.mul(group.inv(t[index[z]]), group.mul(g, t[index[y]])) for y, g, z in edges)
     _, cent = _greedy_generators(group, schreier, group.order // len(members))
-    return ClassRecord(index[r], MappingProxyType(t), Subgroup(group, tuple(sorted(cent))))
+    return ClassRecord(index[r], MappingProxyType(t), tuple(sorted(cent)))
 
 
 def _centralizer_pairs(group: PermGroup, rec: ClassRecord) -> tuple[tuple, ...]:
@@ -485,7 +491,7 @@ def _centralizer_pairs(group: PermGroup, rec: ClassRecord) -> tuple[tuple, ...]:
     if rec._pairs is None:
         elements, pad = group.elements, group._pad
         set_field(rec, "_pairs", tuple((elements[c] + pad, elements[group.inv(c)])
-                                       for c in rec.centralizer.members))
+                                       for c in rec.centralizer))
     return rec._pairs
 
 

@@ -269,7 +269,7 @@ def test_left_cosets_against_products(fixture, request):
         "full": G.full_subgroup(),
         # built from members: generators() falls back to a greedy choice
         "normalizer": normalizer(G, G.cyclic_subgroup(x)),
-        "centralizer": G.class_record(x).centralizer,
+        "centralizer": G.subgroup(G.class_record(x).centralizer),
     }
     for name, H in subs.items():
         assert (H.gens is None) == (name in ("normalizer", "centralizer")), name
@@ -466,11 +466,11 @@ def test_class_records_against_scans(fixture, request):
             assert G.conj(t, rec.rep) == y
         # C_G(x) = t_x C_G(r) t_x^-1: |G| / |class| distinct elements commuting with x
         t = rec.conjugators[x]
-        cent = sorted(G.conj(t, h) for h in rec.centralizer.members)
+        cent = sorted(G.conj(t, h) for h in rec.centralizer)
         if x == rec.rep:
             cyclic = G.cyclic_subgroup(x)
-            assert rec.centralizer.members == centralizer_by_scan(G, cyclic).members
-            assert cent == list(rec.centralizer.members)
+            assert rec.centralizer == centralizer_by_scan(G, cyclic).members
+            assert cent == list(rec.centralizer)
         assert len(set(cent)) == len(cent) == G.order // len(c)
         assert all(G.mul(g, x) == G.mul(x, g) for g in cent)
 

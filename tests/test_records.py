@@ -47,7 +47,7 @@ RECORDS = [
     (CoverCurve, VALUE, lambda G: CoverCurve(None, None, (), (0,), (), (), (),
                                              GenGraph(1, (), ()))),
     (Subgroup, VALUE, lambda G: Subgroup(G, (0, 1))),
-    (ClassRecord, IDENTITY, lambda G: ClassRecord(0, {0: 0}, G.full_subgroup())),
+    (ClassRecord, IDENTITY, lambda G: ClassRecord(0, {0: 0}, tuple(range(G.order)))),
     (CosetTable, VALUE, lambda G: CosetTable(((0, 1),), (0, 0))),
     (ClassFunction, OWN_EQ, lambda G: ClassFunction.trivial(G)),
     (GenGraph, VALUE, lambda G: GenGraph.from_unoriented(2, [(0, 1)], self_opposite=[1])),
