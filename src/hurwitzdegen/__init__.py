@@ -14,9 +14,8 @@ from .boundary import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPoint
                        quotient_stability, tuple_from_jsonable, tuple_to_jsonable, validate)
 from .cohomology import DevissageReport, class_labels, de_rham_character, render_character_table
 from .covers import CoverCurve, build_cover, cover_report, cover_to_dot, rh_genus
-from .degen import (Degeneration, collide_pair, dedup, dihedral_degenerations,
-                    local_model_fixpoint_orbits, local_model_orbit_sizes, predicted_fixpoint_orbits,
-                    smooth_dihedral, split_degenerations)
+from .degen import (Degeneration, collide_pair, dedup, dihedral_degenerations, smooth_dihedral,
+                    split_degenerations)
 from .graphs import GenGraph, GraphAction, gengraph_to_dot
 from .groups import (ClassFunction, ClassRecord, CosetTable, PermGroup, Subgroup, compose,
                      induced_character, induced_from_cyclic, inverse, inverting_involutions,

@@ -19,8 +19,7 @@ from .boundary import (BoundaryDatum, datum_from_jsonable, datum_to_jsonable, da
 from .cohomology import (character_to_jsonable, classes_to_jsonable, de_rham_character,
                          render_character_table)
 from .covers import build_cover, cover_report, cover_to_dot
-from .degen import dihedral_degenerations, local_model_fixpoint_orbits, predicted_fixpoint_orbits, \
-    dedup as dedup_degenerations, split_degenerations
+from .degen import dedup as dedup_degenerations, dihedral_degenerations, split_degenerations
 from .errors import HurwitzDegenError, InvalidDatum, SchemaError
 from .groups import ClassFunction
 
@@ -100,29 +99,6 @@ def _write_json(value, newline: str, out: list[str]) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _add_smoothing_orbits(node_classes: list[dict]) -> list[str]:
-    """Annotate each node-class entry in place; returns the warnings."""
-    warnings = []
-    for entry in node_classes:
-        if entry["kind"] == "dihedral":
-            order = entry["stabilizer_order"]
-            oracle = local_model_fixpoint_orbits(order // 2)
-            predicted = predicted_fixpoint_orbits(order)
-            entry["smoothing_fixpoint_orbits"] = {
-                "local_model": oracle,
-                "involution_class_prediction": predicted,
-                "agree": oracle == predicted,
-            }
-            if oracle != predicted:
-                warnings.append(
-                    f"smoothing a stabilizer-order-{order} dihedral node: local model "
-                    f"gives {oracle} fixpoint orbits, the involution-class count "
-                    f"predicts {predicted}")
-        else:
-            entry["smoothing_fixpoint_orbits"] = None
-    return warnings
-
-
 def analyze_datum(datum: BoundaryDatum) -> tuple[dict, int]:
     """Full analysis report plus the analyze exit code (0 or 2); the datum is
     validated once, by ``dual_graph_of_groups``, whose ``InvalidDatum`` lists
@@ -154,7 +130,6 @@ def analyze_datum(datum: BoundaryDatum) -> tuple[dict, int]:
         return report, 2
 
     cov = cover_report(datum, gog)
-    warnings.extend(_add_smoothing_orbits(cov["node_classes"]))
     report["cover"] = cov
     if not cov["connected"]:
         warnings.append("cover is disconnected; arithmetic genus reported per component")
@@ -193,14 +168,8 @@ def _print_pretty(report: dict, out) -> None:
               f"stable={'yes' if cov['stable'] else 'no'}, "
               f"arithmetic genus={ga if ga is not None else 'n/a'}", file=out)
         for entry in cov["node_classes"]:
-            line = (f"  nodes: {entry['count']} x {entry['kind']} "
-                    f"(stabilizer order {entry['stabilizer_order']})")
-            orbits = entry["smoothing_fixpoint_orbits"]
-            if orbits:
-                line += (f", smoothing fixpoint orbits: local model {orbits['local_model']}, "
-                         f"prediction {orbits['involution_class_prediction']}"
-                         + ("" if orbits["agree"] else "  [DISCREPANCY]"))
-            print(line, file=out)
+            print(f"  nodes: {entry['count']} x {entry['kind']} "
+                  f"(stabilizer order {entry['stabilizer_order']})", file=out)
     chars = report["characters"]
     if chars:
         print(f"deg chi_dR = {chars['degree_chi_dR']}", file=out)
@@ -238,7 +207,7 @@ def cmd_degenerate(args) -> int:
         degs.extend(split_degenerations(t))
     if args.dihedral is not None:
         found = dihedral_degenerations(t, args.dihedral)
-        if not found:
+        if not found and len(t) >= 3:
             warnings.append(
                 f"no inverting involution exists for entry {args.dihedral} "
                 f"(order {t.group.element_order(t.entries[args.dihedral])}): "

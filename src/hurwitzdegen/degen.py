@@ -14,8 +14,8 @@ from __future__ import annotations
 from ._record import Record, set_field
 from .boundary import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPoint,
                        Violation, canonical_form, quotient_stability)
-from .errors import InvalidDatum, OddOrder, TooFewPoints
-from .groups import inverting_involutions, orbits
+from .errors import InvalidDatum
+from .groups import inverting_involutions
 
 SPLIT = "split"
 DIHEDRAL = "dihedral"
@@ -54,8 +54,6 @@ def split_degenerations(t: HurwitzTuple) -> list[Degeneration]:
     stability bound for a rational component.
     """
     n = len(t)
-    if n < 3:
-        raise TooFewPoints(f"tuple of length {n} has no stable quotient")
     G = t.group
     cyclic = [MarkedPoint.cyclic(g) for g in t.entries]  # immutable: shared by every split
     out = []
@@ -71,10 +69,10 @@ def split_degenerations(t: HurwitzTuple) -> list[Degeneration]:
 def dihedral_degenerations(t: HurwitzTuple, index: int) -> list[Degeneration]:
     """Convert point ``index`` into a dihedral point, one datum per valid s."""
     n = len(t)
-    if n < 3:
-        raise TooFewPoints("need at least 2 cyclic points besides the dihedral one")
     if not 0 <= index < n:
         raise ValueError(f"no entry {index} in a tuple of length {n}")
+    if n < 3:  # a stable quotient needs 2 cyclic points besides the dihedral one
+        return []
     G = t.group
     m = t.entries[index]
     involutions = inverting_involutions(G, m)
@@ -125,34 +123,6 @@ def collide_pair(t: HurwitzTuple, index: int) -> Degeneration:
     points += [MarkedPoint.cyclic(g) for g in t.entries[index + 2:]]
     datum = BoundaryDatum(G, (MarkedComponent(0, (), tuple(points)),))
     return Degeneration(DIHEDRAL, datum, index=index, involution=a)
-
-
-def predicted_fixpoint_orbits(stabilizer_order: int) -> int:
-    """Orbit count a two-classes-of-involutions argument predicts: 4 or 2."""
-    if stabilizer_order % 2 != 0:
-        raise OddOrder(f"dihedral stabilizer order {stabilizer_order} is odd")
-    return 4 if stabilizer_order % 4 == 0 else 2
-
-
-def local_model_orbit_sizes(N: int) -> list[int]:
-    """Exact orbit sizes of the order-2N dihedral group on the 2N fixpoints
-    of its branch-swapping involutions in the local model fiber xy = 1.
-
-    All coordinates are roots of unity of order dividing 4N; a fixpoint is
-    encoded by the exponent pair (u, -u) of (x, y) = (zeta^u, zeta^-u), with
-    the fixpoints filling out the even exponents.  The rotation acts by
-    u -> u + 4 and the basic swap by u -> -u, all mod 4N: exact integer
-    arithmetic, no floating point.
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    mod = 4 * N
-    rotation, swap = (lambda u: (u + 4) % mod), (lambda u: -u % mod)
-    return sorted(len(o) for o in orbits(range(0, mod, 2), [rotation, swap], lambda u, g: g(u)))
-
-
-def local_model_fixpoint_orbits(N: int) -> int:
-    return len(local_model_orbit_sizes(N))
 
 
 def dedup(degenerations: list[Degeneration]) -> list[Degeneration]:

@@ -40,14 +40,6 @@ class NegativeGenus(HurwitzDegenError):
     """Riemann-Hurwitz bookkeeping produced a negative genus."""
 
 
-class TooFewPoints(HurwitzDegenError):
-    """Tuple too short to admit stable degenerations."""
-
-
-class OddOrder(HurwitzDegenError):
-    """Dihedral stabilizer order must be even."""
-
-
 class SchemaError(HurwitzDegenError):
     """Input JSON does not match the documented schema."""
 

@@ -34,7 +34,7 @@ as the group's last holder drops it.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import repeat
 from operator import add
 from types import MappingProxyType
@@ -346,25 +346,6 @@ def _table_orbits(n: int, tables: Sequence[Sequence[int]]) -> tuple[list[tuple],
         cell.sort()
         cells.append(tuple(cell))
     return cells, label
-
-
-def orbits(points: Iterable, gens: Sequence, act: Callable) -> list[list]:
-    """The orbits that meet ``points`` under the group generated by ``gens``,
-    each walked breadth first from its first point there; ``act(x, g)`` is
-    the image of x under g."""
-    seen: set = set()
-    out = []
-    for p in points:
-        if p not in seen:
-            seen.add(p)
-            out.append([p])
-            for x in out[-1]:  # grows while it is walked
-                for g in gens:
-                    y = act(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        out[-1].append(y)
-    return out
 
 
 def same_group(a: PermGroup, b: PermGroup) -> bool:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import cache
 
@@ -13,7 +14,6 @@ from hurwitzdegen import (BoundaryDatum, CosetTable, CoverCurve, DevissageReport
 from hurwitzdegen import audit
 from hurwitzdegen.boundary import serialize
 from hurwitzdegen.covers import _genus
-from hurwitzdegen.groups import orbits
 
 
 @pytest.fixture(scope="session")
@@ -210,6 +210,42 @@ def deck_action(cover: CoverCurve) -> GraphAction:
 
 
 # -- intermediate quotients ---------------------------------------------------
+
+
+def orbits(points: Iterable, gens: Sequence, act: Callable) -> list[list]:
+    """The orbits that meet ``points`` under the group generated by ``gens``,
+    each walked breadth first from its first point there; ``act(x, g)`` is
+    the image of x under g."""
+    seen: set = set()
+    out = []
+    for p in points:
+        if p not in seen:
+            seen.add(p)
+            out.append([p])
+            for x in out[-1]:  # grows while it is walked
+                for g in gens:
+                    y = act(x, g)
+                    if y not in seen:
+                        seen.add(y)
+                        out[-1].append(y)
+    return out
+
+
+def local_model_orbit_sizes(N: int) -> list[int]:
+    """Exact orbit sizes of the order-2N dihedral group on the 2N fixpoints
+    of its branch-swapping involutions in the local model fiber xy = 1.
+
+    All coordinates are roots of unity of order dividing 4N; a fixpoint is
+    encoded by the exponent pair (u, -u) of (x, y) = (zeta^u, zeta^-u), with
+    the fixpoints filling out the even exponents.  The rotation acts by
+    u -> u + 4 and the basic swap by u -> -u, all mod 4N: exact integer
+    arithmetic, no floating point.
+    """
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    mod = 4 * N
+    rotation, swap = (lambda u: (u + 4) % mod), (lambda u: -u % mod)
+    return sorted(len(o) for o in orbits(range(0, mod, 2), [rotation, swap], lambda u, g: g(u)))
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,7 @@ import time
 
 from hurwitzdegen import (build_cover, canonical_form, collide_pair, de_rham_character,
                           dihedral_degenerations, dual_graph_of_groups, equivalent,
-                          local_model_fixpoint_orbits, local_model_orbit_sizes,
-                          predicted_fixpoint_orbits, induced_character,
+                          induced_character,
                           is_inverting_involution, left_cosets, normalizer,
                           perm_from_cycles, rh_genus, smooth_dihedral, validate)
 from hurwitzdegen import audit
@@ -153,23 +152,6 @@ def test_criterion_6_property_suites(s3, s4, d4, d5):
     ok = cases >= 500 and degree_checked >= 20 and elapsed < 30.0
     _result(f"6 (property suites: {cases} cases, "
             f"{degree_checked} degree checks, {elapsed:.1f}s)", ok)
-
-
-def test_criterion_7_smoothing_orbits():
-    ok = True
-    for N in range(1, 16, 2):
-        ok &= local_model_fixpoint_orbits(N) == 2 == predicted_fixpoint_orbits(2 * N)
-    lines = []
-    for N in range(2, 15, 2):
-        oracle = local_model_fixpoint_orbits(N)
-        predicted = predicted_fixpoint_orbits(2 * N)
-        sizes = local_model_orbit_sizes(N)
-        ok &= sum(sizes) == 2 * N
-        lines.append(f"N={N}: oracle {oracle} vs predicted {predicted}, sizes {sizes}")
-    print()
-    for line in lines:
-        print(f"  smoothing orbits {line}")
-    _result("7 (smoothing orbits: odd N match, even N audited exactly)", ok)
 
 
 def test_criterion_8_round_trip():

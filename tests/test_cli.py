@@ -8,10 +8,12 @@ from pathlib import Path
 import pytest
 
 from hurwitzdegen import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPoint, PermGroup,
-                          audit, datum_to_jsonable, hurwitz_to_datum, perm_from_cycles,
-                          tuple_to_jsonable)
-from hurwitzdegen.cli import build_parser, json_dump, main
+                          audit, datum_to_jsonable, dihedral_degenerations, hurwitz_to_datum,
+                          perm_from_cycles, tuple_to_jsonable)
+from hurwitzdegen.cli import analyze_datum, build_parser, json_dump, main
 from hurwitzdegen.groups import MAX_DEGREE
+
+NODE_CLASS_KEYS = {"kind", "stabilizer_order", "count"}
 
 
 @pytest.fixture(scope="module")
@@ -67,10 +69,23 @@ def test_analyze_split_datum(tmp_path, capsys):
     assert report["cover"]["component_count"] == 7
     assert report["cover"]["node_count"] == 12
     assert report["cover"]["arithmetic_genus"] == 6
-    entry = report["cover"]["node_classes"][0]
-    assert entry["kind"] == "cyclic"
-    assert entry["smoothing_fixpoint_orbits"] is None
+    assert [entry["kind"] for entry in report["cover"]["node_classes"]] == ["cyclic"]
+    assert all(set(entry) == NODE_CLASS_KEYS for entry in report["cover"]["node_classes"])
     assert report["characters"]["h1"]["values"] == [12, -4, 0, 2, 2]
+
+
+def test_analyze_order_4_dihedral_nodes_without_warnings():
+    # a dihedral node opens into one orbit per new branch point whatever its
+    # stabilizer order, so an order-4 node is no cause for a warning
+    degs = dihedral_degenerations(audit.a5_smoothed_tuple(), 0)
+    assert degs
+    for deg in degs:
+        report, code = analyze_datum(deg.datum)
+        assert code == 0 and report["validation"]["ok"]
+        assert [(e["kind"], e["stabilizer_order"]) for e in report["cover"]["node_classes"]] \
+            == [("dihedral", 4)]
+        assert all(set(entry) == NODE_CLASS_KEYS for entry in report["cover"]["node_classes"])
+        assert report["warnings"] == []
 
 
 def unstable_elliptic_datum() -> BoundaryDatum:
@@ -225,6 +240,21 @@ def test_degenerate_dedup_collapses_conjugates(tmp_path, capsys):
                            "--dedup")
     assert code == 0
     assert json.loads(out)["count"] == 2
+
+
+@pytest.mark.parametrize("flags", [["--splits"], ["--dihedral", "0"], ["--dihedral", "1", "--dedup"]])
+def test_degenerate_two_entry_tuple_exits_0(tmp_path, capsys, flags):
+    # below 3 entries no stable stratum exists: an empty answer, and no word
+    # of a missing involution, since a 5-cycle has five
+    G = audit.a5_group()
+    c = G.id_of(perm_from_cycles(5, (0, 1, 2, 3, 4)))
+    path = tmp_path / "t2.json"
+    path.write_text(json.dumps(tuple_to_jsonable(HurwitzTuple(G, (c, G.inv(c))))),
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, "degenerate", str(path), *flags)
+    assert (code, err) == (0, "")
+    result = json.loads(out)
+    assert (result["count"], result["degenerations"], result["warnings"]) == (0, [], [])
 
 
 @pytest.mark.parametrize("index", ["3", "7", "-1"])

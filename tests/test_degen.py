@@ -7,16 +7,16 @@ from collections import Counter
 import pytest
 
 from hurwitzdegen import (HurwitzTuple, PermGroup, canonical_form,
-                          collide_pair, dedup, dihedral_degenerations, equivalent,
-                          local_model_fixpoint_orbits, local_model_orbit_sizes, predicted_fixpoint_orbits,
+                          collide_pair, dedup, dihedral_degenerations, equivalent, left_cosets,
                           perm_from_cycles, quotient_stability, rh_genus, smooth_dihedral,
                           split_degenerations, validate)
 from hurwitzdegen import audit
 from hurwitzdegen.boundary import serialize
 from hurwitzdegen.degen import Degeneration
-from hurwitzdegen.errors import InvalidDatum, OddOrder, TooFewPoints
+from hurwitzdegen.errors import InvalidDatum
 
-from conftest import canonical_form_by_scan, conjugate_datum, quotient_report
+from conftest import (canonical_form_by_scan, conjugate_datum, local_model_orbit_sizes, orbits,
+                      quotient_report)
 
 
 def test_split_index_range(a5, s4):
@@ -26,8 +26,8 @@ def test_split_index_range(a5, s4):
     g = s4.id_of(perm_from_cycles(4, (0, 1, 2, 3)))
     t5 = HurwitzTuple(s4, (g, g, g, g, s4.inv(s4.product([g] * 4))))
     assert [d.split_at for d in split_degenerations(t5)] == [2, 3]
-    with pytest.raises(TooFewPoints):
-        split_degenerations(HurwitzTuple(s4, (g, s4.inv(g))))
+    # below 3 entries there is no stable stratum
+    assert split_degenerations(HurwitzTuple(s4, (g, s4.inv(g)))) == []
 
 
 def test_a5_split_matches_worked_grouping(a5):
@@ -111,9 +111,12 @@ def test_dihedral_identity_monodromy_accepts_all_involutions(s3):
 
 
 def test_too_few_points_for_dihedral(s3):
-    t = s3.id_of(perm_from_cycles(3, (0, 1)))
-    with pytest.raises(TooFewPoints):
-        dihedral_degenerations(HurwitzTuple(s3, (t, t)), 0)
+    # a 3-cycle has inverting involutions, yet a dihedral point with one
+    # cyclic point beside it is not stable
+    c = s3.id_of(perm_from_cycles(3, (0, 1, 2)))
+    assert dihedral_degenerations(HurwitzTuple(s3, (c, s3.inv(c), s3.identity)), 0)
+    short = HurwitzTuple(s3, (c, s3.inv(c)))
+    assert [dihedral_degenerations(short, i) for i in range(2)] == [[], []]
 
 
 @pytest.mark.parametrize("index", [-1, 3])
@@ -178,30 +181,47 @@ def test_smooth_dihedral_genus_constancy(a5):
         assert boundary_genus == smooth_genus == 6
 
 
-def test_predicted_fixpoint_orbits():
-    assert predicted_fixpoint_orbits(10) == 2
-    assert predicted_fixpoint_orbits(4) == 4
-    assert predicted_fixpoint_orbits(2) == 2
-    with pytest.raises(OddOrder):
-        predicted_fixpoint_orbits(5)
-
-
-def test_local_model_small_values():
-    assert local_model_fixpoint_orbits(1) == 2
-    assert local_model_fixpoint_orbits(5) == 2
-    # even case: the local model merges the two fixpoints of each involution
-    # through the central rotation, so the oracle stays at 2 where the
-    # involution-class count predicts 4
-    assert local_model_fixpoint_orbits(2) == 2
-    assert predicted_fixpoint_orbits(4) == 4
-
-
 @pytest.mark.parametrize("N", range(1, 16))
 def test_local_model_orbit_sizes_partition(N):
-    sizes = local_model_orbit_sizes(N)
-    assert sum(sizes) == 2 * N
-    if N % 2 == 1:
-        assert len(sizes) == predicted_fixpoint_orbits(2 * N) == 2
+    # the rotation u -> u + 4 splits the even residues mod 4N by u mod 4, and
+    # the swap u -> -u keeps both halves
+    assert local_model_orbit_sizes(N) == [N, N]
+
+
+def test_smoothing_opens_each_dihedral_node_into_two_orbits(a5, psl27, s4, s5, d4):
+    # on the explicit cover of the smoothed tuple, the points over the new
+    # branch points s and s*m that lie in the node r<m, s> form one orbit
+    # each under its stabilizer r<m, s>r^-1, as in the local model
+    d6 = PermGroup([perm_from_cycles(6, (0, 1, 2, 3, 4, 5)), perm_from_cycles(6, (1, 5), (2, 4))])
+    rng = random.Random(26)
+    met = set()
+    for G in (s4, s5, d4, d6, a5, psl27):
+        for _ in range(25):
+            entries = [rng.randrange(G.order) for _ in range(rng.randrange(2, 4))]
+            t = HurwitzTuple(G, (*entries, G.inv(G.product(entries))))
+            for i in range(len(t)):
+                for deg in dihedral_degenerations(t, i):
+                    m, s = t.entries[i], deg.involution
+                    D = G.generated_subgroup([m, s])
+                    (node_class,) = [c for c in quotient_report(deg.datum)["node_classes"]
+                                     if c["kind"] == "dihedral"]
+                    assert node_class["stabilizer_order"] == D.order
+                    N = D.order // 2
+                    smoothed = smooth_dihedral(deg).entries
+                    fibers = [left_cosets(G, G.cyclic_subgroup(x)) for x in smoothed[i:i + 2]]
+                    for node in left_cosets(G, D).cells:
+                        r, r_inv = node[0], G.inv(node[0])
+                        stabilizer = [G.mul(G.mul(r, x), r_inv) for x in (m, s)]
+                        sizes = []
+                        for cos in fibers:
+                            inside = sorted({cos.index_of[g] for g in node})
+                            found = orbits(inside, stabilizer,
+                                           lambda c, g: cos.index_of[G.mul(g, cos.cells[c][0])])
+                            assert len(found) == 1
+                            sizes.append(len(found[0]))
+                        assert sorted(sizes) == local_model_orbit_sizes(N)
+                    met.add(D.order)
+    assert {4, 6, 8, 10, 12} <= met
 
 
 def test_dedup(a5, s4):

@@ -10,9 +10,9 @@ from hurwitzdegen import (ClassFunction, PermGroup, Subgroup, compose, induced_c
                           normalizer, perm_from_cycles)
 from hurwitzdegen import audit
 from hurwitzdegen.errors import (ClosureBoundExceeded, DegreeMismatch, NotACharacter)
-from hurwitzdegen.groups import as_perm, identity_perm, orbits
+from hurwitzdegen.groups import as_perm, identity_perm
 
-from conftest import all_subgroups, centralizer_by_scan, closure_by_bfs, sign_characters
+from conftest import all_subgroups, centralizer_by_scan, closure_by_bfs, orbits, sign_characters
 
 
 def test_composition_convention():
