@@ -12,8 +12,8 @@ unlike a dataclass, so importing the package stays cheap.
 ``Record.__init__`` sets every slot from values in slot order or by name,
 raising ``TypeError`` on a missing, extra, unknown or repeated field, then
 calls ``self.__post_init__()``: a no-op here, or the check that
-``Subgroup``, ``GenGraph``, ``GraphAction`` and ``Degeneration`` define,
-which the benchmark's tracer and the tests patch on the class by name.  A
+``GraphAction`` alone defines.  Every record keeps the hook, which the
+benchmark's tracer and the tests patch on the class by name.  A
 record writes its own constructor only to give defaults, to fill a slot on
 first use, or because it is built per element, per coset, per conjugate or
 per induced character, where the generic loop costs about a microsecond more.

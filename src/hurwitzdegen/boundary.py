@@ -165,11 +165,6 @@ def unstable_components(datum: BoundaryDatum) -> list[int]:
             if not is_stable_curve(comp.genus, len(comp.points))]
 
 
-def quotient_stability(datum: BoundaryDatum) -> bool:
-    """Every component is stable with its marked points."""
-    return not unstable_components(datum)
-
-
 # -- Hurwitz tuples ----------------------------------------------------------
 
 

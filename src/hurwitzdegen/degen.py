@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from ._record import Record, set_field
 from .boundary import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPoint,
-                       Violation, canonical_form, quotient_stability)
+                       Violation, canonical_form)
 from .errors import InvalidDatum
 from .groups import inverting_involutions
 
@@ -22,12 +22,11 @@ DIHEDRAL = "dihedral"
 
 
 class Degeneration(Record, eq=False):
-    """A codimension-1 boundary datum of a tuple, admissible by construction:
-    a split closes each side with the node monodromy, a dihedral point takes s
-    from ``inverting_involutions``, and ``collide_pair`` takes s = a, which
-    inverts m = ab and lies outside <ab> (inside, a would commute with ab, so
-    (ab)^2 = e, a = ab and b = e).  Only quotient stability is checked: a
-    3-entry tuple collides to 2 points.
+    """A codimension-1 boundary datum of a tuple, admissible and stable by
+    construction: a split closes each side with the node monodromy, a dihedral
+    point takes s from ``inverting_involutions``, and ``collide_pair`` takes
+    s = a, which inverts m = ab and lies outside <ab> (inside, a would commute
+    with ab, so (ab)^2 = e, a = ab and b = e), and checks stability itself.
     """
 
     __slots__ = ("kind", "datum", "split_at", "index", "involution")
@@ -40,11 +39,6 @@ class Degeneration(Record, eq=False):
         set_field(self, "index", index)            # dihedral kind: marked point index
         set_field(self, "involution", involution)  # dihedral kind: element id of s
         self.__post_init__()
-
-    def __post_init__(self):
-        if not quotient_stability(self.datum):
-            raise InvalidDatum([Violation("Stability", "quotient curve",
-                                          "a rational component has fewer than 3 marked points")])
 
 
 def split_degenerations(t: HurwitzTuple) -> list[Degeneration]:
@@ -93,7 +87,6 @@ def smooth_dihedral(deg: Degeneration) -> HurwitzTuple:
         raise ValueError("smooth_dihedral needs a dihedral-kind degeneration")
     datum = deg.datum
     G = datum.group
-    assert len(datum.components) == 1
     comp = datum.components[0]
     i = deg.index
     pt = comp.points[i]
@@ -107,7 +100,9 @@ def collide_pair(t: HurwitzTuple, index: int) -> Degeneration:
     """Collide adjacent involution entries (index, index+1) into a dihedral point.
 
     Inverse of smooth_dihedral: entries (a, b) with a^2 = b^2 = e become the
-    dihedral point (m = a*b, s = a).
+    dihedral point (m = a*b, s = a).  A 3-entry tuple collides to 2 points, an
+    unstable quotient, so it raises ``InvalidDatum`` with a Stability violation:
+    the one stability check on degenerations.
     """
     G = t.group
     if index < 0 or index + 1 >= len(t):
@@ -117,6 +112,9 @@ def collide_pair(t: HurwitzTuple, index: int) -> Degeneration:
         raise ValueError(f"entry {index} is not an involution")
     if G.mul(b, b) != G.identity or b == G.identity:
         raise ValueError(f"entry {index + 1} is not an involution")
+    if len(t) < 4:
+        raise InvalidDatum([Violation("Stability", "quotient curve",
+                                      "a rational component has fewer than 3 marked points")])
     m = G.mul(a, b)
     points = [MarkedPoint.cyclic(g) for g in t.entries[:index]]
     points.append(MarkedPoint.dihedral(m, a))

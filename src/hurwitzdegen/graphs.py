@@ -20,19 +20,11 @@ from ._record import Record
 
 class GenGraph(Record):
     """Oriented ``edges`` (source, target) on ``vertex_count`` vertices, with
-    ``opp`` the opposite-edge involution."""
+    ``opp`` the opposite-edge involution.  Unchecked: ``from_unoriented``, the
+    package's one builder, pairs each edge with its reverse and makes each
+    loop its own opposite."""
 
     __slots__ = ("vertex_count", "edges", "opp")
-
-    def __post_init__(self):
-        E = len(self.edges)
-        assert len(self.opp) == E
-        for e in range(E):
-            o = self.opp[e]
-            assert 0 <= o < E and self.opp[o] == e, "opp must be an involution"
-            s, t = self.edges[e]
-            assert 0 <= s < self.vertex_count and 0 <= t < self.vertex_count
-            assert self.edges[o] == (t, s), "opposite edge must reverse source and sink"
 
     @classmethod
     def from_unoriented(cls, vertex_count: int, pairs: Sequence[tuple[int, int]],

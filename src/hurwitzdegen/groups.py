@@ -122,7 +122,6 @@ class PermGroup:
         self.elements = sorted(points)
         del points  # the closure's working set goes before the index is built
         self.index = dict(zip(self.elements, range(self.order)))
-        assert self.elements[0] == ident
         self._gen_ids = [self.index[g] for g in keys]
         self._inv = [-1] * self.order  # filled by inv() on demand
         self._right: dict[int, tuple[int, ...]] = {}
@@ -355,10 +354,10 @@ def same_group(a: PermGroup, b: PermGroup) -> bool:
 class Subgroup(Record):
     """Subgroup of ``group`` given by its sorted member ids.
 
-    A trusted value: callers pass sets that are closed by construction
-    (closures, normalizers, stabilizers, conjugates), so only the identity
-    is checked here.  ``gens``, when given, generate it: the ids a closure
-    started from; equality, hash and repr ignore them.
+    A trusted value, never checked: callers pass sets that are closed by
+    construction (closures, normalizers, stabilizers, conjugates), and each
+    holds the identity, id 0.  ``gens``, when given, generate it: the ids a
+    closure started from; equality, hash and repr ignore them.
     """
 
     __slots__ = ("group", "members", "gens")
@@ -370,10 +369,6 @@ class Subgroup(Record):
         set_field(self, "members", members)
         set_field(self, "gens", gens)
         self.__post_init__()
-
-    def __post_init__(self):
-        if self.members[:1] != (0,):
-            raise ValueError("subgroup must contain the identity")
 
     @property
     def order(self) -> int:
@@ -595,7 +590,6 @@ class ClassFunction(Record, eq=False):
     __slots__ = ("group", "values")
 
     def __init__(self, group: PermGroup, values: tuple[int, ...]):
-        assert len(values) == len(group.conjugacy_classes())
         set_field(self, "group", group)
         set_field(self, "values", values)
 

@@ -7,9 +7,9 @@ from functools import cache
 
 import pytest
 
-from hurwitzdegen import (BoundaryDatum, CosetTable, CoverCurve, DevissageReport, GraphAction,
-                          HurwitzTuple, MarkedComponent, MarkedPoint, PermGroup, Subgroup,
-                          cover_report, de_rham_character, dual_graph_of_groups,
+from hurwitzdegen import (BoundaryDatum, CosetTable, CoverCurve, DevissageReport, GenGraph,
+                          GraphAction, HurwitzTuple, MarkedComponent, MarkedPoint, PermGroup,
+                          Subgroup, cover_report, de_rham_character, dual_graph_of_groups,
                           is_inverting_involution, left_cosets, perm_from_cycles, rh_genus)
 from hurwitzdegen import audit
 from hurwitzdegen.boundary import serialize
@@ -176,6 +176,19 @@ def explicit_cover_report(cover: CoverCurve) -> dict:
         "arithmetic_genus": genera[0] if connected else None,
         "component_arithmetic_genera": genera,
     }
+
+
+def assert_opposite_edges(graph: GenGraph, loops: Sequence[int]) -> None:
+    """``opp`` is an involution that reverses each edge's ends, which lie on
+    the graph's vertices, and fixes exactly one edge (v, v) per v in ``loops``."""
+    E = len(graph.edges)
+    assert len(graph.opp) == E
+    for e, (s, t) in enumerate(graph.edges):
+        o = graph.opp[e]
+        assert 0 <= o < E and graph.opp[o] == e
+        assert 0 <= s < graph.vertex_count and 0 <= t < graph.vertex_count
+        assert graph.edges[o] == (t, s)
+    assert [graph.edges[e] for e in range(E) if graph.opp[e] == e] == [(v, v) for v in loops]
 
 
 def deck_action(cover: CoverCurve) -> GraphAction:

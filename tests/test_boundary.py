@@ -7,10 +7,10 @@ import pytest
 from hurwitzdegen import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPoint,
                           PermGroup, canonical_form, datum_from_jsonable, datum_to_jsonable,
                           dual_graph_of_groups, equivalent, hurwitz_to_datum,
-                          is_inverting_involution, perm_from_cycles, quotient_stability,
+                          is_inverting_involution, perm_from_cycles,
                           tuple_from_jsonable, tuple_to_jsonable, validate)
 from hurwitzdegen import audit, groups
-from hurwitzdegen.boundary import datum_warnings, serialize
+from hurwitzdegen.boundary import datum_warnings, serialize, unstable_components
 from hurwitzdegen.errors import InvalidDatum, ProductNotOne, SchemaError
 
 from conftest import (canonical_form_by_scan, closure_by_bfs, conjugate_datum, inverting_pairs,
@@ -32,13 +32,13 @@ def test_bare_quotient_validates_but_is_unstable():
     G = PermGroup([], degree=1)
     datum = BoundaryDatum(G, (MarkedComponent(0, (), ()),))
     assert validate(datum) == []
-    assert not quotient_stability(datum)
+    assert unstable_components(datum) == [0]
 
 
 def test_a5_dihedral_datum_validates(a5):
     datum = audit.a5_dihedral_degenerations(a5)[0].datum
     assert validate(datum) == []
-    assert quotient_stability(datum)
+    assert unstable_components(datum) == []
     m = datum.components[0].points[0].m
     g1 = datum.components[0].points[1].m
     g2 = datum.components[0].points[2].m
@@ -178,11 +178,11 @@ def test_dual_graph_requires_valid_datum(s3):
 
 def test_quotient_stability_cases(a5):
     datum = audit.a5_dihedral_degenerations(a5)[0].datum
-    assert quotient_stability(datum)  # 1 dihedral + 2 cyclic
+    assert unstable_components(datum) == []  # 1 dihedral + 2 cyclic
     g = a5.id_of(perm_from_cycles(5, (0, 1, 2)))
     two_points = hurwitz_to_datum(HurwitzTuple(a5, (g, a5.inv(g))))
-    assert not quotient_stability(two_points)
-    assert quotient_stability(audit.a5_split_datum(a5))  # node + 2 cyclic on each side
+    assert unstable_components(two_points) == [0]
+    assert unstable_components(audit.a5_split_datum(a5)) == []  # node + 2 cyclic on each side
 
 
 def test_canonical_form_properties(s4):

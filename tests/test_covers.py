@@ -5,19 +5,20 @@ import random
 
 import pytest
 
-from hurwitzdegen import (BoundaryDatum, MarkedComponent, MarkedPoint,
+from hurwitzdegen import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPoint,
                           PermGroup, Subgroup, build_cover, cover_report, cover_to_dot,
                           datum_from_jsonable, de_rham_character, dihedral_degenerations,
                           dual_graph_of_groups, hurwitz_to_datum, left_cosets, perm_from_cycles,
                           rh_genus, split_degenerations, tuple_from_jsonable)
 from hurwitzdegen import audit, covers, groups
-from hurwitzdegen.boundary import quotient_stability
+from hurwitzdegen.boundary import unstable_components
 from hurwitzdegen.covers import node_class_summary
 from hurwitzdegen.errors import InvalidDatum, NegativeGenus, NonIntegralGenus
 
-from conftest import (assert_closed, branch_counts, deck_action, disjoint_union,
-                      explicit_cover_report, inverting_pairs, lefschetz_counts, quotient_report,
-                      random_rational_generating_tuples, random_valid_datum, subcover)
+from conftest import (assert_closed, assert_opposite_edges, branch_counts, deck_action,
+                      disjoint_union, explicit_cover_report, inverting_pairs, lefschetz_counts,
+                      quotient_report, random_rational_generating_tuples, random_valid_datum,
+                      subcover)
 from test_golden import ROOT, golden_argvs
 
 
@@ -204,7 +205,7 @@ def test_stability_is_2g_minus_2_plus_n_positive(genus, points):
     e = G.identity
     handles = ((e, e),) * genus
     lone = BoundaryDatum(G, (MarkedComponent(genus, handles, (MarkedPoint.cyclic(e),) * points),))
-    assert quotient_stability(lone) == (2 * genus - 2 + points > 0)
+    assert (not unstable_components(lone)) == (2 * genus - 2 + points > 0)
     core = MarkedComponent(genus, handles, tuple(MarkedPoint.node_end(e, k) for k in range(points)))
     tails = tuple(MarkedComponent(2, ((e, e),) * 2, (MarkedPoint.node_end(e, k),))
                   for k in range(points))
@@ -440,6 +441,36 @@ def test_pipeline_subgroups_are_closed(fixture, seed, request, monkeypatch):
         assert_closed(H)
 
 
+def random_generating_tuples(G: PermGroup, rng: random.Random, want: int) -> list[HurwitzTuple]:
+    """Product-one tuples of 3 or 4 non-identity entries that generate G."""
+    out = []
+    while len(out) < want:
+        entries = [rng.randrange(1, G.order) for _ in range(rng.randrange(2, 4))]
+        entries.append(G.inv(G.product(entries)))
+        if entries[-1] != G.identity and G.generated_subgroup(entries).order == G.order:
+            out.append(HurwitzTuple(G, tuple(entries)))
+    return out
+
+
+@pytest.mark.parametrize("fixture,seed", [("s4", 51), ("d5", 52), ("a5", 53), ("psl27", 54)])
+def test_cover_over_a_dihedral_point_depends_on_the_coset_of_s(fixture, seed, request):
+    # the inverting involutions of m fall into cosets s<m>, and the explicit
+    # cover is the same for each s in one coset; the DOT text alone does not
+    # tell the cosets apart, so no count of distinct texts is asserted
+    G = request.getfixturevalue(fixture)
+    rng = random.Random(seed)
+    indices = 0
+    for t in random_generating_tuples(G, rng, 6):
+        for i, m in enumerate(t.entries):
+            dots = {d.involution: cover_to_dot(build_cover(d.datum))
+                    for d in dihedral_degenerations(t, i)}
+            assert {G.mul(s, m) for s in dots} == dots.keys()
+            # s*m^j for every j, by stepping s -> s*m through the coset
+            assert all(dots[G.mul(s, m)] == dot for s, dot in dots.items())
+            indices += bool(dots)
+    assert indices >= 6
+
+
 def golden_inputs() -> list[tuple[str, BoundaryDatum]]:
     """Every datum the golden cases analyze: the data files, and each tuple's
     interior datum with all of its split and dihedral degenerations."""
@@ -467,3 +498,12 @@ def test_cover_report_matches_explicit_cover_on_golden_inputs():
     # the pinned multi-piece and disconnected cases are among them
     assert sum(not quotient_report(d)["connected"] for _, d in data) >= 1
     assert len(data) >= 30
+
+
+def test_built_graphs_pair_each_edge_with_its_reverse_on_golden_inputs():
+    # GenGraph checks nothing, so both graphs the package builds are checked
+    # here: the quotient's loops are its dihedral points, and the cover has none
+    for _, datum in golden_inputs():
+        gog = dual_graph_of_groups(datum)
+        assert_opposite_edges(gog.graph, [ends[0][0] for ends in gog.edge_ends if len(ends) == 1])
+        assert_opposite_edges(build_cover(datum).graph, [])

@@ -8,10 +8,10 @@ import pytest
 
 from hurwitzdegen import (HurwitzTuple, PermGroup, canonical_form,
                           collide_pair, dedup, dihedral_degenerations, equivalent, left_cosets,
-                          perm_from_cycles, quotient_stability, rh_genus, smooth_dihedral,
+                          perm_from_cycles, rh_genus, smooth_dihedral,
                           split_degenerations, validate)
 from hurwitzdegen import audit
-from hurwitzdegen.boundary import serialize
+from hurwitzdegen.boundary import serialize, unstable_components
 from hurwitzdegen.degen import Degeneration
 from hurwitzdegen.errors import InvalidDatum
 
@@ -73,13 +73,13 @@ def test_every_emitted_degeneration_is_valid_and_stable(a5, s4, d5, psl27):
         for deg in degs:
             kinds[deg.kind] += 1
             assert validate(deg.datum) == []
-            assert quotient_stability(deg.datum)
+            assert unstable_components(deg.datum) == []
     assert kinds["split"] and kinds["dihedral"] and kinds["collide"] >= 10
 
 
 def test_collide_pair_of_a_three_entry_tuple_is_unstable():
-    # the one check Degeneration keeps: the Klein four-group tuple (a, b, ab)
-    # collides to two points
+    # the one stability check on degenerations, in collide_pair: the Klein
+    # four-group tuple (a, b, ab) collides to two points
     v4 = PermGroup([perm_from_cycles(4, (0, 1), (2, 3)), perm_from_cycles(4, (0, 2), (1, 3))])
     a, b = v4.generator_ids
     with pytest.raises(InvalidDatum) as exc:

@@ -1,5 +1,6 @@
 """Property tests of the canonical form and the inverting involutions under
-conjugation, and of the report writer against ``json.dumps``."""
+conjugation, of ``GenGraph.from_unoriented``'s opposite edges, and of the
+report writer against ``json.dumps``."""
 
 from __future__ import annotations
 
@@ -13,11 +14,13 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from hurwitzdegen import build_cover, canonical_form, equivalent, inverting_involutions
+from hurwitzdegen import (GenGraph, build_cover, canonical_form, equivalent,
+                          inverting_involutions)
 from hurwitzdegen.cli import json_dump
 
-from conftest import (conjugate_datum, disjoint_union, explicit_cover_report, inverting_pairs,
-                      quotient_report, random_valid_datum)
+from conftest import (assert_opposite_edges, conjugate_datum, disjoint_union,
+                      explicit_cover_report, inverting_pairs, quotient_report,
+                      random_valid_datum)
 
 GROUPS = ["s3", "d4", "s4", "d5", "a5", "s5", "psl27"]
 
@@ -63,6 +66,16 @@ def test_cover_report_matches_explicit_cover(groups, name, seed, pieces):
     for _ in range(pieces - 1):
         datum = disjoint_union(datum, random_valid_datum(G, rng, pairs))
     assert quotient_report(datum) == explicit_cover_report(build_cover(datum))
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(data=st.data(), n=st.integers(1, 6))
+def test_from_unoriented_pairs_each_edge_with_its_reverse(data, n):
+    # GenGraph checks nothing and trusts this, its one builder
+    vertex = st.integers(0, n - 1)
+    pairs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=8))
+    loops = data.draw(st.lists(vertex, max_size=4))
+    assert_opposite_edges(GenGraph.from_unoriented(n, pairs, self_opposite=loops), loops)
 
 
 TEXT = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2603\U0001f600'))
