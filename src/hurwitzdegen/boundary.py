@@ -103,25 +103,14 @@ class BoundaryDatum(Record, eq=False):
         return self.components[ci].points[pi]
 
 
-def surface_relation_holds(datum: BoundaryDatum, ci: int) -> bool:
-    """prod [a_i, b_i] * prod m over points in order equals the identity."""
-    G = datum.group
-    comp = datum.components[ci]
-    acc = 0
-    for a, b in comp.handles:
-        comm = G.mul(G.mul(a, b), G.mul(G.inv(a), G.inv(b)))
-        acc = G.mul(acc, comm)
-    for pt in comp.points:
-        acc = G.mul(acc, pt.m)
-    return acc == G.identity
-
-
 def validate(datum: BoundaryDatum) -> list[Violation]:
-    """All invariant checks; an empty list means the datum is admissible."""
+    """All invariant checks; an empty list means the datum is admissible.
+    Each surface relation is one product: [a, b] per handle, then each point's m."""
     G = datum.group
     out: list[Violation] = []
-    for ci in range(len(datum.components)):
-        if not surface_relation_holds(datum, ci):
+    for ci, comp in enumerate(datum.components):
+        commutators = [G.product((a, b, G.inv(a), G.inv(b))) for a, b in comp.handles]
+        if G.product([*commutators, *(pt.m for pt in comp.points)]) != G.identity:
             out.append(Violation("SurfaceRelation", f"component {ci}",
                                  "handle commutators times point monodromies != identity"))
     for node_id, ends in sorted(datum.node_ends().items()):

@@ -24,12 +24,12 @@ element.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent reads are safe; the lazily filled caches (inverses,
-element orders, classes, class records, right tables, and on each record of
-a non-central class its centralizer as stored (padded member, inverse)
-pairs) hold correct values whichever call fills them.  They hold ids and
-stored elements only, never an object that refers back to the group, so
-reference counting frees a group, its tables and its class records as soon
-as the group's last holder drops it.
+element orders, classes, right tables, and the records of non-central classes
+with their centralizers as stored (padded member, inverse) pairs) hold
+correct values whichever call fills them.  They hold ids and stored elements
+only, never an object that refers back to the group, so reference counting
+frees a group, its tables and its class records as soon as the group's last
+holder drops it.
 """
 
 from __future__ import annotations
@@ -49,11 +49,14 @@ MAX_DEGREE = 10**4  # the loader's bound on a declared degree, checked before an
 
 
 def as_perm(images: Sequence[int]) -> Perm:
-    """Validate an image array and return it as a tuple."""
+    """Validate an image array and return it as a tuple; an error names one bad point."""
     p = tuple(int(x) for x in images)
     n = len(p)
     if sorted(p) != list(range(n)):
-        raise ValueError(f"not a permutation of 0..{n - 1}: {list(images)!r}")
+        first: dict[int, int] = {}
+        i = next(i for i, x in enumerate(p) if not 0 <= x < n or first.setdefault(x, i) != i)
+        why = f"{p[i]} is also point {first[p[i]]}'s" if 0 <= p[i] < n else "is out of range"
+        raise ValueError(f"not a permutation of 0..{n - 1}: point {i}'s image {why}")
     return p
 
 
@@ -282,11 +285,10 @@ class PermGroup:
 
     def class_record(self, x: int) -> "ClassRecord":
         """The class record of x's conjugacy class, built on first use and
-        cached under every member of the class."""
+        cached under every member; callers keep central classes out."""
         if x not in self._records:
             rec = _class_record(self, x)
-            for y in rec.conjugators:
-                self._records[y] = rec
+            self._records.update(dict.fromkeys(rec.conjugators, rec))
         return self._records[x]
 
     # -- subgroups ---------------------------------------------------------
@@ -463,7 +465,7 @@ def _class_record(group: PermGroup, x: int) -> ClassRecord:
 def _centralizer_pairs(group: PermGroup, rec: ClassRecord) -> tuple[tuple, ...]:
     """C_G(r) of a record as (padded member, inverse) stored elements, built
     on first use and kept on the record, so every member of the class shares
-    them.  Callers skip central classes, whose C_G(r) is all of G."""
+    them.  Central classes, whose C_G(r) is G, get no record (``_is_central``)."""
     if rec._pairs is None:
         elements, pad = group.elements, group._pad
         set_field(rec, "_pairs", tuple((elements[c] + pad, elements[group.inv(c)])
@@ -472,11 +474,13 @@ def _centralizer_pairs(group: PermGroup, rec: ClassRecord) -> tuple[tuple, ...]:
 
 
 def _is_central(group: PermGroup, x: int) -> bool:
-    """x commutes with every generator of G: two stored products each."""
+    """The one centrality test: x commutes with each generator, two stored products each."""
     elements, tr, pad = group.elements, group._tr, group._pad
-    p = elements[x]
-    px = p + pad
-    return all(tr(g, px) == tr(p, g + pad) for g in map(elements.__getitem__, group._gen_ids))
+    p, px = elements[x], elements[x] + pad
+    for g in map(elements.__getitem__, group._gen_ids):  # a loop: no generator frame per call
+        if tr(g, px) != tr(p, g + pad):
+            return False
+    return True
 
 
 def least_conjugate(group: PermGroup, ids: Sequence[int]) -> tuple[int, ...]:
@@ -546,20 +550,20 @@ def normalizer(group: PermGroup, sub: Subgroup) -> Subgroup:
 def inverting_involutions(group: PermGroup, m: int) -> list[int]:
     """The s with ``is_inverting_involution(group, m, s)``, ascending.
 
-    With r the least id of m's class, s m s^-1 = m^-1 exactly when
-    t_{m^-1}^-1 s t_m centralizes r, so the elements inverting m are
-    t_{m^-1} C_G(r) t_m^-1, read off m's class record with two stored
-    products per centralizer pair; there are none when m^-1 is not conjugate
-    to m.  They invert m by construction, so only s^2 = e and s not in
-    {e, m} are tested.  A central m (= m^-1) has the coset G, walked by id
-    and never kept.
+    A central m is inverted only if m^2 = e, and then by every involution
+    but m, read off the class table.  Otherwise, with r the least id of m's
+    class, s m s^-1 = m^-1 exactly when t_{m^-1}^-1 s t_m centralizes r, so
+    the elements inverting m are t_{m^-1} C_G(r) t_m^-1, read off m's class
+    record with two stored products per centralizer pair; there are none
+    when m^-1 is not conjugate to m.  They invert m by construction, so
+    only s^2 = e and s not in {e, m} are tested.
     """
-    rec = group.class_record(m)
-    mi = group.inv(m)
+    if _is_central(group, m):
+        classes = group.conjugacy_classes() if group.mul(m, m) == 0 else ()
+        return sorted(s for c in classes if group.element_order(c[0]) == 2 for s in c if s != m)
+    rec, mi = group.class_record(m), group.inv(m)
     if mi not in rec.conjugators:
         return []
-    if len(rec.conjugators) == 1:
-        return [s for s in range(group.order) if is_inverting_involution(group, m, s)]
     elements, index, tr, pad = group.elements, group.index, group._tr, group._pad
     left = elements[rec.conjugators[mi]] + pad
     right = elements[group.inv(rec.conjugators[m])]

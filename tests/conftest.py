@@ -53,6 +53,13 @@ def s5():
 
 
 @pytest.fixture(scope="session")
+def c2_a5():
+    """C2 x A5 on 7 points: its centre {e, (5 6)} holds an involution."""
+    return PermGroup([perm_from_cycles(7, (0, 1, 2, 3, 4)), perm_from_cycles(7, (0, 1, 2)),
+                      perm_from_cycles(7, (5, 6))])
+
+
+@pytest.fixture(scope="session")
 def s4_on_257():
     """S4 fixing 253 of 257 points: above degree 256 elements are stored as tuples."""
     return PermGroup([perm_from_cycles(257, (0, 1, 2, 3)), perm_from_cycles(257, (0, 1))])

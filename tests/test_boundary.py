@@ -64,6 +64,19 @@ def test_surface_relation_violation(s3):
     assert kinds == ["SurfaceRelation"]
 
 
+def test_surface_relation_through_a_handle(s3):
+    # the points multiply to e, so only the handle's commutator [a, b] breaks the relation
+    t = s3.id_of(perm_from_cycles(3, (0, 1)))
+    r = s3.id_of(perm_from_cycles(3, (0, 1, 2)))
+    comm = s3.product((t, r, s3.inv(t), s3.inv(r)))
+    assert comm != s3.identity
+    points = (MarkedPoint.cyclic(t), MarkedPoint.cyclic(t))
+    datum = BoundaryDatum(s3, (MarkedComponent(1, ((t, r),), points),))
+    assert [(v.kind, v.location) for v in validate(datum)] == [("SurfaceRelation", "component 0")]
+    closed = (*points, MarkedPoint.cyclic(s3.inv(comm)))
+    assert validate(BoundaryDatum(s3, (MarkedComponent(1, ((t, r),), closed),))) == []
+
+
 def test_node_pairing_violations(s3):
     t = s3.id_of(perm_from_cycles(3, (0, 1)))
     r = s3.id_of(perm_from_cycles(3, (0, 1, 2)))

@@ -312,6 +312,24 @@ def test_declared_degree_at_the_bound_loads(tmp_path, capsys):
     assert json.loads(out)["cover"]["component_count"] == 1  # the trivial group
 
 
+@pytest.mark.parametrize("bad,why", [
+    ((MAX_DEGREE - 1, MAX_DEGREE), f"point {MAX_DEGREE - 1}'s image is out of range"),
+    ((MAX_DEGREE - 1, 3), f"point {MAX_DEGREE - 1}'s image 3 is also point 3's"),
+], ids=["out-of-range", "repeated"])
+def test_malformed_generator_names_one_point(tmp_path, capsys, bad, why):
+    # the diagnostic names the first bad point instead of echoing all 10^4 images
+    images = list(range(MAX_DEGREE))
+    images[bad[0]] = bad[1]
+    obj = {"group": {"degree": MAX_DEGREE, "generators": [images]},
+           "components": [{"points": [{"kind": "cyclic", "m": images}] * 3}]}
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: $.group: not a permutation of 0..{MAX_DEGREE - 1}: {why}\n"
+    assert len(err.encode()) < 200
+
+
 def test_analyze_degree_300_datum(tmp_path, capsys):
     # above degree 256 elements are tuples: C300 with entries (c, c, c^-2)
     c = [(x + 1) % 300 for x in range(300)]

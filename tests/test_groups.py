@@ -8,7 +8,7 @@ import pytest
 from hurwitzdegen import (ClassFunction, PermGroup, Subgroup, compose, induced_character,
                           inverse, inverting_involutions, is_inverting_involution, left_cosets,
                           normalizer, perm_from_cycles)
-from hurwitzdegen import audit
+from hurwitzdegen import audit, groups
 from hurwitzdegen.errors import (ClosureBoundExceeded, DegreeMismatch, NotACharacter)
 from hurwitzdegen.groups import as_perm, identity_perm
 
@@ -442,13 +442,16 @@ def test_coset_counts_against_sympy(p):
             assert normalizer(G, H).order == N.order()
 
 
-CLASS_RECORD_GROUPS = ["s3", "d4", "s4", "d5", "a5", "s5", "psl27", "psl2_11", "s4_on_257"]
+CLASS_RECORD_GROUPS = ["s3", "d4", "s4", "d5", "a5", "s5", "psl27", "psl2_11", "s4_on_257",
+                       "c2_a5"]
 
 
 def class_record_group(name: str, request) -> PermGroup:
     """A fresh group, so its class records are built by the test that uses it."""
     if name == "psl2_11":
         return psl2(11)
+    if name == "c4":
+        return PermGroup([perm_from_cycles(4, (0, 1, 2, 3))])
     G = request.getfixturevalue(name)
     return PermGroup(G.generators, degree=G.degree)
 
@@ -481,9 +484,26 @@ def test_inverting_involutions_against_scan(fixture, request):
     for m in range(G.order):
         scan = [s for s in range(G.order) if is_inverting_involution(G, m, s)]
         assert inverting_involutions(G, m) == scan
-    # a central class's coset is G: walked, never kept as pairs on its record
-    assert all(G.class_record(c[0])._pairs is None
-               for c in G.conjugacy_classes() if len(c) == 1)
+    # a central class gets no record
+    assert not any(c[0] in G._records for c in G.conjugacy_classes() if len(c) == 1)
+
+
+@pytest.mark.parametrize("fixture", ["c4", "d4", "c2_a5"])
+def test_inverting_involutions_of_a_central_m_build_no_record(fixture, request, monkeypatch):
+    G = class_record_group(fixture, request)
+    centre = [z for z in range(G.order) if all(G.mul(z, g) == G.mul(g, z) for g in range(G.order))]
+    scans = {z: [s for s in range(G.order) if is_inverting_involution(G, z, s)] for z in centre}
+    # C4's centre is all of it, D4's {e, r^2}, C2 x A5's {e, (5 6)}
+    assert len(centre) == (4 if fixture == "c4" else 2)
+    calls = []
+    monkeypatch.setattr(groups, "_class_record", lambda *args: calls.append(args))
+    monkeypatch.setattr(PermGroup, "class_record", lambda *args: calls.append(args))
+    monkeypatch.setattr(groups, "is_inverting_involution", lambda *args: calls.append(args))
+    for z, scan in scans.items():
+        assert inverting_involutions(G, z) == scan
+    assert calls == [] and G._records == {}
+    # in C4, r^2 is the one involution: it inverts e alone, not r^+-1 (m^2 != e) nor itself
+    assert fixture != "c4" or {z: scan for z, scan in scans.items() if scan} == {0: [2]}
 
 
 def test_normalizer_of_c5_in_a5(a5):
