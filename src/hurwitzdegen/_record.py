@@ -10,22 +10,25 @@ the class's own ``__eq__``.  Defining a record runs no generated code,
 unlike a dataclass, so importing the package stays cheap.
 
 ``Record.__init__`` sets every slot from values in slot order or by name,
-raising ``TypeError`` on a missing, extra, unknown or repeated field, then
-calls ``self.__post_init__()``: a no-op here, or the check that
+raising ``TypeError`` on a missing, extra, unknown or repeated field (a call
+that gives every field by position skips the name check), then calls
+``self.__post_init__()``: a no-op here, or the check that
 ``GraphAction`` alone defines.  Every record keeps the hook, which the
 benchmark's tracer and the tests patch on the class by name.  A
-record writes its own constructor only to give defaults, to fill a slot on
-first use, or because it is built per element, per coset, per conjugate or
-per induced character, where the generic loop costs about a microsecond more.
+record writes its own constructor only to give defaults or run a check, to
+set a slot filled on first use, or because it is built per point, per coset,
+per conjugate or per induced character, where the generic loop costs about a
+microsecond more.  A slot that repr, equality and hash should ignore sits
+outside ``_fields``: a class record's stored centralizer pairs, which the
+base constructor sets with the other fields, and the one slot filled on
+first use, a datum's canonical key.
 
-A slot filled on first use (a datum's canonical key, a class record's stored
-centralizer) sits outside ``_fields``, so repr, equality and hash ignore it.
-The constructor sets it to ``None``; the one function that fills it sets it
-once, through ``set_field``, to a pure function of the fields, so every
-reader sees the same value whichever call filled it.  Such a slot, and any
-record a group caches, holds ids or stored elements, never the group: a
-group that its own cache pointed back to would live on in a reference cycle
-until the cyclic garbage collector found it.
+A datum's own constructor sets that key to ``None``; ``canonical_form``,
+the one function that fills it, sets it once, through ``set_field``, to a
+pure function of the fields, so every reader sees the same value whichever
+call filled it.  It, and any record a group caches, holds ids or stored
+elements, never the group: a group that its own cache pointed back to would
+live on in a reference cycle until the cyclic garbage collector found it.
 """
 
 from __future__ import annotations
@@ -49,14 +52,14 @@ class Record:
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__
-        if len(args) > len(names) or kwargs.keys() != set(names[len(args):]):
-            wrong = sorted(set(names[len(args):]).symmetric_difference(kwargs))
-            raise TypeError(f"{type(self).__name__} takes {len(names)} fields, got {len(args)} "
-                            f"by position; missing, unknown or repeated: {wrong}")
+        if kwargs or len(args) != len(names):  # not every field by position: check the names
+            if len(args) > len(names) or kwargs.keys() != set(names[len(args):]):
+                wrong = sorted(set(names[len(args):]).symmetric_difference(kwargs))
+                raise TypeError(f"{type(self).__name__} takes {len(names)} fields, got "
+                                f"{len(args)} by position; missing, unknown or repeated: {wrong}")
+            args += tuple(map(kwargs.__getitem__, names[len(args):]))
         for name, value in zip(names, args):
             set_field(self, name, value)
-        for name in names[len(args):]:
-            set_field(self, name, kwargs[name])
         self.__post_init__()
 
     def __post_init__(self):

@@ -13,11 +13,13 @@ the two <m>-cosets contained in g<m, s>.
 groups (``boundary.dual_graph_of_groups``; Bass, J. Pure Appl. Algebra 89
 (1993)): [G : H_Y] components over Y, [G : E_e] nodes over edge e, and
 [G : K_P] connected components over each connected piece P of the quotient
-graph, where K_P is generated by P's vertex groups and dihedral edge groups.
-``build_cover`` enumerates the cover itself, one coset table per component
-and edge, for the DOT export of ``graph --which cover`` and for the tests,
-which count the same report on it and build its deck action and its
-intermediate quotients from its coset tables.
+graph, where K_P, which holds P's vertex groups and dihedral edge groups, is
+closed from P's own datum ids: handle images, point monodromies and the s of
+each dihedral point.  ``build_cover`` enumerates the cover itself, one coset
+table per component and edge, each built from the subgroup's members, for
+the DOT export of ``graph --which cover`` and for the tests, which count the
+same report on it and build its deck action and its intermediate quotients
+from its coset tables.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from ._record import Record, set_field
 from .boundary import BoundaryDatum, DualGraphOfGroups, dual_graph_of_groups, is_stable_curve
 from .errors import NegativeGenus, NonIntegralGenus
 from .graphs import GenGraph, gengraph_to_dot
-from .groups import PermGroup, Subgroup, left_cosets
+from .groups import PermGroup, left_cosets
 
 _NODE_KIND = {2: "cyclic", 1: "dihedral"}   # by the number of ends of the quotient edge
 
@@ -132,9 +134,9 @@ def build_cover(datum: BoundaryDatum) -> CoverCurve:
         # the node r<m, s> pairs the branches r<m> and rs<m>; the pair is met
         # first at the coset holding the minimum of r<m, s>
         (point,) = ends
-        times_s = G.right_table(datum.point(*point).s)
+        s = datum.point(*point).s
         for t, cell in enumerate(mcos.cells):
-            rep_s = times_s[cell[0]]
+            rep_s = G.mul(cell[0], s)
             if mcos.index_of[rep_s] > t:
                 nodes.append(CoverNode(e, branch(e, point, cell[0]), branch(e, point, rep_s)))
     graph = GenGraph.from_unoriented(
@@ -180,22 +182,26 @@ def cover_report(datum: BoundaryDatum, gog: DualGraphOfGroups) -> dict:
                   for ci, H in enumerate(gog.vertex_groups) for c in range(G.order // H.order)]
 
     piece_of = gog.graph.connected_component_ids()
-    groups: list[list[Subgroup]] = [[] for _ in range(max(piece_of) + 1)]  # generate K_P
-    euler = [0] * len(groups)      # sum g + nodes - components over P
+    pieces: list[list[int]] = [[] for _ in range(max(piece_of) + 1)]  # the components in P
+    euler = [0] * len(pieces)      # sum g + nodes - components over P
     branches = [0] * len(datum.components)
     for ci, H in enumerate(gog.vertex_groups):
-        groups[piece_of[ci]].append(H)
+        pieces[piece_of[ci]].append(ci)
         euler[piece_of[ci]] += (genera[ci] - 1) * (G.order // H.order)
     for ends, E, K in zip(gog.edge_ends, gog.edge_groups, gog.edge_kernels):
         euler[piece_of[ends[0][0]]] += G.order // E.order
-        if len(ends) == 1:  # a dihedral point: its nodes join gH_Y to gsH_Y
-            groups[piece_of[ends[0][0]]].append(E)
         for ci, _ in ends:
             branches[ci] += gog.vertex_groups[ci].order // K.order
 
     piece_genera = []
-    for P, total in zip(groups, euler):
-        K_P = P[0] if len(P) == 1 else G.generated_subgroup(g for S in P for g in S.generators())
+    for P, total in zip(pieces, euler):
+        comps = [datum.components[ci] for ci in P]
+        s_ids = [pt.s for c in comps for pt in c.points if pt.s is not None]
+        if len(P) == 1 and not s_ids:
+            K_P = gog.vertex_groups[P[0]]
+        else:  # closed from P's ids as H_Y is; an s joins gH_Y to gsH_Y
+            K_P = G.generated_subgroup([x for c in comps for ab in c.handles for x in ab]
+                                       + [pt.m for c in comps for pt in c.points] + s_ids)
         count = G.order // K_P.order
         piece_genera += [total // count + 1] * count
     connected = len(piece_genera) == 1

@@ -15,17 +15,17 @@ A group and each subgroup generated from ids are closed one right coset of
 a cyclic subgroup H = <a> at a time (Dimino's algorithm): a new coset H y is
 added whole by one C-level ``map`` of products h y, so the closure takes a
 Python step per coset and generator, not per element.  Inverses are found on
-demand, one inversion and lookup each.  Any table x -> f(x) on ids is one
-C-level ``map`` of stored products over ``elements`` followed by one
-``index`` lookup each: ``PermGroup.right_table(h)`` is x -> x h, and
-conjugacy classes and coset tables are orbits of ids under such tables, so
-they cost O(|G| |gens|) products and integer lookups with no Python frame per
-element.
+demand, one inversion and lookup each.  Conjugacy classes are orbits of ids
+under the tables x -> g x g^-1 of the generators, each one C-level ``map`` of
+stored products over ``elements`` followed by one ``index`` lookup each.  A
+subgroup is its sorted member ids and nothing else: a left coset gH is one
+C-level ``map`` of the products g h over H's stored members, so cosets need
+no generators of H.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent reads are safe; the lazily filled caches (inverses,
-element orders, classes, right tables, and the records of non-central classes
-with their centralizers as stored (padded member, inverse) pairs) hold
+element orders, classes, and the records of non-central classes, each built
+whole with its centralizer as stored (padded member, inverse) pairs) hold
 correct values whichever call fills them.  They hold ids and stored elements
 only, never an object that refers back to the group, so reference counting
 frees a group, its tables and its class records as soon as the group's last
@@ -34,9 +34,9 @@ holder drops it.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from itertools import repeat
-from operator import add
+from operator import add, index as _as_index
 from types import MappingProxyType
 
 from ._record import Record, set_field
@@ -49,8 +49,11 @@ MAX_DEGREE = 10**4  # the loader's bound on a declared degree, checked before an
 
 
 def as_perm(images: Sequence[int]) -> Perm:
-    """Validate an image array and return it as a tuple; an error names one bad point."""
-    p = tuple(int(x) for x in images)
+    """Validate an image array and return it as a tuple; an error names one bad point.
+
+    Each image is read with ``operator.index``, so a float or a string raises
+    ``TypeError`` instead of being truncated or parsed."""
+    p = tuple(map(_as_index, images))
     n = len(p)
     if sorted(p) != list(range(n)):
         first: dict[int, int] = {}
@@ -127,7 +130,6 @@ class PermGroup:
         self.index = dict(zip(self.elements, range(self.order)))
         self._gen_ids = [self.index[g] for g in keys]
         self._inv = [-1] * self.order  # filled by inv() on demand
-        self._right: dict[int, tuple[int, ...]] = {}
         self._orders: dict[int, int] = {}
         self._classes: tuple[tuple[int, ...], ...] | None = None
         self._class_of: list[int] | None = None
@@ -225,12 +227,6 @@ class PermGroup:
     def _table(self, products: Iterable) -> tuple[int, ...]:
         return tuple(map(self.index.__getitem__, products))
 
-    def right_table(self, h: int) -> tuple[int, ...]:
-        """The table x -> x h on ids, cached: one product per element."""
-        if h not in self._right:
-            self._right[h] = self._table(self._products(self.elements, repeat(self.elements[h])))
-        return self._right[h]
-
     def product(self, ids: Iterable[int]) -> int:
         acc = 0
         for i in ids:
@@ -264,7 +260,7 @@ class PermGroup:
             for g in self._gen_ids:
                 right = self._products(elements, repeat(elements[self.inv(g)]))
                 tables.append(self._table(map(self._tr, right, repeat(elements[g] + self._pad))))
-            classes = _table_orbits(self.order, tables)[0]
+            classes = _table_orbits(self.order, tables)
             classes.sort(key=lambda c: (self.element_order(c[0]), c[0]))
             self._classes = tuple(classes)
             class_of = [0] * self.order
@@ -307,13 +303,13 @@ class PermGroup:
         points = self._close(self.elements[0], [self.elements[g] for g in gens], half)
         if len(points) > half:
             return self.full_subgroup()
-        return Subgroup(self, tuple(sorted(map(self.index.__getitem__, points))), tuple(gens))
+        return Subgroup(self, tuple(sorted(map(self.index.__getitem__, points))))
 
     def cyclic_subgroup(self, i: int) -> "Subgroup":
         return self.generated_subgroup([i])
 
     def full_subgroup(self) -> "Subgroup":
-        return Subgroup(self, tuple(range(self.order)), tuple(self.generator_ids))
+        return Subgroup(self, tuple(range(self.order)))
 
     # -- serialization ------------------------------------------------------
 
@@ -327,26 +323,24 @@ def _gcd(a: int, b: int) -> int:
     return a
 
 
-def _table_orbits(n: int, tables: Sequence[Sequence[int]]) -> tuple[list[tuple], list[int]]:
+def _table_orbits(n: int, tables: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """The orbits of 0..n-1 under the group generated by permutation tables,
-    each sorted and listed by minimum, and the orbit index of every point."""
-    label = [-1] * n
+    each sorted and listed by minimum."""
+    seen = [False] * n
     cells = []
     for start in range(n):
-        if label[start] >= 0:
+        if seen[start]:
             continue
-        idx = len(cells)
-        label[start] = idx
+        seen[start] = True
         cell = [start]
         for x in cell:  # grows while it is walked
             for table in tables:
                 y = table[x]
-                if label[y] < 0:
-                    label[y] = idx
+                if not seen[y]:
+                    seen[y] = True
                     cell.append(y)
-        cell.sort()
-        cells.append(tuple(cell))
-    return cells, label
+        cells.append(tuple(sorted(cell)))
+    return cells
 
 
 def same_group(a: PermGroup, b: PermGroup) -> bool:
@@ -354,78 +348,38 @@ def same_group(a: PermGroup, b: PermGroup) -> bool:
 
 
 class Subgroup(Record):
-    """Subgroup of ``group`` given by its sorted member ids.
+    """Subgroup of ``group`` given by its sorted member ids, and nothing else.
 
     A trusted value, never checked: callers pass sets that are closed by
     construction (closures, normalizers, stabilizers, conjugates), and each
-    holds the identity, id 0.  ``gens``, when given, generate it: the ids a
-    closure started from; equality, hash and repr ignore them.
+    holds the identity, id 0.
     """
 
-    __slots__ = ("group", "members", "gens")
-    _fields = ("group", "members")
-
-    def __init__(self, group: PermGroup, members: tuple[int, ...],
-                 gens: tuple[int, ...] | None = None):
-        set_field(self, "group", group)
-        set_field(self, "members", members)
-        set_field(self, "gens", gens)
-        self.__post_init__()
+    __slots__ = ("group", "members")
 
     @property
     def order(self) -> int:
         return len(self.members)
 
-    def generators(self) -> list[int]:
-        """The generators it was closed from; else at most log2 |H|, picked
-        greedily from the members."""
-        if self.gens is not None:
-            return list(self.gens)
-        return _greedy_generators(self.group, self.members, self.order)[0]
-
     def member_set(self) -> frozenset:
         return frozenset(self.members)
-
-
-def _greedy_generators(group: PermGroup, candidates: Iterable[int],
-                       order: int) -> tuple[list[int], set[int]]:
-    """Generators taken in turn from ``candidates`` and the subgroup they
-    generate, stopping once it has ``order`` elements.
-
-    A candidate is added only when it lies outside the subgroup generated so
-    far, which at least doubles it, so at most log2 ``order`` closures are taken.
-    """
-    gens: list[int] = []
-    generated = {0}
-    for h in candidates:
-        if len(generated) == order:
-            break
-        if h not in generated:
-            gens.append(h)
-            generated = set(group.generated_subgroup(gens).members)
-    return gens, generated
 
 
 class ClassRecord(Record, eq=False):
     """A conjugacy class with a transversal and the centralizer of its least id.
 
     ``rep`` is the least id r of the class; ``conjugators`` maps every
-    member y to a t_y with t_y r t_y^-1 = y; ``centralizer`` holds the
-    sorted member ids of C_G(r), which ``group.subgroup`` turns into a
-    ``Subgroup``.  The g with g y g^-1 = r are then exactly the coset
-    C_G(r) t_y^-1.  ``_pairs`` holds C_G(r) as stored elements, filled on
-    first use by ``_centralizer_pairs``.  No field refers to the group that
-    caches the record.
+    member y to a t_y with t_y r t_y^-1 = y, read-only, since one record
+    serves every caller; ``centralizer`` holds the sorted member ids of
+    C_G(r), which ``group.subgroup`` turns into a ``Subgroup``.  The g with
+    g y g^-1 = r are then exactly the coset C_G(r) t_y^-1.  ``pairs`` holds
+    the same C_G(r) as stored (padded member, inverse) elements, in member
+    order; repr leaves it out.  No field refers to the group that caches the
+    record.
     """
 
-    __slots__ = ("rep", "conjugators", "centralizer", "_pairs")
+    __slots__ = ("rep", "conjugators", "centralizer", "pairs")
     _fields = ("rep", "conjugators", "centralizer")
-
-    def __init__(self, rep: int, conjugators: Mapping[int, int], centralizer: tuple[int, ...]):
-        set_field(self, "rep", rep)
-        set_field(self, "conjugators", conjugators)  # read-only: one record serves every caller
-        set_field(self, "centralizer", centralizer)
-        set_field(self, "_pairs", None)
 
 
 def _class_record(group: PermGroup, x: int) -> ClassRecord:
@@ -438,8 +392,10 @@ def _class_record(group: PermGroup, x: int) -> ClassRecord:
     each member padded once, so an edge y -> g y g^-1 costs two products.
     With r the least member, t_y = u_y u_r^-1 conjugates r to y.  An edge
     that finds z new is a tree edge, u_z = g u_y, whose Schreier generator
-    t_z^-1 g t_y is the identity; those of the other edges generate C_G(r)
-    and are added greedily until |C_G(r)| |class| = |G|.
+    t_z^-1 g t_y is the identity; those of the other edges generate C_G(r).
+    One is added only when it lies outside the subgroup closed so far, which
+    at least doubles it, until |C_G(r)| |class| = |G|: at most log2 |C_G(r)|
+    closures.
     """
     elements, index, tr, pad = group.elements, group.index, group._tr, group._pad
     steps = [(g, elements[group.inv(g)], elements[g] + pad) for g in group._gen_ids]
@@ -458,19 +414,16 @@ def _class_record(group: PermGroup, x: int) -> ClassRecord:
     back = elements[group.inv(index[via[r]])]
     t = {index[y]: index[tr(back, u + pad)] for y, u in via.items()}
     schreier = (group.mul(group.inv(t[index[z]]), group.mul(g, t[index[y]])) for y, g, z in edges)
-    _, cent = _greedy_generators(group, schreier, group.order // len(members))
-    return ClassRecord(index[r], MappingProxyType(t), tuple(sorted(cent)))
-
-
-def _centralizer_pairs(group: PermGroup, rec: ClassRecord) -> tuple[tuple, ...]:
-    """C_G(r) of a record as (padded member, inverse) stored elements, built
-    on first use and kept on the record, so every member of the class shares
-    them.  Central classes, whose C_G(r) is G, get no record (``_is_central``)."""
-    if rec._pairs is None:
-        elements, pad = group.elements, group._pad
-        set_field(rec, "_pairs", tuple((elements[c] + pad, elements[group.inv(c)])
-                                       for c in rec.centralizer))
-    return rec._pairs
+    gens, closed, order = [], {0}, group.order // len(members)
+    for h in schreier:
+        if len(closed) == order:
+            break
+        if h not in closed:
+            gens.append(h)
+            closed = set(group.generated_subgroup(gens).members)
+    cent = tuple(sorted(closed))
+    pairs = tuple((elements[c] + pad, elements[group.inv(c)]) for c in cent)
+    return ClassRecord(index[r], MappingProxyType(t), cent, pairs)
 
 
 def _is_central(group: PermGroup, x: int) -> bool:
@@ -511,7 +464,7 @@ def least_conjugate(group: PermGroup, ids: Sequence[int]) -> tuple[int, ...]:
     t = rec.conjugators[ids[k]]
     pt, back = elements[t], elements[group.inv(t)] + pad
     rest = [tr(tr(pt, elements[y] + pad), back) + pad for y in ids[k + 1:]]  # t^-1 (y t)
-    cands = _centralizer_pairs(group, rec)
+    cands = rec.pairs
     out = [*ids[:k], rec.rep]
     for py in rest:
         if len(cands) == 1:
@@ -534,9 +487,17 @@ class CosetTable(Record):
 
 
 def left_cosets(group: PermGroup, sub: Subgroup) -> CosetTable:
-    """Cosets gH: the orbits of ids under the right tables of H's generators,
-    labelled by their minima in id order."""
-    cells, index_of = _table_orbits(group.order, [group.right_table(h) for h in sub.generators()])
+    """Cosets gH, in order of their least id: the first id g not yet in a
+    coset is the least of its own, whose members are one C-level ``map`` of
+    the stored products g h over H's members."""
+    elements, index_of = group.elements, [-1] * group.order
+    hs, cells = [elements[h] for h in sub.members], []
+    for g in range(group.order):
+        if index_of[g] < 0:
+            cell = group._table(map(group._tr, hs, repeat(elements[g] + group._pad)))
+            for x in cell:
+                index_of[x] = len(cells)
+            cells.append(tuple(sorted(cell)))
     return CosetTable(tuple(cells), tuple(index_of))
 
 
@@ -568,7 +529,7 @@ def inverting_involutions(group: PermGroup, m: int) -> list[int]:
     left = elements[rec.conjugators[mi]] + pad
     right = elements[group.inv(rec.conjugators[m])]
     e, pm = elements[0], elements[m]
-    coset = (tr(tr(right, pc), left) for pc, _ in _centralizer_pairs(group, rec))
+    coset = (tr(tr(right, pc), left) for pc, _ in rec.pairs)
     return sorted(index[s] for s in coset if s != e and s != pm and tr(s, s + pad) == e)
 
 

@@ -309,7 +309,7 @@ def subcover(cover: CoverCurve, K: Subgroup) -> SubcoverReport:
     datum = cover.datum
     kcos = left_cosets(G, K)
     degree = len(kcos)
-    kgens = K.generators()
+    kgens = small_generating_set(K)
     edge_images = deck_action(cover).edge_images
 
     def on_cosets(table: CosetTable):
@@ -431,26 +431,41 @@ def lefschetz_counts(action: GraphAction) -> tuple[tuple[int, ...], tuple[int, .
 
 
 @cache
-def mul_table(group: PermGroup) -> tuple[tuple[int, ...], ...]:
-    """mul_table(G)[x][g] = G.mul(x, g)."""
-    return tuple(tuple(group.mul(x, g) for g in range(group.order)) for x in range(group.order))
+def times_column(group: PermGroup, g: int) -> tuple[int, ...]:
+    """times_column(G, g)[x] = G.mul(x, g), built once per group and g."""
+    return tuple(group.mul(x, g) for x in range(group.order))
 
 
 def closure_by_bfs(group: PermGroup, gen_ids) -> frozenset:
     """<gen_ids> by a plain breadth-first closure that never stops early:
     the oracle for ``PermGroup.generated_subgroup``."""
-    table = mul_table(group)
+    columns = [times_column(group, g) for g in gen_ids]
     members, frontier = {0}, [0]
     while frontier:
         new = []
         for x in frontier:
-            for g in gen_ids:
-                y = table[x][g]
+            for column in columns:
+                y = column[x]
                 if y not in members:
                     members.add(y)
                     new.append(y)
         frontier = new
     return frozenset(members)
+
+
+def small_generating_set(K: Subgroup) -> list[int]:
+    """Generators of K picked greedily from its members: each lies outside
+    the closure of those before it, which it at least doubles, so there are
+    at most log2 |K| of them."""
+    gens: list[int] = []
+    closed = frozenset([0])
+    for h in K.members:
+        if len(closed) == K.order:
+            break
+        if h not in closed:
+            gens.append(h)
+            closed = closure_by_bfs(K.group, gens)
+    return gens
 
 
 @cache

@@ -360,6 +360,26 @@ def test_node_class_matches_origin_on_random_data(s4, d5):
                 for (kind, order), count in sorted(buckets.items())]
 
 
+def test_tuple_storage_builds_the_same_cover(s4, s4_on_257):
+    # S4 on 4 and on 257 points sorts its elements alike, so their ids agree
+    # and one datum of ids builds its cosets through bytes or tuple products
+    assert [s4_on_257.perm(i)[:4] for i in range(24)] == [s4.perm(i) for i in range(24)]
+    rng = random.Random(58)
+    pairs = inverting_pairs(s4)
+    nodes = dihedral = 0
+    for _ in range(30):
+        datum = random_valid_datum(s4, rng, pairs)
+        wide = BoundaryDatum(s4_on_257, datum.components)
+        nodes += bool(datum.nodes())
+        dihedral += bool(datum.dihedral_points())
+        narrow_cover, wide_cover = build_cover(datum), build_cover(wide)
+        assert wide_cover.comp_cosets == narrow_cover.comp_cosets
+        assert wide_cover.edge_mcosets == narrow_cover.edge_mcosets
+        assert cover_to_dot(wide_cover) == cover_to_dot(narrow_cover)
+        assert cover_report(wide, wide_cover.gog) == cover_report(datum, narrow_cover.gog)
+    assert nodes and dihedral
+
+
 def test_cover_dot_and_report(a5):
     datum = audit.a5_dihedral_degenerations(a5)[0].datum
     cover = build_cover(datum)

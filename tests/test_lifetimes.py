@@ -1,7 +1,7 @@
 """A group is freed by reference counting alone.
 
-No cache on a group (``_records``, ``_right``, ``_orders``, ``_classes``,
-``_class_of``, ``_inv``, a class record's ``_pairs``) and no datum's
+No cache on a group (``_records``, ``_orders``, ``_classes``, ``_class_of``,
+``_inv``, a class record's stored ``pairs``) and no datum's
 ``_canonical`` holds an object that refers back to the group, so a group,
 its tables and its class records go as soon as the last holder drops them,
 without waiting for the cyclic garbage collector.  Each test runs with the
@@ -51,7 +51,7 @@ def test_strata_pass_frees_its_group():
         for rep in dihedral:
             assert equivalent(collide_pair(smooth_dihedral(rep), rep.index).datum, rep.datum)
         assert dihedral and all(deg.datum._canonical is not None for deg in found)
-        assert any(rec._pairs is not None for rec in t.group._records.values())
+        assert t.group._records and all(rec.pairs for rec in t.group._records.values())
         ref = weakref.ref(t.group)
         del t, found, kept, dihedral, rep
         assert ref() is None
@@ -66,7 +66,7 @@ def test_least_conjugate_and_involutions_free_their_group():
             inverting_involutions(G, c[-1])
         # every non-central class has its record; the identity's, the one central class, has none
         assert set(G._records) == set(range(1, G.order))
-        assert all(rec._pairs is not None for rec in G._records.values())
+        assert all(rec.pairs for rec in G._records.values())
         ref = weakref.ref(G)
         del G
         assert ref() is None
