@@ -16,8 +16,8 @@ that gives every field by position skips the name check), then calls
 ``GraphAction`` alone defines.  Every record keeps the hook, which the
 benchmark's tracer and the tests patch on the class by name.  A
 record writes its own constructor only to give defaults or run a check, to
-set a slot filled on first use, or because it is built per point, per coset,
-per conjugate or per induced character, where the generic loop costs about a
+set a slot filled on first use, or, for ``ClassFunction``, because it is
+built per induced character, where the generic loop costs about a
 microsecond more.  A slot that repr, equality and hash should ignore sits
 outside ``_fields``: a class record's stored centralizer pairs, which the
 base constructor sets with the other fields, and the one slot filled on

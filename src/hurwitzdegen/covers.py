@@ -15,16 +15,20 @@ groups (``boundary.dual_graph_of_groups``; Bass, J. Pure Appl. Algebra 89
 [G : K_P] connected components over each connected piece P of the quotient
 graph, where K_P, which holds P's vertex groups and dihedral edge groups, is
 closed from P's own datum ids: handle images, point monodromies and the s of
-each dihedral point.  ``build_cover`` enumerates the cover itself, one coset
-table per component and edge, each built from the subgroup's members, for
-the DOT export of ``graph --which cover`` and for the tests, which count the
-same report on it and build its deck action and its intermediate quotients
-from its coset tables.
+each dihedral point.  ``build_cover`` enumerates the cover itself as its
+coset tables, one per quotient component and edge, each built from the
+subgroup's members: a cover component is a cell of its component's table
+and a node is a triple of ints, its quotient edge and the <m>-cells of its
+two branches.  It serves the DOT export of ``graph --which cover`` and the
+tests, which count the same report on it and build its deck action and its
+intermediate quotients from those tables.
 """
 
 from __future__ import annotations
 
-from ._record import Record, set_field
+from itertools import accumulate
+
+from ._record import Record
 from .boundary import BoundaryDatum, DualGraphOfGroups, dual_graph_of_groups, is_stable_curve
 from .errors import NegativeGenus, NonIntegralGenus
 from .graphs import GenGraph, gengraph_to_dot
@@ -64,84 +68,50 @@ def _genus(double: int) -> int:
     return g
 
 
-class CoverComponent(Record):
-    __slots__ = ("quotient_component", "coset", "genus")
-
-    def __init__(self, quotient_component: int, coset: int, genus: int):
-        set_field(self, "quotient_component", quotient_component)
-        set_field(self, "coset", coset)      # index into the H_Y coset table of that component
-        set_field(self, "genus", genus)
-
-
-class CoverBranch(Record):
-    __slots__ = ("quotient_point", "m_coset", "vertex")
-
-    def __init__(self, quotient_point: tuple[int, int], m_coset: int, vertex: int):
-        set_field(self, "quotient_point", quotient_point)  # (component index, point index)
-        set_field(self, "m_coset", m_coset)  # index into the <m> coset table of the node's edge
-        set_field(self, "vertex", vertex)    # cover component carrying the branch
-
-
-class CoverNode(Record):
-    __slots__ = ("edge", "branch_a", "branch_b")
-
-    def __init__(self, edge: int, branch_a: CoverBranch, branch_b: CoverBranch):
-        set_field(self, "edge", edge)        # unoriented edge of the graph of groups
-        set_field(self, "branch_a", branch_a)
-        set_field(self, "branch_b", branch_b)
-
-
 class CoverCurve(Record):
-    """The cover of a boundary datum: components, nodes and their dual graph.
+    """The cover of a boundary datum: its coset tables, nodes and dual graph.
 
-    ``offsets[ci]`` is the first cover component over quotient component ci;
-    ``comp_cosets`` and ``edge_mcosets`` hold G/H_Y and G/<m> per quotient
-    component and edge.  Oriented edge 2k of ``graph`` is branch a of node k
-    and edge 2k + 1 its branch b; each edge ends at its branch's component.
+    The cover components over quotient component ci are the cells of
+    ``comp_cosets[ci]`` (G/H_Y), numbered from ``offsets[ci]``, each of genus
+    ``genera[ci]``.  ``edge_mcosets[e]`` holds G/<m> for quotient edge e.
+    Node k is ``nodes[k] = (e, a, b)``: it lies over e and joins the branch
+    at cell a of ``edge_mcosets[e]`` over the point ``gog.edge_ends[e][0]``
+    to the branch at cell b over ``gog.edge_ends[e][-1]``.  Oriented edge 2k
+    of ``graph`` is branch a and edge 2k + 1 branch b; each ends at its
+    branch's component.
     """
 
-    __slots__ = ("datum", "gog", "components", "offsets", "nodes", "comp_cosets",
-                 "edge_mcosets", "graph")
+    __slots__ = ("datum", "gog", "genera", "offsets", "comp_cosets", "edge_mcosets",
+                 "nodes", "graph")
 
 
 def build_cover(datum: BoundaryDatum) -> CoverCurve:
     gog = dual_graph_of_groups(datum)
     G = datum.group
-
     comp_cosets = [left_cosets(G, H) for H in gog.vertex_groups]
-    components: list[CoverComponent] = []
-    offsets: list[int] = []
-    for ci, genus in enumerate(_component_genera(datum, gog)):
-        offsets.append(len(components))
-        components += [CoverComponent(ci, c, genus) for c in range(len(comp_cosets[ci]))]
-
+    *offsets, vertex_count = accumulate(map(len, comp_cosets), initial=0)
     # one <m>-coset table per edge, shared by both ends of a node
     edge_mcosets = [left_cosets(G, K) for K in gog.edge_kernels]
 
-    def branch(e: int, point: tuple[int, int], element: int) -> CoverBranch:
-        ci = point[0]
-        return CoverBranch(point, edge_mcosets[e].index_of[element],
-                           offsets[ci] + comp_cosets[ci].index_of[element])
-
-    nodes: list[CoverNode] = []
+    nodes: list[tuple[int, int, int]] = []
+    pairs: list[tuple[int, int]] = []
     for e, ends in enumerate(gog.edge_ends):
+        # over a node s = e and each cell r<m> is one node, with b = a; over a
+        # dihedral point (m, s) the node r<m, s> pairs the branches r<m> and
+        # rs<m>, and is kept at the lesser cell, which holds its minimum
+        s = G.identity if len(ends) == 2 else datum.point(*ends[0]).s
+        ca, cb = ends[0][0], ends[-1][0]
         mcos = edge_mcosets[e]
-        if len(ends) == 2:
-            end_a, end_b = ends
-            nodes += [CoverNode(e, branch(e, end_a, cell[0]), branch(e, end_b, cell[0]))
-                      for cell in mcos.cells]
-            continue
-        # the node r<m, s> pairs the branches r<m> and rs<m>; the pair is met
-        # first at the coset holding the minimum of r<m, s>
-        (point,) = ends
-        s = datum.point(*point).s
-        for t, cell in enumerate(mcos.cells):
+        for a, cell in enumerate(mcos.cells):
             rep_s = G.mul(cell[0], s)
-            if mcos.index_of[rep_s] > t:
-                nodes.append(CoverNode(e, branch(e, point, cell[0]), branch(e, point, rep_s)))
-    graph = GenGraph.from_unoriented(
-        len(components), [(node.branch_b.vertex, node.branch_a.vertex) for node in nodes])
-    return CoverCurve(datum, gog, components, offsets, nodes, comp_cosets, edge_mcosets, graph)
+            b = mcos.index_of[rep_s]
+            if b >= a:
+                nodes.append((e, a, b))
+                pairs.append((offsets[cb] + comp_cosets[cb].index_of[rep_s],
+                              offsets[ca] + comp_cosets[ca].index_of[cell[0]]))
+    graph = GenGraph.from_unoriented(vertex_count, pairs)
+    return CoverCurve(datum, gog, _component_genera(datum, gog), offsets, comp_cosets,
+                      edge_mcosets, nodes, graph)
 
 
 def node_class_summary(G: PermGroup, gog: DualGraphOfGroups) -> list[dict]:
@@ -160,9 +130,10 @@ def node_class_summary(G: PermGroup, gog: DualGraphOfGroups) -> list[dict]:
 
 def cover_to_dot(cover: CoverCurve) -> str:
     gog = cover.gog
-    vlabels = [f"g={comp.genus} |H|={gog.vertex_groups[comp.quotient_component].order}"
-               for comp in cover.components]
-    elabels = [str(gog.edge_groups[node.edge].order) for node in cover.nodes]
+    vlabels = [f"g={genus} |H|={H.order}"
+               for genus, H, cos in zip(cover.genera, gog.vertex_groups, cover.comp_cosets)
+               for _ in cos.cells]
+    elabels = [str(gog.edge_groups[e].order) for e, _, _ in cover.nodes]
     return gengraph_to_dot(cover.graph, name="cover",
                            vertex_labels=vlabels, edge_labels=elabels)
 

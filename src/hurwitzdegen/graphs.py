@@ -99,22 +99,16 @@ class GraphAction(Record):
                     self.edge_images[s][e] for e in self.edge_images[g])
 
 
-def gengraph_to_dot(graph: GenGraph, name: str = "G",
-                    vertex_labels: Sequence[str] | None = None,
-                    edge_labels: Sequence[str] | None = None) -> str:
-    """Deterministic DOT text: one edge per unoriented edge, dashed if self-opposite."""
+def gengraph_to_dot(graph: GenGraph, name: str, vertex_labels: Sequence[str],
+                    edge_labels: Sequence[str]) -> str:
+    """Deterministic DOT text: one labeled edge per unoriented edge, dashed if
+    self-opposite; ``edge_labels`` follows ``unoriented_reps``."""
     lines = [f"graph {name} {{"]
     for v in range(graph.vertex_count):
-        label = vertex_labels[v] if vertex_labels else f"v{v}"
-        lines.append(f'  v{v} [shape=circle, label="{label}"];')
+        lines.append(f'  v{v} [shape=circle, label="{vertex_labels[v]}"];')
     for i, e in enumerate(graph.unoriented_reps()):
         s, t = graph.edges[e]
-        attrs = []
-        if edge_labels:
-            attrs.append(f'label="{edge_labels[i]}"')
-        if graph.opp[e] == e:
-            attrs.append("style=dashed")
-        suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f"  v{s} -- v{t}{suffix};")
+        dashed = ", style=dashed" if graph.opp[e] == e else ""
+        lines.append(f'  v{s} -- v{t} [label="{edge_labels[i]}"{dashed}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -139,12 +139,18 @@ def characters(datum: BoundaryDatum) -> DevissageReport:
     return de_rham_character(datum, gog, cover_report(datum, gog)["connected"])
 
 
+def component_cells(cover: CoverCurve) -> list[tuple[int, int]]:
+    """Each cover component, in vertex order, as (quotient component ci,
+    cell of ``comp_cosets[ci]``)."""
+    return [(ci, c) for ci, cos in enumerate(cover.comp_cosets) for c in range(len(cos))]
+
+
 def branch_counts(cover: CoverCurve) -> list[int]:
-    """The branches meeting each cover component, from the node list."""
-    counts = [0] * len(cover.components)
-    for node in cover.nodes:
-        counts[node.branch_a.vertex] += 1
-        counts[node.branch_b.vertex] += 1
+    """The branches meeting each cover component: one per oriented edge of
+    the cover graph, at its target."""
+    counts = [0] * cover.graph.vertex_count
+    for _, v in cover.graph.edges:
+        counts[v] += 1
     return counts
 
 
@@ -156,25 +162,27 @@ def explicit_cover_report(cover: CoverCurve) -> dict:
     comp_ids = cover.graph.connected_component_ids()
     n = max(comp_ids) + 1
     genus_sum, comp_count, node_count = [0] * n, [0] * n, [0] * n
-    for v, c in enumerate(cover.components):
-        genus_sum[comp_ids[v]] += c.genus
+    cells = component_cells(cover)
+    vertex_genera = [cover.genera[ci] for ci, _ in cells]
+    for v, g in enumerate(vertex_genera):
+        genus_sum[comp_ids[v]] += g
         comp_count[comp_ids[v]] += 1
     buckets: dict[tuple[str, int], int] = {}
-    for node in cover.nodes:
-        node_count[comp_ids[node.branch_a.vertex]] += 1
-        kind = "dihedral" if len(cover.gog.edge_ends[node.edge]) == 1 else "cyclic"
-        key = (kind, cover.gog.edge_groups[node.edge].order)
+    for k, (e, _, _) in enumerate(cover.nodes):
+        node_count[comp_ids[cover.graph.edges[2 * k][1]]] += 1
+        kind = "dihedral" if len(cover.gog.edge_ends[e]) == 1 else "cyclic"
+        key = (kind, cover.gog.edge_groups[e].order)
         buckets[key] = buckets.get(key, 0) + 1
     genera = [genus_sum[i] + node_count[i] - comp_count[i] + 1 for i in range(n)]
     connected = n == 1
     counts = branch_counts(cover)
     stable = connected and genera[0] >= 2 and not any(
-        (c.genus == 0 and counts[v] < 3) or (c.genus == 1 and counts[v] < 1)
-        for v, c in enumerate(cover.components))
+        (g == 0 and counts[v] < 3) or (g == 1 and counts[v] < 1)
+        for v, g in enumerate(vertex_genera))
     return {
-        "component_count": len(cover.components),
-        "components": [{"quotient_component": c.quotient_component,
-                        "coset": c.coset, "genus": c.genus} for c in cover.components],
+        "component_count": len(vertex_genera),
+        "components": [{"quotient_component": ci, "coset": c, "genus": cover.genera[ci]}
+                       for ci, c in cells],
         "node_count": len(cover.nodes),
         "node_classes": [{"kind": kind, "stabilizer_order": order, "count": count}
                          for (kind, order), count in sorted(buckets.items())],
@@ -202,27 +210,28 @@ def deck_action(cover: CoverCurve) -> GraphAction:
     """The deck action of G on the explicit cover, one table row per element.
 
     g sends the component xH_Y to gxH_Y, and the branch (point, x<m>) of a
-    node to the branch (point, gx<m>).
+    node to the branch (point, gx<m>).  Oriented edge 2k + i is branch i of
+    node k, over the point ``edge_ends[e][0]`` for i = 0 and
+    ``edge_ends[e][-1]`` for i = 1.
     """
-    G = cover.datum.group
-    edge_of: dict[tuple, int] = {}
-    for k, node in enumerate(cover.nodes):
-        edge_of[node.branch_a.quotient_point, node.branch_a.m_coset] = 2 * k
-        edge_of[node.branch_b.quotient_point, node.branch_b.m_coset] = 2 * k + 1
+    G, ends = cover.datum.group, cover.gog.edge_ends
+    branches = [(ends[e][side], cell) for e, a, b in cover.nodes
+                for side, cell in ((0, a), (-1, b))]
+    edge_of = {branch: i for i, branch in enumerate(branches)}
+    assert len(edge_of) == len(branches), "two branches share a point and an <m>-cell"
+    cells = component_cells(cover)
 
     def vertex_image(g: int, v: int) -> int:
-        ci, coset = cover.components[v].quotient_component, cover.components[v].coset
+        ci, c = cells[v]
         cos = cover.comp_cosets[ci]
-        return cover.offsets[ci] + cos.index_of[G.mul(g, cos.cells[coset][0])]
+        return cover.offsets[ci] + cos.index_of[G.mul(g, cos.cells[c][0])]
 
-    def edge_image(g: int, e: int) -> int:
-        node = cover.nodes[e // 2]
-        branch = node.branch_b if e % 2 else node.branch_a
-        mcos = cover.edge_mcosets[node.edge]
-        image = mcos.index_of[G.mul(g, mcos.cells[branch.m_coset][0])]
-        return edge_of[branch.quotient_point, image]
+    def edge_image(g: int, i: int) -> int:
+        point, cell = branches[i]
+        mcos = cover.edge_mcosets[cover.nodes[i // 2][0]]
+        return edge_of[point, mcos.index_of[G.mul(g, mcos.cells[cell][0])]]
 
-    V, E = len(cover.components), 2 * len(cover.nodes)
+    V, E = cover.graph.vertex_count, len(branches)
     return GraphAction(
         cover.graph, G,
         tuple(tuple(vertex_image(g, v) for v in range(V)) for g in range(G.order)),
@@ -348,11 +357,11 @@ def subcover(cover: CoverCurve, K: Subgroup) -> SubcoverReport:
     node_orbits: list[SubcoverNodeOrbit] = []
     for orbit in orbits(range(len(cover.nodes)), kgens,
                         lambda n, k: edge_images[k][2 * n] // 2):
-        idx, node = orbit[0], cover.nodes[orbit[0]]
+        idx = orbit[0]
         node_orbits.append(SubcoverNodeOrbit(
             idx, len(orbit),
-            vertex_to_subcomp[node.branch_a.vertex],
-            vertex_to_subcomp[node.branch_b.vertex],
+            vertex_to_subcomp[cover.graph.edges[2 * idx][1]],
+            vertex_to_subcomp[cover.graph.edges[2 * idx + 1][1]],
             any(edge_images[k][2 * idx] == 2 * idx + 1 for k in K.members)))
 
     return SubcoverReport(K.order, degree, tuple(sub_components),

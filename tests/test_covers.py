@@ -44,8 +44,7 @@ def test_trivial_cover():
     G = PermGroup([], degree=1)
     datum = BoundaryDatum(G, (MarkedComponent(0, (), ()),))
     cover = build_cover(datum)
-    assert len(cover.components) == 1
-    assert cover.components[0].genus == 0
+    assert cover.graph.vertex_count == 1 and cover.genera == [0]
     assert len(cover.nodes) == 0
     report = quotient_report(datum)
     assert report["connected"] and report["arithmetic_genus"] == 0
@@ -56,8 +55,7 @@ def test_trivial_cover():
 def test_a5_dihedral_cover(a5):
     datum = audit.a5_dihedral_degenerations(a5)[0].datum
     cover = build_cover(datum)
-    assert len(cover.components) == 1
-    assert cover.components[0].genus == 0
+    assert cover.graph.vertex_count == 1 and cover.genera == [0]
     assert len(cover.nodes) == 6
     assert branch_counts(cover) == [12]
     report = quotient_report(datum)
@@ -71,8 +69,7 @@ def test_a5_dihedral_cover(a5):
 def test_a5_split_cover(a5):
     datum = audit.a5_split_datum(a5)
     cover = build_cover(datum)
-    genera = sorted(c.genus for c in cover.components)
-    assert genera == [0] * 7
+    assert cover.graph.vertex_count == 7 and cover.genera == [0, 0]
     assert len(cover.nodes) == 12
     report = quotient_report(datum)
     assert report["arithmetic_genus"] == 0 * 7 + 12 - 7 + 1 == 6
@@ -89,25 +86,30 @@ def test_dihedral_branch_pair_well_defined(a5):
     # the two branches of a dihedral node are exactly the two <m>-cosets
     # inside its <m, s>-coset, independent of the chosen representative
     cover = build_cover(audit.a5_dihedral_degenerations(a5)[0].datum)
-    ((ci, pi),) = cover.gog.edge_ends[cover.nodes[0].edge]
+    ((ci, pi),) = cover.gog.edge_ends[0]
     pt = cover.datum.point(ci, pi)
     dcos = left_cosets(a5, a5.generated_subgroup([pt.m, pt.s]))
-    mcos = cover.edge_mcosets[cover.nodes[0].edge]
-    for node in cover.nodes:
-        dcell = dcos.cells[dcos.index_of[mcos.cells[node.branch_a.m_coset][0]]]
+    mcos = cover.edge_mcosets[0]
+    assert {e for e, _, _ in cover.nodes} == {0}
+    for _, a, b in cover.nodes:
+        dcell = dcos.cells[dcos.index_of[mcos.cells[a][0]]]
         inside = {mcos.index_of[x] for x in dcell}
-        assert inside == {node.branch_a.m_coset, node.branch_b.m_coset}
+        assert inside == {a, b} and a < b
+
+
+def assert_branches_in_component_cosets(cover) -> None:
+    """Each branch's <m>-cell lies inside the coset of the component that
+    its oriented edge ends at."""
+    for k, (e, a, b) in enumerate(cover.nodes):
+        ends = cover.gog.edge_ends[e]
+        for side, cell, (ci, _) in ((0, a, ends[0]), (1, b, ends[-1])):
+            c = cover.graph.edges[2 * k + side][1] - cover.offsets[ci]
+            assert 0 <= c < len(cover.comp_cosets[ci])
+            assert set(cover.edge_mcosets[e].cells[cell]) <= set(cover.comp_cosets[ci].cells[c])
 
 
 def test_branch_contained_in_component_coset(a5):
-    cover = build_cover(audit.a5_split_datum(a5))
-    for node in cover.nodes:
-        for branch in (node.branch_a, node.branch_b):
-            comp = cover.components[branch.vertex]
-            ctable = cover.comp_cosets[comp.quotient_component]
-            mtable = cover.edge_mcosets[node.edge]
-            mcell = mtable.cells[branch.m_coset]
-            assert set(mcell) <= set(ctable.cells[comp.coset])
+    assert_branches_in_component_cosets(build_cover(audit.a5_split_datum(a5)))
 
 
 def test_build_cover_builds_one_coset_table_per_component_and_edge(a5, monkeypatch):
@@ -170,9 +172,8 @@ def test_self_node_gives_loop():
         MarkedPoint.node_end(e, 0), MarkedPoint.node_end(e, 0),
         MarkedPoint.cyclic(e))),))
     cover = build_cover(datum)
-    assert len(cover.components) == 1 and len(cover.nodes) == 1
-    node = cover.nodes[0]
-    assert node.branch_a.vertex == node.branch_b.vertex
+    assert cover.graph.vertex_count == 1 and cover.nodes == [(0, 0, 0)]
+    assert cover.graph.edges == ((0, 0), (0, 0))
     report = quotient_report(datum)
     assert report["connected"]
     assert report["arithmetic_genus"] == 1
@@ -193,6 +194,39 @@ def test_self_node_on_nontrivial_group(s3):
     assert report["component_arithmetic_genera"] == [1, 1]
     assert report["node_classes"] == [{"kind": "cyclic", "stabilizer_order": 3, "count": 2}]
     assert report == explicit_cover_report(build_cover(datum))
+
+
+def with_self_node(datum: BoundaryDatum, rng: random.Random) -> BoundaryDatum:
+    """``datum`` with a non-separating node on its component 0: the ends m
+    and m^-1, side by side at a random place, so the relation still holds."""
+    G, (first, *rest) = datum.group, datum.components
+    m = rng.randrange(G.order)
+    node_id = 1 + max((pt.node_id for comp in datum.components for pt in comp.points
+                       if pt.node_id is not None), default=-1)
+    at = rng.randrange(len(first.points) + 1)
+    points = (first.points[:at] + (MarkedPoint.node_end(m, node_id),
+                                   MarkedPoint.node_end(G.inv(m), node_id)) + first.points[at:])
+    return BoundaryDatum(G, (MarkedComponent(first.genus, first.handles, points), *rest))
+
+
+@pytest.mark.parametrize("fixture,seed", [("s4", 61), ("a5", 62), ("psl27", 63)])
+def test_non_separating_nodes_against_the_explicit_cover(fixture, seed, request):
+    # both ends of a node on one component, next to dihedral points and
+    # separating nodes: the report, the deck action's branch keys and each
+    # branch's place in its component are checked on the explicit cover
+    G = request.getfixturevalue(fixture)
+    rng = random.Random(seed)
+    pairs = inverting_pairs(G)
+    dihedral = separating = 0
+    for _ in range(40):
+        datum = with_self_node(random_valid_datum(G, rng, pairs), rng)
+        dihedral += bool(datum.dihedral_points())
+        separating += len(datum.components) == 2
+        cover = build_cover(datum)
+        assert quotient_report(datum) == explicit_cover_report(cover)
+        deck_action(cover)
+        assert_branches_in_component_cosets(cover)
+    assert dihedral and separating
 
 
 @pytest.mark.parametrize("genus", [0, 1, 2, 3])
@@ -350,8 +384,8 @@ def test_node_class_matches_origin_on_random_data(s4, d5):
             datum = random_valid_datum(G, rng, pairs)
             cover = build_cover(datum)
             buckets: dict = {}
-            for node in cover.nodes:
-                ends = cover.gog.edge_ends[node.edge]
+            for e, _, _ in cover.nodes:
+                ends = cover.gog.edge_ends[e]
                 order = G.element_order(datum.point(*ends[0]).m)
                 key = ("dihedral", 2 * order) if len(ends) == 1 else ("cyclic", order)
                 buckets[key] = buckets.get(key, 0) + 1
@@ -410,14 +444,14 @@ def test_quotient_formulas_match_explicit_action(fixture, seed, request):
         cover = build_cover(datum)
         gog, action = cover.gog, deck_action(cover)
         buckets: dict = {}
-        for k, node in enumerate(cover.nodes):
+        for k, (e, a, _) in enumerate(cover.nodes):
             images = [action.edge_images[g][2 * k] for g in range(G.order)]
-            stab = tuple(g for g, e in enumerate(images) if e // 2 == k)
+            stab = tuple(g for g, image in enumerate(images) if image // 2 == k)
             kind = "dihedral" if 2 * k + 1 in images else "cyclic"
             # the stabilizer is r E_e r^-1, r representing branch a's coset r<m>
-            r = cover.edge_mcosets[node.edge].cells[node.branch_a.m_coset][0]
-            assert kind == ("dihedral" if len(gog.edge_ends[node.edge]) == 1 else "cyclic")
-            assert stab == tuple(sorted(G.conj(r, h) for h in gog.edge_groups[node.edge].members))
+            r = cover.edge_mcosets[e].cells[a][0]
+            assert kind == ("dihedral" if len(gog.edge_ends[e]) == 1 else "cyclic")
+            assert stab == tuple(sorted(G.conj(r, h) for h in gog.edge_groups[e].members))
             buckets[kind, len(stab)] = buckets.get((kind, len(stab)), 0) + 1
         assert node_class_summary(G, gog) == [
             {"kind": kind, "stabilizer_order": order, "count": count}
@@ -427,7 +461,7 @@ def test_quotient_formulas_match_explicit_action(fixture, seed, request):
         rep = de_rham_character(datum, gog, report["connected"])
         fixed, signed = lefschetz_counts(action)
         assert rep.edge_induction_sum.values == signed
-        if all(c.genus == 0 for c in cover.components):
+        if not any(cover.genera):
             assert rep.chi_normalization.values == tuple(2 * f for f in fixed)
             assert rep.chi_dR.values == tuple(2 * (f - e) for f, e in zip(fixed, signed))
             rational += 1

@@ -112,8 +112,10 @@ def test_cayley_graph_character_degree(fixture, request):
 
 def test_dot_output():
     graph = GenGraph.from_unoriented(2, [(0, 1)], self_opposite=[1])
-    dot = gengraph_to_dot(graph, vertex_labels=None, edge_labels=["a", "b"])
-    assert 'v0 [shape=circle, label="v0"];' in dot
-    assert 'v0 -- v1 [label="a"];' in dot
-    assert 'v1 -- v1 [label="b", style=dashed];' in dot
-    assert dot == gengraph_to_dot(graph, edge_labels=["a", "b"])
+    dot = gengraph_to_dot(graph, "G", ["x", "y"], ["a", "b"])
+    assert dot == ('graph G {\n'
+                   '  v0 [shape=circle, label="x"];\n'
+                   '  v1 [shape=circle, label="y"];\n'
+                   '  v0 -- v1 [label="a"];\n'
+                   '  v1 -- v1 [label="b", style=dashed];\n'
+                   '}\n')

@@ -18,7 +18,6 @@ from hurwitzdegen import (BoundaryDatum, ClassFunction, ClassRecord, CosetTable,
 from hurwitzdegen._record import Record
 from hurwitzdegen.audit import AuditCheck
 from hurwitzdegen.boundary import DualGraphOfGroups
-from hurwitzdegen.covers import CoverBranch, CoverComponent, CoverNode
 from hurwitzdegen.errors import ProductNotOne
 
 VALUE, IDENTITY, OWN_EQ = "value", "identity", "own __eq__"
@@ -41,11 +40,7 @@ RECORDS = [
     (HurwitzTuple, IDENTITY, lambda G: HurwitzTuple(G, (1, G.inv(1)))),
     (DualGraphOfGroups, VALUE, lambda G: DualGraphOfGroups(
         GenGraph(1, (), ()), (G.full_subgroup(),), (), (), ())),
-    (CoverComponent, VALUE, lambda G: CoverComponent(0, 1, 2)),
-    (CoverBranch, VALUE, lambda G: CoverBranch((0, 1), 2, 3)),
-    (CoverNode, VALUE, lambda G: CoverNode(0, CoverBranch((0, 1), 2, 3),
-                                           CoverBranch((0, 2), 1, 3))),
-    (CoverCurve, VALUE, lambda G: CoverCurve(None, None, (), (0,), (), (), (),
+    (CoverCurve, VALUE, lambda G: CoverCurve(None, None, (0,), (0,), (), (), (),
                                              GenGraph(1, (), ()))),
     (Subgroup, VALUE, lambda G: Subgroup(G, (0, 1))),
     (ClassRecord, IDENTITY, lambda G: ClassRecord(0, {0: 0}, tuple(range(G.order)), ())),
@@ -148,7 +143,7 @@ def test_repr_names_every_field_in_order():
 
 def test_value_records_differ_when_a_field_does():
     assert MarkedPoint.cyclic(1) != MarkedPoint.cyclic(2)
-    assert CoverComponent(0, 1, 2) != CoverBranch(0, 1, 2)   # another class never equals
+    assert Violation("a", "b", "c") != AuditCheck("a", "b", "c")   # another class never equals
 
 
 def test_cache_slots_stay_out_of_repr_and_equality(s3):
