@@ -18,7 +18,7 @@ from .degen import (Degeneration, collide_pair, dedup, dihedral_degenerations, s
                     split_degenerations)
 from .graphs import GenGraph, GraphAction, gengraph_to_dot
 from .groups import (ClassFunction, ClassRecord, CosetTable, PermGroup, Subgroup, compose,
-                     induced_character, induced_from_cyclic, inverse, inverting_involutions,
+                     induced_character, induced_sign, inverse, inverting_involutions,
                      is_inverting_involution, least_conjugate, left_cosets, normalizer,
                      perm_from_cycles)
 

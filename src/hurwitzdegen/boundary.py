@@ -5,7 +5,8 @@ images and an ordered list of marked points) together with element
 assignments: cyclic points carry a local monodromy m, dihedral points carry
 m plus an inverting involution s, node ends carry m and pair up across
 nodes with exactly inverse monodromies.  Validity of the datum is exactly
-admissibility of the encoded action.
+admissibility of the encoded action.  Its graph of groups closes one group
+per component and labels each edge (m, s), with s = e at a node.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from __future__ import annotations
 from ._record import Record, set_field
 from .errors import InvalidDatum, ProductNotOne, SchemaError
 from .graphs import GenGraph, gengraph_to_dot
-from .groups import (MAX_DEGREE, PermGroup, Subgroup, is_inverting_involution, least_conjugate,
-                     same_group)
+from .groups import MAX_DEGREE, PermGroup, is_inverting_involution, least_conjugate, same_group
 
 CYCLIC = "cyclic"
 DIHEDRAL = "dihedral"
@@ -190,23 +190,29 @@ class DualGraphOfGroups(Record):
     point monodromies.  Unoriented edge e is a node (an ordinary edge) or a
     dihedral point (a self-opposite edge); nodes come first, in
     ``BoundaryDatum.nodes`` order.  ``edge_ends[e]`` lists the quotient points
-    (ci, pi) it joins: the two ends of a node, or the one dihedral point, so
-    an edge's kind is its number of ends.  It carries E_e = <m> at a node
-    (<m_a> = <m_b>) and E_e = <m, s> at a dihedral point, and K_e = <m>, the
-    kernel of its sign character; ``graph`` is the underlying ``GenGraph``.
+    (ci, pi) it joins: the two ends of a node, or the one dihedral point.
+    ``edge_labels[e] = (m, s)``: m is the monodromy of its first end, and s is
+    e at a node and the involution at a dihedral point, the one kind test.
+    E_e = <m, s> and K_e = <m>, the kernel of its sign character, are never
+    closed: |K_e| = ord m and |E_e| = ord m or 2 ord m (``edge_orders``).
+    ``graph`` is the underlying ``GenGraph``.
     """
 
-    __slots__ = ("graph", "vertex_groups", "edge_ends", "edge_groups", "edge_kernels")
+    __slots__ = ("graph", "vertex_groups", "edge_ends", "edge_labels")
 
-    def to_dot(self) -> str:
+    def edge_orders(self, G: PermGroup) -> list[int]:
+        """|E_e| for each edge, from the cached element orders: no products."""
+        return [G.element_order(m) * (1 if s == G.identity else 2) for m, s in self.edge_labels]
+
+    def to_dot(self, G: PermGroup) -> str:
         vlabels = [f"v{v} |H|={H.order}" for v, H in enumerate(self.vertex_groups)]
-        elabels = [str(K.order) for K in self.edge_kernels]
+        elabels = [str(G.element_order(m)) for m, _ in self.edge_labels]
         return gengraph_to_dot(self.graph, name="quotient",
                                vertex_labels=vlabels, edge_labels=elabels)
 
 
 def dual_graph_of_groups(datum: BoundaryDatum) -> DualGraphOfGroups:
-    """The datum's graph of groups; the only place its vertex and edge groups are built.
+    """The datum's graph of groups; the only place its vertex groups are built.
 
     Raises ``InvalidDatum`` on an inadmissible datum: the one validation
     that ``analyze`` and ``build_cover`` run.
@@ -217,26 +223,23 @@ def dual_graph_of_groups(datum: BoundaryDatum) -> DualGraphOfGroups:
     G = datum.group
     pairs = []
     ends: list[tuple[tuple[int, int], ...]] = []
-    groups: list[Subgroup] = []
-    kernels: list[Subgroup] = []
+    labels: list[tuple[int, int]] = []
     for end_a, end_b in datum.nodes():
         # the oriented edge for each branch ends at that branch's component
         pairs.append((end_b[0], end_a[0]))
         ends.append((end_a, end_b))
-        kernels.append(G.cyclic_subgroup(datum.point(*end_a).m))
-        groups.append(kernels[-1])
+        labels.append((datum.point(*end_a).m, G.identity))
     loops = []
     for ci, pi in datum.dihedral_points():
         pt = datum.point(ci, pi)
         loops.append(ci)
         ends.append(((ci, pi),))
-        kernels.append(G.cyclic_subgroup(pt.m))
-        groups.append(G.generated_subgroup([pt.m, pt.s]))
+        labels.append((pt.m, pt.s))
     graph = GenGraph.from_unoriented(len(datum.components), pairs, self_opposite=loops)
     vertex_groups = tuple(
         G.generated_subgroup([x for ab in comp.handles for x in ab] + [pt.m for pt in comp.points])
         for comp in datum.components)
-    return DualGraphOfGroups(graph, vertex_groups, tuple(ends), tuple(groups), tuple(kernels))
+    return DualGraphOfGroups(graph, vertex_groups, tuple(ends), tuple(labels))
 
 
 # -- conjugation, canonical form, equivalence --------------------------------

@@ -21,7 +21,6 @@ from .cohomology import (character_to_jsonable, classes_to_jsonable, de_rham_cha
 from .covers import build_cover, cover_report, cover_to_dot
 from .degen import dedup as dedup_degenerations, dihedral_degenerations, split_degenerations
 from .errors import HurwitzDegenError, InvalidDatum, SchemaError
-from .groups import ClassFunction
 
 
 class _Parser(argparse.ArgumentParser):
@@ -241,8 +240,7 @@ def cmd_character(args) -> int:
     if args.json:
         json_dump(chars)
         return 0
-    table = {name: ClassFunction(datum.group, tuple(chars[name]["values"]))
-             for name in ("chi_dR", "h1") if chars[name] is not None}
+    table = {name: chars[name]["values"] for name in ("chi_dR", "h1") if chars[name] is not None}
     sys.stdout.write(render_character_table(datum.group, table))
     return 0
 
@@ -250,7 +248,7 @@ def cmd_character(args) -> int:
 def cmd_graph(args) -> int:
     datum = datum_from_jsonable(_load_json(args.path))
     if args.which == "quotient":
-        dot = dual_graph_of_groups(datum).to_dot()
+        dot = dual_graph_of_groups(datum).to_dot(datum.group)
     else:
         dot = cover_to_dot(build_cover(datum))
     with open(args.dot, "w", encoding="utf-8") as fh:

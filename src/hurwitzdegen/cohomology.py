@@ -7,23 +7,25 @@ fixed points plus Frobenius induction):
              - 2 sum over edges e of Ind_{E_e} sgn_e
 
 rho_G is the regular character, n_Y counts the marked points of Y and sgn_e
-is the character of the edge group E_e with kernel K_e = <m>: trivial at a
-node (E_e = <m>), and -1 on the branch-swapping coset s<m> of E_e = <m, s>
-at a dihedral point.
+is the character of the edge group E_e = <m, s> of the edge label (m, s)
+with kernel K_e = <m>: trivial at a node (s = e, E_e = <m>), and -1 on the
+branch-swapping coset s<m> at a dihedral point.
 The first sum is the character of the normalization, 2 * (permutation
 character on cover components) when every component is rational.
 
-Ind_<m> 1 takes the value |G| #{k < ord m : m^k in c} / (|c| ord m) on the
-class c, so it depends only on the class of m and is read off the classes of
-m's powers, once per class of point monodromy, with no subgroup closed; a
-node edge reuses it, and only a dihedral edge induces from its E_e = <m, s>.
+Every term, a point's Ind_<m> 1 and an edge's Ind_{E_e} sgn_e alike, is one
+``groups.induced_sign(G, m, s)`` with s = e at points and nodes: it is read
+off the classes of the m^k and s m^k, with no subgroup closed.  Ind_<m> 1
+depends only on the class of m, so it is computed once per class.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from ._record import Record
 from .boundary import BoundaryDatum, DualGraphOfGroups
-from .groups import ClassFunction, PermGroup, induced_character, induced_from_cyclic
+from .groups import ClassFunction, PermGroup, induced_sign
 
 
 class DevissageReport(Record, eq=False):
@@ -37,29 +39,24 @@ def de_rham_character(datum: BoundaryDatum, gog: DualGraphOfGroups,
     """chi_dR of the datum's cover, with [H^1] when the cover is ``connected``
     (as ``covers.cover_report`` says)."""
     G = datum.group
-    by_class: dict[int, tuple[int, ...]] = {}   # class of m -> values of Ind_<m> 1
+    # Ind_<m> 1 kept under (class of m, e), a dihedral edge's value under (m, s)
+    values: dict[tuple[int, int], tuple[int, ...]] = {}
 
-    def add(acc: list[int], values) -> None:
-        for i, v in enumerate(values):
+    def add(acc: list[int], m: int, s: int) -> None:
+        key = (G.class_of(m), s) if s == G.identity else (m, s)
+        if key not in values:
+            values[key] = induced_sign(G, m, s).values
+        for i, v in enumerate(values[key]):
             acc[i] += v
-
-    def add_cyclic(acc: list[int], m: int) -> None:
-        c = G.class_of(m)
-        if c not in by_class:
-            by_class[c] = induced_from_cyclic(G, m).values
-        add(acc, by_class[c])
 
     n = len(G.conjugacy_classes())
     norm, edge = [0] * n, [0] * n
     for comp in datum.components:
         norm[0] += (2 - 2 * comp.genus - len(comp.points)) * G.order
         for pt in comp.points:
-            add_cyclic(norm, pt.m)
-    for ends, E, K in zip(gog.edge_ends, gog.edge_groups, gog.edge_kernels):
-        if len(ends) == 2:  # a node: E_e = K_e = <m> of either end
-            add_cyclic(edge, datum.point(*ends[0]).m)
-        else:
-            add(edge, induced_character(G, E, K).values)
+            add(norm, pt.m, G.identity)
+    for m, s in gog.edge_labels:
+        add(edge, m, s)
     chi = [a - 2 * b for a, b in zip(norm, edge)]
     h1 = ClassFunction(G, tuple([2 - v for v in chi])) if connected else None  # 2 triv - chi_dR
     return DevissageReport(ClassFunction(G, tuple(chi)), ClassFunction(G, tuple(norm)),
@@ -83,23 +80,22 @@ def class_labels(group: PermGroup) -> list[str]:
     return labels
 
 
-def render_character_table(group: PermGroup, characters: dict[str, ClassFunction]) -> str:
-    """One row per conjugacy class; one value column per named character."""
+def render_character_table(group: PermGroup, characters: dict[str, Sequence[int]]) -> str:
+    """One row per conjugacy class; one value column per named character,
+    given as its values in class order."""
     labels = class_labels(group)
     names = list(characters)
     header = ["class", "order", "size"] + names
     rows = []
     for ci, c in enumerate(group.conjugacy_classes()):
         row = [labels[ci], str(group.element_order(c[0])), str(len(c))]
-        row += [str(characters[n].values[ci]) for n in names]
+        row += [str(characters[n][ci]) for n in names]
         rows.append(row)
     widths = [max(len(header[j]), *(len(r[j]) for r in rows)) for j in range(len(header))]
     fmt = "  ".join("{:>%d}" % w for w in widths)
-    lines = [fmt.format(*header)]
-    lines.append("  ".join("-" * w for w in widths))
+    lines = [fmt.format(*header), "  ".join("-" * w for w in widths)]
     lines += [fmt.format(*r) for r in rows]
-    degs = "  ".join(f"deg {n} = {characters[n].degree}" for n in names)
-    lines.append(degs)
+    lines.append("  ".join(f"deg {n} = {characters[n][0]}" for n in names))  # e in class 0
     return "\n".join(lines) + "\n"
 
 

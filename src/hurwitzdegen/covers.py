@@ -11,17 +11,19 @@ the two <m>-cosets contained in g<m, s>.
 
 ``cover_report`` counts everything it reports over the datum's graph of
 groups (``boundary.dual_graph_of_groups``; Bass, J. Pure Appl. Algebra 89
-(1993)): [G : H_Y] components over Y, [G : E_e] nodes over edge e, and
-[G : K_P] connected components over each connected piece P of the quotient
-graph, where K_P, which holds P's vertex groups and dihedral edge groups, is
-closed from P's own datum ids: handle images, point monodromies and the s of
-each dihedral point.  ``build_cover`` enumerates the cover itself as its
-coset tables, one per quotient component and edge, each built from the
-subgroup's members: a cover component is a cell of its component's table
-and a node is a triple of ints, its quotient edge and the <m>-cells of its
-two branches.  It serves the DOT export of ``graph --which cover`` and the
-tests, which count the same report on it and build its deck action and its
-intermediate quotients from those tables.
+(1993)): [G : H_Y] components over Y, [G : E_e] nodes over edge e, with
+|E_e| and |K_e| = ord m read off the edge label (m, s) and a node's kind
+"dihedral" exactly when s != e, and [G : K_P] connected components over
+each connected piece P of the quotient graph, where K_P, which holds P's
+vertex groups and dihedral edge groups, is closed from P's own datum ids:
+handle images, point monodromies and the s of each dihedral point.
+``build_cover`` enumerates the cover itself as its coset tables, one per
+quotient component and, with <m> closed from the label, one per edge: a
+cover component is a cell of its component's table and a node is a triple
+of ints, its quotient edge and the <m>-cells of its two branches.  It
+serves the DOT export of ``graph --which cover`` and the tests, which count
+the same report on it and build its deck action and its intermediate
+quotients from those tables.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ from .boundary import BoundaryDatum, DualGraphOfGroups, dual_graph_of_groups, is
 from .errors import NegativeGenus, NonIntegralGenus
 from .graphs import GenGraph, gengraph_to_dot
 from .groups import PermGroup, left_cosets
-
-_NODE_KIND = {2: "cyclic", 1: "dihedral"}   # by the number of ends of the quotient edge
 
 
 def rh_genus(subgroup_order: int, base_genus: int, ramification_orders: list[int]) -> int:
@@ -91,15 +91,14 @@ def build_cover(datum: BoundaryDatum) -> CoverCurve:
     comp_cosets = [left_cosets(G, H) for H in gog.vertex_groups]
     *offsets, vertex_count = accumulate(map(len, comp_cosets), initial=0)
     # one <m>-coset table per edge, shared by both ends of a node
-    edge_mcosets = [left_cosets(G, K) for K in gog.edge_kernels]
+    edge_mcosets = [left_cosets(G, G.cyclic_subgroup(m)) for m, _ in gog.edge_labels]
 
     nodes: list[tuple[int, int, int]] = []
     pairs: list[tuple[int, int]] = []
-    for e, ends in enumerate(gog.edge_ends):
+    for e, (ends, (_, s)) in enumerate(zip(gog.edge_ends, gog.edge_labels)):
         # over a node s = e and each cell r<m> is one node, with b = a; over a
         # dihedral point (m, s) the node r<m, s> pairs the branches r<m> and
         # rs<m>, and is kept at the lesser cell, which holds its minimum
-        s = G.identity if len(ends) == 2 else datum.point(*ends[0]).s
         ca, cb = ends[0][0], ends[-1][0]
         mcos = edge_mcosets[e]
         for a, cell in enumerate(mcos.cells):
@@ -118,9 +117,9 @@ def node_class_summary(G: PermGroup, gog: DualGraphOfGroups) -> list[dict]:
     """Counts of nodes grouped by (kind, stabilizer order): [G : E_e] nodes,
     each with stabilizer conjugate to E_e, lie over quotient edge e."""
     buckets: dict[tuple[str, int], int] = {}
-    for ends, E in zip(gog.edge_ends, gog.edge_groups):
-        key = (_NODE_KIND[len(ends)], E.order)
-        buckets[key] = buckets.get(key, 0) + G.order // E.order
+    for (_, s), order in zip(gog.edge_labels, gog.edge_orders(G)):
+        key = ("cyclic" if s == G.identity else "dihedral", order)
+        buckets[key] = buckets.get(key, 0) + G.order // order
     return [{"kind": kind, "stabilizer_order": order, "count": count}
             for (kind, order), count in sorted(buckets.items())]
 
@@ -129,11 +128,11 @@ def node_class_summary(G: PermGroup, gog: DualGraphOfGroups) -> list[dict]:
 
 
 def cover_to_dot(cover: CoverCurve) -> str:
-    gog = cover.gog
+    gog, orders = cover.gog, cover.gog.edge_orders(cover.datum.group)
     vlabels = [f"g={genus} |H|={H.order}"
                for genus, H, cos in zip(cover.genera, gog.vertex_groups, cover.comp_cosets)
                for _ in cos.cells]
-    elabels = [str(gog.edge_groups[e].order) for e, _, _ in cover.nodes]
+    elabels = [str(orders[e]) for e, _, _ in cover.nodes]
     return gengraph_to_dot(cover.graph, name="cover",
                            vertex_labels=vlabels, edge_labels=elabels)
 
@@ -159,10 +158,11 @@ def cover_report(datum: BoundaryDatum, gog: DualGraphOfGroups) -> dict:
     for ci, H in enumerate(gog.vertex_groups):
         pieces[piece_of[ci]].append(ci)
         euler[piece_of[ci]] += (genera[ci] - 1) * (G.order // H.order)
-    for ends, E, K in zip(gog.edge_ends, gog.edge_groups, gog.edge_kernels):
-        euler[piece_of[ends[0][0]]] += G.order // E.order
-        for ci, _ in ends:
-            branches[ci] += gog.vertex_groups[ci].order // K.order
+    edge_orders = gog.edge_orders(G)
+    for ends, (m, _), order in zip(gog.edge_ends, gog.edge_labels, edge_orders):
+        euler[piece_of[ends[0][0]]] += G.order // order
+        for ci, _ in ends:  # |K_e| = ord m
+            branches[ci] += gog.vertex_groups[ci].order // G.element_order(m)
 
     piece_genera = []
     for P, total in zip(pieces, euler):
@@ -181,7 +181,7 @@ def cover_report(datum: BoundaryDatum, gog: DualGraphOfGroups) -> dict:
     return {
         "component_count": len(components),
         "components": components,
-        "node_count": sum(G.order // E.order for E in gog.edge_groups),
+        "node_count": sum(G.order // order for order in edge_orders),
         "node_classes": node_class_summary(G, gog),
         "connected": connected,
         "stable": stable,

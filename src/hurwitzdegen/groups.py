@@ -370,16 +370,14 @@ class ClassRecord(Record, eq=False):
 
     ``rep`` is the least id r of the class; ``conjugators`` maps every
     member y to a t_y with t_y r t_y^-1 = y, read-only, since one record
-    serves every caller; ``centralizer`` holds the sorted member ids of
-    C_G(r), which ``group.subgroup`` turns into a ``Subgroup``.  The g with
-    g y g^-1 = r are then exactly the coset C_G(r) t_y^-1.  ``pairs`` holds
-    the same C_G(r) as stored (padded member, inverse) elements, in member
-    order; repr leaves it out.  No field refers to the group that caches the
-    record.
+    serves every caller.  The g with g y g^-1 = r are then exactly the coset
+    C_G(r) t_y^-1.  ``pairs`` holds C_G(r) as stored (padded member, inverse)
+    elements, in member order; repr leaves it out.  No field refers to the
+    group that caches the record.
     """
 
-    __slots__ = ("rep", "conjugators", "centralizer", "pairs")
-    _fields = ("rep", "conjugators", "centralizer")
+    __slots__ = ("rep", "conjugators", "pairs")
+    _fields = ("rep", "conjugators")
 
 
 def _class_record(group: PermGroup, x: int) -> ClassRecord:
@@ -421,9 +419,8 @@ def _class_record(group: PermGroup, x: int) -> ClassRecord:
         if h not in closed:
             gens.append(h)
             closed = set(group.generated_subgroup(gens).members)
-    cent = tuple(sorted(closed))
-    pairs = tuple((elements[c] + pad, elements[group.inv(c)]) for c in cent)
-    return ClassRecord(index[r], MappingProxyType(t), cent, pairs)
+    pairs = tuple((elements[c] + pad, elements[group.inv(c)]) for c in sorted(closed))
+    return ClassRecord(index[r], MappingProxyType(t), pairs)
 
 
 def _is_central(group: PermGroup, x: int) -> bool:
@@ -619,16 +616,18 @@ def induced_character(group: PermGroup, sub: Subgroup, kernel: Subgroup) -> Clas
     return _induced(group, sums, sub.order)
 
 
-def induced_from_cyclic(group: PermGroup, m: int) -> ClassFunction:
-    """Ind_<m> 1, read off the classes of m's powers with no closure:
-    Ind_<m> 1(c) = |G| #{k < ord m : m^k in c} / (|c| ord m), so it depends
-    only on the class of m."""
+def induced_sign(group: PermGroup, m: int, s: int) -> ClassFunction:
+    """Ind_E sgn for E = <m, s>, s = e (E = <m>, sgn trivial) or an involution
+    inverting m outside <m> (sgn = -1 on s<m>), with no closure: Ind(c) =
+    |G| (#{m^k in c} - #{s m^k in c}) / (|c| |E|), |E| = ord m or 2 ord m."""
     counts, class_of = [0] * len(group.conjugacy_classes()), group._class_table()
-    counts[0], x, order = 1, m, 1  # m^0 = e lies in class 0
-    while x != 0:
+    order, x = group.element_order(m), 0
+    for _ in range(order):
         counts[class_of[x]] += 1
-        x, order = group.mul(x, m), order + 1
-    return _induced(group, counts, order)
+        if s != 0:
+            counts[class_of[group.mul(s, x)]] -= 1
+        x = group.mul(x, m)
+    return _induced(group, counts, order if s == 0 else 2 * order)
 
 
 def _induced(group: PermGroup, sums: list[int], sub_order: int) -> ClassFunction:

@@ -168,10 +168,13 @@ def explicit_cover_report(cover: CoverCurve) -> dict:
         genus_sum[comp_ids[v]] += g
         comp_count[comp_ids[v]] += 1
     buckets: dict[tuple[str, int], int] = {}
+    # E_e = <m, s>, closed here from the edge label (m, s)
+    edge_orders = [cover.datum.group.generated_subgroup(label).order
+                   for label in cover.gog.edge_labels]
     for k, (e, _, _) in enumerate(cover.nodes):
         node_count[comp_ids[cover.graph.edges[2 * k][1]]] += 1
         kind = "dihedral" if len(cover.gog.edge_ends[e]) == 1 else "cyclic"
-        key = (kind, cover.gog.edge_groups[e].order)
+        key = (kind, edge_orders[e])
         buckets[key] = buckets.get(key, 0) + 1
     genera = [genus_sum[i] + node_count[i] - comp_count[i] + 1 for i in range(n)]
     connected = n == 1

@@ -135,22 +135,24 @@ def test_dual_graph_shapes(a5):
     assert dihedral.graph.unoriented_reps() == (0,)
     assert dihedral.graph.opp == (0,)            # self-opposite edge
     assert [H.order for H in dihedral.vertex_groups] == [60]
-    assert [E.order for E in dihedral.edge_groups] == [10]   # <m, s>
-    assert [K.order for K in dihedral.edge_kernels] == [5]   # <m>
+    (m, s), = dihedral.edge_labels
+    assert s != a5.identity and a5.element_order(m) == 5      # E_e = <m, s>, K_e = <m>
+    assert dihedral.edge_orders(a5) == [10]
 
     split = dual_graph_of_groups(audit.a5_split_datum(a5))
     assert split.graph.vertex_count == 2
     assert split.graph.opp == (1, 0)
     assert len(split.graph.unoriented_reps()) == 1
     assert [H.order for H in split.vertex_groups] == [10, 60]
-    assert split.edge_groups == split.edge_kernels              # <m> at a node
-    assert [E.order for E in split.edge_groups] == [5]
+    (m, s), = split.edge_labels
+    assert s == a5.identity and a5.element_order(m) == 5      # E_e = K_e = <m> at a node
+    assert split.edge_orders(a5) == [5]
 
 
 @pytest.mark.parametrize("fixture,seed", [("s3", 61), ("s4", 62), ("d5", 63), ("a5", 64)])
 def test_graph_of_groups_against_plain_closure(fixture, seed, request):
-    # H_Y = <handles, point monodromies>, E_e = <m> or <m, s>, K_e = <m>,
-    # each against a breadth-first closure that never stops early
+    # H_Y = <handles, point monodromies>; the label (m, s) gives |E_e| = |<m, s>|
+    # and |K_e| = |<m>|, each against a breadth-first closure that never stops early
     G = request.getfixturevalue(fixture)
     rng = random.Random(seed)
     pairs = inverting_pairs(G)
@@ -163,22 +165,39 @@ def test_graph_of_groups_against_plain_closure(fixture, seed, request):
             assert gog.vertex_groups[ci].member_set() == closure_by_bfs(G, gens)
         assert gog.edge_ends == tuple(datum.nodes()) + tuple(
             (point,) for point in datum.dihedral_points())
-        for e, ends in enumerate(gog.edge_ends):
-            E, K = gog.edge_groups[e], gog.edge_kernels[e]
-            if len(ends) == 2:  # a node
-                end_a, end_b = ends
-                m = datum.point(*end_a).m
-                assert E.member_set() == closure_by_bfs(G, [m])
-                assert K.member_set() == closure_by_bfs(G, [datum.point(*end_b).m])
-                assert E.order == K.order
+        for ends, (m, s), order in zip(gog.edge_ends, gog.edge_labels, gog.edge_orders(G)):
+            first = datum.point(*ends[0])
+            assert m == first.m
+            if len(ends) == 2:  # a node: <m_a> = <m_b>
+                assert s == G.identity
+                assert closure_by_bfs(G, [m]) == closure_by_bfs(G, [datum.point(*ends[1]).m])
             else:
-                pt = datum.point(*ends[0])
-                m = pt.m
-                assert E.member_set() == closure_by_bfs(G, [m, pt.s])
-                assert E.order == 2 * K.order
-            assert K.member_set() == closure_by_bfs(G, [m])
+                assert s == first.s != G.identity
+            assert order == len(closure_by_bfs(G, [m, s]))
+            assert G.element_order(m) == len(closure_by_bfs(G, [m]))
             kinds.add(len(ends))
     assert kinds == {1, 2}
+
+
+def test_dual_graph_closes_only_vertex_groups(a5, monkeypatch):
+    # one closure per quotient component; an edge is its label, never a subgroup
+    datum = audit.a5_split_datum(a5)
+    dihedral = audit.a5_dihedral_degenerations(a5)[0].datum
+    closed = []
+
+    def count(gen_ids):
+        closed.append(gen_ids)
+        return PermGroup.generated_subgroup(a5, gen_ids)
+
+    def fail(*_):
+        raise AssertionError("an edge subgroup was closed")
+
+    monkeypatch.setattr(a5, "generated_subgroup", count)
+    monkeypatch.setattr(a5, "cyclic_subgroup", fail)
+    for d in (datum, dihedral):
+        closed.clear()
+        gog = dual_graph_of_groups(d)
+        assert len(closed) == len(d.components) == gog.graph.vertex_count
 
 
 def test_dual_graph_requires_valid_datum(s3):

@@ -7,9 +7,9 @@ import pytest
 from hurwitzdegen import (BoundaryDatum, ClassFunction, HurwitzTuple, MarkedComponent,
                           MarkedPoint, PermGroup, build_cover, class_labels, de_rham_character,
                           dual_graph_of_groups, hurwitz_to_datum, induced_character,
-                          induced_from_cyclic, normalizer, perm_from_cycles,
+                          induced_sign, inverting_involutions, normalizer, perm_from_cycles,
                           render_character_table)
-from hurwitzdegen import audit
+from hurwitzdegen import audit, cohomology, groups
 
 from conftest import characters, inverting_pairs, quotient_report, random_valid_datum, subcover
 
@@ -49,31 +49,52 @@ def test_a5_split_characters_and_constancy(a5):
     assert rep.h1_character == characters(audit.a5_dihedral_degenerations(a5)[0].datum).h1_character
 
 
-@pytest.mark.parametrize("build", [audit.a5_split_datum,
-                                   lambda G: audit.a5_dihedral_degenerations(G)[0].datum],
-                         ids=["split", "dihedral"])
+def self_node_datum(G):
+    m, g = G.id_of(perm_from_cycles(5, (0, 1, 2, 3, 4))), G.id_of(perm_from_cycles(5, (0, 1, 2)))
+    return BoundaryDatum(G, (MarkedComponent(0, (), (
+        MarkedPoint.node_end(m, 0), MarkedPoint.node_end(G.inv(m), 0),
+        MarkedPoint.cyclic(g), MarkedPoint.cyclic(G.inv(g)))),))
+
+
+def trivial_m_datum(G):
+    s, g = G.id_of(perm_from_cycles(5, (0, 1), (2, 3))), G.id_of(perm_from_cycles(5, (0, 1, 2)))
+    return BoundaryDatum(G, (MarkedComponent(0, (), (
+        MarkedPoint.dihedral(G.identity, s), MarkedPoint.cyclic(g),
+        MarkedPoint.cyclic(G.inv(g)))),))
+
+
+@pytest.mark.parametrize("build", [audit.a5_split_datum, self_node_datum,
+                                   lambda G: audit.a5_dihedral_degenerations(G)[0].datum,
+                                   trivial_m_datum],
+                         ids=["split", "self-node", "dihedral", "trivial-m"])
 def test_de_rham_closes_no_subgroup(a5, monkeypatch, build):
-    # Ind_<m> 1 comes from the classes of m's powers and the dihedral edge
-    # groups from the graph of groups: no subgroup is closed again
+    # every point, node and dihedral point is one closure-free induced_sign:
+    # no subgroup is closed and no induction runs over a closed subgroup
     datum = build(a5)
     gog = dual_graph_of_groups(datum)
+    expected = de_rham_character(datum, gog, True).chi_dR
 
     def fail(*args):
         raise AssertionError("de_rham_character closed a subgroup")
 
     monkeypatch.setattr(a5, "cyclic_subgroup", fail)
     monkeypatch.setattr(a5, "generated_subgroup", fail)
-    assert de_rham_character(datum, gog, True).chi_dR.degree == -10
+    monkeypatch.setattr(groups, "induced_character", fail)
+    assert not hasattr(cohomology, "induced_character")
+    assert de_rham_character(datum, gog, True).chi_dR == expected
 
 
 @pytest.mark.parametrize("fixture", ["s4", "a5", "psl27", "c300"])
-def test_induced_from_cyclic_against_closure(fixture, request):
-    # the class-indexed Ind_<m> 1 against induction over the closed <m>
+def test_induced_sign_against_closure(fixture, request):
+    # Ind_<m> 1 (s = e) and, at every inverting pair, Ind_<m, s> sgn against
+    # induction over the closed <m> and <m, s>
     G = (PermGroup([tuple((x + 1) % 300 for x in range(300))]) if fixture == "c300"  # tuple path
          else request.getfixturevalue(fixture))
     for m in range(G.order):
         C = G.cyclic_subgroup(m)
-        assert induced_from_cyclic(G, m) == induced_character(G, C, C)
+        assert induced_sign(G, m, G.identity) == induced_character(G, C, C)
+        for s in inverting_involutions(G, m):
+            assert induced_sign(G, m, s) == induced_character(G, G.generated_subgroup([m, s]), C)
 
 
 def test_two_component_trivial_group_h1_vanishes():
@@ -187,7 +208,8 @@ def test_class_labels_past_26_classes_of_one_order():
 def test_class_labels_and_table(a5):
     assert class_labels(a5) == ["1a", "2a", "3a", "5a", "5b"]
     rep = characters(audit.a5_dihedral_degenerations(a5)[0].datum)
-    table = render_character_table(a5, {"chi_dR": rep.chi_dR, "h1": rep.h1_character})
+    table = render_character_table(a5, {"chi_dR": rep.chi_dR.values,
+                                        "h1": rep.h1_character.values})
     lines = table.splitlines()
     assert lines[0].split() == ["class", "order", "size", "chi_dR", "h1"]
     assert len(lines) == 2 + 5 + 1  # header, rule, 5 classes, degree line

@@ -439,10 +439,17 @@ def test_quotient_formulas_match_explicit_action(fixture, seed, request):
     # dihedral degenerations of rational triangles: nodal all-rational covers
     for t in random_rational_generating_tuples(G, rng, 2):
         data += [deg.datum for i in range(len(t)) for deg in dihedral_degenerations(t, i)[:1]]
-    rational = 0
+    # and a dihedral point with m = e, where K_e is trivial and E_e = <s>
+    s, g = next(s for m, s in pairs if m == G.identity), rng.randrange(G.order)
+    data.append(BoundaryDatum(G, (MarkedComponent(0, (), (
+        MarkedPoint.dihedral(G.identity, s), MarkedPoint.cyclic(g),
+        MarkedPoint.cyclic(G.inv(g)))),)))
+    rational = trivial_m = 0
     for datum in data:
         cover = build_cover(datum)
         gog, action = cover.gog, deck_action(cover)
+        edge_groups = [G.generated_subgroup(label) for label in gog.edge_labels]  # <m, s>
+        trivial_m += any(m == G.identity != s for m, s in gog.edge_labels)
         buckets: dict = {}
         for k, (e, a, _) in enumerate(cover.nodes):
             images = [action.edge_images[g][2 * k] for g in range(G.order)]
@@ -451,7 +458,7 @@ def test_quotient_formulas_match_explicit_action(fixture, seed, request):
             # the stabilizer is r E_e r^-1, r representing branch a's coset r<m>
             r = cover.edge_mcosets[e].cells[a][0]
             assert kind == ("dihedral" if len(gog.edge_ends[e]) == 1 else "cyclic")
-            assert stab == tuple(sorted(G.conj(r, h) for h in gog.edge_groups[e].members))
+            assert stab == tuple(sorted(G.conj(r, h) for h in edge_groups[e].members))
             buckets[kind, len(stab)] = buckets.get((kind, len(stab)), 0) + 1
         assert node_class_summary(G, gog) == [
             {"kind": kind, "stabilizer_order": order, "count": count}
@@ -466,6 +473,7 @@ def test_quotient_formulas_match_explicit_action(fixture, seed, request):
             assert rep.chi_dR.values == tuple(2 * (f - e) for f, e in zip(fixed, signed))
             rational += 1
     assert rational >= 5
+    assert trivial_m
 
 
 @pytest.mark.parametrize("fixture,seed", [("s3", 41), ("s4", 42), ("s5", 43)])

@@ -443,11 +443,12 @@ def test_class_records_against_scans(fixture, request):
             assert G.conj(t, rec.rep) == y
         # C_G(x) = t_x C_G(r) t_x^-1: |G| / |class| distinct elements commuting with x
         t = rec.conjugators[x]
-        cent = sorted(G.conj(t, h) for h in rec.centralizer)
+        centralizer = sorted(G.inv(G.index[ci]) for _, ci in rec.pairs)  # C_G(r)
+        cent = sorted(G.conj(t, h) for h in centralizer)
         if x == rec.rep:
             cyclic = G.cyclic_subgroup(x)
-            assert rec.centralizer == centralizer_by_scan(G, cyclic).members
-            assert cent == list(rec.centralizer)
+            assert tuple(centralizer) == centralizer_by_scan(G, cyclic).members
+            assert cent == centralizer
         assert len(set(cent)) == len(cent) == G.order // len(c)
         assert all(G.mul(g, x) == G.mul(x, g) for g in cent)
 
