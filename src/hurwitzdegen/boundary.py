@@ -6,7 +6,8 @@ assignments: cyclic points carry a local monodromy m, dihedral points carry
 m plus an inverting involution s, node ends carry m and pair up across
 nodes with exactly inverse monodromies.  Validity of the datum is exactly
 admissibility of the encoded action.  Its graph of groups closes one group
-per component and labels each edge (m, s), with s = e at a node.
+per component and the group K_P of each connected piece P, which decides
+connectivity of the cover, and labels each edge (m, s), with s = e at a node.
 """
 
 from __future__ import annotations
@@ -195,10 +196,20 @@ class DualGraphOfGroups(Record):
     e at a node and the involution at a dihedral point, the one kind test.
     E_e = <m, s> and K_e = <m>, the kernel of its sign character, are never
     closed: |K_e| = ord m and |E_e| = ord m or 2 ord m (``edge_orders``).
-    ``graph`` is the underlying ``GenGraph``.
+    ``graph`` is the underlying ``GenGraph``.  Vertex ci lies in its connected
+    piece P = ``piece_of[ci]``, over which the cover has [G : K_P] connected
+    components; K_P = ``piece_groups[P]`` is H_Y for a lone component with no
+    dihedral point, else closed from P's handle images, point monodromies and
+    dihedral s's (an s joins gH_Y to gsH_Y).
     """
 
-    __slots__ = ("graph", "vertex_groups", "edge_ends", "edge_labels")
+    __slots__ = ("graph", "vertex_groups", "edge_ends", "edge_labels", "piece_of", "piece_groups")
+
+    @property
+    def connected(self) -> bool:
+        """Whether the cover is connected: one piece P, with K_P = G."""
+        K = self.piece_groups
+        return len(K) == 1 and K[0].order == K[0].group.order
 
     def edge_orders(self, G: PermGroup) -> list[int]:
         """|E_e| for each edge, from the cached element orders: no products."""
@@ -212,7 +223,7 @@ class DualGraphOfGroups(Record):
 
 
 def dual_graph_of_groups(datum: BoundaryDatum) -> DualGraphOfGroups:
-    """The datum's graph of groups; the only place its vertex groups are built.
+    """The datum's graph of groups; the only place its vertex groups and K_P are closed.
 
     Raises ``InvalidDatum`` on an inadmissible datum: the one validation
     that ``analyze`` and ``build_cover`` run.
@@ -236,10 +247,21 @@ def dual_graph_of_groups(datum: BoundaryDatum) -> DualGraphOfGroups:
         ends.append(((ci, pi),))
         labels.append((pt.m, pt.s))
     graph = GenGraph.from_unoriented(len(datum.components), pairs, self_opposite=loops)
-    vertex_groups = tuple(
-        G.generated_subgroup([x for ab in comp.handles for x in ab] + [pt.m for pt in comp.points])
-        for comp in datum.components)
-    return DualGraphOfGroups(graph, vertex_groups, tuple(ends), tuple(labels))
+    comp_ids = [[x for ab in comp.handles for x in ab] + [pt.m for pt in comp.points]
+                for comp in datum.components]
+    vertex_groups = tuple(map(G.generated_subgroup, comp_ids))
+    piece_of = tuple(graph.connected_component_ids())
+    pieces: list[list[int]] = [[] for _ in range(max(piece_of) + 1)]  # the components in P
+    s_ids: list[list[int]] = [[] for _ in pieces]                      # P's dihedral s's
+    for ci, piece in enumerate(piece_of):
+        pieces[piece].append(ci)
+    for ci, (_, s) in zip(loops, labels[len(pairs):]):  # the dihedral labels follow the nodes'
+        s_ids[piece_of[ci]].append(s)
+    piece_groups = tuple(vertex_groups[P[0]] if len(P) == 1 and not s else
+                         G.generated_subgroup([x for ci in P for x in comp_ids[ci]] + s)
+                         for P, s in zip(pieces, s_ids))
+    return DualGraphOfGroups(graph, vertex_groups, tuple(ends), tuple(labels), piece_of,
+                             piece_groups)
 
 
 # -- conjugation, canonical form, equivalence --------------------------------
@@ -329,6 +351,16 @@ def _is_int_list(raw) -> bool:
     return type(raw) is list and set(map(type, raw)) <= {int}
 
 
+def _reject_unknown_keys(obj: dict, keys: set[str], path: str) -> None:
+    """A key outside the schema is an error, not a field left at its
+    default: one C-level key-set difference per object, naming the least
+    unknown key."""
+    unknown = obj.keys() - keys
+    if unknown:
+        raise SchemaError(f"{path}.{min(unknown)}",
+                          f"unknown field; expected only {', '.join(sorted(keys))}")
+
+
 def _perm_id(G: PermGroup, raw, path: str) -> int:
     """The id of an image array; ``PermGroup.id_of`` is its one permutation check."""
     if not _is_int_list(raw):
@@ -342,6 +374,7 @@ def _perm_id(G: PermGroup, raw, path: str) -> int:
 def _group_from_jsonable(grp) -> PermGroup:
     if not isinstance(grp, dict) or "degree" not in grp or "generators" not in grp:
         raise SchemaError("$.group", "expected {degree, generators}")
+    _reject_unknown_keys(grp, {"degree", "generators"}, "$.group")
     if not _is_int(grp["degree"]) or grp["degree"] < 0:
         raise SchemaError("$.group.degree", "expected a nonnegative integer")
     if grp["degree"] > MAX_DEGREE:
@@ -361,6 +394,7 @@ def datum_from_jsonable(obj) -> BoundaryDatum:
         if key not in obj:
             raise SchemaError(f"$.{key}", "missing required field")
     G = _group_from_jsonable(obj["group"])
+    _reject_unknown_keys(obj, {"group", "components"}, "$")
     comps = []
     if not isinstance(obj["components"], list) or not obj["components"]:
         raise SchemaError("$.components", "expected a non-empty list")
@@ -368,6 +402,7 @@ def datum_from_jsonable(obj) -> BoundaryDatum:
         base = f"$.components[{ci}]"
         if not isinstance(comp, dict):
             raise SchemaError(base, "expected an object")
+        _reject_unknown_keys(comp, {"genus", "handles", "points"}, base)
         genus = comp.get("genus", 0)
         if not _is_int(genus) or genus < 0:
             raise SchemaError(f"{base}.genus", "expected a nonnegative integer")
@@ -388,6 +423,7 @@ def datum_from_jsonable(obj) -> BoundaryDatum:
             ppath = f"{base}.points[{pi}]"
             if not isinstance(pt, dict) or "kind" not in pt or "m" not in pt:
                 raise SchemaError(ppath, "expected {kind, m, ...}")
+            _reject_unknown_keys(pt, {"kind", "m", "s", "node"}, ppath)
             kind = pt["kind"]
             if kind not in (CYCLIC, DIHEDRAL, NODE_END):
                 raise SchemaError(f"{ppath}.kind", f"unknown kind {kind!r}")
@@ -413,6 +449,7 @@ def tuple_from_jsonable(obj) -> HurwitzTuple:
     if not isinstance(obj, dict) or "group" not in obj or "entries" not in obj:
         raise SchemaError("$", "expected {group, entries}")
     G = _group_from_jsonable(obj["group"])
+    _reject_unknown_keys(obj, {"group", "entries"}, "$")
     if not isinstance(obj["entries"], list) or not obj["entries"]:
         raise SchemaError("$.entries", "expected a non-empty list of permutations")
     ids = [_perm_id(G, e, f"$.entries[{i}]") for i, e in enumerate(obj["entries"])]

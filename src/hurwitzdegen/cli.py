@@ -133,7 +133,7 @@ def analyze_datum(datum: BoundaryDatum) -> tuple[dict, int]:
     if not cov["connected"]:
         warnings.append("cover is disconnected; arithmetic genus reported per component")
 
-    dev = de_rham_character(datum, gog, cov["connected"])
+    dev = de_rham_character(datum, gog)
     G = datum.group
     report["characters"] = {
         "classes": classes_to_jsonable(G),

@@ -17,6 +17,7 @@ Every term, a point's Ind_<m> 1 and an edge's Ind_{E_e} sgn_e alike, is one
 ``groups.induced_sign(G, m, s)`` with s = e at points and nodes: it is read
 off the classes of the m^k and s m^k, with no subgroup closed.  Ind_<m> 1
 depends only on the class of m, so it is computed once per class.
+[H^1] = 2 triv - chi_dR is reported only when ``gog.connected``.
 """
 
 from __future__ import annotations
@@ -34,10 +35,8 @@ class DevissageReport(Record, eq=False):
     __slots__ = ("chi_dR", "chi_normalization", "edge_induction_sum", "h1_character")
 
 
-def de_rham_character(datum: BoundaryDatum, gog: DualGraphOfGroups,
-                      connected: bool) -> DevissageReport:
-    """chi_dR of the datum's cover, with [H^1] when the cover is ``connected``
-    (as ``covers.cover_report`` says)."""
+def de_rham_character(datum: BoundaryDatum, gog: DualGraphOfGroups) -> DevissageReport:
+    """chi_dR of the datum's cover, with [H^1] when ``gog.connected``."""
     G = datum.group
     # Ind_<m> 1 kept under (class of m, e), a dihedral edge's value under (m, s)
     values: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -58,7 +57,7 @@ def de_rham_character(datum: BoundaryDatum, gog: DualGraphOfGroups,
     for m, s in gog.edge_labels:
         add(edge, m, s)
     chi = [a - 2 * b for a, b in zip(norm, edge)]
-    h1 = ClassFunction(G, tuple([2 - v for v in chi])) if connected else None  # 2 triv - chi_dR
+    h1 = ClassFunction(G, tuple([2 - v for v in chi])) if gog.connected else None  # 2 triv - chi_dR
     return DevissageReport(ClassFunction(G, tuple(chi)), ClassFunction(G, tuple(norm)),
                            ClassFunction(G, tuple(edge)), h1)
 

@@ -14,9 +14,8 @@ groups (``boundary.dual_graph_of_groups``; Bass, J. Pure Appl. Algebra 89
 (1993)): [G : H_Y] components over Y, [G : E_e] nodes over edge e, with
 |E_e| and |K_e| = ord m read off the edge label (m, s) and a node's kind
 "dihedral" exactly when s != e, and [G : K_P] connected components over
-each connected piece P of the quotient graph, where K_P, which holds P's
-vertex groups and dihedral edge groups, is closed from P's own datum ids:
-handle images, point monodromies and the s of each dihedral point.
+each connected piece P of the quotient graph, with K_P read off the graph
+of groups, which closes it: ``cover_report`` closes no subgroup.
 ``build_cover`` enumerates the cover itself as its coset tables, one per
 quotient component and, with <m> closed from the label, one per edge: a
 cover component is a cell of its component's table and a node is a triple
@@ -151,31 +150,21 @@ def cover_report(datum: BoundaryDatum, gog: DualGraphOfGroups) -> dict:
     components = [{"quotient_component": ci, "coset": c, "genus": genera[ci]}
                   for ci, H in enumerate(gog.vertex_groups) for c in range(G.order // H.order)]
 
-    piece_of = gog.graph.connected_component_ids()
-    pieces: list[list[int]] = [[] for _ in range(max(piece_of) + 1)]  # the components in P
-    euler = [0] * len(pieces)      # sum g + nodes - components over P
+    euler = [0] * len(gog.piece_groups)  # sum g + nodes - components over P
     branches = [0] * len(datum.components)
     for ci, H in enumerate(gog.vertex_groups):
-        pieces[piece_of[ci]].append(ci)
-        euler[piece_of[ci]] += (genera[ci] - 1) * (G.order // H.order)
+        euler[gog.piece_of[ci]] += (genera[ci] - 1) * (G.order // H.order)
     edge_orders = gog.edge_orders(G)
     for ends, (m, _), order in zip(gog.edge_ends, gog.edge_labels, edge_orders):
-        euler[piece_of[ends[0][0]]] += G.order // order
+        euler[gog.piece_of[ends[0][0]]] += G.order // order
         for ci, _ in ends:  # |K_e| = ord m
             branches[ci] += gog.vertex_groups[ci].order // G.element_order(m)
 
     piece_genera = []
-    for P, total in zip(pieces, euler):
-        comps = [datum.components[ci] for ci in P]
-        s_ids = [pt.s for c in comps for pt in c.points if pt.s is not None]
-        if len(P) == 1 and not s_ids:
-            K_P = gog.vertex_groups[P[0]]
-        else:  # closed from P's ids as H_Y is; an s joins gH_Y to gsH_Y
-            K_P = G.generated_subgroup([x for c in comps for ab in c.handles for x in ab]
-                                       + [pt.m for c in comps for pt in c.points] + s_ids)
+    for K_P, total in zip(gog.piece_groups, euler):
         count = G.order // K_P.order
         piece_genera += [total // count + 1] * count
-    connected = len(piece_genera) == 1
+    connected = gog.connected
     stable = connected and piece_genera[0] >= 2 and all(
         is_stable_curve(g, branches[ci]) for ci, g in enumerate(genera))
     return {

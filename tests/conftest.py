@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import json
 import random
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import cache
+from pathlib import Path
 
 import pytest
 
 from hurwitzdegen import (BoundaryDatum, CosetTable, CoverCurve, DevissageReport, GenGraph,
                           GraphAction, HurwitzTuple, MarkedComponent, MarkedPoint, PermGroup,
-                          Subgroup, cover_report, de_rham_character, dual_graph_of_groups,
-                          is_inverting_involution, left_cosets, perm_from_cycles, rh_genus)
+                          Subgroup, cover_report, datum_from_jsonable, de_rham_character,
+                          dual_graph_of_groups, is_inverting_involution, left_cosets,
+                          perm_from_cycles, rh_genus)
 from hurwitzdegen import audit
 from hurwitzdegen.boundary import serialize
 from hurwitzdegen.covers import _genus
@@ -127,6 +130,23 @@ def random_rational_generating_tuples(G: PermGroup, rng: random.Random,
 
 # -- covers --------------------------------------------------------------------
 
+# pinned data file -> the closures that their graph of groups takes: one per
+# component, and one K_P per piece that is more than a lone component with no
+# dihedral point (a dihedral point; a split; a cover connected only through a
+# dihedral point's s; a disconnected cover)
+PIECE_DATA = {
+    "docs/examples/a5_dihedral_datum.json": 2,
+    "docs/examples/a5_split_datum.json": 3,
+    "tests/golden/data/s3_dihedral_bridge_datum.json": 3,
+    "tests/golden/data/s5_disconnected_datum.json": 1,
+}
+
+
+def load_datum(path: str) -> BoundaryDatum:
+    """A datum file, its path taken from the repository root."""
+    root = Path(__file__).resolve().parents[1]
+    return datum_from_jsonable(json.loads((root / path).read_text(encoding="utf-8")))
+
 
 def quotient_report(datum: BoundaryDatum) -> dict:
     """The cover block of ``analyze``: ``cover_report`` on the datum's graph of groups."""
@@ -135,8 +155,7 @@ def quotient_report(datum: BoundaryDatum) -> dict:
 
 def characters(datum: BoundaryDatum) -> DevissageReport:
     """``de_rham_character`` as ``analyze`` calls it."""
-    gog = dual_graph_of_groups(datum)
-    return de_rham_character(datum, gog, cover_report(datum, gog)["connected"])
+    return de_rham_character(datum, dual_graph_of_groups(datum))
 
 
 def component_cells(cover: CoverCurve) -> list[tuple[int, int]]:

@@ -144,7 +144,7 @@ def test_criterion_6_property_suites(s3, s4, d4, d5):
             gog = dual_graph_of_groups(datum)
             report = cover_report(datum, gog)
             if all_rational and report["connected"]:
-                rep = de_rham_character(datum, gog, True)
+                rep = de_rham_character(datum, gog)
                 assert rep.chi_dR.degree == 2 - 2 * report["arithmetic_genus"]
                 degree_checked += 1
             cases += 1

@@ -13,8 +13,8 @@ from hurwitzdegen import audit, groups
 from hurwitzdegen.boundary import datum_warnings, serialize, unstable_components
 from hurwitzdegen.errors import InvalidDatum, ProductNotOne, SchemaError
 
-from conftest import (canonical_form_by_scan, closure_by_bfs, conjugate_datum, inverting_pairs,
-                      random_valid_datum)
+from conftest import (PIECE_DATA, canonical_form_by_scan, closure_by_bfs, conjugate_datum,
+                      inverting_pairs, load_datum, random_valid_datum)
 
 
 def test_marked_point_shape_guards():
@@ -179,25 +179,25 @@ def test_graph_of_groups_against_plain_closure(fixture, seed, request):
     assert kinds == {1, 2}
 
 
-def test_dual_graph_closes_only_vertex_groups(a5, monkeypatch):
-    # one closure per quotient component; an edge is its label, never a subgroup
-    datum = audit.a5_split_datum(a5)
-    dihedral = audit.a5_dihedral_degenerations(a5)[0].datum
-    closed = []
-
-    def count(gen_ids):
-        closed.append(gen_ids)
-        return PermGroup.generated_subgroup(a5, gen_ids)
-
+def test_dual_graph_closes_vertex_and_piece_groups(monkeypatch):
+    # one closure per quotient component and one per piece P whose K_P is not
+    # a vertex group; an edge is its label, never a subgroup
     def fail(*_):
         raise AssertionError("an edge subgroup was closed")
 
-    monkeypatch.setattr(a5, "generated_subgroup", count)
-    monkeypatch.setattr(a5, "cyclic_subgroup", fail)
-    for d in (datum, dihedral):
-        closed.clear()
-        gog = dual_graph_of_groups(d)
-        assert len(closed) == len(d.components) == gog.graph.vertex_count
+    for path, closures in PIECE_DATA.items():
+        datum = load_datum(path)
+        G, closed = datum.group, []
+
+        def count(gen_ids, G=G):
+            closed.append(gen_ids)
+            return PermGroup.generated_subgroup(G, gen_ids)
+
+        monkeypatch.setattr(G, "generated_subgroup", count)
+        monkeypatch.setattr(G, "cyclic_subgroup", fail)
+        gog = dual_graph_of_groups(datum)
+        assert len(closed) == closures, path
+        assert len(gog.vertex_groups) == len(datum.components) == gog.graph.vertex_count
 
 
 def test_dual_graph_requires_valid_datum(s3):

@@ -170,6 +170,12 @@ MALFORMED = {
     "node-on-cyclic-point": lambda obj: _point(obj, 0).update(node=0),
     "node-on-dihedral-point": lambda obj: _point(obj, 0).update(
         kind="dihedral", s=_point(obj, 1)["m"], node=0),
+    # a key outside the schema is rejected, not ignored
+    "misspelled-points": lambda obj: obj["components"][0].update(
+        pionts=obj["components"][0].pop("points")),
+    "unknown-datum-field": lambda obj: obj.update(comment="split"),
+    "unknown-group-field": lambda obj: obj["group"].update(order=60),
+    "unknown-point-field": lambda obj: _point(obj, 0).update(label="p0"),
 }
 
 
@@ -188,6 +194,28 @@ def test_malformed_datum_exits_1(tmp_path, capsys, command, case):
     assert code == 1
     assert out == ""
     assert err.startswith("error: $.") and "Traceback" not in err
+
+
+S3 = {"degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}
+T = [1, 0, 2]  # a transposition of S3
+
+
+@pytest.mark.parametrize("command,obj,diagnostic", [
+    # a component's fields have defaults, so a misspelled key would load as
+    # a component without points
+    (["analyze", "--pretty"],
+     {"group": S3, "components": [{"genus": 0, "pionts": [{"kind": "cyclic", "m": T}] * 2}]},
+     "$.components[0].pionts: unknown field; expected only genus, handles, points"),
+    (["degenerate", "--splits"],
+     {"group": S3, "entries": [T, T], "entires": []},
+     "$.entires: unknown field; expected only entries, group"),
+], ids=["datum", "tuple"])
+def test_unknown_key_names_it(tmp_path, capsys, command, obj, diagnostic):
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+    assert (code, out) == (1, "")
+    assert err == f"error: {diagnostic}\n"
 
 
 def test_analyze_surface_relation_violation(tmp_path, capsys):

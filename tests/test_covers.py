@@ -15,10 +15,10 @@ from hurwitzdegen.boundary import unstable_components
 from hurwitzdegen.covers import node_class_summary
 from hurwitzdegen.errors import InvalidDatum, NegativeGenus, NonIntegralGenus
 
-from conftest import (assert_closed, assert_opposite_edges, branch_counts, deck_action,
-                      disjoint_union, explicit_cover_report, inverting_pairs, lefschetz_counts,
-                      quotient_report, random_rational_generating_tuples, random_valid_datum,
-                      subcover)
+from conftest import (PIECE_DATA, assert_closed, assert_opposite_edges, branch_counts,
+                      deck_action, disjoint_union, explicit_cover_report, inverting_pairs,
+                      lefschetz_counts, load_datum, quotient_report,
+                      random_rational_generating_tuples, random_valid_datum, subcover)
 from test_golden import ROOT, golden_argvs
 
 
@@ -465,7 +465,7 @@ def test_quotient_formulas_match_explicit_action(fixture, seed, request):
             for (kind, order), count in sorted(buckets.items())]
         report = cover_report(datum, gog)
         assert report == explicit_cover_report(cover)
-        rep = de_rham_character(datum, gog, report["connected"])
+        rep = de_rham_character(datum, gog)
         fixed, signed = lefschetz_counts(action)
         assert rep.edge_induction_sum.values == signed
         if not any(cover.genera):
@@ -479,8 +479,8 @@ def test_quotient_formulas_match_explicit_action(fixture, seed, request):
 @pytest.mark.parametrize("fixture,seed", [("s3", 41), ("s4", 42), ("s5", 43)])
 def test_pipeline_subgroups_are_closed(fixture, seed, request, monkeypatch):
     # Subgroup trusts its callers; record every one the pipeline builds
-    # (component images, <m>, <m, s>, and the closures K_P that cover_report
-    # takes over the quotient graph's pieces) and check closure here instead
+    # (component images, <m>, <m, s>, and the closures K_P that the graph of
+    # groups takes over the quotient graph's pieces) and check closure here instead
     G = request.getfixturevalue(fixture)
     built: list[Subgroup] = []
     check = Subgroup.__post_init__
@@ -493,14 +493,30 @@ def test_pipeline_subgroups_are_closed(fixture, seed, request, monkeypatch):
         if rng.random() < 0.3:
             datum = disjoint_union(datum, random_valid_datum(G, rng, pairs))
         dihedral += len(datum.dihedral_points())
-        gog = dual_graph_of_groups(datum)
         before = len(built)
-        report = cover_report(datum, gog)
-        pieces += len(built) - before     # the K_P closed below |G|
-        de_rham_character(datum, gog, report["connected"])
+        gog = dual_graph_of_groups(datum)
+        pieces += len(built) - before - len(gog.vertex_groups)  # the K_P closed
+        cover_report(datum, gog)
+        de_rham_character(datum, gog)
     assert dihedral > 0 and pieces > 0
     for H in {H.members: H for H in built}.values():
         assert_closed(H)
+
+
+@pytest.mark.parametrize("path", PIECE_DATA)
+def test_report_and_characters_close_no_subgroup(path, monkeypatch):
+    # every closure on the analyze path is taken by the graph of groups: the
+    # cover block and the characters only read it, K_P and connectivity included
+    datum = load_datum(path)
+    gog = dual_graph_of_groups(datum)
+
+    def fail(*_):
+        raise AssertionError("a subgroup was closed outside the graph of groups")
+
+    monkeypatch.setattr(datum.group, "generated_subgroup", fail)
+    monkeypatch.setattr(datum.group, "cyclic_subgroup", fail)
+    report = cover_report(datum, gog)
+    assert (de_rham_character(datum, gog).h1_character is None) == (not report["connected"])
 
 
 def random_generating_tuples(G: PermGroup, rng: random.Random, want: int) -> list[HurwitzTuple]:

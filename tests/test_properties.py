@@ -14,13 +14,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from hurwitzdegen import (GenGraph, build_cover, canonical_form, equivalent,
-                          inverting_involutions)
+from hurwitzdegen import (GenGraph, build_cover, canonical_form, cover_report,
+                          de_rham_character, equivalent, inverting_involutions)
 from hurwitzdegen.cli import json_dump
 
-from conftest import (assert_opposite_edges, conjugate_datum, disjoint_union,
-                      explicit_cover_report, inverting_pairs, quotient_report,
-                      random_valid_datum)
+from conftest import (assert_opposite_edges, component_cells, conjugate_datum, disjoint_union,
+                      explicit_cover_report, inverting_pairs, random_valid_datum)
 
 GROUPS = ["s3", "d4", "s4", "d5", "a5", "s5", "psl27"]
 
@@ -58,14 +57,24 @@ def test_inverting_involutions_are_conjugation_equivariant(groups, name, m, g):
 @settings(max_examples=80, deadline=None, database=None, derandomize=True)
 @given(name=st.sampled_from(GROUPS), seed=st.integers(0, 2**32 - 1), pieces=st.integers(1, 3))
 def test_cover_report_matches_explicit_cover(groups, name, seed, pieces):
-    # the quotient-level report against union-find on the explicit cover,
-    # on data whose quotient graph has up to three pieces
+    # the quotient-level report and each piece's K_P against union-find on
+    # the explicit cover, on data whose quotient graph has up to three pieces
     G, pairs = groups[name]
     rng = random.Random(seed)
     datum = random_valid_datum(G, rng, pairs)
     for _ in range(pieces - 1):
         datum = disjoint_union(datum, random_valid_datum(G, rng, pairs))
-    assert quotient_report(datum) == explicit_cover_report(build_cover(datum))
+    cover = build_cover(datum)
+    gog, comp_ids = cover.gog, cover.graph.connected_component_ids()
+    report = cover_report(datum, gog)
+    assert report == explicit_cover_report(cover)
+    over = [set() for _ in gog.piece_groups]  # the connected cover components over P
+    for v, (ci, _) in enumerate(component_cells(cover)):
+        over[gog.piece_of[ci]].add(comp_ids[v])
+    assert [len(c) for c in over] == [G.order // K_P.order for K_P in gog.piece_groups]
+    assert sum(map(len, over)) == max(comp_ids) + 1
+    h1 = de_rham_character(datum, gog).h1_character
+    assert gog.connected == report["connected"] == (h1 is not None)
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)

@@ -39,7 +39,7 @@ RECORDS = [
     (BoundaryDatum, IDENTITY, lambda G: BoundaryDatum(G, ())),
     (HurwitzTuple, IDENTITY, lambda G: HurwitzTuple(G, (1, G.inv(1)))),
     (DualGraphOfGroups, VALUE, lambda G: DualGraphOfGroups(
-        GenGraph(1, (), ()), (G.full_subgroup(),), (), ())),
+        GenGraph(1, (), ()), (G.full_subgroup(),), (), (), (0,), (G.full_subgroup(),))),
     (CoverCurve, VALUE, lambda G: CoverCurve(None, None, (0,), (0,), (), (), (),
                                              GenGraph(1, (), ()))),
     (Subgroup, VALUE, lambda G: Subgroup(G, (0, 1))),
