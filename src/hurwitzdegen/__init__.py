@@ -17,10 +17,9 @@ from .covers import CoverCurve, build_cover, cover_report, cover_to_dot, rh_genu
 from .degen import (Degeneration, collide_pair, dedup, dihedral_degenerations, smooth_dihedral,
                     split_degenerations)
 from .graphs import GenGraph, GraphAction, gengraph_to_dot
-from .groups import (ClassFunction, ClassRecord, CosetTable, PermGroup, Subgroup, compose,
-                     induced_character, induced_sign, inverse, inverting_involutions,
-                     is_inverting_involution, least_conjugate, left_cosets, normalizer,
-                     perm_from_cycles)
+from .groups import (ClassRecord, CosetTable, PermGroup, Subgroup, compose, induced_character,
+                     induced_sign, inner, inverse, inverting_involutions, is_inverting_involution,
+                     least_conjugate, left_cosets, normalizer, perm_from_cycles)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -15,13 +15,11 @@ that gives every field by position skips the name check), then calls
 ``self.__post_init__()``: a no-op here, or the check that
 ``GraphAction`` alone defines.  Every record keeps the hook, which the
 benchmark's tracer and the tests patch on the class by name.  A
-record writes its own constructor only to give defaults or run a check, to
-set a slot filled on first use, or, for ``ClassFunction``, because it is
-built per induced character, where the generic loop costs about a
-microsecond more.  A slot that repr, equality and hash should ignore sits
-outside ``_fields``: a class record's stored centralizer pairs, which the
-base constructor sets with the other fields, and the one slot filled on
-first use, a datum's canonical key.
+record writes its own constructor only to give defaults or run a check, or
+to set a slot filled on first use.  A slot that repr, equality and hash
+should ignore sits outside ``_fields``: a class record's stored centralizer
+pairs, which the base constructor sets with the other fields, and the one
+slot filled on first use, a datum's canonical key.
 
 A datum's own constructor sets that key to ``None``; ``canonical_form``,
 the one function that fills it, sets it once, through ``set_field``, to a

@@ -138,7 +138,7 @@ def analyze_datum(datum: BoundaryDatum) -> tuple[dict, int]:
     report["characters"] = {
         "classes": classes_to_jsonable(G),
         "connected": cov["connected"],
-        "degree_chi_dR": dev.chi_dR.degree,
+        "degree_chi_dR": dev.chi_dR[0],
         "chi_dR": character_to_jsonable(dev.chi_dR),
         "chi_normalization": character_to_jsonable(dev.chi_normalization),
         "edge_induction_sum": character_to_jsonable(dev.edge_induction_sum),

@@ -18,6 +18,7 @@ Every term, a point's Ind_<m> 1 and an edge's Ind_{E_e} sgn_e alike, is one
 off the classes of the m^k and s m^k, with no subgroup closed.  Ind_<m> 1
 depends only on the class of m, so it is computed once per class.
 [H^1] = 2 triv - chi_dR is reported only when ``gog.connected``.
+Each character is a tuple of its values on G's classes in class order.
 """
 
 from __future__ import annotations
@@ -26,11 +27,12 @@ from collections.abc import Sequence
 
 from ._record import Record
 from .boundary import BoundaryDatum, DualGraphOfGroups
-from .groups import ClassFunction, PermGroup, induced_sign
+from .groups import PermGroup, induced_sign
 
 
 class DevissageReport(Record, eq=False):
-    """``h1_character`` is None exactly on disconnected covers."""
+    """Four characters as value tuples in class order; ``h1_character`` is
+    None exactly on disconnected covers."""
 
     __slots__ = ("chi_dR", "chi_normalization", "edge_induction_sum", "h1_character")
 
@@ -44,7 +46,7 @@ def de_rham_character(datum: BoundaryDatum, gog: DualGraphOfGroups) -> Devissage
     def add(acc: list[int], m: int, s: int) -> None:
         key = (G.class_of(m), s) if s == G.identity else (m, s)
         if key not in values:
-            values[key] = induced_sign(G, m, s).values
+            values[key] = induced_sign(G, m, s)
         for i, v in enumerate(values[key]):
             acc[i] += v
 
@@ -56,10 +58,9 @@ def de_rham_character(datum: BoundaryDatum, gog: DualGraphOfGroups) -> Devissage
             add(norm, pt.m, G.identity)
     for m, s in gog.edge_labels:
         add(edge, m, s)
-    chi = [a - 2 * b for a, b in zip(norm, edge)]
-    h1 = ClassFunction(G, tuple([2 - v for v in chi])) if gog.connected else None  # 2 triv - chi_dR
-    return DevissageReport(ClassFunction(G, tuple(chi)), ClassFunction(G, tuple(norm)),
-                           ClassFunction(G, tuple(edge)), h1)
+    chi = tuple([a - 2 * b for a, b in zip(norm, edge)])
+    h1 = tuple([2 - v for v in chi]) if gog.connected else None  # 2 triv - chi_dR
+    return DevissageReport(chi, tuple(norm), tuple(edge), h1)
 
 
 # -- rendering ----------------------------------------------------------------
@@ -98,8 +99,8 @@ def render_character_table(group: PermGroup, characters: dict[str, Sequence[int]
     return "\n".join(lines) + "\n"
 
 
-def character_to_jsonable(chi: ClassFunction) -> dict:
-    return {"values": list(chi.values), "degree": chi.degree}
+def character_to_jsonable(values: Sequence[int]) -> dict:
+    return {"values": list(values), "degree": values[0]}  # e in class 0
 
 
 def classes_to_jsonable(group: PermGroup) -> list[dict]:

@@ -20,7 +20,9 @@ under the tables x -> g x g^-1 of the generators, each one C-level ``map`` of
 stored products over ``elements`` followed by one ``index`` lookup each.  A
 subgroup is its sorted member ids and nothing else: a left coset gH is one
 C-level ``map`` of the products g h over H's stored members, so cosets need
-no generators of H.
+no generators of H.  A class function is a tuple of ints, its values on the
+classes in ``conjugacy_classes()`` order; the identity's class comes first,
+so ``chi[0]`` is the degree, and ``inner`` pairs two exactly.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent reads are safe; the lazily filled caches (inverses,
@@ -39,7 +41,7 @@ from itertools import repeat
 from operator import add, index as _as_index
 from types import MappingProxyType
 
-from ._record import Record, set_field
+from ._record import Record
 from .errors import ClosureBoundExceeded, DegreeMismatch, NotACharacter
 
 Perm = tuple  # images: Perm[i] = image of point i
@@ -546,57 +548,20 @@ def is_inverting_involution(group: PermGroup, m: int, s: int) -> bool:
 # -- class functions -------------------------------------------------------
 
 
-class ClassFunction(Record, eq=False):
-    """Integer-valued function on conjugacy classes, in canonical class order."""
+def inner(group: PermGroup, chi: Sequence[int], psi: Sequence[int]) -> Fraction:
+    """<chi, psi> = (1/|G|) sum chi(g) psi(g^-1) of two class functions of
+    ``group``; an exact rational, a ``Fraction``, whose module is imported on
+    first use to keep it out of the package's import."""
+    from fractions import Fraction
 
-    __slots__ = ("group", "values")
-
-    def __init__(self, group: PermGroup, values: tuple[int, ...]):
-        set_field(self, "group", group)
-        set_field(self, "values", values)
-
-    @classmethod
-    def trivial(cls, group: PermGroup) -> "ClassFunction":
-        return cls(group, tuple([1] * len(group.conjugacy_classes())))
-
-    @property
-    def degree(self) -> int:
-        return self.values[0]  # identity sits in class 0
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ClassFunction)
-                and same_group(self.group, other.group)
-                and self.values == other.values)
-
-    def __add__(self, other: "ClassFunction") -> "ClassFunction":
-        assert same_group(self.group, other.group)
-        return ClassFunction(self.group, tuple(a + b for a, b in zip(self.values, other.values)))
-
-    def __sub__(self, other: "ClassFunction") -> "ClassFunction":
-        assert same_group(self.group, other.group)
-        return ClassFunction(self.group, tuple(a - b for a, b in zip(self.values, other.values)))
-
-    def __mul__(self, k: int) -> "ClassFunction":
-        return ClassFunction(self.group, tuple(k * a for a in self.values))
-
-    __rmul__ = __mul__
-
-    def inner(self, other: "ClassFunction") -> Fraction:
-        """<chi, psi> = (1/|G|) sum chi(g) psi(g^-1); an exact rational, a
-        ``Fraction``, whose module is imported on first use to keep it out of
-        the package's import."""
-        from fractions import Fraction
-
-        assert same_group(self.group, other.group)
-        total = 0
-        classes = self.group.conjugacy_classes()
-        for ci, c in enumerate(classes):
-            inv_class = self.group.class_of(self.group.inv(c[0]))
-            total += len(c) * self.values[ci] * other.values[inv_class]
-        return Fraction(total, self.group.order)
+    classes = group.conjugacy_classes()
+    if not len(chi) == len(psi) == len(classes):
+        raise ValueError(f"{len(chi)} and {len(psi)} values on {len(classes)} classes")
+    total = sum(len(c) * a * psi[group.class_of(group.inv(c[0]))] for c, a in zip(classes, chi))
+    return Fraction(total, group.order)
 
 
-def induced_character(group: PermGroup, sub: Subgroup, kernel: Subgroup) -> ClassFunction:
+def induced_character(group: PermGroup, sub: Subgroup, kernel: Subgroup) -> tuple[int, ...]:
     """Frobenius induction up to ``group`` of the +-1 character of ``sub``
     that is +1 on ``kernel`` and -1 off it; ``kernel = sub`` gives the trivial
     character.
@@ -616,7 +581,7 @@ def induced_character(group: PermGroup, sub: Subgroup, kernel: Subgroup) -> Clas
     return _induced(group, sums, sub.order)
 
 
-def induced_sign(group: PermGroup, m: int, s: int) -> ClassFunction:
+def induced_sign(group: PermGroup, m: int, s: int) -> tuple[int, ...]:
     """Ind_E sgn for E = <m, s>, s = e (E = <m>, sgn trivial) or an involution
     inverting m outside <m> (sgn = -1 on s<m>), with no closure: Ind(c) =
     |G| (#{m^k in c} - #{s m^k in c}) / (|c| |E|), |E| = ord m or 2 ord m."""
@@ -630,11 +595,11 @@ def induced_sign(group: PermGroup, m: int, s: int) -> ClassFunction:
     return _induced(group, counts, order if s == 0 else 2 * order)
 
 
-def _induced(group: PermGroup, sums: list[int], sub_order: int) -> ClassFunction:
+def _induced(group: PermGroup, sums: list[int], sub_order: int) -> tuple[int, ...]:
     """The induced values |G| sums[c] / (|c| |H|), which must be integers."""
     vals = []
     for total, c in zip(sums, group.conjugacy_classes()):
         q, r = divmod(group.order * total, len(c) * sub_order)
         assert r == 0, "induced value not integral"
         vals.append(q)
-    return ClassFunction(group, tuple(vals))
+    return tuple(vals)

@@ -1,25 +1,59 @@
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from hurwitzdegen import (BoundaryDatum, ClassFunction, HurwitzTuple, MarkedComponent,
-                          MarkedPoint, PermGroup, build_cover, class_labels, de_rham_character,
-                          dual_graph_of_groups, hurwitz_to_datum, induced_character,
-                          induced_sign, inverting_involutions, normalizer, perm_from_cycles,
-                          render_character_table)
+from hurwitzdegen import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPoint, PermGroup,
+                          build_cover, class_labels, datum_from_jsonable, de_rham_character,
+                          dual_graph_of_groups, hurwitz_to_datum, induced_character, induced_sign,
+                          inner, inverting_involutions, normalizer, perm_from_cycles,
+                          render_character_table, tuple_from_jsonable)
 from hurwitzdegen import audit, cohomology, groups
 
 from conftest import characters, inverting_pairs, quotient_report, random_valid_datum, subcover
 
 
+ROOT = Path(__file__).resolve().parents[1]
+DATA_FILES = sorted(str(p.relative_to(ROOT)) for d in ("docs/examples", "tests/golden/data")
+                    for p in (ROOT / d).glob("*.json"))
+
+
 def test_trivial_group_line():
     G = PermGroup([], degree=1)
     rep = characters(BoundaryDatum(G, (MarkedComponent(0, (), ()),)))
-    assert rep.chi_dR == 2 * ClassFunction.trivial(G)
-    assert rep.chi_dR.degree == 2
-    assert rep.h1_character == 0 * ClassFunction.trivial(G)
+    assert rep.chi_dR == (2,)  # one class; the degree is the first value
+    assert rep.h1_character == (0,)
+
+
+@pytest.mark.parametrize("path", DATA_FILES)
+def test_characters_are_int_tuples_in_class_order(path):
+    # a class function is the tuple of its int values, one per class
+    obj = json.loads((ROOT / path).read_text(encoding="utf-8"))
+    datum = (hurwitz_to_datum(tuple_from_jsonable(obj)) if "entries" in obj
+             else datum_from_jsonable(obj))
+    G = datum.group
+    n = len(G.conjugacy_classes())
+
+    def is_character(values) -> bool:
+        return type(values) is tuple and len(values) == n and all(type(v) is int for v in values)
+
+    for pt in (pt for comp in datum.components for pt in comp.points):
+        C = G.cyclic_subgroup(pt.m)
+        assert is_character(induced_sign(G, pt.m, G.identity))
+        assert is_character(induced_character(G, C, C))
+        if pt.s is not None:
+            assert is_character(induced_sign(G, pt.m, pt.s))
+            assert is_character(induced_character(G, G.generated_subgroup([pt.m, pt.s]), C))
+    rep = characters(datum)
+    assert all(is_character(chi) for chi in (rep.chi_dR, rep.chi_normalization,
+                                             rep.edge_induction_sum))
+    if path.endswith("s5_disconnected_datum.json"):
+        assert rep.h1_character is None
+    else:
+        assert is_character(rep.h1_character)
 
 
 def test_a5_dihedral_characters(a5):
@@ -30,22 +64,23 @@ def test_a5_dihedral_characters(a5):
     D10 = normalizer(a5, C5)
     ind_sgn = induced_character(a5, D10, C5)
 
-    assert rep.chi_dR == 2 * ClassFunction.trivial(a5) - 2 * ind_sgn
-    assert rep.chi_dR.values == (-10, 6, 2, 0, 0)
-    assert rep.chi_dR.degree == 2 - 2 * genus == -10
+    assert rep.chi_dR == tuple(2 - 2 * v for v in ind_sgn)  # 2 triv - 2 Ind sgn
+    assert rep.chi_dR == (-10, 6, 2, 0, 0)
+    assert rep.chi_dR[0] == 2 - 2 * genus == -10
     # devissage identity as implemented
-    assert rep.chi_dR == rep.chi_normalization - 2 * rep.edge_induction_sum
+    assert rep.chi_dR == tuple(a - 2 * b for a, b in zip(
+        rep.chi_normalization, rep.edge_induction_sum, strict=True))
 
     h1 = rep.h1_character
-    assert h1 == 2 * ind_sgn
-    assert h1.degree == 12 == 2 * genus
+    assert h1 == tuple(2 * v for v in ind_sgn)
+    assert h1[0] == 12 == 2 * genus
 
 
 def test_a5_split_characters_and_constancy(a5):
     rep = characters(audit.a5_split_datum(a5))
-    assert rep.chi_normalization.degree == 2 * 7
-    assert rep.edge_induction_sum.degree == 12
-    assert rep.chi_dR.degree == -10
+    assert rep.chi_normalization[0] == 2 * 7
+    assert rep.edge_induction_sum[0] == 12
+    assert rep.chi_dR[0] == -10
     assert rep.h1_character == characters(audit.a5_dihedral_degenerations(a5)[0].datum).h1_character
 
 
@@ -106,21 +141,20 @@ def test_two_component_trivial_group_h1_vanishes():
     datum = BoundaryDatum(G, comps)
     assert quotient_report(datum)["arithmetic_genus"] == 0
     h1 = characters(datum).h1_character
-    assert h1 == 0 * ClassFunction.trivial(G)
-    assert h1.degree == 0
+    assert h1 == (0,)
 
 
 def test_positive_genus_full_character(psl27):
     datum = hurwitz_to_datum(audit.psl27_tuple(psl27))
     assert quotient_report(datum)["components"][0]["genus"] == 3
     rep = characters(datum)
-    assert rep.chi_dR.degree == 2 - 2 * 3
+    assert rep.chi_dR[0] == 2 - 2 * 3
     # Klein quartic: H^1 is the sum of the two conjugate 3-dimensional
     # irreducibles, so it has no invariants and is rational-valued on 7a/7b
     h1 = rep.h1_character
-    assert h1.values == (6, -2, 0, 2, -1, -1)
-    assert h1.inner(ClassFunction.trivial(psl27)) == 0
-    assert h1.inner(h1) == 2
+    assert h1 == (6, -2, 0, 2, -1, -1)
+    assert inner(psl27, h1, (1,) * len(h1)) == 0
+    assert inner(psl27, h1, h1) == 2
 
 
 @pytest.mark.parametrize("fixture,seed", [("s4", 111), ("a5", 112), ("psl27", 113),
@@ -142,9 +176,9 @@ def test_h1_against_subcover_genera(fixture, seed, request):
         datum = hurwitz_to_datum(HurwitzTuple(G, tuple(entries)))
         cover = build_cover(datum)
         h1 = characters(datum).h1_character
-        assert h1.degree == 2 * cover.genera[0]
+        assert h1[0] == 2 * cover.genera[0]
         for K, ind in inductions:
-            assert h1.inner(ind) == 2 * sum(c.genus for c in subcover(cover, K).components)
+            assert inner(G, h1, ind) == 2 * sum(c.genus for c in subcover(cover, K).components)
         covers += 1
 
 
@@ -171,13 +205,13 @@ def test_degree_identity_on_random_covers(fixture, seed, request):
     def check(datum):
         rep, cover = characters(datum), quotient_report(datum)
         V, E = cover["component_count"], cover["node_count"]
-        assert rep.chi_dR.degree == 2 * (V - E - sum(c["genus"] for c in cover["components"]))
+        assert rep.chi_dR[0] == 2 * (V - E - sum(c["genus"] for c in cover["components"]))
         assert (rep.h1_character is None) == (not cover["connected"])
         if rep.h1_character is None:
             return 0
-        assert rep.chi_dR.degree == 2 - 2 * cover["arithmetic_genus"]
-        assert rep.h1_character.degree == 2 * cover["arithmetic_genus"]
-        assert all(isinstance(v, int) for v in rep.chi_dR.values)
+        assert rep.chi_dR[0] == 2 - 2 * cover["arithmetic_genus"]
+        assert rep.h1_character[0] == 2 * cover["arithmetic_genus"]
+        assert all(isinstance(v, int) for v in rep.chi_dR)
         return 1
 
     checked = 0
@@ -208,8 +242,7 @@ def test_class_labels_past_26_classes_of_one_order():
 def test_class_labels_and_table(a5):
     assert class_labels(a5) == ["1a", "2a", "3a", "5a", "5b"]
     rep = characters(audit.a5_dihedral_degenerations(a5)[0].datum)
-    table = render_character_table(a5, {"chi_dR": rep.chi_dR.values,
-                                        "h1": rep.h1_character.values})
+    table = render_character_table(a5, {"chi_dR": rep.chi_dR, "h1": rep.h1_character})
     lines = table.splitlines()
     assert lines[0].split() == ["class", "order", "size", "chi_dR", "h1"]
     assert len(lines) == 2 + 5 + 1  # header, rule, 5 classes, degree line

@@ -18,10 +18,10 @@ from pathlib import Path
 
 import pytest
 
-from hurwitzdegen import (audit, collide_pair, datum_to_jsonable, dedup,
-                          dihedral_degenerations, equivalent, inverting_involutions,
-                          least_conjugate, smooth_dihedral, split_degenerations,
-                          tuple_from_jsonable)
+from hurwitzdegen import (audit, collide_pair, datum_to_jsonable, de_rham_character, dedup,
+                          dihedral_degenerations, dual_graph_of_groups, equivalent,
+                          inverting_involutions, least_conjugate, smooth_dihedral,
+                          split_degenerations, tuple_from_jsonable)
 from hurwitzdegen.cli import build_parser, main
 from hurwitzdegen.degen import DIHEDRAL
 
@@ -71,6 +71,16 @@ def test_least_conjugate_and_involutions_free_their_group():
         del G
         assert ref() is None
 
+
+def test_kept_characters_free_their_group():
+    # the characters are value tuples: a kept report holds no group
+    with collector_off():
+        datum = audit.a5_dihedral_degenerations(audit.a5_group())[0].datum
+        rep = de_rham_character(datum, dual_graph_of_groups(datum))
+        ref = weakref.ref(datum.group)
+        del datum
+        assert ref() is None
+        assert rep.h1_character == (12, -4, 0, 2, 2)  # 2 Ind_{D10} sgn
 
 @pytest.fixture
 def invalid_datum_file(tmp_path):
