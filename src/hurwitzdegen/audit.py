@@ -86,7 +86,7 @@ def psl27_tuple(G: PermGroup | None = None) -> HurwitzTuple:
 def _report_and_h1(datum: BoundaryDatum) -> tuple[dict, tuple[int, ...] | None]:
     """The cover block of ``analyze`` and the H^1 character of the datum's cover."""
     gog = dual_graph_of_groups(datum)
-    return cover_report(datum, gog), de_rham_character(datum, gog).h1_character
+    return cover_report(gog), de_rham_character(gog).h1_character
 
 
 def run_audit() -> list[AuditCheck]:

@@ -184,8 +184,8 @@ def hurwitz_to_datum(t: HurwitzTuple) -> BoundaryDatum:
 
 
 class DualGraphOfGroups(Record):
-    """The pointed quotient as a graph of groups (Bass, Covering theory for
-    graphs of groups, J. Pure Appl. Algebra 89 (1993)).
+    """The pointed quotient of ``datum`` as a graph of groups (Bass, Covering
+    theory for graphs of groups, J. Pure Appl. Algebra 89 (1993)).
 
     Vertex ci is component Y with H_Y, generated by its handle images and
     point monodromies.  Unoriented edge e is a node (an ordinary edge) or a
@@ -200,24 +200,21 @@ class DualGraphOfGroups(Record):
     piece P = ``piece_of[ci]``, over which the cover has [G : K_P] connected
     components; K_P = ``piece_groups[P]`` is H_Y for a lone component with no
     dihedral point, else closed from P's handle images, point monodromies and
-    dihedral s's (an s joins gH_Y to gsH_Y).
+    dihedral s's (an s joins gH_Y to gsH_Y).  ``connected`` says whether the
+    cover is connected: one piece P, with K_P = G.
     """
 
-    __slots__ = ("graph", "vertex_groups", "edge_ends", "edge_labels", "piece_of", "piece_groups")
+    __slots__ = ("datum", "graph", "vertex_groups", "edge_ends", "edge_labels", "piece_of",
+                 "piece_groups", "connected")
 
-    @property
-    def connected(self) -> bool:
-        """Whether the cover is connected: one piece P, with K_P = G."""
-        K = self.piece_groups
-        return len(K) == 1 and K[0].order == K[0].group.order
-
-    def edge_orders(self, G: PermGroup) -> list[int]:
+    def edge_orders(self) -> list[int]:
         """|E_e| for each edge, from the cached element orders: no products."""
+        G = self.datum.group
         return [G.element_order(m) * (1 if s == G.identity else 2) for m, s in self.edge_labels]
 
-    def to_dot(self, G: PermGroup) -> str:
+    def to_dot(self) -> str:
         vlabels = [f"v{v} |H|={H.order}" for v, H in enumerate(self.vertex_groups)]
-        elabels = [str(G.element_order(m)) for m, _ in self.edge_labels]
+        elabels = [str(self.datum.group.element_order(m)) for m, _ in self.edge_labels]
         return gengraph_to_dot(self.graph, name="quotient",
                                vertex_labels=vlabels, edge_labels=elabels)
 
@@ -260,8 +257,9 @@ def dual_graph_of_groups(datum: BoundaryDatum) -> DualGraphOfGroups:
     piece_groups = tuple(vertex_groups[P[0]] if len(P) == 1 and not s else
                          G.generated_subgroup([x for ci in P for x in comp_ids[ci]] + s)
                          for P, s in zip(pieces, s_ids))
-    return DualGraphOfGroups(graph, vertex_groups, tuple(ends), tuple(labels), piece_of,
-                             piece_groups)
+    connected = len(piece_groups) == 1 and piece_groups[0].order == G.order
+    return DualGraphOfGroups(datum, graph, vertex_groups, tuple(ends), tuple(labels), piece_of,
+                             piece_groups, connected)
 
 
 # -- conjugation, canonical form, equivalence --------------------------------

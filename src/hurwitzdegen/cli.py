@@ -19,7 +19,8 @@ from .boundary import (BoundaryDatum, datum_from_jsonable, datum_to_jsonable, da
 from .cohomology import (character_to_jsonable, classes_to_jsonable, de_rham_character,
                          render_character_table)
 from .covers import build_cover, cover_report, cover_to_dot
-from .degen import dedup as dedup_degenerations, dihedral_degenerations, split_degenerations
+from .degen import (SPLIT, dedup as dedup_degenerations, dihedral_degenerations,
+                    split_degenerations)
 from .errors import HurwitzDegenError, InvalidDatum, SchemaError
 
 
@@ -128,15 +129,14 @@ def analyze_datum(datum: BoundaryDatum) -> tuple[dict, int]:
     if gog is None:
         return report, 2
 
-    cov = cover_report(datum, gog)
+    cov = cover_report(gog)
     report["cover"] = cov
     if not cov["connected"]:
         warnings.append("cover is disconnected; arithmetic genus reported per component")
 
-    dev = de_rham_character(datum, gog)
-    G = datum.group
+    dev = de_rham_character(gog)
     report["characters"] = {
-        "classes": classes_to_jsonable(G),
+        "classes": classes_to_jsonable(datum.group),
         "connected": cov["connected"],
         "degree_chi_dR": dev.chi_dR[0],
         "chi_dR": character_to_jsonable(dev.chi_dR),
@@ -219,7 +219,7 @@ def cmd_degenerate(args) -> int:
     for deg in degs:
         report, _ = analyze_datum(deg.datum)
         entry = {"kind": deg.kind, "analysis": report}
-        if deg.kind == "split":
+        if deg.kind == SPLIT:
             entry["split_at"] = deg.split_at
         else:
             entry["index"] = deg.index
@@ -248,7 +248,7 @@ def cmd_character(args) -> int:
 def cmd_graph(args) -> int:
     datum = datum_from_jsonable(_load_json(args.path))
     if args.which == "quotient":
-        dot = dual_graph_of_groups(datum).to_dot(datum.group)
+        dot = dual_graph_of_groups(datum).to_dot()
     else:
         dot = cover_to_dot(build_cover(datum))
     with open(args.dot, "w", encoding="utf-8") as fh:

@@ -1,7 +1,7 @@
 """Equivariant virtual characters of de Rham cohomology of nodal covers.
 
-One formula for every cover, read off the datum's graph of groups (Lefschetz
-fixed points plus Frobenius induction):
+One formula for every cover, read off the datum's graph of groups alone,
+``de_rham_character(gog)`` (Lefschetz fixed points plus Frobenius induction):
 
     chi_dR = sum over Y of [(2 - 2 h_Y - n_Y) rho_G + sum over p in Y of Ind_<m_p> 1]
              - 2 sum over edges e of Ind_{E_e} sgn_e
@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from ._record import Record
-from .boundary import BoundaryDatum, DualGraphOfGroups
+from .boundary import DualGraphOfGroups
 from .groups import PermGroup, induced_sign
 
 
@@ -37,9 +37,9 @@ class DevissageReport(Record, eq=False):
     __slots__ = ("chi_dR", "chi_normalization", "edge_induction_sum", "h1_character")
 
 
-def de_rham_character(datum: BoundaryDatum, gog: DualGraphOfGroups) -> DevissageReport:
-    """chi_dR of the datum's cover, with [H^1] when ``gog.connected``."""
-    G = datum.group
+def de_rham_character(gog: DualGraphOfGroups) -> DevissageReport:
+    """chi_dR of the cover of ``gog.datum``, with [H^1] when ``gog.connected``."""
+    datum, G = gog.datum, gog.datum.group
     # Ind_<m> 1 kept under (class of m, e), a dihedral edge's value under (m, s)
     values: dict[tuple[int, int], tuple[int, ...]] = {}
 

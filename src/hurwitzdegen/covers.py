@@ -9,13 +9,14 @@ marked point with monodromy m are the left cosets g<m>, and the nodes over
 a dihedral point (m, s) are the left cosets g<m, s> whose two branches are
 the two <m>-cosets contained in g<m, s>.
 
-``cover_report`` counts everything it reports over the datum's graph of
-groups (``boundary.dual_graph_of_groups``; Bass, J. Pure Appl. Algebra 89
-(1993)): [G : H_Y] components over Y, [G : E_e] nodes over edge e, with
-|E_e| and |K_e| = ord m read off the edge label (m, s) and a node's kind
-"dihedral" exactly when s != e, and [G : K_P] connected components over
-each connected piece P of the quotient graph, with K_P read off the graph
-of groups, which closes it: ``cover_report`` closes no subgroup.
+``cover_report(gog)`` counts everything it reports over the datum's graph
+of groups, which holds the datum (``boundary.dual_graph_of_groups``; Bass,
+J. Pure Appl. Algebra 89 (1993)): [G : H_Y] components over Y, [G : E_e]
+nodes over edge e, with |E_e| and |K_e| = ord m read off the edge label
+(m, s) and a node's kind "dihedral" exactly when s != e, and [G : K_P]
+connected components over each connected piece P of the quotient graph,
+with K_P read off the graph of groups, which closes it: ``cover_report``
+closes no subgroup.
 ``build_cover`` enumerates the cover itself as its coset tables, one per
 quotient component and, with <m> closed from the label, one per edge: a
 cover component is a cell of its component's table and a node is a triple
@@ -33,7 +34,7 @@ from ._record import Record
 from .boundary import BoundaryDatum, DualGraphOfGroups, dual_graph_of_groups, is_stable_curve
 from .errors import NegativeGenus, NonIntegralGenus
 from .graphs import GenGraph, gengraph_to_dot
-from .groups import PermGroup, left_cosets
+from .groups import left_cosets
 
 
 def rh_genus(subgroup_order: int, base_genus: int, ramification_orders: list[int]) -> int:
@@ -49,12 +50,12 @@ def rh_genus(subgroup_order: int, base_genus: int, ramification_orders: list[int
     return _genus(H * (2 * base_genus - 2) + sum(H - H // d for d in ramification_orders))
 
 
-def _component_genera(datum: BoundaryDatum, gog: DualGraphOfGroups) -> list[int]:
+def _component_genera(gog: DualGraphOfGroups) -> list[int]:
     """The genus of the cover components over each quotient component."""
-    G = datum.group
+    G = gog.datum.group
     return [rh_genus(H.order, comp.genus,
                      [G.element_order(pt.m) for pt in comp.points if pt.m != G.identity])
-            for comp, H in zip(datum.components, gog.vertex_groups)]
+            for comp, H in zip(gog.datum.components, gog.vertex_groups)]
 
 
 def _genus(double: int) -> int:
@@ -68,7 +69,7 @@ def _genus(double: int) -> int:
 
 
 class CoverCurve(Record):
-    """The cover of a boundary datum: its coset tables, nodes and dual graph.
+    """The cover of the datum ``gog.datum``: its coset tables, nodes and dual graph.
 
     The cover components over quotient component ci are the cells of
     ``comp_cosets[ci]`` (G/H_Y), numbered from ``offsets[ci]``, each of genus
@@ -80,8 +81,7 @@ class CoverCurve(Record):
     branch's component.
     """
 
-    __slots__ = ("datum", "gog", "genera", "offsets", "comp_cosets", "edge_mcosets",
-                 "nodes", "graph")
+    __slots__ = ("gog", "genera", "offsets", "comp_cosets", "edge_mcosets", "nodes", "graph")
 
 
 def build_cover(datum: BoundaryDatum) -> CoverCurve:
@@ -108,15 +108,16 @@ def build_cover(datum: BoundaryDatum) -> CoverCurve:
                 pairs.append((offsets[cb] + comp_cosets[cb].index_of[rep_s],
                               offsets[ca] + comp_cosets[ca].index_of[cell[0]]))
     graph = GenGraph.from_unoriented(vertex_count, pairs)
-    return CoverCurve(datum, gog, _component_genera(datum, gog), offsets, comp_cosets,
-                      edge_mcosets, nodes, graph)
+    return CoverCurve(gog, _component_genera(gog), offsets, comp_cosets, edge_mcosets, nodes,
+                      graph)
 
 
-def node_class_summary(G: PermGroup, gog: DualGraphOfGroups) -> list[dict]:
+def node_class_summary(gog: DualGraphOfGroups) -> list[dict]:
     """Counts of nodes grouped by (kind, stabilizer order): [G : E_e] nodes,
     each with stabilizer conjugate to E_e, lie over quotient edge e."""
+    G = gog.datum.group
     buckets: dict[tuple[str, int], int] = {}
-    for (_, s), order in zip(gog.edge_labels, gog.edge_orders(G)):
+    for (_, s), order in zip(gog.edge_labels, gog.edge_orders()):
         key = ("cyclic" if s == G.identity else "dihedral", order)
         buckets[key] = buckets.get(key, 0) + G.order // order
     return [{"kind": kind, "stabilizer_order": order, "count": count}
@@ -127,7 +128,7 @@ def node_class_summary(G: PermGroup, gog: DualGraphOfGroups) -> list[dict]:
 
 
 def cover_to_dot(cover: CoverCurve) -> str:
-    gog, orders = cover.gog, cover.gog.edge_orders(cover.datum.group)
+    gog, orders = cover.gog, cover.gog.edge_orders()
     vlabels = [f"g={genus} |H|={H.order}"
                for genus, H, cos in zip(cover.genera, gog.vertex_groups, cover.comp_cosets)
                for _ in cos.cells]
@@ -136,7 +137,7 @@ def cover_to_dot(cover: CoverCurve) -> str:
                            vertex_labels=vlabels, edge_labels=elabels)
 
 
-def cover_report(datum: BoundaryDatum, gog: DualGraphOfGroups) -> dict:
+def cover_report(gog: DualGraphOfGroups) -> dict:
     """The cover block of ``analyze``, counted on the graph of groups.
 
     A connected piece P of the quotient graph carries [G : K_P] connected
@@ -145,16 +146,16 @@ def cover_report(datum: BoundaryDatum, gog: DualGraphOfGroups) -> dict:
     P's part of the cover.  A cover component over Y meets sum |H_Y| / |K_e|
     branches, over the edge ends e at Y.
     """
-    G = datum.group
-    genera = _component_genera(datum, gog)
+    G = gog.datum.group
+    genera = _component_genera(gog)
     components = [{"quotient_component": ci, "coset": c, "genus": genera[ci]}
                   for ci, H in enumerate(gog.vertex_groups) for c in range(G.order // H.order)]
 
     euler = [0] * len(gog.piece_groups)  # sum g + nodes - components over P
-    branches = [0] * len(datum.components)
+    branches = [0] * len(gog.vertex_groups)
     for ci, H in enumerate(gog.vertex_groups):
         euler[gog.piece_of[ci]] += (genera[ci] - 1) * (G.order // H.order)
-    edge_orders = gog.edge_orders(G)
+    edge_orders = gog.edge_orders()
     for ends, (m, _), order in zip(gog.edge_ends, gog.edge_labels, edge_orders):
         euler[gog.piece_of[ends[0][0]]] += G.order // order
         for ci, _ in ends:  # |K_e| = ord m
@@ -171,7 +172,7 @@ def cover_report(datum: BoundaryDatum, gog: DualGraphOfGroups) -> dict:
         "component_count": len(components),
         "components": components,
         "node_count": sum(G.order // order for order in edge_orders),
-        "node_classes": node_class_summary(G, gog),
+        "node_classes": node_class_summary(gog),
         "connected": connected,
         "stable": stable,
         "arithmetic_genus": piece_genera[0] if connected else None,

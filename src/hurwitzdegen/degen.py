@@ -12,13 +12,12 @@ adjacent involution entries into a dihedral point.
 from __future__ import annotations
 
 from ._record import Record, set_field
-from .boundary import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPoint,
+from .boundary import (DIHEDRAL, BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPoint,
                        Violation, canonical_form)
 from .errors import InvalidDatum
 from .groups import inverting_involutions
 
-SPLIT = "split"
-DIHEDRAL = "dihedral"
+SPLIT = "split"  # the other kind, DIHEDRAL, is the point kind of boundary
 
 
 class Degeneration(Record, eq=False):

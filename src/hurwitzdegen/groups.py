@@ -292,7 +292,7 @@ class PermGroup:
     # -- subgroups ---------------------------------------------------------
 
     def subgroup(self, member_ids: Iterable[int]) -> "Subgroup":
-        return Subgroup(self, tuple(sorted(set(member_ids))))
+        return Subgroup(tuple(sorted(set(member_ids))))
 
     def generated_subgroup(self, gen_ids: Iterable[int]) -> "Subgroup":
         """<gen_ids>, closed from the distinct non-identity generators.
@@ -305,13 +305,13 @@ class PermGroup:
         points = self._close(self.elements[0], [self.elements[g] for g in gens], half)
         if len(points) > half:
             return self.full_subgroup()
-        return Subgroup(self, tuple(sorted(map(self.index.__getitem__, points))))
+        return Subgroup(tuple(sorted(map(self.index.__getitem__, points))))
 
     def cyclic_subgroup(self, i: int) -> "Subgroup":
         return self.generated_subgroup([i])
 
     def full_subgroup(self) -> "Subgroup":
-        return Subgroup(self, tuple(range(self.order)))
+        return Subgroup(tuple(range(self.order)))
 
     # -- serialization ------------------------------------------------------
 
@@ -350,14 +350,15 @@ def same_group(a: PermGroup, b: PermGroup) -> bool:
 
 
 class Subgroup(Record):
-    """Subgroup of ``group`` given by its sorted member ids, and nothing else.
+    """A subgroup given by its sorted member ids, and nothing else: not its
+    group, which a kept subgroup therefore does not keep alive.
 
     A trusted value, never checked: callers pass sets that are closed by
     construction (closures, normalizers, stabilizers, conjugates), and each
     holds the identity, id 0.
     """
 
-    __slots__ = ("group", "members")
+    __slots__ = ("members",)
 
     @property
     def order(self) -> int:
@@ -504,7 +505,7 @@ def normalizer(group: PermGroup, sub: Subgroup) -> Subgroup:
     ms = sub.member_set()
     keep = [g for g in range(group.order)
             if all(group.conj(g, h) in ms for h in sub.members)]
-    return Subgroup(group, tuple(keep))
+    return Subgroup(tuple(keep))
 
 
 def inverting_involutions(group: PermGroup, m: int) -> list[int]:

@@ -150,12 +150,12 @@ def load_datum(path: str) -> BoundaryDatum:
 
 def quotient_report(datum: BoundaryDatum) -> dict:
     """The cover block of ``analyze``: ``cover_report`` on the datum's graph of groups."""
-    return cover_report(datum, dual_graph_of_groups(datum))
+    return cover_report(dual_graph_of_groups(datum))
 
 
 def characters(datum: BoundaryDatum) -> DevissageReport:
     """``de_rham_character`` as ``analyze`` calls it."""
-    return de_rham_character(datum, dual_graph_of_groups(datum))
+    return de_rham_character(dual_graph_of_groups(datum))
 
 
 def component_cells(cover: CoverCurve) -> list[tuple[int, int]]:
@@ -188,7 +188,7 @@ def explicit_cover_report(cover: CoverCurve) -> dict:
         comp_count[comp_ids[v]] += 1
     buckets: dict[tuple[str, int], int] = {}
     # E_e = <m, s>, closed here from the edge label (m, s)
-    edge_orders = [cover.datum.group.generated_subgroup(label).order
+    edge_orders = [cover.gog.datum.group.generated_subgroup(label).order
                    for label in cover.gog.edge_labels]
     for k, (e, _, _) in enumerate(cover.nodes):
         node_count[comp_ids[cover.graph.edges[2 * k][1]]] += 1
@@ -236,7 +236,7 @@ def deck_action(cover: CoverCurve) -> GraphAction:
     node k, over the point ``edge_ends[e][0]`` for i = 0 and
     ``edge_ends[e][-1]`` for i = 1.
     """
-    G, ends = cover.datum.group, cover.gog.edge_ends
+    G, ends = cover.gog.datum.group, cover.gog.edge_ends
     branches = [(ends[e][side], cell) for e, a, b in cover.nodes
                 for side, cell in ((0, a), (-1, b))]
     edge_of = {branch: i for i, branch in enumerate(branches)}
@@ -336,11 +336,11 @@ def subcover(cover: CoverCurve, K: Subgroup) -> SubcoverReport:
     The right coset Kx is read as the left coset x^-1 K, so right
     multiplication by m on K\\G becomes left multiplication by m^-1 on G/K.
     """
-    G = cover.datum.group
-    datum = cover.datum
+    G = cover.gog.datum.group
+    datum = cover.gog.datum
     kcos = left_cosets(G, K)
     degree = len(kcos)
-    kgens = small_generating_set(K)
+    kgens = small_generating_set(G, K)
     edge_images = deck_action(cover).edge_images
 
     def on_cosets(table: CosetTable):
@@ -424,9 +424,9 @@ def canonical_form_by_scan(datum: BoundaryDatum) -> tuple:
     return min(serialize(conjugate_datum(datum, g)) for g in range(datum.group.order))
 
 
-def assert_closed(H: Subgroup) -> None:
+def assert_closed(G: PermGroup, H: Subgroup) -> None:
     """The closure check ``Subgroup`` trusts its callers with."""
-    G, ms = H.group, H.member_set()
+    ms = H.member_set()
     assert 0 in ms
     for a in H.members:
         assert G.inv(a) in ms, f"not closed under inverse at {a}"
@@ -439,7 +439,7 @@ def centralizer_by_scan(group: PermGroup, sub: Subgroup) -> Subgroup:
     records' centralizers."""
     keep = [g for g in range(group.order)
             if all(group.conj(g, h) == h for h in sub.members)]
-    return Subgroup(group, tuple(keep))
+    return Subgroup(tuple(keep))
 
 
 def lefschetz_counts(action: GraphAction) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -484,7 +484,7 @@ def closure_by_bfs(group: PermGroup, gen_ids) -> frozenset:
     return frozenset(members)
 
 
-def small_generating_set(K: Subgroup) -> list[int]:
+def small_generating_set(group: PermGroup, K: Subgroup) -> list[int]:
     """Generators of K picked greedily from its members: each lies outside
     the closure of those before it, which it at least doubles, so there are
     at most log2 |K| of them."""
@@ -495,7 +495,7 @@ def small_generating_set(K: Subgroup) -> list[int]:
             break
         if h not in closed:
             gens.append(h)
-            closed = closure_by_bfs(K.group, gens)
+            closed = closure_by_bfs(group, gens)
     return gens
 
 
@@ -521,7 +521,7 @@ def all_subgroups(group: PermGroup) -> tuple[Subgroup, ...]:
                     found[ext] = gens
                     new.append(ext)
         frontier = new
-    return tuple(Subgroup(group, tuple(sorted(m))) for m in
+    return tuple(Subgroup(tuple(sorted(m))) for m in
                  sorted(found, key=lambda m: (len(m), tuple(sorted(m)))))
 
 

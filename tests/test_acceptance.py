@@ -142,9 +142,9 @@ def test_criterion_6_property_suites(s3, s4, d4, d5):
 
             all_rational = not any(cover.genera)
             gog = dual_graph_of_groups(datum)
-            report = cover_report(datum, gog)
+            report = cover_report(gog)
             if all_rational and report["connected"]:
-                rep = de_rham_character(datum, gog)
+                rep = de_rham_character(gog)
                 assert rep.chi_dR[0] == 2 - 2 * report["arithmetic_genus"]
                 degree_checked += 1
             cases += 1

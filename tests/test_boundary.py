@@ -137,7 +137,7 @@ def test_dual_graph_shapes(a5):
     assert [H.order for H in dihedral.vertex_groups] == [60]
     (m, s), = dihedral.edge_labels
     assert s != a5.identity and a5.element_order(m) == 5      # E_e = <m, s>, K_e = <m>
-    assert dihedral.edge_orders(a5) == [10]
+    assert dihedral.edge_orders() == [10]
 
     split = dual_graph_of_groups(audit.a5_split_datum(a5))
     assert split.graph.vertex_count == 2
@@ -146,7 +146,7 @@ def test_dual_graph_shapes(a5):
     assert [H.order for H in split.vertex_groups] == [10, 60]
     (m, s), = split.edge_labels
     assert s == a5.identity and a5.element_order(m) == 5      # E_e = K_e = <m> at a node
-    assert split.edge_orders(a5) == [5]
+    assert split.edge_orders() == [5]
 
 
 @pytest.mark.parametrize("fixture,seed", [("s3", 61), ("s4", 62), ("d5", 63), ("a5", 64)])
@@ -165,7 +165,7 @@ def test_graph_of_groups_against_plain_closure(fixture, seed, request):
             assert gog.vertex_groups[ci].member_set() == closure_by_bfs(G, gens)
         assert gog.edge_ends == tuple(datum.nodes()) + tuple(
             (point,) for point in datum.dihedral_points())
-        for ends, (m, s), order in zip(gog.edge_ends, gog.edge_labels, gog.edge_orders(G)):
+        for ends, (m, s), order in zip(gog.edge_ends, gog.edge_labels, gog.edge_orders()):
             first = datum.point(*ends[0])
             assert m == first.m
             if len(ends) == 2:  # a node: <m_a> = <m_b>

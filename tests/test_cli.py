@@ -164,6 +164,8 @@ MALFORMED = {
     "boolean-genus": lambda obj: obj["components"][0].update(genus=False),
     "string-degree": lambda obj: obj["group"].update(degree="5"),
     "empty-components": lambda obj: obj.update(components=[]),
+    "component-not-an-object": lambda obj: obj["components"].__setitem__(0, 5),
+    "handle-not-a-pair": lambda obj: obj["components"][0].update(genus=1, handles=[5]),
     # fields of another point kind are rejected, not dropped
     "s-on-cyclic-point": lambda obj: _point(obj, 0).update(s=_point(obj, 1)["m"]),
     "s-on-node-end": lambda obj: _point(obj, 2).update(s=_point(obj, 1)["m"]),
@@ -209,13 +211,27 @@ T = [1, 0, 2]  # a transposition of S3
     (["degenerate", "--splits"],
      {"group": S3, "entries": [T, T], "entires": []},
      "$.entires: unknown field; expected only entries, group"),
-], ids=["datum", "tuple"])
+    # a component or a handle of the wrong shape is named by its path too
+    (["analyze"], {"group": S3, "components": [5]}, "$.components[0]: expected an object"),
+    (["analyze"], {"group": S3, "components": [{"genus": 1, "handles": [5]}]},
+     "$.components[0].handles[0]: expected [a, b]"),
+], ids=["datum", "tuple", "component-not-an-object", "handle-not-a-pair"])
 def test_unknown_key_names_it(tmp_path, capsys, command, obj, diagnostic):
     path = tmp_path / "typo.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
     code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
     assert (code, out) == (1, "")
     assert err == f"error: {diagnostic}\n"
+
+
+def test_graph_to_a_missing_directory_exits_1(tmp_path, capsys):
+    # the DOT file cannot be opened: an OSError is one error line, exit 1
+    datum = Path(__file__).resolve().parents[1] / "docs" / "examples" / "a5_dihedral_datum.json"
+    code, out, err = run_cli(capsys, "graph", str(datum), "--dot",
+                             str(tmp_path / "missing" / "out.dot"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: [Errno 2] ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_analyze_surface_relation_violation(tmp_path, capsys):

@@ -1,17 +1,18 @@
 from __future__ import annotations
 
+import inspect
 import json
 import random
 
 import pytest
 
-from hurwitzdegen import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPoint,
+from hurwitzdegen import (BoundaryDatum, CoverCurve, HurwitzTuple, MarkedComponent, MarkedPoint,
                           PermGroup, Subgroup, build_cover, cover_report, cover_to_dot,
                           datum_from_jsonable, de_rham_character, dihedral_degenerations,
                           dual_graph_of_groups, hurwitz_to_datum, left_cosets, perm_from_cycles,
                           rh_genus, split_degenerations, tuple_from_jsonable)
 from hurwitzdegen import audit, covers, groups
-from hurwitzdegen.boundary import unstable_components
+from hurwitzdegen.boundary import DualGraphOfGroups, unstable_components
 from hurwitzdegen.covers import node_class_summary
 from hurwitzdegen.errors import InvalidDatum, NegativeGenus, NonIntegralGenus
 
@@ -77,7 +78,7 @@ def test_a5_split_cover(a5):
     # the blow-up picture whose contraction is the 6-node dihedral cover
     assert not report["stable"]
     assert sorted(branch_counts(cover)) == [2] * 6 + [12]
-    assert report["node_classes"] == node_class_summary(a5, cover.gog) == [
+    assert report["node_classes"] == node_class_summary(cover.gog) == [
         {"kind": "cyclic", "stabilizer_order": 5, "count": 12}]
     assert report == explicit_cover_report(cover)
 
@@ -87,7 +88,7 @@ def test_dihedral_branch_pair_well_defined(a5):
     # inside its <m, s>-coset, independent of the chosen representative
     cover = build_cover(audit.a5_dihedral_degenerations(a5)[0].datum)
     ((ci, pi),) = cover.gog.edge_ends[0]
-    pt = cover.datum.point(ci, pi)
+    pt = cover.gog.datum.point(ci, pi)
     dcos = left_cosets(a5, a5.generated_subgroup([pt.m, pt.s]))
     mcos = cover.edge_mcosets[0]
     assert {e for e, _, _ in cover.nodes} == {0}
@@ -410,8 +411,23 @@ def test_tuple_storage_builds_the_same_cover(s4, s4_on_257):
         assert wide_cover.comp_cosets == narrow_cover.comp_cosets
         assert wide_cover.edge_mcosets == narrow_cover.edge_mcosets
         assert cover_to_dot(wide_cover) == cover_to_dot(narrow_cover)
-        assert cover_report(wide, wide_cover.gog) == cover_report(datum, narrow_cover.gog)
+        assert cover_report(wide_cover.gog) == cover_report(narrow_cover.gog)
     assert nodes and dihedral
+
+
+def test_quotient_readers_take_the_graph_of_groups_alone(a5):
+    # the graph of groups holds its datum, and so the group: no reader takes
+    # either again, and neither a cover nor a subgroup keeps a second copy
+    datum = audit.a5_dihedral_degenerations(a5)[0].datum
+    gog = dual_graph_of_groups(datum)
+    assert gog.datum is datum and gog.connected is True
+    assert build_cover(datum).gog.datum is datum
+    assert "datum" not in CoverCurve.__slots__ and Subgroup.__slots__ == ("members",)
+    for reader in (cover_report, de_rham_character, node_class_summary,
+                   covers._component_genera):
+        assert list(inspect.signature(reader).parameters) == ["gog"]
+    for method in (DualGraphOfGroups.edge_orders, DualGraphOfGroups.to_dot):
+        assert list(inspect.signature(method).parameters) == ["self"]
 
 
 def test_cover_dot_and_report(a5):
@@ -420,7 +436,7 @@ def test_cover_dot_and_report(a5):
     dot = cover_to_dot(cover)
     assert 'label="g=0 |H|=60"' in dot
     assert dot.count('v0 -- v0 [label="10"]') == 6
-    report = cover_report(datum, dual_graph_of_groups(datum))
+    report = cover_report(dual_graph_of_groups(datum))
     assert report["component_count"] == 1
     assert report["node_count"] == 6
     assert report["arithmetic_genus"] == 6
@@ -460,12 +476,12 @@ def test_quotient_formulas_match_explicit_action(fixture, seed, request):
             assert kind == ("dihedral" if len(gog.edge_ends[e]) == 1 else "cyclic")
             assert stab == tuple(sorted(G.conj(r, h) for h in edge_groups[e].members))
             buckets[kind, len(stab)] = buckets.get((kind, len(stab)), 0) + 1
-        assert node_class_summary(G, gog) == [
+        assert node_class_summary(gog) == [
             {"kind": kind, "stabilizer_order": order, "count": count}
             for (kind, order), count in sorted(buckets.items())]
-        report = cover_report(datum, gog)
+        report = cover_report(gog)
         assert report == explicit_cover_report(cover)
-        rep = de_rham_character(datum, gog)
+        rep = de_rham_character(gog)
         fixed, signed = lefschetz_counts(action)
         assert rep.edge_induction_sum == signed
         if not any(cover.genera):
@@ -496,11 +512,11 @@ def test_pipeline_subgroups_are_closed(fixture, seed, request, monkeypatch):
         before = len(built)
         gog = dual_graph_of_groups(datum)
         pieces += len(built) - before - len(gog.vertex_groups)  # the K_P closed
-        cover_report(datum, gog)
-        de_rham_character(datum, gog)
+        cover_report(gog)
+        de_rham_character(gog)
     assert dihedral > 0 and pieces > 0
     for H in {H.members: H for H in built}.values():
-        assert_closed(H)
+        assert_closed(G, H)
 
 
 @pytest.mark.parametrize("path", PIECE_DATA)
@@ -515,8 +531,8 @@ def test_report_and_characters_close_no_subgroup(path, monkeypatch):
 
     monkeypatch.setattr(datum.group, "generated_subgroup", fail)
     monkeypatch.setattr(datum.group, "cyclic_subgroup", fail)
-    report = cover_report(datum, gog)
-    assert (de_rham_character(datum, gog).h1_character is None) == (not report["connected"])
+    report = cover_report(gog)
+    assert (de_rham_character(gog).h1_character is None) == (not report["connected"])
 
 
 def random_generating_tuples(G: PermGroup, rng: random.Random, want: int) -> list[HurwitzTuple]:

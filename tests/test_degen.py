@@ -163,6 +163,20 @@ def test_collide_pair_round_trip(a5):
 def test_collide_pair_needs_involutions(a5):
     with pytest.raises(ValueError):
         collide_pair(audit.a5_tuple(a5), 0)  # entry 0 has order 5
+    with pytest.raises(ValueError, match="entry 3 is not an involution"):
+        collide_pair(audit.a5_smoothed_tuple(a5), 2)  # orders (2, 2, 2, 3): entry 3 has order 3
+
+
+def test_collide_pair_needs_two_adjacent_entries(a5):
+    t4 = audit.a5_smoothed_tuple(a5)
+    with pytest.raises(ValueError, match="two adjacent entries"):
+        collide_pair(t4, len(t4) - 1)
+
+
+def test_smooth_dihedral_rejects_a_split(a5):
+    split = split_degenerations(audit.a5_smoothed_tuple(a5))[0]
+    with pytest.raises(ValueError, match="dihedral-kind"):
+        smooth_dihedral(split)
 
 
 def test_split_genus_matches_interior(a5):

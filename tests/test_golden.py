@@ -44,6 +44,7 @@ def golden_argvs() -> dict[str, list[str]]:
         "analyze_pretty": ["analyze", DATUM, "--pretty"],
         "analyze_s3_dihedral_bridge": ["analyze", BRIDGE_DATUM],
         "analyze_s5_disconnected": ["analyze", DISCONNECTED_DATUM],
+        "analyze_pretty_s5_disconnected": ["analyze", DISCONNECTED_DATUM, "--pretty"],
         "character": ["character", DATUM],
         "character_json": ["character", DATUM, "--json"],
         "graph_quotient": ["graph", DATUM, "--which", "quotient", "--dot", DOT_OUT],

@@ -61,6 +61,8 @@ def test_psl27_closure(psl27):
 def test_degree_mismatch():
     with pytest.raises(DegreeMismatch):
         PermGroup([[1, 0], [1, 2, 0]])
+    with pytest.raises(DegreeMismatch, match="explicit degree"):
+        PermGroup([])  # no generator to read the degree from
 
 
 def test_closure_bound():
@@ -309,7 +311,7 @@ def test_generated_subgroup_against_plain_closure(fixture, request):
 
     assert G.generated_subgroup([]).members == G.generated_subgroup([0]).members == (0,)
     for H in all_subgroups(G):
-        gens = small_generating_set(H)
+        gens = small_generating_set(G, H)
         assert closure_by_bfs(G, gens) == H.member_set() and 2 ** len(gens) <= H.order
         check(gens)
         check([0] + gens + gens[::-1])    # the identity and duplicate ids
@@ -407,7 +409,7 @@ def test_coset_counts_against_sympy(p):
     m, H_Y = a5_image(G)
     for H in (G.cyclic_subgroup(m), H_Y):
         S_H = combinatorics.PermutationGroup([combinatorics.Permutation(list(G.perm(h)))
-                                              for h in small_generating_set(H)])
+                                              for h in small_generating_set(G, H)])
         assert S_H.order() == H.order
         assert len(left_cosets(G, H)) == len(S.coset_transversal(S_H)) == G.order // H.order
         if G.order <= 660:  # subgroup_search is quick at this size

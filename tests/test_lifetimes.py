@@ -4,8 +4,9 @@ No cache on a group (``_records``, ``_orders``, ``_classes``, ``_class_of``,
 ``_inv``, a class record's stored ``pairs``) and no datum's
 ``_canonical`` holds an object that refers back to the group, so a group,
 its tables and its class records go as soon as the last holder drops them,
-without waiting for the cyclic garbage collector.  Each test runs with the
-collector switched off.
+without waiting for the cyclic garbage collector.  A subgroup is its member
+ids alone, so one that a caller keeps keeps no group either.  Each test runs
+with the collector switched off.
 """
 
 from __future__ import annotations
@@ -76,11 +77,22 @@ def test_kept_characters_free_their_group():
     # the characters are value tuples: a kept report holds no group
     with collector_off():
         datum = audit.a5_dihedral_degenerations(audit.a5_group())[0].datum
-        rep = de_rham_character(datum, dual_graph_of_groups(datum))
+        rep = de_rham_character(dual_graph_of_groups(datum))
         ref = weakref.ref(datum.group)
         del datum
         assert ref() is None
         assert rep.h1_character == (12, -4, 0, 2, 2)  # 2 Ind_{D10} sgn
+
+
+def test_kept_subgroup_frees_its_group():
+    with collector_off():
+        G = audit.a5_group()
+        H = G.cyclic_subgroup(G.generator_ids[0])
+        ref = weakref.ref(G)
+        del G
+        assert ref() is None
+        assert H.members[0] == 0 and H.order == 5
+
 
 @pytest.fixture
 def invalid_datum_file(tmp_path):

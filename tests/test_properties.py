@@ -66,14 +66,14 @@ def test_cover_report_matches_explicit_cover(groups, name, seed, pieces):
         datum = disjoint_union(datum, random_valid_datum(G, rng, pairs))
     cover = build_cover(datum)
     gog, comp_ids = cover.gog, cover.graph.connected_component_ids()
-    report = cover_report(datum, gog)
+    report = cover_report(gog)
     assert report == explicit_cover_report(cover)
     over = [set() for _ in gog.piece_groups]  # the connected cover components over P
     for v, (ci, _) in enumerate(component_cells(cover)):
         over[gog.piece_of[ci]].add(comp_ids[v])
     assert [len(c) for c in over] == [G.order // K_P.order for K_P in gog.piece_groups]
     assert sum(map(len, over)) == max(comp_ids) + 1
-    h1 = de_rham_character(datum, gog).h1_character
+    h1 = de_rham_character(gog).h1_character
     assert gog.connected == report["connected"] == (h1 is not None)
 
 

@@ -39,10 +39,9 @@ RECORDS = [
     (BoundaryDatum, IDENTITY, lambda G: BoundaryDatum(G, ())),
     (HurwitzTuple, IDENTITY, lambda G: HurwitzTuple(G, (1, G.inv(1)))),
     (DualGraphOfGroups, VALUE, lambda G: DualGraphOfGroups(
-        GenGraph(1, (), ()), (G.full_subgroup(),), (), (), (0,), (G.full_subgroup(),))),
-    (CoverCurve, VALUE, lambda G: CoverCurve(None, None, (0,), (0,), (), (), (),
-                                             GenGraph(1, (), ()))),
-    (Subgroup, VALUE, lambda G: Subgroup(G, (0, 1))),
+        None, GenGraph(1, (), ()), (G.full_subgroup(),), (), (), (0,), (G.full_subgroup(),), True)),
+    (CoverCurve, VALUE, lambda G: CoverCurve(None, (0,), (0,), (), (), (), GenGraph(1, (), ()))),
+    (Subgroup, VALUE, lambda G: Subgroup((0, 1))),
     (ClassRecord, IDENTITY, lambda G: ClassRecord(0, {0: 0}, ())),
     (CosetTable, VALUE, lambda G: CosetTable(((0, 1),), (0, 0))),
     (GenGraph, VALUE, lambda G: GenGraph.from_unoriented(2, [(0, 1)], self_opposite=[1])),
@@ -168,7 +167,7 @@ def test_constructor_checks_still_raise(build, error, s3):
 
 
 @pytest.mark.parametrize("cls,build", [
-    (Subgroup, lambda G: Subgroup(G, (0,))),
+    (Subgroup, lambda G: Subgroup((0,))),
     (GenGraph, lambda G: GenGraph(1, (), ())),
     (GraphAction, trivial_action),
     (Degeneration, lambda G: Degeneration("split", stable_datum(G), split_at=2)),
