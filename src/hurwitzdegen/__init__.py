@@ -10,8 +10,8 @@ keep its deck action and its intermediate quotients as their oracles.
 
 from .boundary import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPoint,
                        Violation, canonical_form, datum_from_jsonable, datum_to_jsonable,
-                       datum_warnings, dual_graph_of_groups, equivalent, hurwitz_to_datum,
-                       tuple_from_jsonable, tuple_to_jsonable, validate)
+                       datum_warnings, dual_graph_of_groups, equivalent, tuple_from_jsonable,
+                       tuple_to_jsonable, validate)
 from .cohomology import DevissageReport, class_labels, de_rham_character, render_character_table
 from .covers import CoverCurve, build_cover, cover_report, cover_to_dot, rh_genus
 from .degen import (Degeneration, collide_pair, dedup, dihedral_degenerations, smooth_dihedral,

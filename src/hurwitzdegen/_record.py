@@ -15,8 +15,9 @@ that gives every field by position skips the name check), then calls
 ``self.__post_init__()``: a no-op here, or the check that
 ``GraphAction`` alone defines.  Every record keeps the hook, which the
 benchmark's tracer and the tests patch on the class by name.  A
-record writes its own constructor only to give defaults or run a check, or
-to set a slot filled on first use.  A slot that repr, equality and hash
+record writes its own constructor only to give defaults, run a check, build
+its fields from other input (a tuple's points from its entries), or set a
+slot filled on first use.  A slot that repr, equality and hash
 should ignore sits outside ``_fields``: a class record's stored centralizer
 pairs, which the base constructor sets with the other fields, and the one
 slot filled on first use, a datum's canonical key.

@@ -8,6 +8,8 @@ nodes with exactly inverse monodromies.  Validity of the datum is exactly
 admissibility of the encoded action.  Its graph of groups closes one group
 per component and the group K_P of each connected piece P, which decides
 connectivity of the cover, and labels each edge (m, s), with s = e at a node.
+A Hurwitz tuple is the smooth case, a datum with one rational component
+whose points are all cyclic, so every function of a datum takes it as it is.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from ._record import Record, set_field
 from .errors import InvalidDatum, ProductNotOne, SchemaError
 from .graphs import GenGraph, gengraph_to_dot
-from .groups import MAX_DEGREE, PermGroup, is_inverting_involution, least_conjugate, same_group
+from .groups import MAX_DEGREE, PermGroup, is_inverting_involution, least_conjugate
 
 CYCLIC = "cyclic"
 DIHEDRAL = "dihedral"
@@ -158,26 +160,25 @@ def unstable_components(datum: BoundaryDatum) -> list[int]:
 # -- Hurwitz tuples ----------------------------------------------------------
 
 
-class HurwitzTuple(Record, eq=False):
-    __slots__ = ("group", "entries")
+class HurwitzTuple(BoundaryDatum, eq=False):
+    """One rational component of cyclic points, their m the ``entries`` in order;
+    the constructor is the one place that turns entries into points."""
+
+    __slots__ = ()
+    _fields = ("group", "components")
 
     def __init__(self, group: PermGroup, entries: tuple[int, ...]):
         if group.product(entries) != group.identity:
             raise ProductNotOne("tuple entries must multiply to the identity")
-        set_field(self, "group", group)
-        set_field(self, "entries", entries)
+        points = tuple(map(MarkedPoint.cyclic, entries))
+        BoundaryDatum.__init__(self, group, (MarkedComponent(0, (), points),))
+
+    @property
+    def entries(self) -> tuple[int, ...]:
+        return tuple(pt.m for pt in self.components[0].points)
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    def orders(self) -> tuple[int, ...]:
-        return tuple(self.group.element_order(g) for g in self.entries)
-
-
-def hurwitz_to_datum(t: HurwitzTuple) -> BoundaryDatum:
-    """A smooth genus-0 quotient: all tuple entries become cyclic points."""
-    comp = MarkedComponent(0, (), tuple(MarkedPoint.cyclic(g) for g in t.entries))
-    return BoundaryDatum(t.group, (comp,))
+        return len(self.components[0].points)
 
 
 # -- dual graph of groups ----------------------------------------------------
@@ -314,7 +315,9 @@ def canonical_form(datum: BoundaryDatum) -> tuple:
 
 
 def equivalent(d1: BoundaryDatum, d2: BoundaryDatum) -> bool:
-    return same_group(d1.group, d2.group) and canonical_form(d1) == canonical_form(d2)
+    G, H = d1.group, d2.group   # one group, or two with the same sorted element list
+    return ((G is H or (G.degree == H.degree and G.elements == H.elements))
+            and canonical_form(d1) == canonical_form(d2))
 
 
 # -- JSON ---------------------------------------------------------------------

@@ -6,7 +6,8 @@ converting one marked point into a dihedral point by choosing an inverting
 involution.  ``smooth_dihedral`` maps a dihedral boundary datum back to the
 interior tuple of its smoothing, where the dihedral point opens up into two
 involution branch points; ``collide_pair`` is its inverse, colliding two
-adjacent involution entries into a dihedral point.
+adjacent involution entries into a dihedral point.  Each move slices the
+tuple's points and builds only those it adds: the node ends or the dihedral point.
 """
 
 from __future__ import annotations
@@ -46,14 +47,13 @@ def split_degenerations(t: HurwitzTuple) -> list[Degeneration]:
     Each side keeps at least 2 cyclic points next to the new node end, the
     stability bound for a rational component.
     """
-    n = len(t)
     G = t.group
-    cyclic = [MarkedPoint.cyclic(g) for g in t.entries]  # immutable: shared by every split
+    points = t.components[0].points
     out = []
-    for k in range(2, n - 1):
-        h = G.inv(G.product(t.entries[:k]))
-        left = MarkedComponent(0, (), (*cyclic[:k], MarkedPoint.node_end(h, 0)))
-        right = MarkedComponent(0, (), (MarkedPoint.node_end(G.inv(h), 0), *cyclic[k:]))
+    for k in range(2, len(points) - 1):
+        h = G.inv(G.product(pt.m for pt in points[:k]))
+        left = MarkedComponent(0, (), (*points[:k], MarkedPoint.node_end(h, 0)))
+        right = MarkedComponent(0, (), (MarkedPoint.node_end(G.inv(h), 0), *points[k:]))
         datum = BoundaryDatum(G, (left, right))
         out.append(Degeneration(SPLIT, datum, split_at=k))
     return out
@@ -61,21 +61,22 @@ def split_degenerations(t: HurwitzTuple) -> list[Degeneration]:
 
 def dihedral_degenerations(t: HurwitzTuple, index: int) -> list[Degeneration]:
     """Convert point ``index`` into a dihedral point, one datum per valid s."""
-    n = len(t)
+    points = t.components[0].points
+    n = len(points)
     if not 0 <= index < n:
         raise ValueError(f"no entry {index} in a tuple of length {n}")
     if n < 3:  # a stable quotient needs 2 cyclic points besides the dihedral one
         return []
     G = t.group
-    m = t.entries[index]
+    m = points[index].m
     involutions = inverting_involutions(G, m)
     if not involutions:
         return []
-    cyclic = [MarkedPoint.cyclic(g) for g in t.entries]  # immutable: shared by every involution
+    before, after = points[:index], points[index + 1:]
     out = []
     for s in involutions:
-        points = (*cyclic[:index], MarkedPoint.dihedral(m, s), *cyclic[index + 1:])
-        datum = BoundaryDatum(G, (MarkedComponent(0, (), points),))
+        comp = MarkedComponent(0, (), (*before, MarkedPoint.dihedral(m, s), *after))
+        datum = BoundaryDatum(G, (comp,))
         out.append(Degeneration(DIHEDRAL, datum, index=index, involution=s))
     return out
 
@@ -89,10 +90,8 @@ def smooth_dihedral(deg: Degeneration) -> HurwitzTuple:
     comp = datum.components[0]
     i = deg.index
     pt = comp.points[i]
-    entries = [p.m for p in comp.points[:i]]
-    entries += [pt.s, G.mul(pt.s, pt.m)]
-    entries += [p.m for p in comp.points[i + 1:]]
-    return HurwitzTuple(G, tuple(entries))
+    ms = [p.m for p in comp.points]
+    return HurwitzTuple(G, (*ms[:i], pt.s, G.mul(pt.s, pt.m), *ms[i + 1:]))
 
 
 def collide_pair(t: HurwitzTuple, index: int) -> Degeneration:
@@ -104,21 +103,20 @@ def collide_pair(t: HurwitzTuple, index: int) -> Degeneration:
     the one stability check on degenerations.
     """
     G = t.group
-    if index < 0 or index + 1 >= len(t):
+    points = t.components[0].points
+    if index < 0 or index + 1 >= len(points):
         raise ValueError("need two adjacent entries")
-    a, b = t.entries[index], t.entries[index + 1]
+    a, b = points[index].m, points[index + 1].m
     if G.mul(a, a) != G.identity or a == G.identity:
         raise ValueError(f"entry {index} is not an involution")
     if G.mul(b, b) != G.identity or b == G.identity:
         raise ValueError(f"entry {index + 1} is not an involution")
-    if len(t) < 4:
+    if len(points) < 4:
         raise InvalidDatum([Violation("Stability", "quotient curve",
                                       "a rational component has fewer than 3 marked points")])
-    m = G.mul(a, b)
-    points = [MarkedPoint.cyclic(g) for g in t.entries[:index]]
-    points.append(MarkedPoint.dihedral(m, a))
-    points += [MarkedPoint.cyclic(g) for g in t.entries[index + 2:]]
-    datum = BoundaryDatum(G, (MarkedComponent(0, (), tuple(points)),))
+    comp = MarkedComponent(0, (), (*points[:index], MarkedPoint.dihedral(G.mul(a, b), a),
+                                   *points[index + 2:]))
+    datum = BoundaryDatum(G, (comp,))
     return Degeneration(DIHEDRAL, datum, index=index, involution=a)
 
 

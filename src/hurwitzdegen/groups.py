@@ -345,10 +345,6 @@ def _table_orbits(n: int, tables: Sequence[Sequence[int]]) -> list[tuple[int, ..
     return cells
 
 
-def same_group(a: PermGroup, b: PermGroup) -> bool:
-    return a is b or (a.degree == b.degree and a.elements == b.elements)
-
-
 class Subgroup(Record):
     """A subgroup given by its sorted member ids, and nothing else: not its
     group, which a kept subgroup therefore does not keep alive.

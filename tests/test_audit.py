@@ -10,7 +10,7 @@ def test_builders_are_deterministic(a5, psl27):
         (0, 2, 1, 4, 3),      # first completing involution in element order
         (3, 0, 2, 1, 4),
     ]
-    assert t3.orders() == (5, 2, 3)
+    assert tuple(map(a5.element_order, t3.entries)) == (5, 2, 3)
 
     degs = audit.a5_dihedral_degenerations(a5)
     assert a5.perm(degs[0].involution) == (0, 4, 3, 2, 1)
@@ -25,7 +25,7 @@ def test_builders_are_deterministic(a5, psl27):
         (1, 0, 3, 2, 6, 7, 4, 5),
         (4, 1, 0, 3, 2, 6, 7, 5),
     ]
-    assert tp.orders() == (7, 2, 3)
+    assert tuple(map(psl27.element_order, tp.entries)) == (7, 2, 3)
 
 
 def test_audit_passes_with_expected_warnings():

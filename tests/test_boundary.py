@@ -6,9 +6,8 @@ import pytest
 
 from hurwitzdegen import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPoint,
                           PermGroup, canonical_form, datum_from_jsonable, datum_to_jsonable,
-                          dual_graph_of_groups, equivalent, hurwitz_to_datum,
-                          is_inverting_involution, perm_from_cycles,
-                          tuple_from_jsonable, tuple_to_jsonable, validate)
+                          dual_graph_of_groups, equivalent, is_inverting_involution,
+                          perm_from_cycles, tuple_from_jsonable, tuple_to_jsonable, validate)
 from hurwitzdegen import audit, groups
 from hurwitzdegen.boundary import datum_warnings, serialize, unstable_components
 from hurwitzdegen.errors import InvalidDatum, ProductNotOne, SchemaError
@@ -94,20 +93,23 @@ def test_node_pairing_violations(s3):
     assert [v.kind for v in validate(dangling)] == ["NodePairing"]
 
 
-def test_hurwitz_to_datum(a5, psl27):
+def test_tuple_is_a_one_component_datum(a5, psl27):
     g = a5.id_of(perm_from_cycles(5, (0, 1, 2)))
     two = HurwitzTuple(a5, (g, a5.inv(g)))
-    datum = hurwitz_to_datum(two)
-    assert validate(datum) == []
-    assert len(datum.components[0].points) == 2
+    assert isinstance(two, BoundaryDatum) and validate(two) == []
+    (comp,) = two.components
+    assert (comp.genus, comp.handles) == (0, ())
+    assert comp.points == (MarkedPoint.cyclic(g), MarkedPoint.cyclic(a5.inv(g)))
+    assert two.entries == (g, a5.inv(g)) and len(two) == 2
+    assert repr(two) == f"HurwitzTuple(group={a5!r}, components={two.components!r})"
 
     t3 = audit.a5_tuple(a5)
-    assert t3.orders() == (5, 2, 3)
-    assert validate(hurwitz_to_datum(t3)) == []
+    assert tuple(map(a5.element_order, t3.entries)) == (5, 2, 3)
+    assert validate(t3) == []
 
     tp = audit.psl27_tuple(psl27)
-    assert tp.orders() == (7, 2, 3)
-    assert validate(hurwitz_to_datum(tp)) == []
+    assert tuple(map(psl27.element_order, tp.entries)) == (7, 2, 3)
+    assert validate(tp) == []
 
 
 def test_product_not_one(s3):
@@ -212,7 +214,7 @@ def test_quotient_stability_cases(a5):
     datum = audit.a5_dihedral_degenerations(a5)[0].datum
     assert unstable_components(datum) == []  # 1 dihedral + 2 cyclic
     g = a5.id_of(perm_from_cycles(5, (0, 1, 2)))
-    two_points = hurwitz_to_datum(HurwitzTuple(a5, (g, a5.inv(g))))
+    two_points = HurwitzTuple(a5, (g, a5.inv(g)))
     assert unstable_components(two_points) == [0]
     assert unstable_components(audit.a5_split_datum(a5)) == []  # node + 2 cyclic on each side
 
@@ -319,8 +321,8 @@ def test_canonical_form_accepts_invalid_datum(s3):
 
 
 def test_equivalent_needs_matching_groups(a5, s4):
-    e5 = hurwitz_to_datum(HurwitzTuple(a5, (a5.identity, a5.identity)))
-    e4 = hurwitz_to_datum(HurwitzTuple(s4, (s4.identity, s4.identity)))
+    e5 = HurwitzTuple(a5, (a5.identity, a5.identity))
+    e4 = HurwitzTuple(s4, (s4.identity, s4.identity))
     assert not equivalent(e5, e4)
 
 
@@ -407,7 +409,7 @@ def test_validate_on_random_product_one_tuples(s4):
         entries = [rng.randrange(s4.order) for _ in range(rng.randrange(2, 6))]
         entries.append(s4.inv(s4.product(entries)))
         t = HurwitzTuple(s4, tuple(entries))
-        assert validate(hurwitz_to_datum(t)) == []
+        assert validate(t) == []
 
 
 def test_canonical_form_of_datum_without_ids(s3):

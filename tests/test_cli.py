@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from hurwitzdegen import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPoint, PermGroup,
-                          audit, datum_to_jsonable, dihedral_degenerations, hurwitz_to_datum,
-                          perm_from_cycles, tuple_to_jsonable)
+                          audit, datum_to_jsonable, dihedral_degenerations, perm_from_cycles,
+                          tuple_to_jsonable)
 from hurwitzdegen.cli import analyze_datum, build_parser, json_dump, main
 from hurwitzdegen.groups import MAX_DEGREE
 
@@ -320,7 +320,7 @@ def test_analyze_disconnected_positive_genus_cover(tmp_path, capsys, s5):
                 and s5.generated_subgroup([a, b]).order == 60)
     t = HurwitzTuple(s5, (a, b, s5.inv(s5.mul(a, b))))
     path = tmp_path / "s5.json"
-    path.write_text(json.dumps(datum_to_jsonable(hurwitz_to_datum(t))), encoding="utf-8")
+    path.write_text(json.dumps(datum_to_jsonable(t)), encoding="utf-8")
     code, out, _ = run_cli(capsys, "analyze", str(path))
     assert code == 0
     report = json.loads(out)
@@ -381,7 +381,7 @@ def test_analyze_degree_300_datum(tmp_path, capsys):
     cid = G.id_of(c)
     t = HurwitzTuple(G, (cid, cid, G.inv(G.mul(cid, cid))))
     path = tmp_path / "c300.json"
-    path.write_text(json.dumps(datum_to_jsonable(hurwitz_to_datum(t))), encoding="utf-8")
+    path.write_text(json.dumps(datum_to_jsonable(t)), encoding="utf-8")
     code, out, _ = run_cli(capsys, "analyze", str(path))
     assert code == 0
     cover = json.loads(out)["cover"]

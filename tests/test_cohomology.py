@@ -8,7 +8,7 @@ import pytest
 
 from hurwitzdegen import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPoint, PermGroup,
                           build_cover, class_labels, datum_from_jsonable, de_rham_character,
-                          dual_graph_of_groups, hurwitz_to_datum, induced_character, induced_sign,
+                          dual_graph_of_groups, induced_character, induced_sign,
                           inner, inverting_involutions, normalizer, perm_from_cycles,
                           render_character_table, tuple_from_jsonable)
 from hurwitzdegen import audit, cohomology, groups
@@ -32,7 +32,7 @@ def test_trivial_group_line():
 def test_characters_are_int_tuples_in_class_order(path):
     # a class function is the tuple of its int values, one per class
     obj = json.loads((ROOT / path).read_text(encoding="utf-8"))
-    datum = (hurwitz_to_datum(tuple_from_jsonable(obj)) if "entries" in obj
+    datum = (tuple_from_jsonable(obj) if "entries" in obj
              else datum_from_jsonable(obj))
     G = datum.group
     n = len(G.conjugacy_classes())
@@ -145,7 +145,7 @@ def test_two_component_trivial_group_h1_vanishes():
 
 
 def test_positive_genus_full_character(psl27):
-    datum = hurwitz_to_datum(audit.psl27_tuple(psl27))
+    datum = audit.psl27_tuple(psl27)
     assert quotient_report(datum)["components"][0]["genus"] == 3
     rep = characters(datum)
     assert rep.chi_dR[0] == 2 - 2 * 3
@@ -173,7 +173,7 @@ def test_h1_against_subcover_genera(fixture, seed, request):
         entries.append(G.inv(G.product(entries)))
         if G.generated_subgroup(entries).order != G.order:
             continue
-        datum = hurwitz_to_datum(HurwitzTuple(G, tuple(entries)))
+        datum = HurwitzTuple(G, tuple(entries))
         cover = build_cover(datum)
         h1 = characters(datum).h1_character
         assert h1[0] == 2 * cover.genera[0]
@@ -220,7 +220,7 @@ def test_degree_identity_on_random_covers(fixture, seed, request):
     # nodal connected rational covers: dihedral degenerations of rational
     # generating triangles
     for t in random_rational_generating_tuples(G, rng, 6):
-        checked += check(hurwitz_to_datum(t))
+        checked += check(t)
         for i in range(len(t)):
             for deg in dihedral_degenerations(t, i)[:2]:
                 checked += check(deg.datum)

@@ -9,7 +9,7 @@ import pytest
 from hurwitzdegen import (BoundaryDatum, CoverCurve, HurwitzTuple, MarkedComponent, MarkedPoint,
                           PermGroup, Subgroup, build_cover, cover_report, cover_to_dot,
                           datum_from_jsonable, de_rham_character, dihedral_degenerations,
-                          dual_graph_of_groups, hurwitz_to_datum, left_cosets, perm_from_cycles,
+                          dual_graph_of_groups, left_cosets, perm_from_cycles,
                           rh_genus, split_degenerations, tuple_from_jsonable)
 from hurwitzdegen import audit, covers, groups
 from hurwitzdegen.boundary import DualGraphOfGroups, unstable_components
@@ -282,7 +282,7 @@ def test_subcover_point_stabilizer_admissible_picture(a5):
     # quotient of the smooth order-(2,2,2,3) cover by a point stabilizer of
     # the natural degree-5 action: the degree-5 admissible-cover picture
     t4 = audit.a5_smoothed_tuple(a5)
-    cover = build_cover(hurwitz_to_datum(t4))
+    cover = build_cover(t4)
     K = a5.subgroup([g for g in range(a5.order) if a5.perm(g)[4] == 4])
     assert K.order == 12
     rep = subcover(cover, K)
@@ -578,7 +578,7 @@ def golden_inputs() -> list[tuple[str, BoundaryDatum]]:
             out.append((argv[1], datum_from_jsonable(obj)))
             continue
         t = tuple_from_jsonable(obj)
-        out.append((argv[1], hurwitz_to_datum(t)))
+        out.append((argv[1], t))
         degs = split_degenerations(t) + [d for i in range(len(t))
                                          for d in dihedral_degenerations(t, i)]
         out += [(f"{argv[1]} {d.kind}", d.datum) for d in degs]

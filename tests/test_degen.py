@@ -134,7 +134,7 @@ def test_smooth_dihedral_entries(a5):
     assert t4.entries[0] == s
     assert t4.entries[1] == a5.mul(s, m)
     assert t4.entries[2:] == audit.a5_tuple(a5).entries[1:]
-    assert t4.orders() == (2, 2, 2, 3)
+    assert tuple(map(a5.element_order, t4.entries)) == (2, 2, 2, 3)
 
 
 def test_smooth_dihedral_order2_monodromy(d4):

@@ -1,6 +1,7 @@
 """Property tests of the canonical form and the inverting involutions under
-conjugation, of ``GenGraph.from_unoriented``'s opposite edges, and of the
-report writer against ``json.dumps``."""
+conjugation, of a Hurwitz tuple as the datum its JSON describes, of
+``GenGraph.from_unoriented``'s opposite edges, and of the report writer
+against ``json.dumps``."""
 
 from __future__ import annotations
 
@@ -14,9 +15,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from hurwitzdegen import (GenGraph, build_cover, canonical_form, cover_report,
-                          de_rham_character, equivalent, inverting_involutions)
-from hurwitzdegen.cli import json_dump
+from hurwitzdegen import (BoundaryDatum, GenGraph, HurwitzTuple, build_cover, canonical_form,
+                          cover_report, datum_from_jsonable, datum_to_jsonable, de_rham_character,
+                          equivalent, inverting_involutions)
+from hurwitzdegen.cli import analyze_datum, json_dump
 
 from conftest import (assert_opposite_edges, component_cells, conjugate_datum, disjoint_union,
                       explicit_cover_report, inverting_pairs, random_valid_datum)
@@ -75,6 +77,36 @@ def test_cover_report_matches_explicit_cover(groups, name, seed, pieces):
     assert sum(map(len, over)) == max(comp_ids) + 1
     h1 = de_rham_character(gog).h1_character
     assert gog.connected == report["connected"] == (h1 is not None)
+
+
+TUPLE_GROUPS = ["s4", "d5", "a5", "psl27"]
+
+
+def random_tuple(G, rng: random.Random) -> HurwitzTuple:
+    """A product-one tuple of 2 to 6 random entries; the last closes the product."""
+    entries = [rng.randrange(G.order) for _ in range(rng.randrange(1, 6))]
+    return HurwitzTuple(G, (*entries, G.inv(G.product(entries))))
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(TUPLE_GROUPS), seed=st.integers(0, 2**32 - 1))
+def test_a_tuple_analyzes_as_its_datum_json(groups, name, seed):
+    t = random_tuple(groups[name][0], random.Random(seed))
+    loaded = datum_from_jsonable(datum_to_jsonable(t))
+    assert isinstance(t, BoundaryDatum) and type(loaded) is BoundaryDatum
+    assert analyze_datum(t) == analyze_datum(loaded)
+    assert canonical_form(t) == canonical_form(loaded)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(TUPLE_GROUPS), seed=st.integers(0, 2**32 - 1),
+       g=st.integers(0, 10**6))
+def test_a_tuple_key_is_its_nielsen_class_mod_inn(groups, name, seed, g):
+    G = groups[name][0]
+    t = random_tuple(G, random.Random(seed))
+    conj = conjugate_datum(t, g % G.order)
+    assert canonical_form(conj) == canonical_form(t)
+    assert equivalent(t, conj)
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)
