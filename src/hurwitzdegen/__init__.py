@@ -19,7 +19,7 @@ from .degen import (Degeneration, collide_pair, dedup, dihedral_degenerations, s
 from .graphs import GenGraph, GraphAction, gengraph_to_dot
 from .groups import (ClassRecord, CosetTable, PermGroup, Subgroup, compose, induced_character,
                      induced_sign, inner, inverse, inverting_involutions, is_inverting_involution,
-                     least_conjugate, left_cosets, normalizer, perm_from_cycles)
+                     least_conjugate, left_cosets, perm_from_cycles)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -16,8 +16,7 @@ from .boundary import BoundaryDatum, HurwitzTuple, dual_graph_of_groups, equival
 from .cohomology import de_rham_character
 from .covers import cover_report, rh_genus
 from .degen import collide_pair, dihedral_degenerations, smooth_dihedral, split_degenerations
-from .groups import PermGroup, induced_character, inner, is_inverting_involution, normalizer, \
-    perm_from_cycles
+from .groups import PermGroup, induced_character, inner, is_inverting_involution, perm_from_cycles
 
 PASS = "PASS"
 WARN = "WARN"
@@ -82,6 +81,14 @@ def psl27_tuple(G: PermGroup | None = None) -> HurwitzTuple:
     return complete_three_point_tuple(G, u, 2, 3)
 
 
+def _cyclic_normalizer_order(G: PermGroup, m: int) -> int:
+    """|N_G(<m>)| = |C_G(m)| times the number of conjugates of m in <m>, each a generator
+    of <m> (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 4.1)."""
+    cls = G.class_of(m)
+    conjugates = sum(G.class_of(x) == cls for x in G.cyclic_subgroup(m).members)
+    return G.order // len(G.conjugacy_classes()[cls]) * conjugates
+
+
 def _report_and_h1(datum: BoundaryDatum) -> tuple[dict, tuple[int, ...] | None]:
     """The cover block of ``analyze`` and the H^1 character of the datum's cover."""
     gog = dual_graph_of_groups(datum)
@@ -105,13 +112,13 @@ def run_audit() -> list[AuditCheck]:
     t3 = a5_tuple(G)
     m = t3.entries[0]
     C5 = G.cyclic_subgroup(m)
-    N = normalizer(G, C5)
-    check("a5-normalizer", N.order == 10,
-          f"normalizer of the 5-cycle subgroup has order {N.order}, expected 10")
+    invs = [s for s in range(G.order) if is_inverting_involution(G, m, s)]
+    n5, D10 = _cyclic_normalizer_order(G, m), G.generated_subgroup([m, *invs[:1]])
+    check("a5-normalizer", n5 == 10 and D10.order == n5,
+          f"normalizer of the 5-cycle subgroup has order {n5}, expected 10")
     cosets = G.order // C5.order
     check("a5-cosets", cosets == 12,
           f"{cosets} cosets of the order-5 subgroup, expected 12")
-    invs = [s for s in range(G.order) if is_inverting_involution(G, m, s)]
     check("a5-involutions", len(invs) == 5,
           f"{len(invs)} inverting involutions for the 5-cycle, expected 5")
 
@@ -136,7 +143,7 @@ def run_audit() -> list[AuditCheck]:
          "inconsistent with 6 nodes on one rational component")
     check("a5-stable", dihedral["stable"], "cover is stable")
 
-    ind_sgn = induced_character(G, N, C5)
+    ind_sgn = induced_character(G, D10, C5)
     twice = tuple(2 * v for v in ind_sgn)
     check("a5-h1-character", h1 == twice and h1[0] == 12,
           f"H1 character degree {h1[0]} "
@@ -160,7 +167,7 @@ def run_audit() -> list[AuditCheck]:
           "H1 characters of the two degenerations of one family "
           + ("agree exactly" if h1_split == h1 else "differ"))
     mackey = induced_character(G, C5, C5) == tuple(
-        a + b for a, b in zip(induced_character(G, N, N), ind_sgn))
+        a + b for a, b in zip(induced_character(G, D10, D10), ind_sgn))
     check("a5-mackey", mackey,
           "induction from the order-5 subgroup matches the order-10 subgroup's "
           "trivial plus signum inductions")
@@ -186,14 +193,13 @@ def run_audit() -> list[AuditCheck]:
 
     tP = psl27_tuple(P)
     u = tP.entries[0]
-    C7 = P.cyclic_subgroup(u)
-    N7 = normalizer(P, C7)
+    n7 = _cyclic_normalizer_order(P, u)
     inv7 = [s for s in range(P.order) if is_inverting_involution(P, u, s)]
-    realizable = N7.order == 14 and len(inv7) > 0
+    realizable = n7 == 14 and len(inv7) > 0
     check("psl27-realizability", realizable,
           "expected a dihedral Sylow-7 normalizer of order 14 with an inverting "
           f"involution; exhaustive search over all {P.order} elements finds "
-          f"normalizer order {N7.order} and {len(inv7)} inverting involutions, "
+          f"normalizer order {n7} and {len(inv7)} inverting involutions, "
           "so the order-168 dihedral boundary datum is not realizable here",
           warn_only=True)
     degP = dihedral_degenerations(tP, 0)

@@ -200,9 +200,9 @@ class DualGraphOfGroups(Record):
     ``graph`` is the underlying ``GenGraph``.  Vertex ci lies in its connected
     piece P = ``piece_of[ci]``, over which the cover has [G : K_P] connected
     components; K_P = ``piece_groups[P]`` is H_Y for a lone component with no
-    dihedral point, else closed from P's handle images, point monodromies and
-    dihedral s's (an s joins gH_Y to gsH_Y).  ``connected`` says whether the
-    cover is connected: one piece P, with K_P = G.
+    dihedral point or an H_Y of P that is G, else closed from P's handle
+    images, point monodromies and dihedral s's (an s joins gH_Y to gsH_Y).
+    ``connected`` says whether the cover is connected: one piece P, with K_P = G.
     """
 
     __slots__ = ("datum", "graph", "vertex_groups", "edge_ends", "edge_labels", "piece_of",
@@ -255,12 +255,15 @@ def dual_graph_of_groups(datum: BoundaryDatum) -> DualGraphOfGroups:
         pieces[piece].append(ci)
     for ci, (_, s) in zip(loops, labels[len(pairs):]):  # the dihedral labels follow the nodes'
         s_ids[piece_of[ci]].append(s)
-    piece_groups = tuple(vertex_groups[P[0]] if len(P) == 1 and not s else
-                         G.generated_subgroup([x for ci in P for x in comp_ids[ci]] + s)
-                         for P, s in zip(pieces, s_ids))
+    piece_groups = []
+    for P, s in zip(pieces, s_ids):  # K_P contains every H_Y of P, so an H_Y = G is K_P
+        lone = len(P) == 1 and not s
+        K = [H for H in map(vertex_groups.__getitem__, P) if lone or H.order == G.order]
+        piece_groups.append(K[0] if K else
+                            G.generated_subgroup([x for ci in P for x in comp_ids[ci]] + s))
     connected = len(piece_groups) == 1 and piece_groups[0].order == G.order
     return DualGraphOfGroups(datum, graph, vertex_groups, tuple(ends), tuple(labels), piece_of,
-                             piece_groups, connected)
+                             tuple(piece_groups), connected)
 
 
 # -- conjugation, canonical form, equivalence --------------------------------

@@ -61,8 +61,8 @@ def json_dump(report) -> None:
 def _write_json(value, newline: str, out: list[str]) -> None:
     """Append the indent-2 JSON text of ``value`` to ``out``; ``newline`` is
     a newline plus the indent of the line ``value`` starts on.  Strings go
-    through the C escaper of ``json.dumps``; floats and other types raise
-    ``TypeError``, as exact reports hold none."""
+    through the C escaper of ``json.dumps``, a dict's int and str values with no
+    call; floats and other types raise ``TypeError``, as exact reports hold none."""
     if isinstance(value, str):
         out.append(_quote(value))
     elif value is None or value is True or value is False:
@@ -70,23 +70,21 @@ def _write_json(value, newline: str, out: list[str]) -> None:
     elif isinstance(value, int):
         out.append(int.__repr__(value))
     elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
         inner, sep = newline + "  ", "{"
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
             out += (sep, inner, _quote(key), ": ")
-            _write_json(item, inner, out)
+            kind = type(item)
+            if kind is int or kind is str:
+                out.append(int.__repr__(item) if kind is int else _quote(item))
+            else:
+                _write_json(item, inner, out)
             sep = ","
-        out += (newline, "}")
+        out += (newline, "}") if value else ("{}",)
     elif isinstance(value, list):
-        if not value:
-            out.append("[]")
-            return
         inner = newline + "  "
-        if all(type(x) is int for x in value):
+        if set(map(type, value)) == {int}:
             out += ("[", inner, ("," + inner).join(map(int.__repr__, value)), newline, "]")
             return
         sep = "["
@@ -94,7 +92,7 @@ def _write_json(value, newline: str, out: list[str]) -> None:
             out += (sep, inner)
             _write_json(item, inner, out)
             sep = ","
-        out += (newline, "]")
+        out += (newline, "]") if value else ("[]",)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

@@ -24,6 +24,7 @@ Each character is a tuple of its values on G's classes in class order.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import add as _plus
 
 from ._record import Record
 from .boundary import DualGraphOfGroups
@@ -47,8 +48,7 @@ def de_rham_character(gog: DualGraphOfGroups) -> DevissageReport:
         key = (G.class_of(m), s) if s == G.identity else (m, s)
         if key not in values:
             values[key] = induced_sign(G, m, s)
-        for i, v in enumerate(values[key]):
-            acc[i] += v
+        acc[:] = map(_plus, acc, values[key])
 
     n = len(G.conjugacy_classes())
     norm, edge = [0] * n, [0] * n

@@ -350,7 +350,7 @@ class Subgroup(Record):
     group, which a kept subgroup therefore does not keep alive.
 
     A trusted value, never checked: callers pass sets that are closed by
-    construction (closures, normalizers, stabilizers, conjugates), and each
+    construction (closures, stabilizers, conjugates), and each
     holds the identity, id 0.
     """
 
@@ -495,13 +495,6 @@ def left_cosets(group: PermGroup, sub: Subgroup) -> CosetTable:
                 index_of[x] = len(cells)
             cells.append(tuple(sorted(cell)))
     return CosetTable(tuple(cells), tuple(index_of))
-
-
-def normalizer(group: PermGroup, sub: Subgroup) -> Subgroup:
-    ms = sub.member_set()
-    keep = [g for g in range(group.order)
-            if all(group.conj(g, h) in ms for h in sub.members)]
-    return Subgroup(tuple(keep))
 
 
 def inverting_involutions(group: PermGroup, m: int) -> list[int]:

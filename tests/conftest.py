@@ -132,11 +132,12 @@ def random_rational_generating_tuples(G: PermGroup, rng: random.Random,
 
 # pinned data file -> the closures that their graph of groups takes: one per
 # component, and one K_P per piece that is more than a lone component with no
-# dihedral point (a dihedral point; a split; a cover connected only through a
-# dihedral point's s; a disconnected cover)
+# dihedral point and has no vertex group equal to G: only the S3 cover,
+# connected through a dihedral point's s.  The A5 dihedral and split data
+# each have a component whose H_Y is A5; the S5 datum is one component.
 PIECE_DATA = {
-    "docs/examples/a5_dihedral_datum.json": 2,
-    "docs/examples/a5_split_datum.json": 3,
+    "docs/examples/a5_dihedral_datum.json": 1,
+    "docs/examples/a5_split_datum.json": 2,
     "tests/golden/data/s3_dihedral_bridge_datum.json": 3,
     "tests/golden/data/s5_disconnected_datum.json": 1,
 }
@@ -432,6 +433,15 @@ def assert_closed(G: PermGroup, H: Subgroup) -> None:
         assert G.inv(a) in ms, f"not closed under inverse at {a}"
         for b in H.members:
             assert G.mul(a, b) in ms, f"not closed under product at ({a}, {b})"
+
+
+def normalizer(group: PermGroup, sub: Subgroup) -> Subgroup:
+    """The normalizer of ``sub`` by a scan of G: the oracle for the audit's
+    cyclic normalizer orders, and the order-10 subgroup D10 of the tests."""
+    ms = sub.member_set()
+    keep = [g for g in range(group.order)
+            if all(group.conj(g, h) in ms for h in sub.members)]
+    return Subgroup(tuple(keep))
 
 
 def centralizer_by_scan(group: PermGroup, sub: Subgroup) -> Subgroup:

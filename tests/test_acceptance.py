@@ -11,14 +11,13 @@ import time
 
 from hurwitzdegen import (build_cover, canonical_form, collide_pair, de_rham_character,
                           dihedral_degenerations, dual_graph_of_groups, equivalent,
-                          induced_character,
-                          is_inverting_involution, left_cosets, normalizer,
+                          induced_character, is_inverting_involution, left_cosets,
                           perm_from_cycles, rh_genus, smooth_dihedral, validate)
 from hurwitzdegen import audit
 from hurwitzdegen.covers import cover_report
 
 from conftest import (canonical_form_by_scan, characters, conjugate_datum, deck_action,
-                      inverting_pairs, quotient_report, random_valid_datum)
+                      inverting_pairs, normalizer, quotient_report, random_valid_datum)
 
 
 def _result(name: str, ok: bool) -> None:

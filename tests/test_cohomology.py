@@ -9,11 +9,12 @@ import pytest
 from hurwitzdegen import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPoint, PermGroup,
                           build_cover, class_labels, datum_from_jsonable, de_rham_character,
                           dual_graph_of_groups, induced_character, induced_sign,
-                          inner, inverting_involutions, normalizer, perm_from_cycles,
+                          inner, inverting_involutions, perm_from_cycles,
                           render_character_table, tuple_from_jsonable)
 from hurwitzdegen import audit, cohomology, groups
 
-from conftest import characters, inverting_pairs, quotient_report, random_valid_datum, subcover
+from conftest import (characters, inverting_pairs, normalizer, quotient_report, random_valid_datum,
+                      subcover)
 
 
 ROOT = Path(__file__).resolve().parents[1]

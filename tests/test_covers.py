@@ -495,8 +495,10 @@ def test_quotient_formulas_match_explicit_action(fixture, seed, request):
 @pytest.mark.parametrize("fixture,seed", [("s3", 41), ("s4", 42), ("s5", 43)])
 def test_pipeline_subgroups_are_closed(fixture, seed, request, monkeypatch):
     # Subgroup trusts its callers; record every one the pipeline builds
-    # (component images, <m>, <m, s>, and the closures K_P that the graph of
-    # groups takes over the quotient graph's pieces) and check closure here instead
+    # (component images, <m>, <m, s>, and the K_P of the quotient graph's
+    # pieces) and check closure here instead.  A piece needs a K_P beyond its
+    # one H_Y when it has more than one component or a dihedral point; each
+    # K_P contains the vertex groups of its piece
     G = request.getfixturevalue(fixture)
     built: list[Subgroup] = []
     check = Subgroup.__post_init__
@@ -509,9 +511,12 @@ def test_pipeline_subgroups_are_closed(fixture, seed, request, monkeypatch):
         if rng.random() < 0.3:
             datum = disjoint_union(datum, random_valid_datum(G, rng, pairs))
         dihedral += len(datum.dihedral_points())
-        before = len(built)
         gog = dual_graph_of_groups(datum)
-        pieces += len(built) - before - len(gog.vertex_groups)  # the K_P closed
+        on_dihedral = {gog.piece_of[ci] for ci, _ in datum.dihedral_points()}
+        for P, K in enumerate(gog.piece_groups):
+            comps = [ci for ci, piece in enumerate(gog.piece_of) if piece == P]
+            pieces += len(comps) > 1 or P in on_dihedral
+            assert all(K.member_set().issuperset(gog.vertex_groups[ci].members) for ci in comps)
         cover_report(gog)
         de_rham_character(gog)
     assert dihedral > 0 and pieces > 0

@@ -15,8 +15,8 @@ from hurwitzdegen.boundary import serialize, unstable_components
 from hurwitzdegen.degen import Degeneration
 from hurwitzdegen.errors import InvalidDatum
 
-from conftest import (canonical_form_by_scan, conjugate_datum, local_model_orbit_sizes, orbits,
-                      quotient_report)
+from conftest import (canonical_form_by_scan, conjugate_datum, local_model_orbit_sizes, normalizer,
+                      orbits, quotient_report)
 
 
 def test_split_index_range(a5, s4):
@@ -92,7 +92,7 @@ def test_dihedral_count_a5(a5):
     assert len(degs) == 5
     invs = sorted(d.involution for d in degs)
     m = audit.a5_tuple(a5).entries[0]
-    from hurwitzdegen import is_inverting_involution, normalizer
+    from hurwitzdegen import is_inverting_involution
     N = normalizer(a5, a5.cyclic_subgroup(m))
     assert invs == [s for s in N.members if a5.element_order(s) == 2]
     assert all(is_inverting_involution(a5, m, s) for s in invs)

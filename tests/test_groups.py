@@ -7,13 +7,13 @@ import pytest
 
 from hurwitzdegen import (PermGroup, Subgroup, compose, induced_character, inner, inverse,
                           inverting_involutions, is_inverting_involution, left_cosets,
-                          normalizer, perm_from_cycles)
+                          perm_from_cycles)
 from hurwitzdegen import audit, groups
 from hurwitzdegen.errors import (ClosureBoundExceeded, DegreeMismatch, NotACharacter)
 from hurwitzdegen.groups import as_perm, identity_perm
 
-from conftest import (all_subgroups, centralizer_by_scan, closure_by_bfs, orbits, sign_characters,
-                      small_generating_set)
+from conftest import (all_subgroups, centralizer_by_scan, closure_by_bfs, normalizer, orbits,
+                      sign_characters, small_generating_set)
 
 
 def test_composition_convention():
@@ -497,6 +497,13 @@ def test_psl27_sylow7_normalizer_has_order_21(psl27):
     u = psl27.id_of([1, 2, 3, 4, 5, 6, 0, 7])
     assert psl27.element_order(u) == 7
     assert normalizer(psl27, psl27.cyclic_subgroup(u)).order == 21
+
+
+@pytest.mark.parametrize("fixture", ["s4", "d5", "a5", "psl27"])
+def test_cyclic_normalizer_order_against_scan(fixture, request):
+    G = request.getfixturevalue(fixture)
+    for m in range(G.order):
+        assert audit._cyclic_normalizer_order(G, m) == normalizer(G, G.cyclic_subgroup(m)).order
 
 
 def test_left_cosets(a5):
