@@ -9,18 +9,18 @@ own class, unless it is declared with ``eq=False``, which keeps identity or
 the class's own ``__eq__``.  Defining a record runs no generated code,
 unlike a dataclass, so importing the package stays cheap.
 
-``Record.__init__`` sets every slot from values in slot order or by name,
-raising ``TypeError`` on a missing, extra, unknown or repeated field (a call
-that gives every field by position skips the name check), then calls
-``self.__post_init__()``: a no-op here, or the check that
-``GraphAction`` alone defines.  Every record keeps the hook, which the
-benchmark's tracer and the tests patch on the class by name.  A
-record writes its own constructor only to give defaults, run a check, build
-its fields from other input (a tuple's points from its entries), or set a
-slot filled on first use.  A slot that repr, equality and hash
-should ignore sits outside ``_fields``: a class record's stored centralizer
-pairs, which the base constructor sets with the other fields, and the one
-slot filled on first use, a datum's canonical key.
+``Record.__init__(*args)`` sets the slots from values in slot order, the one
+way to build a record, raising ``TypeError`` that names the class and its
+fields when their count is wrong, then calls ``self.__post_init__()``: a
+no-op here, or the record's own invariant check, as on ``MarkedPoint``,
+``MarkedComponent`` and ``GraphAction``.  Every record keeps the hook, which
+the benchmark's tracer and the tests patch on the class by name.  A record
+writes its own constructor only to build its fields from other input (a
+tuple's points from its entries) or to set a slot filled on first use.  A
+slot that repr, equality and hash should ignore sits outside ``_fields``: a
+class record's stored centralizer pairs, which the base constructor sets
+with the other fields, and the one slot filled on first use, a datum's
+canonical key.
 
 A datum's own constructor sets that key to ``None``; ``canonical_form``,
 the one function that fills it, sets it once, through ``set_field``, to a
@@ -49,14 +49,11 @@ class Record:
             cls.__eq__ = _eq
             cls.__hash__ = _hash
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args):
         names = self.__slots__
-        if kwargs or len(args) != len(names):  # not every field by position: check the names
-            if len(args) > len(names) or kwargs.keys() != set(names[len(args):]):
-                wrong = sorted(set(names[len(args):]).symmetric_difference(kwargs))
-                raise TypeError(f"{type(self).__name__} takes {len(names)} fields, got "
-                                f"{len(args)} by position; missing, unknown or repeated: {wrong}")
-            args += tuple(map(kwargs.__getitem__, names[len(args):]))
+        if len(args) != len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} fields "
+                            f"({', '.join(names)}), got {len(args)}")
         for name, value in zip(names, args):
             set_field(self, name, value)
         self.__post_init__()

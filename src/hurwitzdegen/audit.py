@@ -57,14 +57,6 @@ def a5_dihedral_degenerations(G: PermGroup | None = None):
     return dihedral_degenerations(a5_tuple(G), 0)
 
 
-def a5_smoothed_tuple(G: PermGroup | None = None) -> HurwitzTuple:
-    return smooth_dihedral(a5_dihedral_degenerations(G)[0])
-
-
-def a5_split_datum(G: PermGroup | None = None):
-    return split_degenerations(a5_smoothed_tuple(G))[0].datum
-
-
 def psl27_group() -> PermGroup:
     """Order-168 group on the 8 points of the projective line over F7.
 

@@ -27,43 +27,35 @@ NODE_END = "node"
 class MarkedPoint(Record):
     __slots__ = ("kind", "m", "s", "node_id")
 
-    def __init__(self, kind: str, m: int, s: int | None = None, node_id: int | None = None):
-        if kind not in (CYCLIC, DIHEDRAL, NODE_END):
-            raise ValueError(f"unknown point kind {kind!r}")
-        if (s is not None) != (kind == DIHEDRAL):
+    def __post_init__(self):
+        if self.kind not in (CYCLIC, DIHEDRAL, NODE_END):
+            raise ValueError(f"unknown point kind {self.kind!r}")
+        if (self.s is not None) != (self.kind == DIHEDRAL):
             raise ValueError("s is set exactly on dihedral points")
-        if (node_id is not None) != (kind == NODE_END):
+        if (self.node_id is not None) != (self.kind == NODE_END):
             raise ValueError("node_id is set exactly on node ends")
-        set_field(self, "kind", kind)
-        set_field(self, "m", m)
-        set_field(self, "s", s)
-        set_field(self, "node_id", node_id)
 
     @classmethod
     def cyclic(cls, m: int) -> "MarkedPoint":
-        return cls(CYCLIC, m)
+        return cls(CYCLIC, m, None, None)
 
     @classmethod
     def dihedral(cls, m: int, s: int) -> "MarkedPoint":
-        return cls(DIHEDRAL, m, s=s)
+        return cls(DIHEDRAL, m, s, None)
 
     @classmethod
     def node_end(cls, m: int, node_id: int) -> "MarkedPoint":
-        return cls(NODE_END, m, node_id=node_id)
+        return cls(NODE_END, m, None, node_id)
 
 
 class MarkedComponent(Record):
     __slots__ = ("genus", "handles", "points")
 
-    def __init__(self, genus: int, handles: tuple[tuple[int, int], ...],
-                 points: tuple[MarkedPoint, ...]):
-        if genus < 0:
+    def __post_init__(self):
+        if self.genus < 0:
             raise ValueError("genus must be nonnegative")
-        if len(handles) != genus:
+        if len(self.handles) != self.genus:
             raise ValueError("need one handle image pair per unit of genus")
-        set_field(self, "genus", genus)
-        set_field(self, "handles", handles)
-        set_field(self, "points", points)
 
 
 class Violation(Record):
@@ -439,7 +431,7 @@ def datum_from_jsonable(obj) -> BoundaryDatum:
             if kind == NODE_END and not _is_int(pt["node"]):
                 raise SchemaError(f"{ppath}.node", "node end needs an integer node id")
             s = _perm_id(G, pt["s"], f"{ppath}.s") if kind == DIHEDRAL else None
-            points.append(MarkedPoint(kind, m, s=s, node_id=pt.get("node")))
+            points.append(MarkedPoint(kind, m, s, pt.get("node")))
         comps.append(MarkedComponent(genus, tuple(handles), tuple(points)))
     return BoundaryDatum(G, tuple(comps))
 

@@ -218,10 +218,10 @@ def cmd_degenerate(args) -> int:
         report, _ = analyze_datum(deg.datum)
         entry = {"kind": deg.kind, "analysis": report}
         if deg.kind == SPLIT:
-            entry["split_at"] = deg.split_at
+            entry["split_at"] = deg.index
         else:
             entry["index"] = deg.index
-            entry["involution"] = list(t.group.perm(deg.involution))
+            entry["involution"] = list(t.group.perm(deg.datum.point(0, deg.index).s))
         out["degenerations"].append(entry)
     json_dump(out)
     return 0

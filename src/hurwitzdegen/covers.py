@@ -40,8 +40,7 @@ from .groups import left_cosets
 def rh_genus(subgroup_order: int, base_genus: int, ramification_orders: list[int]) -> int:
     """Genus of one component of an |H|-Galois cover, by Riemann-Hurwitz.
 
-    2g - 2 = |H| (2h - 2) + sum(|H| - |H|/ord); identity monodromies must be
-    filtered out by the caller (they contribute no ramification).
+    2g - 2 = |H| (2h - 2) + sum(|H| - |H|/ord); an unramified point, of order 1, adds 0.
     """
     H = subgroup_order
     for d in ramification_orders:
@@ -53,8 +52,7 @@ def rh_genus(subgroup_order: int, base_genus: int, ramification_orders: list[int
 def _component_genera(gog: DualGraphOfGroups) -> list[int]:
     """The genus of the cover components over each quotient component."""
     G = gog.datum.group
-    return [rh_genus(H.order, comp.genus,
-                     [G.element_order(pt.m) for pt in comp.points if pt.m != G.identity])
+    return [rh_genus(H.order, comp.genus, [G.element_order(pt.m) for pt in comp.points])
             for comp, H in zip(gog.datum.components, gog.vertex_groups)]
 
 

@@ -8,11 +8,13 @@ interior tuple of its smoothing, where the dihedral point opens up into two
 involution branch points; ``collide_pair`` is its inverse, colliding two
 adjacent involution entries into a dihedral point.  Each move slices the
 tuple's points and builds only those it adds: the node ends or the dihedral point.
+A ``Degeneration`` is the move's kind, its datum, and the index of the
+point it made: nothing else is stored beside the datum.
 """
 
 from __future__ import annotations
 
-from ._record import Record, set_field
+from ._record import Record
 from .boundary import (DIHEDRAL, BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPoint,
                        Violation, canonical_form)
 from .errors import InvalidDatum
@@ -27,18 +29,12 @@ class Degeneration(Record, eq=False):
     point takes s from ``inverting_involutions``, and ``collide_pair`` takes
     s = a, which inverts m = ab and lies outside <ab> (inside, a would commute
     with ab, so (ab)^2 = e, a = ab and b = e), and checks stability itself.
+    ``datum.point(0, index)`` is the point the move made: a split's node end
+    on the left component, after the left group's ``index`` entries, or the
+    dihedral point, whose s is the involution.
     """
 
-    __slots__ = ("kind", "datum", "split_at", "index", "involution")
-
-    def __init__(self, kind: str, datum: BoundaryDatum, split_at: int | None = None,
-                 index: int | None = None, involution: int | None = None):
-        set_field(self, "kind", kind)
-        set_field(self, "datum", datum)
-        set_field(self, "split_at", split_at)      # split kind: size of the left group
-        set_field(self, "index", index)            # dihedral kind: marked point index
-        set_field(self, "involution", involution)  # dihedral kind: element id of s
-        self.__post_init__()
+    __slots__ = ("kind", "datum", "index")
 
 
 def split_degenerations(t: HurwitzTuple) -> list[Degeneration]:
@@ -55,7 +51,7 @@ def split_degenerations(t: HurwitzTuple) -> list[Degeneration]:
         left = MarkedComponent(0, (), (*points[:k], MarkedPoint.node_end(h, 0)))
         right = MarkedComponent(0, (), (MarkedPoint.node_end(G.inv(h), 0), *points[k:]))
         datum = BoundaryDatum(G, (left, right))
-        out.append(Degeneration(SPLIT, datum, split_at=k))
+        out.append(Degeneration(SPLIT, datum, k))
     return out
 
 
@@ -77,7 +73,7 @@ def dihedral_degenerations(t: HurwitzTuple, index: int) -> list[Degeneration]:
     for s in involutions:
         comp = MarkedComponent(0, (), (*before, MarkedPoint.dihedral(m, s), *after))
         datum = BoundaryDatum(G, (comp,))
-        out.append(Degeneration(DIHEDRAL, datum, index=index, involution=s))
+        out.append(Degeneration(DIHEDRAL, datum, index))
     return out
 
 
@@ -117,7 +113,7 @@ def collide_pair(t: HurwitzTuple, index: int) -> Degeneration:
     comp = MarkedComponent(0, (), (*points[:index], MarkedPoint.dihedral(G.mul(a, b), a),
                                    *points[index + 2:]))
     datum = BoundaryDatum(G, (comp,))
-    return Degeneration(DIHEDRAL, datum, index=index, involution=a)
+    return Degeneration(DIHEDRAL, datum, index)
 
 
 def dedup(degenerations: list[Degeneration]) -> list[Degeneration]:

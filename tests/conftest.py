@@ -13,7 +13,7 @@ from hurwitzdegen import (BoundaryDatum, CosetTable, CoverCurve, DevissageReport
                           GraphAction, HurwitzTuple, MarkedComponent, MarkedPoint, PermGroup,
                           Subgroup, cover_report, datum_from_jsonable, de_rham_character,
                           dual_graph_of_groups, is_inverting_involution, left_cosets,
-                          perm_from_cycles, rh_genus)
+                          perm_from_cycles, rh_genus, smooth_dihedral, split_degenerations)
 from hurwitzdegen import audit
 from hurwitzdegen.boundary import serialize
 from hurwitzdegen.covers import _genus
@@ -66,6 +66,17 @@ def c2_a5():
 def s4_on_257():
     """S4 fixing 253 of 257 points: above degree 256 elements are stored as tuples."""
     return PermGroup([perm_from_cycles(257, (0, 1, 2, 3)), perm_from_cycles(257, (0, 1))])
+
+
+def a5_smoothed_tuple(G: PermGroup | None = None) -> HurwitzTuple:
+    """The A5 tuple of branch orders (2, 2, 2, 3): the smoothing of the first
+    dihedral degeneration of ``audit.a5_tuple``."""
+    return smooth_dihedral(audit.a5_dihedral_degenerations(G)[0])
+
+
+def a5_split_datum(G: PermGroup | None = None) -> BoundaryDatum:
+    """The one split of ``a5_smoothed_tuple``: two lines joined by a node."""
+    return split_degenerations(a5_smoothed_tuple(G))[0].datum
 
 
 def inverting_pairs(G: PermGroup) -> list[tuple[int, int]]:
@@ -397,7 +408,7 @@ def disjoint_union(a: BoundaryDatum, b: BoundaryDatum) -> BoundaryDatum:
     shift = 1 + max((pt.node_id for comp in a.components for pt in comp.points
                      if pt.node_id is not None), default=-1)
     moved = tuple(MarkedComponent(comp.genus, comp.handles, tuple(
-        pt if pt.node_id is None else MarkedPoint(pt.kind, pt.m, node_id=pt.node_id + shift)
+        pt if pt.node_id is None else MarkedPoint(pt.kind, pt.m, None, pt.node_id + shift)
         for pt in comp.points)) for comp in b.components)
     return BoundaryDatum(a.group, a.components + moved)
 
@@ -412,8 +423,7 @@ def conjugate_datum(datum: BoundaryDatum, g: int) -> BoundaryDatum:
     for comp in datum.components:
         handles = tuple((G.conj(g, a), G.conj(g, b)) for a, b in comp.handles)
         points = tuple(MarkedPoint(pt.kind, G.conj(g, pt.m),
-                                   s=None if pt.s is None else G.conj(g, pt.s),
-                                   node_id=pt.node_id)
+                                   None if pt.s is None else G.conj(g, pt.s), pt.node_id)
                        for pt in comp.points)
         comps.append(MarkedComponent(comp.genus, handles, points))
     return BoundaryDatum(G, tuple(comps))

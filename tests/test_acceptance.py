@@ -16,8 +16,9 @@ from hurwitzdegen import (build_cover, canonical_form, collide_pair, de_rham_cha
 from hurwitzdegen import audit
 from hurwitzdegen.covers import cover_report
 
-from conftest import (canonical_form_by_scan, characters, conjugate_datum, deck_action,
-                      inverting_pairs, normalizer, quotient_report, random_valid_datum)
+from conftest import (a5_split_datum, canonical_form_by_scan, characters, conjugate_datum,
+                      deck_action, inverting_pairs, normalizer, quotient_report,
+                      random_valid_datum)
 
 
 def _result(name: str, ok: bool) -> None:
@@ -61,7 +62,7 @@ def test_criterion_2_a5_h1_character():
 def test_criterion_3_cross_degeneration_constancy():
     G = audit.a5_group()
     dihedral = audit.a5_dihedral_degenerations(G)[0].datum
-    split = audit.a5_split_datum(G)
+    split = a5_split_datum(G)
     split_cover = quotient_report(split)
     ok = split_cover["component_count"] == 7
     ok &= all(c["genus"] == 0 for c in split_cover["components"])

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 from hurwitzdegen import audit
 
+from conftest import a5_smoothed_tuple
+
 
 def test_builders_are_deterministic(a5, psl27):
     t3 = audit.a5_tuple(a5)
@@ -13,9 +15,9 @@ def test_builders_are_deterministic(a5, psl27):
     assert tuple(map(a5.element_order, t3.entries)) == (5, 2, 3)
 
     degs = audit.a5_dihedral_degenerations(a5)
-    assert a5.perm(degs[0].involution) == (0, 4, 3, 2, 1)
+    assert a5.perm(degs[0].datum.point(0, 0).s) == (0, 4, 3, 2, 1)
 
-    t4 = audit.a5_smoothed_tuple(a5)
+    t4 = a5_smoothed_tuple(a5)
     assert [a5.perm(g) for g in t4.entries] == [
         (0, 4, 3, 2, 1), (4, 3, 2, 1, 0), (0, 2, 1, 4, 3), (3, 0, 2, 1, 4)]
 

@@ -12,19 +12,20 @@ from hurwitzdegen import audit, groups
 from hurwitzdegen.boundary import datum_warnings, serialize, unstable_components
 from hurwitzdegen.errors import InvalidDatum, ProductNotOne, SchemaError
 
-from conftest import (PIECE_DATA, canonical_form_by_scan, closure_by_bfs, conjugate_datum,
-                      inverting_pairs, load_datum, random_valid_datum)
+from conftest import (PIECE_DATA, a5_smoothed_tuple, a5_split_datum, canonical_form_by_scan,
+                      closure_by_bfs, conjugate_datum, inverting_pairs, load_datum,
+                      random_valid_datum)
 
 
 def test_marked_point_shape_guards():
     with pytest.raises(ValueError):
-        MarkedPoint("cyclic", 0, s=1)
+        MarkedPoint("cyclic", 0, 1, None)
     with pytest.raises(ValueError):
-        MarkedPoint("dihedral", 0)
+        MarkedPoint("dihedral", 0, None, None)
     with pytest.raises(ValueError):
-        MarkedPoint("node", 0)
+        MarkedPoint("node", 0, None, None)
     with pytest.raises(ValueError):
-        MarkedPoint("weird", 0)
+        MarkedPoint("weird", 0, None, None)
 
 
 def test_bare_quotient_validates_but_is_unstable():
@@ -141,7 +142,7 @@ def test_dual_graph_shapes(a5):
     assert s != a5.identity and a5.element_order(m) == 5      # E_e = <m, s>, K_e = <m>
     assert dihedral.edge_orders() == [10]
 
-    split = dual_graph_of_groups(audit.a5_split_datum(a5))
+    split = dual_graph_of_groups(a5_split_datum(a5))
     assert split.graph.vertex_count == 2
     assert split.graph.opp == (1, 0)
     assert len(split.graph.unoriented_reps()) == 1
@@ -216,7 +217,7 @@ def test_quotient_stability_cases(a5):
     g = a5.id_of(perm_from_cycles(5, (0, 1, 2)))
     two_points = HurwitzTuple(a5, (g, a5.inv(g)))
     assert unstable_components(two_points) == [0]
-    assert unstable_components(audit.a5_split_datum(a5)) == []  # node + 2 cyclic on each side
+    assert unstable_components(a5_split_datum(a5)) == []  # node + 2 cyclic on each side
 
 
 def test_canonical_form_properties(s4):
@@ -327,7 +328,7 @@ def test_equivalent_needs_matching_groups(a5, s4):
 
 
 def test_dual_graph_edge_ends(a5):
-    split = audit.a5_split_datum(a5)
+    split = a5_split_datum(a5)
     assert split.nodes() == [((0, 2), (1, 0))]
     assert dual_graph_of_groups(split).edge_ends == (((0, 2), (1, 0)),)
     dihedral = dual_graph_of_groups(audit.a5_dihedral_degenerations(a5)[0].datum)
@@ -335,14 +336,14 @@ def test_dual_graph_edge_ends(a5):
 
 
 def test_datum_json_round_trip(a5):
-    datum = audit.a5_split_datum(a5)
+    datum = a5_split_datum(a5)
     clone = datum_from_jsonable(datum_to_jsonable(datum))
     assert serialize(clone) == serialize(datum)
     assert clone.group.elements == a5.elements
 
 
 def test_tuple_json_round_trip(a5):
-    t = audit.a5_smoothed_tuple(a5)
+    t = a5_smoothed_tuple(a5)
     clone = tuple_from_jsonable(tuple_to_jsonable(t))
     assert clone.entries == t.entries
 
@@ -384,7 +385,7 @@ def test_tuple_json_round_trip(a5):
                  "$.components[0].points[0].node", id="node-on-dihedral-point"),
 ])
 def test_datum_schema_errors(a5, mutate, path_part):
-    datum = audit.a5_split_datum(a5)
+    datum = a5_split_datum(a5)
     obj = datum_to_jsonable(datum)
     mutate(obj)
     with pytest.raises(SchemaError) as err:

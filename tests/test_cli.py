@@ -13,6 +13,8 @@ from hurwitzdegen import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPo
 from hurwitzdegen.cli import analyze_datum, build_parser, json_dump, main
 from hurwitzdegen.groups import MAX_DEGREE
 
+from conftest import a5_smoothed_tuple, a5_split_datum
+
 NODE_CLASS_KEYS = {"kind", "stabilizer_order", "count"}
 
 
@@ -27,7 +29,7 @@ def a5_datum_file(tmp_path_factory):
 @pytest.fixture(scope="module")
 def a5_tuple_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "a5_tuple.json"
-    path.write_text(json.dumps(tuple_to_jsonable(audit.a5_smoothed_tuple())),
+    path.write_text(json.dumps(tuple_to_jsonable(a5_smoothed_tuple())),
                     encoding="utf-8")
     return path
 
@@ -60,7 +62,7 @@ def test_analyze_valid_datum(a5_datum_file, capsys):
 
 
 def test_analyze_split_datum(tmp_path, capsys):
-    datum = audit.a5_split_datum()
+    datum = a5_split_datum()
     path = tmp_path / "split.json"
     path.write_text(json.dumps(datum_to_jsonable(datum)), encoding="utf-8")
     code, out, _ = run_cli(capsys, "analyze", str(path))
@@ -77,7 +79,7 @@ def test_analyze_split_datum(tmp_path, capsys):
 def test_analyze_order_4_dihedral_nodes_without_warnings():
     # a dihedral node opens into one orbit per new branch point whatever its
     # stabilizer order, so an order-4 node is no cause for a warning
-    degs = dihedral_degenerations(audit.a5_smoothed_tuple(), 0)
+    degs = dihedral_degenerations(a5_smoothed_tuple(), 0)
     assert degs
     for deg in degs:
         report, code = analyze_datum(deg.datum)
@@ -185,7 +187,7 @@ MALFORMED = {
                                      ["graph", "--which", "cover", "--dot"]])
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_datum_exits_1(tmp_path, capsys, command, case):
-    obj = datum_to_jsonable(audit.a5_split_datum())
+    obj = datum_to_jsonable(a5_split_datum())
     MALFORMED[case](obj)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
@@ -480,9 +482,9 @@ def test_committed_example_files_match_builders():
     assert json.loads((root / "a5_dihedral_datum.json").read_text()) == \
         datum_to_jsonable(datum)
     assert json.loads((root / "a5_split_datum.json").read_text()) == \
-        datum_to_jsonable(audit.a5_split_datum())
+        datum_to_jsonable(a5_split_datum())
     assert json.loads((root / "a5_tuple.json").read_text()) == \
-        tuple_to_jsonable(audit.a5_smoothed_tuple())
+        tuple_to_jsonable(a5_smoothed_tuple())
     assert json.loads((root / "a5_three_point_tuple.json").read_text()) == \
         tuple_to_jsonable(audit.a5_tuple())
     assert json.loads((root / "psl27_tuple.json").read_text()) == \

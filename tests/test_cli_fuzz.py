@@ -13,10 +13,10 @@ import random
 
 import pytest
 
-from hurwitzdegen import audit, datum_to_jsonable, tuple_to_jsonable
+from hurwitzdegen import datum_to_jsonable, tuple_to_jsonable
 from hurwitzdegen.cli import main
 
-from conftest import inverting_pairs, random_valid_datum
+from conftest import a5_smoothed_tuple, a5_split_datum, inverting_pairs, random_valid_datum
 
 IDENTITY5 = [0, 1, 2, 3, 4]
 BOOL_IDENTITY5 = [False, True, 2, 3, 4]  # the identity if booleans were read as integers
@@ -128,7 +128,7 @@ def _write_raw(tmp_path, case):
 @pytest.mark.parametrize("case", sorted(RAW_TEXT) + sorted(RAW_BYTES) + sorted(DATUM_CASES))
 def test_datum_commands_survive_malformed_input(tmp_path, capsys, command, case):
     if case in DATUM_CASES:
-        obj = datum_to_jsonable(audit.a5_split_datum())
+        obj = datum_to_jsonable(a5_split_datum())
         DATUM_CASES[case](obj)
         path = _write(tmp_path, json.dumps(obj))
     else:
@@ -144,7 +144,7 @@ def test_datum_commands_survive_malformed_input(tmp_path, capsys, command, case)
 @pytest.mark.parametrize("case", sorted(RAW_TEXT) + sorted(RAW_BYTES) + sorted(TUPLE_CASES))
 def test_degenerate_survives_malformed_input(tmp_path, capsys, flags, case):
     if case in TUPLE_CASES:
-        obj = tuple_to_jsonable(audit.a5_smoothed_tuple())
+        obj = tuple_to_jsonable(a5_smoothed_tuple())
         TUPLE_CASES[case](obj)
         path = _write(tmp_path, json.dumps(obj))
     else:
@@ -159,14 +159,14 @@ def test_degenerate_survives_malformed_input(tmp_path, capsys, flags, case):
 
 
 def test_permutation_of_another_degree_names_its_path(tmp_path, capsys):
-    obj = datum_to_jsonable(audit.a5_split_datum())
+    obj = datum_to_jsonable(a5_split_datum())
     DATUM_CASES["m-degree-300"](obj)
     path = _write(tmp_path, json.dumps(obj))
     code, _, err = run_cli(capsys, ["analyze", str(path)])
     assert code == 1
     assert err == (f"error: $.components[0].points[0].m: "
                    f"permutation {CYCLE300} is not an element of this group\n")
-    obj = tuple_to_jsonable(audit.a5_smoothed_tuple())
+    obj = tuple_to_jsonable(a5_smoothed_tuple())
     TUPLE_CASES["m-degree-300"](obj)
     path = _write(tmp_path, json.dumps(obj))
     code, _, err = run_cli(capsys, ["degenerate", str(path), "--splits"])

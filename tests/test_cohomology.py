@@ -13,8 +13,8 @@ from hurwitzdegen import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPo
                           render_character_table, tuple_from_jsonable)
 from hurwitzdegen import audit, cohomology, groups
 
-from conftest import (characters, inverting_pairs, normalizer, quotient_report, random_valid_datum,
-                      subcover)
+from conftest import (a5_split_datum, characters, inverting_pairs, normalizer, quotient_report,
+                      random_valid_datum, subcover)
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -78,7 +78,7 @@ def test_a5_dihedral_characters(a5):
 
 
 def test_a5_split_characters_and_constancy(a5):
-    rep = characters(audit.a5_split_datum(a5))
+    rep = characters(a5_split_datum(a5))
     assert rep.chi_normalization[0] == 2 * 7
     assert rep.edge_induction_sum[0] == 12
     assert rep.chi_dR[0] == -10
@@ -99,7 +99,7 @@ def trivial_m_datum(G):
         MarkedPoint.cyclic(G.inv(g)))),))
 
 
-@pytest.mark.parametrize("build", [audit.a5_split_datum, self_node_datum,
+@pytest.mark.parametrize("build", [a5_split_datum, self_node_datum,
                                    lambda G: audit.a5_dihedral_degenerations(G)[0].datum,
                                    trivial_m_datum],
                          ids=["split", "self-node", "dihedral", "trivial-m"])

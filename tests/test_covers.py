@@ -16,10 +16,11 @@ from hurwitzdegen.boundary import DualGraphOfGroups, unstable_components
 from hurwitzdegen.covers import node_class_summary
 from hurwitzdegen.errors import InvalidDatum, NegativeGenus, NonIntegralGenus
 
-from conftest import (PIECE_DATA, assert_closed, assert_opposite_edges, branch_counts,
-                      deck_action, disjoint_union, explicit_cover_report, inverting_pairs,
-                      lefschetz_counts, load_datum, quotient_report,
-                      random_rational_generating_tuples, random_valid_datum, subcover)
+from conftest import (PIECE_DATA, a5_smoothed_tuple, a5_split_datum, assert_closed,
+                      assert_opposite_edges, branch_counts, deck_action, disjoint_union,
+                      explicit_cover_report, inverting_pairs, lefschetz_counts, load_datum,
+                      quotient_report, random_rational_generating_tuples, random_valid_datum,
+                      subcover)
 from test_golden import ROOT, golden_argvs
 
 
@@ -68,7 +69,7 @@ def test_a5_dihedral_cover(a5):
 
 
 def test_a5_split_cover(a5):
-    datum = audit.a5_split_datum(a5)
+    datum = a5_split_datum(a5)
     cover = build_cover(datum)
     assert cover.graph.vertex_count == 7 and cover.genera == [0, 0]
     assert len(cover.nodes) == 12
@@ -110,7 +111,7 @@ def assert_branches_in_component_cosets(cover) -> None:
 
 
 def test_branch_contained_in_component_coset(a5):
-    assert_branches_in_component_cosets(build_cover(audit.a5_split_datum(a5)))
+    assert_branches_in_component_cosets(build_cover(a5_split_datum(a5)))
 
 
 def test_build_cover_builds_one_coset_table_per_component_and_edge(a5, monkeypatch):
@@ -123,7 +124,7 @@ def test_build_cover_builds_one_coset_table_per_component_and_edge(a5, monkeypat
         return groups.left_cosets(G, H)
 
     monkeypatch.setattr(covers, "left_cosets", counted)
-    cover = build_cover(audit.a5_split_datum(a5))
+    cover = build_cover(a5_split_datum(a5))
     assert sorted(built) == [5, 10, 60]
     assert len(cover.nodes) == 12
 
@@ -281,7 +282,7 @@ def test_subcover_by_trivial_subgroup(a5):
 def test_subcover_point_stabilizer_admissible_picture(a5):
     # quotient of the smooth order-(2,2,2,3) cover by a point stabilizer of
     # the natural degree-5 action: the degree-5 admissible-cover picture
-    t4 = audit.a5_smoothed_tuple(a5)
+    t4 = a5_smoothed_tuple(a5)
     cover = build_cover(t4)
     K = a5.subgroup([g for g in range(a5.order) if a5.perm(g)[4] == 4])
     assert K.order == 12
@@ -297,7 +298,7 @@ def test_subcover_point_stabilizer_admissible_picture(a5):
 
 
 def test_subcover_of_split_cover_by_whole_group(a5):
-    cover = build_cover(audit.a5_split_datum(a5))
+    cover = build_cover(a5_split_datum(a5))
     rep = subcover(cover, a5.full_subgroup())
     assert [c.quotient_component for c in rep.components] == [0, 1]
     assert all(c.degree == 1 and c.genus == 0 for c in rep.components)
@@ -561,7 +562,7 @@ def test_cover_over_a_dihedral_point_depends_on_the_coset_of_s(fixture, seed, re
     indices = 0
     for t in random_generating_tuples(G, rng, 6):
         for i, m in enumerate(t.entries):
-            dots = {d.involution: cover_to_dot(build_cover(d.datum))
+            dots = {d.datum.point(0, i).s: cover_to_dot(build_cover(d.datum))
                     for d in dihedral_degenerations(t, i)}
             assert {G.mul(s, m) for s in dots} == dots.keys()
             # s*m^j for every j, by stepping s -> s*m through the coset

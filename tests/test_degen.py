@@ -15,23 +15,23 @@ from hurwitzdegen.boundary import serialize, unstable_components
 from hurwitzdegen.degen import Degeneration
 from hurwitzdegen.errors import InvalidDatum
 
-from conftest import (canonical_form_by_scan, conjugate_datum, local_model_orbit_sizes, normalizer,
-                      orbits, quotient_report)
+from conftest import (a5_smoothed_tuple, canonical_form_by_scan, conjugate_datum,
+                      local_model_orbit_sizes, normalizer, orbits, quotient_report)
 
 
 def test_split_index_range(a5, s4):
-    t4 = audit.a5_smoothed_tuple(a5)
-    assert [d.split_at for d in split_degenerations(t4)] == [2]
+    t4 = a5_smoothed_tuple(a5)
+    assert [d.index for d in split_degenerations(t4)] == [2]
     assert split_degenerations(audit.a5_tuple(a5)) == []
     g = s4.id_of(perm_from_cycles(4, (0, 1, 2, 3)))
     t5 = HurwitzTuple(s4, (g, g, g, g, s4.inv(s4.product([g] * 4))))
-    assert [d.split_at for d in split_degenerations(t5)] == [2, 3]
+    assert [d.index for d in split_degenerations(t5)] == [2, 3]
     # below 3 entries there is no stable stratum
     assert split_degenerations(HurwitzTuple(s4, (g, s4.inv(g)))) == []
 
 
 def test_a5_split_matches_worked_grouping(a5):
-    t4 = audit.a5_smoothed_tuple(a5)
+    t4 = a5_smoothed_tuple(a5)
     s, t = t4.entries[0], t4.entries[1]
     g0 = a5.mul(s, t)
     datum = split_degenerations(t4)[0].datum
@@ -57,7 +57,7 @@ def test_every_emitted_degeneration_is_valid_and_stable(a5, s4, d5, psl27):
     # Degeneration trusts its constructors with admissibility; this is the
     # oracle for that trust
     rng = random.Random(20)
-    tuples = [audit.a5_smoothed_tuple(a5)]
+    tuples = [a5_smoothed_tuple(a5)]
     for G in (s4, d5, a5, psl27):
         tuples += random_product_one_tuples(G, rng, 10)
     kinds = Counter()
@@ -90,7 +90,7 @@ def test_collide_pair_of_a_three_entry_tuple_is_unstable():
 def test_dihedral_count_a5(a5):
     degs = dihedral_degenerations(audit.a5_tuple(a5), 0)
     assert len(degs) == 5
-    invs = sorted(d.involution for d in degs)
+    invs = sorted(d.datum.point(0, 0).s for d in degs)
     m = audit.a5_tuple(a5).entries[0]
     from hurwitzdegen import is_inverting_involution
     N = normalizer(a5, a5.cyclic_subgroup(m))
@@ -107,7 +107,7 @@ def test_dihedral_identity_monodromy_accepts_all_involutions(s3):
     tup = HurwitzTuple(s3, (s3.identity, t, t))
     degs = dihedral_degenerations(tup, 0)
     involutions = [s for s in range(s3.order) if s3.element_order(s) == 2]
-    assert [d.involution for d in degs] == involutions
+    assert [d.datum.point(0, 0).s for d in degs] == involutions
 
 
 def test_too_few_points_for_dihedral(s3):
@@ -130,7 +130,7 @@ def test_smooth_dihedral_entries(a5):
     d = degs[0]
     t4 = smooth_dihedral(d)
     m = audit.a5_tuple(a5).entries[0]
-    s = d.involution
+    s = d.datum.point(0, 0).s
     assert t4.entries[0] == s
     assert t4.entries[1] == a5.mul(s, m)
     assert t4.entries[2:] == audit.a5_tuple(a5).entries[1:]
@@ -144,7 +144,7 @@ def test_smooth_dihedral_order2_monodromy(d4):
     s = d4.id_of(perm_from_cycles(4, (1, 3)))
     x = d4.id_of(perm_from_cycles(4, (0, 1, 2, 3)))
     tup = HurwitzTuple(d4, (m, x, d4.inv(d4.mul(m, x))))
-    degs = [d for d in dihedral_degenerations(tup, 0) if d.involution == s]
+    degs = [d for d in dihedral_degenerations(tup, 0) if d.datum.point(0, 0).s == s]
     assert len(degs) == 1
     t = smooth_dihedral(degs[0])
     assert d4.element_order(t.entries[0]) == 2
@@ -164,23 +164,23 @@ def test_collide_pair_needs_involutions(a5):
     with pytest.raises(ValueError):
         collide_pair(audit.a5_tuple(a5), 0)  # entry 0 has order 5
     with pytest.raises(ValueError, match="entry 3 is not an involution"):
-        collide_pair(audit.a5_smoothed_tuple(a5), 2)  # orders (2, 2, 2, 3): entry 3 has order 3
+        collide_pair(a5_smoothed_tuple(a5), 2)  # orders (2, 2, 2, 3): entry 3 has order 3
 
 
 def test_collide_pair_needs_two_adjacent_entries(a5):
-    t4 = audit.a5_smoothed_tuple(a5)
+    t4 = a5_smoothed_tuple(a5)
     with pytest.raises(ValueError, match="two adjacent entries"):
         collide_pair(t4, len(t4) - 1)
 
 
 def test_smooth_dihedral_rejects_a_split(a5):
-    split = split_degenerations(audit.a5_smoothed_tuple(a5))[0]
+    split = split_degenerations(a5_smoothed_tuple(a5))[0]
     with pytest.raises(ValueError, match="dihedral-kind"):
         smooth_dihedral(split)
 
 
 def test_split_genus_matches_interior(a5):
-    t4 = audit.a5_smoothed_tuple(a5)
+    t4 = a5_smoothed_tuple(a5)
     interior_genus = rh_genus(60, 0, [2, 2, 2, 3])
     for deg in split_degenerations(t4):
         assert quotient_report(deg.datum)["arithmetic_genus"] == interior_genus == 6
@@ -215,7 +215,7 @@ def test_smoothing_opens_each_dihedral_node_into_two_orbits(a5, psl27, s4, s5, d
             t = HurwitzTuple(G, (*entries, G.inv(G.product(entries))))
             for i in range(len(t)):
                 for deg in dihedral_degenerations(t, i):
-                    m, s = t.entries[i], deg.involution
+                    m, s = t.entries[i], deg.datum.point(0, i).s
                     D = G.generated_subgroup([m, s])
                     (node_class,) = [c for c in quotient_report(deg.datum)["node_classes"]
                                      if c["kind"] == "dihedral"]
@@ -248,8 +248,7 @@ def test_dedup(a5, s4):
     twin = dihedral_degenerations(audit.a5_tuple(a5), 0)[0]
     conj = conjugate_datum(d.datum, 7)
     assert equivalent(conj, twin.datum)
-    conj_deg = Degeneration("dihedral", conj, index=0,
-                            involution=a5.conj(7, d.involution))
+    conj_deg = Degeneration("dihedral", conj, 0)
     assert len(dedup([d, conj_deg, twin])) == 1
 
 
@@ -276,7 +275,7 @@ def test_dedup_against_scan_on_braid_walks(a5, psl27):
     # the strata benchmark's input: A5 (2, 2, 2, 3) and PSL(2, 7) (7, 2, 2, 2)
     # walks, each tuple next to a conjugate, so that dedup has work to do
     rng = random.Random(21)
-    bases = [(a5, audit.a5_smoothed_tuple(a5)),
+    bases = [(a5, a5_smoothed_tuple(a5)),
              (psl27, smooth_dihedral(dihedral_degenerations(audit.psl27_tuple(psl27), 2)[0]))]
     for G, base in bases:
         tuples = []
@@ -305,7 +304,7 @@ def test_dedup_against_scan_on_braid_walks(a5, psl27):
 def test_each_datum_is_keyed_once(a5, dedup_first):
     # the key is kept on the datum by whichever of dedup and equivalent meets
     # it first, and either way it is the least serialized conjugate
-    t = audit.a5_smoothed_tuple(a5)
+    t = a5_smoothed_tuple(a5)
     found = []
     for u in (t, HurwitzTuple(a5, tuple(a5.conj(7, x) for x in t.entries))):
         found += split_degenerations(u)

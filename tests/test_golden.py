@@ -67,6 +67,10 @@ def golden_argvs() -> dict[str, list[str]]:
         for i in range(len(entries)):
             cases[f"degenerate_dihedral{i}_dedup_{path.stem}"] = [
                 "degenerate", rel, "--dihedral", str(i), "--dedup"]
+    # without --dedup: every involution that a degeneration prints at one index
+    for stem, i in (("a5_tuple", 0), ("psl27_tuple", 1)):
+        cases[f"degenerate_dihedral{i}_{stem}"] = [
+            "degenerate", f"docs/examples/{stem}.json", "--dihedral", str(i)]
     cases["verify_examples"] = ["verify-examples"]
     return cases
 

@@ -5,7 +5,7 @@ import pytest
 from hurwitzdegen import GenGraph, GraphAction, PermGroup, build_cover, gengraph_to_dot, inner
 from hurwitzdegen import audit
 
-from conftest import characters, deck_action, lefschetz_counts, quotient_report
+from conftest import a5_split_datum, characters, deck_action, lefschetz_counts, quotient_report
 
 
 def test_gengraph_invariants():
@@ -25,12 +25,12 @@ def test_worked_cover_graphs(a5):
     assert len(cover.graph.unoriented_reps()) == 6
     assert cover.graph.connected_component_ids() == [0]
     assert quotient_report(degs[0].datum)["arithmetic_genus"] == 6
-    split = build_cover(audit.a5_split_datum(a5))
+    split = build_cover(a5_split_datum(a5))
     # 7 vertices, 12 edges, connected
     assert split.graph.vertex_count == 7
     assert len(split.graph.unoriented_reps()) == 12
     assert split.graph.connected_component_ids() == [0] * 7
-    assert quotient_report(audit.a5_split_datum(a5))["arithmetic_genus"] == 6
+    assert quotient_report(a5_split_datum(a5))["arithmetic_genus"] == 6
 
 
 def test_a5_dihedral_cover_orbit(a5):
@@ -45,7 +45,7 @@ def test_a5_dihedral_cover_orbit(a5):
 
 
 def test_a5_split_cover_orbit(a5):
-    datum = audit.a5_split_datum(a5)
+    datum = a5_split_datum(a5)
     assert quotient_report(datum)["node_classes"] == [
         {"kind": "cyclic", "stabilizer_order": 5, "count": 12}]
     fixed, signed = lefschetz_counts(deck_action(build_cover(datum)))
@@ -57,14 +57,14 @@ def test_a5_split_cover_orbit(a5):
 def test_action_rejects_broken_non_generator_row(a5, table):
     # only the identity and generator rows are checked directly; the
     # homomorphism check must still catch a fault in any other row
-    action = deck_action(build_cover(audit.a5_split_datum(a5)))
+    action = deck_action(build_cover(a5_split_datum(a5)))
     g = next(g for g in range(1, a5.order) if g not in a5.generator_ids)
     rows = [list(row) for row in getattr(action, table)]
     rows[g][0], rows[g][1] = rows[g][1], rows[g][0]
     tables = {"vertex_images": action.vertex_images, "edge_images": action.edge_images,
               table: tuple(map(tuple, rows))}
     with pytest.raises(AssertionError):
-        GraphAction(action.graph, a5, **tables)
+        GraphAction(action.graph, a5, tables["vertex_images"], tables["edge_images"])
 
 
 def cayley_graph_action(G: PermGroup, gen_ids: list[int]) -> GraphAction:

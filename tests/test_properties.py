@@ -1,7 +1,7 @@
 """Property tests of the canonical form and the inverting involutions under
-conjugation, of a Hurwitz tuple as the datum its JSON describes, of
-``GenGraph.from_unoriented``'s opposite edges, and of the report writer
-against ``json.dumps``."""
+conjugation, of a Hurwitz tuple as the datum its JSON describes, of the
+point a degeneration's index names, of ``GenGraph.from_unoriented``'s
+opposite edges, and of the report writer against ``json.dumps``."""
 
 from __future__ import annotations
 
@@ -16,8 +16,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from hurwitzdegen import (BoundaryDatum, GenGraph, HurwitzTuple, build_cover, canonical_form,
-                          cover_report, datum_from_jsonable, datum_to_jsonable, de_rham_character,
-                          equivalent, inverting_involutions)
+                          collide_pair, cover_report, datum_from_jsonable, datum_to_jsonable,
+                          de_rham_character, dihedral_degenerations, equivalent,
+                          inverting_involutions, smooth_dihedral, split_degenerations)
+from hurwitzdegen.boundary import DIHEDRAL, NODE_END
 from hurwitzdegen.cli import analyze_datum, json_dump
 
 from conftest import (assert_opposite_edges, component_cells, conjugate_datum, disjoint_union,
@@ -107,6 +109,23 @@ def test_a_tuple_key_is_its_nielsen_class_mod_inn(groups, name, seed, g):
     conj = conjugate_datum(t, g % G.order)
     assert canonical_form(conj) == canonical_form(t)
     assert equivalent(t, conj)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(TUPLE_GROUPS), seed=st.integers(0, 2**32 - 1))
+def test_a_degeneration_index_names_the_point_its_move_made(groups, name, seed):
+    G = groups[name][0]
+    t = random_tuple(G, random.Random(seed))
+    dihedral = [deg for i in range(len(t)) for deg in dihedral_degenerations(t, i)]
+    collided = []
+    # each smoothing has an involution pair where its dihedral point was
+    for u in (t, *map(smooth_dihedral, dihedral)):
+        for i in range(len(u) - 1):
+            if len(u) >= 4 and all(G.element_order(x) == 2 for x in u.entries[i:i + 2]):
+                collided.append(collide_pair(u, i))
+                assert smooth_dihedral(collided[-1]).entries == u.entries
+    for kind, degs in ((NODE_END, split_degenerations(t)), (DIHEDRAL, dihedral + collided)):
+        assert all(deg.datum.point(0, deg.index).kind == kind for deg in degs)
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)

@@ -1,5 +1,9 @@
 """Every public name of the package is read by the package or by perfbench.
 
+The public names are those that ``__all__`` exports, with the public
+methods and properties of their classes, and every public function and
+class defined at the top level of a package module.
+
 A function, class, method or property that only the tests read is a test
 oracle, and lives in ``tests/conftest.py`` instead.  A name counts as read
 when it occurs in the syntax tree of a module under ``src/hurwitzdegen``
@@ -56,15 +60,26 @@ def public_api() -> list[str]:
     return out
 
 
+def module_api() -> list[str]:
+    """``module.name`` for each public function and class defined at the top
+    level of a package module, exported or not."""
+    return [f"{path.stem}.{node.name}" for path in SOURCES if path.parent.name == "hurwitzdegen"
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
+
+
 def test_scan_sees_the_package_and_its_classes():
     assert {"cli.py", "covers.py", "groups.py", "spans.py"} <= {p.name for p in SOURCES}
     assert {"build_cover", "PermGroup.mul", "PermGroup.conjugacy_classes",
             "inner"} <= set(public_api())
+    assert {"audit.a5_tuple", "audit.AuditCheck", "cli.main", "degen.dedup"} <= set(module_api())
+    assert not any(name.startswith("covers._") for name in module_api())
 
 
 def test_every_public_name_is_read_outside_the_tests():
     seen = names_read()
-    unread = [name for name in public_api() if name.rpartition(".")[2] not in seen]
+    unread = [name for name in (*public_api(), *module_api())
+              if name.rpartition(".")[2] not in seen]
     assert unread == []
 
 
