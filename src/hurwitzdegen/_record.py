@@ -12,9 +12,9 @@ unlike a dataclass, so importing the package stays cheap.
 ``Record.__init__(*args)`` sets the slots from values in slot order, the one
 way to build a record, raising ``TypeError`` that names the class and its
 fields when their count is wrong, then calls ``self.__post_init__()``: a
-no-op here, or the record's own invariant check, as on ``MarkedPoint``,
-``MarkedComponent`` and ``GraphAction``.  Every record keeps the hook, which
-the benchmark's tracer and the tests patch on the class by name.  A record
+no-op here, or the record's own invariant check, as on ``MarkedPoint`` and
+``MarkedComponent``.  Every record keeps the hook, which the benchmark's
+tracer and the tests patch on the class by name.  A record
 writes its own constructor only to build its fields from other input (a
 tuple's points from its entries) or to set a slot filled on first use.  A
 slot that repr, equality and hash should ignore sits outside ``_fields``: a

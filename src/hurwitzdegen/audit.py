@@ -16,7 +16,8 @@ from .boundary import BoundaryDatum, HurwitzTuple, dual_graph_of_groups, equival
 from .cohomology import de_rham_character
 from .covers import cover_report, rh_genus
 from .degen import collide_pair, dihedral_degenerations, smooth_dihedral, split_degenerations
-from .groups import PermGroup, induced_character, inner, is_inverting_involution, perm_from_cycles
+from .groups import (PermGroup, induced_character, induced_sign, inner, is_inverting_involution,
+                     perm_from_cycles)
 
 PASS = "PASS"
 WARN = "WARN"
@@ -135,7 +136,7 @@ def run_audit() -> list[AuditCheck]:
          "inconsistent with 6 nodes on one rational component")
     check("a5-stable", dihedral["stable"], "cover is stable")
 
-    ind_sgn = induced_character(G, D10, C5)
+    ind_sgn = induced_sign(G, m, invs[0])  # D10 = <m, invs[0]>
     twice = tuple(2 * v for v in ind_sgn)
     check("a5-h1-character", h1 == twice and h1[0] == 12,
           f"H1 character degree {h1[0]} "
@@ -158,8 +159,8 @@ def run_audit() -> list[AuditCheck]:
     check("a5-character-constancy", h1_split == h1,
           "H1 characters of the two degenerations of one family "
           + ("agree exactly" if h1_split == h1 else "differ"))
-    mackey = induced_character(G, C5, C5) == tuple(
-        a + b for a, b in zip(induced_character(G, D10, D10), ind_sgn))
+    mackey = induced_character(G, C5) == tuple(
+        a + b for a, b in zip(induced_character(G, D10), ind_sgn))
     check("a5-mackey", mackey,
           "induction from the order-5 subgroup matches the order-10 subgroup's "
           "trivial plus signum inductions")

@@ -15,7 +15,7 @@ whose points are all cyclic, so every function of a datum takes it as it is.
 from __future__ import annotations
 
 from ._record import Record, set_field
-from .errors import InvalidDatum, ProductNotOne, SchemaError
+from .errors import InvalidDatum, SchemaError
 from .graphs import GenGraph, gengraph_to_dot
 from .groups import MAX_DEGREE, PermGroup, is_inverting_involution, least_conjugate
 
@@ -154,14 +154,15 @@ def unstable_components(datum: BoundaryDatum) -> list[int]:
 
 class HurwitzTuple(BoundaryDatum, eq=False):
     """One rational component of cyclic points, their m the ``entries`` in order;
-    the constructor is the one place that turns entries into points."""
+    the constructor is the one place that turns entries into points.  It
+    trusts them, as ``BoundaryDatum`` trusts its components: ``validate``
+    reports a product other than e as the component's surface relation, and
+    ``tuple_from_jsonable`` rejects one on input."""
 
     __slots__ = ()
     _fields = ("group", "components")
 
     def __init__(self, group: PermGroup, entries: tuple[int, ...]):
-        if group.product(entries) != group.identity:
-            raise ProductNotOne("tuple entries must multiply to the identity")
         points = tuple(map(MarkedPoint.cyclic, entries))
         BoundaryDatum.__init__(self, group, (MarkedComponent(0, (), points),))
 
@@ -449,7 +450,6 @@ def tuple_from_jsonable(obj) -> HurwitzTuple:
     if not isinstance(obj["entries"], list) or not obj["entries"]:
         raise SchemaError("$.entries", "expected a non-empty list of permutations")
     ids = [_perm_id(G, e, f"$.entries[{i}]") for i, e in enumerate(obj["entries"])]
-    try:
-        return HurwitzTuple(G, tuple(ids))
-    except ProductNotOne as exc:
-        raise SchemaError("$.entries", str(exc)) from None
+    if G.product(ids) != G.identity:
+        raise SchemaError("$.entries", "tuple entries must multiply to the identity")
+    return HurwitzTuple(G, tuple(ids))

@@ -15,14 +15,6 @@ class ClosureBoundExceeded(HurwitzDegenError):
     """Group closure grew past the configured element bound."""
 
 
-class NotACharacter(HurwitzDegenError):
-    """The supplied kernel is not a subgroup of index at most 2 of the subgroup."""
-
-
-class ProductNotOne(HurwitzDegenError):
-    """Tuple entries do not multiply to the identity."""
-
-
 class InvalidDatum(HurwitzDegenError):
     """Operation requires a boundary datum that validates cleanly."""
 

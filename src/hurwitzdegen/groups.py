@@ -42,7 +42,7 @@ from operator import add, index as _as_index
 from types import MappingProxyType
 
 from ._record import Record
-from .errors import ClosureBoundExceeded, DegreeMismatch, NotACharacter
+from .errors import ClosureBoundExceeded, DegreeMismatch
 
 Perm = tuple  # images: Perm[i] = image of point i
 
@@ -360,9 +360,6 @@ class Subgroup(Record):
     def order(self) -> int:
         return len(self.members)
 
-    def member_set(self) -> frozenset:
-        return frozenset(self.members)
-
 
 class ClassRecord(Record, eq=False):
     """A conjugacy class with a transversal and the centralizer of its least id.
@@ -551,24 +548,17 @@ def inner(group: PermGroup, chi: Sequence[int], psi: Sequence[int]) -> Fraction:
     return Fraction(total, group.order)
 
 
-def induced_character(group: PermGroup, sub: Subgroup, kernel: Subgroup) -> tuple[int, ...]:
-    """Frobenius induction up to ``group`` of the +-1 character of ``sub``
-    that is +1 on ``kernel`` and -1 off it; ``kernel = sub`` gives the trivial
-    character.
+def induced_character(group: PermGroup, sub: Subgroup) -> tuple[int, ...]:
+    """Ind_H 1, the Frobenius induction up to ``group`` of the trivial
+    character of H = ``sub``: the permutation character of G on G/H.
 
-    A +-1 character is fixed by its kernel, a subgroup of index at most 2
-    (index 2 makes it normal), so that index is all that is checked.
-    Ind(chi)(g) = |G| / (|cl g| |H|) * sum of chi(h) over h in H meeting the
-    class of g: one pass over H, bucketed by class; values come out integral.
+    Ind(1)(g) = |G| #{h in H meeting the class of g} / (|cl g| |H|): one
+    pass over H, bucketed by class; values come out integral.
     """
-    ks = kernel.member_set()
-    if not ks <= sub.member_set() or sub.order not in (kernel.order, 2 * kernel.order):
-        raise NotACharacter(f"a kernel of order {kernel.order} is not of index <= 2 "
-                            f"in a subgroup of order {sub.order}")
-    sums, class_of = [0] * len(group.conjugacy_classes()), group._class_table()
+    counts, class_of = [0] * len(group.conjugacy_classes()), group._class_table()
     for h in sub.members:
-        sums[class_of[h]] += 1 if h in ks else -1
-    return _induced(group, sums, sub.order)
+        counts[class_of[h]] += 1
+    return _induced(group, counts, sub.order)
 
 
 def induced_sign(group: PermGroup, m: int, s: int) -> tuple[int, ...]:

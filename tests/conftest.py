@@ -17,6 +17,7 @@ from hurwitzdegen import (BoundaryDatum, CosetTable, CoverCurve, DevissageReport
 from hurwitzdegen import audit
 from hurwitzdegen.boundary import serialize
 from hurwitzdegen.covers import _genus
+from hurwitzdegen.groups import _induced
 
 
 @pytest.fixture(scope="session")
@@ -266,10 +267,38 @@ def deck_action(cover: CoverCurve) -> GraphAction:
         return edge_of[point, mcos.index_of[G.mul(g, mcos.cells[cell][0])]]
 
     V, E = cover.graph.vertex_count, len(branches)
-    return GraphAction(
+    return check_action(GraphAction(
         cover.graph, G,
         tuple(tuple(vertex_image(g, v) for v in range(V)) for g in range(G.order)),
-        tuple(tuple(edge_image(g, e) for e in range(E)) for g in range(G.order)))
+        tuple(tuple(edge_image(g, e) for e in range(E)) for g in range(G.order))))
+
+
+def check_action(action: GraphAction) -> GraphAction:
+    """Assert that ``action`` acts by graph automorphisms, and return it.
+
+    The identity and generator rows must be graph automorphisms, and
+    row(s g) = row(s) row(g) for every generator s; every element is a
+    product of generators, so every row is then a product of checked
+    automorphisms.
+    """
+    G, graph = action.group, action.graph
+    assert len(action.vertex_images) == G.order and len(action.edge_images) == G.order
+    for g in {G.identity, *G.generator_ids}:
+        vi, ei = action.vertex_images[g], action.edge_images[g]
+        assert sorted(vi) == list(range(graph.vertex_count))
+        assert sorted(ei) == list(range(len(graph.edges)))
+        for e in range(len(graph.edges)):
+            s, t = graph.edges[e]
+            assert graph.edges[ei[e]] == (vi[s], vi[t]), "action must commute with source/sink"
+            assert ei[graph.opp[e]] == graph.opp[ei[e]], "action must commute with opp"
+    for s in G.generator_ids:
+        for g in range(G.order):
+            sg = G.mul(s, g)
+            assert action.vertex_images[sg] == tuple(
+                action.vertex_images[s][v] for v in action.vertex_images[g])
+            assert action.edge_images[sg] == tuple(
+                action.edge_images[s][e] for e in action.edge_images[g])
+    return action
 
 
 # -- intermediate quotients ---------------------------------------------------
@@ -437,7 +466,7 @@ def canonical_form_by_scan(datum: BoundaryDatum) -> tuple:
 
 def assert_closed(G: PermGroup, H: Subgroup) -> None:
     """The closure check ``Subgroup`` trusts its callers with."""
-    ms = H.member_set()
+    ms = frozenset(H.members)
     assert 0 in ms
     for a in H.members:
         assert G.inv(a) in ms, f"not closed under inverse at {a}"
@@ -448,7 +477,7 @@ def assert_closed(G: PermGroup, H: Subgroup) -> None:
 def normalizer(group: PermGroup, sub: Subgroup) -> Subgroup:
     """The normalizer of ``sub`` by a scan of G: the oracle for the audit's
     cyclic normalizer orders, and the order-10 subgroup D10 of the tests."""
-    ms = sub.member_set()
+    ms = frozenset(sub.members)
     keep = [g for g in range(group.order)
             if all(group.conj(g, h) in ms for h in sub.members)]
     return Subgroup(tuple(keep))
@@ -545,11 +574,31 @@ def all_subgroups(group: PermGroup) -> tuple[Subgroup, ...]:
                  sorted(found, key=lambda m: (len(m), tuple(sorted(m)))))
 
 
+def induced_by_kernel(group: PermGroup, sub: Subgroup, kernel: Subgroup) -> tuple[int, ...]:
+    """Frobenius induction up to ``group`` of the +-1 character of ``sub``
+    that is +1 on ``kernel`` and -1 off it; ``kernel = sub`` gives the trivial
+    character.  The reference for ``induced_sign``'s sign case.
+
+    A +-1 character is fixed by its kernel, a subgroup of index at most 2
+    (index 2 makes it normal), so that index is all that is checked.
+    Ind(chi)(g) = |G| / (|cl g| |H|) * sum of chi(h) over h in H meeting the
+    class of g: one pass over H, bucketed by class; values come out integral.
+    """
+    ks = frozenset(kernel.members)
+    if not ks <= frozenset(sub.members) or sub.order not in (kernel.order, 2 * kernel.order):
+        raise ValueError(f"a kernel of order {kernel.order} is not of index <= 2 "
+                         f"in a subgroup of order {sub.order}")
+    sums, class_of = [0] * len(group.conjugacy_classes()), group._class_table()
+    for h in sub.members:
+        sums[class_of[h]] += 1 if h in ks else -1
+    return _induced(group, sums, sub.order)
+
+
 def sign_characters(group: PermGroup, sub: Subgroup) -> list[Subgroup]:
     """Kernels of all homomorphisms sub -> {+-1}, the trivial one (sub) first.
 
     Those are the subgroups of index at most 2, found among all subgroups.
     """
-    members = sub.member_set()
+    members = frozenset(sub.members)
     return [sub] + [K for K in all_subgroups(group)
-                    if 2 * K.order == sub.order and K.member_set() <= members]
+                    if 2 * K.order == sub.order and frozenset(K.members) <= members]

@@ -17,8 +17,8 @@ from hurwitzdegen import audit
 from hurwitzdegen.covers import cover_report
 
 from conftest import (a5_split_datum, canonical_form_by_scan, characters, conjugate_datum,
-                      deck_action, inverting_pairs, normalizer, quotient_report,
-                      random_valid_datum)
+                      deck_action, induced_by_kernel, inverting_pairs, normalizer,
+                      quotient_report, random_valid_datum)
 
 
 def _result(name: str, ok: bool) -> None:
@@ -53,7 +53,7 @@ def test_criterion_2_a5_h1_character():
     m = G.id_of(perm_from_cycles(5, (0, 1, 2, 3, 4)))
     C5 = G.cyclic_subgroup(m)
     D10 = normalizer(G, C5)
-    expected = tuple(2 * v for v in induced_character(G, D10, C5))
+    expected = tuple(2 * v for v in induced_by_kernel(G, D10, C5))
     h1 = characters(datum).h1_character
     ok = h1 == expected and h1[0] == 12 == 2 * quotient_report(datum)["arithmetic_genus"]
     _result("2 (A5 h1 = 2*Ind(signum), degree 12)", ok)
@@ -74,8 +74,8 @@ def test_criterion_3_cross_degeneration_constancy():
     m = G.id_of(perm_from_cycles(5, (0, 1, 2, 3, 4)))
     C5 = G.cyclic_subgroup(m)
     D10 = normalizer(G, C5)
-    ok &= induced_character(G, C5, C5) == tuple(a + b for a, b in zip(
-        induced_character(G, D10, D10), induced_character(G, D10, C5), strict=True))
+    ok &= induced_character(G, C5) == tuple(a + b for a, b in zip(
+        induced_character(G, D10), induced_by_kernel(G, D10, C5), strict=True))
     _result("3 (split datum: 7 components, 12 cyclic nodes, same h1; Mackey)", ok)
 
 

@@ -10,7 +10,7 @@ from hurwitzdegen import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPo
                           perm_from_cycles, tuple_from_jsonable, tuple_to_jsonable, validate)
 from hurwitzdegen import audit, groups
 from hurwitzdegen.boundary import datum_warnings, serialize, unstable_components
-from hurwitzdegen.errors import InvalidDatum, ProductNotOne, SchemaError
+from hurwitzdegen.errors import InvalidDatum, SchemaError
 
 from conftest import (PIECE_DATA, a5_smoothed_tuple, a5_split_datum, canonical_form_by_scan,
                       closure_by_bfs, conjugate_datum, inverting_pairs, load_datum,
@@ -114,9 +114,13 @@ def test_tuple_is_a_one_component_datum(a5, psl27):
 
 
 def test_product_not_one(s3):
+    # the loader is where outside entries arrive, and where their product is checked
     t = s3.id_of(perm_from_cycles(3, (0, 1)))
-    with pytest.raises(ProductNotOne):
-        HurwitzTuple(s3, (t, s3.identity))
+    obj = tuple_to_jsonable(HurwitzTuple(s3, (t, s3.identity)))
+    with pytest.raises(SchemaError) as exc:
+        tuple_from_jsonable(obj)
+    assert (exc.value.path, exc.value.detail) == ("$.entries",
+                                                  "tuple entries must multiply to the identity")
 
 
 def test_identity_monodromy_warning(s3):
@@ -165,7 +169,7 @@ def test_graph_of_groups_against_plain_closure(fixture, seed, request):
         gog = dual_graph_of_groups(datum)
         for ci, comp in enumerate(datum.components):
             gens = [x for a, b in comp.handles for x in (a, b)] + [pt.m for pt in comp.points]
-            assert gog.vertex_groups[ci].member_set() == closure_by_bfs(G, gens)
+            assert frozenset(gog.vertex_groups[ci].members) == closure_by_bfs(G, gens)
         assert gog.edge_ends == tuple(datum.nodes()) + tuple(
             (point,) for point in datum.dihedral_points())
         for ends, (m, s), order in zip(gog.edge_ends, gog.edge_labels, gog.edge_orders()):

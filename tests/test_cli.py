@@ -303,6 +303,18 @@ def test_degenerate_two_entry_tuple_exits_0(tmp_path, capsys, flags):
     assert (result["count"], result["degenerations"], result["warnings"]) == (0, [], [])
 
 
+@pytest.mark.parametrize("flags", [["--splits"], ["--dihedral", "0", "--dedup"]])
+def test_degenerate_rejects_entries_whose_product_is_not_one(tmp_path, capsys, flags):
+    # HurwitzTuple trusts its entries; the loader checks their product
+    G = audit.a5_group()
+    c = G.id_of(perm_from_cycles(5, (0, 1, 2, 3, 4)))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(tuple_to_jsonable(HurwitzTuple(G, (c, c, c)))), encoding="utf-8")
+    code, out, err = run_cli(capsys, "degenerate", str(path), *flags)
+    assert (code, out) == (1, "")
+    assert err == "error: $.entries: tuple entries must multiply to the identity\n"
+
+
 @pytest.mark.parametrize("index", ["3", "7", "-1"])
 def test_degenerate_dihedral_index_out_of_range(tmp_path, capsys, index):
     path = tmp_path / "t3.json"

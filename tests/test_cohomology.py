@@ -13,8 +13,8 @@ from hurwitzdegen import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPo
                           render_character_table, tuple_from_jsonable)
 from hurwitzdegen import audit, cohomology, groups
 
-from conftest import (a5_split_datum, characters, inverting_pairs, normalizer, quotient_report,
-                      random_valid_datum, subcover)
+from conftest import (a5_split_datum, characters, induced_by_kernel, inverting_pairs, normalizer,
+                      quotient_report, random_valid_datum, subcover)
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,10 +44,10 @@ def test_characters_are_int_tuples_in_class_order(path):
     for pt in (pt for comp in datum.components for pt in comp.points):
         C = G.cyclic_subgroup(pt.m)
         assert is_character(induced_sign(G, pt.m, G.identity))
-        assert is_character(induced_character(G, C, C))
+        assert is_character(induced_character(G, C))
         if pt.s is not None:
             assert is_character(induced_sign(G, pt.m, pt.s))
-            assert is_character(induced_character(G, G.generated_subgroup([pt.m, pt.s]), C))
+            assert is_character(induced_by_kernel(G, G.generated_subgroup([pt.m, pt.s]), C))
     rep = characters(datum)
     assert all(is_character(chi) for chi in (rep.chi_dR, rep.chi_normalization,
                                              rep.edge_induction_sum))
@@ -63,7 +63,7 @@ def test_a5_dihedral_characters(a5):
     genus = quotient_report(datum)["arithmetic_genus"]
     C5 = a5.cyclic_subgroup(a5.id_of(perm_from_cycles(5, (0, 1, 2, 3, 4))))
     D10 = normalizer(a5, C5)
-    ind_sgn = induced_character(a5, D10, C5)
+    ind_sgn = induced_by_kernel(a5, D10, C5)
 
     assert rep.chi_dR == tuple(2 - 2 * v for v in ind_sgn)  # 2 triv - 2 Ind sgn
     assert rep.chi_dR == (-10, 6, 2, 0, 0)
@@ -128,9 +128,9 @@ def test_induced_sign_against_closure(fixture, request):
          else request.getfixturevalue(fixture))
     for m in range(G.order):
         C = G.cyclic_subgroup(m)
-        assert induced_sign(G, m, G.identity) == induced_character(G, C, C)
+        assert induced_sign(G, m, G.identity) == induced_character(G, C)
         for s in inverting_involutions(G, m):
-            assert induced_sign(G, m, s) == induced_character(G, G.generated_subgroup([m, s]), C)
+            assert induced_sign(G, m, s) == induced_by_kernel(G, G.generated_subgroup([m, s]), C)
 
 
 def test_two_component_trivial_group_h1_vanishes():
@@ -167,7 +167,7 @@ def test_h1_against_subcover_genera(fixture, seed, request):
     G = request.getfixturevalue(fixture)
     rng = random.Random(seed)
     cyclic = {G.cyclic_subgroup(g).members: G.cyclic_subgroup(g) for g in range(G.order)}
-    inductions = [(K, induced_character(G, K, K)) for K in cyclic.values()]
+    inductions = [(K, induced_character(G, K)) for K in cyclic.values()]
     covers = 0
     while covers < 3:
         entries = [rng.randrange(G.order) for _ in range(rng.randrange(2, 4))]

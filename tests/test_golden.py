@@ -2,7 +2,8 @@
 
 ``tests/golden/cases.json`` lists each case's argv (paths relative to the
 repository root; inputs that are not docs examples are in
-``tests/golden/data``), exit code and standard error; its standard output is
+``tests/golden/data``, or in ``tests/golden/invalid`` if they fail
+validation), exit code and standard error; its standard output is
 ``tests/golden/<name>.out``.  A ``graph`` case writes its DOT text to the file
 named after ``--dot``: the argv holds the placeholder ``DOT_OUT``, the case
 runs with a temporary file in its place, and ``<name>.out`` holds the bytes
@@ -34,6 +35,8 @@ SPLIT_DATUM = "docs/examples/a5_split_datum.json"
 # a cover connected only through a dihedral point's s, and a disconnected cover
 BRIDGE_DATUM = "tests/golden/data/s3_dihedral_bridge_datum.json"
 DISCONNECTED_DATUM = "tests/golden/data/s5_disconnected_datum.json"
+# fails validation (two violations) and has an unstable component: analyze exits 2
+INVALID_DATUM = "tests/golden/invalid/s3_unstable_invalid_datum.json"
 DOT_OUT = "DOT_OUT"
 
 
@@ -45,6 +48,8 @@ def golden_argvs() -> dict[str, list[str]]:
         "analyze_s3_dihedral_bridge": ["analyze", BRIDGE_DATUM],
         "analyze_s5_disconnected": ["analyze", DISCONNECTED_DATUM],
         "analyze_pretty_s5_disconnected": ["analyze", DISCONNECTED_DATUM, "--pretty"],
+        "analyze_s3_unstable_invalid": ["analyze", INVALID_DATUM],
+        "analyze_pretty_s3_unstable_invalid": ["analyze", INVALID_DATUM, "--pretty"],
         "character": ["character", DATUM],
         "character_json": ["character", DATUM, "--json"],
         "graph_quotient": ["graph", DATUM, "--which", "quotient", "--dot", DOT_OUT],

@@ -5,7 +5,8 @@ import pytest
 from hurwitzdegen import GenGraph, GraphAction, PermGroup, build_cover, gengraph_to_dot, inner
 from hurwitzdegen import audit
 
-from conftest import a5_split_datum, characters, deck_action, lefschetz_counts, quotient_report
+from conftest import (a5_split_datum, characters, check_action, deck_action, lefschetz_counts,
+                      quotient_report)
 
 
 def test_gengraph_invariants():
@@ -64,7 +65,7 @@ def test_action_rejects_broken_non_generator_row(a5, table):
     tables = {"vertex_images": action.vertex_images, "edge_images": action.edge_images,
               table: tuple(map(tuple, rows))}
     with pytest.raises(AssertionError):
-        GraphAction(action.graph, a5, tables["vertex_images"], tables["edge_images"])
+        check_action(GraphAction(action.graph, a5, tables["vertex_images"], tables["edge_images"]))
 
 
 def cayley_graph_action(G: PermGroup, gen_ids: list[int]) -> GraphAction:
@@ -88,7 +89,7 @@ def cayley_graph_action(G: PermGroup, gen_ids: list[int]) -> GraphAction:
         for (g, s), e in key_to_id.items():
             ei[e] = key_to_id[(G.mul(x, g), s)]
         edge_images.append(tuple(ei))
-    return GraphAction(graph, G, vertex_images, tuple(edge_images))
+    return check_action(GraphAction(graph, G, vertex_images, tuple(edge_images)))
 
 
 @pytest.mark.parametrize("fixture", ["s3", "s4"])

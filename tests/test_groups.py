@@ -1,19 +1,21 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from hurwitzdegen import (PermGroup, Subgroup, compose, induced_character, inner, inverse,
-                          inverting_involutions, is_inverting_involution, left_cosets,
-                          perm_from_cycles)
+from hurwitzdegen import (PermGroup, Subgroup, compose, dual_graph_of_groups, induced_character,
+                          inner, inverse, inverting_involutions, is_inverting_involution,
+                          left_cosets, perm_from_cycles)
 from hurwitzdegen import audit, groups
-from hurwitzdegen.errors import (ClosureBoundExceeded, DegreeMismatch, NotACharacter)
+from hurwitzdegen.errors import ClosureBoundExceeded, DegreeMismatch
 from hurwitzdegen.groups import as_perm, identity_perm
 
-from conftest import (all_subgroups, centralizer_by_scan, closure_by_bfs, normalizer, orbits,
-                      sign_characters, small_generating_set)
+from conftest import (all_subgroups, centralizer_by_scan, closure_by_bfs, disjoint_union,
+                      induced_by_kernel, inverting_pairs, normalizer, orbits,
+                      random_valid_datum, sign_characters, small_generating_set)
 
 
 def test_composition_convention():
@@ -100,7 +102,7 @@ def test_generated_subgroup_of_an_element_above_half_order():
     assert G.generated_subgroup([g]) == G.full_subgroup()
     assert G.generated_subgroup([g5]) == G.full_subgroup()
     square = G.generated_subgroup([G.mul(g, g)])  # order 6 = |G|/2: a proper subgroup
-    assert square.order == 6 and square.member_set() == closure_by_bfs(G, [G.mul(g, g)])
+    assert square.order == 6 and frozenset(square.members) == closure_by_bfs(G, [G.mul(g, g)])
 
 
 @pytest.mark.parametrize("gens,degree", [([], 0), ([()], 0), ([], 1), ([(0,)], 1),
@@ -312,7 +314,7 @@ def test_generated_subgroup_against_plain_closure(fixture, request):
     assert G.generated_subgroup([]).members == G.generated_subgroup([0]).members == (0,)
     for H in all_subgroups(G):
         gens = small_generating_set(G, H)
-        assert closure_by_bfs(G, gens) == H.member_set() and 2 ** len(gens) <= H.order
+        assert closure_by_bfs(G, gens) == frozenset(H.members) and 2 ** len(gens) <= H.order
         check(gens)
         check([0] + gens + gens[::-1])    # the identity and duplicate ids
     if G.order <= 24:
@@ -332,7 +334,7 @@ def test_index_2_closure_is_not_promoted(fixture, gens, request):
     ids = [G.id_of(perm_from_cycles(G.degree, c)) for c in gens]
     H = G.generated_subgroup(ids)
     assert 2 * H.order == G.order
-    assert H.member_set() == closure_by_bfs(G, ids)
+    assert frozenset(H.members) == closure_by_bfs(G, ids)
 
 
 def test_a5_class_sizes(a5):
@@ -526,46 +528,74 @@ def test_left_cosets(a5):
 
 def test_induction_from_whole_group_is_identity(a5):
     whole = a5.full_subgroup()
-    assert induced_character(a5, whole, whole) == (1,) * len(a5.conjugacy_classes())
+    assert induced_character(a5, whole) == (1,) * len(a5.conjugacy_classes())
 
 
 def test_induced_signum_from_d10(a5):
     C5 = a5.cyclic_subgroup(a5.id_of(perm_from_cycles(5, (0, 1, 2, 3, 4))))
     D10 = normalizer(a5, C5)
-    ind = induced_character(a5, D10, C5)
+    ind = induced_by_kernel(a5, D10, C5)
     assert ind[0] == 6
     # frozen via an independent signed fixed-coset computation
     assert ind == (6, -2, 0, 1, 1)
 
 
+def assert_coset_permutation_character(G: PermGroup, H: Subgroup) -> None:
+    """Ind_H 1 at each class representative g is the number of cosets xH
+    that g fixes, counted on the coset table."""
+    table = left_cosets(G, H)
+    fixed = [sum(1 for cell in table.cells
+                 if table.index_of[G.mul(c[0], cell[0])] == table.index_of[cell[0]])
+             for c in G.conjugacy_classes()]
+    assert induced_character(G, H) == tuple(fixed), H
+
+
 def test_induced_trivial_is_coset_permutation_character(a5):
-    # independent oracle: count fixed cosets of the class representative
     C5 = a5.cyclic_subgroup(a5.id_of(perm_from_cycles(5, (0, 1, 2, 3, 4))))
-    ind = induced_character(a5, C5, C5)
-    table = left_cosets(a5, C5)
-    for ci, c in enumerate(a5.conjugacy_classes()):
-        g = c[0]
-        fixed = sum(1 for cell in table.cells
-                    if table.index_of[a5.mul(g, cell[0])] == table.index_of[cell[0]])
-        assert ind[ci] == fixed
-    assert ind == (12, 0, 0, 2, 2)
+    assert_coset_permutation_character(a5, C5)
+    assert induced_character(a5, C5) == (12, 0, 0, 2, 2)
+
+
+@pytest.mark.parametrize("fixture", ["s4", "a5"])
+def test_induced_trivial_on_every_subgroup(fixture, request):
+    G = request.getfixturevalue(fixture)
+    for H in all_subgroups(G):
+        assert_coset_permutation_character(G, H)
+
+
+@pytest.mark.parametrize("fixture,seed", [("s4", 71), ("a5", 72), ("psl27", 73)])
+def test_induced_trivial_on_graph_of_groups_subgroups(fixture, seed, request):
+    # Ind_{H_Y} 1 and Ind_{K_P} 1 over the vertex and piece groups of random
+    # valid data, disjoint unions included, so that K_P ranges over pieces too
+    G = request.getfixturevalue(fixture)
+    rng, pairs = random.Random(seed), inverting_pairs(G)
+    subgroups = {}
+    for _ in range(20):
+        datum = random_valid_datum(G, rng, pairs)
+        if rng.random() < 0.3:
+            datum = disjoint_union(datum, random_valid_datum(G, rng, pairs))
+        gog = dual_graph_of_groups(datum)
+        subgroups.update((H.members, H) for H in (*gog.vertex_groups, *gog.piece_groups))
+    assert any(H.order < G.order for H in subgroups.values())
+    for H in subgroups.values():
+        assert_coset_permutation_character(G, H)
 
 
 def test_not_a_character(s3):
     t01 = s3.cyclic_subgroup(s3.id_of(perm_from_cycles(3, (0, 1))))
     t12 = s3.cyclic_subgroup(s3.id_of(perm_from_cycles(3, (1, 2))))
-    with pytest.raises(NotACharacter):  # index 3
-        induced_character(s3, s3.full_subgroup(), t01)
-    with pytest.raises(NotACharacter):  # not inside the subgroup
-        induced_character(s3, t01, t12)
+    with pytest.raises(ValueError, match="index <= 2"):  # index 3
+        induced_by_kernel(s3, s3.full_subgroup(), t01)
+    with pytest.raises(ValueError, match="index <= 2"):  # not inside the subgroup
+        induced_by_kernel(s3, t01, t12)
 
 
 def test_mackey_identity(a5):
     C5 = a5.cyclic_subgroup(a5.id_of(perm_from_cycles(5, (0, 1, 2, 3, 4))))
     D10 = normalizer(a5, C5)
-    lhs = induced_character(a5, C5, C5)
-    rhs = tuple(a + b for a, b in zip(induced_character(a5, D10, D10),
-                                      induced_character(a5, D10, C5), strict=True))
+    lhs = induced_character(a5, C5)
+    rhs = tuple(a + b for a, b in zip(induced_character(a5, D10),
+                                      induced_by_kernel(a5, D10, C5), strict=True))
     assert lhs == rhs
 
 
@@ -584,7 +614,7 @@ def test_is_inverting_involution_against_definition(fixture, request):
     # every pair (m, s), checked against the definition with <m> closed
     G = request.getfixturevalue(fixture)
     for m in range(G.order):
-        powers = G.cyclic_subgroup(m).member_set()
+        powers = frozenset(G.cyclic_subgroup(m).members)
         for s in range(G.order):
             expected = (G.mul(s, s) == 0 and G.conj(s, m) == G.inv(m)
                         and s not in powers)
@@ -609,10 +639,10 @@ def test_frobenius_reciprocity_all_subgroups(fixture, request):
     triv = (1,) * len(G.conjugacy_classes())
     for H in all_subgroups(G):
         for K in sign_characters(G, H):
-            ind = induced_character(G, H, K)
+            ind = induced_by_kernel(G, H, K)
             assert ind[0] == G.order // H.order
             lhs = inner(G, ind, triv)
-            rhs = Fraction(sum(1 if h in K.member_set() else -1 for h in H.members), H.order)
+            rhs = Fraction(sum(1 if h in K.members else -1 for h in H.members), H.order)
             assert lhs == rhs
 
 
@@ -621,7 +651,7 @@ def test_sign_character_counts(s3, d4):
     assert len(sign_characters(s3, s3.full_subgroup())) == 2
     assert len(sign_characters(d4, d4.full_subgroup())) == 4
     for K in sign_characters(d4, d4.full_subgroup()):
-        chi = [1 if g in K.member_set() else -1 for g in range(d4.order)]
+        chi = [1 if g in K.members else -1 for g in range(d4.order)]
         for a in range(d4.order):
             for b in range(d4.order):
                 assert chi[d4.mul(a, b)] == chi[a] * chi[b]

@@ -15,11 +15,10 @@ import hurwitzdegen
 from hurwitzdegen import (BoundaryDatum, ClassRecord, CosetTable, CoverCurve,
                           Degeneration, DevissageReport, GenGraph, GraphAction, HurwitzTuple,
                           MarkedComponent, MarkedPoint, PermGroup, Subgroup, Violation,
-                          canonical_form)
+                          canonical_form, validate)
 from hurwitzdegen._record import Record
 from hurwitzdegen.audit import AuditCheck
 from hurwitzdegen.boundary import DualGraphOfGroups
-from hurwitzdegen.errors import ProductNotOne
 
 VALUE, IDENTITY = "value", "identity"
 
@@ -158,11 +157,18 @@ def test_cache_slots_stay_out_of_repr_and_equality(s3):
     (lambda G: MarkedPoint("cyclic", 0, None, 0), ValueError),
     (lambda G: MarkedComponent(-1, (), ()), ValueError),
     (lambda G: MarkedComponent(1, (), ()), ValueError),
-    (lambda G: HurwitzTuple(G, (1,)), ProductNotOne),
-], ids=["point-kind", "point-s", "point-node", "genus", "handles", "product"])
+], ids=["point-kind", "point-s", "point-node", "genus", "handles"])
 def test_constructor_checks_still_raise(build, error, s3):
     with pytest.raises(error):
         build(s3)
+
+
+def test_tuple_constructor_trusts_its_entries(s3):
+    # a product other than e is the component's surface relation, which
+    # validate reports; the loader rejects such entries on input
+    t = HurwitzTuple(s3, (1,))
+    assert t.entries == (1,)
+    assert [(v.kind, v.location) for v in validate(t)] == [("SurfaceRelation", "component 0")]
 
 
 @pytest.mark.parametrize("cls,build", [
