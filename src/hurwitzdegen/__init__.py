@@ -14,8 +14,8 @@ from .boundary import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPoint
                        tuple_to_jsonable, validate)
 from .cohomology import DevissageReport, class_labels, de_rham_character, render_character_table
 from .covers import CoverCurve, build_cover, cover_report, cover_to_dot, rh_genus
-from .degen import (Degeneration, collide_pair, dedup, dihedral_degenerations, smooth_dihedral,
-                    split_degenerations)
+from .degen import (Degeneration, collide, collide_pair, dedup, dihedral, dihedral_degenerations,
+                    smooth, smooth_dihedral, split, split_degenerations)
 from .graphs import GenGraph, GraphAction, gengraph_to_dot
 from .groups import (ClassRecord, CosetTable, PermGroup, Subgroup, compose, induced_character,
                      induced_sign, inner, inverse, inverting_involutions, is_inverting_involution,

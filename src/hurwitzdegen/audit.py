@@ -144,7 +144,7 @@ def run_audit() -> list[AuditCheck]:
           "twice the induced signum of the order-10 subgroup")
 
     t4 = smooth_dihedral(degs[0])
-    orders = tuple(map(G.element_order, t4.entries))
+    orders = tuple(G.element_order(pt.m) for pt in t4.components[0].points)
     check("a5-smoothing-orders", orders == (2, 2, 2, 3),
           f"smoothed tuple branch orders {orders}, expected (2, 2, 2, 3)")
     splits = split_degenerations(t4)

@@ -14,8 +14,8 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 
 from .boundary import (BoundaryDatum, datum_from_jsonable, datum_to_jsonable, datum_warnings,
-                       dual_graph_of_groups, tuple_from_jsonable, tuple_to_jsonable,
-                       unstable_components)
+                       dual_graph_of_groups, is_stable_curve, tuple_from_jsonable,
+                       tuple_to_jsonable, unstable_components)
 from .cohomology import (character_to_jsonable, classes_to_jsonable, de_rham_character,
                          render_character_table)
 from .covers import build_cover, cover_report, cover_to_dot
@@ -204,7 +204,7 @@ def cmd_degenerate(args) -> int:
         degs.extend(split_degenerations(t))
     if args.dihedral is not None:
         found = dihedral_degenerations(t, args.dihedral)
-        if not found and len(t) >= 3:
+        if not found and is_stable_curve(0, len(t)):
             warnings.append(
                 f"no inverting involution exists for entry {args.dihedral} "
                 f"(order {t.group.element_order(t.entries[args.dihedral])}): "

@@ -147,10 +147,6 @@ class PermGroup:
     def identity(self) -> int:
         return 0
 
-    @property
-    def generator_ids(self) -> list[int]:
-        return list(self._gen_ids)
-
     def perm(self, i: int) -> Perm:
         return tuple(self.elements[i])
 

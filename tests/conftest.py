@@ -69,10 +69,21 @@ def s4_on_257():
     return PermGroup([perm_from_cycles(257, (0, 1, 2, 3)), perm_from_cycles(257, (0, 1))])
 
 
+def generator_ids(G: PermGroup) -> list[int]:
+    """The ids of the group's generators, in the order they were given."""
+    return list(G._gen_ids)
+
+
+def entries(datum: BoundaryDatum) -> tuple[int, ...]:
+    """The monodromies of component 0's points: a tuple's entries, read off any datum."""
+    return tuple(pt.m for pt in datum.components[0].points)
+
+
 def a5_smoothed_tuple(G: PermGroup | None = None) -> HurwitzTuple:
     """The A5 tuple of branch orders (2, 2, 2, 3): the smoothing of the first
     dihedral degeneration of ``audit.a5_tuple``."""
-    return smooth_dihedral(audit.a5_dihedral_degenerations(G)[0])
+    smoothed = smooth_dihedral(audit.a5_dihedral_degenerations(G)[0])
+    return HurwitzTuple(smoothed.group, entries(smoothed))
 
 
 def a5_split_datum(G: PermGroup | None = None) -> BoundaryDatum:
@@ -105,7 +116,7 @@ def random_valid_datum(G: PermGroup, rng: random.Random,
             pts.append(MarkedPoint.cyclic(rng.randrange(G.order)))
         if ci == 0 and rng.random() < 0.5:
             # make full-image (hence often connected) covers common
-            for gid in G.generator_ids:
+            for gid in generator_ids(G):
                 pts.append(MarkedPoint.cyclic(gid))
         acc = G.identity
         for a, b in handles:
@@ -283,7 +294,7 @@ def check_action(action: GraphAction) -> GraphAction:
     """
     G, graph = action.group, action.graph
     assert len(action.vertex_images) == G.order and len(action.edge_images) == G.order
-    for g in {G.identity, *G.generator_ids}:
+    for g in {G.identity, *generator_ids(G)}:
         vi, ei = action.vertex_images[g], action.edge_images[g]
         assert sorted(vi) == list(range(graph.vertex_count))
         assert sorted(ei) == list(range(len(graph.edges)))
@@ -291,7 +302,7 @@ def check_action(action: GraphAction) -> GraphAction:
             s, t = graph.edges[e]
             assert graph.edges[ei[e]] == (vi[s], vi[t]), "action must commute with source/sink"
             assert ei[graph.opp[e]] == graph.opp[ei[e]], "action must commute with opp"
-    for s in G.generator_ids:
+    for s in generator_ids(G):
         for g in range(G.order):
             sg = G.mul(s, g)
             assert action.vertex_images[sg] == tuple(
@@ -429,6 +440,22 @@ def subcover(cover: CoverCurve, K: Subgroup) -> SubcoverReport:
 
     return SubcoverReport(K.order, degree, tuple(sub_components),
                           tuple(point_types), tuple(node_orbits))
+
+
+def smooth_node(datum: BoundaryDatum, node: int) -> BoundaryDatum:
+    """The inverse of ``degen.split``: the node's two ends must be the last
+    point of a rational component with no handles and point 0 of the next
+    component, which keeps its genus and handles and takes the first
+    component's other points before its own."""
+    ends = datum.node_ends()[node]
+    assert len(ends) == 2, f"node {node} has {len(ends)} ends"
+    (ci, pi), (cj, pj) = ends
+    comps = datum.components
+    left, right = comps[ci], comps[ci + 1]
+    assert (cj, pj) == (ci + 1, 0) and pi == len(left.points) - 1
+    assert left.genus == 0 and left.handles == ()
+    merged = MarkedComponent(right.genus, right.handles, left.points[:-1] + right.points[1:])
+    return BoundaryDatum(datum.group, (*comps[:ci], merged, *comps[ci + 2:]))
 
 
 def disjoint_union(a: BoundaryDatum, b: BoundaryDatum) -> BoundaryDatum:

@@ -6,17 +6,19 @@ from collections import Counter
 
 import pytest
 
-from hurwitzdegen import (HurwitzTuple, PermGroup, canonical_form,
-                          collide_pair, dedup, dihedral_degenerations, equivalent, left_cosets,
-                          perm_from_cycles, rh_genus, smooth_dihedral,
-                          split_degenerations, validate)
+from hurwitzdegen import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPoint, PermGroup,
+                          canonical_form, collide, collide_pair, cover_report, de_rham_character,
+                          dedup, dihedral, dihedral_degenerations, dual_graph_of_groups,
+                          equivalent, left_cosets, perm_from_cycles, rh_genus, smooth,
+                          smooth_dihedral, split, split_degenerations, validate)
 from hurwitzdegen import audit
-from hurwitzdegen.boundary import serialize, unstable_components
+from hurwitzdegen.boundary import CYCLIC, is_stable_curve, serialize, unstable_components
 from hurwitzdegen.degen import Degeneration
 from hurwitzdegen.errors import InvalidDatum
 
-from conftest import (a5_smoothed_tuple, canonical_form_by_scan, conjugate_datum,
-                      local_model_orbit_sizes, normalizer, orbits, quotient_report)
+from conftest import (a5_smoothed_tuple, canonical_form_by_scan, conjugate_datum, entries,
+                      generator_ids, inverting_pairs, local_model_orbit_sizes, normalizer, orbits,
+                      quotient_report, random_valid_datum, smooth_node)
 
 
 def test_split_index_range(a5, s4):
@@ -78,10 +80,10 @@ def test_every_emitted_degeneration_is_valid_and_stable(a5, s4, d5, psl27):
 
 
 def test_collide_pair_of_a_three_entry_tuple_is_unstable():
-    # the one stability check on degenerations, in collide_pair: the Klein
+    # collide checks is_stable_curve on the component it shrinks: the Klein
     # four-group tuple (a, b, ab) collides to two points
     v4 = PermGroup([perm_from_cycles(4, (0, 1), (2, 3)), perm_from_cycles(4, (0, 2), (1, 3))])
-    a, b = v4.generator_ids
+    a, b = generator_ids(v4)
     with pytest.raises(InvalidDatum) as exc:
         collide_pair(HurwitzTuple(v4, (a, b, v4.mul(a, b))), 0)
     assert [v.kind for v in exc.value.violations] == ["Stability"]
@@ -128,13 +130,13 @@ def test_dihedral_index_out_of_range(a5, index):
 def test_smooth_dihedral_entries(a5):
     degs = dihedral_degenerations(audit.a5_tuple(a5), 0)
     d = degs[0]
-    t4 = smooth_dihedral(d)
+    t4 = entries(smooth_dihedral(d))
     m = audit.a5_tuple(a5).entries[0]
     s = d.datum.point(0, 0).s
-    assert t4.entries[0] == s
-    assert t4.entries[1] == a5.mul(s, m)
-    assert t4.entries[2:] == audit.a5_tuple(a5).entries[1:]
-    assert tuple(map(a5.element_order, t4.entries)) == (2, 2, 2, 3)
+    assert t4[0] == s
+    assert t4[1] == a5.mul(s, m)
+    assert t4[2:] == audit.a5_tuple(a5).entries[1:]
+    assert tuple(map(a5.element_order, t4)) == (2, 2, 2, 3)
 
 
 def test_smooth_dihedral_order2_monodromy(d4):
@@ -146,9 +148,9 @@ def test_smooth_dihedral_order2_monodromy(d4):
     tup = HurwitzTuple(d4, (m, x, d4.inv(d4.mul(m, x))))
     degs = [d for d in dihedral_degenerations(tup, 0) if d.datum.point(0, 0).s == s]
     assert len(degs) == 1
-    t = smooth_dihedral(degs[0])
-    assert d4.element_order(t.entries[0]) == 2
-    assert d4.element_order(t.entries[1]) == 2
+    t = entries(smooth_dihedral(degs[0]))
+    assert d4.element_order(t[0]) == 2
+    assert d4.element_order(t[1]) == 2
 
 
 def test_collide_pair_round_trip(a5):
@@ -163,19 +165,19 @@ def test_collide_pair_round_trip(a5):
 def test_collide_pair_needs_involutions(a5):
     with pytest.raises(ValueError):
         collide_pair(audit.a5_tuple(a5), 0)  # entry 0 has order 5
-    with pytest.raises(ValueError, match="entry 3 is not an involution"):
+    with pytest.raises(ValueError, match="point 3 is not an involution"):
         collide_pair(a5_smoothed_tuple(a5), 2)  # orders (2, 2, 2, 3): entry 3 has order 3
 
 
 def test_collide_pair_needs_two_adjacent_entries(a5):
     t4 = a5_smoothed_tuple(a5)
-    with pytest.raises(ValueError, match="two adjacent entries"):
+    with pytest.raises(ValueError, match="component 0 has no point 4"):
         collide_pair(t4, len(t4) - 1)
 
 
 def test_smooth_dihedral_rejects_a_split(a5):
     split = split_degenerations(a5_smoothed_tuple(a5))[0]
-    with pytest.raises(ValueError, match="dihedral-kind"):
+    with pytest.raises(ValueError, match="point 2 is node, not dihedral"):
         smooth_dihedral(split)
 
 
@@ -190,8 +192,7 @@ def test_smooth_dihedral_genus_constancy(a5):
     for d in dihedral_degenerations(audit.a5_tuple(a5), 0):
         boundary_genus = quotient_report(d.datum)["arithmetic_genus"]
         t = smooth_dihedral(d)
-        smooth_genus = rh_genus(a5.order, 0,
-                                [a5.element_order(g) for g in t.entries])
+        smooth_genus = rh_genus(a5.order, 0, [a5.element_order(g) for g in entries(t)])
         assert boundary_genus == smooth_genus == 6
 
 
@@ -211,8 +212,8 @@ def test_smoothing_opens_each_dihedral_node_into_two_orbits(a5, psl27, s4, s5, d
     met = set()
     for G in (s4, s5, d4, d6, a5, psl27):
         for _ in range(25):
-            entries = [rng.randrange(G.order) for _ in range(rng.randrange(2, 4))]
-            t = HurwitzTuple(G, (*entries, G.inv(G.product(entries))))
+            ms = [rng.randrange(G.order) for _ in range(rng.randrange(2, 4))]
+            t = HurwitzTuple(G, (*ms, G.inv(G.product(ms))))
             for i in range(len(t)):
                 for deg in dihedral_degenerations(t, i):
                     m, s = t.entries[i], deg.datum.point(0, i).s
@@ -221,7 +222,7 @@ def test_smoothing_opens_each_dihedral_node_into_two_orbits(a5, psl27, s4, s5, d
                                      if c["kind"] == "dihedral"]
                     assert node_class["stabilizer_order"] == D.order
                     N = D.order // 2
-                    smoothed = smooth_dihedral(deg).entries
+                    smoothed = entries(smooth_dihedral(deg))
                     fibers = [left_cosets(G, G.cyclic_subgroup(x)) for x in smoothed[i:i + 2]]
                     for node in left_cosets(G, D).cells:
                         r, r_inv = node[0], G.inv(node[0])
@@ -258,7 +259,7 @@ def braid_walk(G: PermGroup, entries, rng: random.Random, steps: int) -> list[Hu
     for _ in range(steps):
         move = rng.randrange(4)
         if move == 3:
-            g = rng.choice(G.generator_ids)
+            g = rng.choice(generator_ids(G))
             entries = [G.conj(g, x) for x in entries]
         else:
             i = rng.randrange(len(entries) - 1)
@@ -279,7 +280,7 @@ def test_dedup_against_scan_on_braid_walks(a5, psl27):
              (psl27, smooth_dihedral(dihedral_degenerations(audit.psl27_tuple(psl27), 2)[0]))]
     for G, base in bases:
         tuples = []
-        for t in braid_walk(G, base.entries, rng, 6):
+        for t in braid_walk(G, entries(base), rng, 6):
             g = rng.randrange(G.order)
             tuples += [t, HurwitzTuple(G, tuple(G.conj(g, x) for x in t.entries))]
         rng.shuffle(tuples)
@@ -326,3 +327,130 @@ def test_canonical_form_fixes_conjugates(a5):
     d = dihedral_degenerations(audit.a5_tuple(a5), 0)[0].datum
     for g in (3, 17, 42):
         assert canonical_form(conjugate_datum(d, g)) == canonical_form(d)
+
+
+# -- moves on any datum --------------------------------------------------------
+
+MOVE_GROUPS = ["s4", "a5", "psl27"]
+
+
+def random_data(request, name: str, seed: int, count: int) -> list[BoundaryDatum]:
+    """Random admissible data: one or two components, some of genus 1, some
+    with a dihedral point, and every two-component datum uses node 0."""
+    G = request.getfixturevalue(name)
+    rng, pairs = random.Random(seed), inverting_pairs(G)
+    return [random_valid_datum(G, rng, pairs) for _ in range(count)]
+
+
+def stable_splits(datum: BoundaryDatum) -> list[tuple[int, int]]:
+    """Every (ci, k) whose rational left side (k points and a node end) and
+    right side (ci's genus, the other end and the rest) are both stable."""
+    return [(ci, k) for ci, comp in enumerate(datum.components)
+            for k in range(len(comp.points) + 1)
+            if is_stable_curve(0, k + 1) and is_stable_curve(comp.genus, len(comp.points) - k + 1)]
+
+
+def is_cyclic_involution(G: PermGroup, pt: MarkedPoint) -> bool:
+    return pt.kind == CYCLIC and pt.m != G.identity and G.mul(pt.m, pt.m) == G.identity
+
+
+def invariants(datum: BoundaryDatum) -> tuple:
+    """The sorted arithmetic genera of the cover's connected components,
+    chi_dR and whether the cover is connected."""
+    gog = dual_graph_of_groups(datum)
+    report = cover_report(gog)
+    return (sorted(report["component_arithmetic_genera"]), de_rham_character(gog).chi_dR,
+            report["connected"])
+
+
+@pytest.mark.parametrize("name", MOVE_GROUPS)
+def test_moves_on_random_data_keep_the_cover(request, name):
+    # a degeneration and its smoothing are fibres of one family: each move
+    # keeps the arithmetic genera, chi_dR and connectivity of the cover
+    counts = Counter()
+    for d in random_data(request, name, 41, 80):
+        G, before = d.group, invariants(d)
+        moved = []
+        for ci, k in stable_splits(d):
+            moved.append(split(d, ci, k))
+            counts["split at ci > 0" if ci else "split"] += 1
+            counts["split of genus 1"] += d.components[ci].genus
+        for ci, pi in d.dihedral_points():
+            moved.append(smooth(d, ci, pi))
+            assert canonical_form(collide(moved[-1], ci, pi)) == canonical_form(d)
+            counts["round trip"] += 1
+        for ci, comp in enumerate(d.components):
+            for pi in range(len(comp.points) - 1):
+                if not all(is_cyclic_involution(G, pt) for pt in comp.points[pi:pi + 2]):
+                    continue
+                if is_stable_curve(comp.genus, len(comp.points) - 1):
+                    moved.append(collide(d, ci, pi))
+                    counts["collide"] += 1
+                else:
+                    with pytest.raises(InvalidDatum):
+                        collide(d, ci, pi)
+            for pi, pt in enumerate(comp.points):
+                if pt.kind != CYCLIC:
+                    continue
+                for e in dihedral(d, ci, pi):
+                    assert validate(e) == [] and unstable_components(e) == []
+                    assert invariants(smooth(e, ci, pi))[:2] == invariants(e)[:2]
+                    counts["dihedral"] += 1
+        for e in moved:
+            assert validate(e) == [] and unstable_components(e) == []
+            assert invariants(e) == before
+    assert min(counts.values()) > 0 and len(counts) == 6, counts
+
+
+@pytest.mark.parametrize("name", MOVE_GROUPS)
+def test_smooth_node_inverts_split(request, name):
+    # the new node's id is one past the datum's largest: a split that reused
+    # node 0 of a two-component datum would give it four ends
+    data = random_data(request, name, 42, 40)
+    assert any(0 in d.node_ends() for d in data)
+    for d in data:
+        for ci, k in stable_splits(d):
+            e = split(d, ci, k)
+            (node,) = set(e.node_ends()) - set(d.node_ends())
+            assert canonical_form(smooth_node(e, node)) == canonical_form(d)
+
+
+def test_moves_check_point_kinds(a5):
+    d = dihedral_degenerations(audit.a5_tuple(a5), 0)[0].datum   # points dihedral, cyclic, cyclic
+    with pytest.raises(ValueError, match="point 0 is dihedral, not cyclic"):
+        dihedral(d, 0, 0)
+    with pytest.raises(ValueError, match="point 0 is dihedral, not cyclic"):
+        collide(d, 0, 0)
+    with pytest.raises(ValueError, match="point 1 is cyclic, not dihedral"):
+        smooth(d, 0, 1)
+    split_datum = split_degenerations(a5_smoothed_tuple(a5))[0].datum
+    with pytest.raises(ValueError, match="point 0 is node, not cyclic"):
+        dihedral(split_datum, 1, 0)
+
+
+def test_split_checks_its_position_and_both_sides(a5):
+    t = a5_smoothed_tuple(a5)
+    with pytest.raises(ValueError, match="no split after 5"):
+        split(t, 0, 5)
+    for ci in (-1, 1):   # a negative ci would not wrap round to the last component
+        with pytest.raises(ValueError, match=f"no component {ci}"):
+            split(t, ci, 2)
+    for k in (0, 1, 3, 4):   # a side with fewer than 3 points
+        with pytest.raises(InvalidDatum) as exc:
+            split(t, 0, k)
+        assert [v.kind for v in exc.value.violations] == ["Stability"]
+
+
+def test_collide_on_a_genus_one_component_with_two_points(s3):
+    # [a, b] p q = e with p, q transpositions: colliding p, q leaves one
+    # dihedral point on an elliptic component, which is stable
+    p, q = (s3.id_of(perm_from_cycles(3, c)) for c in ((0, 1), (1, 2)))
+    a, b = next((a, b) for a in range(s3.order) for b in range(s3.order)
+                if s3.product((a, b, s3.inv(a), s3.inv(b))) == s3.mul(q, p))
+    d = BoundaryDatum(s3, (MarkedComponent(1, ((a, b),),
+                                           (MarkedPoint.cyclic(p), MarkedPoint.cyclic(q))),))
+    assert validate(d) == []
+    e = collide(d, 0, 0)
+    assert e.components[0].points == (MarkedPoint.dihedral(s3.mul(p, q), p),)
+    assert validate(e) == [] and unstable_components(e) == []
+    assert canonical_form(smooth(e, 0, 0)) == canonical_form(d)

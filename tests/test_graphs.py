@@ -5,8 +5,8 @@ import pytest
 from hurwitzdegen import GenGraph, GraphAction, PermGroup, build_cover, gengraph_to_dot, inner
 from hurwitzdegen import audit
 
-from conftest import (a5_split_datum, characters, check_action, deck_action, lefschetz_counts,
-                      quotient_report)
+from conftest import (a5_split_datum, characters, check_action, deck_action, generator_ids,
+                      lefschetz_counts, quotient_report)
 
 
 def test_gengraph_invariants():
@@ -59,7 +59,7 @@ def test_action_rejects_broken_non_generator_row(a5, table):
     # only the identity and generator rows are checked directly; the
     # homomorphism check must still catch a fault in any other row
     action = deck_action(build_cover(a5_split_datum(a5)))
-    g = next(g for g in range(1, a5.order) if g not in a5.generator_ids)
+    g = next(g for g in range(1, a5.order) if g not in generator_ids(a5))
     rows = [list(row) for row in getattr(action, table)]
     rows[g][0], rows[g][1] = rows[g][1], rows[g][0]
     tables = {"vertex_images": action.vertex_images, "edge_images": action.edge_images,
@@ -95,7 +95,7 @@ def cayley_graph_action(G: PermGroup, gen_ids: list[int]) -> GraphAction:
 @pytest.mark.parametrize("fixture", ["s3", "s4"])
 def test_cayley_graph_character_degree(fixture, request):
     G = request.getfixturevalue(fixture)
-    connection = sorted({g for g in G.generator_ids} | {G.inv(g) for g in G.generator_ids})
+    connection = sorted({g for g in generator_ids(G)} | {G.inv(g) for g in generator_ids(G)})
     action = cayley_graph_action(G, connection)
     fixed, signed = lefschetz_counts(action)
     V = action.graph.vertex_count

@@ -26,6 +26,8 @@ from hurwitzdegen import (audit, collide_pair, datum_to_jsonable, de_rham_charac
 from hurwitzdegen.cli import build_parser, main
 from hurwitzdegen.degen import DIHEDRAL
 
+from conftest import generator_ids
+
 EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
 
@@ -61,7 +63,7 @@ def test_strata_pass_frees_its_group():
 def test_least_conjugate_and_involutions_free_their_group():
     with collector_off():
         G = audit.psl27_group()
-        gens = G.generator_ids
+        gens = generator_ids(G)
         for c in G.conjugacy_classes():
             least_conjugate(G, (c[-1], *gens))
             inverting_involutions(G, c[-1])
@@ -87,7 +89,7 @@ def test_kept_characters_free_their_group():
 def test_kept_subgroup_frees_its_group():
     with collector_off():
         G = audit.a5_group()
-        H = G.cyclic_subgroup(G.generator_ids[0])
+        H = G.cyclic_subgroup(generator_ids(G)[0])
         ref = weakref.ref(G)
         del G
         assert ref() is None

@@ -10,6 +10,13 @@ when it occurs in the syntax tree of a module under ``src/hurwitzdegen``
 (``__init__.py`` aside, which only re-exports) or under ``perfbench`` as a
 loaded name, an attribute, an imported name or a string constant (perfbench
 patches methods by name).  The README's library example runs as written.
+
+The scan has a blind spot: it reads names, not owners, so a method counts as
+read when any scanned module reads an attribute of the same name on any
+object.  A perfbench method can then hide a package method that only the
+tests read: ``perfbench/oracle.py``'s ``Group.generator_ids()`` hid the
+property ``PermGroup.generator_ids``, which now lives in ``tests/conftest.py``
+as ``generator_ids(G)``.
 """
 
 from __future__ import annotations
