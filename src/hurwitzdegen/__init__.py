@@ -3,7 +3,7 @@
 Encode a group action through its pointed quotient curve plus monodromy and
 involution assignments, read the covering curve and the equivariant de Rham
 character of nodal covers off its graph of groups, and enumerate the
-codimension-1 degenerations of covers of the line.  The explicit cover, by
+codimension-1 degenerations of any boundary datum.  The explicit cover, by
 coset enumeration, is built only for its DOT export and for the tests, which
 keep its deck action and its intermediate quotients as their oracles.
 """

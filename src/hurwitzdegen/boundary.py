@@ -385,6 +385,9 @@ def _group_from_jsonable(grp) -> PermGroup:
 
 
 def datum_from_jsonable(obj) -> BoundaryDatum:
+    """The one loader: a datum, or a tuple read from its ``{group, entries}``."""
+    if isinstance(obj, dict) and "entries" in obj:
+        return tuple_from_jsonable(obj)
     if not isinstance(obj, dict):
         raise SchemaError("$", "expected a JSON object")
     for key in ("group", "components"):

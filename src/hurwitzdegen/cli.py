@@ -13,9 +13,9 @@ import json
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
-from .boundary import (BoundaryDatum, datum_from_jsonable, datum_to_jsonable, datum_warnings,
-                       dual_graph_of_groups, is_stable_curve, tuple_from_jsonable,
-                       tuple_to_jsonable, unstable_components)
+from .boundary import (BoundaryDatum, HurwitzTuple, datum_from_jsonable, datum_to_jsonable,
+                       datum_warnings, dual_graph_of_groups, tuple_to_jsonable,
+                       unstable_components, validate)
 from .cohomology import (character_to_jsonable, classes_to_jsonable, de_rham_character,
                          render_character_table)
 from .covers import build_cover, cover_report, cover_to_dot
@@ -192,36 +192,53 @@ def cmd_analyze(args) -> int:
     return code
 
 
+def _component_point(text: str) -> tuple[int, int]:
+    """``--dihedral [CI:]INDEX`` as (CI, INDEX); a bare INDEX is on component 0."""
+    ci, _, pi = text.rpartition(":")
+    try:
+        return int(ci or 0), int(pi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected [CI:]INDEX, not {text!r}") from None
+
+
 def cmd_degenerate(args) -> int:
-    t = tuple_from_jsonable(_load_json(args.path))
-    if args.dihedral is not None and not 0 <= args.dihedral < len(t):
-        print(f"error: --dihedral {args.dihedral} is out of range: the tuple has "
-              f"{len(t)} entries, so the index must lie in 0..{len(t) - 1}", file=sys.stderr)
-        return 1
-    degs = []
-    warnings = []
-    if args.splits:
-        degs.extend(split_degenerations(t))
+    datum = datum_from_jsonable(_load_json(args.path))
+    violations = validate(datum)
+    if violations:
+        raise InvalidDatum(violations)
+    is_tuple = isinstance(datum, HurwitzTuple)
+    found, warnings = [], []
     if args.dihedral is not None:
-        found = dihedral_degenerations(t, args.dihedral)
-        if not found and is_stable_curve(0, len(t)):
+        ci, pi = args.dihedral
+        where = f"{ci}:{pi}" if ci else str(pi)   # as --dihedral names it
+        try:
+            found = dihedral_degenerations(datum, pi, ci)
+        except ValueError as exc:   # no component ci, no point pi, or a point that is not cyclic
+            n = len(datum.components[0].points)
+            print(f"error: --dihedral {where} is out of range: the tuple has {n} entries, so "
+                  f"the index must lie in 0..{n - 1}" if is_tuple and ci == 0 else
+                  f"error: --dihedral {where}: {exc}", file=sys.stderr)
+            return 1
+        if not found and ci not in unstable_components(datum):
             warnings.append(
-                f"no inverting involution exists for entry {args.dihedral} "
-                f"(order {t.group.element_order(t.entries[args.dihedral])}): "
+                f"no inverting involution exists for entry {where} "
+                f"(order {datum.group.element_order(datum.point(ci, pi).m)}): "
                 "this dihedral boundary stratum is not realizable for this group")
-        degs.extend(found)
+    degs = (split_degenerations(datum) if args.splits else []) + found
     if args.dedup:
         degs = dedup_degenerations(degs)
-    out = {"tuple": tuple_to_jsonable(t), "count": len(degs),
-           "degenerations": [], "warnings": warnings}
+    out = {"tuple": tuple_to_jsonable(datum)} if is_tuple else {"datum": datum_to_jsonable(datum)}
+    out.update(count=len(degs), degenerations=[], warnings=warnings)
     for deg in degs:
         report, _ = analyze_datum(deg.datum)
         entry = {"kind": deg.kind, "analysis": report}
+        if not is_tuple:
+            entry["component"] = deg.component
         if deg.kind == SPLIT:
             entry["split_at"] = deg.index
         else:
-            entry["index"] = deg.index
-            entry["involution"] = list(t.group.perm(deg.datum.point(0, deg.index).s))
+            s = deg.datum.point(deg.component, deg.index).s
+            entry["index"], entry["involution"] = deg.index, list(datum.group.perm(s))
         out["degenerations"].append(entry)
     json_dump(out)
     return 0
@@ -287,11 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pretty", action="store_true", help="human-readable output")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("degenerate", help="enumerate codimension-1 degenerations of a tuple")
-    p.add_argument("path", help="tuple JSON file")
+    p = sub.add_parser("degenerate", help="enumerate codimension-1 degenerations of a datum")
+    p.add_argument("path", help="datum or tuple JSON file")
     p.add_argument("--splits", action="store_true", help="split degenerations")
-    p.add_argument("--dihedral", type=int, metavar="INDEX",
-                   help="dihedral degenerations at the given entry")
+    p.add_argument("--dihedral", type=_component_point, metavar="[CI:]INDEX",
+                   help="dihedral degenerations at point INDEX of component CI (default 0)")
     p.add_argument("--dedup", action="store_true",
                    help="one representative per conjugation class")
     p.set_defaults(func=cmd_degenerate)

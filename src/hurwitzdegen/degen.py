@@ -6,8 +6,9 @@ node, ``dihedral`` makes a cyclic point dihedral, one datum per inverting
 involution, ``smooth`` opens a dihedral point (m, s) into the involution
 points s and s*m, and ``collide`` is its inverse.  A move checks the kinds of
 the points it takes and ``is_stable_curve`` on the component it shrinks; it
-builds only the points it adds.  The tuple calls are the moves at ci = 0: a
-``Degeneration`` is the move's kind, its datum and the index of the point it made.
+builds only the points it adds.  ``split_degenerations`` and
+``dihedral_degenerations`` wrap the moves in a ``Degeneration``: the move's
+kind, its datum, and the component and index of the point it made.
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ _UNSTABLE = Violation("Stability", "quotient curve",
 
 
 class Degeneration(Record, eq=False):
-    """A codimension-1 boundary datum of a tuple, made by a move at ci = 0.
-    ``datum.point(0, index)`` is the point the move made: a split's node end
-    on the left component, after the left group's ``index`` entries, or the
+    """A boundary datum made by a move on component ``component`` of another.
+    ``datum.point(component, index)`` is the point the move made: a split's
+    node end on the new left component, after its ``index`` points, or the
     dihedral point, whose s is the involution.
     """
 
-    __slots__ = ("kind", "datum", "index")
+    __slots__ = ("kind", "datum", "component", "index")
 
 
 def _replace(datum: BoundaryDatum, ci: int, points: tuple, *left) -> BoundaryDatum:
@@ -111,23 +112,23 @@ def collide(datum: BoundaryDatum, ci: int, pi: int) -> BoundaryDatum:
                                 *points[pi + 2:]))
 
 
-def split_degenerations(t: BoundaryDatum) -> list[Degeneration]:
-    """Every stable split of component 0, the tuple's line, by k."""
-    comp = t.components[0]
-    return [Degeneration(SPLIT, split(t, 0, k), k) for k in range(len(comp.points) + 1)
+def split_degenerations(datum: BoundaryDatum) -> list[Degeneration]:
+    """Every stable split of every component, in (ci, k) order."""
+    return [Degeneration(SPLIT, split(datum, ci, k), ci, k)
+            for ci, comp in enumerate(datum.components) for k in range(len(comp.points) + 1)
             if _splits(comp, k)]
 
 
-def dihedral_degenerations(t: BoundaryDatum, index: int) -> list[Degeneration]:
-    return [Degeneration(DIHEDRAL, d, index) for d in dihedral(t, 0, index)]
+def dihedral_degenerations(datum: BoundaryDatum, index: int, ci: int = 0) -> list[Degeneration]:
+    return [Degeneration(DIHEDRAL, d, ci, index) for d in dihedral(datum, ci, index)]
 
 
 def collide_pair(t: BoundaryDatum, index: int) -> Degeneration:
-    return Degeneration(DIHEDRAL, collide(t, 0, index), index)
+    return Degeneration(DIHEDRAL, collide(t, 0, index), 0, index)
 
 
 def smooth_dihedral(deg: Degeneration) -> BoundaryDatum:
-    return smooth(deg.datum, 0, deg.index)
+    return smooth(deg.datum, deg.component, deg.index)
 
 
 def dedup(degenerations: list[Degeneration]) -> list[Degeneration]:

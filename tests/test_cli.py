@@ -8,14 +8,19 @@ from pathlib import Path
 import pytest
 
 from hurwitzdegen import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPoint, PermGroup,
-                          audit, datum_to_jsonable, dihedral_degenerations, perm_from_cycles,
-                          tuple_to_jsonable)
+                          audit, datum_from_jsonable, datum_to_jsonable, dihedral_degenerations,
+                          perm_from_cycles, tuple_to_jsonable)
 from hurwitzdegen.cli import analyze_datum, build_parser, json_dump, main
 from hurwitzdegen.groups import MAX_DEGREE
 
-from conftest import a5_smoothed_tuple, a5_split_datum
+from cli_runs import VALID, file_runs, inputs
+from conftest import a5_smoothed_tuple, a5_split_datum, disjoint_union
 
 NODE_CLASS_KEYS = {"kind", "stabilizer_order", "count"}
+ROOT = Path(__file__).resolve().parents[1]
+EXAMPLES = ROOT / "docs" / "examples"
+DIHEDRAL_DATUM, SPLIT_DATUM = "a5_dihedral_datum.json", "a5_split_datum.json"
+A5_TUPLE = "a5_tuple.json"
 
 
 @pytest.fixture(scope="module")
@@ -322,7 +327,43 @@ def test_degenerate_dihedral_index_out_of_range(tmp_path, capsys, index):
     code, out, err = run_cli(capsys, "degenerate", str(path), "--dihedral", index)
     assert code == 1
     assert out == ""
-    assert "0..2" in err and "Traceback" not in err
+    assert err == (f"error: --dihedral {index} is out of range: the tuple has 3 entries, "
+                   "so the index must lie in 0..2\n")
+
+
+@pytest.mark.parametrize("path,point,diagnostic", [
+    (DIHEDRAL_DATUM, "1:0", "--dihedral 1:0: no component 1 in a datum of 1"),
+    (DIHEDRAL_DATUM, "-1:0", "--dihedral -1:0: no component -1 in a datum of 1"),
+    (DIHEDRAL_DATUM, "3", "--dihedral 3: component 0 has no point 3"),
+    (DIHEDRAL_DATUM, "0:-1", "--dihedral -1: component 0 has no point -1"),
+    (DIHEDRAL_DATUM, "0", "--dihedral 0: component 0 point 0 is dihedral, not cyclic"),
+    (SPLIT_DATUM, "1:0", "--dihedral 1:0: component 1 point 0 is node, not cyclic"),
+    (A5_TUPLE, "1:0", "--dihedral 1:0: no component 1 in a datum of 1"),
+], ids=["no-component", "negative-component", "no-point", "negative-point", "dihedral-point",
+        "node-end", "tuple-component-1"])
+def test_degenerate_dihedral_names_a_missing_or_non_cyclic_point(capsys, path, point, diagnostic):
+    # "--dihedral=-1:0" in one word: argparse reads a lone "-1:0" as an option
+    code, out, err = run_cli(capsys, "degenerate", str(EXAMPLES / path), "--splits",
+                             f"--dihedral={point}")
+    assert (code, out) == (1, "")
+    assert err == f"error: {diagnostic}\n"
+
+
+@pytest.mark.parametrize("point", ["x", "1:", "0:1:2", "1.5"])
+def test_degenerate_dihedral_that_is_not_ci_index_is_a_usage_error(capsys, point):
+    with pytest.raises(SystemExit) as exc:
+        main(["degenerate", str(EXAMPLES / DIHEDRAL_DATUM), "--dihedral", point])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --dihedral: expected [CI:]INDEX, not {point!r}\n")
+
+
+def test_degenerate_on_an_invalid_datum_exits_2(capsys):
+    invalid = ROOT / "tests" / "golden" / "invalid"
+    code, out, err = run_cli(capsys, "degenerate", str(invalid / "s3_unstable_invalid_datum.json"),
+                             "--splits")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: datum does not validate: ") and err.count("\n") == 1
 
 
 def test_analyze_disconnected_positive_genus_cover(tmp_path, capsys, s5):
@@ -404,6 +445,10 @@ def test_analyze_degree_300_datum(tmp_path, capsys):
     assert [c["genus"] for c in cover["components"]] == [149]
 
 
+UNREALIZABLE = ("no inverting involution exists for entry {} (order 7): "
+                "this dihedral boundary stratum is not realizable for this group")
+
+
 def test_degenerate_unrealizable_warns(tmp_path, capsys):
     path = tmp_path / "psl.json"
     path.write_text(json.dumps(tuple_to_jsonable(audit.psl27_tuple())), encoding="utf-8")
@@ -411,7 +456,19 @@ def test_degenerate_unrealizable_warns(tmp_path, capsys):
     assert code == 0
     result = json.loads(out)
     assert result["count"] == 0
-    assert any("no inverting involution" in w for w in result["warnings"])
+    assert result["warnings"] == [UNREALIZABLE.format(0)]
+
+
+def test_degenerate_unrealizable_warns_at_any_component(tmp_path, capsys):
+    # two copies of the PSL(2, 7) tuple, whose entry 0 has order 7 and no
+    # inverting involution: the warning names the point as --dihedral does
+    t = audit.psl27_tuple()
+    path = tmp_path / "psl_twice.json"
+    path.write_text(json.dumps(datum_to_jsonable(disjoint_union(t, t))), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "degenerate", str(path), "--dihedral", "1:0")
+    assert code == 0
+    result = json.loads(out)
+    assert (result["count"], result["warnings"]) == (0, [UNREALIZABLE.format("1:0")])
 
 
 def test_character_table(a5_datum_file, capsys):
@@ -515,3 +572,52 @@ def test_cli_import_loads_no_slow_modules():
     slow = {"dataclasses", "inspect", "fractions", "decimal", "typing"}
     assert "hurwitzdegen.cli" in at_cli and not at_cli & (slow | {"hurwitzdegen.audit"})
     assert "hurwitzdegen.audit" in with_audit and not with_audit & slow
+
+
+# -- a tuple file and its datum copy ---------------------------------------------
+
+TUPLE_FILES = [path for path, datum in inputs(VALID) if isinstance(datum, HurwitzTuple)]
+
+
+def _run_with_dot(capsys, argv, dot):
+    """Exit code, stdout, stderr and the DOT file of one run."""
+    dot.unlink(missing_ok=True)
+    code, out, err = run_cli(capsys, *argv)
+    return code, out, err, dot.read_bytes() if dot.exists() else None
+
+
+def _split_shape(out: str, header: str) -> tuple[dict, str, list]:
+    """A degenerate report as its header, the rest as printed, and each
+    entry's component, which only a datum input carries."""
+    report = json.loads(out)
+    assert list(report)[0] == header
+    head = report.pop(header)
+    components = [entry.pop("component", None) for entry in report["degenerations"]]
+    return head, json.dumps(report, indent=2) + "\n", components
+
+
+@pytest.mark.parametrize("path", TUPLE_FILES)
+def test_a_tuple_file_prints_what_its_datum_copy_prints(tmp_path, capsys, monkeypatch, path):
+    # every command, with every flag set that CI runs; degenerate differs only
+    # in its header and in the component of each entry, which is 0
+    monkeypatch.chdir(ROOT)
+    t = datum_from_jsonable(json.loads(Path(path).read_text(encoding="utf-8")))
+    copy = tmp_path / "datum.json"
+    copy.write_text(json.dumps(datum_to_jsonable(t)), encoding="utf-8")
+    dot = tmp_path / "out.dot"
+    runs = zip(file_runs(path, t, str(dot)), file_runs(str(copy), t, str(dot)))
+    for argv, copy_argv in runs:
+        code, out, err, dot_bytes = _run_with_dot(capsys, argv, dot)
+        assert (code, err) == (0, ""), argv
+        assert (dot_bytes is None) == (argv[0] != "graph")
+        if argv[0] != "degenerate":
+            assert _run_with_dot(capsys, copy_argv, dot) == (code, out, err, dot_bytes), argv
+            continue
+        copy_code, copy_out, copy_err, copy_dot = _run_with_dot(capsys, copy_argv, dot)
+        assert (copy_code, copy_err, copy_dot) == (0, "", None), argv
+        head, rest, components = _split_shape(out, "tuple")
+        copy_head, copy_rest, copy_components = _split_shape(copy_out, "datum")
+        assert head == json.loads(Path(path).read_text(encoding="utf-8"))
+        assert copy_head == datum_to_jsonable(t)
+        assert rest == copy_rest, argv
+        assert components == [None] * len(components) and copy_components == [0] * len(components)

@@ -1,9 +1,9 @@
 """Table-driven CLI fuzz test.
 
-Every subcommand that reads a file meets malformed input with exit code 0,
-1 or 2 and a one-line diagnostic, never a traceback; on exit 1 the
-diagnostic starts with ``error: ``.  Random admissible data pass every
-datum subcommand with exit 0.
+Every subcommand that reads a file, ``degenerate`` included, meets malformed
+data, tuples and raw bytes with exit code 0, 1 or 2 and a one-line
+diagnostic, never a traceback; on exit 1 the diagnostic starts with
+``error: ``.  Random admissible data pass every subcommand with exit 0.
 """
 
 from __future__ import annotations
@@ -71,19 +71,19 @@ IMAGE_ERRORS = {
     "entry-bool": f"error: $.entries[0]: {NOT_A_LIST}",
 }
 
-DATUM_COMMANDS = {
+# every command reads a datum or a tuple file; degenerate is named by its flags
+COMMANDS = {
     "analyze": ["analyze"],
     "analyze-pretty": ["analyze", "--pretty"],
     "character": ["character"],
     "graph-quotient": ["graph", "--dot", "{out}"],
     "graph-cover": ["graph", "--which", "cover", "--dot", "{out}"],
+    "splits": ["degenerate", "--splits"],
+    "dihedral": ["degenerate", "--dihedral", "0", "--dedup"],
+    "splits-dihedral-negative": ["degenerate", "--splits", "--dihedral", "-1"],
 }
-
-DEGENERATE_FLAGS = {
-    "splits": ["--splits"],
-    "dihedral": ["--dihedral", "0", "--dedup"],
-    "splits-dihedral-negative": ["--splits", "--dihedral", "-1"],
-}
+RAW_CASES = sorted(RAW_TEXT) + sorted(RAW_BYTES)
+VALID_TUPLE_CASES = {"as-built", "three-identities"}
 
 
 def run_cli(capsys, argv):
@@ -124,38 +124,54 @@ def _write_raw(tmp_path, case):
     return path
 
 
-@pytest.mark.parametrize("command", sorted(DATUM_COMMANDS))
-@pytest.mark.parametrize("case", sorted(RAW_TEXT) + sorted(RAW_BYTES) + sorted(DATUM_CASES))
-def test_datum_commands_survive_malformed_input(tmp_path, capsys, command, case):
-    if case in DATUM_CASES:
+def _input(tmp_path, case, shape):
+    """The input file of a case: raw bytes, or the A5 datum or tuple of
+    ``shape`` ("datum" or "tuple"), changed as its case says."""
+    if case in RAW_TEXT or case in RAW_BYTES:
+        return _write_raw(tmp_path, case)
+    if shape == "datum":
         obj = datum_to_jsonable(a5_split_datum())
         DATUM_CASES[case](obj)
-        path = _write(tmp_path, json.dumps(obj))
     else:
-        path = _write_raw(tmp_path, case)
-    code, _, err = run_cli(capsys, _argv(DATUM_COMMANDS[command], path, tmp_path))
-    assert_clean_exit(code, err)
-    assert code == (2 if case == "node-id-on-three-points" else 1)
-    if case in IMAGE_ERRORS:
-        assert err == IMAGE_ERRORS[case] + "\n"
-
-
-@pytest.mark.parametrize("flags", sorted(DEGENERATE_FLAGS))
-@pytest.mark.parametrize("case", sorted(RAW_TEXT) + sorted(RAW_BYTES) + sorted(TUPLE_CASES))
-def test_degenerate_survives_malformed_input(tmp_path, capsys, flags, case):
-    if case in TUPLE_CASES:
         obj = tuple_to_jsonable(a5_smoothed_tuple())
         TUPLE_CASES[case](obj)
-        path = _write(tmp_path, json.dumps(obj))
-    else:
-        path = _write_raw(tmp_path, case)
-    code, _, err = run_cli(capsys, ["degenerate", str(path)] + DEGENERATE_FLAGS[flags])
+    return _write(tmp_path, json.dumps(obj))
+
+
+def check_survives(tmp_path, capsys, command, case, shape):
+    """One command on one case: 2 for the datum that fails validation, 0 for
+    a valid tuple unless --dihedral names no point of it, else 1 with one
+    error line.  A file that does not load prints the loader's diagnostic,
+    the same under every command, naming its $.path where it is JSON."""
+    path = _input(tmp_path, case, shape)
+    code, _, err = run_cli(capsys, _argv(COMMANDS[command], path, tmp_path))
     assert_clean_exit(code, err)
-    if flags == "splits-dihedral-negative" or case == "entries-empty" or case not in TUPLE_CASES:
+    valid = shape == "tuple" and case in VALID_TUPLE_CASES
+    if case == "node-id-on-three-points":
+        assert code == 2
+    elif valid:
+        assert code == (1 if command == "splits-dihedral-negative" else 0)
+    else:
         assert code == 1
+        assert err == run_cli(capsys, ["analyze", str(path)])[2]
+        assert err.count("\n") == 1 and err.startswith("error: $." if case not in RAW_CASES
+                                                        else "error: ")
     if case in IMAGE_ERRORS:
-        assert code == 1
         assert err == IMAGE_ERRORS[case] + "\n"
+
+
+# one command table over the two input shapes, datum files and tuple files;
+# the tuple test keeps its older name, so its cases keep their ids
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("case", RAW_CASES + sorted(DATUM_CASES))
+def test_datum_commands_survive_malformed_input(tmp_path, capsys, command, case):
+    check_survives(tmp_path, capsys, command, case, "datum")
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("case", RAW_CASES + sorted(TUPLE_CASES))
+def test_degenerate_survives_malformed_input(tmp_path, capsys, command, case):
+    check_survives(tmp_path, capsys, command, case, "tuple")
 
 
 def test_permutation_of_another_degree_names_its_path(tmp_path, capsys):
@@ -169,9 +185,11 @@ def test_permutation_of_another_degree_names_its_path(tmp_path, capsys):
     obj = tuple_to_jsonable(a5_smoothed_tuple())
     TUPLE_CASES["m-degree-300"](obj)
     path = _write(tmp_path, json.dumps(obj))
-    code, _, err = run_cli(capsys, ["degenerate", str(path), "--splits"])
-    assert code == 1
-    assert err == f"error: $.entries[0]: permutation {CYCLE300} is not an element of this group\n"
+    for argv in (["degenerate", str(path), "--splits"], ["analyze", str(path)]):
+        code, _, err = run_cli(capsys, argv)
+        assert code == 1
+        assert err == (f"error: $.entries[0]: permutation {CYCLE300} "
+                       "is not an element of this group\n")
 
 
 @pytest.mark.parametrize("group", ["s4", "d5", "a5", "psl27"])
@@ -181,6 +199,6 @@ def test_random_valid_data_exit_0(request, tmp_path, capsys, group):
     pairs = inverting_pairs(G)
     for _ in range(40):
         path = _write(tmp_path, json.dumps(datum_to_jsonable(random_valid_datum(G, rng, pairs))))
-        for command in ("analyze", "character", "graph-cover"):
-            code, _, err = run_cli(capsys, _argv(DATUM_COMMANDS[command], path, tmp_path))
+        for command in ("analyze", "character", "graph-cover", "splits"):
+            code, _, err = run_cli(capsys, _argv(COMMANDS[command], path, tmp_path))
             assert code == 0, (command, err)

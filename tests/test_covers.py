@@ -10,9 +10,9 @@ from hurwitzdegen import (BoundaryDatum, CoverCurve, HurwitzTuple, MarkedCompone
                           PermGroup, Subgroup, build_cover, cover_report, cover_to_dot,
                           datum_from_jsonable, de_rham_character, dihedral_degenerations,
                           dual_graph_of_groups, left_cosets, perm_from_cycles,
-                          rh_genus, split_degenerations, tuple_from_jsonable)
+                          rh_genus, split_degenerations)
 from hurwitzdegen import audit, covers, groups
-from hurwitzdegen.boundary import DualGraphOfGroups, unstable_components
+from hurwitzdegen.boundary import CYCLIC, DualGraphOfGroups, unstable_components
 from hurwitzdegen.covers import node_class_summary
 from hurwitzdegen.errors import InvalidDatum, NegativeGenus, NonIntegralGenus
 
@@ -572,23 +572,21 @@ def test_cover_over_a_dihedral_point_depends_on_the_coset_of_s(fixture, seed, re
 
 
 def golden_inputs() -> list[tuple[str, BoundaryDatum]]:
-    """Every valid datum the golden cases analyze: the data files outside
-    ``tests/golden/invalid``, and each tuple's interior datum with all of its
-    split and dihedral degenerations."""
+    """Every valid datum the golden cases read: each input file outside
+    ``tests/golden/invalid``, tuple or datum, with all of its split and
+    dihedral degenerations."""
     out, seen = [], set()
     for argv in golden_argvs().values():
         if len(argv) < 2 or argv[1] in seen or argv[1].startswith("tests/golden/invalid/"):
             continue
         seen.add(argv[1])
-        obj = json.loads((ROOT / argv[1]).read_text(encoding="utf-8"))
-        if argv[0] != "degenerate":
-            out.append((argv[1], datum_from_jsonable(obj)))
-            continue
-        t = tuple_from_jsonable(obj)
-        out.append((argv[1], t))
-        degs = split_degenerations(t) + [d for i in range(len(t))
-                                         for d in dihedral_degenerations(t, i)]
-        out += [(f"{argv[1]} {d.kind}", d.datum) for d in degs]
+        d = datum_from_jsonable(json.loads((ROOT / argv[1]).read_text(encoding="utf-8")))
+        out.append((argv[1], d))
+        degs = split_degenerations(d) + [
+            deg for ci, comp in enumerate(d.components) for pi, pt in enumerate(comp.points)
+            if pt.kind == CYCLIC for deg in dihedral_degenerations(d, pi, ci)]
+        out += [(f"{argv[1]} {deg.kind} at {deg.component}:{deg.index}", deg.datum)
+                for deg in degs]
     return out
 
 

@@ -249,7 +249,7 @@ def test_dedup(a5, s4):
     twin = dihedral_degenerations(audit.a5_tuple(a5), 0)[0]
     conj = conjugate_datum(d.datum, 7)
     assert equivalent(conj, twin.datum)
-    conj_deg = Degeneration("dihedral", conj, 0)
+    conj_deg = Degeneration("dihedral", conj, 0, 0)
     assert len(dedup([d, conj_deg, twin])) == 1
 
 

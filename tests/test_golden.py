@@ -50,6 +50,8 @@ def golden_argvs() -> dict[str, list[str]]:
         "analyze_pretty_s5_disconnected": ["analyze", DISCONNECTED_DATUM, "--pretty"],
         "analyze_s3_unstable_invalid": ["analyze", INVALID_DATUM],
         "analyze_pretty_s3_unstable_invalid": ["analyze", INVALID_DATUM, "--pretty"],
+        # a tuple file is read as its one-component datum
+        "analyze_a5_tuple": ["analyze", "docs/examples/a5_tuple.json"],
         "character": ["character", DATUM],
         "character_json": ["character", DATUM, "--json"],
         "graph_quotient": ["graph", DATUM, "--which", "quotient", "--dot", DOT_OUT],
@@ -76,6 +78,10 @@ def golden_argvs() -> dict[str, list[str]]:
     for stem, i in (("a5_tuple", 0), ("psl27_tuple", 1)):
         cases[f"degenerate_dihedral{i}_{stem}"] = [
             "degenerate", f"docs/examples/{stem}.json", "--dihedral", str(i)]
+    # datum files: every split of both components, and a dihedral point at
+    # point 1 of component 0 beside the one the datum has
+    cases["degenerate_splits_s3_dihedral_bridge"] = ["degenerate", BRIDGE_DATUM, "--splits"]
+    cases["degenerate_dihedral0_1_a5_dihedral_datum"] = ["degenerate", DATUM, "--dihedral", "0:1"]
     cases["verify_examples"] = ["verify-examples"]
     return cases
 

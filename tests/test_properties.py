@@ -15,15 +15,15 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from hurwitzdegen import (BoundaryDatum, GenGraph, HurwitzTuple, build_cover, canonical_form,
-                          collide_pair, cover_report, datum_from_jsonable, datum_to_jsonable,
-                          de_rham_character, dihedral_degenerations, equivalent,
-                          inverting_involutions, smooth_dihedral, split_degenerations)
-from hurwitzdegen.boundary import DIHEDRAL, NODE_END
+from hurwitzdegen import (BoundaryDatum, Degeneration, GenGraph, HurwitzTuple, build_cover,
+                          canonical_form, collide, collide_pair, cover_report, datum_from_jsonable,
+                          datum_to_jsonable, de_rham_character, dihedral_degenerations,
+                          equivalent, inverting_involutions, smooth_dihedral, split_degenerations)
+from hurwitzdegen.boundary import CYCLIC, DIHEDRAL, NODE_END, is_stable_curve
 from hurwitzdegen.cli import analyze_datum, json_dump
 
 from conftest import (assert_opposite_edges, component_cells, conjugate_datum, disjoint_union,
-                      entries, explicit_cover_report, inverting_pairs, random_valid_datum)
+                      explicit_cover_report, inverting_pairs, random_valid_datum)
 
 GROUPS = ["s3", "d4", "s4", "d5", "a5", "s5", "psl27"]
 
@@ -111,22 +111,56 @@ def test_a_tuple_key_is_its_nielsen_class_mod_inn(groups, name, seed, g):
     assert equivalent(t, conj)
 
 
+def degenerations_name_their_points(d: BoundaryDatum) -> list[Degeneration]:
+    """Every split, dihedral and collide degeneration of ``d`` and of the
+    smoothings of its dihedral ones, after checking that
+    ``datum.point(component, index)`` of each is the point its move made, and
+    that ``smooth_dihedral`` undoes the collide and ``collide`` the smoothing."""
+    G = d.group
+    cyclic = [(ci, pi) for ci, comp in enumerate(d.components)
+              for pi, pt in enumerate(comp.points) if pt.kind == CYCLIC]
+    dihedral = [deg for ci, pi in cyclic for deg in dihedral_degenerations(d, pi, ci)]
+    collided = []
+    # each smoothing has an involution pair where its dihedral point was
+    for u in (d, *map(smooth_dihedral, dihedral)):
+        for ci, comp in enumerate(u.components):
+            ms = [pt.m if pt.kind == CYCLIC else G.identity for pt in comp.points]
+            for pi in range(len(ms) - 1):
+                if (is_stable_curve(comp.genus, len(ms) - 1)
+                        and all(G.element_order(x) == 2 for x in ms[pi:pi + 2])):
+                    collided.append(collide_pair(u, pi) if ci == 0 else
+                                    Degeneration(DIHEDRAL, collide(u, ci, pi), ci, pi))
+                    assert smooth_dihedral(collided[-1]).components == u.components
+    for deg in dihedral:
+        back = collide(smooth_dihedral(deg), deg.component, deg.index)
+        assert back.components == deg.datum.components
+    splits = split_degenerations(d)
+    for kind, degs in ((NODE_END, splits), (DIHEDRAL, dihedral + collided)):
+        assert all(deg.datum.point(deg.component, deg.index).kind == kind for deg in degs)
+    assert [(deg.component, deg.index) for deg in splits] == sorted(
+        (deg.component, deg.index) for deg in splits)
+    return splits + dihedral + collided
+
+
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(name=st.sampled_from(TUPLE_GROUPS), seed=st.integers(0, 2**32 - 1))
 def test_a_degeneration_index_names_the_point_its_move_made(groups, name, seed):
     G = groups[name][0]
     t = random_tuple(G, random.Random(seed))
-    dihedral = [deg for i in range(len(t)) for deg in dihedral_degenerations(t, i)]
-    collided = []
-    # each smoothing has an involution pair where its dihedral point was
-    for u in (t, *map(smooth_dihedral, dihedral)):
-        ms = entries(u)
-        for i in range(len(ms) - 1):
-            if len(ms) >= 4 and all(G.element_order(x) == 2 for x in ms[i:i + 2]):
-                collided.append(collide_pair(u, i))
-                assert entries(smooth_dihedral(collided[-1])) == ms
-    for kind, degs in ((NODE_END, split_degenerations(t)), (DIHEDRAL, dihedral + collided)):
-        assert all(deg.datum.point(0, deg.index).kind == kind for deg in degs)
+    assert {deg.component for deg in degenerations_name_their_points(t)} <= {0}
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(GROUPS), seed=st.integers(0, 2**32 - 1))
+def test_a_degeneration_index_names_the_point_its_move_made_on_any_datum(groups, name, seed):
+    # two random data side by side, in both orders, so that every move that
+    # one of them has is also made on a component past 0
+    G, pairs = groups[name]
+    rng = random.Random(seed)
+    a, b = random_valid_datum(G, rng, pairs), random_valid_datum(G, rng, pairs)
+    degs = [deg for d in (disjoint_union(a, b), disjoint_union(b, a))
+            for deg in degenerations_name_their_points(d)]
+    assert not degs or any(deg.component > 0 for deg in degs)
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)

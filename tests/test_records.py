@@ -46,7 +46,7 @@ RECORDS = [
     (CosetTable, VALUE, lambda G: CosetTable(((0, 1),), (0, 0))),
     (GenGraph, VALUE, lambda G: GenGraph.from_unoriented(2, [(0, 1)], self_opposite=[1])),
     (GraphAction, VALUE, trivial_action),
-    (Degeneration, IDENTITY, lambda G: Degeneration("split", stable_datum(G), 2)),
+    (Degeneration, IDENTITY, lambda G: Degeneration("split", stable_datum(G), 0, 2)),
     (DevissageReport, IDENTITY, lambda G: DevissageReport((2, 0, -1), (2, 0, 2), (0, 0, 1), None)),
     (AuditCheck, VALUE, lambda G: AuditCheck("name", "PASS", "detail")),
 ]
@@ -177,7 +177,7 @@ def test_tuple_constructor_trusts_its_entries(s3):
     (Subgroup, lambda G: Subgroup((0,))),
     (GenGraph, lambda G: GenGraph(1, (), ())),
     (GraphAction, trivial_action),
-    (Degeneration, lambda G: Degeneration("split", stable_datum(G), 2)),
+    (Degeneration, lambda G: Degeneration("split", stable_datum(G), 0, 2)),
     (CosetTable, lambda G: CosetTable(((0,),), (0,))),
 ], ids=["MarkedPoint", "MarkedComponent", "Subgroup", "GenGraph", "GraphAction", "Degeneration",
         "CosetTable"])
