@@ -261,13 +261,12 @@ def dual_graph_of_groups(datum: BoundaryDatum) -> DualGraphOfGroups:
 
 # -- conjugation, canonical form, equivalence --------------------------------
 
-_KIND_CODE = {CYCLIC: 0, DIHEDRAL: 1, NODE_END: 2}
-
-
-def _element_ids(datum: BoundaryDatum) -> list[int]:
-    """The datum's element ids in ``serialize`` order: each component's
-    handles a, b, then each point's m and, on dihedral points, s."""
-    ids = []
+def _layout(datum: BoundaryDatum) -> tuple[tuple, list[int]]:
+    """The datum's shape and its element ids.  The shape is, per component,
+    its genus and each point's (kind, node_id); the ids are each handle's a
+    and b, then each point's m and, on dihedral points, s.  The genus is the
+    handle count, so data of one shape lay out their ids alike."""
+    shape, ids = [], []
     for comp in datum.components:
         for a, b in comp.handles:
             ids += (a, b)
@@ -275,37 +274,27 @@ def _element_ids(datum: BoundaryDatum) -> list[int]:
             ids.append(pt.m)
             if pt.s is not None:
                 ids.append(pt.s)
-    return ids
-
-
-def serialize(datum: BoundaryDatum, ids: tuple[int, ...] | None = None) -> tuple:
-    """Deterministic nested tuple of all structure and element ids; given
-    ``ids``, they replace the datum's element ids in ``_element_ids`` order."""
-    take = iter(_element_ids(datum) if ids is None else ids).__next__
-    out = []
-    for comp in datum.components:
-        handles = tuple((take(), take()) for _ in comp.handles)
-        pts = tuple((_KIND_CODE[pt.kind], take(), -1 if pt.s is None else take(),
-                     -1 if pt.node_id is None else pt.node_id)
-                    for pt in comp.points)
-        out.append((comp.genus, handles, pts))
-    return tuple(out)
+        shape.append((comp.genus, tuple((pt.kind, pt.node_id) for pt in comp.points)))
+    return tuple(shape), ids
 
 
 def canonical_form(datum: BoundaryDatum) -> tuple:
-    """The key of the datum up to simultaneous conjugation by G: the least
-    serialized conjugate.
+    """The key of the datum up to simultaneous conjugation by G: its shape
+    and the least conjugate of its ids, ``(shape, least_conjugate(G, ids))``
+    over ``_layout``.
 
-    Conjugation moves only the element ids, so serialized conjugates compare
-    as their id lists in ``serialize`` order, and the key is the datum
-    serialized with ``least_conjugate`` of its ids: no conjugate datum is
-    built.  Conjugation is defined on every datum, valid or not.  A datum is
-    immutable, so its key is computed once and kept on it: ``equivalent`` and
-    ``degen.dedup`` key each datum once however often they meet it.
+    Conjugation moves only the element ids, and equal shapes place them
+    alike, so two data have one key exactly when one is a conjugate of the
+    other: no conjugate datum is built.  The ids part of a tuple's key is
+    the key of its Nielsen class mod Inn.  Conjugation is defined on every
+    datum, valid or not.  A datum is immutable, so its key is computed once
+    and kept on it: ``equivalent`` and ``degen.dedup`` key each datum once
+    however often they meet it.
     """
     key = datum._canonical
     if key is None:
-        key = serialize(datum, least_conjugate(datum.group, _element_ids(datum)))
+        shape, ids = _layout(datum)
+        key = (shape, least_conjugate(datum.group, ids))
         set_field(datum, "_canonical", key)
     return key
 

@@ -12,10 +12,10 @@ import pytest
 from hurwitzdegen import (BoundaryDatum, CosetTable, CoverCurve, DevissageReport, GenGraph,
                           GraphAction, HurwitzTuple, MarkedComponent, MarkedPoint, PermGroup,
                           Subgroup, cover_report, datum_from_jsonable, de_rham_character,
-                          dual_graph_of_groups, is_inverting_involution, left_cosets,
-                          perm_from_cycles, rh_genus, smooth_dihedral, split_degenerations)
+                          dual_graph_of_groups, inverting_involutions, is_inverting_involution,
+                          left_cosets, perm_from_cycles, rh_genus, smooth_dihedral,
+                          split_degenerations)
 from hurwitzdegen import audit
-from hurwitzdegen.boundary import serialize
 from hurwitzdegen.covers import _genus
 from hurwitzdegen.groups import _induced
 
@@ -92,8 +92,18 @@ def a5_split_datum(G: PermGroup | None = None) -> BoundaryDatum:
 
 
 def inverting_pairs(G: PermGroup) -> list[tuple[int, int]]:
+    """Every (m, s) with s an inverting involution of m, by an O(|G|^2) scan:
+    the reference on small groups."""
     return [(m, s) for m in range(G.order) for s in range(G.order)
             if is_inverting_involution(G, m, s)]
+
+
+def sampled_inverting_pairs(G: PermGroup, rng: random.Random) -> list[tuple[int, int]]:
+    """The (m, s) with s in ``inverting_involutions`` of 20 random m: dihedral
+    points for ``random_valid_datum`` on groups of order in the thousands,
+    where ``inverting_pairs`` is too slow."""
+    return [(m, s) for m in (rng.randrange(G.order) for _ in range(20))
+            for s in inverting_involutions(G, m)]
 
 
 def random_valid_datum(G: PermGroup, rng: random.Random,
@@ -485,10 +495,33 @@ def conjugate_datum(datum: BoundaryDatum, g: int) -> BoundaryDatum:
     return BoundaryDatum(G, tuple(comps))
 
 
+def datum_shape(datum: BoundaryDatum) -> tuple:
+    """What conjugation keeps: per component, its genus and each point's
+    (kind, node_id)."""
+    return tuple((comp.genus, tuple((pt.kind, pt.node_id) for pt in comp.points))
+                 for comp in datum.components)
+
+
+def datum_ids(datum: BoundaryDatum) -> tuple[int, ...]:
+    """What conjugation moves: per component, each handle's a and b, then each
+    point's m and, on dihedral points, s."""
+    ids: list[int] = []
+    for comp in datum.components:
+        ids += [x for handle in comp.handles for x in handle]
+        ids += [x for pt in comp.points for x in (pt.m, pt.s) if x is not None]
+    return tuple(ids)
+
+
+def exact_key(datum: BoundaryDatum) -> tuple:
+    """The datum as it is, shape and ids: equal exactly for equal data."""
+    return datum_shape(datum), datum_ids(datum)
+
+
 def canonical_form_by_scan(datum: BoundaryDatum) -> tuple:
-    """The serialized canonical form by a full scan: the least serialized
-    conjugate over every g in G."""
-    return min(serialize(conjugate_datum(datum, g)) for g in range(datum.group.order))
+    """The canonical form by a full scan: the shape, and the least ids of a
+    conjugate datum over every g in G."""
+    return datum_shape(datum), min(datum_ids(conjugate_datum(datum, g))
+                                   for g in range(datum.group.order))
 
 
 def assert_closed(G: PermGroup, H: Subgroup) -> None:

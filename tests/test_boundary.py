@@ -9,12 +9,12 @@ from hurwitzdegen import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPo
                           dual_graph_of_groups, equivalent, is_inverting_involution,
                           perm_from_cycles, tuple_from_jsonable, tuple_to_jsonable, validate)
 from hurwitzdegen import audit, groups
-from hurwitzdegen.boundary import datum_warnings, serialize, unstable_components
+from hurwitzdegen.boundary import datum_warnings, unstable_components
 from hurwitzdegen.errors import InvalidDatum, SchemaError
 
 from conftest import (PIECE_DATA, a5_smoothed_tuple, a5_split_datum, canonical_form_by_scan,
-                      closure_by_bfs, conjugate_datum, generator_ids, inverting_pairs,
-                      load_datum, random_valid_datum)
+                      closure_by_bfs, conjugate_datum, datum_ids, exact_key, generator_ids,
+                      inverting_pairs, load_datum, random_valid_datum)
 
 
 def test_marked_point_shape_guards():
@@ -230,7 +230,7 @@ def test_canonical_form_properties(s4):
     for _ in range(20):
         datum = random_valid_datum(s4, rng, pairs)
         cf = canonical_form(datum)
-        assert cf == canonical_form_by_scan(datum)  # the least serialized conjugate
+        assert cf == canonical_form_by_scan(datum)  # the shape and the least conjugate ids
         g = rng.randrange(s4.order)
         assert equivalent(datum, conjugate_datum(datum, g))
         assert canonical_form(conjugate_datum(datum, g)) == cf
@@ -256,7 +256,7 @@ def abelian_datum(G: PermGroup, rng: random.Random) -> BoundaryDatum:
 
 def central_first_datum(G: PermGroup, rng: random.Random, z: int,
                         pairs: list[tuple[int, int]]) -> BoundaryDatum:
-    """A valid datum whose first serialized id is z, central in G.
+    """A valid datum whose first id is z, central in G.
 
     Then C_G(z) = G and every element of G is a first candidate.
     """
@@ -309,6 +309,41 @@ def test_non_conjugate_data_distinguished(a5):
     assert not equivalent(base, other)
 
 
+def test_keys_separate_shapes_whose_ids_coincide(s4):
+    # each pair lists the same ids in the same order, so only the shape tells
+    # them apart; validity does not matter to the key
+    G = s4
+    a, b, c, d = (G.id_of(perm_from_cycles(4, *cyc)) for cyc in
+                  [[(0, 1)], [(0, 1, 2)], [(1, 2, 3)], [(0, 2), (1, 3)]])
+    m = G.id_of(perm_from_cycles(4, (0, 1, 2, 3)))
+    s = G.id_of(perm_from_cycles(4, (1, 3)))
+    assert is_inverting_involution(G, m, s)
+    C, D, N = MarkedPoint.cyclic, MarkedPoint.dihedral, MarkedPoint.node_end
+
+    def datum(*comps) -> BoundaryDatum:  # each component: its handles, then its points
+        return BoundaryDatum(G, tuple(MarkedComponent(len(h), h, pts) for h, pts in comps))
+
+    pairs = {
+        "cyclic m, node end m": (datum(((), (C(m), C(G.inv(m))))),
+                                 datum(((), (N(m, 0), N(G.inv(m), 0))))),
+        # as many points on each side, so the kinds alone tell them apart
+        "dihedral (m, s), cyclic m then s": (datum(((), (D(m, s), C(c), C(d)))),
+                                             datum(((), (C(m), C(s), D(c, d))))),
+        "genus-1 handle (a, b), cyclic a, b": (datum((((a, b),), (C(c),))),
+                                               datum(((), (C(a), C(b), C(c))))),
+        # the same points on each component, so the genera alone tell them apart
+        "a handle on either component": (datum((((a, b),), (C(c),)), ((), (C(d),))),
+                                         datum(((), (C(a),)), (((b, c),), (C(d),)))),
+        "node id": (datum(((), (C(a), N(b, 0))), ((), (N(G.inv(b), 0), C(c)))),
+                    datum(((), (C(a), N(b, 1))), ((), (N(G.inv(b), 1), C(c))))),
+    }
+    for name, (x, y) in pairs.items():
+        assert datum_ids(x) == datum_ids(y), name
+        kx, ky = canonical_form(x), canonical_form(y)
+        assert kx[1] == ky[1] and kx != ky, name
+        assert not equivalent(x, y), name
+
+
 def test_canonical_form_accepts_invalid_datum(s3):
     # conjugation needs no validity: an inadmissible datum gets its least
     # conjugate, which is just as inadmissible
@@ -321,7 +356,7 @@ def test_canonical_form_accepts_invalid_datum(s3):
     conjugates = [conjugate_datum(bad, g) for g in range(s3.order)]
     for conj in conjugates:
         assert canonical_form(conj) == canonical_form_by_scan(bad)
-    least = next(c for c in conjugates if serialize(c) == canonical_form(bad))
+    least = next(c for c in conjugates if exact_key(c) == canonical_form(bad))
     assert validate(least) == validate(bad)
 
 
@@ -342,7 +377,7 @@ def test_dual_graph_edge_ends(a5):
 def test_datum_json_round_trip(a5):
     datum = a5_split_datum(a5)
     clone = datum_from_jsonable(datum_to_jsonable(datum))
-    assert serialize(clone) == serialize(datum)
+    assert exact_key(clone) == exact_key(datum)
     assert clone.group.elements == a5.elements
 
 
@@ -420,4 +455,4 @@ def test_validate_on_random_product_one_tuples(s4):
 def test_canonical_form_of_datum_without_ids(s3):
     # no handles and no points: nothing for conjugation to move
     d = BoundaryDatum(s3, (MarkedComponent(0, (), ()),))
-    assert canonical_form(d) == serialize(d) == canonical_form_by_scan(d)
+    assert canonical_form(d) == exact_key(d) == canonical_form_by_scan(d)

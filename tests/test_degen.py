@@ -12,13 +12,13 @@ from hurwitzdegen import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPo
                           equivalent, left_cosets, perm_from_cycles, rh_genus, smooth,
                           smooth_dihedral, split, split_degenerations, validate)
 from hurwitzdegen import audit
-from hurwitzdegen.boundary import CYCLIC, is_stable_curve, serialize, unstable_components
+from hurwitzdegen.boundary import CYCLIC, is_stable_curve, unstable_components
 from hurwitzdegen.degen import Degeneration
 from hurwitzdegen.errors import InvalidDatum
 
 from conftest import (a5_smoothed_tuple, canonical_form_by_scan, conjugate_datum, entries,
-                      generator_ids, inverting_pairs, local_model_orbit_sizes, normalizer, orbits,
-                      quotient_report, random_valid_datum, smooth_node)
+                      exact_key, generator_ids, inverting_pairs, local_model_orbit_sizes,
+                      normalizer, orbits, quotient_report, random_valid_datum, smooth_node)
 
 
 def test_split_index_range(a5, s4):
@@ -158,7 +158,7 @@ def test_collide_pair_round_trip(a5):
     for d in degs:
         t4 = smooth_dihedral(d)
         back = collide_pair(t4, 0)
-        assert serialize(back.datum) == serialize(d.datum)  # exact, not just conjugate
+        assert exact_key(back.datum) == exact_key(d.datum)  # exact, not just conjugate
         assert equivalent(back.datum, d.datum)
 
 
@@ -304,7 +304,7 @@ def test_dedup_against_scan_on_braid_walks(a5, psl27):
 @pytest.mark.parametrize("dedup_first", [True, False], ids=["dedup-first", "equivalent-first"])
 def test_each_datum_is_keyed_once(a5, dedup_first):
     # the key is kept on the datum by whichever of dedup and equivalent meets
-    # it first, and either way it is the least serialized conjugate
+    # it first, and either way it is the shape and the least conjugate ids
     t = a5_smoothed_tuple(a5)
     found = []
     for u in (t, HurwitzTuple(a5, tuple(a5.conj(7, x) for x in t.entries))):
