@@ -35,9 +35,14 @@ def a5_group() -> PermGroup:
                       perm_from_cycles(5, (0, 1, 2))])
 
 
+def _in_stored_order(G: PermGroup) -> list[int]:
+    """The ids of G ordered by their stored elements, as the image tuples sort."""
+    return sorted(range(G.order), key=G.elements.__getitem__)
+
+
 def complete_three_point_tuple(G: PermGroup, m: int, order_b: int, order_c: int) -> HurwitzTuple:
-    """First (m, g1, g2) with the given orders, product one and full image."""
-    for g1 in range(G.order):
+    """First (m, g1, g2), g1 in stored order, with the given orders, product one and full image."""
+    for g1 in _in_stored_order(G):
         if G.element_order(g1) != order_b:
             continue
         g2 = G.inv(G.mul(m, g1))
@@ -105,7 +110,7 @@ def run_audit() -> list[AuditCheck]:
     t3 = a5_tuple(G)
     m = t3.entries[0]
     C5 = G.cyclic_subgroup(m)
-    invs = [s for s in range(G.order) if is_inverting_involution(G, m, s)]
+    invs = [s for s in _in_stored_order(G) if is_inverting_involution(G, m, s)]
     n5, D10 = _cyclic_normalizer_order(G, m), G.generated_subgroup([m, *invs[:1]])
     check("a5-normalizer", n5 == 10 and D10.order == n5,
           f"normalizer of the 5-cycle subgroup has order {n5}, expected 10")
@@ -187,7 +192,7 @@ def run_audit() -> list[AuditCheck]:
     tP = psl27_tuple(P)
     u = tP.entries[0]
     n7 = _cyclic_normalizer_order(P, u)
-    inv7 = [s for s in range(P.order) if is_inverting_involution(P, u, s)]
+    inv7 = [s for s in _in_stored_order(P) if is_inverting_involution(P, u, s)]
     realizable = n7 == 14 and len(inv7) > 0
     check("psl27-realizability", realizable,
           "expected a dihedral Sylow-7 normalizer of order 14 with an inverting "

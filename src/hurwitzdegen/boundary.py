@@ -280,29 +280,31 @@ def _layout(datum: BoundaryDatum) -> tuple[tuple, list[int]]:
 
 def canonical_form(datum: BoundaryDatum) -> tuple:
     """The key of the datum up to simultaneous conjugation by G: its shape
-    and the least conjugate of its ids, ``(shape, least_conjugate(G, ids))``
-    over ``_layout``.
+    and the stored elements of the least conjugate of its ids,
+    ``least_conjugate(G, ids)`` over ``_layout``.
 
     Conjugation moves only the element ids, and equal shapes place them
     alike, so two data have one key exactly when one is a conjugate of the
-    other: no conjugate datum is built.  The ids part of a tuple's key is
-    the key of its Nielsen class mod Inn.  Conjugation is defined on every
-    datum, valid or not.  A datum is immutable, so its key is computed once
+    other: no conjugate datum is built.  Stored elements, not ids, make the
+    key the same in two groups of one element set whose generators are
+    listed apart, which number their elements apart.  The elements part of a
+    tuple's key is the key of its Nielsen class mod Inn.  Conjugation is
+    defined on every datum, valid or not.  A datum is immutable, so its key is computed once
     and kept on it: ``equivalent`` and ``degen.dedup`` key each datum once
     however often they meet it.
     """
     key = datum._canonical
     if key is None:
         shape, ids = _layout(datum)
-        key = (shape, least_conjugate(datum.group, ids))
+        key = (shape, tuple(map(datum.group.elements.__getitem__,
+                                least_conjugate(datum.group, ids))))
         set_field(datum, "_canonical", key)
     return key
 
 
 def equivalent(d1: BoundaryDatum, d2: BoundaryDatum) -> bool:
-    G, H = d1.group, d2.group   # one group, or two with the same sorted element list
-    return ((G is H or (G.degree == H.degree and G.elements == H.elements))
-            and canonical_form(d1) == canonical_form(d2))
+    G, H = d1.group, d2.group   # one group, or two with the same element set
+    return (G is H or G.index.keys() == H.index.keys()) and canonical_form(d1) == canonical_form(d2)
 
 
 # -- JSON ---------------------------------------------------------------------

@@ -1,23 +1,25 @@
 """Exact arithmetic in finite permutation groups.
 
-Groups are materialized as complete element lists (no stabilizer chains),
-sorted by image sequence; every element is referred to by its integer id in
-that list, which makes all downstream enumerations deterministic.
+Groups are materialized as complete element lists (no stabilizer chains);
+every element is referred to by its integer id, its position in the order in
+which the closure found it, so the identity is element 0 and all downstream
+enumerations are deterministic.  Ids carry no other order: whatever reaches a
+report, and any comparison of two groups, orders stored elements instead.
 
 Up to degree 256 an element is stored as the ``bytes`` of its images, so a
 product is one C call, p . q = ``q.translate(p + tail)`` with
 ``tail = bytes(range(degree, 256))``, and keys hash once and compare with
-``memcmp``; bytes sort like tuples of ints below 256, so ids are those of the
-tuple order.  Above degree 256 elements are image tuples, composed by
-``compose`` and ``inverse``.
+``memcmp``.  Above degree 256 elements are image tuples, composed by
+``compose`` and ``inverse``.  Both storages sort like the image tuple, so every
+order taken from stored elements is the same in either.
 
 A group and each subgroup generated from ids are closed one right coset of
 a cyclic subgroup H = <a> at a time (Dimino's algorithm): a new coset H y is
 added whole by one C-level ``map`` of products h y, so the closure takes a
 Python step per coset and generator, not per element.  Inverses are found on
 demand, one inversion and lookup each.  Conjugacy classes are orbits of ids
-under the tables x -> g x g^-1 of the generators, each one C-level ``map`` of
-stored products over ``elements`` followed by one ``index`` lookup each.  A
+under the tables x -> g x g^-1 of the generators; on bytes each table is
+built a block of stored elements at a time (``_conjugation_table``).  A
 subgroup is its sorted member ids and nothing else: a left coset gH is one
 C-level ``map`` of the products g h over H's stored members, so cosets need
 no generators of H.  A class function is a tuple of ints, its values on the
@@ -37,8 +39,11 @@ holder drops it.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from itertools import repeat
+from functools import lru_cache
+from itertools import count, repeat
+from math import lcm
 from operator import add, index as _as_index
+from struct import Struct
 from types import MappingProxyType
 
 from ._record import Record
@@ -48,6 +53,7 @@ Perm = tuple  # images: Perm[i] = image of point i
 
 DEFAULT_CLOSURE_BOUND = 10**6
 MAX_DEGREE = 10**4  # the loader's bound on a declared degree, checked before anything is built
+_BLOCK = 256  # stored elements per block of a conjugation table
 
 
 def as_perm(images: Sequence[int]) -> Perm:
@@ -98,10 +104,12 @@ class PermGroup:
     """A finite permutation group with its full element list.
 
     Up to degree 256 an element is stored as the ``bytes`` of its images,
-    above that as the tuple of them; both sort like the image tuple, so ids do
-    not depend on the storage.  Elements are sorted in that order and the
-    identity is always element 0.  ``max_order`` bounds the closure so a
-    typo'd generating set fails fast instead of eating memory.
+    above that as the tuple of them; both sort like the image tuple.
+    ``elements`` lists them in closure order, so an element's id is its
+    position there and depends on the generators as listed; the identity is
+    always element 0.  ``index`` maps each stored element to its id.
+    ``max_order`` bounds the closure so a typo'd generating set fails fast
+    instead of eating memory.
     """
 
     def __init__(self, generators: Iterable[Sequence[int]], degree: int | None = None,
@@ -124,12 +132,10 @@ class PermGroup:
         else:
             ident, keys = identity_perm(degree), gens
             self._tr, self._pad = _swapped_compose, ()
-        points = self._close(ident, keys, max_order)
-        if len(points) > max_order:
+        self.index = self._close(ident, keys, max_order)
+        if len(self.index) > max_order:
             raise ClosureBoundExceeded(f"closure exceeded {max_order} elements")
-        self.elements = sorted(points)
-        del points  # the closure's working set goes before the index is built
-        self.index = dict(zip(self.elements, range(self.order)))
+        self.elements = list(self.index)
         self._gen_ids = [self.index[g] for g in keys]
         self._inv = [-1] * self.order  # filled by inv() on demand
         self._orders: dict[int, int] = {}
@@ -179,10 +185,11 @@ class PermGroup:
         tr, pad, elements = self._tr, self._pad, self.elements
         return self.index[tr(tr(elements[self.inv(g)], elements[x] + pad), elements[g] + pad)]
 
-    def _close(self, ident, gens: list, stop: int) -> list | set:
-        """The stored elements of <gens>, closed one right coset of a cyclic
-        subgroup at a time (Dimino's algorithm; G. Butler, Fundamental
-        Algorithms for Permutation Groups, LNCS 559, 1991).
+    def _close(self, ident, gens: list, stop: int) -> dict:
+        """The stored elements of <gens>, each mapped to its position in the
+        order found, closed one right coset of a cyclic subgroup at a time
+        (Dimino's algorithm; G. Butler, Fundamental Algorithms for Permutation
+        Groups, LNCS 559, 1991).
 
         H = <a> for a = gens[0], in the caller's order (a group's generators
         as given, a dihedral point's m before its s).  Each right coset H t
@@ -190,40 +197,37 @@ class PermGroup:
         whole coset H y, one C-level ``map`` of products h y with each h
         stored (and, as bytes, padded) once.  A union of right cosets of H that holds the
         identity and is closed under right multiplication by the generators
-        is the group.  The walk returns the points found so far as soon as it
-        holds more than ``stop`` of them, a's powers included: the
-        constructor stops past its ``max_order`` bound and
+        is the group.  The powers of a come first, the identity at 0, then
+        each coset in the order found.  The walk returns the points found so
+        far as soon as it holds more than ``stop`` of them, a's powers
+        included: the constructor stops past its ``max_order`` bound and
         ``generated_subgroup`` at |G|/2, past which, by Lagrange's theorem,
         the subgroup can only be G.
         """
         tr, pad = self._tr, self._pad
         a = gens[0] if gens else ident
         powers, x, pa = [ident], a, a + pad
-        while x != ident:
+        while x != ident and len(powers) <= stop:
             powers.append(x)
-            if len(powers) > stop:
-                return powers
             x = tr(x, pa)
-        if len(gens) < 2:  # <a> is the closure
-            return powers
+        found = dict(zip(powers, count()))
+        if len(gens) < 2 or len(found) > stop:  # <a> is the closure, or past the bound
+            return found
         lefts = [h + pad for h in powers]
-        seen, reps = set(powers), [ident]
+        reps = [ident]
         for t in reps:  # grows while it is walked
             for y in self._products(repeat(t), gens):
-                if y not in seen:
-                    seen.update(map(tr, repeat(y), lefts))
-                    if len(seen) > stop:
-                        return seen
+                if y not in found:  # H y is new and disjoint from the cosets found
+                    found.update(zip(map(tr, repeat(y), lefts), count(len(found))))
+                    if len(found) > stop:
+                        return found
                     reps.append(y)
-        return seen
+        return found
 
     def _products(self, xs: Iterable, ys: Iterable) -> Iterable:
         """The stored products x . y of ``xs`` and ``ys`` taken pairwise, one
         C-level ``map``."""
         return map(self._tr, ys, map(add, xs, repeat(self._pad)))
-
-    def _table(self, products: Iterable) -> tuple[int, ...]:
-        return tuple(map(self.index.__getitem__, products))
 
     def product(self, ids: Iterable[int]) -> int:
         acc = 0
@@ -241,25 +245,21 @@ class PermGroup:
                     while not seen[x]:
                         seen[x] = True
                         length, x = length + 1, p[x]
-                    order = order * length // _gcd(order, length)
+                    order = lcm(order, length)
             self._orders[i] = order
         return self._orders[i]
 
     # -- conjugacy classes ------------------------------------------------
 
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
-        """Conjugation orbits, ordered by (element order, minimal id).
-
-        Each generator g acts by the table x -> g (x g^-1), two products per
-        element with g padded once per table.
-        """
+        """Conjugation orbits, each as its sorted ids, ordered by (element
+        order, least stored element).  The generators act by their
+        ``_conjugation_table``."""
         if self._classes is None:
-            elements, tables = self.elements, []
-            for g in self._gen_ids:
-                right = self._products(elements, repeat(elements[self.inv(g)]))
-                tables.append(self._table(map(self._tr, right, repeat(elements[g] + self._pad))))
-            classes = _table_orbits(self.order, tables)
-            classes.sort(key=lambda c: (self.element_order(c[0]), c[0]))
+            elements = self.elements
+            classes = _table_orbits(self.order, list(map(self._conjugation_table, self._gen_ids)))
+            classes.sort(key=lambda c: (self.element_order(c[0]),
+                                        min(map(elements.__getitem__, c))))
             self._classes = tuple(classes)
             class_of = [0] * self.order
             for ci, c in enumerate(self._classes):
@@ -267,6 +267,30 @@ class PermGroup:
                     class_of[x] = ci
             self._class_of = class_of
         return self._classes
+
+    def _conjugation_table(self, g: int) -> list[int]:
+        """The ids of g x g^-1 over the ids x.
+
+        On tuples, two products per element.  On bytes, a block of up to
+        ``_BLOCK`` stored elements is joined once, and one ``translate`` by
+        g maps its values, so each x becomes g x.  Since
+        (g x g^-1)(g(i)) = g(x(i)), n strided copies then move the images of
+        i to position g(i), one cached ``Struct`` splits the block into its
+        elements, and each is looked up once.
+        """
+        elements, lookup = self.elements, self.index.__getitem__
+        pg = elements[g]
+        if self.degree > 256:
+            right = self._products(elements, repeat(elements[self.inv(g)]))
+            return list(map(lookup, map(self._tr, right, repeat(pg + self._pad))))
+        n, table, gtab = self.degree, [], pg + self._pad
+        for start in range(0, self.order, _BLOCK):
+            block = b"".join(elements[start:start + _BLOCK])
+            moved, out = block.translate(gtab), bytearray(len(block))
+            for i, gi in enumerate(pg):
+                out[gi::n] = moved[i::n]
+            table += map(lookup, _splitter(n, min(_BLOCK, self.order - start))(out))
+        return table
 
     def class_of(self, i: int) -> int:
         return self._class_table()[i]
@@ -315,10 +339,10 @@ class PermGroup:
         return {"degree": self.degree, "generators": [list(g) for g in self.generators]}
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+@lru_cache(maxsize=64)
+def _splitter(n: int, k: int):
+    """The ``unpack`` that splits k stored elements of degree n, joined, into k ``bytes``."""
+    return Struct(f"{n}s" * k).unpack
 
 
 def _table_orbits(n: int, tables: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -358,13 +382,14 @@ class Subgroup(Record):
 
 
 class ClassRecord(Record, eq=False):
-    """A conjugacy class with a transversal and the centralizer of its least id.
+    """A conjugacy class with a transversal and the centralizer of its least element.
 
-    ``rep`` is the least id r of the class; ``conjugators`` maps every
-    member y to a t_y with t_y r t_y^-1 = y, read-only, since one record
-    serves every caller.  The g with g y g^-1 = r are then exactly the coset
-    C_G(r) t_y^-1.  ``pairs`` holds C_G(r) as stored (padded member, inverse)
-    elements, in member order; repr leaves it out.  No field refers to the
+    ``rep`` is the id of r, the least stored element of the class;
+    ``conjugators`` maps every member y to a t_y with t_y r t_y^-1 = y,
+    read-only, since one record serves every caller.  The g with
+    g y g^-1 = r are then exactly the coset C_G(r) t_y^-1.  ``pairs`` holds
+    C_G(r) as stored (padded member, inverse) elements, in member order;
+    repr leaves it out.  No field refers to the
     group that caches the record.
     """
 
@@ -380,8 +405,8 @@ def _class_record(group: PermGroup, x: int) -> ClassRecord:
     a conjugator u_y with u_y x u_y^-1 = y (a Schreier vector with its words
     multiplied out).  Each generator g is padded, and g^-1 found, once, and
     each member padded once, so an edge y -> g y g^-1 costs two products.
-    With r the least member, t_y = u_y u_r^-1 conjugates r to y.  An edge
-    that finds z new is a tree edge, u_z = g u_y, whose Schreier generator
+    With r the least stored member, t_y = u_y u_r^-1 conjugates r to y.  An
+    edge that finds z new is a tree edge, u_z = g u_y, whose Schreier generator
     t_z^-1 g t_y is the identity; those of the other edges generate C_G(r).
     One is added only when it lies outside the subgroup closed so far, which
     at least doubles it, until |C_G(r)| |class| = |G|: at most log2 |C_G(r)|
@@ -426,20 +451,19 @@ def _is_central(group: PermGroup, x: int) -> bool:
 
 
 def least_conjugate(group: PermGroup, ids: Sequence[int]) -> tuple[int, ...]:
-    """The least of the tuples (g x g^-1 for x in ``ids``) over g in G: the
-    key of ``ids`` up to simultaneous conjugation (of a Hurwitz tuple's
-    Nielsen class mod Inn).
+    """The least of the tuples (g x g^-1 for x in ``ids``) over g in G,
+    compared as tuples of stored elements: the key of ``ids`` up to
+    simultaneous conjugation (of a Hurwitz tuple's Nielsen class mod Inn).
 
     Leading central ids are their own least conjugates and leave every g a
     candidate, so they are kept as they are.  The least conjugate of the
-    first other id x is the least id r of its class, reached exactly by the
-    g = c t_x^-1 with c in C_G(r), t_x being x's conjugator in its class
+    first other id x is the least element r of its class, reached exactly by
+    the g = c t_x^-1 with c in C_G(r), t_x being x's conjugator in its class
     record.  So the later ids y are conjugated once by t_x^-1, to
     y' = t_x^-1 y t_x, and the candidates are the c themselves, the
     record's stored centralizer pairs.  Each y' keeps the c with the least
-    c y' c^-1, compared as stored elements, which sort like ids.  The
-    survivors form a coset of the centralizer of the ids seen so far; once
-    one is left, it conjugates the ids that remain.  Cost: one class record
+    stored c y' c^-1.  The survivors form a coset of the centralizer of the
+    ids seen so far; once one is left, it conjugates the ids that remain.  Cost: one class record
     and one candidate coset per class of first ids (both cached), two
     products per later id, then two per candidate and id.
     """
@@ -467,7 +491,8 @@ def least_conjugate(group: PermGroup, ids: Sequence[int]) -> tuple[int, ...]:
 
 
 class CosetTable(Record):
-    """Cosets as ``cells``, ordered by least element id; ``index_of[g]`` is g's coset."""
+    """Cosets as ``cells`` of sorted ids, ordered by least stored element;
+    ``index_of[g]`` is g's coset."""
 
     __slots__ = ("cells", "index_of")
 
@@ -476,26 +501,33 @@ class CosetTable(Record):
 
 
 def left_cosets(group: PermGroup, sub: Subgroup) -> CosetTable:
-    """Cosets gH, in order of their least id: the first id g not yet in a
-    coset is the least of its own, whose members are one C-level ``map`` of
-    the stored products g h over H's members."""
-    elements, index_of = group.elements, [-1] * group.order
-    hs, cells = [elements[h] for h in sub.members], []
+    """Cosets gH, in order of their least stored element.  The first id g
+    not yet in a coset gives its own, one C-level ``map`` of the stored
+    products g h over H's members, and the least of these keys it; then the
+    [G : H] keys are sorted, not the |G| elements."""
+    elements, lookup, tr, pad = group.elements, group.index.__getitem__, group._tr, group._pad
+    hs, index_of, cells, least = [elements[h] for h in sub.members], [-1] * group.order, [], []
     for g in range(group.order):
         if index_of[g] < 0:
-            cell = group._table(map(group._tr, hs, repeat(elements[g] + group._pad)))
+            coset = list(map(tr, hs, repeat(elements[g] + pad)))
+            cell = tuple(sorted(map(lookup, coset)))
             for x in cell:
                 index_of[x] = len(cells)
-            cells.append(tuple(sorted(cell)))
-    return CosetTable(tuple(cells), tuple(index_of))
+            cells.append(cell)
+            least.append(min(coset))
+    ranked = sorted(range(len(cells)), key=least.__getitem__)
+    rank = [0] * len(cells)
+    for new, old in enumerate(ranked):
+        rank[old] = new
+    return CosetTable(tuple(map(cells.__getitem__, ranked)), tuple(map(rank.__getitem__, index_of)))
 
 
 def inverting_involutions(group: PermGroup, m: int) -> list[int]:
-    """The s with ``is_inverting_involution(group, m, s)``, ascending.
+    """The s with ``is_inverting_involution(group, m, s)``, in stored-element order.
 
     A central m is inverted only if m^2 = e, and then by every involution
-    but m, read off the class table.  Otherwise, with r the least id of m's
-    class, s m s^-1 = m^-1 exactly when t_{m^-1}^-1 s t_m centralizes r, so
+    but m, read off the class table.  Otherwise, with r the least element of
+    m's class, s m s^-1 = m^-1 exactly when t_{m^-1}^-1 s t_m centralizes r, so
     the elements inverting m are t_{m^-1} C_G(r) t_m^-1, read off m's class
     record with two stored products per centralizer pair; there are none
     when m^-1 is not conjugate to m.  They invert m by construction, so
@@ -503,7 +535,8 @@ def inverting_involutions(group: PermGroup, m: int) -> list[int]:
     """
     if _is_central(group, m):
         classes = group.conjugacy_classes() if group.mul(m, m) == 0 else ()
-        return sorted(s for c in classes if group.element_order(c[0]) == 2 for s in c if s != m)
+        return sorted((s for c in classes if group.element_order(c[0]) == 2 for s in c if s != m),
+                      key=group.elements.__getitem__)
     rec, mi = group.class_record(m), group.inv(m)
     if mi not in rec.conjugators:
         return []
@@ -512,7 +545,8 @@ def inverting_involutions(group: PermGroup, m: int) -> list[int]:
     right = elements[group.inv(rec.conjugators[m])]
     e, pm = elements[0], elements[m]
     coset = (tr(tr(right, pc), left) for pc, _ in rec.pairs)
-    return sorted(index[s] for s in coset if s != e and s != pm and tr(s, s + pad) == e)
+    return [index[s] for s in sorted(s for s in coset
+                                     if s != e and s != pm and tr(s, s + pad) == e)]
 
 
 def is_inverting_involution(group: PermGroup, m: int, s: int) -> bool:

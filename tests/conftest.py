@@ -69,6 +69,18 @@ def s4_on_257():
     return PermGroup([perm_from_cycles(257, (0, 1, 2, 3)), perm_from_cycles(257, (0, 1))])
 
 
+def stored_order(G: PermGroup) -> list[int]:
+    """The ids of G in stored-element order, as the image tuples sort: the
+    k-th is the k-th least element.  Seeded draws index it, so a seed draws
+    the same elements however the closure numbers them."""
+    return sorted(range(G.order), key=G.elements.__getitem__)
+
+
+def least_member(G: PermGroup, ids: Iterable[int]) -> int:
+    """The id of the least stored element among ``ids``."""
+    return min(ids, key=G.elements.__getitem__)
+
+
 def generator_ids(G: PermGroup) -> list[int]:
     """The ids of the group's generators, in the order they were given."""
     return list(G._gen_ids)
@@ -92,30 +104,36 @@ def a5_split_datum(G: PermGroup | None = None) -> BoundaryDatum:
 
 
 def inverting_pairs(G: PermGroup) -> list[tuple[int, int]]:
-    """Every (m, s) with s an inverting involution of m, by an O(|G|^2) scan:
-    the reference on small groups."""
-    return [(m, s) for m in range(G.order) for s in range(G.order)
-            if is_inverting_involution(G, m, s)]
+    """Every (m, s) with s an inverting involution of m, by an O(|G|^2) scan
+    in stored order: the reference on small groups."""
+    ids = stored_order(G)
+    return [(m, s) for m in ids for s in ids if is_inverting_involution(G, m, s)]
 
 
 def sampled_inverting_pairs(G: PermGroup, rng: random.Random) -> list[tuple[int, int]]:
     """The (m, s) with s in ``inverting_involutions`` of 20 random m: dihedral
     points for ``random_valid_datum`` on groups of order in the thousands,
     where ``inverting_pairs`` is too slow."""
-    return [(m, s) for m in (rng.randrange(G.order) for _ in range(20))
+    ids = stored_order(G)
+    return [(m, s) for m in (ids[rng.randrange(G.order)] for _ in range(20))
             for s in inverting_involutions(G, m)]
 
 
 def random_valid_datum(G: PermGroup, rng: random.Random,
                        pairs: list[tuple[int, int]]) -> BoundaryDatum:
-    """A random admissible datum: relations closed by a final cyclic point."""
+    """A random admissible datum: relations closed by a final cyclic point.
+    Elements are drawn by their place in ``stored_order``."""
+    ids = stored_order(G)
+
+    def draw() -> int:
+        return ids[rng.randrange(G.order)]
+
     two_comp = rng.random() < 0.4
-    node_m = rng.randrange(G.order) if two_comp else None
+    node_m = draw() if two_comp else None
     comps = []
     for ci in range(2 if two_comp else 1):
         genus = 1 if rng.random() < 0.2 else 0
-        handles = tuple((rng.randrange(G.order), rng.randrange(G.order))
-                        for _ in range(genus))
+        handles = tuple((draw(), draw()) for _ in range(genus))
         pts: list[MarkedPoint] = []
         if two_comp:
             m = node_m if ci == 0 else G.inv(node_m)
@@ -123,7 +141,7 @@ def random_valid_datum(G: PermGroup, rng: random.Random,
         if pairs and rng.random() < 0.35:
             pts.append(MarkedPoint.dihedral(*pairs[rng.randrange(len(pairs))]))
         for _ in range(rng.randrange(2, 5)):
-            pts.append(MarkedPoint.cyclic(rng.randrange(G.order)))
+            pts.append(MarkedPoint.cyclic(draw()))
         if ci == 0 and rng.random() < 0.5:
             # make full-image (hence often connected) covers common
             for gid in generator_ids(G):
@@ -145,11 +163,11 @@ def random_rational_generating_tuples(G: PermGroup, rng: random.Random,
     Rejection sampling; genus 0 pins the branch orders to triangle-group
     patterns, so these are the tuples whose degenerations stay all-rational.
     """
-    out = []
+    out, ids = [], stored_order(G)
     tries = 0
     while len(out) < want and tries < max_tries:
         tries += 1
-        entries = [rng.randrange(G.order) for _ in range(rng.randrange(2, 4))]
+        entries = [ids[rng.randrange(G.order)] for _ in range(rng.randrange(2, 4))]
         entries.append(G.inv(G.product(entries)))
         if any(g == G.identity for g in entries):
             continue
@@ -512,15 +530,20 @@ def datum_ids(datum: BoundaryDatum) -> tuple[int, ...]:
     return tuple(ids)
 
 
+def datum_elements(datum: BoundaryDatum) -> tuple:
+    """The stored elements of ``datum_ids``."""
+    return tuple(map(datum.group.elements.__getitem__, datum_ids(datum)))
+
+
 def exact_key(datum: BoundaryDatum) -> tuple:
-    """The datum as it is, shape and ids: equal exactly for equal data."""
-    return datum_shape(datum), datum_ids(datum)
+    """The datum as it is, shape and stored elements: equal exactly for equal data."""
+    return datum_shape(datum), datum_elements(datum)
 
 
 def canonical_form_by_scan(datum: BoundaryDatum) -> tuple:
-    """The canonical form by a full scan: the shape, and the least ids of a
-    conjugate datum over every g in G."""
-    return datum_shape(datum), min(datum_ids(conjugate_datum(datum, g))
+    """The canonical form by a full scan: the shape, and the least stored
+    elements of a conjugate datum over every g in G."""
+    return datum_shape(datum), min(datum_elements(conjugate_datum(datum, g))
                                    for g in range(datum.group.order))
 
 

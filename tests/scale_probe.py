@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Peak memory of repeated boundary-strata rounds on one large group.
+"""Peak memory of repeated boundary-strata rounds on one large group, or
+the cost of closing large groups and their classes.
 
     PYTHONPATH=src python tests/scale_probe.py [--p 29] [--rounds 30]
+    PYTHONPATH=src python tests/scale_probe.py --closure
 
 Each round loads a fresh PSL(2,p) 4-tuple (x, x^-1, y, y^-1) from JSON,
 enumerates its split degenerations and its dihedral degenerations at entry
@@ -11,6 +13,12 @@ and y = g2.  A group that outlives its round keeps its element list, tables
 and class records into the next ones, so the peak resident set grows with
 the rounds; a group freed with its round keeps it near one round's.  Prints
 ``strata scale probe: peak RSS N MB, T s``, T being the rounds' wall time.
+
+With ``--closure`` it instead builds PSL(2,p) for p = 19, 41 and 83
+(|G| = 3,420, 34,440 and 285,852), one after another, and prints one line
+each: the seconds to close the group, the seconds to build its conjugacy
+classes, and the process's peak resident set so far, which the largest
+group sets.
 """
 
 from __future__ import annotations
@@ -20,13 +28,36 @@ import json
 import resource
 from time import perf_counter
 
-from hurwitzdegen import (compose, dedup, dihedral_degenerations, inverse, split_degenerations,
-                          tuple_from_jsonable)
+from hurwitzdegen import (PermGroup, compose, dedup, dihedral_degenerations, inverse,
+                          split_degenerations, tuple_from_jsonable)
+
+CLOSURE_PRIMES = (19, 41, 83)
+
+
+def psl2_generators(p: int) -> list[list[int]]:
+    """z -> z+1 and z -> -1/z on the projective line over F_p, point p playing infinity."""
+    return [[(z + 1) % p for z in range(p)] + [p],
+            [p] + [(-pow(z, p - 2, p)) % p for z in range(1, p)] + [0]]
+
+
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+
+
+def closure_probe() -> None:
+    for p in CLOSURE_PRIMES:
+        start = perf_counter()
+        G = PermGroup(psl2_generators(p))
+        closed = perf_counter()
+        G.conjugacy_classes()
+        done = perf_counter()
+        print(f"closure scale probe: PSL(2,{p}), |G| = {G.order}: closure {closed - start:.3f} s, "
+              f"classes {done - closed:.3f} s, peak RSS {peak_rss_mb():.1f} MB")
+        del G  # freed before the next group is built
 
 
 def psl2_tuple_json(p: int) -> str:
-    g1 = [(z + 1) % p for z in range(p)] + [p]
-    g2 = [p] + [(-pow(z, p - 2, p)) % p for z in range(1, p)] + [0]
+    g1, g2 = psl2_generators(p)
     x, y = compose(g1, g2), tuple(g2)
     entries = [list(g) for g in (x, inverse(x), y, inverse(y))]
     return json.dumps({"group": {"degree": p + 1, "generators": [g1, g2]}, "entries": entries})
@@ -36,15 +67,20 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--p", type=int, default=29, help="an odd prime")
     parser.add_argument("--rounds", type=int, default=30)
+    parser.add_argument("--closure", action="store_true",
+                        help="time the closure and classes of PSL(2,p), p = "
+                             + ", ".join(map(str, CLOSURE_PRIMES)))
     args = parser.parse_args()
+    if args.closure:
+        closure_probe()
+        return
     text = psl2_tuple_json(args.p)
     start = perf_counter()
     for _ in range(args.rounds):
         t = tuple_from_jsonable(json.loads(text))
         dedup(split_degenerations(t) + dihedral_degenerations(t, 0))
     seconds = perf_counter() - start
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    print(f"strata scale probe: peak RSS {peak_mb:.1f} MB, {seconds:.1f} s")
+    print(f"strata scale probe: peak RSS {peak_rss_mb():.1f} MB, {seconds:.1f} s")
 
 
 if __name__ == "__main__":

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from hurwitzdegen import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPoint, PermGroup,
-                          audit, datum_from_jsonable, datum_to_jsonable, dihedral_degenerations,
-                          perm_from_cycles, tuple_to_jsonable)
+                          audit, compose, datum_from_jsonable, datum_to_jsonable, dedup,
+                          dihedral_degenerations, equivalent, perm_from_cycles,
+                          split_degenerations, tuple_to_jsonable)
 from hurwitzdegen.cli import analyze_datum, build_parser, json_dump, main
 from hurwitzdegen.groups import MAX_DEGREE
 
@@ -621,3 +622,57 @@ def test_a_tuple_file_prints_what_its_datum_copy_prints(tmp_path, capsys, monkey
         assert copy_head == datum_to_jsonable(t)
         assert rest == copy_rest, argv
         assert components == [None] * len(components) and copy_components == [0] * len(components)
+
+
+def _other_generator_lists(gens: list) -> list[list]:
+    """Three other generating lists of one group: ``gens`` reversed, and the
+    product of its first two appended and prepended."""
+    ab = list(compose(gens[0], gens[1]))
+    return [gens[::-1], [*gens, ab], [ab, *gens]]
+
+
+def _without_groups(obj):
+    """A report with every echoed ``group`` left out."""
+    if isinstance(obj, dict):
+        return {k: _without_groups(v) for k, v in obj.items() if k != "group"}
+    if isinstance(obj, list):
+        return list(map(_without_groups, obj))
+    return obj
+
+
+def _every_degeneration(datum: BoundaryDatum) -> list:
+    return split_degenerations(datum) + [
+        deg for ci, comp in enumerate(datum.components) for pi, pt in enumerate(comp.points)
+        if pt.kind == "cyclic" for deg in dihedral_degenerations(datum, pi, ci)]
+
+
+@pytest.mark.parametrize("path", [path for path, _ in inputs(VALID)])
+def test_reports_do_not_depend_on_the_order_of_the_generators(tmp_path, capsys, monkeypatch,
+                                                               path):
+    # ids follow the closure, which follows the generators as listed; no
+    # report, key or dedup may: every command prints what it prints on the
+    # file itself, but for the echoed group, and the data are equivalent
+    monkeypatch.chdir(ROOT)
+    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    datum = datum_from_jsonable(obj)
+    degs = _every_degeneration(datum)
+    classes = len(dedup(degs))
+    dot, copy, apart = tmp_path / "out.dot", tmp_path / "copy.json", []
+    for gens in _other_generator_lists(obj["group"]["generators"]):
+        copy.write_text(json.dumps({**obj, "group": {**obj["group"], "generators": gens}}),
+                        encoding="utf-8")
+        for argv, copy_argv in zip(file_runs(path, datum, str(dot)),
+                                   file_runs(str(copy), datum, str(dot))):
+            code, out, err, dot_bytes = _run_with_dot(capsys, argv, dot)
+            copy_code, copy_out, copy_err, copy_dot = _run_with_dot(capsys, copy_argv, dot)
+            assert (copy_code, copy_err, copy_dot) == (code, err, dot_bytes), argv
+            if out.startswith("{"):
+                assert _without_groups(json.loads(copy_out)) == _without_groups(json.loads(out))
+            else:
+                assert copy_out == out, argv
+        twin = datum_from_jsonable(json.loads(copy.read_text(encoding="utf-8")))
+        apart.append(twin.group.elements != datum.group.elements)
+        assert equivalent(datum, twin) and equivalent(twin, datum)
+        twin_degs = _every_degeneration(twin)
+        assert len(dedup(degs + twin_degs)) == len(dedup(twin_degs + degs)) == classes
+    assert any(apart)  # some list numbers the elements apart

@@ -14,8 +14,9 @@ from hurwitzdegen.errors import ClosureBoundExceeded, DegreeMismatch
 from hurwitzdegen.groups import as_perm, identity_perm
 
 from conftest import (all_subgroups, centralizer_by_scan, closure_by_bfs, disjoint_union,
-                      generator_ids, induced_by_kernel, inverting_pairs, normalizer, orbits,
-                      random_valid_datum, sign_characters, small_generating_set)
+                      generator_ids, induced_by_kernel, inverting_pairs, least_member, normalizer,
+                      orbits, random_valid_datum, sign_characters, small_generating_set,
+                      stored_order)
 
 
 def test_composition_convention():
@@ -49,7 +50,7 @@ def test_trivial_group_from_empty_generators():
 def test_a5_closure(a5):
     assert a5.order == 60
     assert a5.perm(0) == identity_perm(5)
-    assert a5.elements == sorted(a5.elements)
+    assert a5.index == dict(zip(a5.elements, range(60)))  # ids are positions, each element once
     assert math.factorial(a5.degree) % a5.order == 0
     assert all(a5.order % a5.element_order(g) == 0 for g in range(a5.order))
 
@@ -147,6 +148,30 @@ def _tuple_closure(gens: list[tuple[int, ...]], degree: int) -> list[tuple[int, 
     return sorted(points)
 
 
+def _transpositions(count: int) -> list[tuple[int, ...]]:
+    """(0 1), (2 3), ...: ``count`` disjoint transpositions on 2 ``count`` points,
+    generating an elementary abelian group of order 2^count."""
+    return [perm_from_cycles(2 * count, (2 * i, 2 * i + 1)) for i in range(count)]
+
+
+@pytest.mark.parametrize("gens,degree,order", [
+    (_transpositions(8), 16, 256),                           # one full block
+    (_transpositions(9), 18, 512),                           # two full blocks
+    ([_cyclic(6), perm_from_cycles(6, (0, 1))], 6, 720),     # S6: blocks of 256, 256 and 208
+    ([], 0, 1), ([()], 0, 1), ([], 1, 1), ([(0,)], 1, 1),    # degrees 0 and 1
+    ([_cyclic(256), tuple(-x % 256 for x in range(256))], 256, 512),  # the largest bytes storage
+], ids=["2^8", "2^9", "s6", "deg0", "deg0_gen", "deg1", "deg1_gen", "d256"])
+def test_conjugation_tables_at_block_edges(gens, degree, order):
+    # each table, a block of stored elements at a time, against the products
+    # g x g^-1 taken one element at a time in tuple arithmetic
+    G = PermGroup(gens, degree=degree)
+    assert G.order == order and type(G.elements[0]) is bytes
+    perms = [G.perm(x) for x in range(G.order)]
+    for g in {*generator_ids(G), 0, G.order // 2, G.order - 1}:
+        p, q = perms[g], inverse(perms[g])
+        assert G._conjugation_table(g) == [G.id_of(compose(compose(p, x), q)) for x in perms]
+
+
 FLIP300 = tuple(-x % 300 for x in range(300))
 
 
@@ -162,13 +187,17 @@ FLIP300 = tuple(-x % 300 for x in range(300))
 def test_storage_switch_against_tuple_closure(gens, degree, subgroups):
     G = PermGroup(gens, degree=degree)
     assert type(G.elements[0]) is (bytes if degree <= 256 else tuple)
-    elements = _tuple_closure(gens, degree)
+    elements = _tuple_closure(gens, degree)  # sorted: x below is a place in stored order
     index = {g: i for i, g in enumerate(elements)}
     n = len(elements)
-    assert [G.perm(i) for i in range(G.order)] == elements
-    assert [G.id_of(g) for g in elements] == list(range(n))
-    assert generator_ids(G) == [index[g] for g in gens]
-    assert [G.inv(i) for i in range(n)] == [index[inverse(g)] for g in elements]
+    to_id = [G.id_of(g) for g in elements]
+    assert G.order == n and sorted(to_id) == list(range(n))
+    assert [G.perm(i) for i in to_id] == elements
+    assert generator_ids(G) == [to_id[index[g]] for g in gens]
+    assert [G.inv(i) for i in to_id] == [to_id[index[inverse(g)]] for g in elements]
+
+    def ids(xs) -> tuple[int, ...]:
+        return tuple(sorted(map(to_id.__getitem__, xs)))
 
     def times(x: int, h: int) -> int:
         return index[compose(elements[x], elements[h])]
@@ -184,7 +213,7 @@ def test_storage_switch_against_tuple_closure(gens, degree, subgroups):
                 lengths.add(k)
         return math.lcm(*lengths)
 
-    # classes: conjugation orbits under the generators, by (order, least id)
+    # classes: conjugation orbits under the generators, by (order, least element)
     label: dict[int, int] = {}
     classes = []
     for start in range(n):
@@ -199,25 +228,26 @@ def test_storage_switch_against_tuple_closure(gens, degree, subgroups):
                         cell.append(y)
             classes.append(tuple(sorted(cell)))
     classes.sort(key=lambda c: (order(c[0]), c[0]))
-    assert G.conjugacy_classes() == tuple(classes)
+    assert G.conjugacy_classes() == tuple(map(ids, classes))
 
     for sub_gens in subgroups:
-        H = G.generated_subgroup([index[h] for h in sub_gens])
+        H = G.generated_subgroup([G.id_of(h) for h in sub_gens])
         members = sorted(index[h] for h in _tuple_closure(sub_gens, degree))
-        assert list(H.members) == members
+        assert H.members == ids(members)
         cells, covered = [], set()
         for x in range(n):
             if x not in covered:
-                cells.append(tuple(sorted(times(x, h) for h in members)))
+                cells.append([times(x, h) for h in members])
                 covered.update(cells[-1])
-        assert left_cosets(G, H).cells == tuple(cells)
+        assert left_cosets(G, H).cells == tuple(map(ids, cells))
 
-    sample = sorted({0, 1, n // 3, n // 2, n - 1, *generator_ids(G)})
+    sample = sorted({0, 1, n // 3, n // 2, n - 1, *(index[g] for g in gens)})
     for h in sample:
         for x in sample:
-            assert G.mul(x, h) == times(x, h)
+            assert G.mul(to_id[x], to_id[h]) == to_id[times(x, h)]
             g = elements[h]
-            assert G.conj(h, x) == index[compose(compose(g, elements[x]), inverse(g))]
+            assert G.conj(to_id[h], to_id[x]) == \
+                to_id[index[compose(compose(g, elements[x]), inverse(g))]]
 
 
 def test_closure_against_orbit_closure_in_small_symmetric_groups():
@@ -236,8 +266,9 @@ def test_closure_against_orbit_closure_in_small_symmetric_groups():
         if data.draw(st.booleans()):
             gens.insert(data.draw(st.integers(0, len(gens))), identity_perm(degree))
         G = PermGroup(gens, degree=degree)
-        assert [G.perm(i) for i in range(G.order)] == \
+        assert sorted(G.perm(i) for i in range(G.order)) == \
             sorted(orbits([identity_perm(degree)], G.generators, compose)[0])
+        assert G.index == dict(zip(G.elements, range(G.order)))
         assert [G.inv(i) for i in reversed(range(G.order))] == \
             [G.id_of(inverse(G.perm(i))) for i in reversed(range(G.order))]
 
@@ -263,11 +294,11 @@ def test_id_of_rejects_other_degrees(degree):
 @pytest.mark.parametrize("fixture", ["s4", "a5", "psl27", "s4_on_257"])
 def test_left_cosets_against_products(fixture, request):
     # every subgroup: each cell is the sorted set {g h : h in H}, and the
-    # cells come in order of their least ids
+    # cells come in order of their least elements
     G = request.getfixturevalue(fixture)
     for H in all_subgroups(G):
         cells, covered = [], set()
-        for g in range(G.order):
+        for g in stored_order(G):
             if g not in covered:
                 cells.append(tuple(sorted({G.mul(g, h) for h in H.members})))
                 covered.update(cells[-1])
@@ -275,7 +306,8 @@ def test_left_cosets_against_products(fixture, request):
         assert table.cells == tuple(cells) and len(table) * H.order == G.order
         label = {x: idx for idx, cell in enumerate(cells) for x in cell}
         assert table.index_of == tuple(label[x] for x in range(G.order))
-        assert [c[0] for c in cells] == sorted(c[0] for c in cells)
+        least = [G.elements[least_member(G, c)] for c in cells]
+        assert least == sorted(least)
 
 
 def test_element_orders(a5):
@@ -365,7 +397,8 @@ def test_class_sizes_partition_group(fixture, request):
     # and as orbits of plain conj under the generators, in the same order
     plain = [tuple(sorted(c)) for c in
              orbits(range(G.order), generator_ids(G), lambda x, g: G.conj(g, x))]
-    assert classes == tuple(sorted(plain, key=lambda c: (G.element_order(c[0]), c[0])))
+    assert classes == tuple(sorted(plain, key=lambda c: (G.element_order(c[0]),
+                                                         G.elements[least_member(G, c)])))
 
 
 def psl2(p: int) -> PermGroup:
@@ -437,10 +470,10 @@ def class_record_group(name: str, request) -> PermGroup:
 @pytest.mark.parametrize("fixture", CLASS_RECORD_GROUPS)
 def test_class_records_against_scans(fixture, request):
     G = class_record_group(fixture, request)
-    for x in reversed(range(G.order)):  # walks then start at a class's largest id
+    for x in reversed(stored_order(G)):  # walks then start at a class's largest element
         rec = G.class_record(x)
         c = G.conjugacy_classes()[G.class_of(x)]
-        assert rec.rep == c[0]
+        assert rec.rep == least_member(G, c)
         assert sorted(rec.conjugators) == list(c)
         assert rec is G.class_record(rec.rep)  # one record per class
         for y, t in rec.conjugators.items():
@@ -461,7 +494,7 @@ def test_class_records_against_scans(fixture, request):
 def test_inverting_involutions_against_scan(fixture, request):
     G = class_record_group(fixture, request)
     for m in range(G.order):
-        scan = [s for s in range(G.order) if is_inverting_involution(G, m, s)]
+        scan = [s for s in stored_order(G) if is_inverting_involution(G, m, s)]
         assert inverting_involutions(G, m) == scan
     # a central class gets no record
     assert not any(c[0] in G._records for c in G.conjugacy_classes() if len(c) == 1)
@@ -471,7 +504,7 @@ def test_inverting_involutions_against_scan(fixture, request):
 def test_inverting_involutions_of_a_central_m_build_no_record(fixture, request, monkeypatch):
     G = class_record_group(fixture, request)
     centre = [z for z in range(G.order) if all(G.mul(z, g) == G.mul(g, z) for g in range(G.order))]
-    scans = {z: [s for s in range(G.order) if is_inverting_involution(G, z, s)] for z in centre}
+    scans = {z: [s for s in stored_order(G) if is_inverting_involution(G, z, s)] for z in centre}
     # C4's centre is all of it, D4's {e, r^2}, C2 x A5's {e, (5 6)}
     assert len(centre) == (4 if fixture == "c4" else 2)
     calls = []
@@ -515,15 +548,16 @@ def test_left_cosets(a5):
     assert len(table) == 12
     D10 = normalizer(a5, C5)
     assert len(left_cosets(a5, D10)) == 6
-    # cells of size |H| partitioning G, labels are cell minima in order
+    # cells of size |H| partitioning G, labels in order of the cells' least elements
     seen = set()
     for idx, cell in enumerate(table.cells):
         assert len(cell) == 5
-        assert cell[0] == min(cell)
+        assert list(cell) == sorted(cell)
         assert all(table.index_of[x] == idx for x in cell)
         seen.update(cell)
     assert seen == set(range(60))
-    assert [c[0] for c in table.cells] == sorted(c[0] for c in table.cells)
+    least = [a5.elements[least_member(a5, c)] for c in table.cells]
+    assert least == sorted(least)
 
 
 def test_induction_from_whole_group_is_identity(a5):

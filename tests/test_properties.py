@@ -54,7 +54,8 @@ def test_canonical_form_is_a_conjugation_invariant(groups, name, seed, g):
 def test_inverting_involutions_are_conjugation_equivariant(groups, name, m, g):
     G, _ = groups[name]
     m, g = m % G.order, g % G.order
-    conjugated = sorted(G.conj(g, s) for s in inverting_involutions(G, m))
+    conjugated = sorted((G.conj(g, s) for s in inverting_involutions(G, m)),
+                        key=G.elements.__getitem__)
     assert inverting_involutions(G, G.conj(g, m)) == conjugated
 
 
