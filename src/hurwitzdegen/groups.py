@@ -13,18 +13,20 @@ product is one C call, p . q = ``q.translate(p + tail)`` with
 ``compose`` and ``inverse``.  Both storages sort like the image tuple, so every
 order taken from stored elements is the same in either.
 
-A group and each subgroup generated from ids are closed one right coset of
-a cyclic subgroup H = <a> at a time (Dimino's algorithm): a new coset H y is
-added whole by one C-level ``map`` of products h y, so the closure takes a
-Python step per coset and generator, not per element.  Inverses are found on
-demand, one inversion and lookup each.  Conjugacy classes are orbits of ids
-under the tables x -> g x g^-1 of the generators; on bytes each table is
-built a block of stored elements at a time (``_conjugation_table``).  A
-subgroup is its sorted member ids and nothing else: a left coset gH is one
-C-level ``map`` of the products g h over H's stored members, so cosets need
-no generators of H.  A class function is a tuple of ints, its values on the
-classes in ``conjugacy_classes()`` order; the identity's class comes first,
-so ``chi[0]`` is the degree, and ``inner`` pairs two exactly.
+A group and each subgroup generated from ids are closed one left coset of
+a cyclic subgroup H = <a> at a time (Dimino's algorithm): a new coset y H is
+added whole, on bytes by one ``translate`` by y of H's joined elements, so
+the closure takes a Python step per coset and generator, not per element.
+Inverses are found on demand, one inversion and lookup each.  Conjugacy
+classes are orbits of ids under the tables x -> g x g^-1 of the generators,
+each class listed in the order its walk found it, least id first; on bytes
+each table is built a block of ``_BLOCK`` bytes of stored images at a time
+(``_conjugation_table``).  A subgroup is its sorted member ids and nothing
+else: a left coset gH is one C-level ``map`` of the products g h over H's
+stored members, so cosets need no generators of H.  A class function is a
+tuple of ints, its values on the classes in ``conjugacy_classes()`` order;
+the identity's class comes first, so ``chi[0]`` is the degree, and
+``inner`` pairs two exactly.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent reads are safe; the lazily filled caches (inverses,
@@ -42,7 +44,7 @@ from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import count, repeat
 from math import lcm
-from operator import add, index as _as_index
+from operator import index as _as_index
 from struct import Struct
 from types import MappingProxyType
 
@@ -53,7 +55,7 @@ Perm = tuple  # images: Perm[i] = image of point i
 
 DEFAULT_CLOSURE_BOUND = 10**6
 MAX_DEGREE = 10**4  # the loader's bound on a declared degree, checked before anything is built
-_BLOCK = 256  # stored elements per block of a conjugation table
+_BLOCK = 32768  # bytes of images per block of a conjugation table, _BLOCK // degree elements
 
 
 def as_perm(images: Sequence[int]) -> Perm:
@@ -105,9 +107,10 @@ class PermGroup:
 
     Up to degree 256 an element is stored as the ``bytes`` of its images,
     above that as the tuple of them; both sort like the image tuple.
-    ``elements`` lists them in closure order, so an element's id is its
-    position there and depends on the generators as listed; the identity is
-    always element 0.  ``index`` maps each stored element to its id.
+    ``elements`` lists them in closure order (the powers of the first
+    generator, then each left coset of them as found), so an element's id is
+    its position there and depends on the generators as listed; the identity
+    is always element 0.  ``index`` maps each stored element to its id.
     ``max_order`` bounds the closure so a typo'd generating set fails fast
     instead of eating memory.
     """
@@ -187,22 +190,24 @@ class PermGroup:
 
     def _close(self, ident, gens: list, stop: int) -> dict:
         """The stored elements of <gens>, each mapped to its position in the
-        order found, closed one right coset of a cyclic subgroup at a time
+        order found, closed one left coset of a cyclic subgroup at a time
         (Dimino's algorithm; G. Butler, Fundamental Algorithms for Permutation
         Groups, LNCS 559, 1991).
 
         H = <a> for a = gens[0], in the caller's order (a group's generators
-        as given, a dihedral point's m before its s).  Each right coset H t
-        found is walked once: for each generator g, a new y = t g adds the
-        whole coset H y, one C-level ``map`` of products h y with each h
-        stored (and, as bytes, padded) once.  A union of right cosets of H that holds the
-        identity and is closed under right multiplication by the generators
-        is the group.  The powers of a come first, the identity at 0, then
-        each coset in the order found.  The walk returns the points found so
-        far as soon as it holds more than ``stop`` of them, a's powers
-        included: the constructor stops past its ``max_order`` bound and
-        ``generated_subgroup`` at |G|/2, past which, by Lagrange's theorem,
-        the subgroup can only be G.
+        as given, a dihedral point's m before its s).  Each left coset t H
+        found is walked once: for each generator g, padded once, a new
+        y = g t adds the whole coset y H.  On bytes that is one ``translate``
+        by y of H's elements joined, split by one ``unpack`` and added by one
+        ``dict.update``; on tuples, one C-level ``map`` of the products y h.
+        A union of left cosets of H that holds the identity and is closed
+        under left multiplication by the generators is the group.  The powers
+        of a come first, the identity at 0, then each coset y H in the order
+        found, y h in the order of the powers h.  The walk returns the points
+        found so far as soon as it holds more than ``stop`` of them, a's
+        powers included: the constructor stops past its ``max_order`` bound
+        and ``generated_subgroup`` at |G|/2, past which, by Lagrange's
+        theorem, the subgroup can only be G.
         """
         tr, pad = self._tr, self._pad
         a = gens[0] if gens else ident
@@ -213,21 +218,21 @@ class PermGroup:
         found = dict(zip(powers, count()))
         if len(gens) < 2 or len(found) > stop:  # <a> is the closure, or past the bound
             return found
-        lefts = [h + pad for h in powers]
+        steps, wide = [g + pad for g in gens], self.degree > 256
+        if not wide:  # y H is one translate by y of the joined powers, split once
+            # by an unpack built uncached: a long a's is freed with the closure
+            joined, split = b"".join(powers), _splitter.__wrapped__(self.degree, len(powers))
         reps = [ident]
         for t in reps:  # grows while it is walked
-            for y in self._products(repeat(t), gens):
-                if y not in found:  # H y is new and disjoint from the cosets found
-                    found.update(zip(map(tr, repeat(y), lefts), count(len(found))))
+            for y in map(tr, repeat(t), steps):  # g t
+                if y not in found:  # y H is new and disjoint from the cosets found
+                    py = y + pad
+                    ys = map(tr, powers, repeat(py)) if wide else split(tr(joined, py))
+                    found.update(zip(ys, count(len(found))))
                     if len(found) > stop:
                         return found
                     reps.append(y)
         return found
-
-    def _products(self, xs: Iterable, ys: Iterable) -> Iterable:
-        """The stored products x . y of ``xs`` and ``ys`` taken pairwise, one
-        C-level ``map``."""
-        return map(self._tr, ys, map(add, xs, repeat(self._pad)))
 
     def product(self, ids: Iterable[int]) -> int:
         acc = 0
@@ -252,9 +257,9 @@ class PermGroup:
     # -- conjugacy classes ------------------------------------------------
 
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
-        """Conjugation orbits, each as its sorted ids, ordered by (element
-        order, least stored element).  The generators act by their
-        ``_conjugation_table``."""
+        """Conjugation orbits, each as its ids in the order its walk found
+        them, the least id first, ordered by (element order, least stored
+        element).  The generators act by their ``_conjugation_table``."""
         if self._classes is None:
             elements = self.elements
             classes = _table_orbits(self.order, list(map(self._conjugation_table, self._gen_ids)))
@@ -272,24 +277,25 @@ class PermGroup:
         """The ids of g x g^-1 over the ids x.
 
         On tuples, two products per element.  On bytes, a block of up to
-        ``_BLOCK`` stored elements is joined once, and one ``translate`` by
-        g maps its values, so each x becomes g x.  Since
-        (g x g^-1)(g(i)) = g(x(i)), n strided copies then move the images of
-        i to position g(i), one cached ``Struct`` splits the block into its
-        elements, and each is looked up once.
+        ``_BLOCK`` bytes, ``_BLOCK // degree`` stored elements, is joined
+        once, and one ``translate`` by g maps its values, so each x becomes
+        g x.  Since (g x g^-1)(g(i)) = g(x(i)), n strided copies then move the
+        images of i to position g(i), one cached ``Struct`` splits the block
+        into its elements, and each is looked up once.
         """
         elements, lookup = self.elements, self.index.__getitem__
         pg = elements[g]
-        if self.degree > 256:
-            right = self._products(elements, repeat(elements[self.inv(g)]))
-            return list(map(lookup, map(self._tr, right, repeat(pg + self._pad))))
+        if self.degree > 256:  # g (x g^-1)
+            right = map(compose, elements, repeat(elements[self.inv(g)]))
+            return list(map(lookup, map(compose, repeat(pg), right)))
         n, table, gtab = self.degree, [], pg + self._pad
-        for start in range(0, self.order, _BLOCK):
-            block = b"".join(elements[start:start + _BLOCK])
+        size = _BLOCK // max(n, 1)
+        for start in range(0, self.order, size):
+            block = b"".join(elements[start:start + size])
             moved, out = block.translate(gtab), bytearray(len(block))
             for i, gi in enumerate(pg):
                 out[gi::n] = moved[i::n]
-            table += map(lookup, _splitter(n, min(_BLOCK, self.order - start))(out))
+            table += map(lookup, _splitter(n, min(size, self.order - start))(out))
         return table
 
     def class_of(self, i: int) -> int:
@@ -347,7 +353,7 @@ def _splitter(n: int, k: int):
 
 def _table_orbits(n: int, tables: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """The orbits of 0..n-1 under the group generated by permutation tables,
-    each sorted and listed by minimum."""
+    listed by minimum, each in the order walked from its minimum."""
     seen = [False] * n
     cells = []
     for start in range(n):
@@ -361,7 +367,7 @@ def _table_orbits(n: int, tables: Sequence[Sequence[int]]) -> list[tuple[int, ..
                 if not seen[y]:
                     seen[y] = True
                     cell.append(y)
-        cells.append(tuple(sorted(cell)))
+        cells.append(tuple(cell))
     return cells
 
 

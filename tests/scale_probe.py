@@ -14,11 +14,15 @@ and class records into the next ones, so the peak resident set grows with
 the rounds; a group freed with its round keeps it near one round's.  Prints
 ``strata scale probe: peak RSS N MB, T s``, T being the rounds' wall time.
 
-With ``--closure`` it instead builds PSL(2,p) for p = 19, 41 and 83
-(|G| = 3,420, 34,440 and 285,852), one after another, and prints one line
-each: the seconds to close the group, the seconds to build its conjugacy
-classes, and the process's peak resident set so far, which the largest
-group sets.
+With ``--closure`` it instead builds, one after another and by order,
+PSL(2,19) (3,420), M11 (7,920), A8 (20,160), PSL(2,41) (34,440), M12
+(95,040) and PSL(2,83) (285,852), and prints one line each: the seconds to
+close the group, the seconds to build its conjugacy classes, and the
+process's peak resident set so far, which the largest group sets.  M11,
+A8 and M12 are the groups that are not PSL(2,q): M11 = <(1..11),
+(3,7,11,8)(4,10,5,6)>, A8 = <(1..7), (6,7,8)>, and M12 adds
+(1,12)(2,11)(3,6)(4,8)(5,9)(7,10) to M11's generators (points counted
+from 1 here, from 0 in the code).
 """
 
 from __future__ import annotations
@@ -29,9 +33,7 @@ import resource
 from time import perf_counter
 
 from hurwitzdegen import (PermGroup, compose, dedup, dihedral_degenerations, inverse,
-                          split_degenerations, tuple_from_jsonable)
-
-CLOSURE_PRIMES = (19, 41, 83)
+                          perm_from_cycles, split_degenerations, tuple_from_jsonable)
 
 
 def psl2_generators(p: int) -> list[list[int]]:
@@ -40,18 +42,38 @@ def psl2_generators(p: int) -> list[list[int]]:
             [p] + [(-pow(z, p - 2, p)) % p for z in range(1, p)] + [0]]
 
 
+def mathieu_generators(degree: int) -> list[tuple[int, ...]]:
+    """M11 on 11 points, or M12 on 12: M11's two generators, and for M12 a third."""
+    gens = [perm_from_cycles(degree, tuple(range(11))),
+            perm_from_cycles(degree, (2, 6, 10, 7), (3, 9, 4, 5))]
+    if degree == 12:
+        gens.append(perm_from_cycles(12, (0, 11), (1, 10), (2, 5), (3, 7), (4, 8), (6, 9)))
+    return gens
+
+
+CLOSURE_GROUPS = (  # (name, generators, order), by order
+    ("PSL(2,19)", psl2_generators(19), 3420),
+    ("M11", mathieu_generators(11), 7920),
+    ("A8", [perm_from_cycles(8, tuple(range(7))), perm_from_cycles(8, (5, 6, 7))], 20160),
+    ("PSL(2,41)", psl2_generators(41), 34440),
+    ("M12", mathieu_generators(12), 95040),
+    ("PSL(2,83)", psl2_generators(83), 285852),
+)
+
+
 def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
 
 
 def closure_probe() -> None:
-    for p in CLOSURE_PRIMES:
+    for name, generators, order in CLOSURE_GROUPS:
         start = perf_counter()
-        G = PermGroup(psl2_generators(p))
+        G = PermGroup(generators)
         closed = perf_counter()
         G.conjugacy_classes()
         done = perf_counter()
-        print(f"closure scale probe: PSL(2,{p}), |G| = {G.order}: closure {closed - start:.3f} s, "
+        assert G.order == order, (name, G.order)
+        print(f"closure scale probe: {name}, |G| = {G.order}: closure {closed - start:.3f} s, "
               f"classes {done - closed:.3f} s, peak RSS {peak_rss_mb():.1f} MB")
         del G  # freed before the next group is built
 
@@ -68,8 +90,8 @@ def main() -> None:
     parser.add_argument("--p", type=int, default=29, help="an odd prime")
     parser.add_argument("--rounds", type=int, default=30)
     parser.add_argument("--closure", action="store_true",
-                        help="time the closure and classes of PSL(2,p), p = "
-                             + ", ".join(map(str, CLOSURE_PRIMES)))
+                        help="time the closure and classes of "
+                             + ", ".join(name for name, _, _ in CLOSURE_GROUPS))
     args = parser.parse_args()
     if args.closure:
         closure_probe()

@@ -154,22 +154,57 @@ def _transpositions(count: int) -> list[tuple[int, ...]]:
     return [perm_from_cycles(2 * count, (2 * i, 2 * i + 1)) for i in range(count)]
 
 
-@pytest.mark.parametrize("gens,degree,order", [
-    (_transpositions(8), 16, 256),                           # one full block
-    (_transpositions(9), 18, 512),                           # two full blocks
-    ([_cyclic(6), perm_from_cycles(6, (0, 1))], 6, 720),     # S6: blocks of 256, 256 and 208
-    ([], 0, 1), ([()], 0, 1), ([], 1, 1), ([(0,)], 1, 1),    # degrees 0 and 1
-    ([_cyclic(256), tuple(-x % 256 for x in range(256))], 256, 512),  # the largest bytes storage
-], ids=["2^8", "2^9", "s6", "deg0", "deg0_gen", "deg1", "deg1_gen", "d256"])
-def test_conjugation_tables_at_block_edges(gens, degree, order):
-    # each table, a block of stored elements at a time, against the products
-    # g x g^-1 taken one element at a time in tuple arithmetic
+def _psl2_generators(p: int) -> list[list[int]]:
+    """z -> z+1 and z -> -1/z on the projective line over F_p, point p
+    playing infinity: the audit's formula for p = 7."""
+    return [[(z + 1) % p for z in range(p)] + [p],
+            [p] + [-pow(z, p - 2, p) % p for z in range(1, p)] + [0]]
+
+
+@pytest.mark.parametrize("gens,degree,order,blocks", [
+    (_transpositions(8), 16, 256, [256]),                        # 2^8 in one block
+    (_transpositions(9), 18, 512, [512]),                        # 2^9 in one block
+    ([_cyclic(6), perm_from_cycles(6, (0, 1))], 6, 720, [720]),  # S6 in one block
+    ([], 0, 1, [1]), ([()], 0, 1, [1]), ([], 1, 1, [1]), ([(0,)], 1, 1, [1]),  # degrees 0, 1
+    ([_cyclic(256), tuple(-x % 256 for x in range(256))], 256, 512,  # the largest bytes
+     [128] * 4),                                                     # storage: four blocks
+    ([_cyclic(181)], 181, 181, [181]),                           # exactly one full block
+    ([_cyclic(182)], 182, 182, [180, 2]),                        # one element past a block
+    (_psl2_generators(19), 20, 3420, [1638, 1638, 144]),         # PSL(2,19)
+], ids=["2^8", "2^9", "s6", "deg0", "deg0_gen", "deg1", "deg1_gen", "d256", "c181", "c182",
+        "psl2_19"])
+def test_conjugation_tables_at_block_edges(gens, degree, order, blocks):
+    # each table, _BLOCK bytes of stored images at a time, against the
+    # products g x g^-1 taken one element at a time in tuple arithmetic
     G = PermGroup(gens, degree=degree)
     assert G.order == order and type(G.elements[0]) is bytes
+    size = groups._BLOCK // max(degree, 1)
+    assert [min(size, order - start) for start in range(0, order, size)] == blocks
     perms = [G.perm(x) for x in range(G.order)]
     for g in {*generator_ids(G), 0, G.order // 2, G.order - 1}:
         p, q = perms[g], inverse(perms[g])
         assert G._conjugation_table(g) == [G.id_of(compose(compose(p, x), q)) for x in perms]
+
+
+@pytest.mark.parametrize("degree", [5, 257], ids=["bytes", "tuples"])
+@pytest.mark.parametrize("first", ["identity", "involution"])
+def test_closure_by_cosets_of_a_short_first_generator(first, degree):
+    # S5 closed by left cosets y H of H = <gens[0]>, of order 1 or 2: on
+    # bytes each is one translate of H's joined elements, on tuples a map
+    cycle, swap = perm_from_cycles(degree, (0, 1, 2, 3, 4)), perm_from_cycles(degree, (0, 1))
+    gens = [identity_perm(degree), cycle, swap] if first == "identity" else [swap, cycle]
+    G = PermGroup(gens, degree=degree)
+    assert type(G.elements[0]) is (bytes if degree <= 256 else tuple)
+    assert sorted(map(G.perm, range(G.order))) == _tuple_closure(gens, degree)
+    assert G.index == dict(zip(G.elements, range(G.order)))
+    assert G.perm(0) == identity_perm(degree) and G.order == 120
+    if first == "involution":  # each coset y H is stored as y, y s, the first new one at 2
+        assert G.perm(1) == swap and G.perm(2) == cycle
+        assert all(G.perm(y + 1) == compose(G.perm(y), swap) for y in range(0, 120, 2))
+    ids = [G.id_of(g) for g in gens]
+    assert G.generated_subgroup(ids) == G.full_subgroup()
+    s3 = [G.id_of(swap), G.id_of(perm_from_cycles(degree, (0, 1, 2)))]
+    assert G.generated_subgroup(s3).members == tuple(sorted(closure_by_bfs(G, s3)))
 
 
 FLIP300 = tuple(-x % 300 for x in range(300))
@@ -228,7 +263,8 @@ def test_storage_switch_against_tuple_closure(gens, degree, subgroups):
                         cell.append(y)
             classes.append(tuple(sorted(cell)))
     classes.sort(key=lambda c: (order(c[0]), c[0]))
-    assert G.conjugacy_classes() == tuple(map(ids, classes))
+    assert all(c[0] == min(c) for c in G.conjugacy_classes())
+    assert list(map(set, G.conjugacy_classes())) == [set(ids(c)) for c in classes]
 
     for sub_gens in subgroups:
         H = G.generated_subgroup([G.id_of(h) for h in sub_gens])
@@ -394,18 +430,17 @@ def test_class_sizes_partition_group(fixture, request):
         assert G.order % len(c) == 0
         # oracle: the class as conjugates of its first member by all of G
         assert set(c) == {G.conj(g, c[0]) for g in range(G.order)}
-    # and as orbits of plain conj under the generators, in the same order
-    plain = [tuple(sorted(c)) for c in
-             orbits(range(G.order), generator_ids(G), lambda x, g: G.conj(g, x))]
-    assert classes == tuple(sorted(plain, key=lambda c: (G.element_order(c[0]),
-                                                         G.elements[least_member(G, c)])))
+    # and as orbits of plain conj under the generators, in the same order; a
+    # class lists its ids in walk order, the least id first
+    assert all(c[0] == min(c) for c in classes)
+    plain = orbits(range(G.order), generator_ids(G), lambda x, g: G.conj(g, x))
+    plain.sort(key=lambda c: (G.element_order(c[0]), G.elements[least_member(G, c)]))
+    assert list(map(set, classes)) == list(map(set, plain))
 
 
 def psl2(p: int) -> PermGroup:
-    """PSL(2, p) on the projective line over F_p, point p playing infinity:
-    z -> z+1 and z -> -1/z, the audit's formula for p = 7."""
-    return PermGroup([[(z + 1) % p for z in range(p)] + [p],
-                      [p] + [-pow(z, p - 2, p) % p for z in range(1, p)] + [0]])
+    """PSL(2, p) on the projective line over F_p, point p playing infinity."""
+    return PermGroup(_psl2_generators(p))
 
 
 @pytest.mark.parametrize("p,order", [(None, 60), (7, 168), (11, 660), (19, 3420)],
@@ -474,7 +509,7 @@ def test_class_records_against_scans(fixture, request):
         rec = G.class_record(x)
         c = G.conjugacy_classes()[G.class_of(x)]
         assert rec.rep == least_member(G, c)
-        assert sorted(rec.conjugators) == list(c)
+        assert c[0] == min(c) and sorted(rec.conjugators) == sorted(c)
         assert rec is G.class_record(rec.rep)  # one record per class
         for y, t in rec.conjugators.items():
             assert G.conj(t, rec.rep) == y
