@@ -17,16 +17,16 @@ A group and each subgroup generated from ids are closed one left coset of
 a cyclic subgroup H = <a> at a time (Dimino's algorithm): a new coset y H is
 added whole, on bytes by one ``translate`` by y of H's joined elements, so
 the closure takes a Python step per coset and generator, not per element.
-Inverses are found on demand, one inversion and lookup each.  Conjugacy
-classes are orbits of ids under the tables x -> g x g^-1 of the generators,
-each class listed in the order its walk found it, least id first; on bytes
-each table is built a block of ``_BLOCK`` bytes of stored images at a time
-(``_conjugation_table``).  A subgroup is its sorted member ids and nothing
-else: a left coset gH is one C-level ``map`` of the products g h over H's
-stored members, so cosets need no generators of H.  A class function is a
-tuple of ints, its values on the classes in ``conjugacy_classes()`` order;
-the identity's class comes first, so ``chi[0]`` is the degree, and
-``inner`` pairs two exactly.
+Conjugacy classes are orbits of ids under the tables x -> g x g^-1 of the
+generators, each class listed in the order its walk found it, least id
+first.  The tables, and every inverse with them, are read off the coset of
+each g t the closure found, by C-level maps over ids and one inversion and
+lookup per coset; before them an inverse is found on demand.  A subgroup
+is its sorted member ids and nothing else: a left coset gH is one C-level
+``map`` of the products g h over H's stored members, so cosets need no
+generators of H.  A class function is a tuple of ints, its values on the
+classes in ``conjugacy_classes()`` order; the identity's class comes
+first, so ``chi[0]`` is the degree, and ``inner`` pairs two exactly.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent reads are safe; the lazily filled caches (inverses,
@@ -41,10 +41,9 @@ holder drops it.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from functools import lru_cache
 from itertools import count, repeat
 from math import lcm
-from operator import index as _as_index
+from operator import index as _as_index, itemgetter
 from struct import Struct
 from types import MappingProxyType
 
@@ -55,7 +54,6 @@ Perm = tuple  # images: Perm[i] = image of point i
 
 DEFAULT_CLOSURE_BOUND = 10**6
 MAX_DEGREE = 10**4  # the loader's bound on a declared degree, checked before anything is built
-_BLOCK = 32768  # bytes of images per block of a conjugation table, _BLOCK // degree elements
 
 
 def as_perm(images: Sequence[int]) -> Perm:
@@ -135,12 +133,12 @@ class PermGroup:
         else:
             ident, keys = identity_perm(degree), gens
             self._tr, self._pad = _swapped_compose, ()
-        self.index = self._close(ident, keys, max_order)
+        self.index, self._moves = self._close(ident, keys, max_order)
         if len(self.index) > max_order:
             raise ClosureBoundExceeded(f"closure exceeded {max_order} elements")
         self.elements = list(self.index)
-        self._gen_ids = [self.index[g] for g in keys]
-        self._inv = [-1] * self.order  # filled by inv() on demand
+        self._gen_ids = self._moves[:len(keys)]  # the moves on the identity's coset
+        self._inv = [-1] * self.order  # filled by inv() on demand, whole by the classes
         self._orders: dict[int, int] = {}
         self._classes: tuple[tuple[int, ...], ...] | None = None
         self._class_of: list[int] | None = None
@@ -171,8 +169,8 @@ class PermGroup:
         return self.index[self._tr(self.elements[j], self.elements[i] + self._pad)]
 
     def inv(self, i: int) -> int:
-        """The id of i^-1, found on first use with one inversion and lookup,
-        and kept for i and i^-1 alike."""
+        """The id of i^-1: all of them once the classes are built, before that
+        found on first use with one inversion and lookup, kept for i and i^-1."""
         j = self._inv[i]
         if j < 0:
             p = self.elements[i]
@@ -188,11 +186,11 @@ class PermGroup:
         tr, pad, elements = self._tr, self._pad, self.elements
         return self.index[tr(tr(elements[self.inv(g)], elements[x] + pad), elements[g] + pad)]
 
-    def _close(self, ident, gens: list, stop: int) -> dict:
+    def _close(self, ident, gens: list, stop: int) -> tuple[dict, list[int]]:
         """The stored elements of <gens>, each mapped to its position in the
         order found, closed one left coset of a cyclic subgroup at a time
         (Dimino's algorithm; G. Butler, Fundamental Algorithms for Permutation
-        Groups, LNCS 559, 1991).
+        Groups, LNCS 559, 1991), and the coset moves of the generators.
 
         H = <a> for a = gens[0], in the caller's order (a group's generators
         as given, a dihedral point's m before its s).  Each left coset t H
@@ -203,11 +201,13 @@ class PermGroup:
         A union of left cosets of H that holds the identity and is closed
         under left multiplication by the generators is the group.  The powers
         of a come first, the identity at 0, then each coset y H in the order
-        found, y h in the order of the powers h.  The walk returns the points
-        found so far as soon as it holds more than ``stop`` of them, a's
-        powers included: the constructor stops past its ``max_order`` bound
-        and ``generated_subgroup`` at |G|/2, past which, by Lagrange's
-        theorem, the subgroup can only be G.
+        found, y h in the order of the powers h, so coset t_j H holds the ids
+        j |H| to j |H| + |H| - 1.  The moves are the ids of the g t_j, by j and
+        then g, each the walk's one lookup (with a alone, a's id).  The walk
+        returns the points found so far as soon as it holds more than ``stop``
+        of them, a's powers included: the constructor stops past its
+        ``max_order`` bound and ``generated_subgroup`` at |G|/2, past which, by
+        Lagrange's theorem, the subgroup can only be G.
         """
         tr, pad = self._tr, self._pad
         a = gens[0] if gens else ident
@@ -217,22 +217,22 @@ class PermGroup:
             x = tr(x, pa)
         found = dict(zip(powers, count()))
         if len(gens) < 2 or len(found) > stop:  # <a> is the closure, or past the bound
-            return found
-        steps, wide = [g + pad for g in gens], self.degree > 256
+            return found, [1 % len(found)]
+        steps, wide, moves = [g + pad for g in gens], self.degree > 256, []
         if not wide:  # y H is one translate by y of the joined powers, split once
-            # by an unpack built uncached: a long a's is freed with the closure
-            joined, split = b"".join(powers), _splitter.__wrapped__(self.degree, len(powers))
-        reps = [ident]
+            joined, split = b"".join(powers), Struct(f"{self.degree}s" * len(powers)).unpack
+        reps, n, get, record = [ident], len(found), found.get, moves.append
         for t in reps:  # grows while it is walked
             for y in map(tr, repeat(t), steps):  # g t
-                if y not in found:  # y H is new and disjoint from the cosets found
+                record(at := get(y, n))
+                if at == n:  # y H is new and disjoint from the cosets found
                     py = y + pad
                     ys = map(tr, powers, repeat(py)) if wide else split(tr(joined, py))
-                    found.update(zip(ys, count(len(found))))
-                    if len(found) > stop:
-                        return found
+                    found.update(zip(ys, count(n)))
+                    if (n := len(found)) > stop:
+                        return found, moves
                     reps.append(y)
-        return found
+        return found, moves
 
     def product(self, ids: Iterable[int]) -> int:
         acc = 0
@@ -259,10 +259,10 @@ class PermGroup:
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         """Conjugation orbits, each as its ids in the order its walk found
         them, the least id first, ordered by (element order, least stored
-        element).  The generators act by their ``_conjugation_table``."""
+        element).  The generators act by their ``_conjugation_tables``."""
         if self._classes is None:
             elements = self.elements
-            classes = _table_orbits(self.order, list(map(self._conjugation_table, self._gen_ids)))
+            classes = _table_orbits(self.order, self._conjugation_tables())
             classes.sort(key=lambda c: (self.element_order(c[0]),
                                         min(map(elements.__getitem__, c))))
             self._classes = tuple(classes)
@@ -273,30 +273,36 @@ class PermGroup:
             self._class_of = class_of
         return self._classes
 
-    def _conjugation_table(self, g: int) -> list[int]:
-        """The ids of g x g^-1 over the ids x.
+    def _conjugation_tables(self) -> list[list[int]]:
+        """The ids of g x g^-1 over the ids x, one table per generator g, read
+        off the closure's moves with no product; fills ``_inv`` whole.
 
-        On tuples, two products per element.  On bytes, a block of up to
-        ``_BLOCK`` bytes, ``_BLOCK // degree`` stored elements, is joined
-        once, and one ``translate`` by g maps its values, so each x becomes
-        g x.  Since (g x g^-1)(g(i)) = g(x(i)), n strided copies then move the
-        images of i to position g(i), one cached ``Struct`` splits the block
-        into its elements, and each is looked up once.
+        With h = |<a>|, a = gens[0], the id j h + i, in column i, is t_j a^i.
+        Column 0 of x -> a x is a's moves, column i + 1 is column i times a, and
+        column i is column i + 1 mod h of x -> a x a^-1.  Column 0 of T(x) =
+        (g x)^-1 holds the inverses of g's moves (of the t_j for g = e: one
+        inversion and lookup a coset), column i is a^(h - i) times it, and
+        T(T(x)) = g x g^-1.
         """
-        elements, lookup = self.elements, self.index.__getitem__
-        pg = elements[g]
-        if self.degree > 256:  # g (x g^-1)
-            right = map(compose, elements, repeat(elements[self.inv(g)]))
-            return list(map(lookup, map(compose, repeat(pg), right)))
-        n, table, gtab = self.degree, [], pg + self._pad
-        size = _BLOCK // max(n, 1)
-        for start in range(0, self.order, size):
-            block = b"".join(elements[start:start + size])
-            moved, out = block.translate(gtab), bytearray(len(block))
-            for i, gi in enumerate(pg):
-                out[gi::n] = moved[i::n]
-            table += map(lookup, _splitter(n, min(size, self.order - start))(out))
-        return table
+        gens, moves, inv, elements = self._gen_ids, self._moves, self._inv, self.elements
+        k = max(len(gens), 1)  # no gens: a = e
+        h = self.order * k // len(moves)  # a move per coset and generator
+        ids = list(self.index.values())  # the closure's ints, shared by every table
+        step, left, conj_a, col = ids[1:] + ids[:1], [0] * len(ids), [0] * len(ids), moves[::k]
+        step[h - 1::h] = ids[::h]  # x -> x a
+        for i in range(h):
+            left[i::h] = conj_a[(i + 1) % h::h] = col
+            col = list(map(step.__getitem__, col))
+        del ids, step
+        if self.degree > 256:
+            reps = map(inverse, elements[::h])
+        else:  # maketrans(p, ident) maps p[i] to i: p^-1, padded to 256 bytes
+            reps = map(itemgetter(slice(self.degree)),
+                       map(bytes.maketrans, elements[::h], repeat(elements[0])))
+        _by_columns(inv, list(map(self.index.__getitem__, reps)), left, h)
+        roots = (_by_columns([0] * len(inv), list(map(inv.__getitem__, moves[gi::k])), left, h)
+                 for gi in range(1, len(gens)))  # T for each g past a, built as it is squared
+        return ([conj_a] if gens else []) + [list(map(t.__getitem__, t)) for t in roots]
 
     def class_of(self, i: int) -> int:
         return self._class_table()[i]
@@ -328,7 +334,7 @@ class PermGroup:
         """
         gens = [g for g in dict.fromkeys(gen_ids) if g != 0]
         half = self.order // 2
-        points = self._close(self.elements[0], [self.elements[g] for g in gens], half)
+        points, _ = self._close(self.elements[0], [self.elements[g] for g in gens], half)
         if len(points) > half:
             return self.full_subgroup()
         return Subgroup(tuple(sorted(map(self.index.__getitem__, points))))
@@ -345,10 +351,13 @@ class PermGroup:
         return {"degree": self.degree, "generators": [list(g) for g in self.generators]}
 
 
-@lru_cache(maxsize=64)
-def _splitter(n: int, k: int):
-    """The ``unpack`` that splits k stored elements of degree n, joined, into k ``bytes``."""
-    return Struct(f"{n}s" * k).unpack
+def _by_columns(out: list, col: list, left: list, h: int) -> list:
+    """``out`` with its ids j h set to ``col`` and, from i = h - 1 down to
+    1, its ids j h + i to the ``left`` images of column i + 1 mod h."""
+    out[::h] = col
+    for i in range(h - 1, 0, -1):
+        out[i::h] = col = list(map(left.__getitem__, col))
+    return out
 
 
 def _table_orbits(n: int, tables: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:

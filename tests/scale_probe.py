@@ -16,11 +16,13 @@ the rounds; a group freed with its round keeps it near one round's.  Prints
 
 With ``--closure`` it instead builds, one after another and by order,
 PSL(2,19) (3,420), M11 (7,920), A8 (20,160), PSL(2,41) (34,440), M12
-(95,040) and PSL(2,83) (285,852), and prints one line each: the seconds to
-close the group, the seconds to build its conjugacy classes, and the
-process's peak resident set so far, which the largest group sets.  M11,
-A8 and M12 are the groups that are not PSL(2,q): M11 = <(1..11),
-(3,7,11,8)(4,10,5,6)>, A8 = <(1..7), (6,7,8)>, and M12 adds
+(95,040) and PSL(2,83) (285,852), then PSL(2,19) and PSL(2,41) again on
+300 points, the points past p + 1 fixed, so their elements are stored as
+tuples.  Each group is built three times, and one line each prints the
+median seconds to close the group and to build its conjugacy classes, and
+the process's peak resident set so far, which PSL(2,83) sets among the
+first six.  M11, A8 and M12 are the groups that are not PSL(2,q): M11 =
+<(1..11), (3,7,11,8)(4,10,5,6)>, A8 = <(1..7), (6,7,8)>, and M12 adds
 (1,12)(2,11)(3,6)(4,8)(5,9)(7,10) to M11's generators (points counted
 from 1 here, from 0 in the code).
 """
@@ -30,16 +32,19 @@ from __future__ import annotations
 import argparse
 import json
 import resource
+from statistics import median
 from time import perf_counter
 
 from hurwitzdegen import (PermGroup, compose, dedup, dihedral_degenerations, inverse,
                           perm_from_cycles, split_degenerations, tuple_from_jsonable)
 
 
-def psl2_generators(p: int) -> list[list[int]]:
-    """z -> z+1 and z -> -1/z on the projective line over F_p, point p playing infinity."""
-    return [[(z + 1) % p for z in range(p)] + [p],
-            [p] + [(-pow(z, p - 2, p)) % p for z in range(1, p)] + [0]]
+def psl2_generators(p: int, degree: int = 0) -> list[list[int]]:
+    """z -> z+1 and z -> -1/z on the projective line over F_p, point p playing
+    infinity, and the points from p + 1 up to ``degree`` fixed."""
+    fixed = list(range(p + 1, degree))
+    return [[(z + 1) % p for z in range(p)] + [p] + fixed,
+            [p] + [(-pow(z, p - 2, p)) % p for z in range(1, p)] + [0] + fixed]
 
 
 def mathieu_generators(degree: int) -> list[tuple[int, ...]]:
@@ -51,13 +56,15 @@ def mathieu_generators(degree: int) -> list[tuple[int, ...]]:
     return gens
 
 
-CLOSURE_GROUPS = (  # (name, generators, order), by order
+CLOSURE_GROUPS = (  # (name, generators, order): the bytes storage by order, then tuples
     ("PSL(2,19)", psl2_generators(19), 3420),
     ("M11", mathieu_generators(11), 7920),
     ("A8", [perm_from_cycles(8, tuple(range(7))), perm_from_cycles(8, (5, 6, 7))], 20160),
     ("PSL(2,41)", psl2_generators(41), 34440),
     ("M12", mathieu_generators(12), 95040),
     ("PSL(2,83)", psl2_generators(83), 285852),
+    ("PSL(2,19) on 300 points", psl2_generators(19, 300), 3420),
+    ("PSL(2,41) on 300 points", psl2_generators(41, 300), 34440),
 )
 
 
@@ -67,15 +74,18 @@ def peak_rss_mb() -> float:
 
 def closure_probe() -> None:
     for name, generators, order in CLOSURE_GROUPS:
-        start = perf_counter()
-        G = PermGroup(generators)
-        closed = perf_counter()
-        G.conjugacy_classes()
-        done = perf_counter()
-        assert G.order == order, (name, G.order)
-        print(f"closure scale probe: {name}, |G| = {G.order}: closure {closed - start:.3f} s, "
-              f"classes {done - closed:.3f} s, peak RSS {peak_rss_mb():.1f} MB")
-        del G  # freed before the next group is built
+        closures, classes = [], []
+        for _ in range(3):
+            start = perf_counter()
+            G = PermGroup(generators)
+            closed = perf_counter()
+            G.conjugacy_classes()
+            closures.append(closed - start)
+            classes.append(perf_counter() - closed)
+            assert G.order == order, (name, G.order)
+            del G  # freed before the next group is built
+        print(f"closure scale probe: {name}, |G| = {order}: closure {median(closures):.3f} s, "
+              f"classes {median(classes):.3f} s, peak RSS {peak_rss_mb():.1f} MB")
 
 
 def psl2_tuple_json(p: int) -> str:

@@ -161,29 +161,79 @@ def _psl2_generators(p: int) -> list[list[int]]:
             [p] + [-pow(z, p - 2, p) % p for z in range(1, p)] + [0]]
 
 
-@pytest.mark.parametrize("gens,degree,order,blocks", [
-    (_transpositions(8), 16, 256, [256]),                        # 2^8 in one block
-    (_transpositions(9), 18, 512, [512]),                        # 2^9 in one block
-    ([_cyclic(6), perm_from_cycles(6, (0, 1))], 6, 720, [720]),  # S6 in one block
-    ([], 0, 1, [1]), ([()], 0, 1, [1]), ([], 1, 1, [1]), ([(0,)], 1, 1, [1]),  # degrees 0, 1
-    ([_cyclic(256), tuple(-x % 256 for x in range(256))], 256, 512,  # the largest bytes
-     [128] * 4),                                                     # storage: four blocks
-    ([_cyclic(181)], 181, 181, [181]),                           # exactly one full block
-    ([_cyclic(182)], 182, 182, [180, 2]),                        # one element past a block
-    (_psl2_generators(19), 20, 3420, [1638, 1638, 144]),         # PSL(2,19)
+def _widened(gens: list, degree: int) -> list[tuple[int, ...]]:
+    """``gens`` with fixed points added up to ``degree``: the same group, stored as tuples."""
+    return [tuple(g) + tuple(range(len(g), degree)) for g in gens]
+
+
+_S5 = [_cyclic(5), perm_from_cycles(5, (0, 1))]
+
+
+@pytest.mark.parametrize("gens,degree,order", [
+    (_transpositions(8), 16, 256), (_transpositions(9), 18, 512),  # 2^8, 2^9: h = 2
+    ([_cyclic(6), perm_from_cycles(6, (0, 1))], 6, 720),            # S6
+    ([], 0, 1), ([()], 0, 1), ([], 1, 1), ([(0,)], 1, 1),           # degrees 0, 1
+    ([_cyclic(256), tuple(-x % 256 for x in range(256))], 256, 512),  # D256: two cosets
+    ([_cyclic(181)], 181, 181), ([_cyclic(182)], 182, 182),         # G = <a>: no coset walk
+    (_psl2_generators(19), 20, 3420),                               # PSL(2,19): 180 cosets
+    ([identity_perm(5), *_S5], 5, 120),                             # h = 1
+    ([_S5[1], _S5[0]], 5, 120),                                     # h = 2
+    ([_cyclic(6), perm_from_cycles(6, (0, 1)), perm_from_cycles(6, (2, 3, 4))], 6, 720),
+    ([*_S5, _S5[0], _S5[1]], 5, 120),                               # repeated generators
+    ([_cyclic(257)], 257, 257),                                     # tuples from here on
+    ([_cyclic(300), tuple(-x % 300 for x in range(300))], 300, 600),
+    (_widened(_psl2_generators(19), 300), 300, 3420),
 ], ids=["2^8", "2^9", "s6", "deg0", "deg0_gen", "deg1", "deg1_gen", "d256", "c181", "c182",
-        "psl2_19"])
-def test_conjugation_tables_at_block_edges(gens, degree, order, blocks):
-    # each table, _BLOCK bytes of stored images at a time, against the
-    # products g x g^-1 taken one element at a time in tuple arithmetic
+        "psl2_19", "first_identity", "first_involution", "three_gens", "repeated_gens", "c257",
+        "d300", "psl2_19_wide"])
+def test_conjugation_tables_at_block_edges(gens, degree, order):
+    # each table, read off the closure's coset moves column by column of
+    # the blocks (the cosets of <gens[0]>, at whose edges x -> x gens[0]
+    # wraps), against the products g x g^-1 taken one element at a time in
+    # tuple arithmetic; then the inverses that building the classes fills in
     G = PermGroup(gens, degree=degree)
-    assert G.order == order and type(G.elements[0]) is bytes
-    size = groups._BLOCK // max(degree, 1)
-    assert [min(size, order - start) for start in range(0, order, size)] == blocks
+    assert G.order == order and type(G.elements[0]) is (bytes if degree <= 256 else tuple)
     perms = [G.perm(x) for x in range(G.order)]
-    for g in {*generator_ids(G), 0, G.order // 2, G.order - 1}:
+    tables = G._conjugation_tables()
+    assert len(tables) == len(gens)
+    for g, table in zip(generator_ids(G), tables):
         p, q = perms[g], inverse(perms[g])
-        assert G._conjugation_table(g) == [G.id_of(compose(compose(p, x), q)) for x in perms]
+        assert table == [G.id_of(compose(compose(p, x), q)) for x in perms]
+    G = PermGroup(gens, degree=degree)
+    G.conjugacy_classes()
+    assert G._inv == [G.id_of(inverse(x)) for x in perms]
+
+
+class _CountingDict(dict):
+    """A dict that counts its lookups, by key or by membership."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.lookups += 1
+        return super().__contains__(key)
+
+
+@pytest.mark.parametrize("gens,classes", [
+    (_psl2_generators(19), 12),
+    ([perm_from_cycles(11, tuple(range(11))), perm_from_cycles(11, (2, 6, 10, 7), (3, 9, 4, 5))],
+     10),
+], ids=["psl2_19", "m11"])
+def test_classes_look_up_one_element_per_coset(gens, classes):
+    # the tables are read off the closure's coset moves: the only elements
+    # looked up are the inverses of the coset representatives
+    G = PermGroup(gens)
+    G.index = _CountingDict(G.index)
+    assert len(G.conjugacy_classes()) == classes
+    assert 0 < G.index.lookups <= G.order // G.element_order(generator_ids(G)[0])
 
 
 @pytest.mark.parametrize("degree", [5, 257], ids=["bytes", "tuples"])
