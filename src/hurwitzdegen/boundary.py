@@ -14,6 +14,8 @@ whose points are all cyclic, so every function of a datum takes it as it is.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from ._record import Record, set_field
 from .errors import InvalidDatum, SchemaError
 from .graphs import GenGraph, gengraph_to_dot
@@ -192,9 +194,10 @@ class DualGraphOfGroups(Record):
     closed: |K_e| = ord m and |E_e| = ord m or 2 ord m (``edge_orders``).
     ``graph`` is the underlying ``GenGraph``.  Vertex ci lies in its connected
     piece P = ``piece_of[ci]``, over which the cover has [G : K_P] connected
-    components; K_P = ``piece_groups[P]`` is H_Y for a lone component with no
-    dihedral point or an H_Y of P that is G, else closed from P's handle
-    images, point monodromies and dihedral s's (an s joins gH_Y to gsH_Y).
+    components; K_P = ``piece_groups[P]`` is P's largest H_Y when that holds
+    P's other handle images, point monodromies and dihedral s's (an s joins
+    gH_Y to gsH_Y), as it does when it is G or P is one component with no
+    dihedral point; else it is closed from all of them.
     ``connected`` says whether the cover is connected: one piece P, with K_P = G.
     """
 
@@ -211,6 +214,9 @@ class DualGraphOfGroups(Record):
         elabels = [str(self.datum.group.element_order(m)) for m, _ in self.edge_labels]
         return gengraph_to_dot(self.graph, name="quotient",
                                vertex_labels=vlabels, edge_labels=elabels)
+
+
+_order = attrgetter("order")
 
 
 def dual_graph_of_groups(datum: BoundaryDatum) -> DualGraphOfGroups:
@@ -249,11 +255,13 @@ def dual_graph_of_groups(datum: BoundaryDatum) -> DualGraphOfGroups:
     for ci, (_, s) in zip(loops, labels[len(pairs):]):  # the dihedral labels follow the nodes'
         s_ids[piece_of[ci]].append(s)
     piece_groups = []
-    for P, s in zip(pieces, s_ids):  # K_P contains every H_Y of P, so an H_Y = G is K_P
-        lone = len(P) == 1 and not s
-        K = [H for H in map(vertex_groups.__getitem__, P) if lone or H.order == G.order]
-        piece_groups.append(K[0] if K else
-                            G.generated_subgroup([x for ci in P for x in comp_ids[ci]] + s))
+    for P, s in zip(pieces, s_ids):  # K_P contains every H_Y of P: the largest is K_P if it
+        K = max(map(vertex_groups.__getitem__, P), key=_order)  # holds P's generators
+        if K.order < G.order and (len(P) > 1 or s):
+            gens = [x for ci in P for x in comp_ids[ci]] + s
+            if not set(K.members).issuperset(gens):
+                K = G.generated_subgroup(gens)
+        piece_groups.append(K)
     connected = len(piece_groups) == 1 and piece_groups[0].order == G.order
     return DualGraphOfGroups(datum, graph, vertex_groups, tuple(ends), tuple(labels), piece_of,
                              tuple(piece_groups), connected)
@@ -261,11 +269,15 @@ def dual_graph_of_groups(datum: BoundaryDatum) -> DualGraphOfGroups:
 
 # -- conjugation, canonical form, equivalence --------------------------------
 
+_kind_and_node = attrgetter("kind", "node_id")
+
+
 def _layout(datum: BoundaryDatum) -> tuple[tuple, list[int]]:
     """The datum's shape and its element ids.  The shape is, per component,
-    its genus and each point's (kind, node_id); the ids are each handle's a
-    and b, then each point's m and, on dihedral points, s.  The genus is the
-    handle count, so data of one shape lay out their ids alike."""
+    its genus and each point's (kind, node_id), one ``attrgetter`` map; the
+    ids are each handle's a and b, then each point's m and, on dihedral
+    points, s.  The genus is the handle count, so data of one shape lay out
+    their ids alike."""
     shape, ids = [], []
     for comp in datum.components:
         for a, b in comp.handles:
@@ -274,14 +286,15 @@ def _layout(datum: BoundaryDatum) -> tuple[tuple, list[int]]:
             ids.append(pt.m)
             if pt.s is not None:
                 ids.append(pt.s)
-        shape.append((comp.genus, tuple((pt.kind, pt.node_id) for pt in comp.points)))
+        shape.append((comp.genus, tuple(map(_kind_and_node, comp.points))))
     return tuple(shape), ids
 
 
 def canonical_form(datum: BoundaryDatum) -> tuple:
     """The key of the datum up to simultaneous conjugation by G: its shape
     and the stored elements of the least conjugate of its ids,
-    ``least_conjugate(G, ids)`` over ``_layout``.
+    ``least_conjugate(G, ids)`` over ``_layout``, which returns those
+    elements.
 
     Conjugation moves only the element ids, and equal shapes place them
     alike, so two data have one key exactly when one is a conjugate of the
@@ -296,8 +309,7 @@ def canonical_form(datum: BoundaryDatum) -> tuple:
     key = datum._canonical
     if key is None:
         shape, ids = _layout(datum)
-        key = (shape, tuple(map(datum.group.elements.__getitem__,
-                                least_conjugate(datum.group, ids))))
+        key = (shape, least_conjugate(datum.group, ids))
         set_field(datum, "_canonical", key)
     return key
 

@@ -315,7 +315,9 @@ class PermGroup:
 
     def class_record(self, x: int) -> "ClassRecord":
         """The class record of x's conjugacy class, built on first use and
-        cached under every member; callers keep central classes out."""
+        cached under every member.  Records are built only for non-central
+        classes: callers test centrality first, and may then read a cached
+        record as proof that x is not central."""
         if x not in self._records:
             rec = _class_record(self, x)
             self._records.update(dict.fromkeys(rec.conjugators, rec))
@@ -465,44 +467,53 @@ def _is_central(group: PermGroup, x: int) -> bool:
     return True
 
 
-def least_conjugate(group: PermGroup, ids: Sequence[int]) -> tuple[int, ...]:
-    """The least of the tuples (g x g^-1 for x in ``ids``) over g in G,
-    compared as tuples of stored elements: the key of ``ids`` up to
-    simultaneous conjugation (of a Hurwitz tuple's Nielsen class mod Inn).
+def least_conjugate(group: PermGroup, ids: Sequence[int]) -> tuple:
+    """The stored elements of the least of the tuples (g x g^-1 for x in
+    ``ids``) over g in G, compared as tuples of stored elements: the key of
+    ``ids`` up to simultaneous conjugation (of a Hurwitz tuple's Nielsen
+    class mod Inn).  It returns elements, not ids, since the key holds them:
+    no conjugate found is looked up.
 
     Leading central ids are their own least conjugates and leave every g a
-    candidate, so they are kept as they are.  The least conjugate of the
-    first other id x is the least element r of its class, reached exactly by
-    the g = c t_x^-1 with c in C_G(r), t_x being x's conjugator in its class
-    record.  So the later ids y are conjugated once by t_x^-1, to
-    y' = t_x^-1 y t_x, and the candidates are the c themselves, the
-    record's stored centralizer pairs.  Each y' keeps the c with the least
-    stored c y' c^-1.  The survivors form a coset of the centralizer of the
-    ids seen so far; once one is left, it conjugates the ids that remain.  Cost: one class record
-    and one candidate coset per class of first ids (both cached), two
-    products per later id, then two per candidate and id.
+    candidate, so their elements are kept as they are.  An id with a cached
+    class record is not central, since records are built only for
+    non-central classes, so ``_is_central`` runs only on ids without one.
+    The least conjugate of the first other id x is the least element r of
+    its class, reached exactly by the g = c t_x^-1 with c in C_G(r), t_x
+    being x's conjugator in its class record.  So a later id y is
+    conjugated once by t_x^-1, to y' = t_x^-1 y t_x, and the candidates are
+    the c themselves, the record's stored centralizer pairs.  Each y' keeps
+    the c with the least stored c y' c^-1.  The survivors form a coset of the
+    centralizer of the ids seen so far; once one c is left, g = c t_x^-1
+    conjugates the ids that remain directly.  Cost: one class record and one
+    candidate coset per class of first ids (both cached); while candidates
+    tie, two products per later id and two per candidate; then two for g
+    and g^-1, and two per remaining id.
     """
+    records, elements = group._records, group.elements
     k = 0
-    while k < len(ids) and _is_central(group, ids[k]):
+    while k < len(ids) and ids[k] not in records and _is_central(group, ids[k]):
         k += 1
     if k == len(ids):
-        return tuple(ids)
-    elements, index, tr, pad = group.elements, group.index, group._tr, group._pad
-    rec = group.class_record(ids[k])
-    t = rec.conjugators[ids[k]]
-    pt, back = elements[t], elements[group.inv(t)] + pad
-    rest = [tr(tr(pt, elements[y] + pad), back) + pad for y in ids[k + 1:]]  # t^-1 (y t)
-    cands = rec.pairs
-    out = [*ids[:k], rec.rep]
-    for py in rest:
-        if len(cands) == 1:
-            break
+        return tuple(map(elements.__getitem__, ids))
+    tr, pad, x = group._tr, group._pad, ids[k]
+    rec = group.class_record(x)
+    t = rec.conjugators[x]
+    pt, ti = elements[t], elements[group.inv(t)]
+    back = ti + pad
+    cands, out, j = rec.pairs, [elements[rec.rep]], k + 1
+    while j < len(ids) and len(cands) > 1:
+        py = tr(tr(pt, elements[ids[j]] + pad), back) + pad  # y' = t^-1 (y t)
         images = [tr(tr(ci, py), pc) for pc, ci in cands]  # c (y' c^-1)
         least = min(images)
-        out.append(index[least])
+        out.append(least)
         cands = [c for c, y in zip(cands, images) if y == least]
-    pc, ci = cands[0]
-    return (*out, *[index[tr(tr(ci, py), pc)] for py in rest[len(out) - k - 1:]])
+        j += 1
+    if j < len(ids):
+        pc, ci = cands[0]
+        pg, gi = tr(ti, pc) + pad, tr(ci, pt + pad)  # g = c t^-1 and g^-1 = t c^-1
+        out += [tr(tr(gi, elements[y] + pad), pg) for y in ids[j:]]  # g (y g^-1)
+    return (*map(elements.__getitem__, ids[:k]), *out) if k else tuple(out)
 
 
 class CosetTable(Record):
@@ -546,9 +557,11 @@ def inverting_involutions(group: PermGroup, m: int) -> list[int]:
     the elements inverting m are t_{m^-1} C_G(r) t_m^-1, read off m's class
     record with two stored products per centralizer pair; there are none
     when m^-1 is not conjugate to m.  They invert m by construction, so
-    only s^2 = e and s not in {e, m} are tested.
+    only s^2 = e and s not in {e, m} are tested.  A cached record answers
+    that m is not central, as records are built only for non-central
+    classes; ``_is_central`` runs only when m has none.
     """
-    if _is_central(group, m):
+    if m not in group._records and _is_central(group, m):
         classes = group.conjugacy_classes() if group.mul(m, m) == 0 else ()
         return sorted((s for c in classes if group.element_order(c[0]) == 2 for s in c if s != m),
                       key=group.elements.__getitem__)

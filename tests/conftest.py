@@ -182,10 +182,10 @@ def random_rational_generating_tuples(G: PermGroup, rng: random.Random,
 # -- covers --------------------------------------------------------------------
 
 # pinned data file -> the closures that their graph of groups takes: one per
-# component, and one K_P per piece that is more than a lone component with no
-# dihedral point and has no vertex group equal to G: only the S3 cover,
-# connected through a dihedral point's s.  The A5 dihedral and split data
-# each have a component whose H_Y is A5; the S5 datum is one component.
+# component, and one K_P per piece whose largest vertex group misses one of
+# the piece's other generators or dihedral s's: only the S3 cover, connected
+# through a dihedral point's s.  The A5 dihedral and split data each have a
+# component whose H_Y is A5; the S5 datum is one component.
 PIECE_DATA = {
     "docs/examples/a5_dihedral_datum.json": 1,
     "docs/examples/a5_split_datum.json": 2,

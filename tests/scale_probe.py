@@ -12,7 +12,10 @@ enumerates its split degenerations and its dihedral degenerations at entry
 and y = g2.  A group that outlives its round keeps its element list, tables
 and class records into the next ones, so the peak resident set grows with
 the rounds; a group freed with its round keeps it near one round's.  Prints
-``strata scale probe: peak RSS N MB, T s``, T being the rounds' wall time.
+``strata scale probe: peak RSS N MB, T s (load L s, moves M s, keys K s)``,
+T being the rounds' wall time and L, M and K its parts: loading the tuple
+(closure included), enumerating its degenerations, and keying them in
+``dedup``.
 
 With ``--closure`` it instead builds, one after another and by order,
 PSL(2,19) (3,420), M11 (7,920), A8 (20,160), PSL(2,41) (34,440), M12
@@ -107,12 +110,19 @@ def main() -> None:
         closure_probe()
         return
     text = psl2_tuple_json(args.p)
-    start = perf_counter()
+    load = moves = keys = 0.0
     for _ in range(args.rounds):
+        start = perf_counter()
         t = tuple_from_jsonable(json.loads(text))
-        dedup(split_degenerations(t) + dihedral_degenerations(t, 0))
-    seconds = perf_counter() - start
-    print(f"strata scale probe: peak RSS {peak_rss_mb():.1f} MB, {seconds:.1f} s")
+        loaded = perf_counter()
+        found = split_degenerations(t) + dihedral_degenerations(t, 0)
+        moved = perf_counter()
+        dedup(found)
+        load += loaded - start
+        moves += moved - loaded
+        keys += perf_counter() - moved
+    print(f"strata scale probe: peak RSS {peak_rss_mb():.1f} MB, {load + moves + keys:.1f} s "
+          f"(load {load:.3f} s, moves {moves:.3f} s, keys {keys:.3f} s)")
 
 
 if __name__ == "__main__":

@@ -183,7 +183,35 @@ def test_graph_of_groups_against_plain_closure(fixture, seed, request):
             assert order == len(closure_by_bfs(G, [m, s]))
             assert G.element_order(m) == len(closure_by_bfs(G, [m]))
             kinds.add(len(ends))
+        for P, K in enumerate(gog.piece_groups):  # K_P = <P's generators and dihedral s's>
+            comps = [ci for ci, piece in enumerate(gog.piece_of) if piece == P]
+            gens = [x for ci in comps for a, b in datum.components[ci].handles for x in (a, b)]
+            gens += [x for ci in comps for pt in datum.components[ci].points
+                     for x in (pt.m, pt.s) if x is not None]
+            assert frozenset(K.members) == closure_by_bfs(G, gens)
     assert kinds == {1, 2}
+
+
+def test_piece_group_read_off_its_largest_vertex_group(s4, monkeypatch):
+    # Y0 = <a, b> = A4 holds Y1's monodromies, so K_P is H_Y0, not closed again
+    G = s4
+    a, b, d = (G.id_of(perm_from_cycles(4, *cyc)) for cyc in
+               [[(0, 1, 2)], [(1, 2, 3)], [(0, 1), (2, 3)]])
+    c = G.inv(G.mul(a, b))
+    C, N = MarkedPoint.cyclic, MarkedPoint.node_end
+    datum = BoundaryDatum(G, (MarkedComponent(0, (), (C(a), C(b), N(c, 0))),
+                              MarkedComponent(0, (), (N(G.inv(c), 0), C(d),
+                                                      C(G.mul(G.inv(d), c))))))
+    closed = []
+    monkeypatch.setattr(G, "generated_subgroup",
+                        lambda gen_ids: closed.append(gen_ids)
+                        or PermGroup.generated_subgroup(G, gen_ids))
+    gog = dual_graph_of_groups(datum)
+    assert len(closed) == 2  # the two vertex groups only
+    H0, H1 = gog.vertex_groups
+    assert H0.order == 12 and set(H1.members) < set(H0.members)
+    assert gog.piece_groups == (H0,) and not gog.connected
+    assert frozenset(H0.members) == closure_by_bfs(G, [a, b, c, d])
 
 
 def test_dual_graph_closes_vertex_and_piece_groups(monkeypatch):
@@ -289,10 +317,26 @@ def test_canonical_form_matches_scan(fixture, request, monkeypatch):
     built, build = [], groups._class_record
     monkeypatch.setattr(groups, "_class_record",
                         lambda group, x: built.append(x) or build(group, x))
-    for d in data:
-        assert canonical_form(d) == canonical_form_by_scan(d)
+    scans = [canonical_form_by_scan(d) for d in data]
+    for d, scan in zip(data, scans):
+        assert canonical_form(d) == scan
     # a leading central id is its own least conjugate: its record (C_G = G) is never built
     assert built and not set(built) & set(centre)
+    # again in a fresh group whose non-central records are all built first,
+    # so a cached record, not a centrality test, answers for every other id
+    H = PermGroup(G.generators, degree=G.degree)
+    for c in H.conjugacy_classes():
+        if c[0] not in centre:
+            H.class_record(c[0])
+    assert set(H._records) == set(range(H.order)) - set(centre)
+    tested, is_central = [], groups._is_central
+    monkeypatch.setattr(groups, "_is_central",
+                        lambda group, x: tested.append(x) or is_central(group, x))
+    for d, scan in zip(data, scans):
+        assert canonical_form(BoundaryDatum(H, d.components)) == scan
+    # only the central ids, which have no record, are tested for centrality
+    assert tested and set(tested) <= set(centre)
+    assert not set(H._records) & set(centre)
 
 
 def test_non_conjugate_data_distinguished(a5):

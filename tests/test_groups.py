@@ -8,7 +8,7 @@ import pytest
 
 from hurwitzdegen import (PermGroup, Subgroup, compose, dual_graph_of_groups, induced_character,
                           inner, inverse, inverting_involutions, is_inverting_involution,
-                          left_cosets, perm_from_cycles)
+                          least_conjugate, left_cosets, perm_from_cycles)
 from hurwitzdegen import audit, groups
 from hurwitzdegen.errors import ClosureBoundExceeded, DegreeMismatch
 from hurwitzdegen.groups import as_perm, identity_perm
@@ -576,13 +576,22 @@ def test_class_records_against_scans(fixture, request):
 
 
 @pytest.mark.parametrize("fixture", CLASS_RECORD_GROUPS)
-def test_inverting_involutions_against_scan(fixture, request):
+def test_inverting_involutions_against_scan(fixture, request, monkeypatch):
     G = class_record_group(fixture, request)
-    for m in range(G.order):
-        scan = [s for s in stored_order(G) if is_inverting_involution(G, m, s)]
+    scans = {m: [s for s in stored_order(G) if is_inverting_involution(G, m, s)]
+             for m in range(G.order)}
+    for m, scan in scans.items():
         assert inverting_involutions(G, m) == scan
     # a central class gets no record
-    assert not any(c[0] in G._records for c in G.conjugacy_classes() if len(c) == 1)
+    centre = {c[0] for c in G.conjugacy_classes() if len(c) == 1}
+    assert not centre & set(G._records)
+    # again with every other record cached: only the central m are tested for centrality
+    tested, is_central = [], groups._is_central
+    monkeypatch.setattr(groups, "_is_central",
+                        lambda group, x: tested.append(x) or is_central(group, x))
+    for m, scan in scans.items():
+        assert inverting_involutions(G, m) == scan
+    assert set(tested) == centre and not centre & set(G._records)
 
 
 @pytest.mark.parametrize("fixture", ["c4", "d4", "c2_a5"])
@@ -601,6 +610,20 @@ def test_inverting_involutions_of_a_central_m_build_no_record(fixture, request, 
     assert calls == [] and G._records == {}
     # in C4, r^2 is the one involution: it inverts e alone, not r^+-1 (m^2 != e) nor itself
     assert fixture != "c4" or {z: scan for z, scan in scans.items() if scan} == {0: [2]}
+
+
+@pytest.mark.parametrize("fixture", ["s3", "d4", "a5", "c2_a5", "s4_on_257"])
+def test_least_conjugate_returns_stored_elements(fixture, request):
+    G = class_record_group(fixture, request)
+    rng = random.Random(G.order)
+    centre = [z for z in range(G.order) if all(G.mul(z, g) == G.mul(g, z) for g in range(G.order))]
+    draws = [[rng.randrange(G.order) for _ in range(rng.randrange(1, 5))] for _ in range(16)]
+    draws += [[z, rng.randrange(G.order)] for z in centre] + [centre]
+    for ids in draws:
+        key = least_conjugate(G, ids)
+        assert key == min(tuple(G.elements[G.conj(g, x)] for x in ids) for g in range(G.order))
+        # the stored elements themselves, bytes up to degree 256 and tuples above
+        assert all(type(p) is type(G.elements[0]) and G.elements[G.index[p]] == p for p in key)
 
 
 def test_normalizer_of_c5_in_a5(a5):
