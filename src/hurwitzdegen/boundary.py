@@ -102,7 +102,9 @@ class BoundaryDatum(Record, eq=False):
 
 def validate(datum: BoundaryDatum) -> list[Violation]:
     """All invariant checks; an empty list means the datum is admissible.
-    Each surface relation is one product: [a, b] per handle, then each point's m."""
+    Each is a product of the datum's labels: a surface relation is [a, b]
+    per handle, then each point's m; a node's ends m_a m_b = e; and a
+    dihedral point's s and s m are involutions."""
     G = datum.group
     out: list[Violation] = []
     for ci, comp in enumerate(datum.components):
@@ -116,9 +118,7 @@ def validate(datum: BoundaryDatum) -> list[Violation]:
                                  f"node id used by {len(ends)} point(s), need exactly 2"))
             continue
         (ca, pa), (cb, pb) = ends
-        ma = datum.point(ca, pa).m
-        mb = datum.point(cb, pb).m
-        if mb != G.inv(ma):
+        if G.mul(datum.point(ca, pa).m, datum.point(cb, pb).m) != G.identity:
             out.append(Violation("NodePairing", f"node {node_id}",
                                  "end monodromies are not exact inverses"))
     for ci, pi in datum.dihedral_points():

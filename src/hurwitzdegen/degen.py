@@ -98,13 +98,12 @@ def smooth(datum: BoundaryDatum, ci: int, pi: int) -> BoundaryDatum:
 
 def collide(datum: BoundaryDatum, ci: int, pi: int) -> BoundaryDatum:
     """Cyclic involution points a, b at pi, pi + 1 of component ci collided
-    into the dihedral point (m, s) = (ab, a), the inverse of ``smooth``.
-    s = a inverts ab and lies outside <ab>: inside, a would commute with
-    ab, so (ab)^2 = e, a = ab and b = e."""
+    into the dihedral point (m, s) = (ab, a), the inverse of ``smooth``:
+    s = a and s m = b are involutions, the rule of a dihedral point."""
     points = _points(datum, ci, pi, pi + 1)
     G, a, b = datum.group, points[pi].m, points[pi + 1].m
     for p, x in ((pi, a), (pi + 1, b)):
-        if x == G.identity or G.mul(x, x) != G.identity:
+        if not G.is_involution(x):
             raise ValueError(f"component {ci} point {p} is not an involution")
     if not is_stable_curve(datum.components[ci].genus, len(points) - 1):
         raise InvalidDatum([_UNSTABLE])

@@ -41,9 +41,10 @@ holder drops it.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from functools import partial
 from itertools import count, repeat
 from math import lcm
-from operator import index as _as_index, itemgetter
+from operator import index as _as_index
 from struct import Struct
 from types import MappingProxyType
 
@@ -82,6 +83,10 @@ def compose(p: Perm, q: Perm) -> Perm:
 
 def _swapped_compose(q: Perm, p: Perm) -> Perm:  # p . q, argued like bytes.translate
     return compose(p, q)
+
+
+def _inverse_bytes(ident: bytes, p: bytes) -> bytes:  # maketrans(p, ident) maps p[k] to k
+    return bytes.maketrans(p, ident)[:len(ident)]
 
 
 def inverse(p: Perm) -> Perm:
@@ -125,15 +130,17 @@ class PermGroup:
                 raise DegreeMismatch(f"generator degree {len(g)} != {degree}")
         self.degree = degree
         self.generators = gens
-        # p . q = _tr(q, p + _pad): on bytes, q.translate(p + tail) looks q's
-        # images up in p's; on tuples, compose(p, q), and () keeps p as it is
+        # the one choice of storage: _key stores an image array, p . q =
+        # _tr(q, p + _pad), and _invert gives p^-1.  On bytes, q.translate(p +
+        # tail) looks q's images up in p's; on tuples, compose(p, q), and ()
+        # keeps p as it is
         if degree <= 256:
-            ident, keys = bytes(range(degree)), [bytes(g) for g in gens]
-            self._tr, self._pad = bytes.translate, bytes(range(degree, 256))
+            self._key, self._tr, self._pad = bytes, bytes.translate, bytes(range(degree, 256))
+            self._invert = partial(_inverse_bytes, bytes(range(degree)))
         else:
-            ident, keys = identity_perm(degree), gens
-            self._tr, self._pad = _swapped_compose, ()
-        self.index, self._moves = self._close(ident, keys, max_order)
+            self._key, self._tr, self._pad, self._invert = tuple, _swapped_compose, (), inverse
+        keys = list(map(self._key, gens))
+        self.index, self._moves = self._close(self._key(range(degree)), keys, max_order)
         if len(self.index) > max_order:
             raise ClosureBoundExceeded(f"closure exceeded {max_order} elements")
         self.elements = list(self.index)
@@ -161,7 +168,7 @@ class PermGroup:
         """The id of the image array ``p``; being a key of ``index`` is what
         makes it a permutation in this group."""
         try:
-            return self.index[bytes(p) if self.degree <= 256 else tuple(p)]
+            return self.index[self._key(p)]
         except (KeyError, TypeError, ValueError):  # bytes() takes integer images 0..255 only
             raise KeyError(f"permutation {list(p)!r} is not an element of this group") from None
 
@@ -173,18 +180,14 @@ class PermGroup:
         found on first use with one inversion and lookup, kept for i and i^-1."""
         j = self._inv[i]
         if j < 0:
-            p = self.elements[i]
-            if self.degree > 256:
-                j = self.index[inverse(p)]
-            else:  # maketrans(p, ident) maps p[k] to k: p^-1, padded to 256 bytes
-                j = self.index[bytes.maketrans(p, self.elements[0])[:self.degree]]
+            j = self.index[self._invert(self.elements[i])]
             self._inv[i], self._inv[j] = j, i
         return j
 
-    def conj(self, g: int, x: int) -> int:
-        """g x g^-1: two products and one lookup."""
-        tr, pad, elements = self._tr, self._pad, self.elements
-        return self.index[tr(tr(elements[self.inv(g)], elements[x] + pad), elements[g] + pad)]
+    def is_involution(self, x: int) -> bool:
+        """x^2 = e and x != e: one stored product, no lookup."""
+        p = self.elements[x]
+        return x != 0 and self._tr(p, p + self._pad) == self.elements[0]
 
     def _close(self, ident, gens: list, stop: int) -> tuple[dict, list[int]]:
         """The stored elements of <gens>, each mapped to its position in the
@@ -294,11 +297,7 @@ class PermGroup:
             left[i::h] = conj_a[(i + 1) % h::h] = col
             col = list(map(step.__getitem__, col))
         del ids, step
-        if self.degree > 256:
-            reps = map(inverse, elements[::h])
-        else:  # maketrans(p, ident) maps p[i] to i: p^-1, padded to 256 bytes
-            reps = map(itemgetter(slice(self.degree)),
-                       map(bytes.maketrans, elements[::h], repeat(elements[0])))
+        reps = map(self._invert, elements[::h])
         _by_columns(inv, list(map(self.index.__getitem__, reps)), left, h)
         roots = (_by_columns([0] * len(inv), list(map(inv.__getitem__, moves[gi::k])), left, h)
                  for gi in range(1, len(gens)))  # T for each g past a, built as it is squared
@@ -313,15 +312,16 @@ class PermGroup:
         assert self._class_of is not None
         return self._class_of
 
-    def class_record(self, x: int) -> "ClassRecord":
+    def class_record(self, x: int) -> "ClassRecord | None":
         """The class record of x's conjugacy class, built on first use and
-        cached under every member.  Records are built only for non-central
-        classes: callers test centrality first, and may then read a cached
-        record as proof that x is not central."""
-        if x not in self._records:
+        cached under every member, or None exactly when x is central: an id
+        with no record is tested by ``_is_central``, and a central class
+        never gets one."""
+        rec = self._records.get(x)
+        if rec is None and not _is_central(self, x):
             rec = _class_record(self, x)
             self._records.update(dict.fromkeys(rec.conjugators, rec))
-        return self._records[x]
+        return rec
 
     # -- subgroups ---------------------------------------------------------
 
@@ -474,30 +474,26 @@ def least_conjugate(group: PermGroup, ids: Sequence[int]) -> tuple:
     class mod Inn).  It returns elements, not ids, since the key holds them:
     no conjugate found is looked up.
 
-    Leading central ids are their own least conjugates and leave every g a
-    candidate, so their elements are kept as they are.  An id with a cached
-    class record is not central, since records are built only for
-    non-central classes, so ``_is_central`` runs only on ids without one.
-    The least conjugate of the first other id x is the least element r of
-    its class, reached exactly by the g = c t_x^-1 with c in C_G(r), t_x
-    being x's conjugator in its class record.  So a later id y is
-    conjugated once by t_x^-1, to y' = t_x^-1 y t_x, and the candidates are
-    the c themselves, the record's stored centralizer pairs.  Each y' keeps
-    the c with the least stored c y' c^-1.  The survivors form a coset of the
-    centralizer of the ids seen so far; once one c is left, g = c t_x^-1
-    conjugates the ids that remain directly.  Cost: one class record and one
-    candidate coset per class of first ids (both cached); while candidates
-    tie, two products per later id and two per candidate; then two for g
-    and g^-1, and two per remaining id.
+    Leading central ids, those with no class record, are their own least
+    conjugates and leave every g a candidate, so their elements are kept as
+    they are.  The least conjugate of the first other id x is the least
+    element r of its class, reached exactly by the g = c t_x^-1 with c in
+    C_G(r), t_x being x's conjugator in its class record.  So a later id y
+    is conjugated once by t_x^-1, to y' = t_x^-1 y t_x, and the candidates
+    are the c themselves, the record's stored centralizer pairs.  Each y'
+    keeps the c with the least stored c y' c^-1.  The survivors form a coset
+    of the centralizer of the ids seen so far; once one c is left,
+    g = c t_x^-1 conjugates the ids that remain directly.  Cost: one class
+    record and one candidate coset per class of first ids (both cached);
+    while candidates tie, two products per later id and two per candidate;
+    then two for g and g^-1, and two per remaining id.
     """
-    records, elements = group._records, group.elements
-    k = 0
-    while k < len(ids) and ids[k] not in records and _is_central(group, ids[k]):
+    elements, k = group.elements, 0
+    while k < len(ids) and (rec := group.class_record(ids[k])) is None:
         k += 1
     if k == len(ids):
         return tuple(map(elements.__getitem__, ids))
     tr, pad, x = group._tr, group._pad, ids[k]
-    rec = group.class_record(x)
     t = rec.conjugators[x]
     pt, ti = elements[t], elements[group.inv(t)]
     back = ti + pad
@@ -557,15 +553,15 @@ def inverting_involutions(group: PermGroup, m: int) -> list[int]:
     the elements inverting m are t_{m^-1} C_G(r) t_m^-1, read off m's class
     record with two stored products per centralizer pair; there are none
     when m^-1 is not conjugate to m.  They invert m by construction, so
-    only s^2 = e and s not in {e, m} are tested.  A cached record answers
-    that m is not central, as records are built only for non-central
-    classes; ``_is_central`` runs only when m has none.
+    only s^2 = e and s not in {e, m} are tested.  m is central exactly when
+    it has no record.
     """
-    if m not in group._records and _is_central(group, m):
+    rec = group.class_record(m)
+    if rec is None:
         classes = group.conjugacy_classes() if group.mul(m, m) == 0 else ()
         return sorted((s for c in classes if group.element_order(c[0]) == 2 for s in c if s != m),
                       key=group.elements.__getitem__)
-    rec, mi = group.class_record(m), group.inv(m)
+    mi = group.inv(m)
     if mi not in rec.conjugators:
         return []
     elements, index, tr, pad = group.elements, group.index, group._tr, group._pad
@@ -578,16 +574,16 @@ def inverting_involutions(group: PermGroup, m: int) -> list[int]:
 
 
 def is_inverting_involution(group: PermGroup, m: int, s: int) -> bool:
-    """True iff s^2 = e, s m s^-1 = m^-1 and s lies outside <m>.
+    """True iff s and s m are involutions: the dihedral point (m, s) smooths
+    into the two branch points s and s m of order 2.
 
-    The last clause rejects the degenerate case where the branch pairing
-    above a dihedral point would fix every coset and form no node.
+    That is s^2 = e, s m s^-1 = m^-1 and s outside <m>: given s^2 = e,
+    (s m)^2 = e says s m s = m^-1, and s = m is the one s with s m = e.  (An
+    s in <m> commutes with m, so m = m^-1 and <m> lies in {e, m}.)  The last
+    clause rejects the degenerate case where the branch pairing above a
+    dihedral point would fix every coset and form no node.
     """
-    if s == 0 or group.mul(s, s) != 0:
-        return False
-    # s in <m> would commute with m, so m = m^-1 and <m> lies in {e, m}:
-    # with s != e, s lies in <m> exactly when s = m
-    return group.conj(s, m) == group.inv(m) and s != m
+    return group.is_involution(s) and group.is_involution(group.mul(s, m))
 
 
 # -- class functions -------------------------------------------------------

@@ -21,11 +21,13 @@ With ``--closure`` it instead builds, one after another and by order,
 PSL(2,19) (3,420), M11 (7,920), A8 (20,160), PSL(2,41) (34,440), M12
 (95,040) and PSL(2,83) (285,852), then PSL(2,19) and PSL(2,41) again on
 300 points, the points past p + 1 fixed, so their elements are stored as
-tuples.  Each group is built three times, and one line each prints the
-median seconds to close the group and to build its conjugacy classes, and
-the process's peak resident set so far, which PSL(2,83) sets among the
-first six.  M11, A8 and M12 are the groups that are not PSL(2,q): M11 =
-<(1..11), (3,7,11,8)(4,10,5,6)>, A8 = <(1..7), (6,7,8)>, and M12 adds
+tuples.  Each group is built five times, and one line each prints the
+median seconds to close the group and to build its conjugacy classes, each
+followed by the least and greatest of the five runs, so that a change can be
+read against the run-to-run spread, and the process's peak resident set so
+far, which PSL(2,83) sets among the first six.  M11, A8 and M12 are the
+groups that are not PSL(2,q): M11 = <(1..11), (3,7,11,8)(4,10,5,6)>,
+A8 = <(1..7), (6,7,8)>, and M12 adds
 (1,12)(2,11)(3,6)(4,8)(5,9)(7,10) to M11's generators (points counted
 from 1 here, from 0 in the code).
 """
@@ -78,7 +80,7 @@ def peak_rss_mb() -> float:
 def closure_probe() -> None:
     for name, generators, order in CLOSURE_GROUPS:
         closures, classes = [], []
-        for _ in range(3):
+        for _ in range(5):
             start = perf_counter()
             G = PermGroup(generators)
             closed = perf_counter()
@@ -87,8 +89,13 @@ def closure_probe() -> None:
             classes.append(perf_counter() - closed)
             assert G.order == order, (name, G.order)
             del G  # freed before the next group is built
-        print(f"closure scale probe: {name}, |G| = {order}: closure {median(closures):.3f} s, "
-              f"classes {median(classes):.3f} s, peak RSS {peak_rss_mb():.1f} MB")
+        print(f"closure scale probe: {name}, |G| = {order}: closure {spread(closures)}, "
+              f"classes {spread(classes)}, peak RSS {peak_rss_mb():.1f} MB")
+
+
+def spread(seconds: list[float]) -> str:
+    """The median of timed runs, then their least and greatest: ``M s (L-G)``."""
+    return f"{median(seconds):.3f} s ({min(seconds):.3f}-{max(seconds):.3f})"
 
 
 def psl2_tuple_json(p: int) -> str:

@@ -17,7 +17,7 @@ from hurwitzdegen.covers import node_class_summary
 from hurwitzdegen.errors import InvalidDatum, NegativeGenus, NonIntegralGenus
 
 from conftest import (PIECE_DATA, a5_smoothed_tuple, a5_split_datum, assert_closed,
-                      assert_opposite_edges, branch_counts, deck_action, disjoint_union,
+                      assert_opposite_edges, branch_counts, conj, deck_action, disjoint_union,
                       explicit_cover_report, inverting_pairs, lefschetz_counts, load_datum,
                       quotient_report, random_rational_generating_tuples, random_valid_datum,
                       subcover)
@@ -475,7 +475,7 @@ def test_quotient_formulas_match_explicit_action(fixture, seed, request):
             # the stabilizer is r E_e r^-1, r representing branch a's coset r<m>
             r = cover.edge_mcosets[e].cells[a][0]
             assert kind == ("dihedral" if len(gog.edge_ends[e]) == 1 else "cyclic")
-            assert stab == tuple(sorted(G.conj(r, h) for h in edge_groups[e].members))
+            assert stab == tuple(sorted(conj(G, r, h) for h in edge_groups[e].members))
             buckets[kind, len(stab)] = buckets.get((kind, len(stab)), 0) + 1
         assert node_class_summary(gog) == [
             {"kind": kind, "stabilizer_order": order, "count": count}

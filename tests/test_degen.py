@@ -16,7 +16,7 @@ from hurwitzdegen.boundary import CYCLIC, is_stable_curve, unstable_components
 from hurwitzdegen.degen import Degeneration
 from hurwitzdegen.errors import InvalidDatum
 
-from conftest import (a5_smoothed_tuple, canonical_form_by_scan, conjugate_datum, entries,
+from conftest import (a5_smoothed_tuple, canonical_form_by_scan, conj, conjugate_datum, entries,
                       exact_key, generator_ids, inverting_pairs, local_model_orbit_sizes,
                       normalizer, orbits, quotient_report, random_valid_datum, smooth_node,
                       stored_order)
@@ -168,6 +168,9 @@ def test_collide_pair_needs_involutions(a5):
         collide_pair(audit.a5_tuple(a5), 0)  # entry 0 has order 5
     with pytest.raises(ValueError, match="point 3 is not an involution"):
         collide_pair(a5_smoothed_tuple(a5), 2)  # orders (2, 2, 2, 3): entry 3 has order 3
+    s = a5.id_of(perm_from_cycles(5, (1, 4), (2, 3)))
+    with pytest.raises(ValueError, match="point 0 is not an involution"):
+        collide_pair(HurwitzTuple(a5, (a5.identity, s, s)), 0)  # e squares to e, yet is none
 
 
 def test_collide_pair_needs_two_adjacent_entries(a5):
@@ -261,14 +264,14 @@ def braid_walk(G: PermGroup, entries, rng: random.Random, steps: int) -> list[Hu
         move = rng.randrange(4)
         if move == 3:
             g = rng.choice(generator_ids(G))
-            entries = [G.conj(g, x) for x in entries]
+            entries = [conj(G, g, x) for x in entries]
         else:
             i = rng.randrange(len(entries) - 1)
             a, b = entries[i], entries[i + 1]
             if move < 2:  # sigma_i: (a, b) -> (a b a^-1, a)
-                entries[i:i + 2] = [G.conj(a, b), a]
+                entries[i:i + 2] = [conj(G, a, b), a]
             else:         # sigma_i^-1: (a, b) -> (b, b^-1 a b)
-                entries[i:i + 2] = [b, G.conj(G.inv(b), a)]
+                entries[i:i + 2] = [b, conj(G, G.inv(b), a)]
         out.append(HurwitzTuple(G, tuple(entries)))
     return out
 
@@ -283,7 +286,7 @@ def test_dedup_against_scan_on_braid_walks(a5, psl27):
         tuples = []
         for t in braid_walk(G, entries(base), rng, 6):
             g = rng.randrange(G.order)
-            tuples += [t, HurwitzTuple(G, tuple(G.conj(g, x) for x in t.entries))]
+            tuples += [t, HurwitzTuple(G, tuple(conj(G, g, x) for x in t.entries))]
         rng.shuffle(tuples)
         found = []
         for t in tuples:
@@ -308,7 +311,7 @@ def test_each_datum_is_keyed_once(a5, dedup_first):
     # it first, and either way it is the shape and the least conjugate ids
     t = a5_smoothed_tuple(a5)
     found = []
-    for u in (t, HurwitzTuple(a5, tuple(a5.conj(7, x) for x in t.entries))):
+    for u in (t, HurwitzTuple(a5, tuple(conj(a5, 7, x) for x in t.entries))):
         found += split_degenerations(u)
         found += [d for i in range(len(u)) for d in dihedral_degenerations(u, i)]
     twins = [conjugate_datum(d.datum, 11) for d in found]

@@ -22,7 +22,7 @@ from hurwitzdegen import (BoundaryDatum, Degeneration, GenGraph, HurwitzTuple, b
 from hurwitzdegen.boundary import CYCLIC, DIHEDRAL, NODE_END, is_stable_curve
 from hurwitzdegen.cli import analyze_datum, json_dump
 
-from conftest import (assert_opposite_edges, component_cells, conjugate_datum, disjoint_union,
+from conftest import (assert_opposite_edges, component_cells, conj, conjugate_datum, disjoint_union,
                       explicit_cover_report, inverting_pairs, random_valid_datum)
 
 GROUPS = ["s3", "d4", "s4", "d5", "a5", "s5", "psl27"]
@@ -54,9 +54,9 @@ def test_canonical_form_is_a_conjugation_invariant(groups, name, seed, g):
 def test_inverting_involutions_are_conjugation_equivariant(groups, name, m, g):
     G, _ = groups[name]
     m, g = m % G.order, g % G.order
-    conjugated = sorted((G.conj(g, s) for s in inverting_involutions(G, m)),
+    conjugated = sorted((conj(G, g, s) for s in inverting_involutions(G, m)),
                         key=G.elements.__getitem__)
-    assert inverting_involutions(G, G.conj(g, m)) == conjugated
+    assert inverting_involutions(G, conj(G, g, m)) == conjugated
 
 
 @settings(max_examples=80, deadline=None, database=None, derandomize=True)
