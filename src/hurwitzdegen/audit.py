@@ -16,7 +16,7 @@ from .boundary import BoundaryDatum, HurwitzTuple, dual_graph_of_groups, equival
 from .cohomology import de_rham_character
 from .covers import cover_report, rh_genus
 from .degen import collide_pair, dihedral_degenerations, smooth_dihedral, split_degenerations
-from .groups import (PermGroup, induced_character, induced_sign, inner, is_inverting_involution,
+from .groups import (PermGroup, induced_character, induced_sign, inner, inverting_involutions,
                      perm_from_cycles)
 
 PASS = "PASS"
@@ -35,28 +35,11 @@ def a5_group() -> PermGroup:
                       perm_from_cycles(5, (0, 1, 2))])
 
 
-def _in_stored_order(G: PermGroup) -> list[int]:
-    """The ids of G ordered by their stored elements, as the image tuples sort."""
-    return sorted(range(G.order), key=G.elements.__getitem__)
-
-
-def complete_three_point_tuple(G: PermGroup, m: int, order_b: int, order_c: int) -> HurwitzTuple:
-    """First (m, g1, g2), g1 in stored order, with the given orders, product one and full image."""
-    for g1 in _in_stored_order(G):
-        if G.element_order(g1) != order_b:
-            continue
-        g2 = G.inv(G.mul(m, g1))
-        if G.element_order(g2) != order_c:
-            continue
-        if G.generated_subgroup([m, g1]).order == G.order:
-            return HurwitzTuple(G, (m, g1, g2))
-    raise ValueError(f"no ({G.element_order(m)}, {order_b}, {order_c}) completion found")
-
-
 def a5_tuple(G: PermGroup | None = None) -> HurwitzTuple:
+    """The 5-cycle, the first completing involution in stored order and a 3-cycle."""
     G = G or a5_group()
-    m = G.id_of(perm_from_cycles(5, (0, 1, 2, 3, 4)))
-    return complete_three_point_tuple(G, m, 2, 3)
+    return HurwitzTuple(G, tuple(map(G.id_of, ([1, 2, 3, 4, 0], [0, 2, 1, 4, 3],
+                                               [3, 0, 2, 1, 4]))))
 
 
 def a5_dihedral_degenerations(G: PermGroup | None = None):
@@ -74,9 +57,10 @@ def psl27_group() -> PermGroup:
 
 
 def psl27_tuple(G: PermGroup | None = None) -> HurwitzTuple:
+    """z -> z+1, the first completing involution in stored order and an element of order 3."""
     G = G or psl27_group()
-    u = G.id_of([1, 2, 3, 4, 5, 6, 0, 7])
-    return complete_three_point_tuple(G, u, 2, 3)
+    return HurwitzTuple(G, tuple(map(G.id_of, ([1, 2, 3, 4, 5, 6, 0, 7], [1, 0, 3, 2, 6, 7, 4, 5],
+                                               [4, 1, 0, 3, 2, 6, 7, 5]))))
 
 
 def _cyclic_normalizer_order(G: PermGroup, m: int) -> int:
@@ -110,7 +94,7 @@ def run_audit() -> list[AuditCheck]:
     t3 = a5_tuple(G)
     m = t3.entries[0]
     C5 = G.cyclic_subgroup(m)
-    invs = [s for s in _in_stored_order(G) if is_inverting_involution(G, m, s)]
+    invs = inverting_involutions(G, m)
     n5, D10 = _cyclic_normalizer_order(G, m), G.generated_subgroup([m, *invs[:1]])
     check("a5-normalizer", n5 == 10 and D10.order == n5,
           f"normalizer of the 5-cycle subgroup has order {n5}, expected 10")
@@ -192,7 +176,7 @@ def run_audit() -> list[AuditCheck]:
     tP = psl27_tuple(P)
     u = tP.entries[0]
     n7 = _cyclic_normalizer_order(P, u)
-    inv7 = [s for s in _in_stored_order(P) if is_inverting_involution(P, u, s)]
+    inv7 = inverting_involutions(P, u)
     realizable = n7 == 14 and len(inv7) > 0
     check("psl27-realizability", realizable,
           "expected a dihedral Sylow-7 normalizer of order 14 with an inverting "

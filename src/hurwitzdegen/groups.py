@@ -72,10 +72,6 @@ def as_perm(images: Sequence[int]) -> Perm:
     return p
 
 
-def identity_perm(degree: int) -> Perm:
-    return tuple(range(degree))
-
-
 def compose(p: Perm, q: Perm) -> Perm:
     """(p . q)(i) = p(q(i))."""
     return tuple([p[i] for i in q])

@@ -21,15 +21,15 @@ With ``--closure`` it instead builds, one after another and by order,
 PSL(2,19) (3,420), M11 (7,920), A8 (20,160), PSL(2,41) (34,440), M12
 (95,040) and PSL(2,83) (285,852), then PSL(2,19) and PSL(2,41) again on
 300 points, the points past p + 1 fixed, so their elements are stored as
-tuples.  Each group is built five times, and one line each prints the
+tuples.  Each group is built five times, each time in a fresh interpreter,
+so that the spread is that of whole processes, and one line each prints the
 median seconds to close the group and to build its conjugacy classes, each
-followed by the least and greatest of the five runs, so that a change can be
-read against the run-to-run spread, and the process's peak resident set so
-far, which PSL(2,83) sets among the first six.  M11, A8 and M12 are the
-groups that are not PSL(2,q): M11 = <(1..11), (3,7,11,8)(4,10,5,6)>,
-A8 = <(1..7), (6,7,8)>, and M12 adds
-(1,12)(2,11)(3,6)(4,8)(5,9)(7,10) to M11's generators (points counted
-from 1 here, from 0 in the code).
+followed by the least and greatest of the five processes, so that a change
+can be read against the run-to-run spread, and the largest peak resident set
+of the five.  M11, A8 and M12 are the groups that are not PSL(2,q):
+M11 = <(1..11), (3,7,11,8)(4,10,5,6)>, A8 = <(1..7), (6,7,8)>, and M12 adds
+(1,12)(2,11)(3,6)(4,8)(5,9)(7,10) to M11's generators (points counted from 1
+here, from 0 in the code).
 """
 
 from __future__ import annotations
@@ -37,6 +37,9 @@ from __future__ import annotations
 import argparse
 import json
 import resource
+import subprocess
+import sys
+from pathlib import Path
 from statistics import median
 from time import perf_counter
 
@@ -77,20 +80,31 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
 
 
+# one build in a fresh interpreter: argv is the probe's directory and an index into CLOSURE_GROUPS
+_ONE_BUILD = """
+import json, sys
+from time import perf_counter
+sys.path.insert(0, sys.argv[1])
+from scale_probe import CLOSURE_GROUPS, PermGroup, peak_rss_mb
+name, generators, order = CLOSURE_GROUPS[int(sys.argv[2])]
+start = perf_counter()
+G = PermGroup(generators)
+closed = perf_counter()
+G.conjugacy_classes()
+assert G.order == order, (name, G.order)
+print(json.dumps([closed - start, perf_counter() - closed, peak_rss_mb()]))
+"""
+
+
 def closure_probe() -> None:
-    for name, generators, order in CLOSURE_GROUPS:
-        closures, classes = [], []
-        for _ in range(5):
-            start = perf_counter()
-            G = PermGroup(generators)
-            closed = perf_counter()
-            G.conjugacy_classes()
-            closures.append(closed - start)
-            classes.append(perf_counter() - closed)
-            assert G.order == order, (name, G.order)
-            del G  # freed before the next group is built
+    here = str(Path(__file__).resolve().parent)
+    for i, (name, _, order) in enumerate(CLOSURE_GROUPS):
+        runs = [json.loads(subprocess.run([sys.executable, "-c", _ONE_BUILD, here, str(i)],
+                                          capture_output=True, text=True, check=True).stdout)
+                for _ in range(5)]
+        closures, classes, peaks = map(list, zip(*runs))
         print(f"closure scale probe: {name}, |G| = {order}: closure {spread(closures)}, "
-              f"classes {spread(classes)}, peak RSS {peak_rss_mb():.1f} MB")
+              f"classes {spread(classes)}, peak RSS {max(peaks):.1f} MB")
 
 
 def spread(seconds: list[float]) -> str:

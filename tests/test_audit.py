@@ -1,11 +1,18 @@
 from __future__ import annotations
 
-from hurwitzdegen import audit
+from hurwitzdegen import PermGroup, audit
 
 from conftest import a5_smoothed_tuple
 
 
 def test_builders_are_deterministic(a5, psl27):
+    # the tuples are image lists, so they do not depend on how the group's
+    # generators are listed, which numbers its elements
+    for step in (1, -1):
+        _check_builders(PermGroup(a5.generators[::step]), PermGroup(psl27.generators[::step]))
+
+
+def _check_builders(a5, psl27):
     t3 = audit.a5_tuple(a5)
     assert [a5.perm(g) for g in t3.entries] == [
         (1, 2, 3, 4, 0),      # the 5-cycle

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -573,6 +574,20 @@ def test_cli_import_loads_no_slow_modules():
     slow = {"dataclasses", "inspect", "fractions", "decimal", "typing"}
     assert "hurwitzdegen.cli" in at_cli and not at_cli & (slow | {"hurwitzdegen.audit"})
     assert "hurwitzdegen.audit" in with_audit and not with_audit & slow
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("pretty", [[], ["--pretty"]])
+def test_closed_stdout_exits_1_with_no_message(pretty, unbuffered):
+    # the reader is gone before the report is written: unbuffered, the write
+    # fails inside the command, buffered, main's flush does
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONUNBUFFERED": unbuffered}
+    with subprocess.Popen([sys.executable, "-m", "hurwitzdegen", "analyze",
+                           str(EXAMPLES / "a5_tuple.json"), *pretty],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+        child.stdout.close()
+        err = child.stderr.read()
+    assert (child.returncode, err) == (1, b"")
 
 
 # -- a tuple file and its datum copy ---------------------------------------------

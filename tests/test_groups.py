@@ -11,7 +11,7 @@ from hurwitzdegen import (PermGroup, Subgroup, compose, dual_graph_of_groups, in
                           least_conjugate, left_cosets, perm_from_cycles)
 from hurwitzdegen import audit, groups
 from hurwitzdegen.errors import ClosureBoundExceeded, DegreeMismatch
-from hurwitzdegen.groups import as_perm, identity_perm
+from hurwitzdegen.groups import as_perm
 
 from conftest import (all_subgroups, centralizer_by_scan, closure_by_bfs, conj, disjoint_union,
                       generator_ids, induced_by_kernel, inverting_pairs, least_member, normalizer,
@@ -24,7 +24,7 @@ def test_composition_convention():
     p = as_perm([1, 2, 0])
     q = as_perm([0, 2, 1])
     assert compose(p, q) == (1, 0, 2)
-    assert compose(p, inverse(p)) == identity_perm(3)
+    assert compose(p, inverse(p)) == tuple(range(3))
 
 
 def test_as_perm_rejects_non_bijections():
@@ -49,7 +49,7 @@ def test_trivial_group_from_empty_generators():
 
 def test_a5_closure(a5):
     assert a5.order == 60
-    assert a5.perm(0) == identity_perm(5)
+    assert a5.perm(0) == tuple(range(5))
     assert a5.index == dict(zip(a5.elements, range(60)))  # ids are positions, each element once
     assert math.factorial(a5.degree) % a5.order == 0
     assert all(a5.order % a5.element_order(g) == 0 for g in range(a5.order))
@@ -137,7 +137,7 @@ def _cyclic(degree: int, step: int = 1) -> tuple[int, ...]:
 
 def _tuple_closure(gens: list[tuple[int, ...]], degree: int) -> list[tuple[int, ...]]:
     """The sorted elements of <gens>, closed by tuple products alone."""
-    points = [identity_perm(degree)]
+    points = [tuple(range(degree))]
     seen = set(points)
     for x in points:  # grows while it is walked
         for g in gens:
@@ -176,7 +176,7 @@ _S5 = [_cyclic(5), perm_from_cycles(5, (0, 1))]
     ([_cyclic(256), tuple(-x % 256 for x in range(256))], 256, 512),  # D256: two cosets
     ([_cyclic(181)], 181, 181), ([_cyclic(182)], 182, 182),         # G = <a>: no coset walk
     (_psl2_generators(19), 20, 3420),                               # PSL(2,19): 180 cosets
-    ([identity_perm(5), *_S5], 5, 120),                             # h = 1
+    ([tuple(range(5)), *_S5], 5, 120),                             # h = 1
     ([_S5[1], _S5[0]], 5, 120),                                     # h = 2
     ([_cyclic(6), perm_from_cycles(6, (0, 1)), perm_from_cycles(6, (2, 3, 4))], 6, 720),
     ([*_S5, _S5[0], _S5[1]], 5, 120),                               # repeated generators
@@ -242,12 +242,12 @@ def test_closure_by_cosets_of_a_short_first_generator(first, degree):
     # S5 closed by left cosets y H of H = <gens[0]>, of order 1 or 2: on
     # bytes each is one translate of H's joined elements, on tuples a map
     cycle, swap = perm_from_cycles(degree, (0, 1, 2, 3, 4)), perm_from_cycles(degree, (0, 1))
-    gens = [identity_perm(degree), cycle, swap] if first == "identity" else [swap, cycle]
+    gens = [tuple(range(degree)), cycle, swap] if first == "identity" else [swap, cycle]
     G = PermGroup(gens, degree=degree)
     assert type(G.elements[0]) is (bytes if degree <= 256 else tuple)
     assert sorted(map(G.perm, range(G.order))) == _tuple_closure(gens, degree)
     assert G.index == dict(zip(G.elements, range(G.order)))
-    assert G.perm(0) == identity_perm(degree) and G.order == 120
+    assert G.perm(0) == tuple(range(degree)) and G.order == 120
     if first == "involution":  # each coset y H is stored as y, y s, the first new one at 2
         assert G.perm(1) == swap and G.perm(2) == cycle
         assert all(G.perm(y + 1) == compose(G.perm(y), swap) for y in range(0, 120, 2))
@@ -350,10 +350,10 @@ def test_closure_against_orbit_closure_in_small_symmetric_groups():
         if gens and data.draw(st.booleans()):
             gens.append(gens[0])  # a duplicate generator
         if data.draw(st.booleans()):
-            gens.insert(data.draw(st.integers(0, len(gens))), identity_perm(degree))
+            gens.insert(data.draw(st.integers(0, len(gens))), tuple(range(degree)))
         G = PermGroup(gens, degree=degree)
         assert sorted(G.perm(i) for i in range(G.order)) == \
-            sorted(orbits([identity_perm(degree)], G.generators, compose)[0])
+            sorted(orbits([tuple(range(degree))], G.generators, compose)[0])
         assert G.index == dict(zip(G.elements, range(G.order)))
         assert [G.inv(i) for i in reversed(range(G.order))] == \
             [G.id_of(inverse(G.perm(i))) for i in reversed(range(G.order))]
