@@ -19,7 +19,8 @@ from operator import attrgetter
 from ._record import Record, set_field
 from .errors import InvalidDatum, SchemaError
 from .graphs import GenGraph, gengraph_to_dot
-from .groups import MAX_DEGREE, PermGroup, is_inverting_involution, least_conjugate
+from .groups import (DEFAULT_CLOSURE_BOUND, MAX_DEGREE, PermGroup, is_inverting_involution,
+                     least_conjugate)
 
 CYCLIC = "cyclic"
 DIHEDRAL = "dihedral"
@@ -371,7 +372,7 @@ def _perm_id(G: PermGroup, raw, path: str) -> int:
         raise SchemaError(path, exc.args[0]) from None
 
 
-def _group_from_jsonable(grp) -> PermGroup:
+def _group_from_jsonable(grp, max_order: int) -> PermGroup:
     if not isinstance(grp, dict) or "degree" not in grp or "generators" not in grp:
         raise SchemaError("$.group", "expected {degree, generators}")
     _reject_unknown_keys(grp, {"degree", "generators"}, "$.group")
@@ -382,21 +383,22 @@ def _group_from_jsonable(grp) -> PermGroup:
     if not isinstance(grp["generators"], list) or not all(map(_is_int_list, grp["generators"])):
         raise SchemaError("$.group.generators", "expected permutations as lists of integers")
     try:
-        return PermGroup(grp["generators"], degree=grp["degree"])
+        return PermGroup(grp["generators"], degree=grp["degree"], max_order=max_order)
     except Exception as exc:
         raise SchemaError("$.group", str(exc)) from None
 
 
-def datum_from_jsonable(obj) -> BoundaryDatum:
-    """The one loader: a datum, or a tuple read from its ``{group, entries}``."""
+def datum_from_jsonable(obj, *, max_order: int = DEFAULT_CLOSURE_BOUND) -> BoundaryDatum:
+    """The one loader: a datum, or a tuple read from its ``{group, entries}``;
+    ``max_order`` is the group's closure bound (``PermGroup``)."""
     if isinstance(obj, dict) and "entries" in obj:
-        return tuple_from_jsonable(obj)
+        return tuple_from_jsonable(obj, max_order=max_order)
     if not isinstance(obj, dict):
         raise SchemaError("$", "expected a JSON object")
     for key in ("group", "components"):
         if key not in obj:
             raise SchemaError(f"$.{key}", "missing required field")
-    G = _group_from_jsonable(obj["group"])
+    G = _group_from_jsonable(obj["group"], max_order)
     _reject_unknown_keys(obj, {"group", "components"}, "$")
     comps = []
     if not isinstance(obj["components"], list) or not obj["components"]:
@@ -448,10 +450,10 @@ def tuple_to_jsonable(t: HurwitzTuple) -> dict:
             "entries": [list(t.group.perm(g)) for g in t.entries]}
 
 
-def tuple_from_jsonable(obj) -> HurwitzTuple:
+def tuple_from_jsonable(obj, *, max_order: int = DEFAULT_CLOSURE_BOUND) -> HurwitzTuple:
     if not isinstance(obj, dict) or "group" not in obj or "entries" not in obj:
         raise SchemaError("$", "expected {group, entries}")
-    G = _group_from_jsonable(obj["group"])
+    G = _group_from_jsonable(obj["group"], max_order)
     _reject_unknown_keys(obj, {"group", "entries"}, "$")
     if not isinstance(obj["entries"], list) or not obj["entries"]:
         raise SchemaError("$.entries", "expected a non-empty list of permutations")

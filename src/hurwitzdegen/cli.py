@@ -23,6 +23,7 @@ from .covers import build_cover, cover_report, cover_to_dot
 from .degen import (SPLIT, dedup as dedup_degenerations, dihedral_degenerations,
                     split_degenerations)
 from .errors import HurwitzDegenError, InvalidDatum, SchemaError
+from .groups import DEFAULT_CLOSURE_BOUND
 
 
 class _Parser(argparse.ArgumentParser):
@@ -33,10 +34,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _load_json(path: str):
+def _load_datum(args) -> BoundaryDatum:
+    """The datum or tuple in the file ``args.path``, its group closed within ``--max-order``."""
+    path = args.path
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except OSError as exc:
         raise SchemaError(path, f"cannot read file: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -48,6 +51,7 @@ def _load_json(path: str):
         raise SchemaError(path, f"invalid JSON: {exc}") from None
     except RecursionError:
         raise SchemaError(path, "invalid JSON: nested too deeply") from None
+    return datum_from_jsonable(obj, max_order=args.max_order)
 
 
 def json_dump(report) -> None:
@@ -184,13 +188,29 @@ def _print_pretty(report: dict, out) -> None:
 
 
 def cmd_analyze(args) -> int:
-    datum = datum_from_jsonable(_load_json(args.path))
+    datum = _load_datum(args)
     report, code = analyze_datum(datum)
     if args.pretty:
         _print_pretty(report, sys.stdout)
     else:
         json_dump(report)
     return code
+
+
+def _max_order(text: str) -> int:
+    """``--max-order N``: a positive integer."""
+    n = int(text) if text.strip().isdecimal() else 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, not {text!r}")
+    return n
+
+
+def _datum_arguments(p: argparse.ArgumentParser, what: str) -> None:
+    """The input file of a command that loads a datum, and its closure bound."""
+    p.add_argument("path", help=what)
+    p.add_argument("--max-order", type=_max_order, default=DEFAULT_CLOSURE_BOUND, metavar="N",
+                   help="fail a group of more than N elements, or of more than 256 N bytes "
+                        "of stored images (default %(default)s)")
 
 
 def _component_point(text: str) -> tuple[int, int]:
@@ -203,7 +223,7 @@ def _component_point(text: str) -> tuple[int, int]:
 
 
 def cmd_degenerate(args) -> int:
-    datum = datum_from_jsonable(_load_json(args.path))
+    datum = _load_datum(args)
     violations = validate(datum)
     if violations:
         raise InvalidDatum(violations)
@@ -246,7 +266,7 @@ def cmd_degenerate(args) -> int:
 
 
 def cmd_character(args) -> int:
-    datum = datum_from_jsonable(_load_json(args.path))
+    datum = _load_datum(args)
     report, code = analyze_datum(datum)
     if code != 0:
         for v in report["validation"]["violations"]:
@@ -262,7 +282,7 @@ def cmd_character(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    datum = datum_from_jsonable(_load_json(args.path))
+    datum = _load_datum(args)
     if args.which == "quotient":
         dot = dual_graph_of_groups(datum).to_dot()
     else:
@@ -301,12 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="validate a datum and report its cover and characters")
-    p.add_argument("path", help="datum JSON file")
+    _datum_arguments(p, "datum JSON file")
     p.add_argument("--pretty", action="store_true", help="human-readable output")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("degenerate", help="enumerate codimension-1 degenerations of a datum")
-    p.add_argument("path", help="datum or tuple JSON file")
+    _datum_arguments(p, "datum or tuple JSON file")
     p.add_argument("--splits", action="store_true", help="split degenerations")
     p.add_argument("--dihedral", type=_component_point, metavar="[CI:]INDEX",
                    help="dihedral degenerations at point INDEX of component CI (default 0)")
@@ -315,12 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_degenerate)
 
     p = sub.add_parser("character", help="print the character table of a datum's cover")
-    p.add_argument("path", help="datum JSON file")
+    _datum_arguments(p, "datum JSON file")
     p.add_argument("--json", action="store_true", help="JSON mirror of the table")
     p.set_defaults(func=cmd_character)
 
     p = sub.add_parser("graph", help="export a dual graph as DOT")
-    p.add_argument("path", help="datum JSON file")
+    _datum_arguments(p, "datum JSON file")
     p.add_argument("--dot", required=True, metavar="OUT", help="output DOT file")
     p.add_argument("--which", choices=["quotient", "cover"], default="quotient")
     p.set_defaults(func=cmd_graph)

@@ -111,7 +111,9 @@ class PermGroup:
     its position there and depends on the generators as listed; the identity
     is always element 0.  ``index`` maps each stored element to its id.
     ``max_order`` bounds the closure so a typo'd generating set fails fast
-    instead of eating memory.
+    instead of eating memory, and with it the stored images, to 256
+    ``max_order`` bytes: on tuples, 8 bytes an image, that is the tighter
+    bound, 32 ``max_order`` / ``degree`` elements.
     """
 
     def __init__(self, generators: Iterable[Sequence[int]], degree: int | None = None,
@@ -129,16 +131,21 @@ class PermGroup:
         # the one choice of storage: _key stores an image array, p . q =
         # _tr(q, p + _pad), and _invert gives p^-1.  On bytes, q.translate(p +
         # tail) looks q's images up in p's; on tuples, compose(p, q), and ()
-        # keeps p as it is
+        # keeps p as it is.  The stored images may take 256 max_order bytes:
+        # degree bytes an element on bytes, which max_order already bounds,
+        # and about 8 degree on tuples, which lowers the closure's stop
         if degree <= 256:
             self._key, self._tr, self._pad = bytes, bytes.translate, bytes(range(degree, 256))
             self._invert = partial(_inverse_bytes, bytes(range(degree)))
+            stop, past = max_order, f"{max_order} elements"
         else:
             self._key, self._tr, self._pad, self._invert = tuple, _swapped_compose, (), inverse
+            stop = 32 * max_order // degree  # 256 max_order // (8 degree)
+            past = f"{256 * max_order} bytes of stored images ({stop} elements at degree {degree})"
         keys = list(map(self._key, gens))
-        self.index, self._moves = self._close(self._key(range(degree)), keys, max_order)
-        if len(self.index) > max_order:
-            raise ClosureBoundExceeded(f"closure exceeded {max_order} elements")
+        self.index, self._moves = self._close(self._key(range(degree)), keys, stop)
+        if len(self.index) > stop:
+            raise ClosureBoundExceeded(f"closure exceeded {past}")
         self.elements = list(self.index)
         self._gen_ids = self._moves[:len(keys)]  # the moves on the identity's coset
         self._inv = [-1] * self.order  # filled by inv() on demand, whole by the classes
@@ -205,7 +212,8 @@ class PermGroup:
         then g, each the walk's one lookup (with a alone, a's id).  The walk
         returns the points found so far as soon as it holds more than ``stop``
         of them, a's powers included: the constructor stops past its
-        ``max_order`` bound and ``generated_subgroup`` at |G|/2, past which, by
+        ``max_order`` bound, or on tuples past its byte budget, and
+        ``generated_subgroup`` at |G|/2, past which, by
         Lagrange's theorem, the subgroup can only be G.
         """
         tr, pad = self._tr, self._pad
@@ -420,36 +428,49 @@ def _class_record(group: PermGroup, x: int) -> ClassRecord:
     each member padded once, so an edge y -> g y g^-1 costs two products.
     With r the least stored member, t_y = u_y u_r^-1 conjugates r to y.  An
     edge that finds z new is a tree edge, u_z = g u_y, whose Schreier generator
-    t_z^-1 g t_y is the identity; those of the other edges generate C_G(r).
-    One is added only when it lies outside the subgroup closed so far, which
-    at least doubles it, until |C_G(r)| |class| = |G|: at most log2 |C_G(r)|
-    closures.
+    t_z^-1 g t_y is the identity; those of the other edges generate C_G(r),
+    each formed on stored elements (two products and one inversion).  One
+    closure of C_G(r), of known order |G| / |class|, grows in place: a
+    generator it does not yet hold adds the coset h C of the closure C so
+    far, then each new element times every generator, until it holds
+    |G| / |class| elements.
     """
     elements, index, tr, pad = group.elements, group.index, group._tr, group._pad
-    steps = [(g, elements[group.inv(g)], elements[g] + pad) for g in group._gen_ids]
+    steps = [(elements[group.inv(g)], elements[g] + pad) for g in group._gen_ids]
     via = {elements[x]: elements[0]}
     members, edges = [elements[x]], []
     for y in members:  # grows while it is walked
         u, py = via[y], y + pad
-        for g, q, pg in steps:
+        for q, pg in steps:
             z = tr(tr(q, py), pg)  # g (y g^-1)
             if z in via:
-                edges.append((y, g, z))
+                edges.append((y, pg, z))
             else:
                 via[z] = tr(u, pg)
                 members.append(z)
     r = min(members)
     back = elements[group.inv(index[via[r]])]
     t = {index[y]: index[tr(back, u + pad)] for y, u in via.items()}
-    schreier = (group.mul(group.inv(t[index[z]]), group.mul(g, t[index[y]])) for y, g, z in edges)
-    gens, closed, order = [], {0}, group.order // len(members)
-    for h in schreier:
+    order, invert = group.order // len(members), group._invert
+    closed, gens = {elements[0]: None}, []
+    for y, pg, z in edges:
         if len(closed) == order:
             break
+        ty, tz = elements[t[index[y]]], elements[t[index[z]]]
+        h = tr(tr(ty, pg), invert(tz) + pad)  # t_z^-1 (g t_y)
         if h not in closed:
-            gens.append(h)
-            closed = set(group.generated_subgroup(gens).members)
-    pairs = tuple((elements[c] + pad, elements[group.inv(c)]) for c in sorted(closed))
+            gens.append(h + pad)
+            new = list(map(tr, closed, repeat(gens[-1])))  # h C, disjoint from C
+            closed.update(dict.fromkeys(new))
+            for c in new:  # grows while it is walked
+                if len(closed) == order:
+                    break
+                for ph in gens:
+                    if (hc := tr(c, ph)) not in closed:
+                        closed[hc] = None
+                        new.append(hc)
+    ids = sorted(map(index.__getitem__, closed))
+    pairs = tuple((elements[c] + pad, elements[group.inv(c)]) for c in ids)
     return ClassRecord(index[r], MappingProxyType(t), pairs)
 
 

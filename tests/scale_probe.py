@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Peak memory of repeated boundary-strata rounds on one large group, or
-the cost of closing large groups and their classes.
+the cost of closing large groups, their classes and their class records.
 
     PYTHONPATH=src python tests/scale_probe.py [--p 29] [--rounds 30]
     PYTHONPATH=src python tests/scale_probe.py --closure
@@ -23,11 +23,13 @@ PSL(2,19) (3,420), M11 (7,920), A8 (20,160), PSL(2,41) (34,440), M12
 300 points, the points past p + 1 fixed, so their elements are stored as
 tuples.  Each group is built five times, each time in a fresh interpreter,
 so that the spread is that of whole processes, and one line each prints the
-median seconds to close the group and to build its conjugacy classes, each
-followed by the least and greatest of the five processes, so that a change
-can be read against the run-to-run spread, and the largest peak resident set
-of the five.  M11, A8 and M12 are the groups that are not PSL(2,q):
-M11 = <(1..11), (3,7,11,8)(4,10,5,6)>, A8 = <(1..7), (6,7,8)>, and M12 adds
+median seconds to close the group, to build its conjugacy classes and then
+to build the class record of every non-central class, each followed by the
+least and greatest of the five processes, so that a change can be read
+against the run-to-run spread, and the largest peak resident set of the
+five, read before the records are built.  M11, A8 and M12 are the groups
+that are not PSL(2,q): M11 = <(1..11), (3,7,11,8)(4,10,5,6)>,
+A8 = <(1..7), (6,7,8)>, and M12 adds
 (1,12)(2,11)(3,6)(4,8)(5,9)(7,10) to M11's generators (points counted from 1
 here, from 0 in the code).
 """
@@ -90,9 +92,12 @@ name, generators, order = CLOSURE_GROUPS[int(sys.argv[2])]
 start = perf_counter()
 G = PermGroup(generators)
 closed = perf_counter()
-G.conjugacy_classes()
+classes = G.conjugacy_classes()
 assert G.order == order, (name, G.order)
-print(json.dumps([closed - start, perf_counter() - closed, peak_rss_mb()]))
+classified, peak = perf_counter(), peak_rss_mb()
+for c in classes:
+    G.class_record(c[0])
+print(json.dumps([closed - start, classified - closed, perf_counter() - classified, peak]))
 """
 
 
@@ -102,9 +107,10 @@ def closure_probe() -> None:
         runs = [json.loads(subprocess.run([sys.executable, "-c", _ONE_BUILD, here, str(i)],
                                           capture_output=True, text=True, check=True).stdout)
                 for _ in range(5)]
-        closures, classes, peaks = map(list, zip(*runs))
+        closures, classes, records, peaks = map(list, zip(*runs))
         print(f"closure scale probe: {name}, |G| = {order}: closure {spread(closures)}, "
-              f"classes {spread(classes)}, peak RSS {max(peaks):.1f} MB")
+              f"classes {spread(classes)}, records {spread(records)}, "
+              f"peak RSS {max(peaks):.1f} MB")
 
 
 def spread(seconds: list[float]) -> str:
@@ -124,7 +130,7 @@ def main() -> None:
     parser.add_argument("--p", type=int, default=29, help="an odd prime")
     parser.add_argument("--rounds", type=int, default=30)
     parser.add_argument("--closure", action="store_true",
-                        help="time the closure and classes of "
+                        help="time the closure, classes and class records of "
                              + ", ".join(name for name, _, _ in CLOSURE_GROUPS))
     args = parser.parse_args()
     if args.closure:

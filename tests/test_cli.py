@@ -11,8 +11,9 @@ import pytest
 from hurwitzdegen import (BoundaryDatum, HurwitzTuple, MarkedComponent, MarkedPoint, PermGroup,
                           audit, compose, datum_from_jsonable, datum_to_jsonable, dedup,
                           dihedral_degenerations, equivalent, perm_from_cycles,
-                          split_degenerations, tuple_to_jsonable)
+                          split_degenerations, tuple_from_jsonable, tuple_to_jsonable)
 from hurwitzdegen.cli import analyze_datum, build_parser, json_dump, main
+from hurwitzdegen.errors import SchemaError
 from hurwitzdegen.groups import MAX_DEGREE
 
 from cli_runs import VALID, file_runs, inputs
@@ -411,6 +412,58 @@ def test_declared_degree_at_the_bound_loads(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "analyze", str(path))
     assert code == 0
     assert json.loads(out)["cover"]["component_count"] == 1  # the trivial group
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["degenerate", "--splits"],
+                                     ["character", "--json"], ["graph", "--dot"]])
+def test_max_order_reaches_the_loader(tmp_path, capsys, command):
+    # |A5| = 60: --max-order 59 fails it as the closure bound does, 60 changes nothing
+    argv = [*command, str(tmp_path / "out.dot")] if command[0] == "graph" else command
+    path = str(EXAMPLES / A5_TUPLE)
+    code, out, err = run_cli(capsys, *argv, path, "--max-order", "59")
+    assert (code, out, err) == (1, "", "error: $.group: closure exceeded 59 elements\n")
+    assert run_cli(capsys, *argv, path, "--max-order", "60") == run_cli(capsys, *argv, path)
+
+
+def test_max_order_is_a_loader_keyword():
+    obj = json.loads((EXAMPLES / A5_TUPLE).read_text(encoding="utf-8"))
+    for load in (datum_from_jsonable, tuple_from_jsonable):
+        assert load(obj, max_order=60).group.order == 60
+        with pytest.raises(SchemaError, match=r"^\$\.group: closure exceeded 59 elements$"):
+            load(obj, max_order=59)
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "ten", "1.5", ""])
+def test_max_order_below_1_is_a_usage_error(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(EXAMPLES / A5_TUPLE), "--max-order", value])
+    assert exc.value.code == 1
+    assert "--max-order: expected a positive integer" in capsys.readouterr().err
+
+
+def test_max_order_fails_a_large_degree_before_it_is_stored(tmp_path):
+    # C4000 on 4,000 points stores 4,000 tuples of 4,000 images (about 200 MB
+    # for a whole analyze run); at --max-order 100 the budget, 25,600 bytes,
+    # holds not one element, so the run fails with one line near the
+    # interpreter's own peak (16 MB with CPython 3.11 on x86-64 Linux).  The
+    # child's peak is read in a process of its own, which waits for no other child
+    images = [(x + 1) % 4000 for x in range(4000)]
+    path = tmp_path / "c4000.json"
+    path.write_text(json.dumps({"group": {"degree": 4000, "generators": [images]},
+                                "entries": [images, images[::-1]]}), encoding="utf-8")
+    probe = ("import json, resource, subprocess, sys; "
+             "run = subprocess.run(sys.argv[1:], capture_output=True, text=True); "
+             "print(json.dumps([run.returncode, run.stdout, run.stderr, "
+             "resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss]))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", probe, sys.executable, "-m", "hurwitzdegen",
+                          "analyze", str(path), "--max-order", "100"],
+                         capture_output=True, text=True, check=True, env=env).stdout
+    code, stdout, stderr, peak_kib = json.loads(out)
+    assert (code, stdout) == (1, "")
+    assert stderr == ("error: $.group: closure exceeded 25600 bytes of stored images "
+                      "(0 elements at degree 4000)\n")
+    assert peak_kib < 40 * 1024
 
 
 @pytest.mark.parametrize("bad,why", [

@@ -95,6 +95,24 @@ def test_closure_bound_stops_the_power_walk():
         PermGroup([perm_from_cycles(100, *cycles)], max_order=1000)
 
 
+def test_closure_budget_on_tuples():
+    # above degree 256 the stored images may take 256 max_order bytes, 8 an
+    # image: at max_order 3200 that is 320 elements on 320 points, so C320
+    # (cycles of 64 and 5) fits and C321 (cycles of 3 and 107) does not
+    c320 = perm_from_cycles(320, tuple(range(64)), tuple(range(64, 69)))
+    c321 = perm_from_cycles(320, tuple(range(3)), tuple(range(3, 110)))
+    assert PermGroup([c320], max_order=3200).order == 320
+    with pytest.raises(ClosureBoundExceeded) as exc:
+        PermGroup([c321], max_order=3200)
+    assert str(exc.value) == ("closure exceeded 819200 bytes of stored images "
+                              "(320 elements at degree 320)")
+    # the budget counts stored elements past the powers of the first generator too
+    with pytest.raises(ClosureBoundExceeded, match="819200 bytes"):
+        PermGroup([c320, perm_from_cycles(320, (0, 1))], max_order=3200)
+    # on bytes, max_order alone bounds them: C256 at max_order 256 is 65,536 bytes
+    assert PermGroup([_cyclic(256)], max_order=256).order == 256
+
+
 def test_generated_subgroup_of_an_element_above_half_order():
     # by Lagrange an element of order above |G|/2 generates G
     G = PermGroup([_cyclic(12)])
@@ -546,13 +564,15 @@ def class_record_group(name: str, request) -> PermGroup:
     """A fresh group, so its class records are built by the test that uses it."""
     if name == "psl2_11":
         return psl2(11)
+    if name == "s6":
+        return PermGroup([perm_from_cycles(6, tuple(range(6))), perm_from_cycles(6, (0, 1))])
     if name == "c4":
         return PermGroup([perm_from_cycles(4, (0, 1, 2, 3))])
     G = request.getfixturevalue(name)
     return PermGroup(G.generators, degree=G.degree)
 
 
-@pytest.mark.parametrize("fixture", CLASS_RECORD_GROUPS)
+@pytest.mark.parametrize("fixture", CLASS_RECORD_GROUPS + ["s6"])  # S6: |C_G((0 1))| = 48
 def test_class_records_against_scans(fixture, request):
     G = class_record_group(fixture, request)
     for x in reversed(stored_order(G)):  # walks then start at a class's largest element
@@ -576,6 +596,20 @@ def test_class_records_against_scans(fixture, request):
             assert cent == centralizer
         assert len(set(cent)) == len(cent) == G.order // len(c)
         assert all(G.mul(g, x) == G.mul(x, g) for g in cent)
+
+
+@pytest.mark.parametrize("fixture", ["s6", "psl27"])
+def test_class_records_close_no_subgroup(fixture, request, monkeypatch):
+    # each record grows one closure of its centralizer from Schreier generators
+    G = class_record_group(fixture, request)
+
+    def refuse(*args):
+        raise AssertionError("a class record closed a subgroup")
+
+    monkeypatch.setattr(PermGroup, "generated_subgroup", refuse)
+    records = [G.class_record(c[0]) for c in G.conjugacy_classes()]
+    assert sum(len(rec.pairs) * len(rec.conjugators) for rec in records if rec) == \
+        G.order * sum(1 for rec in records if rec)
 
 
 @pytest.mark.parametrize("fixture", CLASS_RECORD_GROUPS)
