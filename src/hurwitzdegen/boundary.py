@@ -159,8 +159,8 @@ class HurwitzTuple(BoundaryDatum, eq=False):
     """One rational component of cyclic points, their m the ``entries`` in order;
     the constructor is the one place that turns entries into points.  It
     trusts them, as ``BoundaryDatum`` trusts its components: ``validate``
-    reports a product other than e as the component's surface relation, and
-    ``tuple_from_jsonable`` rejects one on input."""
+    reports a product other than e as the component's surface relation, on
+    a tuple as on its datum form."""
 
     __slots__ = ()
     _fields = ("group", "components")
@@ -458,6 +458,4 @@ def tuple_from_jsonable(obj, *, max_order: int = DEFAULT_CLOSURE_BOUND) -> Hurwi
     if not isinstance(obj["entries"], list) or not obj["entries"]:
         raise SchemaError("$.entries", "expected a non-empty list of permutations")
     ids = [_perm_id(G, e, f"$.entries[{i}]") for i, e in enumerate(obj["entries"])]
-    if G.product(ids) != G.identity:
-        raise SchemaError("$.entries", "tuple entries must multiply to the identity")
     return HurwitzTuple(G, tuple(ids))

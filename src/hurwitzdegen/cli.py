@@ -11,12 +11,13 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
-from .boundary import (BoundaryDatum, HurwitzTuple, datum_from_jsonable, datum_to_jsonable,
-                       datum_warnings, dual_graph_of_groups, tuple_to_jsonable,
-                       unstable_components, validate)
+from .boundary import (BoundaryDatum, DualGraphOfGroups, HurwitzTuple, datum_from_jsonable,
+                       datum_to_jsonable, datum_warnings, dual_graph_of_groups,
+                       tuple_to_jsonable, unstable_components, validate)
 from .cohomology import (character_to_jsonable, classes_to_jsonable, de_rham_character,
                          render_character_table)
 from .covers import build_cover, cover_report, cover_to_dot
@@ -27,6 +28,12 @@ from .groups import DEFAULT_CLOSURE_BOUND
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads a '-'-led word as an option unless it matches this
+        # pattern; with -CI:INDEX in it, "--dihedral -1:0" reads as "--dihedral=-1:0"
+        self._negative_number_matcher = re.compile(r"^-\d+(:-?\d+)?$|^-\d*\.\d+$")
+
     # argparse exits with 2 on usage errors; the contract reserves 2 for
     # domain violations, so remap usage problems to 1
     def error(self, message):
@@ -137,17 +144,28 @@ def analyze_datum(datum: BoundaryDatum) -> tuple[dict, int]:
     if not cov["connected"]:
         warnings.append("cover is disconnected; arithmetic genus reported per component")
 
+    report["characters"] = _characters(gog)
+    return report, 0
+
+
+def _characters(gog: DualGraphOfGroups) -> dict:
+    """The ``characters`` block of a report, read off the datum's graph of groups."""
     dev = de_rham_character(gog)
-    report["characters"] = {
-        "classes": classes_to_jsonable(datum.group),
-        "connected": cov["connected"],
+    return {
+        "classes": classes_to_jsonable(gog.datum.group),
+        "connected": gog.connected,
         "degree_chi_dR": dev.chi_dR[0],
         "chi_dR": character_to_jsonable(dev.chi_dR),
         "chi_normalization": character_to_jsonable(dev.chi_normalization),
         "edge_induction_sum": character_to_jsonable(dev.edge_induction_sum),
         "h1": None if dev.h1_character is None else character_to_jsonable(dev.h1_character),
     }
-    return report, 0
+
+
+def _character_table(chars: dict) -> str:
+    """The aligned table of a ``characters`` block: chi_dR, and h1 on a connected cover."""
+    return render_character_table(chars["classes"], {
+        name: chars[name]["values"] for name in ("chi_dR", "h1") if chars[name] is not None})
 
 
 def _print_pretty(report: dict, out) -> None:
@@ -172,17 +190,8 @@ def _print_pretty(report: dict, out) -> None:
         for entry in cov["node_classes"]:
             print(f"  nodes: {entry['count']} x {entry['kind']} "
                   f"(stabilizer order {entry['stabilizer_order']})", file=out)
-    chars = report["characters"]
-    if chars:
-        print(f"deg chi_dR = {chars['degree_chi_dR']}", file=out)
-        header = ["class", "order", "size", "chi_dR"] + (["h1"] if chars["h1"] else [])
-        print("  ".join(header), file=out)
-        for i, cls in enumerate(chars["classes"]):
-            row = [cls["label"], str(cls["order"]), str(cls["size"]),
-                   str(chars["chi_dR"]["values"][i])]
-            if chars["h1"]:
-                row.append(str(chars["h1"]["values"][i]))
-            print("  ".join(row), file=out)
+    if report["characters"]:
+        out.write(_character_table(report["characters"]))
     for w in report["warnings"]:
         print(f"warning: {w}", file=out)
 
@@ -266,18 +275,11 @@ def cmd_degenerate(args) -> int:
 
 
 def cmd_character(args) -> int:
-    datum = _load_datum(args)
-    report, code = analyze_datum(datum)
-    if code != 0:
-        for v in report["validation"]["violations"]:
-            print(f"{v['kind']} at {v['location']}: {v['detail']}", file=sys.stderr)
-        return code
-    chars = report["characters"]
+    chars = _characters(dual_graph_of_groups(_load_datum(args)))
     if args.json:
         json_dump(chars)
-        return 0
-    table = {name: chars[name]["values"] for name in ("chi_dR", "h1") if chars[name] is not None}
-    sys.stdout.write(render_character_table(datum.group, table))
+    else:
+        sys.stdout.write(_character_table(chars))
     return 0
 
 

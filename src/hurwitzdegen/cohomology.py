@@ -80,17 +80,14 @@ def class_labels(group: PermGroup) -> list[str]:
     return labels
 
 
-def render_character_table(group: PermGroup, characters: dict[str, Sequence[int]]) -> str:
-    """One row per conjugacy class; one value column per named character,
-    given as its values in class order."""
-    labels = class_labels(group)
+def render_character_table(classes: Sequence[dict], characters: dict[str, Sequence[int]]) -> str:
+    """One row per class of ``classes``, a report's ``classes`` list (label,
+    order, size); one value column per named character, given as its values
+    in class order."""
     names = list(characters)
     header = ["class", "order", "size"] + names
-    rows = []
-    for ci, c in enumerate(group.conjugacy_classes()):
-        row = [labels[ci], str(group.element_order(c[0])), str(len(c))]
-        row += [str(characters[n][ci]) for n in names]
-        rows.append(row)
+    rows = [[c["label"], str(c["order"]), str(c["size"]), *(str(characters[n][ci]) for n in names)]
+            for ci, c in enumerate(classes)]
     widths = [max(len(header[j]), *(len(r[j]) for r in rows)) for j in range(len(header))]
     fmt = "  ".join("{:>%d}" % w for w in widths)
     lines = [fmt.format(*header), "  ".join("-" * w for w in widths)]

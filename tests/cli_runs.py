@@ -1,8 +1,8 @@
 """The CLI runs replayed on every committed input, with the exit code each must give.
 
 Every command runs on every file in ``docs/examples`` and ``tests/golden/data``,
-tuple or datum, and on each datum in ``tests/golden/invalid``, which fails
-validation.  ``degenerate`` runs with ``--splits`` and with ``--dihedral`` at
+tuple or datum, and on each datum or tuple in ``tests/golden/invalid``, which
+fails validation.  ``degenerate`` runs with ``--splits`` and with ``--dihedral`` at
 each cyclic point, each with and without ``--dedup``.  The CI workflow builds
 its run lists here; run from the repository root with ``src`` and ``tests``
 on the import path.
@@ -46,7 +46,7 @@ def inputs(dirs: tuple[str, ...]) -> list[tuple[str, BoundaryDatum]]:
 
 def cli_runs(dot: str) -> list[tuple[list[str], int]]:
     """(argv, exit code): ``verify-examples``, then every command on every
-    input; an invalid datum exits 2."""
+    input; an invalid datum or tuple exits 2."""
     runs = [(["verify-examples"], 0)]
     for dirs, code in ((VALID, 0), (INVALID, 2)):
         runs += [(argv, code) for path, datum in inputs(dirs)

@@ -114,13 +114,14 @@ def test_tuple_is_a_one_component_datum(a5, psl27):
 
 
 def test_product_not_one(s3):
-    # the loader is where outside entries arrive, and where their product is checked
+    # the loader does not check the product: validate reports it as the
+    # surface relation of component 0, on the tuple as on its datum form
     t = s3.id_of(perm_from_cycles(3, (0, 1)))
-    obj = tuple_to_jsonable(HurwitzTuple(s3, (t, s3.identity)))
-    with pytest.raises(SchemaError) as exc:
-        tuple_from_jsonable(obj)
-    assert (exc.value.path, exc.value.detail) == ("$.entries",
-                                                  "tuple entries must multiply to the identity")
+    loaded = tuple_from_jsonable(tuple_to_jsonable(HurwitzTuple(s3, (t, s3.identity))))
+    assert isinstance(loaded, HurwitzTuple) and loaded.entries == (t, s3.identity)
+    violations = validate(loaded)
+    assert [(v.kind, v.location) for v in violations] == [("SurfaceRelation", "component 0")]
+    assert validate(datum_from_jsonable(datum_to_jsonable(loaded))) == violations
 
 
 def test_identity_monodromy_warning(s3):
@@ -479,8 +480,9 @@ def test_datum_schema_errors(a5, mutate, path_part):
 def test_tuple_schema_errors(a5):
     t = audit.a5_tuple(a5)
     obj = tuple_to_jsonable(t)
-    obj["entries"] = obj["entries"][:2]
-    with pytest.raises(SchemaError):
+    # a product other than e is a validation failure (test_product_not_one), not a schema one
+    obj["entries"] = obj["entries"][:2] + [[0, 1]]
+    with pytest.raises(SchemaError, match=r"\$\.entries\[2\]: "):
         tuple_from_jsonable(obj)
     obj["entries"] = []
     with pytest.raises(SchemaError, match=r"\$\.entries: expected a non-empty list"):

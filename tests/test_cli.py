@@ -16,7 +16,7 @@ from hurwitzdegen.cli import analyze_datum, build_parser, json_dump, main
 from hurwitzdegen.errors import SchemaError
 from hurwitzdegen.groups import MAX_DEGREE
 
-from cli_runs import VALID, file_runs, inputs
+from cli_runs import INVALID, VALID, cli_runs, file_runs, inputs
 from conftest import a5_smoothed_tuple, a5_split_datum, disjoint_union
 
 NODE_CLASS_KEYS = {"kind", "stabilizer_order", "count"}
@@ -313,14 +313,16 @@ def test_degenerate_two_entry_tuple_exits_0(tmp_path, capsys, flags):
 
 @pytest.mark.parametrize("flags", [["--splits"], ["--dihedral", "0", "--dedup"]])
 def test_degenerate_rejects_entries_whose_product_is_not_one(tmp_path, capsys, flags):
-    # HurwitzTuple trusts its entries; the loader checks their product
+    # HurwitzTuple trusts its entries; validate reports their product as the
+    # surface relation, as on any invalid datum
     G = audit.a5_group()
     c = G.id_of(perm_from_cycles(5, (0, 1, 2, 3, 4)))
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(tuple_to_jsonable(HurwitzTuple(G, (c, c, c)))), encoding="utf-8")
     code, out, err = run_cli(capsys, "degenerate", str(path), *flags)
-    assert (code, out) == (1, "")
-    assert err == "error: $.entries: tuple entries must multiply to the identity\n"
+    assert (code, out) == (2, "")
+    assert err == ("error: datum does not validate: SurfaceRelation at component 0: "
+                   "handle commutators times point monodromies != identity\n")
 
 
 @pytest.mark.parametrize("index", ["3", "7", "-1"])
@@ -345,11 +347,11 @@ def test_degenerate_dihedral_index_out_of_range(tmp_path, capsys, index):
 ], ids=["no-component", "negative-component", "no-point", "negative-point", "dihedral-point",
         "node-end", "tuple-component-1"])
 def test_degenerate_dihedral_names_a_missing_or_non_cyclic_point(capsys, path, point, diagnostic):
-    # "--dihedral=-1:0" in one word: argparse reads a lone "-1:0" as an option
-    code, out, err = run_cli(capsys, "degenerate", str(EXAMPLES / path), "--splits",
-                             f"--dihedral={point}")
-    assert (code, out) == (1, "")
-    assert err == f"error: {diagnostic}\n"
+    # in one word and in two: "--dihedral -1:0" reads "-1:0" as its value, not as an option
+    for flag in ([f"--dihedral={point}"], ["--dihedral", point]):
+        code, out, err = run_cli(capsys, "degenerate", str(EXAMPLES / path), "--splits", *flag)
+        assert (code, out) == (1, ""), flag
+        assert err == f"error: {diagnostic}\n", flag
 
 
 @pytest.mark.parametrize("point", ["x", "1:", "0:1:2", "1.5"])
@@ -645,7 +647,7 @@ def test_closed_stdout_exits_1_with_no_message(pretty, unbuffered):
 
 # -- a tuple file and its datum copy ---------------------------------------------
 
-TUPLE_FILES = [path for path, datum in inputs(VALID) if isinstance(datum, HurwitzTuple)]
+TUPLE_FILES = [path for path, datum in inputs(VALID + INVALID) if isinstance(datum, HurwitzTuple)]
 
 
 def _run_with_dot(capsys, argv, dot):
@@ -667,19 +669,21 @@ def _split_shape(out: str, header: str) -> tuple[dict, str, list]:
 
 @pytest.mark.parametrize("path", TUPLE_FILES)
 def test_a_tuple_file_prints_what_its_datum_copy_prints(tmp_path, capsys, monkeypatch, path):
-    # every command, with every flag set that CI runs; degenerate differs only
-    # in its header and in the component of each entry, which is 0
+    # every command, with every flag set that CI runs, exits 0 on a valid
+    # tuple and 2 on an invalid one; a degenerate report differs only in its
+    # header and in the component of each entry, which is 0
     monkeypatch.chdir(ROOT)
     t = datum_from_jsonable(json.loads(Path(path).read_text(encoding="utf-8")))
+    expected = 2 if Path(path).parent.as_posix() in INVALID else 0
     copy = tmp_path / "datum.json"
     copy.write_text(json.dumps(datum_to_jsonable(t)), encoding="utf-8")
     dot = tmp_path / "out.dot"
     runs = zip(file_runs(path, t, str(dot)), file_runs(str(copy), t, str(dot)))
     for argv, copy_argv in runs:
         code, out, err, dot_bytes = _run_with_dot(capsys, argv, dot)
-        assert (code, err) == (0, ""), argv
-        assert (dot_bytes is None) == (argv[0] != "graph")
-        if argv[0] != "degenerate":
+        assert code == expected and (err == "") == (code == 0 or argv[0] == "analyze"), argv
+        assert (dot_bytes is None) == (argv[0] != "graph" or code != 0)
+        if argv[0] != "degenerate" or code != 0:
             assert _run_with_dot(capsys, copy_argv, dot) == (code, out, err, dot_bytes), argv
             continue
         copy_code, copy_out, copy_err, copy_dot = _run_with_dot(capsys, copy_argv, dot)
@@ -690,6 +694,19 @@ def test_a_tuple_file_prints_what_its_datum_copy_prints(tmp_path, capsys, monkey
         assert copy_head == datum_to_jsonable(t)
         assert rest == copy_rest, argv
         assert components == [None] * len(components) and copy_components == [0] * len(components)
+
+
+def test_a_failing_run_prints_at_most_one_error_line(tmp_path, capsys, monkeypatch):
+    # every replayed run exits as cli_runs says; one that exits 1 or 2 prints
+    # one "error: " line on stderr, or none from analyze, whose report says it
+    monkeypatch.chdir(ROOT)
+    for argv, expected in cli_runs(str(tmp_path / "out.dot")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == expected, argv
+        if code and argv[0] == "analyze":
+            assert err == "", argv
+        elif code:
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 def _other_generator_lists(gens: list) -> list[list]:

@@ -84,6 +84,9 @@ COMMANDS = {
 }
 RAW_CASES = sorted(RAW_TEXT) + sorted(RAW_BYTES)
 VALID_TUPLE_CASES = {"as-built", "three-identities"}
+# cases that load but fail validation: a node id on three points, and two
+# entries whose product is not e
+INVALID_CASES = {"node-id-on-three-points", "two-entries"}
 
 
 def run_cli(capsys, argv):
@@ -139,16 +142,19 @@ def _input(tmp_path, case, shape):
 
 
 def check_survives(tmp_path, capsys, command, case, shape):
-    """One command on one case: 2 for the datum that fails validation, 0 for
-    a valid tuple unless --dihedral names no point of it, else 1 with one
-    error line.  A file that does not load prints the loader's diagnostic,
-    the same under every command, naming its $.path where it is JSON."""
+    """One command on one case: 2 for a datum or tuple that fails validation,
+    with one error line unless the command is ``analyze``; 0 for a valid
+    tuple unless --dihedral names no point of it, else 1 with one error line.
+    A file that does not load prints the loader's diagnostic, the same under
+    every command, naming its $.path where it is JSON."""
     path = _input(tmp_path, case, shape)
     code, _, err = run_cli(capsys, _argv(COMMANDS[command], path, tmp_path))
     assert_clean_exit(code, err)
     valid = shape == "tuple" and case in VALID_TUPLE_CASES
-    if case == "node-id-on-three-points":
+    if case in INVALID_CASES:
         assert code == 2
+        assert err == "" if command.startswith("analyze") else (
+            err.count("\n") == 1 and err.startswith("error: datum does not validate: "))
     elif valid:
         assert code == (1 if command == "splits-dihedral-negative" else 0)
     else:

@@ -243,8 +243,13 @@ def test_class_labels_past_26_classes_of_one_order():
 def test_class_labels_and_table(a5):
     assert class_labels(a5) == ["1a", "2a", "3a", "5a", "5b"]
     rep = characters(audit.a5_dihedral_degenerations(a5)[0].datum)
-    table = render_character_table(a5, {"chi_dR": rep.chi_dR, "h1": rep.h1_character})
+    table = render_character_table(cohomology.classes_to_jsonable(a5),
+                                   {"chi_dR": rep.chi_dR, "h1": rep.h1_character})
     lines = table.splitlines()
     assert lines[0].split() == ["class", "order", "size", "chi_dR", "h1"]
     assert len(lines) == 2 + 5 + 1  # header, rule, 5 classes, degree line
-    assert "deg chi_dR = -10" in lines[-1]
+    # the rows are the report's classes, label, order and size, right-aligned
+    assert lines[2:7] == ["   1a      1     1     -10  12", "   2a      2    15       6  -4",
+                          "   3a      3    20       2   0", "   5a      5    12       0   2",
+                          "   5b      5    12       0   2"]
+    assert lines[-1] == "deg chi_dR = -10  deg h1 = 12"

@@ -37,6 +37,8 @@ BRIDGE_DATUM = "tests/golden/data/s3_dihedral_bridge_datum.json"
 DISCONNECTED_DATUM = "tests/golden/data/s5_disconnected_datum.json"
 # fails validation (two violations) and has an unstable component: analyze exits 2
 INVALID_DATUM = "tests/golden/invalid/s3_unstable_invalid_datum.json"
+# three 5-cycles: the entries load, and fail the surface relation as its datum form would
+INVALID_TUPLE = "tests/golden/invalid/a5_product_not_one_tuple.json"
 DOT_OUT = "DOT_OUT"
 
 
@@ -50,6 +52,7 @@ def golden_argvs() -> dict[str, list[str]]:
         "analyze_pretty_s5_disconnected": ["analyze", DISCONNECTED_DATUM, "--pretty"],
         "analyze_s3_unstable_invalid": ["analyze", INVALID_DATUM],
         "analyze_pretty_s3_unstable_invalid": ["analyze", INVALID_DATUM, "--pretty"],
+        "analyze_a5_product_not_one_tuple": ["analyze", INVALID_TUPLE],
         # a tuple file is read as its one-component datum
         "analyze_a5_tuple": ["analyze", "docs/examples/a5_tuple.json"],
         "character": ["character", DATUM],
