@@ -417,6 +417,13 @@ class ClassRecord(Record, eq=False):
     __slots__ = ("rep", "conjugators", "pairs")
     _fields = ("rep", "conjugators")
 
+    def __reduce__(self):  # a mappingproxy does not pickle: carry its dict, wrapped again on load
+        return _read_only_record, (self.rep, dict(self.conjugators), self.pairs)
+
+
+def _read_only_record(rep: int, conjugators: dict[int, int], pairs: tuple) -> ClassRecord:
+    return ClassRecord(rep, MappingProxyType(conjugators), pairs)
+
 
 def _class_record(group: PermGroup, x: int) -> ClassRecord:
     """Orbit-stabilizer on x's class (Holt, Eick and O'Brien, Handbook of
@@ -471,7 +478,7 @@ def _class_record(group: PermGroup, x: int) -> ClassRecord:
                         new.append(hc)
     ids = sorted(map(index.__getitem__, closed))
     pairs = tuple((elements[c] + pad, elements[group.inv(c)]) for c in ids)
-    return ClassRecord(index[r], MappingProxyType(t), pairs)
+    return _read_only_record(index[r], t, pairs)
 
 
 def _is_central(group: PermGroup, x: int) -> bool:
