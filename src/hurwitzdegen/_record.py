@@ -22,23 +22,25 @@ records without a constructor of their own have six field counts, so
 importing the package runs six small ``exec`` calls, not 13: 1.0-1.8 ms of
 a 30-48 ms ``import hurwitzdegen.cli`` on a 2-core x86 host.  A record
 writes its own constructor only to build its fields from other input (a
-tuple's points from its entries) or to set a slot filled on first use.  A
-slot that repr, equality and hash should ignore sits outside ``_fields``: a
-class record's stored centralizer pairs, which its constructor sets with
-the other fields, and the one slot filled on first use, a datum's canonical
-key.
+tuple's points from its entries) or to set a slot filled on first use; the
+two that do, ``BoundaryDatum`` and ``HurwitzTuple``, write their slots
+through the same descriptor setters.  A slot that repr, equality and hash
+should ignore sits outside ``_fields``: a class record's stored centralizer
+pairs, which its constructor sets with the other fields, and the one slot
+filled on first use, a datum's canonical key.
 
 A datum's own constructor sets that key to ``None``; ``canonical_form``,
-the one function that fills it, sets it once, through ``set_field``, to a
-pure function of the fields, so every reader sees the same value whichever
+the one function that fills it, sets it once, through the slot's setter, to
+a pure function of the fields, so every reader sees the same value whichever
 call filled it.  It, and any record a group caches, holds ids or stored
 elements, never the group: a group that its own cache pointed back to would
 live on in a reference cycle until the cyclic garbage collector found it.
 
 Records copy and pickle: their state, the slots, is restored through
-``set_field``, so a datum's key travels with the fields it is a function
-of.  A group pickles with its caches; a class record sends its read-only
-conjugator map as a plain dict and wraps it again on load.
+``set_field``, which nothing else uses, so a datum's key travels with the
+fields it is a function of.  A group pickles with its caches; a class
+record sends its read-only conjugator map as a plain dict and wraps it
+again on load.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from __future__ import annotations
 from functools import cache
 from operator import attrgetter
 
-set_field = object.__setattr__   # a constructor's one write of a field, past Record.__setattr__
+set_field = object.__setattr__   # a restored slot's write, past Record.__setattr__
 
 
 class Record:

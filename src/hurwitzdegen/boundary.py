@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-from ._record import Record, set_field
+from ._record import Record
 from .errors import InvalidDatum, SchemaError
 from .graphs import GenGraph, gengraph_to_dot
 from .groups import (DEFAULT_CLOSURE_BOUND, MAX_DEGREE, PermGroup, is_inverting_involution,
@@ -75,9 +75,9 @@ class BoundaryDatum(Record, eq=False):
     _fields = ("group", "components")
 
     def __init__(self, group: PermGroup, components: tuple[MarkedComponent, ...]):
-        set_field(self, "group", group)
-        set_field(self, "components", components)
-        set_field(self, "_canonical", None)
+        _set_group(self, group)
+        _set_components(self, components)
+        _set_canonical(self, None)
 
     def node_ends(self) -> dict[int, list[tuple[int, int]]]:
         """node_id -> list of (component index, point index), in scan order."""
@@ -99,6 +99,11 @@ class BoundaryDatum(Record, eq=False):
 
     def point(self, ci: int, pi: int) -> MarkedPoint:
         return self.components[ci].points[pi]
+
+
+# the slot setters, which write past Record.__setattr__ as a compiled constructor does
+_set_group, _set_components, _set_canonical = (getattr(BoundaryDatum, name).__set__
+                                               for name in BoundaryDatum.__slots__)
 
 
 def validate(datum: BoundaryDatum) -> list[Violation]:
@@ -166,7 +171,7 @@ class HurwitzTuple(BoundaryDatum, eq=False):
     _fields = ("group", "components")
 
     def __init__(self, group: PermGroup, entries: tuple[int, ...]):
-        points = tuple(map(MarkedPoint.cyclic, entries))
+        points = tuple([MarkedPoint(CYCLIC, m, None, None) for m in entries])
         BoundaryDatum.__init__(self, group, (MarkedComponent(0, (), points),))
 
     @property
@@ -311,7 +316,7 @@ def canonical_form(datum: BoundaryDatum) -> tuple:
     if key is None:
         shape, ids = _layout(datum)
         key = (shape, least_conjugate(datum.group, ids))
-        set_field(datum, "_canonical", key)
+        _set_canonical(datum, key)
     return key
 
 
@@ -324,21 +329,30 @@ def equivalent(d1: BoundaryDatum, d2: BoundaryDatum) -> bool:
 
 
 def datum_to_jsonable(datum: BoundaryDatum) -> dict:
-    G = datum.group
+    elements = datum.group.elements
     comps = []
     for comp in datum.components:
         points = []
         for pt in comp.points:
-            entry: dict = {"kind": pt.kind, "m": list(G.perm(pt.m))}
+            entry: dict = {"kind": pt.kind, "m": list(elements[pt.m])}
             if pt.s is not None:
-                entry["s"] = list(G.perm(pt.s))
+                entry["s"] = list(elements[pt.s])
             if pt.node_id is not None:
                 entry["node"] = pt.node_id
             points.append(entry)
         comps.append({"genus": comp.genus,
-                      "handles": [[list(G.perm(a)), list(G.perm(b))] for a, b in comp.handles],
+                      "handles": [[list(elements[a]), list(elements[b])] for a, b in comp.handles],
                       "points": points})
-    return {"group": G.to_jsonable(), "components": comps}
+    return {"group": datum.group.to_jsonable(), "components": comps}
+
+
+# each object's schema keys, for one C-level subset test; a $.path is built only to raise
+_GROUP_KEYS = frozenset(("degree", "generators"))
+_DATUM_KEYS = frozenset(("group", "components"))
+_COMPONENT_KEYS = frozenset(("genus", "handles", "points"))
+_POINT_KEYS = frozenset(("kind", "m", "s", "node"))
+_TUPLE_KEYS = frozenset(("group", "entries"))
+_INTS = frozenset((int,))
 
 
 def _is_int(x) -> bool:
@@ -349,33 +363,31 @@ def _is_int(x) -> bool:
 def _is_int_list(raw) -> bool:
     """A JSON array of JSON integers, its images' types checked in one C pass;
     ``type(True)`` is ``bool``, so booleans fail."""
-    return type(raw) is list and set(map(type, raw)) <= {int}
+    return type(raw) is list and set(map(type, raw)) <= _INTS
 
 
-def _reject_unknown_keys(obj: dict, keys: set[str], path: str) -> None:
-    """A key outside the schema is an error, not a field left at its
-    default: one C-level key-set difference per object, naming the least
-    unknown key."""
-    unknown = obj.keys() - keys
-    if unknown:
-        raise SchemaError(f"{path}.{min(unknown)}",
-                          f"unknown field; expected only {', '.join(sorted(keys))}")
+def _reject_unknown_keys(obj: dict, keys: frozenset[str], path: str):
+    """Raise on the least key of ``obj`` outside ``keys``: an unknown field is an error."""
+    raise SchemaError(f"{path}.{min(obj.keys() - keys)}",
+                      f"unknown field; expected only {', '.join(sorted(keys))}")
 
 
-def _perm_id(G: PermGroup, raw, path: str) -> int:
-    """The id of an image array; ``PermGroup.id_of`` is its one permutation check."""
-    if not _is_int_list(raw):
-        raise SchemaError(path, "expected a permutation as a list of integer images")
+def _perm_id(G: PermGroup, raw, path: str, *at: int) -> int:
+    """An image array's id, checked by ``PermGroup.id_of``; an error names ``path.format(*at)``."""
     try:
-        return G.id_of(raw)
+        if _is_int_list(raw):
+            return G.id_of(raw)
+        detail = "expected a permutation as a list of integer images"
     except KeyError as exc:
-        raise SchemaError(path, exc.args[0]) from None
+        detail = exc.args[0]
+    raise SchemaError(path.format(*at), detail)
 
 
 def _group_from_jsonable(grp, max_order: int) -> PermGroup:
     if not isinstance(grp, dict) or "degree" not in grp or "generators" not in grp:
         raise SchemaError("$.group", "expected {degree, generators}")
-    _reject_unknown_keys(grp, {"degree", "generators"}, "$.group")
+    if not grp.keys() <= _GROUP_KEYS:
+        _reject_unknown_keys(grp, _GROUP_KEYS, "$.group")
     if not _is_int(grp["degree"]) or grp["degree"] < 0:
         raise SchemaError("$.group.degree", "expected a nonnegative integer")
     if grp["degree"] > MAX_DEGREE:
@@ -399,63 +411,69 @@ def datum_from_jsonable(obj, *, max_order: int = DEFAULT_CLOSURE_BOUND) -> Bound
         if key not in obj:
             raise SchemaError(f"$.{key}", "missing required field")
     G = _group_from_jsonable(obj["group"], max_order)
-    _reject_unknown_keys(obj, {"group", "components"}, "$")
+    if not obj.keys() <= _DATUM_KEYS:
+        _reject_unknown_keys(obj, _DATUM_KEYS, "$")
     comps = []
     if not isinstance(obj["components"], list) or not obj["components"]:
         raise SchemaError("$.components", "expected a non-empty list")
     for ci, comp in enumerate(obj["components"]):
-        base = f"$.components[{ci}]"
         if not isinstance(comp, dict):
-            raise SchemaError(base, "expected an object")
-        _reject_unknown_keys(comp, {"genus", "handles", "points"}, base)
+            raise SchemaError(f"$.components[{ci}]", "expected an object")
+        if not comp.keys() <= _COMPONENT_KEYS:
+            _reject_unknown_keys(comp, _COMPONENT_KEYS, f"$.components[{ci}]")
         genus = comp.get("genus", 0)
         if not _is_int(genus) or genus < 0:
-            raise SchemaError(f"{base}.genus", "expected a nonnegative integer")
+            raise SchemaError(f"$.components[{ci}].genus", "expected a nonnegative integer")
         raw_handles, raw_points = comp.get("handles", []), comp.get("points", [])
         if not isinstance(raw_handles, list) or len(raw_handles) != genus:
-            raise SchemaError(f"{base}.handles", f"expected a list of {genus} [a, b] pair(s), "
-                                                 "one per unit of genus")
+            raise SchemaError(f"$.components[{ci}].handles",
+                              f"expected a list of {genus} [a, b] pair(s), one per unit of genus")
         if not isinstance(raw_points, list):
-            raise SchemaError(f"{base}.points", "expected a list")
+            raise SchemaError(f"$.components[{ci}].points", "expected a list")
         handles = []
         for hi, pair in enumerate(raw_handles):
             if not isinstance(pair, list) or len(pair) != 2:
-                raise SchemaError(f"{base}.handles[{hi}]", "expected [a, b]")
-            handles.append((_perm_id(G, pair[0], f"{base}.handles[{hi}][0]"),
-                            _perm_id(G, pair[1], f"{base}.handles[{hi}][1]")))
+                raise SchemaError(f"$.components[{ci}].handles[{hi}]", "expected [a, b]")
+            handles.append((_perm_id(G, pair[0], "$.components[{}].handles[{}][0]", ci, hi),
+                            _perm_id(G, pair[1], "$.components[{}].handles[{}][1]", ci, hi)))
         points = []
         for pi, pt in enumerate(raw_points):
-            ppath = f"{base}.points[{pi}]"
             if not isinstance(pt, dict) or "kind" not in pt or "m" not in pt:
-                raise SchemaError(ppath, "expected {kind, m, ...}")
-            _reject_unknown_keys(pt, {"kind", "m", "s", "node"}, ppath)
+                raise SchemaError(f"$.components[{ci}].points[{pi}]", "expected {kind, m, ...}")
+            if not pt.keys() <= _POINT_KEYS:
+                _reject_unknown_keys(pt, _POINT_KEYS, f"$.components[{ci}].points[{pi}]")
             kind = pt["kind"]
             if kind not in (CYCLIC, DIHEDRAL, NODE_END):
-                raise SchemaError(f"{ppath}.kind", f"unknown kind {kind!r}")
-            for key, owner in (("s", DIHEDRAL), ("node", NODE_END)):
-                if (key in pt) != (kind == owner):
-                    raise SchemaError(f"{ppath}.{key}", f"{owner} points need {key}"
-                                      if kind == owner else f"only {owner} points carry {key}")
-            m = _perm_id(G, pt["m"], f"{ppath}.m")
+                raise SchemaError(f"$.components[{ci}].points[{pi}].kind", f"unknown kind {kind!r}")
+            if ("s" in pt) != (kind == DIHEDRAL) or ("node" in pt) != (kind == NODE_END):
+                for key, owner in (("s", DIHEDRAL), ("node", NODE_END)):  # the first to fail
+                    if (key in pt) != (kind == owner):
+                        raise SchemaError(f"$.components[{ci}].points[{pi}].{key}",
+                                          f"{owner} points need {key}" if kind == owner
+                                          else f"only {owner} points carry {key}")
+            m = _perm_id(G, pt["m"], "$.components[{}].points[{}].m", ci, pi)
             if kind == NODE_END and not _is_int(pt["node"]):
-                raise SchemaError(f"{ppath}.node", "node end needs an integer node id")
-            s = _perm_id(G, pt["s"], f"{ppath}.s") if kind == DIHEDRAL else None
+                raise SchemaError(f"$.components[{ci}].points[{pi}].node",
+                                  "node end needs an integer node id")
+            s = (_perm_id(G, pt["s"], "$.components[{}].points[{}].s", ci, pi)
+                 if kind == DIHEDRAL else None)
             points.append(MarkedPoint(kind, m, s, pt.get("node")))
         comps.append(MarkedComponent(genus, tuple(handles), tuple(points)))
     return BoundaryDatum(G, tuple(comps))
 
 
 def tuple_to_jsonable(t: HurwitzTuple) -> dict:
-    return {"group": t.group.to_jsonable(),
-            "entries": [list(t.group.perm(g)) for g in t.entries]}
+    elements = t.group.elements
+    return {"group": t.group.to_jsonable(), "entries": [list(elements[g]) for g in t.entries]}
 
 
 def tuple_from_jsonable(obj, *, max_order: int = DEFAULT_CLOSURE_BOUND) -> HurwitzTuple:
     if not isinstance(obj, dict) or "group" not in obj or "entries" not in obj:
         raise SchemaError("$", "expected {group, entries}")
     G = _group_from_jsonable(obj["group"], max_order)
-    _reject_unknown_keys(obj, {"group", "entries"}, "$")
+    if not obj.keys() <= _TUPLE_KEYS:
+        _reject_unknown_keys(obj, _TUPLE_KEYS, "$")
     if not isinstance(obj["entries"], list) or not obj["entries"]:
         raise SchemaError("$.entries", "expected a non-empty list of permutations")
-    ids = [_perm_id(G, e, f"$.entries[{i}]") for i, e in enumerate(obj["entries"])]
+    ids = [_perm_id(G, e, "$.entries[{}]", i) for i, e in enumerate(obj["entries"])]
     return HurwitzTuple(G, tuple(ids))

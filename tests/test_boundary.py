@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import functools
+import operator
 import random
 
 import pytest
@@ -477,16 +480,167 @@ def test_datum_schema_errors(a5, mutate, path_part):
     assert path_part in str(err.value)
 
 
-def test_tuple_schema_errors(a5):
-    t = audit.a5_tuple(a5)
-    obj = tuple_to_jsonable(t)
-    # a product other than e is a validation failure (test_product_not_one), not a schema one
-    obj["entries"] = obj["entries"][:2] + [[0, 1]]
-    with pytest.raises(SchemaError, match=r"\$\.entries\[2\]: "):
-        tuple_from_jsonable(obj)
-    obj["entries"] = []
-    with pytest.raises(SchemaError, match=r"\$\.entries: expected a non-empty list"):
-        tuple_from_jsonable(obj)
+C3 = [1, 2, 0]  # a 3-cycle and a transposition of S3, its generators
+T3 = [1, 0, 2]
+NOT_AN_IMAGE_LIST = "expected a permutation as a list of integer images"
+DROP = object()
+# one schema-valid file of every shape: a genus-1 component with a cyclic,
+# a dihedral and a node point, and one whose genus and handles are defaults
+BASE_DATUM = {"group": {"degree": 3, "generators": [C3, T3]},
+              "components": [{"genus": 1, "handles": [[T3, C3]],
+                              "points": [{"kind": "cyclic", "m": C3},
+                                         {"kind": "dihedral", "m": C3, "s": T3},
+                                         {"kind": "node", "m": T3, "node": 0}]},
+                             {"points": [{"kind": "node", "m": T3, "node": 0}]}]}
+BASE_TUPLE = {"group": {"degree": 3, "generators": [C3, T3]}, "entries": [T3, T3, C3]}
+
+
+def _edited(base, *edits):
+    """A copy of ``base`` with each ``(path, value)`` edit made: the value set
+    at the dotted path of keys and indices, or the key deleted if it is DROP."""
+    obj = copy.deepcopy(base)
+    for path, value in edits:
+        *head, last = (int(k) if k.isdigit() else k for k in path.split("."))
+        target = functools.reduce(operator.getitem, head, obj)
+        if value is DROP:
+            del target[last]
+        else:
+            target[last] = value
+    return obj
+
+
+def _datum(*edits):
+    return _edited(BASE_DATUM, *edits)
+
+
+def _tuple(*edits):
+    return _edited(BASE_TUPLE, *edits)
+
+
+P = "components.0.points"
+load, load_tuple = datum_from_jsonable, tuple_from_jsonable
+LOADER_DIAGNOSTICS = {
+    # $, and the dispatch to the tuple loader
+    "root-not-an-object": (load, [BASE_DATUM], "$: expected a JSON object"),
+    "group-missing": (load, _datum(("group", DROP)), "$.group: missing required field"),
+    "components-missing": (load, _datum(("components", DROP)),
+                           "$.components: missing required field"),
+    "root-unknown-keys": (load, _datum(("zeta", 1), ("comment", "")),
+                          "$.comment: unknown field; expected only components, group"),
+    "group-before-unknown-keys": (load, _datum(("comment", ""), ("group", 5)),
+                                  "$.group: expected {degree, generators}"),
+    # $.group
+    "group-not-an-object": (load, _datum(("group", [C3])), "$.group: expected {degree, generators}"),
+    "group-without-generators": (load, _datum(("group.generators", DROP)),
+                                 "$.group: expected {degree, generators}"),
+    "group-unknown-key": (load, _datum(("group.order", 6)),
+                          "$.group.order: unknown field; expected only degree, generators"),
+    "degree-a-string": (load, _datum(("group.degree", "3")),
+                        "$.group.degree: expected a nonnegative integer"),
+    "degree-a-boolean": (load, _datum(("group.degree", True)),
+                         "$.group.degree: expected a nonnegative integer"),
+    "degree-negative": (load, _datum(("group.degree", -1)),
+                        "$.group.degree: expected a nonnegative integer"),
+    "degree-too-large": (load, _datum(("group.degree", groups.MAX_DEGREE + 1)),
+                         f"$.group.degree: degree {groups.MAX_DEGREE + 1} exceeds "
+                         f"{groups.MAX_DEGREE}"),
+    "generators-not-a-list": (load, _datum(("group.generators", C3)),
+                              "$.group.generators: expected permutations as lists of integers"),
+    "generator-with-a-boolean": (load, _datum(("group.generators.1", [True, False, 2])),
+                                 "$.group.generators: expected permutations as lists of integers"),
+    "generator-not-a-permutation": (load, _datum(("group.generators.0", [0, 0, 1])),
+                                    "$.group: not a permutation of 0..2: "
+                                    "point 1's image 0 is also point 0's"),
+    "generator-of-another-degree": (load, _datum(("group.generators.0", [1, 0])),
+                                    "$.group: generator degree 2 != 3"),
+    "closure-bound": (functools.partial(load, max_order=5), BASE_DATUM,
+                      "$.group: closure exceeded 5 elements"),
+    # $.components[i]
+    "components-empty": (load, _datum(("components", [])), "$.components: expected a non-empty list"),
+    "components-an-object": (load, _datum(("components", {})),
+                             "$.components: expected a non-empty list"),
+    "component-not-an-object": (load, _datum(("components.1", [])),
+                                "$.components[1]: expected an object"),
+    "component-unknown-keys": (load, _datum(("components.1.pionts", []), ("components.1.name", "")),
+                               "$.components[1].name: unknown field; "
+                               "expected only genus, handles, points"),
+    "genus-negative": (load, _datum(("components.1.genus", -1)),
+                       "$.components[1].genus: expected a nonnegative integer"),
+    "genus-a-boolean": (load, _datum(("components.0.genus", True)),
+                        "$.components[0].genus: expected a nonnegative integer"),
+    "handles-short-of-genus": (load, _datum(("components.0.handles", [])),
+                               "$.components[0].handles: expected a list of 1 [a, b] pair(s), "
+                               "one per unit of genus"),
+    "handles-not-a-list": (load, _datum(("components.1.handles", 5)),
+                           "$.components[1].handles: expected a list of 0 [a, b] pair(s), "
+                           "one per unit of genus"),
+    "points-not-a-list": (load, _datum(("components.1.points", {})),
+                          "$.components[1].points: expected a list"),
+    # handles[h][j]
+    "handle-not-a-pair": (load, _datum(("components.0.handles.0", [T3])),
+                          "$.components[0].handles[0]: expected [a, b]"),
+    "handle-image-a-boolean": (load, _datum(("components.0.handles.0.1", [True, False, 2])),
+                               f"$.components[0].handles[0][1]: {NOT_AN_IMAGE_LIST}"),
+    "handle-not-an-element": (load, _datum(("components.0.handles.0.0", [0, 1, 1])),
+                              "$.components[0].handles[0][0]: "
+                              "permutation [0, 1, 1] is not an element of this group"),
+    # points[p]
+    "point-not-an-object": (load, _datum((f"{P}.2", 5)),
+                            "$.components[0].points[2]: expected {kind, m, ...}"),
+    "point-without-m": (load, _datum((f"{P}.1.m", DROP)),
+                        "$.components[0].points[1]: expected {kind, m, ...}"),
+    "point-unknown-key": (load, _datum(("components.1.points.0.label", "p")),
+                          "$.components[1].points[0].label: unknown field; "
+                          "expected only kind, m, node, s"),
+    "kind-unknown": (load, _datum((f"{P}.0.kind", ["cyclic"])),
+                     "$.components[0].points[0].kind: unknown kind ['cyclic']"),
+    "s-on-a-cyclic-point": (load, _datum((f"{P}.0.s", T3)),
+                            "$.components[0].points[0].s: only dihedral points carry s"),
+    "dihedral-point-without-s": (load, _datum((f"{P}.1.s", DROP)),
+                                 "$.components[0].points[1].s: dihedral points need s"),
+    "node-on-a-dihedral-point": (load, _datum((f"{P}.1.node", 0)),
+                                 "$.components[0].points[1].node: only node points carry node"),
+    "node-end-without-node": (load, _datum((f"{P}.2.node", DROP)),
+                              "$.components[0].points[2].node: node points need node"),
+    "m-a-boolean-list": (load, _datum((f"{P}.0.m", [True, False, 2])),
+                         f"$.components[0].points[0].m: {NOT_AN_IMAGE_LIST}"),
+    "m-past-255": (load, _datum(("components.1.points.0.m", [0, 1, 256])),
+                   "$.components[1].points[0].m: "
+                   "permutation [0, 1, 256] is not an element of this group"),
+    "m-before-node": (load, _datum((f"{P}.2.m", None), (f"{P}.2.node", "0")),
+                      f"$.components[0].points[2].m: {NOT_AN_IMAGE_LIST}"),
+    "node-a-string": (load, _datum((f"{P}.2.node", "0")),
+                      "$.components[0].points[2].node: node end needs an integer node id"),
+    "m-before-s": (load, _datum((f"{P}.1.m", [0, 1]), (f"{P}.1.s", None)),
+                   "$.components[0].points[1].m: "
+                   "permutation [0, 1] is not an element of this group"),
+    "s-not-a-list": (load, _datum((f"{P}.1.s", None)),
+                     f"$.components[0].points[1].s: {NOT_AN_IMAGE_LIST}"),
+    # tuples: $ and $.entries[i]
+    "tuple-not-an-object": (load_tuple, [BASE_TUPLE], "$: expected {group, entries}"),
+    "tuple-without-group": (load, _tuple(("group", DROP)), "$: expected {group, entries}"),
+    "tuple-group-not-an-object": (load, _tuple(("group", None)),
+                                  "$.group: expected {degree, generators}"),
+    "tuple-unknown-key": (load, _tuple(("entires", [])),
+                          "$.entires: unknown field; expected only entries, group"),
+    "entries-empty": (load, _tuple(("entries", [])),
+                      "$.entries: expected a non-empty list of permutations"),
+    "entries-not-a-list": (load_tuple, _tuple(("entries", None)),
+                           "$.entries: expected a non-empty list of permutations"),
+    "entry-a-boolean-list": (load, _tuple(("entries.1", [False, True, 2])),
+                             f"$.entries[1]: {NOT_AN_IMAGE_LIST}"),
+    "entry-not-an-element": (load, _tuple(("entries.2", [0, 1])),
+                             "$.entries[2]: permutation [0, 1] is not an element of this group"),
+}
+
+
+@pytest.mark.parametrize("case", LOADER_DIAGNOSTICS)
+def test_loader_diagnostic(case):
+    """One malformed file per raise site of the loaders: the exact ``path: detail``."""
+    loader, obj, message = LOADER_DIAGNOSTICS[case]
+    with pytest.raises(SchemaError) as err:
+        loader(obj)
+    assert str(err.value) == message
 
 
 def test_validate_on_random_product_one_tuples(s4):

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import copy
 import importlib
+import json
 import pickle
 import pkgutil
 import re
@@ -18,10 +19,13 @@ import hurwitzdegen
 from hurwitzdegen import (BoundaryDatum, ClassRecord, CosetTable, CoverCurve,
                           Degeneration, DevissageReport, GenGraph, GraphAction, HurwitzTuple,
                           MarkedComponent, MarkedPoint, PermGroup, Subgroup, Violation,
-                          canonical_form, validate)
+                          canonical_form, datum_from_jsonable, datum_to_jsonable, degen,
+                          tuple_from_jsonable, tuple_to_jsonable, validate)
 from hurwitzdegen._record import Record
 from hurwitzdegen.audit import AuditCheck
 from hurwitzdegen.boundary import DualGraphOfGroups
+
+from conftest import a5_smoothed_tuple
 
 VALUE, IDENTITY = "value", "identity"
 
@@ -257,3 +261,35 @@ def test_a_group_pickles_with_its_class_records(fixture, request):
     assert all(d.group is H for d in copied)
     assert [d._canonical for d in copied] == keys
     assert [canonical_form(BoundaryDatum(H, d.components)) for d in copied] == keys
+
+
+# every way the package builds a datum, from the A5 tuple t of branch orders
+# (2, 2, 2, 3): its constructor, both loaders and every degen move
+DATUM_BUILDS = {
+    "HurwitzTuple": lambda t: HurwitzTuple(t.group, t.entries),
+    "datum_from_jsonable": lambda t: datum_from_jsonable(datum_to_jsonable(degen.split(
+        degen.dihedral(t, 0, 3)[0], 0, 2))),
+    "datum_from_jsonable-tuple": lambda t: datum_from_jsonable(tuple_to_jsonable(t)),
+    "tuple_from_jsonable": lambda t: tuple_from_jsonable(tuple_to_jsonable(t)),
+    "split": lambda t: degen.split(t, 0, 2),
+    "dihedral": lambda t: degen.dihedral(t, 0, 3)[-1],
+    "collide": lambda t: degen.collide(t, 0, 0),
+    "smooth": lambda t: degen.smooth(degen.collide(t, 0, 0), 0, 0),
+}
+
+
+@pytest.mark.parametrize("build", DATUM_BUILDS.values(), ids=DATUM_BUILDS)
+def test_a_built_datum_starts_unkeyed_and_keys_as_its_json(build, a5):
+    """A new datum has no key yet; its key is that of the datum its own JSON
+    loads to, and copies and pickles keep its fields before and after keying."""
+    datum = build(a5_smoothed_tuple(a5))
+    assert datum._canonical is None
+    for how in COPIES:
+        assert opened(how(datum)) == opened(datum)
+    reloaded = [datum_from_jsonable(json.loads(json.dumps(datum_to_jsonable(datum))))]
+    if isinstance(datum, HurwitzTuple):
+        reloaded.append(tuple_from_jsonable(json.loads(json.dumps(tuple_to_jsonable(datum)))))
+    for other in reloaded:
+        assert other.group is not datum.group and canonical_form(other) == canonical_form(datum)
+    for how in COPIES:
+        assert opened(how(datum)) == opened(datum)
