@@ -3,9 +3,10 @@
 Every command runs on every file in ``docs/examples`` and ``tests/golden/data``,
 tuple or datum, and on each datum or tuple in ``tests/golden/invalid``, which
 fails validation.  ``degenerate`` runs with ``--splits`` and with ``--dihedral`` at
-each cyclic point, each with and without ``--dedup``.  The CI workflow builds
-its run lists here; run from the repository root with ``src`` and ``tests``
-on the import path.
+each cyclic point, each with and without ``--dedup``.  ``test_cli.py``
+replays every run in process; only the CI step that compares each run with
+its run under ``python -O`` still builds its run list here, from the
+repository root with ``src`` and ``tests`` on the import path.
 """
 
 from __future__ import annotations

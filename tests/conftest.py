@@ -69,6 +69,28 @@ def s4_on_257():
     return PermGroup([perm_from_cycles(257, (0, 1, 2, 3)), perm_from_cycles(257, (0, 1))])
 
 
+def psl2_generators(p: int, degree: int = 0) -> list[tuple[int, ...]]:
+    """PSL(2, p) on the projective line over F_p, point p playing infinity:
+    z -> z+1 and z -> -1/z (the audit's formula for p = 7), with the points
+    from p + 1 up to ``degree`` fixed."""
+    fixed = tuple(range(p + 1, degree))
+    return [tuple((z + 1) % p for z in range(p)) + (p,) + fixed,
+            (p,) + tuple(-pow(z, p - 2, p) % p for z in range(1, p)) + (0,) + fixed]
+
+
+def mathieu_generators(degree: int) -> list[tuple[int, ...]]:
+    """M11 on 11 points, <(0..10), (2,6,10,7)(3,9,4,5)>, or M12 on 12, which
+    adds (0,11)(1,10)(2,5)(3,7)(4,8)(6,9)."""
+    gens = [perm_from_cycles(degree, tuple(range(11))),
+            perm_from_cycles(degree, (2, 6, 10, 7), (3, 9, 4, 5))]
+    if degree == 12:
+        gens.append(perm_from_cycles(12, (0, 11), (1, 10), (2, 5), (3, 7), (4, 8), (6, 9)))
+    return gens
+
+
+A8_GENERATORS = [perm_from_cycles(8, tuple(range(7))), perm_from_cycles(8, (5, 6, 7))]
+
+
 def stored_order(G: PermGroup) -> list[int]:
     """The ids of G in stored-element order, as the image tuples sort: the
     k-th is the k-th least element.  Seeded draws index it, so a seed draws

@@ -1,155 +1,300 @@
 #!/usr/bin/env python3
-"""Peak memory of repeated boundary-strata rounds on one large group, or
-the cost of closing large groups, their classes and their class records.
+"""The scale harness: stage times and peak memory on a fixed ladder of rungs.
 
-    PYTHONPATH=src python tests/scale_probe.py [--p 29] [--rounds 30]
-    PYTHONPATH=src python tests/scale_probe.py --closure
+    python tests/scale_probe.py [--against SRC]
 
-Each round loads a fresh PSL(2,p) 4-tuple (x, x^-1, y, y^-1) from JSON,
-enumerates its split degenerations and its dihedral degenerations at entry
-0, and dedups them.  The group acts on the p+1 points of the projective line
-(point p is infinity) through g1: z -> z+1 and g2: z -> -1/z, with x = g1 g2
-and y = g2.  A group that outlives its round keeps its element list, tables
-and class records into the next ones, so the peak resident set grows with
-the rounds; a group freed with its round keeps it near one round's.  Prints
-``strata scale probe: peak RSS N MB, T s (load L s, moves M s, keys K s)``,
-T being the rounds' wall time and L, M and K its parts: loading the tuple
-(closure included), enumerating its degenerations, and keying them in
-``dedup``.
+Each rung is one fixed datum, from |G| = 60 to 285,852, built here once
+with the package from this checkout's ``src``:
 
-With ``--closure`` it instead builds, one after another and by order,
-PSL(2,19) (3,420), M11 (7,920), A8 (20,160), PSL(2,41) (34,440), M12
-(95,040) and PSL(2,83) (285,852), then PSL(2,19) and PSL(2,41) again on
-300 points, the points past p + 1 fixed, so their elements are stored as
-tuples.  Each group is built five times, each time in a fresh interpreter,
-so that the spread is that of whole processes, and one line each prints the
-median seconds to close the group, to build its conjugacy classes and then
-to build the class record of every non-central class, each followed by the
-least and greatest of the five processes, so that a change can be read
-against the run-to-run spread, and the largest peak resident set of the
-five, read before the records are built.  M11, A8 and M12 are the groups
-that are not PSL(2,q): M11 = <(1..11), (3,7,11,8)(4,10,5,6)>,
-A8 = <(1..7), (6,7,8)>, and M12 adds
-(1,12)(2,11)(3,6)(4,8)(5,9)(7,10) to M11's generators (points counted from 1
-here, from 0 in the code).
+- A5 (60) and PSL(2,7) (168): ``docs/examples/a5_dihedral_datum.json`` and
+  ``docs/examples/psl27_tuple.json``;
+- PSL(2,19), M11, A8, PSL(2,41) and M12, then PSL(2,19) and PSL(2,41) on 300
+  points (the points past p + 1 fixed, so that elements are stored as
+  tuples): a dihedral datum on an A5 image (``a5_image_datum``);
+- PSL(2,83) (285,852): a seeded (2,3,7) generating tuple, whose vertex group
+  is G, and its dihedral datum at the order-7 point (``hurwitz_data``).
+
+Five fresh processes per rung run its datum through the ``STAGES``, in
+order: ``closure`` (``PermGroup`` on the datum's generators), ``load``
+(``datum_from_jsonable``, its own closure included), ``classes``,
+``graph_of_groups``, ``cover_report``, ``characters`` (``de_rham_character``),
+``json_out`` (``cli.json_dump`` of the ``analyze`` report) and ``records``
+(the class record of every non-central class).  ``perfbench/hostclock.py``
+times each stage and adjusts it to the host at full speed.  A process
+asserts |G| and reads its peak resident set before the records.  Whole
+processes are the unit, since one process's repeated runs spread less than
+fresh processes do.
+
+``--against SRC`` names a second checkout, whose ``src`` holds the package.
+Its processes run the same data files and alternate with this checkout's,
+process by process, so that both read the same phases of the host.
+
+Prints one markdown table of medians and writes ``BENCH_scale.json`` at the
+repository root: the command, the commit, the host (``nproc``, the Python
+version and the reference kernel's median time here, against
+``hostclock.REF_S`` at full speed); per rung |G|, the degree, the class
+count, the peak RSS and each stage's median and IQR in seconds; and per
+stage the log-log slope of the median against |G| over the rungs of degree
+at most 256.  The second checkout's rungs and slopes go under ``against``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import resource
+import math
+import os
+import platform
+import random
+import statistics
 import subprocess
 import sys
+import tempfile
+from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
-from statistics import median
-from time import perf_counter
+from typing import Callable
 
-from hurwitzdegen import (PermGroup, compose, dedup, dihedral_degenerations, inverse,
-                          perm_from_cycles, split_degenerations, tuple_from_jsonable)
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.append(str(PERFBENCH))
 
+import hostclock  # noqa: E402
+from hurwitzdegen import PermGroup, inverting_involutions  # noqa: E402
 
-def psl2_generators(p: int, degree: int = 0) -> list[list[int]]:
-    """z -> z+1 and z -> -1/z on the projective line over F_p, point p playing
-    infinity, and the points from p + 1 up to ``degree`` fixed."""
-    fixed = list(range(p + 1, degree))
-    return [[(z + 1) % p for z in range(p)] + [p] + fixed,
-            [p] + [(-pow(z, p - 2, p)) % p for z in range(1, p)] + [0] + fixed]
+from conftest import A8_GENERATORS, mathieu_generators, psl2_generators  # noqa: E402
 
-
-def mathieu_generators(degree: int) -> list[tuple[int, ...]]:
-    """M11 on 11 points, or M12 on 12: M11's two generators, and for M12 a third."""
-    gens = [perm_from_cycles(degree, tuple(range(11))),
-            perm_from_cycles(degree, (2, 6, 10, 7), (3, 9, 4, 5))]
-    if degree == 12:
-        gens.append(perm_from_cycles(12, (0, 11), (1, 10), (2, 5), (3, 7), (4, 8), (6, 9)))
-    return gens
+STAGES = ("closure", "load", "classes", "graph_of_groups", "cover_report", "characters",
+          "json_out", "records")
+PROCESSES = 5
+HURWITZ_SEED = 83
 
 
-CLOSURE_GROUPS = (  # (name, generators, order): the bytes storage by order, then tuples
-    ("PSL(2,19)", psl2_generators(19), 3420),
-    ("M11", mathieu_generators(11), 7920),
-    ("A8", [perm_from_cycles(8, tuple(range(7))), perm_from_cycles(8, (5, 6, 7))], 20160),
-    ("PSL(2,41)", psl2_generators(41), 34440),
-    ("M12", mathieu_generators(12), 95040),
-    ("PSL(2,83)", psl2_generators(83), 285852),
-    ("PSL(2,19) on 300 points", psl2_generators(19, 300), 3420),
-    ("PSL(2,41) on 300 points", psl2_generators(41, 300), 34440),
+def _by_order(G: PermGroup) -> dict[int, list[int]]:
+    """G's ids by element order, each list in the order of the permutations:
+    a rule on them does not depend on how the closure numbers G."""
+    out: dict[int, list[int]] = {}
+    for c in G.conjugacy_classes():
+        out.setdefault(G.element_order(c[0]), []).extend(c)
+    for ids in out.values():
+        ids.sort(key=G.elements.__getitem__)
+    return out
+
+
+def _datum(G: PermGroup, entries: list[int], index: int) -> dict:
+    """The one-component genus-0 datum on ``entries``, the point at ``index``
+    dihedral with the least involution inverting its m."""
+    s = min(inverting_involutions(G, entries[index]), key=G.elements.__getitem__)
+    points = [{"kind": "cyclic", "m": list(G.perm(m))} for m in entries]
+    points[index] = {"kind": "dihedral", "m": points[index]["m"], "s": list(G.perm(s))}
+    return {"group": G.to_jsonable(), "components": [{"genus": 0, "handles": [], "points": points}]}
+
+
+def a5_image_datum(gens: list) -> dict:
+    """A dihedral datum on an A5 image in G = <gens>: m the least element of
+    order 5, g the least involution with h = (m g)^-1 of order 3, and the
+    point of m dihedral.  <m, g> is a quotient of the (2,3,5) triangle
+    group, which is A5, so it is A5."""
+    G = PermGroup(gens)
+    orders = _by_order(G)
+    m = orders[5][0]
+    g = next(g for g in orders[2] if G.element_order(G.mul(m, g)) == 3)
+    return _datum(G, [m, g, G.inv(G.mul(m, g))], 0)
+
+
+@cache
+def hurwitz_data(p: int) -> tuple[dict, dict]:
+    """A (2,3,7) generating tuple of PSL(2, p), drawn with ``HURWITZ_SEED``
+    from its involutions and its elements of order 3 until the third entry
+    has order 7, and its dihedral datum at that order-7 point."""
+    G = PermGroup(psl2_generators(p))
+    orders, rng = _by_order(G), random.Random(HURWITZ_SEED)
+    while True:
+        x, y = rng.choice(orders[2]), rng.choice(orders[3])
+        if G.element_order(G.mul(x, y)) == 7:
+            break
+    assert G.generated_subgroup([x, y]).order == G.order
+    entries = [x, y, G.inv(G.mul(x, y))]
+    return ({"group": G.to_jsonable(), "entries": [list(G.perm(e)) for e in entries]},
+            _datum(G, entries, 2))
+
+
+def _example(name: str) -> Callable[[], dict]:
+    return lambda: json.loads((ROOT / "docs/examples" / name).read_text(encoding="utf-8"))
+
+
+@dataclass(frozen=True)
+class Rung:
+    name: str
+    order: int
+    build: Callable[[], dict]  # the datum's JSON
+
+
+RUNGS = (
+    Rung("A5", 60, _example("a5_dihedral_datum.json")),
+    Rung("PSL(2,7)", 168, _example("psl27_tuple.json")),
+    Rung("PSL(2,19)", 3420, lambda: a5_image_datum(psl2_generators(19))),
+    Rung("M11", 7920, lambda: a5_image_datum(mathieu_generators(11))),
+    Rung("A8", 20160, lambda: a5_image_datum(A8_GENERATORS)),
+    Rung("PSL(2,41)", 34440, lambda: a5_image_datum(psl2_generators(41))),
+    Rung("M12", 95040, lambda: a5_image_datum(mathieu_generators(12))),
+    Rung("PSL(2,83) tuple", 285852, lambda: hurwitz_data(83)[0]),
+    Rung("PSL(2,83) dihedral", 285852, lambda: hurwitz_data(83)[1]),
+    Rung("PSL(2,19) on 300 points", 3420, lambda: a5_image_datum(psl2_generators(19, 300))),
+    Rung("PSL(2,41) on 300 points", 34440, lambda: a5_image_datum(psl2_generators(41, 300))),
 )
 
+# one process on one rung: argv is the tree's src, perfbench, the datum file and |G|
+_ONE_PROCESS = """
+import contextlib, io, json, sys
+src, perfbench, path, order = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
+sys.path[:0] = [src, perfbench]
+import hostclock, hurwitzdegen
+from pathlib import Path
+from hurwitzdegen import (PermGroup, cover_report, datum_from_jsonable, de_rham_character,
+                          dual_graph_of_groups)
+from hurwitzdegen.cli import analyze_datum, json_dump
+assert Path(hurwitzdegen.__file__).resolve().parent == Path(src, "hurwitzdegen").resolve()
+obj = json.loads(Path(path).read_text(encoding="utf-8"))
+clock, seconds = hostclock.HostClock(), {}
 
-def peak_rss_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+def stage(name, fn, *args):
+    result, _, seconds[name] = clock.time(fn, *args)
+    return result
 
+def json_out(report):
+    with contextlib.redirect_stdout(io.StringIO()):
+        json_dump(report)
 
-# one build in a fresh interpreter: argv is the probe's directory and an index into CLOSURE_GROUPS
-_ONE_BUILD = """
-import json, sys
-from time import perf_counter
-sys.path.insert(0, sys.argv[1])
-from scale_probe import CLOSURE_GROUPS, PermGroup, peak_rss_mb
-name, generators, order = CLOSURE_GROUPS[int(sys.argv[2])]
-start = perf_counter()
-G = PermGroup(generators)
-closed = perf_counter()
-classes = G.conjugacy_classes()
-assert G.order == order, (name, G.order)
-classified, peak = perf_counter(), peak_rss_mb()
-for c in classes:
-    G.class_record(c[0])
-print(json.dumps([closed - start, classified - closed, perf_counter() - classified, peak]))
+def records(G):
+    for c in G.conjugacy_classes():
+        if len(c) > 1:
+            G.class_record(c[0])
+
+group = obj["group"]
+assert stage("closure", PermGroup, group["generators"], group["degree"]).order == order
+datum = stage("load", datum_from_jsonable, obj)
+G = datum.group
+classes = stage("classes", G.conjugacy_classes)
+gog = stage("graph_of_groups", dual_graph_of_groups, datum)
+stage("cover_report", cover_report, gog)
+stage("characters", de_rham_character, gog)
+report, code = analyze_datum(datum)
+assert G.order == order and code == 0
+stage("json_out", json_out, report)
+# this process's own high-water mark: ru_maxrss would keep the parent's across exec
+status = Path("/proc/self/status").read_text().splitlines()
+peak = int(next(line for line in status if line.startswith("VmHWM:")).split()[1]) / 1024  # kB
+stage("records", records, G)
+print(json.dumps({"degree": G.degree, "classes": len(classes), "peak_rss_mb": peak,
+                  "seconds": seconds}))
 """
 
 
-def closure_probe() -> None:
-    here = str(Path(__file__).resolve().parent)
-    for i, (name, _, order) in enumerate(CLOSURE_GROUPS):
-        runs = [json.loads(subprocess.run([sys.executable, "-c", _ONE_BUILD, here, str(i)],
-                                          capture_output=True, text=True, check=True).stdout)
-                for _ in range(5)]
-        closures, classes, records, peaks = map(list, zip(*runs))
-        print(f"closure scale probe: {name}, |G| = {order}: closure {spread(closures)}, "
-              f"classes {spread(classes)}, records {spread(records)}, "
-              f"peak RSS {max(peaks):.1f} MB")
+def one_process(tree: Path, path: Path, rung: Rung) -> dict:
+    cmd = [sys.executable, "-c", _ONE_PROCESS, str(tree / "src"), str(PERFBENCH), str(path),
+           str(rung.order)]
+    run = subprocess.run(cmd, capture_output=True, text=True)
+    if run.returncode:
+        raise RuntimeError(f"{rung.name} in {tree} failed:\n{run.stderr}")
+    return json.loads(run.stdout)
 
 
-def spread(seconds: list[float]) -> str:
-    """The median of timed runs, then their least and greatest: ``M s (L-G)``."""
-    return f"{median(seconds):.3f} s ({min(seconds):.3f}-{max(seconds):.3f})"
+def spread(seconds: list[float]) -> dict:
+    """The median of the processes' times and their interquartile range."""
+    iqr = 0.0
+    if len(seconds) > 1:
+        q1, _, q3 = statistics.quantiles(seconds, n=4)
+        iqr = q3 - q1
+    return {"median": _sig(statistics.median(seconds)), "iqr": _sig(iqr)}
 
 
-def psl2_tuple_json(p: int) -> str:
-    g1, g2 = psl2_generators(p)
-    x, y = compose(g1, g2), tuple(g2)
-    entries = [list(g) for g in (x, inverse(x), y, inverse(y))]
-    return json.dumps({"group": {"degree": p + 1, "generators": [g1, g2]}, "entries": entries})
+def _sig(x: float) -> float:
+    return float(f"{x:.4g}")
+
+
+def slopes(rungs: list[dict]) -> dict:
+    """Per stage, the least-squares slope of log median against log |G| over
+    the rungs of degree at most 256: 1 is linear in |G|."""
+    out = {}
+    for stage in STAGES:
+        pts = [(math.log(r["order"]), math.log(r["seconds"][stage]["median"])) for r in rungs
+               if r["degree"] <= 256 and r["seconds"][stage]["median"] > 0]
+        mx = statistics.fmean(x for x, _ in pts)
+        var = sum((x - mx) ** 2 for x, _ in pts)
+        out[stage] = _sig(sum((x - mx) * y for x, y in pts) / var) if var else None
+    return out
+
+
+def commit(tree: Path) -> str | None:
+    run = subprocess.run(["git", "-C", str(tree), "rev-parse", "HEAD"], capture_output=True,
+                         text=True)
+    return run.stdout.strip() or None
+
+
+def run(rungs=RUNGS, processes: int = PROCESSES, against: Path | None = None) -> dict:
+    """Every rung in ``processes`` fresh processes per tree, alternating the
+    trees process by process: the document ``BENCH_scale.json`` holds."""
+    trees = [ROOT] if against is None else [ROOT, against.resolve()]
+    results: dict[Path, list[dict]] = {tree: [] for tree in trees}
+    with tempfile.TemporaryDirectory() as work:
+        for i, rung in enumerate(rungs):
+            print(f"scale_probe: {rung.name}", file=sys.stderr)
+            path = Path(work, f"{i}.json")
+            path.write_text(json.dumps(rung.build()), encoding="utf-8")
+            runs: dict[Path, list[dict]] = {tree: [] for tree in trees}
+            for k in range(processes):
+                for tree in trees if k % 2 == 0 else trees[::-1]:
+                    runs[tree].append(one_process(tree, path, rung))
+            for tree, done in runs.items():
+                results[tree].append({
+                    "name": rung.name, "order": rung.order, "degree": done[0]["degree"],
+                    "classes": done[0]["classes"],
+                    "peak_rss_mb": round(max(r["peak_rss_mb"] for r in done), 1),
+                    "seconds": {s: spread([r["seconds"][s] for r in done]) for s in STAGES}})
+    kernel = [hostclock.kernel() for _ in range(120)][20:]  # the first 20 warm up
+
+    def tree_doc(tree: Path) -> dict:
+        return {"commit": commit(tree), "rungs": results[tree], "slopes": slopes(results[tree])}
+
+    return {
+        "command": "python tests/scale_probe.py" + (f" --against {against}" if against else ""),
+        "host": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
+                 "reference_kernel_s": _sig(statistics.median(e - s for s, e in kernel))},
+        "processes": processes,
+        "stages": list(STAGES),
+        **tree_doc(ROOT),
+        "against": None if against is None else {"src": str(against), **tree_doc(trees[1])},
+    }
+
+
+def table(doc: dict) -> str:
+    """Markdown: per rung and tree, a row of stage medians; per tree, a row of slopes."""
+    trees = [("this", doc)] + ([("against", doc["against"])] if doc["against"] else [])
+    rows = [["rung", "tree", "\\|G\\|", "degree", "classes", *STAGES, "peak RSS MB"],
+            ["---"] * (len(STAGES) + 6)]
+    for i in range(len(doc["rungs"])):
+        for name, tree in trees:
+            r = tree["rungs"][i]
+            ms = (f"{r['seconds'][s]['median'] * 1e3:.4g}" for s in STAGES)
+            rows.append([r["name"], name, r["order"], r["degree"], r["classes"], *ms,
+                         r["peak_rss_mb"]])
+    for name, tree in trees:
+        rows.append(["slope against \\|G\\| (degree ≤ 256)", name, "", "", "",
+                     *("" if v is None else f"{v:.2f}" for v in tree["slopes"].values()), ""])
+    return (f"Stage milliseconds, host-adjusted: medians of {doc['processes']} processes per "
+            "rung and tree.\n\n" + "\n".join("| " + " | ".join(map(str, r)) + " |" for r in rows))
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--p", type=int, default=29, help="an odd prime")
-    parser.add_argument("--rounds", type=int, default=30)
-    parser.add_argument("--closure", action="store_true",
-                        help="time the closure, classes and class records of "
-                             + ", ".join(name for name, _, _ in CLOSURE_GROUPS))
+    parser.add_argument("--against", type=Path, metavar="SRC",
+                        help="a second checkout, whose processes alternate with this one's")
     args = parser.parse_args()
-    if args.closure:
-        closure_probe()
-        return
-    text = psl2_tuple_json(args.p)
-    load = moves = keys = 0.0
-    for _ in range(args.rounds):
-        start = perf_counter()
-        t = tuple_from_jsonable(json.loads(text))
-        loaded = perf_counter()
-        found = split_degenerations(t) + dihedral_degenerations(t, 0)
-        moved = perf_counter()
-        dedup(found)
-        load += loaded - start
-        moves += moved - loaded
-        keys += perf_counter() - moved
-    print(f"strata scale probe: peak RSS {peak_rss_mb():.1f} MB, {load + moves + keys:.1f} s "
-          f"(load {load:.3f} s, moves {moves:.3f} s, keys {keys:.3f} s)")
+    doc = run(against=args.against)
+    (ROOT / "BENCH_scale.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    print(table(doc))
 
 
 if __name__ == "__main__":

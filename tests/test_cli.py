@@ -16,7 +16,7 @@ from hurwitzdegen.cli import analyze_datum, build_parser, json_dump, main
 from hurwitzdegen.errors import SchemaError
 from hurwitzdegen.groups import MAX_DEGREE
 
-from cli_runs import INVALID, VALID, cli_runs, file_runs, inputs
+from cli_runs import INVALID, VALID, cli_runs, file_runs, inputs, prints_json
 from conftest import a5_smoothed_tuple, a5_split_datum, disjoint_union
 
 NODE_CLASS_KEYS = {"kind", "stabilizer_order", "count"}
@@ -697,12 +697,15 @@ def test_a_tuple_file_prints_what_its_datum_copy_prints(tmp_path, capsys, monkey
 
 
 def test_a_failing_run_prints_at_most_one_error_line(tmp_path, capsys, monkeypatch):
-    # every replayed run exits as cli_runs says; one that exits 1 or 2 prints
+    # every replayed run exits as cli_runs says, and a JSON report prints as
+    # json.dumps(indent=2) would on this Python; a run that exits 1 or 2 prints
     # one "error: " line on stderr, or none from analyze, whose report says it
     monkeypatch.chdir(ROOT)
     for argv, expected in cli_runs(str(tmp_path / "out.dot")):
-        code, _, err = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *argv)
         assert code == expected, argv
+        if prints_json(argv, code):
+            assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
         if code and argv[0] == "analyze":
             assert err == "", argv
         elif code:

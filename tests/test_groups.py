@@ -14,9 +14,9 @@ from hurwitzdegen.errors import ClosureBoundExceeded, DegreeMismatch
 from hurwitzdegen.groups import as_perm
 
 from conftest import (all_subgroups, centralizer_by_scan, closure_by_bfs, conj, disjoint_union,
-                      generator_ids, induced_by_kernel, inverting_pairs, least_member, normalizer,
-                      orbits, random_valid_datum, sign_characters, small_generating_set,
-                      stored_order)
+                      generator_ids, induced_by_kernel, inverting_pairs, least_member,
+                      mathieu_generators, normalizer, orbits, psl2_generators, random_valid_datum,
+                      sign_characters, small_generating_set, stored_order)
 
 
 def test_composition_convention():
@@ -172,18 +172,6 @@ def _transpositions(count: int) -> list[tuple[int, ...]]:
     return [perm_from_cycles(2 * count, (2 * i, 2 * i + 1)) for i in range(count)]
 
 
-def _psl2_generators(p: int) -> list[list[int]]:
-    """z -> z+1 and z -> -1/z on the projective line over F_p, point p
-    playing infinity: the audit's formula for p = 7."""
-    return [[(z + 1) % p for z in range(p)] + [p],
-            [p] + [-pow(z, p - 2, p) % p for z in range(1, p)] + [0]]
-
-
-def _widened(gens: list, degree: int) -> list[tuple[int, ...]]:
-    """``gens`` with fixed points added up to ``degree``: the same group, stored as tuples."""
-    return [tuple(g) + tuple(range(len(g), degree)) for g in gens]
-
-
 _S5 = [_cyclic(5), perm_from_cycles(5, (0, 1))]
 
 
@@ -193,14 +181,14 @@ _S5 = [_cyclic(5), perm_from_cycles(5, (0, 1))]
     ([], 0, 1), ([()], 0, 1), ([], 1, 1), ([(0,)], 1, 1),           # degrees 0, 1
     ([_cyclic(256), tuple(-x % 256 for x in range(256))], 256, 512),  # D256: two cosets
     ([_cyclic(181)], 181, 181), ([_cyclic(182)], 182, 182),         # G = <a>: no coset walk
-    (_psl2_generators(19), 20, 3420),                               # PSL(2,19): 180 cosets
+    (psl2_generators(19), 20, 3420),                                # PSL(2,19): 180 cosets
     ([tuple(range(5)), *_S5], 5, 120),                             # h = 1
     ([_S5[1], _S5[0]], 5, 120),                                     # h = 2
     ([_cyclic(6), perm_from_cycles(6, (0, 1)), perm_from_cycles(6, (2, 3, 4))], 6, 720),
     ([*_S5, _S5[0], _S5[1]], 5, 120),                               # repeated generators
     ([_cyclic(257)], 257, 257),                                     # tuples from here on
     ([_cyclic(300), tuple(-x % 300 for x in range(300))], 300, 600),
-    (_widened(_psl2_generators(19), 300), 300, 3420),
+    (psl2_generators(19, 300), 300, 3420),
 ], ids=["2^8", "2^9", "s6", "deg0", "deg0_gen", "deg1", "deg1_gen", "d256", "c181", "c182",
         "psl2_19", "first_identity", "first_involution", "three_gens", "repeated_gens", "c257",
         "d300", "psl2_19_wide"])
@@ -241,9 +229,8 @@ class _CountingDict(dict):
 
 
 @pytest.mark.parametrize("gens,classes", [
-    (_psl2_generators(19), 12),
-    ([perm_from_cycles(11, tuple(range(11))), perm_from_cycles(11, (2, 6, 10, 7), (3, 9, 4, 5))],
-     10),
+    (psl2_generators(19), 12),
+    (mathieu_generators(11), 10),
 ], ids=["psl2_19", "m11"])
 def test_classes_look_up_one_element_per_coset(gens, classes):
     # the tables are read off the closure's coset moves: the only elements
@@ -508,7 +495,7 @@ def test_class_sizes_partition_group(fixture, request):
 
 def psl2(p: int) -> PermGroup:
     """PSL(2, p) on the projective line over F_p, point p playing infinity."""
-    return PermGroup(_psl2_generators(p))
+    return PermGroup(psl2_generators(p))
 
 
 @pytest.mark.parametrize("p,order", [(None, 60), (7, 168), (11, 660), (19, 3420)],

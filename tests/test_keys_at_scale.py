@@ -14,17 +14,8 @@ import pytest
 
 from hurwitzdegen import PermGroup, canonical_form, is_inverting_involution, perm_from_cycles
 
-from conftest import (canonical_form_by_scan, conjugate_datum, random_valid_datum,
-                      sampled_inverting_pairs)
-
-
-def psl2_padded(p: int, degree: int) -> PermGroup:
-    """PSL(2, p) on the projective line, points 0..p - 1 and p for infinity,
-    fixing the points p + 1..degree - 1."""
-    fixed = list(range(p + 1, degree))
-    shift = [(z + 1) % p for z in range(p)] + [p] + fixed
-    neg_inv = [p] + [-pow(z, p - 2, p) % p for z in range(1, p)] + [0] + fixed
-    return PermGroup([shift, neg_inv], degree=degree)
+from conftest import (canonical_form_by_scan, conjugate_datum, mathieu_generators,
+                      psl2_generators, random_valid_datum, sampled_inverting_pairs)
 
 
 # name: (the group, its order, a seed and a number of random data); each
@@ -33,9 +24,8 @@ def psl2_padded(p: int, degree: int) -> PermGroup:
 GROUPS = {
     "S7": (lambda: PermGroup([perm_from_cycles(7, tuple(range(7))),
                               perm_from_cycles(7, (0, 1))]), 5040, 2, 6),
-    "M11": (lambda: PermGroup([perm_from_cycles(11, tuple(range(11))),
-                               perm_from_cycles(11, (2, 6, 10, 7), (3, 9, 4, 5))]), 7920, 2, 4),
-    "PSL(2,19) on 300 points": (lambda: psl2_padded(19, 300), 3420, 19, 3),
+    "M11": (lambda: PermGroup(mathieu_generators(11)), 7920, 2, 4),
+    "PSL(2,19) on 300 points": (lambda: PermGroup(psl2_generators(19, 300)), 3420, 19, 3),
 }
 
 
