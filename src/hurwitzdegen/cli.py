@@ -153,7 +153,6 @@ def _characters(gog: DualGraphOfGroups) -> dict:
     dev = de_rham_character(gog)
     return {
         "classes": classes_to_jsonable(gog.datum.group),
-        "connected": gog.connected,
         "degree_chi_dR": dev.chi_dR[0],
         "chi_dR": character_to_jsonable(dev.chi_dR),
         "chi_normalization": character_to_jsonable(dev.chi_normalization),

@@ -212,9 +212,10 @@ class PermGroup:
         then g, each the walk's one lookup (with a alone, a's id).  The walk
         returns the points found so far as soon as it holds more than ``stop``
         of them, a's powers included: the constructor stops past its
-        ``max_order`` bound, or on tuples past its byte budget, and
-        ``generated_subgroup`` at |G|/2, past which, by
-        Lagrange's theorem, the subgroup can only be G.
+        ``max_order`` bound, or on tuples past its byte budget,
+        ``generated_subgroup`` at |G|/2, past which, by Lagrange's theorem,
+        the subgroup can only be G, and a class record at |G| / |class|, the
+        known order of C_G(r), which its closure never passes.
         """
         tr, pad = self._tr, self._pad
         a = gens[0] if gens else ident
@@ -437,10 +438,9 @@ def _class_record(group: PermGroup, x: int) -> ClassRecord:
     edge that finds z new is a tree edge, u_z = g u_y, whose Schreier generator
     t_z^-1 g t_y is the identity; those of the other edges generate C_G(r),
     each formed on stored elements (two products and one inversion).  One
-    closure of C_G(r), of known order |G| / |class|, grows in place: a
-    generator it does not yet hold adds the coset h C of the closure C so
-    far, then each new element times every generator, until it holds
-    |G| / |class| elements.
+    that the closure so far does not hold joins the generators, and
+    ``_close`` closes C_G(r) again from all of them, until it holds its
+    known order |G| / |class|.
     """
     elements, index, tr, pad = group.elements, group.index, group._tr, group._pad
     steps = [(elements[group.inv(g)], elements[g] + pad) for g in group._gen_ids]
@@ -459,23 +459,15 @@ def _class_record(group: PermGroup, x: int) -> ClassRecord:
     back = elements[group.inv(index[via[r]])]
     t = {index[y]: index[tr(back, u + pad)] for y, u in via.items()}
     order, invert = group.order // len(members), group._invert
-    closed, gens = {elements[0]: None}, []
+    closed, gens = {elements[0]: 0}, []
     for y, pg, z in edges:
         if len(closed) == order:
             break
         ty, tz = elements[t[index[y]]], elements[t[index[z]]]
         h = tr(tr(ty, pg), invert(tz) + pad)  # t_z^-1 (g t_y)
         if h not in closed:
-            gens.append(h + pad)
-            new = list(map(tr, closed, repeat(gens[-1])))  # h C, disjoint from C
-            closed.update(dict.fromkeys(new))
-            for c in new:  # grows while it is walked
-                if len(closed) == order:
-                    break
-                for ph in gens:
-                    if (hc := tr(c, ph)) not in closed:
-                        closed[hc] = None
-                        new.append(hc)
+            gens.append(h)
+            closed, _ = group._close(elements[0], gens, order)
     ids = sorted(map(index.__getitem__, closed))
     pairs = tuple((elements[c] + pad, elements[group.inv(c)]) for c in ids)
     return _read_only_record(index[r], t, pairs)

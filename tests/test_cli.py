@@ -48,9 +48,9 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("value", [0.5, [1, 2.0], {"a": [{"b": float("nan")}]}])
+@pytest.mark.parametrize("value", [0.5, [1, 2.0], {"a": [{"b": float("nan")}]}, {1: 0}])
 def test_json_dump_rejects_floats(value, capsys):
-    # reports are exact: a float anywhere is a bug, not something to print
+    # reports are exact and keyed by str: a float or another key is a bug, not something to print
     with pytest.raises(TypeError):
         json_dump(value)
     assert capsys.readouterr().out == ""

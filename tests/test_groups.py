@@ -13,10 +13,10 @@ from hurwitzdegen import audit, groups
 from hurwitzdegen.errors import ClosureBoundExceeded, DegreeMismatch
 from hurwitzdegen.groups import as_perm
 
-from conftest import (all_subgroups, centralizer_by_scan, closure_by_bfs, conj, disjoint_union,
-                      generator_ids, induced_by_kernel, inverting_pairs, least_member,
-                      mathieu_generators, normalizer, orbits, psl2_generators, random_valid_datum,
-                      sign_characters, small_generating_set, stored_order)
+from conftest import (A8_GENERATORS, all_subgroups, centralizer_by_scan, closure_by_bfs, conj,
+                      disjoint_union, generator_ids, induced_by_kernel, inverting_pairs,
+                      least_member, mathieu_generators, normalizer, orbits, psl2_generators,
+                      random_valid_datum, sign_characters, small_generating_set, stored_order)
 
 
 def test_composition_convention():
@@ -498,19 +498,24 @@ def psl2(p: int) -> PermGroup:
     return PermGroup(psl2_generators(p))
 
 
-@pytest.mark.parametrize("p,order", [(None, 60), (7, 168), (11, 660), (19, 3420)],
-                         ids=["a5", "psl2_7", "psl2_11", "psl2_19"])
-def test_classes_against_sympy(p, order):
+@pytest.mark.parametrize("gens,order", [
+    (audit.a5_group().generators, 60), (psl2_generators(7), 168), (psl2_generators(11), 660),
+    (psl2_generators(19), 3420), (mathieu_generators(11), 7920), (A8_GENERATORS, 20160),
+], ids=["a5", "psl2_7", "psl2_11", "psl2_19", "m11", "a8"])
+def test_classes_against_sympy(gens, order):
     combinatorics = pytest.importorskip("sympy.combinatorics")
-    G = audit.a5_group() if p is None else psl2(p)
-    S = combinatorics.PermutationGroup([combinatorics.Permutation(list(g))
-                                        for g in G.generators])
+    Perm = combinatorics.Permutation
+    G = PermGroup(gens)
+    S = combinatorics.PermutationGroup([Perm(list(g)) for g in G.generators])
     assert G.order == S.order() == order
     for c in G.conjugacy_classes():
-        rep = combinatorics.Permutation(list(G.perm(c[0])))
+        rep = Perm(list(G.perm(c[0])))
         assert {G.perm(x) for x in c} == {tuple(x.array_form) for x in S.conjugacy_class(rep)}
-        if order < 3420:
-            assert S.centralizer(rep).order() == G.order // len(c)
+        rec = G.class_record(c[0])
+        if rec is not None:  # C_G(r) of the record against sympy's, past |G| = 720 too
+            C = S.centralizer(Perm(list(G.perm(rec.rep))))
+            assert len(rec.pairs) == C.order() == G.order // len(c)
+            assert all(C.contains(Perm(list(member[:G.degree]))) for member, _ in rec.pairs)
 
 
 def a5_image(G: PermGroup) -> tuple[int, Subgroup]:
@@ -587,7 +592,7 @@ def test_class_records_against_scans(fixture, request):
 
 @pytest.mark.parametrize("fixture", ["s6", "psl27"])
 def test_class_records_close_no_subgroup(fixture, request, monkeypatch):
-    # each record grows one closure of its centralizer from Schreier generators
+    # each record closes its centralizer with _close from Schreier generators
     G = class_record_group(fixture, request)
 
     def refuse(*args):
